@@ -582,7 +582,7 @@ fn abuse_cases(stem: &str, base: &[u8]) -> Vec<(String, Vec<u8>)> {
     }
     push("checksum_flip", flipped);
 
-    // v2-only structural abuse: the directory is only there for version 2.
+    // Directory abuse: only a version-2 base (not the v255 fixture) has one.
     if base.get(4..6) == Some(&[2, 0]) {
         let mut oob = base.to_vec();
         let hostile = (base.len() as u64) * 4;

@@ -102,13 +102,13 @@ fn serial_replay(oracle: &DistOracle, pairs: &[(usize, usize)]) -> (u64, u64) {
 
 fn snapshot_roundtrip(oracle: &DistOracle) -> bool {
     let mut buf = Vec::new();
-    oracle.save(&mut buf).expect("save to memory");
+    oracle.save_v2(&mut buf).expect("save to memory");
     let back = match DistOracle::load(&mut &buf[..]) {
         Ok(o) => o,
         Err(_) => return false,
     };
     let mut again = Vec::new();
-    back.save(&mut again).expect("re-save to memory");
+    back.save_v2(&mut again).expect("re-save to memory");
     back == *oracle && buf == again
 }
 

@@ -194,7 +194,7 @@ fn main() {
 
     // Snapshot round trip.
     let mut snap = Vec::new();
-    oracle.save(&mut snap).expect("save snapshot");
+    oracle.save_v2(&mut snap).expect("save snapshot");
     let back = PathOracle::load(&mut &snap[..]).expect("load snapshot");
     assert_eq!(back, *oracle, "snapshot round trip diverged");
 

@@ -201,7 +201,6 @@ fn main() {
         .expect("write snapshot");
     let snap_bytes = std::fs::metadata(&snap_path).expect("stat snapshot").len();
     let opened = snapshot::open(&snap_path).expect("open snapshot");
-    assert_eq!(opened.version, 2, "the server must see a v2 snapshot");
     let mapped = opened.mapped;
     let zero_copy = opened
         .oracles

@@ -178,7 +178,6 @@ fn main() {
     publish(&gen_a, &snap_path);
     let snap_bytes = std::fs::metadata(&snap_path).expect("stat snapshot").len();
     let opened = snapshot::open(&snap_path).expect("open snapshot");
-    assert_eq!(opened.version, 2);
     let mapped = opened.mapped;
 
     let handle = server::serve(

@@ -1,12 +1,11 @@
 //! The unified error hierarchy of the application layer.
 //!
 //! Every fallible entry point in `cc_core` — the [`crate::Solver`] session
-//! API, the per-algorithm `run` functions and the deprecated
-//! [`crate::facade::solve`] shim — returns [`CcError`]. The per-subsystem
-//! error types ([`ParamError`], [`MsspError`], [`HittingError`],
-//! [`EngineError`]) remain the source-of-truth payloads and convert in via
-//! `From`, so callers can still match on the precise cause while handling a
-//! single type at the API boundary.
+//! API and the per-algorithm `run` functions — returns [`CcError`]. The
+//! per-subsystem error types ([`ParamError`], [`MsspError`],
+//! [`HittingError`], [`EngineError`]) remain the source-of-truth payloads
+//! and convert in via `From`, so callers can still match on the precise
+//! cause while handling a single type at the API boundary.
 
 use cc_clique::EngineError;
 use cc_derand::hitting::HittingError;

@@ -65,7 +65,6 @@ pub mod apsp3;
 pub mod apsp_additive;
 pub mod error;
 pub mod estimates;
-pub mod facade;
 pub mod mssp;
 pub mod oracle;
 pub mod path_oracle;
@@ -76,9 +75,6 @@ pub mod solver;
 pub use algorithm::{Algorithm, AlgorithmOutput};
 pub use error::CcError;
 pub use estimates::DistanceMatrix;
-#[allow(deprecated)]
-pub use facade::solve;
-pub use facade::{Problem, Solution};
 pub use oracle::{DistOracle, Guarantee, GuaranteeKind, PointEstimate, SnapshotError};
 pub use path_oracle::{PathOracle, PathProvider, Route};
 pub use solver::{Execution, ParamProfile, Solver, SolverBuilder};

@@ -12,7 +12,7 @@
 //! parent directory is fsync'd after the rename so the *name* survives a
 //! power cut too.
 //!
-//! Every `save_to_path` / `save_v2_to_path` writer routes through here;
+//! Every `save_v2_to_path` writer routes through here;
 //! the trailing FNV-1a checksum ([`super::header`]) remains the
 //! second line of defense for torn files produced by other tools.
 

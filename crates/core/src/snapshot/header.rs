@@ -1,7 +1,7 @@
 //! The snapshot frame: magic, version, trailing checksum, typed errors.
 //!
-//! Every snapshot this workspace writes — `CCDO` v1/v2, `CCRO` v1/v2 —
-//! shares one frame shape:
+//! Every snapshot this workspace writes — `CCDO` and `CCRO`, both at
+//! format version 2 — shares one frame shape:
 //!
 //! ```text
 //!   magic     4 bytes   (b"CCDO" or b"CCRO")
@@ -11,26 +11,24 @@
 //! ```
 //!
 //! `checked_frame` validates that frame in the only safe order: magic
-//! first, then version, then the checksum. A snapshot written by a future
-//! format version (whose trailing bytes this build cannot even locate)
-//! reports [`SnapshotError::UnsupportedVersion`], never a misleading
-//! checksum mismatch. The CCDO and CCRO readers — and both format
-//! versions — go through this one implementation.
+//! first, then version, then the checksum. A snapshot written in any other
+//! format version — the retired streaming v1 or a future one (whose
+//! trailing bytes this build cannot even locate) — reports
+//! [`SnapshotError::UnsupportedVersion`], never a misleading checksum
+//! mismatch. The CCDO and CCRO readers go through this one implementation.
 
-/// Validates a snapshot frame — magic, then version against the supported
-/// set, then the trailing FNV-1a checksum — and returns the accepted
-/// version plus the checksummed payload (everything before the 8-byte
-/// tail).
+/// The snapshot format version this build reads and writes.
+pub(crate) const VERSION: u16 = 2;
+
+/// Validates a snapshot frame — magic, then version against [`VERSION`],
+/// then the trailing FNV-1a checksum — and returns the checksummed payload
+/// (everything before the 8-byte tail).
 ///
 /// # Errors
 ///
 /// [`SnapshotError::BadMagic`], [`SnapshotError::UnsupportedVersion`], or
 /// [`SnapshotError::Corrupt`] on truncation / checksum mismatch.
-pub(crate) fn checked_frame<'a>(
-    buf: &'a [u8],
-    magic: &[u8; 4],
-    supported: &[u16],
-) -> Result<(u16, &'a [u8]), SnapshotError> {
+pub(crate) fn checked_frame<'a>(buf: &'a [u8], magic: &[u8; 4]) -> Result<&'a [u8], SnapshotError> {
     // Magic and version live in the first 6 bytes and are validated before
     // the checksum, so future-version snapshots fail with the actionable
     // error even though this build cannot verify their integrity.
@@ -44,7 +42,7 @@ pub(crate) fn checked_frame<'a>(
         return Err(SnapshotError::corrupt("shorter than magic + version"));
     };
     let got_version = u16::from_le_bytes(*version_bytes);
-    if !supported.contains(&got_version) {
+    if got_version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(got_version));
     }
     if buf.len() < 14 {
@@ -57,16 +55,7 @@ pub(crate) fn checked_frame<'a>(
     if fnv1a(payload) != stored {
         return Err(SnapshotError::corrupt("checksum mismatch"));
     }
-    Ok((got_version, payload))
-}
-
-/// [`checked_frame`] for a single supported version.
-pub(crate) fn checked_payload<'a>(
-    buf: &'a [u8],
-    magic: &[u8; 4],
-    version: u16,
-) -> Result<&'a [u8], SnapshotError> {
-    checked_frame(buf, magic, &[version]).map(|(_, payload)| payload)
+    Ok(payload)
 }
 
 /// FNV-1a over a byte slice (the snapshot checksum).
@@ -109,10 +98,6 @@ impl<'a> Cursor<'a> {
             .first_chunk::<N>()
             .copied()
             .ok_or_else(|| SnapshotError::corrupt("truncated payload"))
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
     }
 
     pub(crate) fn at_end(&self) -> bool {

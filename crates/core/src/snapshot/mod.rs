@@ -1,26 +1,23 @@
 //! Snapshot persistence shared by the `CCDO` ([`crate::DistOracle`]) and
 //! `CCRO` ([`crate::PathOracle`]) formats.
 //!
-//! Two format versions coexist:
+//! There is one format, version 2 — the serving format: each oracle's
+//! content laid out as **64-byte-aligned POD sections** behind a section
+//! directory, inside a `magic / version u16 / … / trailing FNV-1a u64`
+//! frame. The hot tables (distance entries, provenance tags, route-arena
+//! columns, origins, sources) are directly addressable from a mapped file:
+//! loading builds [`cc_graphs::SharedSlice`] views into the snapshot bytes
+//! instead of copying them (little-endian targets; elsewhere the loader
+//! transparently decode-copies). A file in any other version — including
+//! the retired streaming v1 — is refused with
+//! [`SnapshotError::UnsupportedVersion`].
 //!
-//! * **v1** — the original streaming format: a packed little-endian byte
-//!   sequence, decoded field by field into freshly allocated tables.
-//!   Compact and portable; every load pays a full deserialization pass.
-//! * **v2** — the serving format: the same logical content laid out as
-//!   **64-byte-aligned POD sections** behind a section directory, with the
-//!   same `magic / version u16 / … / trailing FNV-1a u64` frame as v1. The
-//!   hot tables (distance entries, provenance tags, route-arena columns,
-//!   origins, sources) are directly addressable from a mapped file: loading
-//!   builds [`cc_graphs::SharedSlice`] views into the snapshot bytes
-//!   instead of copying them (little-endian targets; elsewhere the loader
-//!   transparently decode-copies).
-//!
-//! [`header`] holds the frame plumbing both versions and both formats
-//! share — magic/version inspection, the trailing checksum, the
-//! bounds-checked cursor, [`SnapshotError`]. The `v2` module holds the
-//! section writer and the validated section view. The per-format
-//! field layouts live with their types (`oracle.rs`, `path_oracle.rs`);
-//! `DESIGN.md` §9 documents the v2 layout and alignment rules.
+//! [`header`] holds the frame plumbing both formats share — magic/version
+//! inspection, the trailing checksum, the bounds-checked cursor,
+//! [`SnapshotError`]. The `v2` module holds the section writer and the
+//! validated section view. The per-format section layouts live with their
+//! types (`oracle.rs`, `path_oracle.rs`); `DESIGN.md` §9 documents the
+//! layout and alignment rules.
 
 pub mod atomic;
 pub mod header;
@@ -31,7 +28,7 @@ pub use header::SnapshotError;
 pub use v2::SnapshotView;
 
 /// Identifies a snapshot byte stream without parsing it: `(magic, version)`
-/// from the 6-byte prefix shared by every CCDO/CCRO version. The caller
+/// from the 6-byte prefix every CCDO/CCRO frame starts with. The caller
 /// decides whether the pair is one it understands; this only fails on
 /// streams too short to carry a header.
 ///

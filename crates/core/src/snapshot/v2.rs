@@ -1,6 +1,6 @@
 //! Snapshot format v2: aligned POD sections behind a section directory.
 //!
-//! Frame (shared with v1 — see [`super::header`]):
+//! Frame (see [`super::header`]):
 //!
 //! ```text
 //!   off  0  magic            4 bytes
@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use cc_graphs::{AlignedBytes, ByteOwner, DirEntry, PodData, Section, SharedSlice};
 
-use super::header::{checked_frame, fnv1a, SnapshotError};
+use super::header::{checked_frame, fnv1a, SnapshotError, VERSION};
 
 /// Section alignment: every section starts at a multiple of this, relative
 /// to the snapshot's first byte. Re-exported from `cc_graphs::pod`, where
@@ -61,7 +61,7 @@ impl SectionWriter {
     pub(crate) fn new(magic: &[u8; 4]) -> Self {
         let mut buf = Vec::with_capacity(256);
         buf.extend_from_slice(magic);
-        buf.extend_from_slice(&2u16.to_le_bytes());
+        buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&0u16.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes()); // dir_off, patched in finish
         SectionWriter {
@@ -166,7 +166,7 @@ impl SnapshotView {
         let bytes = all
             .get(base..end)
             .ok_or_else(|| SnapshotError::corrupt("snapshot window out of bounds"))?;
-        let (_, payload) = checked_frame(bytes, magic, &[2])?;
+        let payload = checked_frame(bytes, magic)?;
         if payload.len() < 16 {
             return Err(SnapshotError::corrupt("v2 header truncated"));
         }

@@ -236,8 +236,8 @@ impl SolverBuilder {
 /// expensive substrates — emulator, bounded hopsets, hitting sets — are
 /// built once and memoized (keyed by mode and threshold) across queries.
 /// Query results themselves are memoized too, so repeating a query is free,
-/// and [`Solver::query`] answers point lookups from everything computed so
-/// far without charging any rounds.
+/// and [`Solver::estimate`] answers point lookups from everything computed
+/// so far without charging any rounds.
 #[derive(Debug)]
 pub struct Solver {
     graph: Graph,
@@ -365,7 +365,7 @@ impl Solver {
 
     /// `(2+ε)`-approximate APSP (Thm 4/34). Memoized: the first call runs
     /// the pipeline, later calls return the cached result without charging
-    /// rounds (they still copy the `n × n` result; use [`Solver::query`]
+    /// rounds (they still copy the `n × n` result; use [`Solver::estimate`]
     /// for repeated point lookups).
     ///
     /// # Errors
@@ -547,17 +547,6 @@ impl Solver {
             }
         });
         best
-    }
-
-    /// Untagged point lookup.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Solver::estimate` (tagged answer) or `Solver::freeze` + \
-                `DistOracle::dist` for serving; a bare `Option<Dist>` loses \
-                the approximation guarantee of the winning pipeline"
-    )]
-    pub fn query(&self, u: usize, v: usize) -> Option<Dist> {
-        self.estimate(u, v).map(|e| e.dist)
     }
 
     /// Freezes everything computed so far into an immutable,
@@ -864,17 +853,14 @@ mod tests {
             );
         }
         assert_eq!(solver.estimate(99, 0), None, "out of range is None");
-        #[allow(deprecated)]
-        let legacy = solver.query(0, 5);
-        assert_eq!(legacy, solver.estimate(0, 5).map(|e| e.dist));
     }
 
     #[test]
     fn estimates_keep_the_provenance_of_the_winning_pipeline() {
-        // The old `query` returned the pointwise min across pipelines with
-        // no tag — a (3+ε) estimate could masquerade under a caller-assumed
-        // stronger bound. Run the weak pipeline plus an MSSP batch: answers
-        // improved by MSSP must be tagged Mssp, the rest Mult3Eps.
+        // An untagged pointwise min across pipelines would let a (3+ε)
+        // estimate masquerade under a caller-assumed stronger bound. Run the
+        // weak pipeline plus an MSSP batch: answers improved by MSSP must be
+        // tagged Mssp, the rest Mult3Eps.
         let g = generators::caveman(6, 6);
         let mut solver = SolverBuilder::new(g.clone())
             .eps(0.5)
@@ -1169,7 +1155,7 @@ mod tests {
         solver.mssp(&[0, 12]).unwrap();
         let oracle = solver.freeze_with_paths().unwrap();
         let mut buf = Vec::new();
-        oracle.save(&mut buf).unwrap();
+        oracle.save_v2(&mut buf).unwrap();
         let back = crate::PathOracle::load(&mut &buf[..]).unwrap();
         assert_eq!(back, oracle);
         for u in (0..g.n()).step_by(3) {

@@ -56,27 +56,11 @@ fn assert_all_prefixes_rejected<T, E: std::fmt::Debug>(
 }
 
 #[test]
-fn dist_oracle_v1_rejects_every_truncation() {
-    let (dist, _) = build_oracles(10);
-    let mut bytes = Vec::new();
-    dist.save(&mut bytes).unwrap();
-    assert_all_prefixes_rejected("CCDO v1", &bytes, DistOracle::from_snapshot_bytes);
-}
-
-#[test]
 fn dist_oracle_v2_rejects_every_truncation() {
     let (dist, _) = build_oracles(10);
     let mut bytes = Vec::new();
     dist.save_v2(&mut bytes).unwrap();
     assert_all_prefixes_rejected("CCDO v2", &bytes, DistOracle::from_snapshot_bytes);
-}
-
-#[test]
-fn path_oracle_v1_rejects_every_truncation() {
-    let (_, paths) = build_oracles(8);
-    let mut bytes = Vec::new();
-    paths.save(&mut bytes).unwrap();
-    assert_all_prefixes_rejected("CCRO v1", &bytes, PathOracle::from_snapshot_bytes);
 }
 
 #[test]

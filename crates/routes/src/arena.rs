@@ -261,43 +261,6 @@ impl RouteArena {
         self.lens.extend_from_slice(&other.lens);
         offset
     }
-
-    /// Wire form of node `i` for snapshots: `(tag, a, b)` with tag 0 = Edge,
-    /// 1 = Cat, 2 = Rev (`b` unused for Rev).
-    pub fn wire_node(&self, i: usize) -> (u8, u32, u32) {
-        (self.tags[i], self.ops_a[i], self.ops_b[i])
-    }
-
-    /// Rebuilds a node from its wire form, validating the DAG invariant
-    /// (children strictly smaller than the new id, edge endpoints below `n`,
-    /// no self-loop edges). Returns `None` on any violation.
-    pub fn push_wire_node(&mut self, tag: u8, a: u32, b: u32, n: usize) -> Option<RecId> {
-        let id = self.len() as u32;
-        match tag {
-            TAG_EDGE => {
-                if a == b || a as usize >= n || b as usize >= n {
-                    return None;
-                }
-                Some(self.edge(a, b))
-            }
-            TAG_CAT => {
-                if a >= id || b >= id {
-                    return None;
-                }
-                Some(self.cat(RecId(a), RecId(b)))
-            }
-            TAG_REV => {
-                if a >= id {
-                    return None;
-                }
-                // Do not collapse Rev(Rev) here: loading must reproduce the
-                // saved arena byte-for-byte on re-save.
-                let len = self.lens[a as usize];
-                Some(self.push(Node::Rev(a), len))
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -365,27 +328,6 @@ mod tests {
         let offset = a.absorb(&b);
         let c2 = RecId(c.index() + offset);
         assert_eq!(a.emit(c2, false), vec![(1, 0), (0, 1)]);
-    }
-
-    #[test]
-    fn wire_round_trip_validates() {
-        let mut a = RouteArena::new();
-        let e = a.edge(0, 1);
-        let r = a.rev(e);
-        let c = a.cat(e, r);
-        let mut b = RouteArena::new();
-        for i in 0..a.len() {
-            let (tag, x, y) = a.wire_node(i);
-            b.push_wire_node(tag, x, y, 4).expect("valid node");
-        }
-        assert_eq!(a, b);
-        assert_eq!(b.emit(c, false), vec![(0, 1), (1, 0)]);
-        // Forward references and bad edges are rejected.
-        let mut bad = RouteArena::new();
-        assert!(bad.push_wire_node(1, 0, 0, 4).is_none(), "forward cat");
-        assert!(bad.push_wire_node(0, 2, 2, 4).is_none(), "self-loop");
-        assert!(bad.push_wire_node(0, 0, 9, 4).is_none(), "out of range");
-        assert!(bad.push_wire_node(9, 0, 1, 4).is_none(), "unknown tag");
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //!           [--write-timeout-ms N] [--outbox-cap-bytes N]
 //!           [--reload-on sighup|admin|both] [--allow-resize]
 //!           [--max-secs S]
-//! ccd snapshot upgrade IN OUT      # rewrite any snapshot as format v2
 //! ccd snapshot info FILE           # frame, sections, dimensions
 //! ccd metrics [--addr 127.0.0.1:7411]   # dump the daemon's metrics text
 //! ccd trace [--addr 127.0.0.1:7411]     # drain this connection's span ring
 //! ```
 //!
-//! `serve` loads the snapshot (v2 files are memory-mapped and served
-//! zero-copy), binds, prints one status line, and runs until killed — or
-//! for `--max-secs`, then drains gracefully.
+//! `serve` loads the snapshot (memory-mapped and served zero-copy), binds,
+//! prints one status line, and runs until killed — or for `--max-secs`,
+//! then drains gracefully.
 //!
 //! With `--reload-on`, the daemon hot-reloads the snapshot *file path* it
 //! was started with: publish a new file at that path (atomically — the
@@ -33,7 +32,7 @@ use cc_serve::{server, snapshot, ReloadConfig, ServerConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  ccd serve --snapshot FILE [--addr A] [--threads N] [--queue-cap N]\n            [--batch-max N] [--deadline-ms N] [--write-timeout-ms N]\n            [--outbox-cap-bytes N] [--reload-on sighup|admin|both]\n            [--allow-resize] [--max-secs S]\n  ccd snapshot upgrade IN OUT\n  ccd snapshot info FILE\n  ccd metrics [--addr A]\n  ccd trace [--addr A]"
+        "usage:\n  ccd serve --snapshot FILE [--addr A] [--threads N] [--queue-cap N]\n            [--batch-max N] [--deadline-ms N] [--write-timeout-ms N]\n            [--outbox-cap-bytes N] [--reload-on sighup|admin|both]\n            [--allow-resize] [--max-secs S]\n  ccd snapshot info FILE\n  ccd metrics [--addr A]\n  ccd trace [--addr A]"
     );
     ExitCode::from(2)
 }
@@ -43,7 +42,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("serve") => cmd_serve(&args[1..]),
         Some("snapshot") => match args.get(1).map(String::as_str) {
-            Some("upgrade") => cmd_upgrade(&args[2..]),
             Some("info") => cmd_info(&args[2..]),
             _ => usage(),
         },
@@ -123,7 +121,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     let n = opened.oracles.n();
     let routes = opened.oracles.paths().is_some();
-    let (version, mapped) = (opened.version, opened.mapped);
+    let mapped = opened.mapped;
     let handle = match server::serve(opened.oracles, &addr, config.clone()) {
         Ok(h) => h,
         Err(e) => {
@@ -132,7 +130,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         }
     };
     println!(
-        "ccd: serving {snapshot_path} (v{version}, n={n}, routes={routes}, mapped={mapped}) on {} with {} workers",
+        "ccd: serving {snapshot_path} (n={n}, routes={routes}, mapped={mapped}) on {} with {} workers",
         handle.addr(),
         config.threads
     );
@@ -190,25 +188,6 @@ fn cmd_text_op(args: &[String], which: TextOp) -> ExitCode {
         }
         Err(e) => {
             eprintln!("ccd: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_upgrade(args: &[String]) -> ExitCode {
-    let [input, output] = args else {
-        return usage();
-    };
-    match snapshot::upgrade(input, output) {
-        Ok(report) => {
-            println!(
-                "ccd: upgraded {input} (v{}, {} bytes) -> {output} (v2, {} bytes)",
-                report.from_version, report.input_bytes, report.output_bytes
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("ccd: upgrade failed: {e}");
             ExitCode::FAILURE
         }
     }

@@ -4,11 +4,10 @@
 //! [`cc_core::PathOracle`] snapshot on disk. This crate turns one of those
 //! files into a network service, `ccd`:
 //!
-//! * [`snapshot`] opens files — format v2 is served **zero-copy**: the
-//!   file is `mmap`'d ([`mmap`]) and the oracle's hot tables (distance
-//!   entries, guarantee tags, route arenas) are typed views straight into
-//!   the mapping, no deserialization. v1 files still load (decoded), and
-//!   [`snapshot::upgrade`] rewrites them as v2.
+//! * [`snapshot`] opens files, served **zero-copy**: the file is `mmap`'d
+//!   ([`mmap`]) and the oracle's hot tables (distance entries, guarantee
+//!   tags, route arenas) are typed views straight into the mapping, no
+//!   deserialization.
 //! * [`server`] is the daemon: per-connection reader threads feed a
 //!   bounded queue; worker threads drain it in batches, coalescing
 //!   co-arriving queries into single oracle batch calls over per-worker
@@ -58,4 +57,4 @@ pub use client::{Client, ClientError, RetryPolicy};
 pub use fault::{FaultPlan, FaultSite};
 pub use protocol::{Op, PathItem, Payload, Request, Response, StatsSnapshot, Status, VersionInfo};
 pub use server::{serve, ReloadConfig, ReloadError, ServerConfig, ServerHandle};
-pub use snapshot::{open, open_quarantining, upgrade, OpenError, OpenedSnapshot, Oracles};
+pub use snapshot::{open, open_quarantining, OpenError, OpenedSnapshot, Oracles};

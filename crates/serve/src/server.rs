@@ -493,7 +493,7 @@ pub fn serve(oracles: Oracles, addr: &str, config: ServerConfig) -> std::io::Res
         write_timeout,
         outbox_cap: config.outbox_cap_bytes.max(1024),
     });
-    let conn_threads = Arc::new(Mutex::new(Vec::new()));
+    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let workers = (0..config.threads.max(1))
         .map(|_| {
@@ -535,6 +535,9 @@ pub fn serve(oracles: Oracles, addr: &str, config: ServerConfig) -> std::io::Res
                             std::thread::spawn(move || writer_loop(&conn, &shared))
                         };
                         let mut conn_threads = lock_recovering(&conn_threads);
+                        // Reap finished connections so churn cannot grow
+                        // the handle list without bound.
+                        conn_threads.retain(|h| !h.is_finished());
                         conn_threads.push(reader);
                         conn_threads.push(writer);
                     }
@@ -1060,5 +1063,48 @@ fn encode_path_body(body: &mut Vec<u8>, job: &Job, oracles: &Oracles, edges: &mu
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use cc_core::{DistOracle, DistanceMatrix, Guarantee};
+    use cc_graphs::StorageKind;
+
+    #[test]
+    fn connection_churn_does_not_pile_up_thread_handles() {
+        let mut m = DistanceMatrix::new(4);
+        m.improve(0, 1, 1);
+        let oracle = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::Full);
+        let handle = serve(
+            Oracles::DistOnly(Arc::new(oracle)),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let held = || lock_recovering(&handle.conn_threads).len();
+        let mut peak = 0;
+        for _ in 0..200 {
+            let mut client = Client::connect(handle.addr()).unwrap();
+            client.ping().unwrap();
+            drop(client);
+            peak = peak.max(held());
+        }
+        assert!(peak <= 32, "{peak} handles held during churn");
+        // Once the churned connections have finished, the next accept
+        // reaps them all: only the live connection's two threads remain.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let mut client = Client::connect(handle.addr()).unwrap();
+            client.ping().unwrap();
+            if held() <= 4 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{} handles still held", held());
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        handle.shutdown();
     }
 }

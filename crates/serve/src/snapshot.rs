@@ -1,10 +1,10 @@
-//! Opening, upgrading, and inspecting oracle snapshot files.
+//! Opening and inspecting oracle snapshot files.
 //!
 //! [`open`] is the server's loading path: it maps the file ([`crate::mmap`])
-//! and, for format v2, hands the mapping straight to the zero-copy loaders
-//! — the oracle's hot tables alias the page cache and no per-entry decode
-//! happens at all. Format v1 files still load (decoded into owned memory);
-//! [`upgrade`] rewrites them as v2 so the next open is zero-copy.
+//! and hands the mapping straight to the zero-copy loaders — the oracle's
+//! hot tables alias the page cache and no per-entry decode happens at all.
+//! A file in any format version other than 2 is refused with
+//! [`SnapshotError::UnsupportedVersion`].
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -55,38 +55,30 @@ pub struct OpenedSnapshot {
     pub oracles: Oracles,
     /// The file's 4-byte magic.
     pub magic: [u8; 4],
-    /// The snapshot format version found in the file.
-    pub version: u16,
-    /// Whether the backing bytes are a real memory map (v2 fast path).
+    /// Whether the backing bytes are a real memory map (as opposed to an
+    /// aligned in-memory copy).
     pub mapped: bool,
     /// File size in bytes.
     pub file_bytes: usize,
 }
 
-/// Opens a snapshot file for serving.
-///
-/// v2 files are served zero-copy from the mapping; v1 files are decoded
-/// into owned memory (consider [`upgrade`]).
+/// Opens a snapshot file for serving, zero-copy from the mapping.
 ///
 /// # Errors
 ///
 /// I/O failures and any [`SnapshotError`] from validation.
 pub fn open<P: AsRef<Path>>(path: P) -> Result<OpenedSnapshot, SnapshotError> {
     let (owner, mapped) = open_owner(path.as_ref())?;
-    let bytes = owner.bytes();
-    let file_bytes = bytes.len();
-    let (magic, version) = sniff(bytes)?;
-    let oracles = match (&magic, version) {
-        (b"CCDO", 2) => Oracles::DistOnly(Arc::new(DistOracle::load_v2_shared(owner.clone())?)),
-        (b"CCRO", 2) => Oracles::WithRoutes(Arc::new(PathOracle::load_v2_shared(owner.clone())?)),
-        (b"CCDO", _) => Oracles::DistOnly(Arc::new(DistOracle::from_snapshot_bytes(bytes)?)),
-        (b"CCRO", _) => Oracles::WithRoutes(Arc::new(PathOracle::from_snapshot_bytes(bytes)?)),
+    let file_bytes = owner.bytes().len();
+    let (magic, _) = sniff(owner.bytes())?;
+    let oracles = match &magic {
+        b"CCDO" => Oracles::DistOnly(Arc::new(DistOracle::load_v2_shared(owner)?)),
+        b"CCRO" => Oracles::WithRoutes(Arc::new(PathOracle::load_v2_shared(owner)?)),
         _ => return Err(SnapshotError::BadMagic(magic)),
     };
     Ok(OpenedSnapshot {
         oracles,
         magic,
-        version,
         mapped,
         file_bytes,
     })
@@ -184,41 +176,6 @@ pub fn open_quarantining<P: AsRef<Path>>(path: P) -> Result<OpenedSnapshot, Open
     }
 }
 
-/// What [`upgrade`] did.
-#[derive(Debug)]
-pub struct UpgradeReport {
-    /// The input's format version.
-    pub from_version: u16,
-    /// Input file size in bytes.
-    pub input_bytes: usize,
-    /// Output (v2) file size in bytes.
-    pub output_bytes: u64,
-}
-
-/// Rewrites a snapshot (either magic, either version) as format v2 at
-/// `output`. Values, guarantee tags, and routes are preserved exactly —
-/// the upgraded file answers every query identically.
-///
-/// # Errors
-///
-/// I/O failures and any [`SnapshotError`] from reading the input.
-pub fn upgrade<P: AsRef<Path>, Q: AsRef<Path>>(
-    input: P,
-    output: Q,
-) -> Result<UpgradeReport, SnapshotError> {
-    let opened = open(input)?;
-    match &opened.oracles {
-        Oracles::DistOnly(o) => o.save_v2_to_path(output.as_ref())?,
-        Oracles::WithRoutes(p) => p.save_v2_to_path(output.as_ref())?,
-    }
-    let output_bytes = std::fs::metadata(output.as_ref())?.len();
-    Ok(UpgradeReport {
-        from_version: opened.version,
-        input_bytes: opened.file_bytes,
-        output_bytes,
-    })
-}
-
 /// A human-readable description of a snapshot file, one line per fact —
 /// `ccd snapshot info`'s output.
 ///
@@ -234,15 +191,13 @@ pub fn describe<P: AsRef<Path>>(path: P) -> Result<String, SnapshotError> {
     out.push_str(&format!("version  {version}\n"));
     out.push_str(&format!("bytes    {}\n", owner.bytes().len()));
     out.push_str(&format!("mapped   {mapped}\n"));
-    if version == 2 {
-        let view = SnapshotView::parse(owner.clone(), &magic)?;
-        out.push_str("sections\n");
-        for (id, off, len) in view.directory() {
-            let name = section_name(&magic, id);
-            out.push_str(&format!(
-                "  {id:>5}  off {off:>10}  len {len:>10}  {name}\n"
-            ));
-        }
+    let view = SnapshotView::parse(owner, &magic)?;
+    out.push_str("sections\n");
+    for (id, off, len) in view.directory() {
+        let name = section_name(&magic, id);
+        out.push_str(&format!(
+            "  {id:>5}  off {off:>10}  len {len:>10}  {name}\n"
+        ));
     }
     // Full load for the semantic facts (also proves the file is sound).
     let opened = open(path)?;

@@ -6,9 +6,11 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
+use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate, SnapshotError};
 use cc_graphs::StorageKind;
-use cc_serve::{server, snapshot, Client, ReloadConfig, ServerConfig, Status};
+use cc_serve::{
+    server, snapshot, Client, OpenError, ReloadConfig, ReloadError, ServerConfig, Status,
+};
 
 /// A CCDO oracle with `dist(u, v) = |u - v| * scale`: answers from
 /// different `scale`s are bit-distinguishable, so a response proves which
@@ -228,10 +230,30 @@ fn corrupt_files_are_quarantined_and_the_old_generation_keeps_serving() {
         .collect();
     assert_eq!(got, gen_a.dist_batch(&upairs));
 
+    // A version-1 frame (the retired streaming format) is refused by its
+    // version, which is checked before the checksum, and quarantined the
+    // same way while the old generation keeps serving.
+    let mut v1 = Vec::new();
+    gen_a.save_v2(&mut v1).unwrap();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&garbage, &v1).unwrap();
+    std::fs::rename(&garbage, &path).unwrap();
+    match handle.trigger_reload() {
+        Err(ReloadError::Open(OpenError::Quarantined {
+            reason: SnapshotError::UnsupportedVersion(1),
+            quarantined_to,
+        })) => assert_eq!(quarantined_to, quarantined),
+        other => panic!("version-1 frame was not refused by version: {other:?}"),
+    }
+    assert_eq!(std::fs::read(&quarantined).unwrap(), v1);
+    assert!(!path.exists(), "serving path is clean for the next publish");
+    let got = admin.dist_batch(&pairs, 0).unwrap().unwrap();
+    assert_eq!(got, gen_a.dist_batch(&upairs));
+
     let stats = handle.stats();
     assert_eq!(stats.generation, 1, "no swap on refusal");
     assert_eq!(stats.reloads_ok, 0);
-    assert_eq!(stats.reloads_rejected, 1);
+    assert_eq!(stats.reloads_rejected, 2);
 
     // Republish a good file at the (now clean) path: reload succeeds.
     publish(&gen_a, &path);

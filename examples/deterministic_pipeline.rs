@@ -85,11 +85,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Persist the solved session: freeze → snapshot → reload. The
     //    snapshot is a versioned little-endian binary format (DESIGN.md
-    //    §2.2), so a fresh process can serve the estimates without
+    //    §9.2), so a fresh process can serve the estimates without
     //    re-running a single round of the pipeline.
     let oracle = solver.freeze()?;
     let path = std::env::temp_dir().join("deterministic_pipeline_oracle.snap");
-    oracle.save_to_path(&path)?;
+    oracle.save_v2_to_path(&path)?;
     let served = DistOracle::load_from_path(&path)?;
     let snapshot_bytes = std::fs::metadata(&path)?.len();
     std::fs::remove_file(&path).ok();

@@ -152,9 +152,9 @@ proptest! {
 
 // ── Snapshot format golden files ─────────────────────────────────────────
 //
-// The three checked-in `tests/golden/oracle_*_v1.snap` files gate the wire
+// The three checked-in `tests/golden/oracle_*_v2.snap` files gate the wire
 // format: `load` must reproduce the reference oracle bit-for-bit and
-// `save` must reproduce the files byte-for-byte. The reference is
+// `save_v2` must reproduce the files byte-for-byte. The reference is
 // hand-constructed (not pipeline output), so these only change when the
 // *format* changes — which requires a version bump and fresh goldens
 // (regenerate with `cargo test --test integration_oracle -- --ignored`).
@@ -195,46 +195,13 @@ fn reference_oracles() -> Vec<(&'static str, DistOracle)> {
     vec![("full", full), ("symmetric", sym), ("rowsparse", sparse)]
 }
 
-fn golden_path(label: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("oracle_{label}_v1.snap"))
-}
-
 fn golden_v2_path(label: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(format!("oracle_{label}_v2.snap"))
 }
 
-#[test]
-fn golden_snapshots_round_trip_bit_identically() {
-    for (label, reference) in reference_oracles() {
-        let path = golden_path(label);
-        let bytes = std::fs::read(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e}); regenerate with `cargo test --test integration_oracle -- --ignored`"));
-        let loaded = DistOracle::load(&mut &bytes[..])
-            .unwrap_or_else(|e| panic!("{label}: golden no longer parses: {e}"));
-        assert_eq!(loaded, reference, "{label}: loaded oracle differs");
-        let mut resaved = Vec::new();
-        reference.save(&mut resaved).expect("save to memory");
-        assert_eq!(
-            resaved, bytes,
-            "{label}: save() output changed — snapshot format v1 is frozen; \
-             bump the version instead"
-        );
-        // The loaded oracle must answer identically to the reference.
-        for u in 0..reference.n() {
-            for v in 0..reference.n() {
-                assert_eq!(loaded.dist(u, v), reference.dist(u, v));
-            }
-        }
-    }
-}
-
-/// The v2 goldens gate the aligned-section format the same way: bit-exact
-/// load, byte-exact re-save. The same references back both versions, so
-/// these files also pin the v1 → v2 upgrade result.
+/// Bit-exact load and byte-exact re-save of every v2 golden.
 #[test]
 fn golden_v2_snapshots_round_trip_bit_identically() {
     for (label, reference) in reference_oracles() {
@@ -256,12 +223,6 @@ fn golden_v2_snapshots_round_trip_bit_identically() {
                 assert_eq!(loaded.dist(u, v), reference.dist(u, v));
             }
         }
-        // Upgrading the v1 golden must land byte-exactly on the v2 golden.
-        let v1_bytes = std::fs::read(golden_path(label)).expect("v1 golden present");
-        let upgraded = DistOracle::load(&mut &v1_bytes[..]).expect("v1 parses");
-        let mut as_v2 = Vec::new();
-        upgraded.save_v2(&mut as_v2).expect("save to memory");
-        assert_eq!(as_v2, bytes, "{label}: v1 -> v2 upgrade drifted");
     }
 }
 
@@ -273,9 +234,6 @@ fn regenerate_golden_snapshots() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::create_dir_all(&dir).expect("create tests/golden");
     for (label, reference) in reference_oracles() {
-        reference
-            .save_to_path(golden_path(label))
-            .expect("write golden");
         reference
             .save_v2_to_path(golden_v2_path(label))
             .expect("write v2 golden");
@@ -307,7 +265,7 @@ fn tagged_session_snapshot_round_trips_on_disk() {
     ] {
         let oracle = frozen.with_layout(kind);
         let path = dir.join(format!("cc_oracle_rt_{}.snap", kind.label()));
-        oracle.save_to_path(&path).expect("save");
+        oracle.save_v2_to_path(&path).expect("save");
         let back = DistOracle::load_from_path(&path).expect("load");
         std::fs::remove_file(&path).ok();
         assert_eq!(back, oracle, "{kind:?}");

@@ -186,9 +186,9 @@ fn concurrent_route_serving_is_bit_identical_to_serial_replay() {
 
 // ── Snapshot format golden files ─────────────────────────────────────────
 //
-// `tests/golden/paths_v1.snap` gates the CCRO wire format the same way the
-// `oracle_*_v1.snap` files gate CCDO: `load` must reproduce the reference
-// oracle and `save` must reproduce the file byte-for-byte. The reference is
+// `tests/golden/paths_v2.snap` gates the CCRO wire format the same way the
+// `oracle_*_v2.snap` files gate CCDO: `load` must reproduce the reference
+// oracle and `save_v2` must reproduce the file byte-for-byte. The reference is
 // hand-constructed (not pipeline output), so it only changes when the
 // *format* changes — which requires a version bump and fresh goldens
 // (regenerate with `cargo test --test integration_paths -- --ignored`).
@@ -260,32 +260,6 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-#[test]
-fn golden_ccro_snapshot_round_trips_bit_identically() {
-    let reference = reference_path_oracle();
-    let path = golden_dir().join("paths_v1.snap");
-    let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {path:?} ({e}); regenerate with \
-             `cargo test --test integration_paths -- --ignored`"
-        )
-    });
-    let loaded = PathOracle::load(&mut &bytes[..]).expect("golden parses");
-    assert_eq!(loaded, reference, "loaded oracle differs from reference");
-    let mut resaved = Vec::new();
-    reference.save(&mut resaved).expect("save to memory");
-    assert_eq!(
-        resaved, bytes,
-        "save() output changed — snapshot format CCRO v1 is frozen; bump \
-         the version instead"
-    );
-    for u in 0..reference.n() {
-        for v in 0..reference.n() {
-            assert_eq!(loaded.path(u, v), reference.path(u, v), "({u},{v})");
-        }
-    }
-}
-
 /// The crafted v255 `CCDO` golden: a future-version snapshot must be turned
 /// away as `UnsupportedVersion` with the pinned message — never reported as
 /// a checksum mismatch (the old loader verified the checksum first and
@@ -324,8 +298,7 @@ fn crafted_v255_bytes() -> Vec<u8> {
     bytes
 }
 
-/// The CCRO v2 golden: bit-exact load, byte-exact re-save, and a pinned
-/// v1 → v2 upgrade result (the same reference backs both versions).
+/// The CCRO v2 golden: bit-exact load and byte-exact re-save.
 #[test]
 fn golden_ccro_v2_snapshot_round_trips_bit_identically() {
     let reference = reference_path_oracle();
@@ -350,12 +323,6 @@ fn golden_ccro_v2_snapshot_round_trips_bit_identically() {
             assert_eq!(loaded.path(u, v), reference.path(u, v), "({u},{v})");
         }
     }
-    // Upgrading the v1 golden must land byte-exactly on the v2 golden.
-    let v1_bytes = std::fs::read(golden_dir().join("paths_v1.snap")).expect("v1 golden");
-    let upgraded = PathOracle::load(&mut &v1_bytes[..]).expect("v1 parses");
-    let mut as_v2 = Vec::new();
-    upgraded.save_v2(&mut as_v2).expect("save to memory");
-    assert_eq!(as_v2, bytes, "v1 -> v2 upgrade drifted");
 }
 
 /// Regenerates the golden files. Only run deliberately (after a format
@@ -366,9 +333,6 @@ fn regenerate_golden_paths_snapshots() {
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).expect("create tests/golden");
     let reference = reference_path_oracle();
-    reference
-        .save_to_path(dir.join("paths_v1.snap"))
-        .expect("write golden");
     reference
         .save_v2_to_path(dir.join("paths_v2.snap"))
         .expect("write v2 golden");
@@ -390,7 +354,7 @@ fn session_ccro_snapshot_round_trips_on_disk() {
     solver.mssp(&[0, 12]).unwrap();
     let oracle = solver.freeze_with_paths().unwrap();
     let path = std::env::temp_dir().join(format!("ccro_roundtrip_{}.snap", std::process::id()));
-    oracle.save_to_path(&path).expect("write snapshot");
+    oracle.save_v2_to_path(&path).expect("write snapshot");
     let back = PathOracle::load_from_path(&path).expect("read snapshot");
     std::fs::remove_file(&path).ok();
     assert_eq!(back, oracle);

@@ -172,9 +172,6 @@ fn frozen_session_serves_tagged_answers() {
         for v in 0..g.n() {
             let frozen = oracle.dist(u, v);
             assert_eq!(frozen, solver.estimate(u, v), "({u},{v})");
-            #[allow(deprecated)]
-            let legacy = solver.query(u, v);
-            assert_eq!(legacy, frozen.map(|e| e.dist), "({u},{v})");
         }
     }
     // k-nearest answers come back sorted and respect the frozen estimates.
