@@ -638,7 +638,7 @@ mod tests {
         let o = cc_core::DistOracle::from_matrix(
             &m,
             cc_core::Guarantee::mult3(0.25),
-            cc_graphs::StorageKind::Full,
+            cc_graphs::StorageKind::SymmetricPacked,
         );
         let mut buf = Vec::new();
         o.save_v2(&mut buf).expect("save_v2");

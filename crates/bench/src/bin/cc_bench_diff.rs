@@ -20,9 +20,19 @@
 //! * **Throughput** (`requests_per_sec`, `queries_per_sec`, `*ops_per_sec`,
 //!   higher is better): current ≥ 0.5× baseline.
 //!
+//! Array elements are keyed by identity, not position: an object in an
+//! array becomes `results[sparse-csr,n=256,rho=8,threads=1]`, from its
+//! string fields (sorted by field name) followed by whichever of `n`,
+//! `rho`, `threads` and `batch` it carries. Adding or removing a row then
+//! cannot shift every later row onto a different kernel. Elements with no
+//! identity fields fall back to their index (`results.3`); two elements
+//! with the same identity are a document error.
+//!
 //! Fields present in only one document are reported but never fail the
 //! gate (so adding a metric to a bench does not break the first CI run
-//! that carries it).
+//! that carries it). A comparison in which *no* gated check runs at all —
+//! say, after a schema change left no key in common — fails instead of
+//! passing vacuously.
 
 #![forbid(unsafe_code)]
 
@@ -38,8 +48,9 @@ enum Leaf {
 }
 
 /// Minimal recursive-descent JSON reader producing `dotted.path → leaf`
-/// (arrays indexed numerically: `results.3.wall_ms`). Only what the bench
-/// documents need; unknown escapes pass through verbatim.
+/// (array elements keyed by [`element_key`]: `results[dense-blocked,n=256,
+/// rho=33,threads=2].wall_ms`). Only what the bench documents need;
+/// unknown escapes pass through verbatim.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -139,8 +150,20 @@ impl<'a> Reader<'a> {
                     return Ok(());
                 }
                 let mut i = 0usize;
+                let mut seen = Vec::new();
                 loop {
-                    self.value(&format!("{path}.{i}"), out)?;
+                    // Parse the element on its own, then file its leaves
+                    // under the element's identity key.
+                    let mut element = BTreeMap::new();
+                    self.value("", &mut element)?;
+                    let prefix = element_key(path, i, &element);
+                    if seen.contains(&prefix) {
+                        return Err(format!("duplicate array element {prefix}"));
+                    }
+                    for (key, leaf) in element {
+                        out.insert(join(&prefix, &key), leaf);
+                    }
+                    seen.push(prefix);
                     i += 1;
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -195,6 +218,42 @@ impl<'a> Reader<'a> {
             }
             None => Err("unexpected end of document".into()),
         }
+    }
+}
+
+/// Numeric fields that, with an element's string fields, identify a row.
+const IDENTITY_NUMBERS: &[&str] = &["n", "rho", "threads", "batch"];
+
+/// The key of element `i` of the array at `path`, from the element's own
+/// top-level leaves: `path[s1,s2,n=256,threads=1]` when it has identity
+/// fields, `path.i` otherwise.
+fn element_key(path: &str, i: usize, element: &BTreeMap<String, Leaf>) -> String {
+    let mut parts: Vec<String> = element
+        .iter()
+        .filter(|(k, _)| !k.is_empty() && !k.contains(['.', '[']))
+        .filter_map(|(_, leaf)| match leaf {
+            Leaf::Str(s) => Some(s.clone()),
+            _ => None,
+        })
+        .collect();
+    for name in IDENTITY_NUMBERS {
+        if let Some(Leaf::Num(v)) = element.get(*name) {
+            parts.push(format!("{name}={v}"));
+        }
+    }
+    if parts.is_empty() {
+        format!("{path}.{i}")
+    } else {
+        format!("{path}[{}]", parts.join(","))
+    }
+}
+
+/// Appends a key produced under an empty path to `prefix`.
+fn join(prefix: &str, key: &str) -> String {
+    if key.is_empty() || key.starts_with(['.', '[']) {
+        format!("{prefix}{key}")
+    } else {
+        format!("{prefix}.{key}")
     }
 }
 
@@ -259,27 +318,70 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut failures = 0usize;
-    let mut checks = 0usize;
-    for (key, base_leaf) in &base {
+    let outcome = compare(&base, &cur);
+    for key in &outcome.absent {
+        eprintln!("  [skip] {key}: absent in current run");
+    }
+    for line in &outcome.failures {
+        eprintln!("  [FAIL] {line}");
+    }
+    let bench = match base.get("bench") {
+        Some(Leaf::Str(s)) => s.as_str(),
+        _ => "?",
+    };
+    let checks = outcome.checks;
+    if !outcome.failures.is_empty() {
+        eprintln!(
+            "cc-bench-diff: {bench}: {} of {checks} checks FAILED",
+            outcome.failures.len()
+        );
+        ExitCode::FAILURE
+    } else if checks == 0 {
+        eprintln!("cc-bench-diff: {bench}: no gated check ran — the documents share no gated key");
+        ExitCode::FAILURE
+    } else {
+        println!(
+            "cc-bench-diff: {bench}: {checks} checks passed ({baseline_path} vs {current_path})"
+        );
+        ExitCode::SUCCESS
+    }
+}
+
+/// What one baseline-vs-current comparison found.
+#[derive(Debug, Default)]
+struct Outcome {
+    /// Gated checks that ran.
+    checks: usize,
+    /// One line per failed check.
+    failures: Vec<String>,
+    /// Baseline keys the current run lacks (reported, never a failure).
+    absent: Vec<String>,
+}
+
+/// Runs every gated check of `cur` against `base`.
+fn compare(base: &BTreeMap<String, Leaf>, cur: &BTreeMap<String, Leaf>) -> Outcome {
+    let mut outcome = Outcome::default();
+    for (key, base_leaf) in base {
         let Some(cur_leaf) = cur.get(key) else {
-            eprintln!("  [skip] {key}: absent in current run");
+            outcome.absent.push(key.clone());
             continue;
         };
         if PINNED_TRUE.contains(&key.as_str()) {
-            checks += 1;
+            outcome.checks += 1;
             if *base_leaf == Leaf::Bool(true) && *cur_leaf != Leaf::Bool(true) {
-                eprintln!("  [FAIL] {key}: baseline true, current {cur_leaf:?}");
-                failures += 1;
+                outcome
+                    .failures
+                    .push(format!("{key}: baseline true, current {cur_leaf:?}"));
             }
             continue;
         }
         if key == "dropped_requests" {
-            checks += 1;
+            outcome.checks += 1;
             if let (Leaf::Num(b), Leaf::Num(c)) = (base_leaf, cur_leaf) {
                 if *b == 0.0 && *c != 0.0 {
-                    eprintln!("  [FAIL] {key}: baseline 0, current {c}");
-                    failures += 1;
+                    outcome
+                        .failures
+                        .push(format!("{key}: baseline 0, current {c}"));
                 }
             }
             continue;
@@ -288,36 +390,24 @@ fn main() -> ExitCode {
             continue;
         };
         if is_latency(key) {
-            checks += 1;
+            outcome.checks += 1;
             let limit = b * LAT_FACTOR + LAT_GRACE;
             if *c > limit {
-                eprintln!(
-                    "  [FAIL] {key}: {c} > {limit:.1} (baseline {b} x{LAT_FACTOR} + {LAT_GRACE})"
-                );
-                failures += 1;
+                outcome.failures.push(format!(
+                    "{key}: {c} > {limit:.1} (baseline {b} x{LAT_FACTOR} + {LAT_GRACE})"
+                ));
             }
         } else if is_throughput(key) {
-            checks += 1;
+            outcome.checks += 1;
             let floor = b * TPUT_FLOOR;
             if *c < floor {
-                eprintln!("  [FAIL] {key}: {c} < {floor:.1} (baseline {b} x{TPUT_FLOOR})");
-                failures += 1;
+                outcome.failures.push(format!(
+                    "{key}: {c} < {floor:.1} (baseline {b} x{TPUT_FLOOR})"
+                ));
             }
         }
     }
-    let bench = match base.get("bench") {
-        Some(Leaf::Str(s)) => s.as_str(),
-        _ => "?",
-    };
-    if failures == 0 {
-        println!(
-            "cc-bench-diff: {bench}: {checks} checks passed ({baseline_path} vs {current_path})"
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("cc-bench-diff: {bench}: {failures} of {checks} checks FAILED");
-        ExitCode::FAILURE
-    }
+    outcome
 }
 
 #[cfg(test)]
@@ -330,8 +420,57 @@ mod tests {
         let m = flatten(doc).unwrap();
         assert_eq!(m.get("bench"), Some(&Leaf::Str("x".into())));
         assert_eq!(m.get("lat_us.p50"), Some(&Leaf::Num(1.5)));
-        assert_eq!(m.get("results.1.a"), Some(&Leaf::Num(2.0)));
+        assert_eq!(
+            m.get("results.1.a"),
+            Some(&Leaf::Num(2.0)),
+            "index fallback"
+        );
         assert_eq!(m.get("ok"), Some(&Leaf::Bool(true)));
+
+        let rows = r#"{"results": [{"kernel": "sparse-csr", "threads": 1, "rho": 8, "n": 256, "ops_per_sec": 5}, [7]]}"#;
+        let m = flatten(rows).unwrap();
+        assert_eq!(
+            m.get("results[sparse-csr,n=256,rho=8,threads=1].ops_per_sec"),
+            Some(&Leaf::Num(5.0))
+        );
+        assert_eq!(m.get("results.1.0"), Some(&Leaf::Num(7.0)));
+
+        let dup = r#"{"results": [{"kernel": "a", "n": 1}, {"kernel": "a", "n": 1}]}"#;
+        let err = flatten(dup).unwrap_err();
+        assert!(
+            err.contains("duplicate array element results[a,n=1]"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rows_are_compared_by_identity_not_position() {
+        // Baseline rows [A, B], current rows [B]: B must meet B (90 ≥ 0.5 ×
+        // 100 passes; meeting A's 1000 would fail), and A is only absent.
+        let base = flatten(
+            r#"{"bench": "t", "results": [{"kernel": "A", "n": 1, "ops_per_sec": 1000}, {"kernel": "B", "n": 1, "ops_per_sec": 100}]}"#,
+        )
+        .unwrap();
+        let cur =
+            flatten(r#"{"bench": "t", "results": [{"kernel": "B", "n": 1, "ops_per_sec": 90}]}"#)
+                .unwrap();
+        let outcome = compare(&base, &cur);
+        assert_eq!(outcome.checks, 1);
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        assert!(outcome
+            .absent
+            .contains(&"results[A,n=1].ops_per_sec".to_string()));
+        assert!(!outcome.absent.iter().any(|k| k.starts_with("results[B")));
+    }
+
+    #[test]
+    fn disjoint_schemas_run_no_gated_check() {
+        let base = flatten(r#"{"bench": "t", "old_qps": 10}"#).unwrap();
+        let cur = flatten(r#"{"bench": "t", "new_qps": 10}"#).unwrap();
+        let outcome = compare(&base, &cur);
+        assert_eq!(outcome.checks, 0, "main turns this into a failure");
+        assert!(outcome.failures.is_empty());
+        assert_eq!(outcome.absent, vec!["old_qps".to_string()]);
     }
 
     #[test]
@@ -343,6 +482,9 @@ mod tests {
         assert!(!is_latency("p50_ratio"));
         assert!(is_throughput("requests_per_sec"));
         assert!(is_throughput("results.3.ops_per_sec"));
+        assert!(is_throughput(
+            "results[sparse-csr,n=256,rho=8,threads=1].ops_per_sec"
+        ));
         assert!(is_throughput("path_qps_batch"));
         assert!(is_throughput("path_qps_by_threads.t2"));
         assert!(!is_throughput("requests_per_client"));

@@ -1,18 +1,15 @@
-//! T13 — engine stress: the flat-mailbox message plane vs the pre-refactor
-//! allocation-bound engine.
+//! T13 — engine stress: the flat-mailbox message plane, serial vs
+//! threaded.
 //!
 //! Sweeps `n ∈ {128, 256, 512}` × `{allgather, broadcast, bfs}` ×
-//! `{serial, threaded, legacy}` and emits one JSON document on stdout for
-//! the bench trajectory (a human-readable table goes to stderr). `legacy`
-//! is a faithful copy of the engine before the flat-mailbox rewrite — it
-//! heap-allocates per-round inboxes and clones broadcast payloads `n − 1`
-//! times — kept here as the baseline the speedup is measured against.
+//! `{serial, threaded}` and emits one JSON document on stdout for the
+//! bench trajectory (a human-readable table goes to stderr).
 //!
-//! The run also cross-checks the engines: program outputs and message
-//! counts must agree, serial and threaded flat-mailbox runs must be
-//! bit-identical, and the legacy engine must report exactly one more round
-//! (it counted the final drain step, which the flat-mailbox engine treats
-//! as free local computation — see `RunStats::rounds`).
+//! The run also checks every output against its exact expectation —
+//! allgather leaves every node holding every node's words, broadcast
+//! delivers the source's value everywhere, and distributed BFS distances
+//! equal centralized `cc_graphs::bfs` from node 0 — and serial and
+//! threaded runs must be bit-identical (outputs, rounds and traffic).
 //!
 //! Run with: `cargo run --release --bin t13_engine_stress -- [--threads T] [--reps R] [--quick]`
 
@@ -23,231 +20,10 @@ use std::time::{Duration, Instant};
 use cc_bench::rng;
 use cc_clique::programs::{AllGather, Broadcast, DistributedBfs};
 use cc_clique::{Engine, EngineConfig, NodeId};
-use cc_graphs::{generators, Graph};
+use cc_graphs::{bfs, generators, Graph};
 
 /// Words initially held per node in the allgather workload.
 const ALLGATHER_WORDS_PER_NODE: usize = 8;
-
-/// The engine exactly as it was before the flat-mailbox rewrite: per-round
-/// `vec![Vec::new(); n]` inboxes, a `sent_to` vector per node, and
-/// `send_all` cloning its payload (tag + `Vec<u64>`) once per peer — Θ(n²)
-/// heap allocations per broadcast round.
-mod legacy {
-    #[derive(Clone, PartialEq, Eq, Debug)]
-    pub struct Msg {
-        pub tag: u16,
-        pub words: Vec<u64>,
-    }
-
-    impl Msg {
-        pub fn word(tag: u16, w: u64) -> Self {
-            Msg {
-                tag,
-                words: vec![w],
-            }
-        }
-
-        pub fn first(&self) -> Option<u64> {
-            self.words.first().copied()
-        }
-    }
-
-    pub struct Ctx<'a> {
-        pub me: usize,
-        pub n: usize,
-        pub inbox: &'a [(usize, Msg)],
-        pub outbox: Vec<(usize, Msg)>,
-    }
-
-    impl Ctx<'_> {
-        pub fn send(&mut self, to: usize, msg: Msg) {
-            self.outbox.push((to, msg));
-        }
-
-        pub fn send_all(&mut self, msg: Msg) {
-            for i in 0..self.n {
-                if i != self.me {
-                    self.outbox.push((i, msg.clone()));
-                }
-            }
-        }
-    }
-
-    pub trait Program {
-        fn on_round(&mut self, ctx: &mut Ctx<'_>);
-        fn is_done(&self) -> bool;
-    }
-
-    pub struct Stats {
-        pub rounds: u64,
-        pub messages: u64,
-        pub max_in_degree: u64,
-    }
-
-    pub fn run<P: Program>(nodes: &mut [P], max_words: usize) -> Stats {
-        let n = nodes.len();
-        let mut inboxes: Vec<Vec<(usize, Msg)>> = vec![Vec::new(); n];
-        let mut round = 0u64;
-        let mut messages = 0u64;
-        let mut max_in_degree = 0u64;
-        loop {
-            let inflight: usize = inboxes.iter().map(Vec::len).sum();
-            if inflight == 0 && nodes.iter().all(|p| p.is_done()) {
-                return Stats {
-                    rounds: round,
-                    messages,
-                    max_in_degree,
-                };
-            }
-            round += 1;
-            let mut next_inboxes: Vec<Vec<(usize, Msg)>> = vec![Vec::new(); n];
-            for (i, node) in nodes.iter_mut().enumerate() {
-                let mut ctx = Ctx {
-                    me: i,
-                    n,
-                    inbox: &inboxes[i],
-                    outbox: Vec::new(),
-                };
-                node.on_round(&mut ctx);
-                let mut sent_to = vec![false; n];
-                for (to, msg) in ctx.outbox {
-                    assert!(to != i && to < n, "invalid destination");
-                    assert!(!sent_to[to], "duplicate message");
-                    assert!(msg.words.len() <= max_words, "bandwidth exceeded");
-                    sent_to[to] = true;
-                    messages += 1;
-                    next_inboxes[to].push((i, msg));
-                }
-            }
-            for inbox in &next_inboxes {
-                max_in_degree = max_in_degree.max(inbox.len() as u64);
-            }
-            inboxes = next_inboxes;
-        }
-    }
-
-    /// All-gather mirroring `cc_clique::programs::AllGather`.
-    pub struct Gather {
-        pending: Vec<u64>,
-        pub collected: Vec<u64>,
-    }
-
-    impl Gather {
-        pub fn new(words: Vec<u64>) -> Self {
-            Gather {
-                collected: words.clone(),
-                pending: words,
-            }
-        }
-    }
-
-    impl Program for Gather {
-        fn on_round(&mut self, ctx: &mut Ctx<'_>) {
-            for (_, msg) in ctx.inbox {
-                if msg.tag == 7 {
-                    if let Some(w) = msg.first() {
-                        self.collected.push(w);
-                    }
-                }
-            }
-            if let Some(w) = self.pending.pop() {
-                ctx.send_all(Msg::word(7, w));
-            }
-        }
-
-        fn is_done(&self) -> bool {
-            self.pending.is_empty()
-        }
-    }
-
-    /// Broadcast mirroring `cc_clique::programs::Broadcast`.
-    pub struct Bcast {
-        me: usize,
-        source: usize,
-        value: u64,
-        pub received: Option<u64>,
-        sent: bool,
-    }
-
-    impl Bcast {
-        pub fn new(me: usize, source: usize, value: u64) -> Self {
-            Bcast {
-                me,
-                source,
-                value,
-                received: if me == source { Some(value) } else { None },
-                sent: false,
-            }
-        }
-    }
-
-    impl Program for Bcast {
-        fn on_round(&mut self, ctx: &mut Ctx<'_>) {
-            if self.me == self.source && !self.sent {
-                ctx.send_all(Msg::word(1, self.value));
-                self.sent = true;
-            }
-            for (_, msg) in ctx.inbox {
-                if msg.tag == 1 {
-                    self.received = msg.first();
-                }
-            }
-        }
-
-        fn is_done(&self) -> bool {
-            self.me != self.source || self.sent
-        }
-    }
-
-    /// Hop-by-hop BFS mirroring `cc_clique::programs::DistributedBfs`.
-    pub struct Bfs {
-        me: usize,
-        neighbors: Vec<usize>,
-        pub dist: Option<u64>,
-        announced: bool,
-    }
-
-    impl Bfs {
-        pub fn new(me: usize, source: usize, neighbors: Vec<usize>) -> Self {
-            Bfs {
-                me,
-                neighbors,
-                dist: if me == source { Some(0) } else { None },
-                announced: false,
-            }
-        }
-    }
-
-    impl Program for Bfs {
-        fn on_round(&mut self, ctx: &mut Ctx<'_>) {
-            for (_, msg) in ctx.inbox {
-                if msg.tag == 4 {
-                    if let Some(d) = msg.first() {
-                        let candidate = d + 1;
-                        if self.dist.is_none_or(|cur| candidate < cur) {
-                            self.dist = Some(candidate);
-                            self.announced = false;
-                        }
-                    }
-                }
-            }
-            if let Some(d) = self.dist {
-                if !self.announced {
-                    for &nbr in &self.neighbors {
-                        if nbr != self.me {
-                            ctx.send(nbr, Msg::word(4, d));
-                        }
-                    }
-                    self.announced = true;
-                }
-            }
-        }
-
-        fn is_done(&self) -> bool {
-            self.dist.is_none() || self.announced
-        }
-    }
-}
 
 #[derive(Clone, Copy)]
 struct Measured {
@@ -272,7 +48,7 @@ fn bfs_graph(n: usize) -> Graph {
 }
 
 /// Runs `make()` → engine → stats, `reps` times, keeping the best wall time.
-fn measure_flat<P, F>(reps: usize, config: EngineConfig, make: F) -> (Measured, Vec<P>)
+fn measure<P, F>(reps: usize, config: EngineConfig, make: F) -> (Measured, Vec<P>)
 where
     P: cc_clique::NodeProgram,
     F: Fn() -> Vec<P>,
@@ -294,32 +70,6 @@ where
             best = Some(m);
         }
         last_nodes = Some(engine.into_nodes());
-    }
-    (best.unwrap(), last_nodes.unwrap())
-}
-
-fn measure_legacy<P, F>(reps: usize, make: F) -> (Measured, Vec<P>)
-where
-    P: legacy::Program,
-    F: Fn() -> Vec<P>,
-{
-    let mut best: Option<Measured> = None;
-    let mut last_nodes = None;
-    for _ in 0..reps {
-        let mut nodes = make();
-        let start = Instant::now();
-        let stats = legacy::run(&mut nodes, 4);
-        let wall = start.elapsed();
-        let m = Measured {
-            rounds: stats.rounds,
-            messages: stats.messages,
-            max_in_degree: stats.max_in_degree,
-            wall,
-        };
-        if best.is_none_or(|b| wall < b.wall) {
-            best = Some(m);
-        }
-        last_nodes = Some(nodes);
     }
     (best.unwrap(), last_nodes.unwrap())
 }
@@ -359,41 +109,31 @@ fn main() {
     let serial_cfg = EngineConfig::default();
     let threaded_cfg = EngineConfig::threaded(threads);
     let mut rows: Vec<Row> = Vec::new();
-    let mut speedup_512 = None;
 
     for &n in &sizes {
         // --- allgather ---
         let words = allgather_words(n);
-        let make_flat = || -> Vec<AllGather> {
+        let make = || -> Vec<AllGather> {
             words
                 .iter()
                 .enumerate()
                 .map(|(i, w)| AllGather::new(NodeId::new(i), w.clone()))
                 .collect()
         };
-        let make_legacy = || -> Vec<legacy::Gather> {
-            words
-                .iter()
-                .map(|w| legacy::Gather::new(w.clone()))
-                .collect()
-        };
-        let (serial, serial_out) = measure_flat(reps, serial_cfg, make_flat);
-        let (threaded, threaded_out) = measure_flat(reps, threaded_cfg, make_flat);
-        let (old, old_out) = measure_legacy(reps, make_legacy);
-        // Cross-check: identical outputs, identical traffic; the legacy
-        // engine counted the final drain step as a round.
-        for ((a, b), c) in serial_out.iter().zip(&threaded_out).zip(&old_out) {
+        let (serial, serial_out) = measure(reps, serial_cfg, make);
+        let (threaded, threaded_out) = measure(reps, threaded_cfg, make);
+        // Cross-check: every node ends up with every node's words, and
+        // serial and threaded runs agree on outputs and traffic.
+        let every_word: Vec<u64> = (0..(n * ALLGATHER_WORDS_PER_NODE) as u64).collect();
+        for (a, b) in serial_out.iter().zip(&threaded_out) {
             assert_eq!(a.collected(), b.collected(), "serial vs threaded");
-            assert_eq!(a.collected(), &c.collected[..], "flat vs legacy");
+            let mut got = a.collected().to_vec();
+            got.sort_unstable();
+            assert_eq!(got, every_word, "allgather missed words");
         }
         assert_eq!(serial.rounds, threaded.rounds);
         assert_eq!(serial.messages, threaded.messages);
         assert_eq!(serial.max_in_degree, threaded.max_in_degree);
-        assert_eq!(old.rounds, serial.rounds + 1, "legacy counted the drain");
-        assert_eq!(old.messages, serial.messages);
-        if n == 512 {
-            speedup_512 = Some(old.wall.as_secs_f64() / threaded.wall.as_secs_f64());
-        }
         rows.push(Row {
             n,
             program: "allgather",
@@ -406,29 +146,19 @@ fn main() {
             mode: format!("threaded({threads})"),
             m: threaded,
         });
-        rows.push(Row {
-            n,
-            program: "allgather",
-            mode: "legacy".into(),
-            m: old,
-        });
 
         // --- broadcast ---
-        let make_flat = || -> Vec<Broadcast> {
+        let make = || -> Vec<Broadcast> {
             (0..n)
                 .map(|i| Broadcast::new(NodeId::new(i), NodeId::new(0), 42))
                 .collect()
         };
-        let make_legacy =
-            || -> Vec<legacy::Bcast> { (0..n).map(|i| legacy::Bcast::new(i, 0, 42)).collect() };
-        let (serial, serial_out) = measure_flat(reps, serial_cfg, make_flat);
-        let (threaded, _) = measure_flat(reps, threaded_cfg, make_flat);
-        let (old, old_out) = measure_legacy(reps, make_legacy);
-        for (a, c) in serial_out.iter().zip(&old_out) {
-            assert_eq!(a.received(), c.received);
+        let (serial, serial_out) = measure(reps, serial_cfg, make);
+        let (threaded, _) = measure(reps, threaded_cfg, make);
+        for a in &serial_out {
+            assert_eq!(a.received(), Some(42), "broadcast missed a node");
         }
         assert_eq!(serial.rounds, threaded.rounds);
-        assert_eq!(old.rounds, serial.rounds + 1, "legacy counted the drain");
         rows.push(Row {
             n,
             program: "broadcast",
@@ -441,16 +171,10 @@ fn main() {
             mode: format!("threaded({threads})"),
             m: threaded,
         });
-        rows.push(Row {
-            n,
-            program: "broadcast",
-            mode: "legacy".into(),
-            m: old,
-        });
 
         // --- bfs ---
         let g = bfs_graph(n);
-        let make_flat = || -> Vec<DistributedBfs> {
+        let make = || -> Vec<DistributedBfs> {
             (0..n)
                 .map(|v| {
                     DistributedBfs::new(
@@ -465,22 +189,18 @@ fn main() {
                 })
                 .collect()
         };
-        let make_legacy = || -> Vec<legacy::Bfs> {
-            (0..n)
-                .map(|v| {
-                    legacy::Bfs::new(v, 0, g.neighbors(v).iter().map(|&u| u as usize).collect())
-                })
-                .collect()
-        };
-        let (serial, serial_out) = measure_flat(reps, serial_cfg, make_flat);
-        let (threaded, threaded_out) = measure_flat(reps, threaded_cfg, make_flat);
-        let (old, old_out) = measure_legacy(reps, make_legacy);
-        for ((a, b), c) in serial_out.iter().zip(&threaded_out).zip(&old_out) {
+        let (serial, serial_out) = measure(reps, serial_cfg, make);
+        let (threaded, threaded_out) = measure(reps, threaded_cfg, make);
+        let exact = bfs::sssp(&g, 0);
+        for (v, (a, b)) in serial_out.iter().zip(&threaded_out).enumerate() {
             assert_eq!(a.distance(), b.distance(), "serial vs threaded");
-            assert_eq!(a.distance(), c.dist, "flat vs legacy");
+            assert_eq!(
+                a.distance(),
+                Some(u64::from(exact[v])),
+                "bfs vs centralized at {v}"
+            );
         }
         assert_eq!(serial.rounds, threaded.rounds);
-        assert_eq!(old.rounds, serial.rounds + 1, "legacy counted the drain");
         rows.push(Row {
             n,
             program: "bfs",
@@ -492,12 +212,6 @@ fn main() {
             program: "bfs",
             mode: format!("threaded({threads})"),
             m: threaded,
-        });
-        rows.push(Row {
-            n,
-            program: "bfs",
-            mode: "legacy".into(),
-            m: old,
         });
     }
 
@@ -518,18 +232,10 @@ fn main() {
             ms(r.m.wall)
         );
     }
-    if let Some(s) = speedup_512 {
-        eprintln!("allgather n=512: threaded flat mailbox is {s:.1}x the legacy engine");
-    }
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"t13_engine_stress\",\n");
     json.push_str(&format!("  \"threads\": {threads},\n  \"reps\": {reps},\n"));
-    if let Some(s) = speedup_512 {
-        json.push_str(&format!(
-            "  \"speedup_allgather_n512_threaded_vs_legacy\": {s:.3},\n"
-        ));
-    }
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

@@ -1,20 +1,20 @@
 //! T14 — frozen-oracle query throughput: threads × storage layout × batch
 //! size over one `Arc<DistOracle>`.
 //!
-//! Freezes exact APSP distances of a 32×32 grid (`n = 1024`) into all three
-//! storage layouts (full square, symmetric-packed triangle, and a row-sparse
-//! `√n`-source MSSP shape), then hammers each oracle with pre-generated
+//! Freezes exact APSP distances of a 32×32 grid (`n = 1024`) into both
+//! storage layouts (symmetric-packed triangle and a row-sparse `√n`-source
+//! MSSP shape), then hammers each oracle with pre-generated
 //! point/batch queries from 1–8 threads sharing the oracle behind an `Arc`.
 //! Emits one JSON document on stdout (human-readable table on stderr) with:
 //!
 //! * queries/second per `(layout, threads, batch)` cell,
-//! * payload bytes per layout (the symmetric-packed / full ratio is the
-//!   memory claim: ~50% at `n = 1024`),
+//! * payload bytes per layout (the symmetric-packed / square `4·n²` ratio
+//!   is the memory claim: ~50% at `n = 1024`),
 //! * the 8-thread/1-thread speedup for batched queries per layout
 //!   (**hardware-dependent**: the oracle is lock-free, so on a machine with
 //!   `≥ 8` cores this approaches the core count; on a single-core container
 //!   it stays near 1),
-//! * a snapshot round-trip check: every layout is saved, re-loaded, and
+//! * a snapshot round-trip check: both layouts are saved, re-loaded, and
 //!   must compare bit-identical (including a byte-identical re-save).
 //!
 //! Per-thread answer checksums are compared against a serial replay of the
@@ -152,11 +152,6 @@ fn main() {
     let mut matrix = DistanceMatrix::new(n);
     matrix.merge_rows(&exact);
 
-    let full = Arc::new(DistOracle::from_matrix(
-        &matrix,
-        Guarantee::mult2(0.5),
-        StorageKind::Full,
-    ));
     let sym = Arc::new(DistOracle::from_matrix(
         &matrix,
         Guarantee::mult2(0.5),
@@ -192,11 +187,6 @@ fn main() {
         .collect();
 
     let workloads = [
-        Workload {
-            label: "full",
-            oracle: Arc::clone(&full),
-            pairs: square_pairs.clone(),
-        },
         Workload {
             label: "symmetric",
             oracle: Arc::clone(&sym),
@@ -266,38 +256,34 @@ fn main() {
     //
     // The symmetric-packed layout materializes a row with a strided walk
     // over the triangle plus one contiguous copy — this measures that fast
-    // path against the full layout's plain row slice, and cross-checks
-    // both against point lookups.
+    // path and cross-checks it against the exact BFS rows it was frozen
+    // from.
     let row_reps = if queries <= 400_000 { 20 } else { 100 };
-    let mut row_rates: Vec<(&'static str, f64)> = Vec::new();
-    for (label, oracle) in [("full", &full), ("symmetric", &sym)] {
-        for u in (0..n).step_by(n / 16) {
-            let row = oracle.dists_from(u);
-            for v in 0..n {
-                let expected = oracle.dist(u, v).map(|e| e.dist);
-                let got = (row[v] != cc_graphs::INF).then_some(row[v]);
-                assert_eq!(got, expected, "{label}: dists_from({u})[{v}] diverged");
-            }
-        }
-        let start = Instant::now();
-        let mut sink = 0u64;
-        for _ in 0..row_reps {
-            for u in 0..n {
-                let row = oracle.dists_from(u);
-                sink = sink.wrapping_add(row[u % n] as u64);
-            }
-        }
-        let wall = start.elapsed().as_secs_f64();
-        std::hint::black_box(sink);
-        row_rates.push((label, (row_reps * n) as f64 / wall));
+    for u in (0..n).step_by(n / 16) {
+        assert_eq!(
+            &sym.dists_from(u)[..],
+            &exact[u][..],
+            "symmetric: dists_from({u}) diverged from BFS"
+        );
     }
+    let start = Instant::now();
+    let mut sink = 0u64;
+    for _ in 0..row_reps {
+        for u in 0..n {
+            let row = sym.dists_from(u);
+            sink = sink.wrapping_add(row[u % n] as u64);
+        }
+    }
+    let wall = start.elapsed().as_secs_f64();
+    std::hint::black_box(sink);
+    let row_rate = (row_reps * n) as f64 / wall;
 
     // ── Report. ───────────────────────────────────────────────────────────
     let max_threads_swept = *thread_counts.last().expect("non-empty");
-    let bytes_full = full.storage_bytes();
+    let bytes_square = n * n * std::mem::size_of::<cc_graphs::Dist>();
     let bytes_sym = sym.storage_bytes();
     let bytes_sparse = sparse.storage_bytes();
-    let ratio = bytes_sym as f64 / bytes_full as f64;
+    let ratio = bytes_sym as f64 / bytes_square as f64;
 
     eprintln!(
         "{:>10}  {:>7}  {:>5}  {:>9}  {:>9}  {:>12}",
@@ -310,22 +296,20 @@ fn main() {
         );
     }
     eprintln!(
-        "bytes: full={bytes_full} symmetric={bytes_sym} ({:.1}% of full) rowsparse={bytes_sparse}",
+        "bytes: symmetric={bytes_sym} ({:.1}% of a {bytes_square}-byte square) rowsparse={bytes_sparse}",
         ratio * 100.0
     );
     for (label, s) in &speedups {
         eprintln!("{label}: {max_threads_swept}-thread batched speedup over 1 thread = {s:.2}x");
     }
-    for (label, rate) in &row_rates {
-        eprintln!("{label}: dists_from = {rate:.0} rows/sec");
-    }
+    eprintln!("symmetric: dists_from = {row_rate:.0} rows/sec");
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"t14_oracle_qps\",\n");
     json.push_str(&format!("  \"n\": {n},\n"));
     json.push_str(&format!("  \"max_threads\": {max_threads_swept},\n"));
     json.push_str(&format!(
-        "  \"bytes\": {{\"full\": {bytes_full}, \"symmetric\": {bytes_sym}, \"rowsparse\": {bytes_sparse}}},\n"
+        "  \"bytes\": {{\"symmetric\": {bytes_sym}, \"rowsparse\": {bytes_sparse}}},\n"
     ));
     json.push_str(&format!(
         "  \"symmetric_vs_full_bytes_ratio\": {ratio:.4},\n"
@@ -340,12 +324,7 @@ fn main() {
             .join(", ")
     ));
     json.push_str(&format!(
-        "  \"dists_from_rows_per_sec\": {{{}}},\n",
-        row_rates
-            .iter()
-            .map(|(label, rate)| format!("\"{label}\": {rate:.0}"))
-            .collect::<Vec<_>>()
-            .join(", ")
+        "  \"dists_from_rows_per_sec\": {{\"symmetric\": {row_rate:.0}}},\n"
     ));
     json.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {

@@ -1,5 +1,5 @@
-//! T15 — min-plus kernel throughput: CSR vs legacy sparse, blocked vs
-//! unblocked dense, serial vs row-sharded parallel.
+//! T15 — min-plus kernel throughput: CSR sparse and blocked dense, serial
+//! vs row-sharded parallel.
 //!
 //! Sweeps `kernel × n × density × threads` over gnp adjacency matrices and
 //! their squares, measuring semiring operations per second (one operation =
@@ -8,14 +8,13 @@
 //! JSON document on stdout (human-readable table on stderr) with:
 //!
 //! * ops/sec per `(kernel, n, ρ, threads)` cell,
-//! * the CSR-vs-legacy single-thread speedup per sparse cell (the kernel
-//!   claim: ≥ 2× at `n = 1024`, ρ ≈ 32),
 //! * the parallel-vs-serial speedup per dense cell (**hardware-dependent**:
 //!   row shards are independent, so on a machine with ≥ 4 cores 4 threads
 //!   approach 4×; on a single-core container it stays near 1 — the
 //!   bit-identical cross-checks still validate the sharding either way),
-//! * cross-checks: every CSR product is compared entry-for-entry against
-//!   the legacy kernel's output, and every threaded product must be
+//! * cross-checks: the serial CSR product is compared entry-for-entry
+//!   against the blocked dense product of the same graph (and the dense
+//!   product against the CSR one), and every threaded product must be
 //!   **bit-identical** (values and nnz) to its serial run. Any divergence
 //!   fails the run.
 //!
@@ -27,8 +26,21 @@ use std::time::Instant;
 
 use cc_bench::rng;
 use cc_graphs::{generators, Graph};
-use cc_matrix::legacy::{dense_minplus_unblocked, LegacySparseMatrix};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, SparseMatrix};
+
+/// Panics unless the two products agree entry-for-entry.
+fn assert_same_product(sparse: &SparseMatrix, dense: &DenseMatrix, cell: &str) {
+    let n = sparse.n();
+    for u in 0..n {
+        for v in 0..n {
+            assert_eq!(
+                sparse.get(u, v),
+                dense.get(u, v),
+                "CSR and dense kernels diverged at ({u},{v}), {cell}"
+            );
+        }
+    }
+}
 
 /// Semiring operations of `a · b`: one per `(i, k, j)` with `(i,k)` finite
 /// in `a` and `(k,j)` finite in `b` — identical for every sparse kernel.
@@ -110,31 +122,19 @@ fn main() {
     }
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut sparse_speedups: Vec<(usize, u64, f64)> = Vec::new(); // (n, rho, csr/legacy @ 1 thread)
     let mut dense_speedups: Vec<(usize, f64)> = Vec::new(); // (n, max-threads/serial)
 
-    // ── Sparse: CSR vs legacy, per (n, ρ), threads sweep for CSR. ─────────
+    // ── Sparse: CSR per (n, ρ), threads sweep. ──────────────────────────
     for &n in &[256usize, 1024] {
         for &target_rho in &[8usize, 32] {
             let g = gnp_with_density(n, target_rho, (n + target_rho) as u64);
             let a = SparseMatrix::adjacency(&g);
             let rho = a.density();
-            let legacy = LegacySparseMatrix::from_csr(&a);
             let ops = sparse_ops(&a, &a);
-
-            let (legacy_secs, legacy_out) = best_secs(reps, || legacy.minplus(&legacy));
-            rows.push(Row {
-                kernel: "sparse-legacy",
-                n,
-                rho,
-                threads: 1,
-                ops,
-                wall_ms: legacy_secs * 1e3,
-                ops_per_sec: ops as f64 / legacy_secs,
-            });
+            let dense = DenseMatrix::adjacency(&g);
+            let dense_out = dense.minplus(&dense);
 
             let mut serial_out = None;
-            let mut csr_serial_secs = 0.0;
             for &threads in &thread_counts {
                 let mut ws = MinplusWorkspace::with_threads(threads);
                 // Warm the workspace so steady-state (allocation-free)
@@ -142,12 +142,7 @@ fn main() {
                 let _ = a.minplus_with(&a, &mut ws);
                 let (secs, out) = best_secs(reps, || a.minplus_with(&a, &mut ws));
                 if threads == 1 {
-                    assert_eq!(
-                        LegacySparseMatrix::from_csr(&out),
-                        legacy_out,
-                        "CSR and legacy kernels diverged at n={n} rho={rho}"
-                    );
-                    csr_serial_secs = secs;
+                    assert_same_product(&out, &dense_out, &format!("sparse n={n} rho={rho}"));
                     serial_out = Some(out.clone());
                 } else {
                     let serial = serial_out.as_ref().expect("serial ran first");
@@ -167,27 +162,17 @@ fn main() {
                     ops_per_sec: ops as f64 / secs,
                 });
             }
-            sparse_speedups.push((n, rho, legacy_secs / csr_serial_secs));
         }
     }
 
-    // ── Dense: blocked vs unblocked, threads sweep for the blocked kernel. ─
+    // ── Dense: blocked kernel, threads sweep. ────────────────────────────
     for &n in &[256usize, 1024] {
         let g = gnp_with_density(n, 32, n as u64);
         let a = DenseMatrix::adjacency(&g);
         let rho = (a.finite_entries() as u64).div_ceil(n as u64);
         let ops = dense_ops(&a);
-
-        let (unblocked_secs, unblocked_out) = best_secs(reps, || dense_minplus_unblocked(&a, &a));
-        rows.push(Row {
-            kernel: "dense-legacy",
-            n,
-            rho,
-            threads: 1,
-            ops,
-            wall_ms: unblocked_secs * 1e3,
-            ops_per_sec: ops as f64 / unblocked_secs,
-        });
+        let sparse = SparseMatrix::adjacency(&g);
+        let sparse_out = sparse.minplus(&sparse);
 
         let mut serial_out = None;
         let mut serial_secs = 0.0;
@@ -196,10 +181,7 @@ fn main() {
             let ws = MinplusWorkspace::with_threads(threads);
             let (secs, out) = best_secs(reps, || a.minplus_with(&a, &ws));
             if threads == 1 {
-                assert_eq!(
-                    out, unblocked_out,
-                    "blocked and unblocked dense kernels diverged at n={n}"
-                );
+                assert_same_product(&sparse_out, &out, &format!("dense n={n}"));
                 serial_secs = secs;
                 serial_out = Some(out);
             } else {
@@ -237,9 +219,6 @@ fn main() {
             row.kernel, row.n, row.rho, row.threads, row.ops, row.wall_ms, row.ops_per_sec
         );
     }
-    for &(n, rho, s) in &sparse_speedups {
-        eprintln!("sparse n={n} rho={rho}: CSR vs legacy (1 thread) = {s:.2}x");
-    }
     for &(n, s) in &dense_speedups {
         eprintln!("dense n={n}: {max_threads_swept} threads vs serial = {s:.2}x (cores available: {cores})");
     }
@@ -250,14 +229,6 @@ fn main() {
     json.push_str(&format!("  \"available_cores\": {cores},\n"));
     json.push_str(&format!("  \"reps\": {reps},\n"));
     json.push_str("  \"cross_checks_ok\": true,\n");
-    json.push_str(&format!(
-        "  \"sparse_csr_vs_legacy_speedup\": {{{}}},\n",
-        sparse_speedups
-            .iter()
-            .map(|(n, rho, s)| format!("\"n{n}_rho{rho}\": {s:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
     json.push_str(&format!(
         "  \"dense_parallel_vs_serial_speedup\": {{{}}},\n",
         dense_speedups

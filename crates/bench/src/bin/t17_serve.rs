@@ -286,7 +286,7 @@ fn main() {
     assert_eq!(
         samples.get("ccd_served_total").copied(),
         Some(stats.served),
-        "metrics and Op::Stats disagree on served count"
+        "metrics and ServerHandle::stats disagree on served count"
     );
     if let Some(path) = &metrics_out {
         std::fs::write(path, &metrics_text).expect("write --metrics-out");

@@ -134,7 +134,7 @@ impl DistanceMatrix {
         (0..self.n).map(|u| self.row(u).to_vec()).collect()
     }
 
-    /// The flat row-major entry array (the `Full` freeze layout).
+    /// The flat row-major entry array (every row of a `RowSparse` freeze).
     pub fn to_flat(&self) -> Vec<Dist> {
         self.data.clone()
     }
@@ -234,11 +234,11 @@ mod tests {
         m.improve(2, 4, 6);
         m.improve(1, 4, 1);
         let sym = DistStorage::symmetric_packed(5, m.to_packed());
-        let full = DistStorage::full(5, m.to_flat());
+        let rows = DistStorage::row_sparse(5, vec![0, 1, 2, 3, 4], m.to_flat());
         for u in 0..5 {
             for v in 0..5 {
                 assert_eq!(sym.get(u, v), m.get(u, v));
-                assert_eq!(full.get(u, v), m.get(u, v));
+                assert_eq!(rows.get(u, v), m.get(u, v));
             }
         }
     }

@@ -13,7 +13,7 @@
 //!   pipeline that produced the winning estimate and the `ε` it ran with,
 //!   instead of a bare `Option<Dist>`;
 //! * stores the table in the most compact [`DistStorage`] layout for its
-//!   shape (square, symmetric-packed triangle, or source rows only), chosen
+//!   shape (symmetric-packed triangle, or source rows only), chosen
 //!   automatically at freeze time;
 //! * persists to a versioned binary snapshot
 //!   ([`save_v2`](DistOracle::save_v2)/[`load`](DistOracle::load), no
@@ -252,7 +252,6 @@ impl DistOracle {
     pub fn from_matrix(m: &DistanceMatrix, guarantee: Guarantee, kind: StorageKind) -> Self {
         let n = m.n();
         let storage = match kind {
-            StorageKind::Full => DistStorage::full(n, m.to_flat()),
             StorageKind::SymmetricPacked => DistStorage::symmetric_packed(n, m.to_packed()),
             StorageKind::RowSparse => {
                 DistStorage::row_sparse(n, (0..vertex_id(n)).collect::<Vec<_>>(), m.to_flat())
@@ -373,7 +372,7 @@ impl DistOracle {
 
     /// The full estimate row of `u` (`row[v] = δ(u, v)`, [`INF`] where no
     /// estimate is frozen). Borrows storage directly where the layout holds
-    /// a contiguous row (`Full`; `RowSparse` when `u` is a source) and
+    /// a contiguous row (`RowSparse` when `u` is a source) and
     /// materializes otherwise, so hot serving paths on row-addressable
     /// layouts are copy-free.
     ///
@@ -441,7 +440,7 @@ impl DistOracle {
     /// per-entry provenance. Converting to [`StorageKind::SymmetricPacked`]
     /// keeps the min over both orientations (all oracles in this crate are
     /// symmetric already); converting to [`StorageKind::RowSparse`] keeps
-    /// the existing source set, or every row when coming from a square
+    /// the existing source set, or every row when coming from the packed
     /// layout.
     pub fn with_layout(&self, kind: StorageKind) -> DistOracle {
         let n = self.n();
@@ -453,30 +452,16 @@ impl DistOracle {
             }
         };
         let (storage, tags) = match kind {
-            StorageKind::Full => {
-                let mut data = vec![INF; n * n];
-                let mut tags = vec![0u8; n * n];
-                for u in 0..n {
-                    for v in 0..n {
-                        let (d, t) = cell(u, v);
-                        data[u * n + v] = d;
-                        tags[u * n + v] = t;
-                    }
-                }
-                (DistStorage::full(n, data), tags)
-            }
             StorageKind::SymmetricPacked => {
                 let mut data = Vec::with_capacity(n * (n + 1) / 2);
                 let mut tags = Vec::with_capacity(n * (n + 1) / 2);
                 for u in 0..n {
                     for v in u..n {
-                        // Min over both orientations: every oracle in this
-                        // crate is symmetric already, but a hand-built Full
-                        // table may not be, and the packed layout can only
-                        // keep one value per pair.
-                        let (d1, t1) = cell(u, v);
-                        let (d2, t2) = cell(v, u);
-                        let (d, t) = if d2 < d1 { (d2, t2) } else { (d1, t1) };
+                        // One cell per pair is enough: `lookup` already
+                        // keeps the min of both orientations when two
+                        // row-sparse sources disagree on their mutual pair
+                        // (MSSP rows can).
+                        let (d, t) = cell(u, v);
                         data.push(d);
                         tags.push(t);
                     }
@@ -599,7 +584,6 @@ impl DistOracle {
         let sources = self.storage.sources();
         let mut meta = Vec::with_capacity(40);
         meta.push(match self.storage.kind() {
-            StorageKind::Full => 0,
             StorageKind::SymmetricPacked => 1,
             StorageKind::RowSparse => 2,
         });
@@ -673,7 +657,6 @@ impl DistOracle {
         // bound every decode-copy by bytes actually present, and the shared
         // path allocates nothing.
         let expected = match kind {
-            0 => n.checked_mul(n),
             1 => n
                 .checked_add(1)
                 .and_then(|m| n.checked_mul(m))
@@ -716,7 +699,6 @@ impl DistOracle {
             None
         };
         let storage = match (kind, sources) {
-            (0, _) => DistStorage::full(n, data),
             (1, _) => DistStorage::symmetric_packed(n, data),
             (_, Some(sources)) => DistStorage::row_sparse(n, sources, data),
             (_, None) => {
@@ -776,13 +758,11 @@ mod tests {
     fn layouts_answer_identically() {
         let m = sample_matrix(7);
         let g = Guarantee::mult2(0.5);
-        let full = DistOracle::from_matrix(&m, g, StorageKind::Full);
         let sym = DistOracle::from_matrix(&m, g, StorageKind::SymmetricPacked);
         let sparse = DistOracle::from_matrix(&m, g, StorageKind::RowSparse);
         for u in 0..7 {
             for v in 0..7 {
-                let a = full.dist(u, v);
-                assert_eq!(a, sym.dist(u, v), "({u},{v})");
+                let a = sym.dist(u, v);
                 assert_eq!(a, sparse.dist(u, v), "({u},{v})");
                 if u == v {
                     assert_eq!(a.unwrap().dist, 0);
@@ -792,7 +772,7 @@ mod tests {
                 }
             }
         }
-        assert!(sym.storage_bytes() < full.storage_bytes());
+        assert!(sym.storage_bytes() < sparse.storage_bytes());
     }
 
     #[test]
@@ -839,11 +819,11 @@ mod tests {
     fn dists_from_borrows_where_possible() {
         let m = sample_matrix(5);
         let g = Guarantee::near_additive(0.25, 4.0);
-        let full = DistOracle::from_matrix(&m, g, StorageKind::Full);
-        assert!(matches!(full.dists_from(2), Cow::Borrowed(_)));
+        let rows = DistOracle::from_matrix(&m, g, StorageKind::RowSparse);
+        assert!(matches!(rows.dists_from(2), Cow::Borrowed(_)));
         let sym = DistOracle::from_matrix(&m, g, StorageKind::SymmetricPacked);
         assert!(matches!(sym.dists_from(2), Cow::Owned(_)));
-        assert_eq!(&full.dists_from(2)[..], &sym.dists_from(2)[..]);
+        assert_eq!(&rows.dists_from(2)[..], &sym.dists_from(2)[..]);
     }
 
     #[test]
@@ -852,7 +832,7 @@ mod tests {
         m.improve(0, 1, 2);
         m.improve(0, 2, 2);
         m.improve(0, 3, 1);
-        let o = DistOracle::from_matrix(&m, Guarantee::mssp(0.5), StorageKind::Full);
+        let o = DistOracle::from_matrix(&m, Guarantee::mssp(0.5), StorageKind::RowSparse);
         assert_eq!(o.k_nearest(0, 2), vec![(3, 1), (1, 2)]);
         assert_eq!(o.k_nearest(0, 10), vec![(3, 1), (1, 2), (2, 2)]);
         assert_eq!(o.k_nearest(4, 3), vec![], "no frozen estimates");
@@ -888,7 +868,7 @@ mod tests {
         // recomputed, so only the version differs): same answer. Version 1
         // is the retired streaming format, 3 the lowest future one.
         let m = sample_matrix(4);
-        let o = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::Full);
+        let o = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::SymmetricPacked);
         let mut body = Vec::new();
         o.save_v2(&mut body).unwrap();
         body.truncate(body.len() - 8);
@@ -925,7 +905,10 @@ mod tests {
         for i in 0..n {
             data[i * n + i] = 0;
         }
-        let o = DistOracle::from_storage(DistStorage::full(n, data), Guarantee::mult2(0.5));
+        let o = DistOracle::from_storage(
+            DistStorage::row_sparse(n, (0..n as u32).collect::<Vec<_>>(), data),
+            Guarantee::mult2(0.5),
+        );
         let full: Vec<(u32, Dist)> = {
             let row = o.dists_from(0);
             let mut all: Vec<(u32, Dist)> = row
@@ -947,11 +930,7 @@ mod tests {
     fn with_layout_preserves_answers() {
         let m = sample_matrix(8);
         let o = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::SymmetricPacked);
-        for kind in [
-            StorageKind::Full,
-            StorageKind::SymmetricPacked,
-            StorageKind::RowSparse,
-        ] {
+        for kind in [StorageKind::SymmetricPacked, StorageKind::RowSparse] {
             let converted = o.with_layout(kind);
             assert_eq!(converted.storage_kind(), kind);
             for u in 0..8 {
@@ -963,16 +942,31 @@ mod tests {
     }
 
     #[test]
-    fn with_layout_symmetrizes_an_asymmetric_full_table() {
-        // Hand-built asymmetric square table: packing must keep the min of
-        // both orientations, not silently drop the lower triangle.
-        let g = Guarantee::mult2(0.5);
-        let o = DistOracle::from_storage(DistStorage::full(2, vec![0, 9, 3, 0]), g);
-        assert_eq!(o.dist(0, 1).unwrap().dist, 9);
-        assert_eq!(o.dist(1, 0).unwrap().dist, 3);
+    fn with_layout_symmetrizes_disagreeing_source_rows() {
+        // Sources 0 and 1 disagree on their mutual pair, as MSSP rows can:
+        // row 0 says 9 (tagged mssp), row 1 says 3 (tagged mult2). Packing
+        // must keep the minimum of both orientations and that entry's tag,
+        // not silently drop one row's view.
+        let (mssp, mult2) = (Guarantee::mssp(0.5), Guarantee::mult2(0.5));
+        let o = DistOracle {
+            storage: DistStorage::row_sparse(3, vec![0, 1], vec![0, 9, 4, 3, 0, 5]),
+            guarantees: vec![mssp, mult2],
+            tags: Some(vec![0, 0, 0, 1, 1, 1].into()),
+        };
         let sym = o.with_layout(StorageKind::SymmetricPacked);
-        assert_eq!(sym.dist(0, 1).unwrap().dist, 3);
-        assert_eq!(sym.dist(1, 0).unwrap().dist, 3);
+        let best = PointEstimate {
+            dist: 3,
+            guarantee: mult2,
+        };
+        assert_eq!(sym.dist(0, 1), Some(best));
+        assert_eq!(sym.dist(1, 0), Some(best));
+        assert_eq!(sym.dist(0, 2).unwrap().guarantee, mssp);
+        assert_eq!(sym.dist(2, 1).unwrap().guarantee, mult2);
+        for u in 0..3 {
+            for v in 0..3 {
+                assert_eq!(sym.dist(u, v), o.dist(u, v), "({u},{v})");
+            }
+        }
     }
 
     #[test]
@@ -992,11 +986,7 @@ mod tests {
     #[test]
     fn snapshot_v2_round_trips_all_layouts() {
         let m = sample_matrix(9);
-        for kind in [
-            StorageKind::Full,
-            StorageKind::SymmetricPacked,
-            StorageKind::RowSparse,
-        ] {
+        for kind in [StorageKind::SymmetricPacked, StorageKind::RowSparse] {
             let o = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), kind);
             let mut buf = Vec::new();
             o.save_v2(&mut buf).unwrap();
@@ -1048,6 +1038,22 @@ mod tests {
             DistOracle::load(&mut &b"1234"[..]),
             Err(SnapshotError::Corrupt(_))
         ));
+        // Layout byte 0 (no layout since the square table was retired) over
+        // an otherwise valid symmetric body, checksum resealed.
+        let meta = SnapshotView::parse(owner_from_bytes(&buf), b"CCDO")
+            .unwrap()
+            .directory()
+            .find(|&(id, _, _)| id == SEC_META)
+            .map(|(_, off, _)| off)
+            .unwrap();
+        let mut layout0 = buf[..buf.len() - 8].to_vec();
+        layout0[meta] = 0;
+        let checksum = fnv1a(&layout0);
+        layout0.extend_from_slice(&checksum.to_le_bytes());
+        match DistOracle::load(&mut &layout0[..]) {
+            Err(SnapshotError::Corrupt(msg)) => assert_eq!(msg, "unknown storage kind"),
+            other => panic!("layout byte 0: {other:?}"),
+        }
     }
 
     #[test]

@@ -38,10 +38,8 @@ pub fn is_finite(d: Dist) -> bool {
 /// The physical layout of a [`DistStorage`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StorageKind {
-    /// Row-major square `n × n` table.
-    Full,
     /// Packed upper triangle (diagonal included), `n(n+1)/2` entries —
-    /// half the memory of [`StorageKind::Full`] for symmetric tables.
+    /// half the memory of a square `n × n` table.
     SymmetricPacked,
     /// Only the rows of selected source vertices, `|S| × n` entries —
     /// the shape MSSP results come in.
@@ -52,14 +50,13 @@ impl StorageKind {
     /// Short lowercase label (used by benches and reports).
     pub fn label(self) -> &'static str {
         match self {
-            StorageKind::Full => "full",
             StorageKind::SymmetricPacked => "symmetric",
             StorageKind::RowSparse => "rowsparse",
         }
     }
 }
 
-/// An immutable distance table in one of three physical layouts.
+/// An immutable distance table in one of two physical layouts.
 ///
 /// This is the read-side counterpart of the mutable estimate matrices the
 /// pipelines build: once estimates are final they are frozen into a
@@ -72,7 +69,6 @@ impl StorageKind {
 /// public contract — snapshot files and per-entry provenance tags index
 /// into it:
 ///
-/// * `Full`: `data[u * n + v]`.
 /// * `SymmetricPacked`: for `u ≤ v`, `data[packed_index(n, u, v)]`
 ///   (row-major upper triangle, diagonal included — see
 ///   [`DistStorage::packed_index`]).
@@ -85,8 +81,6 @@ pub struct DistStorage {
 
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Repr {
-    /// Row-major square table: `n * n` entries.
-    Full { n: usize, data: PodData<Dist> },
     /// Packed upper triangle of a symmetric table: `n(n+1)/2` entries.
     SymmetricPacked { n: usize, data: PodData<Dist> },
     /// Rows of selected sources only: `sources.len() * n` entries,
@@ -108,21 +102,8 @@ enum Repr {
 const NO_ROW: u32 = u32::MAX;
 
 impl DistStorage {
-    /// Wraps a row-major square table (an owned `Vec` or a shared snapshot
+    /// Wraps a packed upper triangle (an owned `Vec` or a shared snapshot
     /// section — anything convertible to [`PodData`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != n * n`.
-    pub fn full(n: usize, data: impl Into<PodData<Dist>>) -> Self {
-        let data = data.into();
-        assert_eq!(data.len(), n * n, "full storage needs n^2 entries");
-        DistStorage {
-            repr: Repr::Full { n, data },
-        }
-    }
-
-    /// Wraps a packed upper triangle.
     ///
     /// # Panics
     ///
@@ -180,16 +161,13 @@ impl DistStorage {
     /// buffer (a mapped snapshot) rather than an owned allocation.
     pub fn is_shared(&self) -> bool {
         match &self.repr {
-            Repr::Full { data, .. }
-            | Repr::SymmetricPacked { data, .. }
-            | Repr::RowSparse { data, .. } => data.is_shared(),
+            Repr::SymmetricPacked { data, .. } | Repr::RowSparse { data, .. } => data.is_shared(),
         }
     }
 
     /// The layout tag.
     pub fn kind(&self) -> StorageKind {
         match &self.repr {
-            Repr::Full { .. } => StorageKind::Full,
             Repr::SymmetricPacked { .. } => StorageKind::SymmetricPacked,
             Repr::RowSparse { .. } => StorageKind::RowSparse,
         }
@@ -198,9 +176,7 @@ impl DistStorage {
     /// Dimension `n`.
     pub fn n(&self) -> usize {
         match &self.repr {
-            Repr::Full { n, .. } | Repr::SymmetricPacked { n, .. } | Repr::RowSparse { n, .. } => {
-                *n
-            }
+            Repr::SymmetricPacked { n, .. } | Repr::RowSparse { n, .. } => *n,
         }
     }
 
@@ -226,13 +202,11 @@ impl DistStorage {
     /// The raw entry array, in the documented entry order.
     pub fn data(&self) -> &[Dist] {
         match &self.repr {
-            Repr::Full { data, .. }
-            | Repr::SymmetricPacked { data, .. }
-            | Repr::RowSparse { data, .. } => data,
+            Repr::SymmetricPacked { data, .. } | Repr::RowSparse { data, .. } => data,
         }
     }
 
-    /// The source list of a row-sparse table (`None` for square layouts).
+    /// The source list of a row-sparse table (`None` for the packed layout).
     pub fn sources(&self) -> Option<&[u32]> {
         match &self.repr {
             Repr::RowSparse { sources, .. } => Some(sources),
@@ -268,10 +242,6 @@ impl DistStorage {
             return None;
         }
         match &self.repr {
-            Repr::Full { data, .. } => {
-                let idx = u * n + v;
-                Some((data[idx], idx))
-            }
             Repr::SymmetricPacked { data, .. } => {
                 let idx = Self::packed_index(n, u, v);
                 Some((data[idx], idx))
@@ -301,15 +271,14 @@ impl DistStorage {
     }
 
     /// Borrows the full row of `u` when the layout physically holds one:
-    /// `Full` always, `RowSparse` when `u` is a source. `SymmetricPacked`
-    /// rows are not contiguous — use [`DistStorage::copy_row`] there.
+    /// `RowSparse` when `u` is a source. `SymmetricPacked` rows are not
+    /// contiguous — use [`DistStorage::copy_row`] there.
     pub fn row(&self, u: usize) -> Option<&[Dist]> {
         let n = self.n();
         if u >= n {
             return None;
         }
         match &self.repr {
-            Repr::Full { data, .. } => Some(&data[u * n..(u + 1) * n]),
             Repr::SymmetricPacked { .. } => None,
             Repr::RowSparse { row_of, data, .. } => match row_of[u] {
                 NO_ROW => None,
@@ -330,7 +299,6 @@ impl DistStorage {
         assert!(u < n, "vertex {u} out of range for n = {n}");
         assert_eq!(out.len(), n, "output row length mismatch");
         match &self.repr {
-            Repr::Full { data, .. } => out.copy_from_slice(&data[u * n..(u + 1) * n]),
             Repr::SymmetricPacked { data, .. } => {
                 // One pass with an incremental index walk instead of a
                 // packed_index multiply per cell: column u of row v and
@@ -422,26 +390,27 @@ mod tests {
     fn layouts_agree_on_get() {
         let n = 4;
         let full_data = reference_full(n);
-        let full = DistStorage::full(n, full_data.clone());
         let sym = DistStorage::symmetric_packed(n, packed_from_full(n, &full_data));
+        let rows = DistStorage::row_sparse(n, (0..n as u32).collect::<Vec<_>>(), full_data.clone());
         for u in 0..n {
             for v in 0..n {
-                assert_eq!(full.get(u, v), sym.get(u, v), "({u},{v})");
+                assert_eq!(sym.get(u, v), full_data[u * n + v], "({u},{v})");
+                assert_eq!(rows.get(u, v), full_data[u * n + v], "({u},{v})");
             }
         }
-        assert_eq!(full.get(0, 3), INF);
-        assert_eq!(full.get(9, 0), INF, "out of range is INF");
-        assert_eq!(full.kind(), StorageKind::Full);
+        assert_eq!(sym.get(0, 3), INF);
+        assert_eq!(sym.get(9, 0), INF, "out of range is INF");
         assert_eq!(sym.kind(), StorageKind::SymmetricPacked);
+        assert_eq!(rows.kind(), StorageKind::RowSparse);
     }
 
     #[test]
     fn symmetric_packed_halves_the_bytes() {
         let n = 64;
-        let full = DistStorage::full(n, vec![0; n * n]);
+        let square_bytes = n * n * std::mem::size_of::<Dist>();
         let sym = DistStorage::symmetric_packed(n, vec![0; n * (n + 1) / 2]);
-        assert!(sym.bytes() * 2 <= full.bytes() + n * std::mem::size_of::<Dist>());
-        assert!(sym.bytes() < full.bytes() * 55 / 100 + 1);
+        assert!(sym.bytes() * 2 <= square_bytes + n * std::mem::size_of::<Dist>());
+        assert!(sym.bytes() < square_bytes * 55 / 100 + 1);
     }
 
     #[test]
@@ -463,7 +432,6 @@ mod tests {
         let n = 4;
         let full_data = reference_full(n);
         let storages = [
-            DistStorage::full(n, full_data.clone()),
             DistStorage::symmetric_packed(n, packed_from_full(n, &full_data)),
             DistStorage::row_sparse(n, vec![1, 3], {
                 let mut rows = full_data[n..2 * n].to_vec();
@@ -485,8 +453,8 @@ mod tests {
     #[test]
     fn lookup_reports_the_entry_index() {
         let n = 3;
-        let full = DistStorage::full(n, vec![0, 5, 9, 5, 0, 2, 9, 2, 0]);
-        assert_eq!(full.lookup(1, 2), Some((2, 5)));
+        let rows = DistStorage::row_sparse(n, vec![0, 1, 2], vec![0, 5, 9, 5, 0, 2, 9, 2, 0]);
+        assert_eq!(rows.lookup(1, 2), Some((2, 5)));
         let sym = DistStorage::symmetric_packed(n, vec![0, 5, 9, 0, 2, 0]);
         assert_eq!(sym.lookup(2, 1), Some((2, 4)), "orientation normalized");
     }

@@ -21,10 +21,7 @@
 //!   worker-thread count; both kernels shard output rows across scoped
 //!   threads with bit-identical results at any thread count,
 //! * [`filtered`] — row filtering and the iterated filtered squaring of
-//!   Claim 59, the computational core of the `(k,d)`-nearest primitive,
-//! * [`legacy`] — verbatim ports of the pre-CSR kernels, kept purely as
-//!   cross-check baselines for the proptests and the `t15_minplus_kernels`
-//!   bench.
+//!   Claim 59, the computational core of the `(k,d)`-nearest primitive.
 //!
 //! Round accounting is orthogonal to wall-clock execution: the `_charged`
 //! product variants charge the same Thm 36 / Thm 58 formulas regardless of
@@ -50,7 +47,6 @@
 
 pub mod dense;
 pub mod filtered;
-pub mod legacy;
 pub mod sparse;
 pub mod workspace;
 

@@ -2,16 +2,15 @@
 //!
 //! Two families of properties over random gnp / grid / caveman graphs:
 //!
-//! 1. **Cross-kernel agreement** — the CSR sparse product, the blocked dense
-//!    product and the legacy Vec-of-Vec product compute the same matrix
-//!    entry-for-entry (first and second adjacency powers, so both the
-//!    sparse-row and the dense-row emit paths of the CSR kernel are hit).
+//! 1. **Reference agreement** — the CSR sparse product and the blocked dense
+//!    product both equal a naive triple loop entry-for-entry (first and
+//!    second squarings of the adjacency matrix, so both the sparse-row and
+//!    the dense-row emit paths of the CSR kernel are hit).
 //! 2. **Thread determinism** — `threads ∈ {1, 2, 4, 8}` produce bit-identical
 //!    matrices (values *and* nnz) for both kernels, including when a warm
 //!    workspace is reused across products.
 
-use cc_graphs::{generators, Graph};
-use cc_matrix::legacy::{dense_minplus_unblocked, LegacySparseMatrix};
+use cc_graphs::{dadd, generators, Dist, Graph, INF};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, SparseMatrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -27,6 +26,20 @@ fn graph_for(family: usize, size: usize, seed: u64) -> Graph {
     }
 }
 
+/// The reference product: `c[i][j] = min_k get(i, k) + get(k, j)`, as a
+/// row-major `n × n` table.
+fn naive_square(n: usize, get: impl Fn(usize, usize) -> Dist) -> Vec<Dist> {
+    let mut c = vec![INF; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            for k in 0..n {
+                c[i * n + j] = c[i * n + j].min(dadd(get(i, k), get(k, j)));
+            }
+        }
+    }
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -36,25 +49,33 @@ proptest! {
         let n = g.n();
         let s = SparseMatrix::adjacency(&g);
         let d = DenseMatrix::adjacency(&g);
-        let l = LegacySparseMatrix::adjacency(&g);
-        prop_assert_eq!(l.to_csr(), s.clone(), "construction paths diverge");
-        // First power: sparse rows; second power: dense-ish rows.
-        let (mut sp, mut dp, mut lp) = (s, d, l);
+        // CSR adjacency rows: the diagonal plus the sorted neighbor list.
+        for u in 0..n {
+            let mut want: Vec<(u32, Dist)> = g.neighbors(u).iter().map(|&v| (v, 1)).collect();
+            want.push((u as u32, 0));
+            want.sort_unstable();
+            prop_assert_eq!(s.row(u), &want[..], "csr adjacency row {}", u);
+            for v in 0..n {
+                prop_assert_eq!(d.get(u, v), s.get(u, v), "dense adjacency at ({},{})", u, v);
+            }
+        }
+        // First squaring: sparse rows; second squaring: dense-ish rows.
+        let mut reference = naive_square(n, |i, j| s.get(i, j));
+        let (mut sp, mut dp) = (s, d);
         for power in 0..2 {
+            if power > 0 {
+                reference = naive_square(n, |i, j| reference[i * n + j]);
+            }
             sp = sp.minplus(&sp);
             dp = dp.minplus(&dp);
-            lp = lp.minplus(&lp);
-            let mut finite = 0usize;
             for u in 0..n {
                 for v in 0..n {
-                    let want = dp.get(u, v);
-                    prop_assert_eq!(sp.get(u, v), want, "csr vs dense at ({},{}) power {}", u, v, power);
-                    prop_assert_eq!(lp.get(u, v), want, "legacy vs dense at ({},{}) power {}", u, v, power);
-                    if want < cc_graphs::INF {
-                        finite += 1;
-                    }
+                    let want = reference[u * n + v];
+                    prop_assert_eq!(sp.get(u, v), want, "csr vs naive at ({},{}) power {}", u, v, power);
+                    prop_assert_eq!(dp.get(u, v), want, "dense vs naive at ({},{}) power {}", u, v, power);
                 }
             }
+            let finite = reference.iter().filter(|&&x| x < INF).count();
             prop_assert_eq!(sp.nnz(), finite, "csr nnz mismatch at power {}", power);
         }
     }
@@ -91,7 +112,7 @@ proptest! {
             for j in 0..n {
                 let v = dense_serial.0.get(i, j);
                 let k = dense_serial.1[i * n + j];
-                if v >= cc_graphs::INF {
+                if v >= INF {
                     prop_assert_eq!(k, u32::MAX);
                 } else {
                     let k = k as usize;
@@ -126,13 +147,5 @@ proptest! {
             let dp = d.minplus_with(&d, &ws);
             prop_assert_eq!(dp, dense_serial.clone(), "dense kernel, threads = {}", threads);
         }
-    }
-
-    #[test]
-    fn legacy_dense_matches_blocked((family, size, seed) in (0usize..3, 12usize..36, 0u64..1 << 40)) {
-        let g = graph_for(family, size, seed);
-        let d = DenseMatrix::adjacency(&g);
-        let blocked = d.minplus(&d);
-        prop_assert_eq!(dense_minplus_unblocked(&d, &d), blocked);
     }
 }

@@ -25,8 +25,9 @@ use std::time::Duration;
 use cc_core::PointEstimate;
 
 use crate::fault::{FaultPlan, FaultSite};
+use crate::metrics::{stats_from_exposition, StatsSnapshot};
 use crate::protocol::{
-    read_frame, write_frame, Op, Payload, Request, Response, StatsSnapshot, Status, VersionInfo,
+    read_frame, write_frame, Op, Payload, Request, Response, Status, VersionInfo,
 };
 
 /// A connected client.
@@ -379,18 +380,15 @@ impl Client {
         }
     }
 
-    /// Server counters.
+    /// Server counters, parsed from the [`Client::metrics`] exposition.
     ///
     /// # Errors
     ///
-    /// Transport or protocol failures.
+    /// Transport or protocol failures; [`ClientError::Protocol`] when any
+    /// of the ten counter samples is missing from the exposition.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        let req = self.next_request(Op::Stats, 0, Vec::new());
-        let resp = self.roundtrip(&req)?;
-        match (resp.status, resp.payload) {
-            (Status::Ok, Payload::Stats(s)) => Ok(s),
-            _ => Err(ClientError::Protocol("stats refused")),
-        }
+        let text = self.metrics()?;
+        stats_from_exposition(&text).ok_or(ClientError::Protocol("stats samples missing"))
     }
 
     /// The full metrics text exposition (counters, gauges, request

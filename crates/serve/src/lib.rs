@@ -27,7 +27,8 @@
 //! * `metrics` (internal) backs every served counter and the request-lifecycle
 //!   histograms (queue wait, batch size, oracle sweep, outbox write) with
 //!   one `cc_obs` registry. `Op::Metrics` renders it as integer text
-//!   exposition; `Op::Trace` drains the connection's span-event ring.
+//!   exposition, which [`Client::stats`] parses into a [`StatsSnapshot`];
+//!   `Op::Trace` drains the connection's span-event ring.
 //!
 //! ```no_run
 //! use cc_serve::{server, snapshot};
@@ -55,6 +56,7 @@ pub mod snapshot;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use fault::{FaultPlan, FaultSite};
-pub use protocol::{Op, PathItem, Payload, Request, Response, StatsSnapshot, Status, VersionInfo};
+pub use metrics::StatsSnapshot;
+pub use protocol::{Op, PathItem, Payload, Request, Response, Status, VersionInfo};
 pub use server::{serve, ReloadConfig, ReloadError, ServerConfig, ServerHandle};
 pub use snapshot::{open, open_quarantining, OpenError, OpenedSnapshot, Oracles};

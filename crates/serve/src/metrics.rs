@@ -1,14 +1,75 @@
-//! The daemon's metric set: every counter the old hand-rolled `Stats`
-//! struct carried, re-backed by the `cc_obs` registry, plus the
-//! request-lifecycle histograms.
+//! The daemon's metric set: the ten [`StatsSnapshot`] counters and
+//! gauges, backed by the `cc_obs` registry, plus the request-lifecycle
+//! histograms.
 //!
-//! One accounting substrate: `Op::Stats` snapshots read the *same*
-//! atomics the `Op::Metrics` exposition renders, so the two can never
-//! disagree (the chaos suite asserts exact reconciliation). Handles are
-//! registered once at server construction — nothing on the serving hot
-//! path ever touches the registry's name map.
+//! One accounting substrate: `ServerHandle::stats` reads the *same*
+//! atomics the `Op::Metrics` exposition renders, and `Client::stats`
+//! parses that exposition back through [`stats_from_exposition`], so the
+//! views can never disagree (the chaos suite asserts exact
+//! reconciliation). This module is the only one that knows the sample
+//! names. Handles are registered once at server construction — nothing on
+//! the serving hot path ever touches the registry's name map.
 
 use cc_obs::{Counter, Gauge, Histogram, Registry};
+
+pub(crate) const SERVED: &str = "ccd_served_total";
+pub(crate) const SHED: &str = "ccd_shed_total";
+pub(crate) const DEADLINE_MISSED: &str = "ccd_deadline_missed_total";
+pub(crate) const MALFORMED: &str = "ccd_malformed_total";
+pub(crate) const QUEUE_DEPTH: &str = "ccd_queue_depth";
+pub(crate) const GENERATION: &str = "ccd_generation";
+pub(crate) const RELOADS_OK: &str = "ccd_reloads_ok_total";
+pub(crate) const RELOADS_REJECTED: &str = "ccd_reloads_rejected_total";
+pub(crate) const WORKER_PANICS: &str = "ccd_worker_panics_total";
+pub(crate) const SLOW_DISCONNECTS: &str = "ccd_slow_disconnects_total";
+
+/// The server's counters at one instant: in-process from
+/// `ServerHandle::stats`, or over the wire from `Client::stats`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct StatsSnapshot {
+    /// Requests answered `Ok`.
+    pub served: u64,
+    /// Requests answered `Overloaded` (queue full).
+    pub shed: u64,
+    /// Requests answered `DeadlineExceeded`.
+    pub deadline_missed: u64,
+    /// Requests answered `Malformed`.
+    pub malformed: u64,
+    /// Queue depth at snapshot time.
+    pub queue_depth: u64,
+    /// Serving snapshot generation (`1` at boot; `+1` per hot reload).
+    pub generation: u64,
+    /// Hot reloads that validated and swapped in.
+    pub reloads_ok: u64,
+    /// Hot reloads refused (corrupt file, dimension mismatch); the
+    /// previous generation kept serving.
+    pub reloads_rejected: u64,
+    /// Worker panics contained by `catch_unwind` (each answered its batch
+    /// with `Status::Internal` and the worker respawned).
+    pub worker_panics: u64,
+    /// Connections dropped for reading too slowly (outbox overflow or
+    /// write timeout) instead of blocking workers.
+    pub slow_disconnects: u64,
+}
+
+/// Reads the ten [`StatsSnapshot`] samples out of an `Op::Metrics`
+/// exposition; `None` if any is missing.
+pub(crate) fn stats_from_exposition(text: &str) -> Option<StatsSnapshot> {
+    let samples = cc_obs::parse_exposition(text);
+    let get = |name: &str| samples.get(name).copied();
+    Some(StatsSnapshot {
+        served: get(SERVED)?,
+        shed: get(SHED)?,
+        deadline_missed: get(DEADLINE_MISSED)?,
+        malformed: get(MALFORMED)?,
+        queue_depth: get(QUEUE_DEPTH)?,
+        generation: get(GENERATION)?,
+        reloads_ok: get(RELOADS_OK)?,
+        reloads_rejected: get(RELOADS_REJECTED)?,
+        worker_panics: get(WORKER_PANICS)?,
+        slow_disconnects: get(SLOW_DISCONNECTS)?,
+    })
+}
 
 /// Capacity of each connection's trace ring (span events kept for
 /// `Op::Trace`).
@@ -53,16 +114,16 @@ impl ServeMetrics {
     pub(crate) fn new() -> ServeMetrics {
         let registry = Registry::new();
         ServeMetrics {
-            served: registry.counter("ccd_served_total"),
-            shed: registry.counter("ccd_shed_total"),
-            deadline_missed: registry.counter("ccd_deadline_missed_total"),
-            malformed: registry.counter("ccd_malformed_total"),
-            reloads_ok: registry.counter("ccd_reloads_ok_total"),
-            reloads_rejected: registry.counter("ccd_reloads_rejected_total"),
-            worker_panics: registry.counter("ccd_worker_panics_total"),
-            slow_disconnects: registry.counter("ccd_slow_disconnects_total"),
-            queue_depth: registry.gauge("ccd_queue_depth"),
-            generation: registry.gauge("ccd_generation"),
+            served: registry.counter(SERVED),
+            shed: registry.counter(SHED),
+            deadline_missed: registry.counter(DEADLINE_MISSED),
+            malformed: registry.counter(MALFORMED),
+            reloads_ok: registry.counter(RELOADS_OK),
+            reloads_rejected: registry.counter(RELOADS_REJECTED),
+            worker_panics: registry.counter(WORKER_PANICS),
+            slow_disconnects: registry.counter(SLOW_DISCONNECTS),
+            queue_depth: registry.gauge(QUEUE_DEPTH),
+            generation: registry.gauge(GENERATION),
             queue_wait_ns: registry.histogram("ccd_queue_wait_ns"),
             batch_jobs: registry.histogram("ccd_batch_jobs"),
             oracle_batch_ns: registry.histogram("ccd_oracle_batch_ns"),
@@ -75,4 +136,47 @@ impl ServeMetrics {
 /// Elapsed nanoseconds since `start`, saturating into `u64`.
 pub(crate) fn elapsed_ns(start: std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_parse_reads_every_sample_and_needs_all_ten() {
+        let m = ServeMetrics::new();
+        m.served.add(5);
+        m.worker_panics.inc();
+        m.generation.set(3);
+        let text = m.registry.render();
+        let parsed = stats_from_exposition(&text).expect("all ten samples present");
+        assert_eq!(
+            parsed,
+            StatsSnapshot {
+                served: 5,
+                worker_panics: 1,
+                generation: 3,
+                ..StatsSnapshot::default()
+            }
+        );
+        for name in [
+            SERVED,
+            SHED,
+            DEADLINE_MISSED,
+            MALFORMED,
+            QUEUE_DEPTH,
+            GENERATION,
+            RELOADS_OK,
+            RELOADS_REJECTED,
+            WORKER_PANICS,
+            SLOW_DISCONNECTS,
+        ] {
+            let without: String = text
+                .lines()
+                .filter(|l| l.split_whitespace().next() != Some(name))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(stats_from_exposition(&without), None, "{name} missing");
+        }
+    }
 }

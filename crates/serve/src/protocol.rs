@@ -10,7 +10,8 @@
 //! response  req_id u64 | status u8 | op u8 | count u32 | payload
 //! ```
 //!
-//! Ops: `0` ping, `1` dist, `2` path, `3` stats, `4` reload (admin),
+//! Ops: `0` ping, `1` dist, `2` path, `3` reserved (decodes as unknown;
+//! the server answers [`Status::Malformed`]), `4` reload (admin),
 //! `5` version, `6` metrics, `7` trace. Response payloads:
 //!
 //! * **dist** — per pair: `present u8`, then (when present) `dist u32`,
@@ -19,9 +20,6 @@
 //!   [`cc_core::PointEstimate`].
 //! * **path** — per pair: `present u8`, then `dist u32`, `kind u8`,
 //!   `eps f64`, `additive f64`, `edge_count u32`, `edge_count × (u32, u32)`.
-//! * **stats** — `served u64 | shed u64 | deadline_missed u64 |
-//!   malformed u64 | queue_depth u64 | generation u64 | reloads_ok u64 |
-//!   reloads_rejected u64 | worker_panics u64 | slow_disconnects u64`.
 //! * **metrics / trace** — `count` UTF-8 bytes (`count` is the byte
 //!   length): the full metrics text exposition, or one `span …` line per
 //!   drained trace-ring event for this connection.
@@ -51,8 +49,6 @@ pub enum Op {
     Dist,
     /// Batched route queries.
     Path,
-    /// Server counters.
-    Stats,
     /// Admin: reload the serving snapshot from its configured path. The
     /// server answers with the post-swap [`VersionInfo`] on success, or
     /// [`Status::ReloadRejected`] (old snapshot keeps serving) on refusal.
@@ -73,7 +69,6 @@ impl Op {
             Op::Ping => 0,
             Op::Dist => 1,
             Op::Path => 2,
-            Op::Stats => 3,
             Op::Reload => 4,
             Op::Version => 5,
             Op::Metrics => 6,
@@ -86,7 +81,6 @@ impl Op {
             0 => Op::Ping,
             1 => Op::Dist,
             2 => Op::Path,
-            3 => Op::Stats,
             4 => Op::Reload,
             5 => Op::Version,
             6 => Op::Metrics,
@@ -113,7 +107,7 @@ pub enum Status {
     ShuttingDown,
     /// A worker panicked while computing this batch. The request was not
     /// served, but the connection and the server survive; the panic is
-    /// counted in `stats` and the worker respawns.
+    /// counted in `ccd_worker_panics_total` and the worker respawns.
     Internal,
     /// A reload was refused (corrupt file, dimension mismatch, or reload
     /// not configured); the previous snapshot generation keeps serving.
@@ -156,7 +150,7 @@ pub struct Request {
     pub op: Op,
     /// Patience in milliseconds; `0` = server default.
     pub deadline_ms: u32,
-    /// Query pairs (empty for ping/stats).
+    /// Query pairs (empty for ping and the admin/text ops).
     pub pairs: Vec<(u32, u32)>,
 }
 
@@ -223,8 +217,6 @@ pub enum Payload {
     Dists(Vec<Option<PointEstimate>>),
     /// Per-pair route answers.
     Paths(Vec<Option<PathItem>>),
-    /// Server counters.
-    Stats(StatsSnapshot),
     /// Snapshot generation facts ([`Op::Version`], successful
     /// [`Op::Reload`]).
     Version(VersionInfo),
@@ -241,34 +233,6 @@ pub struct VersionInfo {
     pub generation: u64,
     /// Vertex count of the serving snapshot.
     pub n: u64,
-}
-
-/// The counters a `stats` request returns.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct StatsSnapshot {
-    /// Requests answered `Ok`.
-    pub served: u64,
-    /// Requests answered `Overloaded` (queue full).
-    pub shed: u64,
-    /// Requests answered `DeadlineExceeded`.
-    pub deadline_missed: u64,
-    /// Requests answered `Malformed`.
-    pub malformed: u64,
-    /// Queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// Serving snapshot generation (`1` at boot; `+1` per hot reload).
-    pub generation: u64,
-    /// Hot reloads that validated and swapped in.
-    pub reloads_ok: u64,
-    /// Hot reloads refused (corrupt file, dimension mismatch); the
-    /// previous generation kept serving.
-    pub reloads_rejected: u64,
-    /// Worker panics contained by `catch_unwind` (each answered its batch
-    /// with [`Status::Internal`] and the worker respawned).
-    pub worker_panics: u64,
-    /// Connections dropped for reading too slowly (outbox overflow or
-    /// write timeout) instead of blocking workers.
-    pub slow_disconnects: u64,
 }
 
 /// A decoded response.
@@ -370,23 +334,6 @@ impl Response {
                     }
                 }
             }
-            Payload::Stats(s) => {
-                b.extend_from_slice(&10u32.to_le_bytes());
-                for v in [
-                    s.served,
-                    s.shed,
-                    s.deadline_missed,
-                    s.malformed,
-                    s.queue_depth,
-                    s.generation,
-                    s.reloads_ok,
-                    s.reloads_rejected,
-                    s.worker_panics,
-                    s.slow_disconnects,
-                ] {
-                    b.extend_from_slice(&v.to_le_bytes());
-                }
-            }
             Payload::Version(v) => {
                 b.extend_from_slice(&2u32.to_le_bytes());
                 b.extend_from_slice(&v.generation.to_le_bytes());
@@ -448,23 +395,6 @@ impl Response {
                         });
                     }
                     Payload::Paths(items)
-                }
-                Op::Stats => {
-                    if count != 10 {
-                        return None;
-                    }
-                    Payload::Stats(StatsSnapshot {
-                        served: c.u64()?,
-                        shed: c.u64()?,
-                        deadline_missed: c.u64()?,
-                        malformed: c.u64()?,
-                        queue_depth: c.u64()?,
-                        generation: c.u64()?,
-                        reloads_ok: c.u64()?,
-                        reloads_rejected: c.u64()?,
-                        worker_panics: c.u64()?,
-                        slow_disconnects: c.u64()?,
-                    })
                 }
                 Op::Reload | Op::Version => {
                     if count != 2 {
@@ -601,9 +531,12 @@ mod tests {
         let mut padded = enc.clone();
         padded.push(0);
         assert_eq!(Request::decode(&padded), None);
-        let mut bad_op = enc;
-        bad_op[8] = 9;
-        assert_eq!(Request::decode(&bad_op), None);
+        // Op 3 is the retired stats op; 9 was never assigned.
+        for op in [3, 9] {
+            let mut bad_op = enc.clone();
+            bad_op[8] = op;
+            assert_eq!(Request::decode(&bad_op), None, "op byte {op}");
+        }
     }
 
     #[test]
@@ -637,25 +570,6 @@ mod tests {
 
         let err = Response::error(9, Op::Dist, Status::Overloaded);
         assert_eq!(Response::decode(&err.encode()), Some(err));
-
-        let stats = Response {
-            req_id: 10,
-            status: Status::Ok,
-            op: Op::Stats,
-            payload: Payload::Stats(StatsSnapshot {
-                served: 1,
-                shed: 2,
-                deadline_missed: 3,
-                malformed: 4,
-                queue_depth: 5,
-                generation: 6,
-                reloads_ok: 7,
-                reloads_rejected: 8,
-                worker_panics: 9,
-                slow_disconnects: 10,
-            }),
-        };
-        assert_eq!(Response::decode(&stats.encode()), Some(stats));
     }
 
     #[test]

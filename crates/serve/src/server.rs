@@ -2,7 +2,7 @@
 //! admission control, hot snapshot reload, and fault containment.
 //!
 //! Per connection, a reader thread decodes frames and classifies them:
-//! `ping`/`stats`/`version`/`reload`/`metrics`/`trace` are answered
+//! `ping`/`version`/`reload`/`metrics`/`trace` are answered
 //! inline; `dist`/`path` become jobs on the bounded [`BoundedQueue`]. A
 //! full queue answers
 //! [`Status::Overloaded`] immediately — the load-shedding contract is
@@ -30,7 +30,7 @@
 //! are not written by workers at all: each connection has a bounded
 //! byte-capped outbox drained by a dedicated writer thread with a write
 //! timeout, so a slow-reading client overflows its outbox (or times out)
-//! and is disconnected — counted in `stats` — instead of wedging a
+//! and is disconnected — counted in `ccd_slow_disconnects_total` — instead of wedging a
 //! worker. Reader threads treat a torn frame as that connection's
 //! problem only.
 //!
@@ -44,7 +44,7 @@
 //! join.
 //!
 //! **Observability** (`ServeMetrics`, internal): every counter
-//! behind `Op::Stats` and the request-lifecycle histograms (queue wait,
+//! behind [`ServerHandle::stats`] and the request-lifecycle histograms (queue wait,
 //! batch size, oracle sweep time, outbox write time) live in one `cc_obs`
 //! registry, rendered by `Op::Metrics`. Each connection additionally
 //! keeps a bounded trace ring of span events — pushed *before* the
@@ -64,10 +64,9 @@ use cc_core::PointEstimate;
 use cc_obs::{SpanEvent, TraceRing};
 
 use crate::fault::{FaultPlan, FaultSite};
-use crate::metrics::{elapsed_ns, ServeMetrics, TRACE_RING_CAPACITY};
+use crate::metrics::{elapsed_ns, ServeMetrics, StatsSnapshot, TRACE_RING_CAPACITY};
 use crate::protocol::{
-    guarantee_kind_wire, wire_count, Op, Payload, Request, Response, StatsSnapshot, Status,
-    VersionInfo, MAX_FRAME,
+    guarantee_kind_wire, wire_count, Op, Payload, Request, Response, Status, VersionInfo, MAX_FRAME,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::slot::SnapshotSlot;
@@ -247,9 +246,9 @@ fn try_reload(shared: &Shared) -> Result<VersionInfo, ReloadError> {
     outcome
 }
 
-/// The `Op::Stats` answer, read from the same `cc_obs` counters the
-/// `Op::Metrics` exposition renders — one accounting substrate, so the
-/// two views reconcile exactly.
+/// The [`ServerHandle::stats`] answer, read from the same `cc_obs`
+/// counters the `Op::Metrics` exposition renders — one accounting
+/// substrate, so the two views reconcile exactly.
 fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
     let m = &shared.metrics;
     StatsSnapshot {
@@ -510,8 +509,9 @@ pub fn serve(oracles: Oracles, addr: &str, config: ServerConfig) -> std::io::Res
             while !shared.shutdown.load(Ordering::Relaxed) {
                 if let Some(flag) = sighup {
                     if flag.swap(false, Ordering::AcqRel) {
-                        // Outcome lands in the counters; stats/version
-                        // report it. A refusal keeps the old generation.
+                        // Outcome lands in the reload counters and the
+                        // generation gauge (`Op::Metrics`, `Op::Version`).
+                        // A refusal keeps the old generation.
                         let _ = try_reload(&shared);
                     }
                 }
@@ -645,18 +645,6 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Arc<Shared>) {
                         status: Status::Ok,
                         op: Op::Ping,
                         payload: Payload::Empty,
-                    },
-                    cap,
-                    metrics,
-                );
-            }
-            Op::Stats => {
-                conn.enqueue_response(
-                    &Response {
-                        req_id: req.req_id,
-                        status: Status::Ok,
-                        op: Op::Stats,
-                        payload: Payload::Stats(stats_snapshot(shared)),
                     },
                     cap,
                     metrics,
@@ -1003,7 +991,7 @@ fn process_batch(shared: &Shared, s: &mut Scratch) {
             }
             // The reader answers these inline and never enqueues them;
             // nothing is owed here.
-            Op::Ping | Op::Stats | Op::Reload | Op::Version | Op::Metrics | Op::Trace => {}
+            Op::Ping | Op::Reload | Op::Version | Op::Metrics | Op::Trace => {}
         }
         if let Some(a) = s.answered.get_mut(i) {
             *a = true;
@@ -1077,7 +1065,8 @@ mod tests {
     fn connection_churn_does_not_pile_up_thread_handles() {
         let mut m = DistanceMatrix::new(4);
         m.improve(0, 1, 1);
-        let oracle = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::Full);
+        let oracle =
+            DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::SymmetricPacked);
         let handle = serve(
             Oracles::DistOnly(Arc::new(oracle)),
             "127.0.0.1:0",

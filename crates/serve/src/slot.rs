@@ -108,7 +108,7 @@ mod tests {
         Oracles::DistOnly(Arc::new(DistOracle::from_matrix(
             &m,
             Guarantee::mult2(0.25),
-            StorageKind::Full,
+            StorageKind::SymmetricPacked,
         )))
     }
 

@@ -36,7 +36,7 @@ fn scaled_oracle(scale: u32) -> DistOracle {
             m.improve(u, v, u.abs_diff(v) as u32 * scale);
         }
     }
-    DistOracle::from_matrix(&m, Guarantee::mult2(0.25), StorageKind::Full)
+    DistOracle::from_matrix(&m, Guarantee::mult2(0.25), StorageKind::SymmetricPacked)
 }
 
 fn temp_path(seed: u64) -> PathBuf {
@@ -289,10 +289,11 @@ fn run_chaos(seed: u64) {
     assert_eq!(after.shed, before.shed);
     assert_eq!(after.worker_panics, before.worker_panics);
 
-    // ── Metrics reconciliation: `Op::Metrics` and `Op::Stats` are two
-    // views of one registry. With faults quiesced and no concurrent
-    // traffic they must agree exactly, field for field, and the panic
-    // counter must equal the fault plan's injected count.
+    // ── Metrics reconciliation: `Client::stats` is a typed parse of
+    // `Op::Metrics`, checked here against a raw parse of a separate
+    // exposition read. With faults quiesced and no concurrent traffic
+    // they must agree exactly, field for field, and the panic counter
+    // must equal the fault plan's injected count.
     let exposition = clean.metrics().unwrap();
     let samples = cc_obs::parse_exposition(&exposition);
     let finals = clean.stats().unwrap();

@@ -324,45 +324,11 @@ fn graceful_shutdown_drains_admitted_work() {
     );
 }
 
-/// `Op::Stats` moved from a bespoke counter struct onto the `cc_obs`
-/// registry; this pins the answer's wire bytes so that migration (and any
-/// future one) can never change a byte of what deployed clients parse.
-#[test]
-fn stats_wire_encoding_is_pinned() {
-    let resp = Response {
-        req_id: 0x0102_0304_0506_0708,
-        status: Status::Ok,
-        op: Op::Stats,
-        payload: cc_serve::Payload::Stats(cc_serve::StatsSnapshot {
-            served: 1,
-            shed: 2,
-            deadline_missed: 3,
-            malformed: 4,
-            queue_depth: 5,
-            generation: 6,
-            reloads_ok: 7,
-            reloads_rejected: 8,
-            worker_panics: 9,
-            slow_disconnects: 10,
-        }),
-    };
-    let mut want = Vec::new();
-    want.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
-    want.push(0); // Status::Ok wire byte
-    want.push(3); // Op::Stats wire byte
-    want.extend_from_slice(&10u32.to_le_bytes()); // field count
-    for v in 1u64..=10 {
-        want.extend_from_slice(&v.to_le_bytes());
-    }
-    assert_eq!(resp.encode(), want, "Op::Stats wire layout changed");
-    assert_eq!(Response::decode(&want), Some(resp));
-}
-
 /// `Op::Metrics` and `Op::Trace` answer on the reader thread: the
-/// exposition must parse, reconcile exactly with `Op::Stats` (one
-/// accounting substrate), expose the lifecycle histograms, and never
-/// count as served; the trace ring drains one Ok span per request and is
-/// destructive.
+/// exposition must parse, reconcile exactly with the in-process
+/// `ServerHandle::stats` (one accounting substrate), expose the lifecycle
+/// histograms, and never count as served; the trace ring drains one Ok
+/// span per request and is destructive.
 #[test]
 fn metrics_and_trace_ops_reconcile_with_stats() {
     let (handle, _served, _reference) = serve_v2(96, ServerConfig::default());
@@ -376,9 +342,10 @@ fn metrics_and_trace_ops_reconcile_with_stats() {
     let samples = cc_obs::parse_exposition(&text);
     let stats = client.stats().unwrap();
     assert_eq!(samples.get("ccd_served_total").copied(), Some(stats.served));
+    assert_eq!(stats, handle.stats(), "wire and in-process stats disagree");
     assert_eq!(
         stats.served, 3,
-        "metrics/trace/stats ops must not count as served"
+        "metrics/trace ops must not count as served"
     );
     for name in [
         "ccd_queue_wait_ns",
@@ -409,14 +376,17 @@ fn malformed_frames_are_counted_and_survivable() {
     let stream = TcpStream::connect(handle.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
 
-    // A valid frame whose body is garbage (bad op byte).
-    let mut body = vec![0u8; 18];
-    body[..8].copy_from_slice(&77u64.to_le_bytes());
-    body[8] = 200;
-    write_frame(&mut &stream, &body).unwrap();
-    let resp = Response::decode(&read_frame(&mut &stream).unwrap().unwrap()).unwrap();
-    assert_eq!(resp.req_id, 77);
-    assert_eq!(resp.status, Status::Malformed);
+    // Valid frames whose bodies are garbage: an op byte that never
+    // existed, and op 3 (the retired stats op, now unassigned).
+    for (req_id, op) in [(77u64, 200u8), (79, 3)] {
+        let mut body = vec![0u8; 18];
+        body[..8].copy_from_slice(&req_id.to_le_bytes());
+        body[8] = op;
+        write_frame(&mut &stream, &body).unwrap();
+        let resp = Response::decode(&read_frame(&mut &stream).unwrap().unwrap()).unwrap();
+        assert_eq!(resp.req_id, req_id);
+        assert_eq!(resp.status, Status::Malformed, "op byte {op}");
+    }
 
     // The same connection still serves.
     let req = Request {
@@ -428,6 +398,6 @@ fn malformed_frames_are_counted_and_survivable() {
     write_frame(&mut &stream, &req.encode()).unwrap();
     let resp = Response::decode(&read_frame(&mut &stream).unwrap().unwrap()).unwrap();
     assert_eq!((resp.req_id, resp.status), (78, Status::Ok));
-    assert!(handle.stats().malformed >= 1);
+    assert!(handle.stats().malformed >= 2);
     handle.shutdown();
 }

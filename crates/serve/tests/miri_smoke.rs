@@ -27,7 +27,7 @@ fn v2_snapshot_loads_and_answers_without_mmap() {
             m.improve(u, v, u.abs_diff(v) as cc_graphs::Dist);
         }
     }
-    let oracle = DistOracle::from_matrix(&m, Guarantee::mult3(0.25), StorageKind::Full);
+    let oracle = DistOracle::from_matrix(&m, Guarantee::mult3(0.25), StorageKind::SymmetricPacked);
 
     let path = tmp_path("smoke_v2.snap");
     oracle.save_v2_to_path(&path).expect("write v2 snapshot");

@@ -22,7 +22,7 @@ fn scaled_oracle(n: usize, scale: u32) -> DistOracle {
             m.improve(u, v, u.abs_diff(v) as u32 * scale);
         }
     }
-    DistOracle::from_matrix(&m, Guarantee::mult2(0.25), StorageKind::Full)
+    DistOracle::from_matrix(&m, Guarantee::mult2(0.25), StorageKind::SymmetricPacked)
 }
 
 /// Publishes `oracle` at `path` the way a deploy would: `save_v2_to_path`

@@ -1,7 +1,7 @@
 #![allow(clippy::needless_range_loop)]
 //! End-to-end tests of the frozen `DistOracle` query layer: lock-free
 //! concurrent reads, per-answer stretch guarantees against exact Dijkstra
-//! ground truth across all three storage layouts, and the versioned
+//! ground truth across both storage layouts, and the versioned
 //! snapshot format (including checked-in golden files).
 
 use std::path::PathBuf;
@@ -103,7 +103,7 @@ proptest! {
 
     /// On random connected graphs, every frozen answer satisfies the
     /// stretch bound of the guarantee it is tagged with, against exact
-    /// Dijkstra distances — in all three storage layouts, which must also
+    /// Dijkstra distances — in both storage layouts, which must also
     /// agree with each other bit-for-bit.
     #[test]
     fn frozen_answers_satisfy_their_tagged_guarantee(
@@ -123,11 +123,7 @@ proptest! {
         let wg = WeightedGraph::from_unweighted(&g);
         let exact: Vec<Vec<Dist>> = (0..n).map(|v| dijkstra::sssp(&wg, v)).collect();
 
-        for kind in [
-            StorageKind::Full,
-            StorageKind::SymmetricPacked,
-            StorageKind::RowSparse,
-        ] {
+        for kind in [StorageKind::SymmetricPacked, StorageKind::RowSparse] {
             let oracle = frozen.with_layout(kind);
             prop_assert_eq!(oracle.storage_kind(), kind);
             for u in 0..n {
@@ -173,10 +169,9 @@ fn reference_matrix() -> DistanceMatrix {
 }
 
 /// The reference oracle for each golden layout, with a distinct guarantee
-/// kind per file so all wire-encoded kinds are covered.
+/// kind per file (`paths_v2.snap`'s embedded oracle pins `mult2`).
 fn reference_oracles() -> Vec<(&'static str, DistOracle)> {
     let m = reference_matrix();
-    let full = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::Full);
     let sym = DistOracle::from_matrix(
         &m,
         Guarantee::near_additive(0.25, 4.0),
@@ -192,7 +187,7 @@ fn reference_oracles() -> Vec<(&'static str, DistOracle)> {
         }),
         Guarantee::mssp(0.1),
     );
-    vec![("full", full), ("symmetric", sym), ("rowsparse", sparse)]
+    vec![("symmetric", sym), ("rowsparse", sparse)]
 }
 
 fn golden_v2_path(label: &str) -> PathBuf {
@@ -258,11 +253,7 @@ fn tagged_session_snapshot_round_trips_on_disk() {
         "session with two pipelines must freeze a tagged oracle"
     );
     let dir = std::env::temp_dir();
-    for kind in [
-        StorageKind::Full,
-        StorageKind::SymmetricPacked,
-        StorageKind::RowSparse,
-    ] {
+    for kind in [StorageKind::SymmetricPacked, StorageKind::RowSparse] {
         let oracle = frozen.with_layout(kind);
         let path = dir.join(format!("cc_oracle_rt_{}.snap", kind.label()));
         oracle.save_v2_to_path(&path).expect("save");
