@@ -1,56 +1,62 @@
-//! `cc-bench-diff` — the CI perf-regression gate over BENCH_*.json files.
+//! `cc-bench-diff` — the CI gate over perfbench results.
 //!
 //! ```text
-//! cc-bench-diff BASELINE.json CURRENT.json
+//! cc-bench-diff BASELINE CURRENT
 //! ```
 //!
-//! Compares a freshly produced bench document against the committed
-//! baseline and exits non-zero on a regression beyond tolerance. The
-//! tolerances are deliberately loose — CI runners are noisy, often
-//! single-core boxes (the documents record `available_cores` for exactly
-//! this reason) — so the gate catches *order-of-magnitude* breakage
-//! (an accidental O(n²) in the hot path, a lost zero-copy path, serving
-//! suddenly shedding), not microbenchmark jitter:
+//! Each file holds the last two stdout lines of one perfbench run: the
+//! detail line, then the result line. The gate compares the current run
+//! against the committed baseline and exits non-zero on a regression:
 //!
-//! * **Correctness booleans** (`bit_identical`, `cross_checks_ok`,
-//!   `dropped_requests == 0`): must not flip. Zero tolerance.
-//! * **Latency quantiles** (`*_latency_us.p50/p95/p99`, `*_ns.p50/p90/p99`,
-//!   lower is better): current ≤ 2× baseline + 500 (absolute grace for
-//!   near-zero baselines).
-//! * **Throughput** (`requests_per_sec`, `queries_per_sec`, `*ops_per_sec`,
-//!   higher is better): current ≥ 0.5× baseline.
+//! * **Document checks.** The two runs must agree on the detail's
+//!   `workload`, `seed`, `trace` and `seconds`, and on the unit of every
+//!   metric both print; otherwise nothing is compared.
+//! * **Correctness.** The current run must report `correct: true` and
+//!   `failed: 0`.
+//! * **Exact** (`==` on the printed value): every metric in `rounds`,
+//!   `pairs` or `bytes`, plus `stretch_max`, `stretch_mean`, `ok_rate`,
+//!   `emulator.edges` and `clique.messages_total`. Charged rounds, stretch
+//!   and sizes are deterministic for a seed, so any change is a change of
+//!   the program.
+//! * **Ceiling** (metrics in `s`, `ms`, `us` or `MiB`): current ≤ 2 ×
+//!   baseline + 500 µs, the grace expressed in the metric's unit (none
+//!   for `MiB`).
+//! * **Floor** (metrics in `1/s`): current ≥ 0.5 × baseline.
 //!
-//! Array elements are keyed by identity, not position: an object in an
-//! array becomes `results[sparse-csr,n=256,rho=8,threads=1]`, from its
-//! string fields (sorted by field name) followed by whichever of `n`,
-//! `rho`, `threads` and `batch` it carries. Adding or removing a row then
-//! cannot shift every later row onto a different kernel. Elements with no
-//! identity fields fall back to their index (`results.3`); two elements
-//! with the same identity are a document error.
-//!
-//! Fields present in only one document are reported but never fail the
-//! gate (so adding a metric to a bench does not break the first CI run
-//! that carries it). A comparison in which *no* gated check runs at all —
-//! say, after a schema change left no key in common — fails instead of
-//! passing vacuously.
+//! The timing tolerances are loose on purpose: the committed baselines
+//! come from another host, so they catch order-of-magnitude breakage, not
+//! jitter. Every other metric (`serve.reloads`, `serve.final_generation`,
+//! `ccd.batch_jobs_mean`, the `*_share` ratios) is printed and not gated.
+//! A baseline metric the current run lacks is reported and skipped; a
+//! comparison in which no gated check runs fails instead of passing
+//! vacuously.
 
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// A leaf value of the flattened JSON document.
+/// A leaf value of a flattened JSON line. Numbers keep their printed text,
+/// so the exact gates compare what perfbench printed, digit for digit.
 #[derive(Clone, Debug, PartialEq)]
 enum Leaf {
-    Num(f64),
+    Num(String),
     Bool(bool),
     Str(String),
 }
 
+impl Leaf {
+    fn num(&self) -> Option<f64> {
+        match self {
+            Leaf::Num(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
 /// Minimal recursive-descent JSON reader producing `dotted.path → leaf`
-/// (array elements keyed by [`element_key`]: `results[dense-blocked,n=256,
-/// rho=33,threads=2].wall_ms`). Only what the bench documents need;
-/// unknown escapes pass through verbatim.
+/// (array elements keyed by index: `detail.setup_s.0`). Only what the
+/// perfbench lines need; escapes pass through as the escaped character.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -90,118 +96,98 @@ impl<'a> Reader<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut out = Vec::new();
         loop {
             match self.bytes.get(self.pos).copied() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return String::from_utf8(out)
+                        .map_err(|_| format!("non-utf8 string at byte {start}"));
                 }
                 Some(b'\\') => {
-                    // Pass escapes through structurally; bench keys never
-                    // contain them, values may.
-                    if let Some(&next) = self.bytes.get(self.pos + 1) {
-                        out.push(char::from(next));
-                        self.pos += 2;
-                    } else {
-                        return Err("dangling escape".into());
-                    }
+                    let next = *self.bytes.get(self.pos + 1).ok_or("dangling escape")?;
+                    out.push(next);
+                    self.pos += 2;
                 }
                 Some(b) => {
-                    out.push(char::from(b));
+                    out.push(b);
                     self.pos += 1;
                 }
             }
         }
     }
 
+    /// Parses the elements of an object (`close` = `}`) or array (`]`)
+    /// after its opening bracket, calling `element` for each.
+    fn elements(
+        &mut self,
+        close: u8,
+        mut element: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            element(self)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b) if b == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                other => return Err(format!("bad separator {other:?} at byte {}", self.pos)),
+            }
+        }
+    }
+
     fn value(&mut self, path: &str, out: &mut BTreeMap<String, Leaf>) -> Result<(), String> {
+        let child = |key: &str| {
+            if path.is_empty() {
+                key.to_string()
+            } else {
+                format!("{path}.{key}")
+            }
+        };
         match self.peek() {
             Some(b'{') => {
-                self.expect(b'{')?;
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    let child = if path.is_empty() {
-                        key
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    self.value(&child, out)?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("bad object separator {other:?}")),
-                    }
-                }
+                self.pos += 1;
+                self.elements(b'}', |r| {
+                    let key = r.string()?;
+                    r.expect(b':')?;
+                    r.value(&child(&key), out)
+                })
             }
             Some(b'[') => {
-                self.expect(b'[')?;
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
+                self.pos += 1;
                 let mut i = 0usize;
-                let mut seen = Vec::new();
-                loop {
-                    // Parse the element on its own, then file its leaves
-                    // under the element's identity key.
-                    let mut element = BTreeMap::new();
-                    self.value("", &mut element)?;
-                    let prefix = element_key(path, i, &element);
-                    if seen.contains(&prefix) {
-                        return Err(format!("duplicate array element {prefix}"));
-                    }
-                    for (key, leaf) in element {
-                        out.insert(join(&prefix, &key), leaf);
-                    }
-                    seen.push(prefix);
+                self.elements(b']', |r| {
                     i += 1;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("bad array separator {other:?}")),
-                    }
-                }
+                    r.value(&child(&(i - 1).to_string()), out)
+                })
             }
             Some(b'"') => {
                 let s = self.string()?;
                 out.insert(path.to_string(), Leaf::Str(s));
                 Ok(())
             }
-            Some(b't') | Some(b'f') => {
-                let word = if self.bytes[self.pos..].starts_with(b"true") {
-                    self.pos += 4;
-                    true
-                } else if self.bytes[self.pos..].starts_with(b"false") {
-                    self.pos += 5;
-                    false
-                } else {
-                    return Err(format!("bad literal at byte {}", self.pos));
-                };
-                out.insert(path.to_string(), Leaf::Bool(word));
-                Ok(())
-            }
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(())
-                } else {
-                    Err(format!("bad literal at byte {}", self.pos))
-                }
-            }
             Some(_) => {
+                let rest = &self.bytes[self.pos..];
+                for (word, leaf) in [
+                    ("true", Some(Leaf::Bool(true))),
+                    ("false", Some(Leaf::Bool(false))),
+                    ("null", None),
+                ] {
+                    if rest.starts_with(word.as_bytes()) {
+                        self.pos += word.len();
+                        if let Some(leaf) = leaf {
+                            out.insert(path.to_string(), leaf);
+                        }
+                        return Ok(());
+                    }
+                }
                 let start = self.pos;
                 while self.bytes.get(self.pos).is_some_and(|&b| {
                     b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
@@ -210,140 +196,78 @@ impl<'a> Reader<'a> {
                 }
                 let text = std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| "non-utf8 number".to_string())?;
-                let num: f64 = text
-                    .parse()
-                    .map_err(|_| format!("bad number {text:?} at byte {start}"))?;
-                out.insert(path.to_string(), Leaf::Num(num));
+                if text.parse::<f64>().is_err() {
+                    return Err(format!("bad value {text:?} at byte {start}"));
+                }
+                out.insert(path.to_string(), Leaf::Num(text.to_string()));
                 Ok(())
             }
-            None => Err("unexpected end of document".into()),
+            None => Err("unexpected end of line".into()),
         }
     }
 }
 
-/// Numeric fields that, with an element's string fields, identify a row.
-const IDENTITY_NUMBERS: &[&str] = &["n", "rho", "threads", "batch"];
-
-/// The key of element `i` of the array at `path`, from the element's own
-/// top-level leaves: `path[s1,s2,n=256,threads=1]` when it has identity
-/// fields, `path.i` otherwise.
-fn element_key(path: &str, i: usize, element: &BTreeMap<String, Leaf>) -> String {
-    let mut parts: Vec<String> = element
-        .iter()
-        .filter(|(k, _)| !k.is_empty() && !k.contains(['.', '[']))
-        .filter_map(|(_, leaf)| match leaf {
-            Leaf::Str(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect();
-    for name in IDENTITY_NUMBERS {
-        if let Some(Leaf::Num(v)) = element.get(*name) {
-            parts.push(format!("{name}={v}"));
-        }
-    }
-    if parts.is_empty() {
-        format!("{path}.{i}")
-    } else {
-        format!("{path}[{}]", parts.join(","))
-    }
-}
-
-/// Appends a key produced under an empty path to `prefix`.
-fn join(prefix: &str, key: &str) -> String {
-    if key.is_empty() || key.starts_with(['.', '[']) {
-        format!("{prefix}{key}")
-    } else {
-        format!("{prefix}.{key}")
-    }
-}
-
+/// Flattens one perfbench output file: its last two non-empty lines, the
+/// detail line and the result line, into one map.
 fn flatten(text: &str) -> Result<BTreeMap<String, Leaf>, String> {
+    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let [.., detail, result] = lines[..] else {
+        return Err("expected perfbench's detail line and result line".into());
+    };
     let mut out = BTreeMap::new();
-    let mut r = Reader::new(text);
-    r.value("", &mut out)?;
+    for line in [detail, result] {
+        let mut r = Reader::new(line);
+        r.value("", &mut out)?;
+        if r.peek().is_some() {
+            return Err(format!("trailing bytes after byte {}", r.pos));
+        }
+    }
+    if !out.contains_key("detail.workload") || !out.contains_key("correct") {
+        return Err("not a perfbench detail line followed by its result line".into());
+    }
     Ok(out)
 }
 
-/// Correctness booleans that must never flip away from the baseline `true`.
-const PINNED_TRUE: &[&str] = &["bit_identical", "cross_checks_ok", "zero_copy_storage"];
+/// Detail fields that must match before two runs are comparable.
+const SAME_RUN: &[&str] = &["workload", "seed", "trace", "seconds"];
 
-/// Lower-is-better when the key's last segment is a latency quantile and
-/// the containing object is a latency/duration block.
-fn is_latency(key: &str) -> bool {
-    let Some((parent, leaf)) = key.rsplit_once('.') else {
-        return false;
-    };
-    matches!(leaf, "p50" | "p90" | "p95" | "p99" | "max")
-        && (parent.ends_with("_latency_us") || parent.ends_with("_ns"))
+/// Metrics outside the exact units that are deterministic for a seed.
+const EXACT_NAMES: &[&str] = &[
+    "stretch_max",
+    "stretch_mean",
+    "ok_rate",
+    "emulator.edges",
+    "clique.messages_total",
+];
+
+/// Ceiling factor and floor factor relative to the baseline.
+const CEILING_FACTOR: f64 = 2.0;
+const FLOOR_FACTOR: f64 = 0.5;
+
+/// How one metric is gated.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Gate {
+    /// Printed value must be unchanged.
+    Exact,
+    /// Current ≤ `CEILING_FACTOR` × baseline + `grace` (in the unit).
+    Ceiling { grace: f64 },
+    /// Current ≥ `FLOOR_FACTOR` × baseline.
+    Floor,
+    /// Printed only.
+    None,
 }
 
-/// Higher-is-better throughput scalars (`*_per_sec`, `*qps*` — including
-/// leaves of a `*_qps_by_threads` block).
-fn is_throughput(key: &str) -> bool {
-    key == "requests_per_sec"
-        || key == "queries_per_sec"
-        || key.contains("qps")
-        || key.rsplit('.').next().is_some_and(|l| l == "ops_per_sec")
-}
-
-/// Latency tolerance: 2× the baseline plus an absolute grace (µs-scale
-/// numbers sit near zero on fast runs; ns-scale numbers dwarf it either way).
-const LAT_FACTOR: f64 = 2.0;
-const LAT_GRACE: f64 = 500.0;
-/// Throughput floor relative to baseline.
-const TPUT_FLOOR: f64 = 0.5;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let [baseline_path, current_path] = &args[..] else {
-        eprintln!("usage: cc-bench-diff BASELINE.json CURRENT.json");
-        return ExitCode::from(2);
-    };
-    let read = |path: &str| -> Result<BTreeMap<String, Leaf>, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        flatten(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (base, cur) = match (read(baseline_path), read(current_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("cc-bench-diff: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match (base.get("bench"), cur.get("bench")) {
-        (Some(b), Some(c)) if b == c => {}
-        (b, c) => {
-            eprintln!("cc-bench-diff: bench name mismatch: {b:?} vs {c:?}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let outcome = compare(&base, &cur);
-    for key in &outcome.absent {
-        eprintln!("  [skip] {key}: absent in current run");
-    }
-    for line in &outcome.failures {
-        eprintln!("  [FAIL] {line}");
-    }
-    let bench = match base.get("bench") {
-        Some(Leaf::Str(s)) => s.as_str(),
-        _ => "?",
-    };
-    let checks = outcome.checks;
-    if !outcome.failures.is_empty() {
-        eprintln!(
-            "cc-bench-diff: {bench}: {} of {checks} checks FAILED",
-            outcome.failures.len()
-        );
-        ExitCode::FAILURE
-    } else if checks == 0 {
-        eprintln!("cc-bench-diff: {bench}: no gated check ran — the documents share no gated key");
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "cc-bench-diff: {bench}: {checks} checks passed ({baseline_path} vs {current_path})"
-        );
-        ExitCode::SUCCESS
+fn gate(name: &str, unit: &str) -> Gate {
+    match unit {
+        "rounds" | "pairs" | "bytes" => Gate::Exact,
+        _ if EXACT_NAMES.contains(&name) => Gate::Exact,
+        // 500 µs in the metric's unit.
+        "s" => Gate::Ceiling { grace: 0.0005 },
+        "ms" => Gate::Ceiling { grace: 0.5 },
+        "us" => Gate::Ceiling { grace: 500.0 },
+        "MiB" => Gate::Ceiling { grace: 0.0 },
+        "1/s" => Gate::Floor,
+        _ => Gate::None,
     }
 }
 
@@ -354,139 +278,307 @@ struct Outcome {
     checks: usize,
     /// One line per failed check.
     failures: Vec<String>,
-    /// Baseline keys the current run lacks (reported, never a failure).
-    absent: Vec<String>,
+    /// One line per metric or correctness field, pass, fail or not gated.
+    report: Vec<String>,
 }
 
-/// Runs every gated check of `cur` against `base`.
-fn compare(base: &BTreeMap<String, Leaf>, cur: &BTreeMap<String, Leaf>) -> Outcome {
-    let mut outcome = Outcome::default();
-    for (key, base_leaf) in base {
-        let Some(cur_leaf) = cur.get(key) else {
-            outcome.absent.push(key.clone());
-            continue;
-        };
-        if PINNED_TRUE.contains(&key.as_str()) {
-            outcome.checks += 1;
-            if *base_leaf == Leaf::Bool(true) && *cur_leaf != Leaf::Bool(true) {
-                outcome
-                    .failures
-                    .push(format!("{key}: baseline true, current {cur_leaf:?}"));
-            }
-            continue;
+impl Outcome {
+    fn fail(&mut self, line: String) {
+        self.report.push(format!("  [FAIL] {line}"));
+        self.failures.push(line);
+    }
+}
+
+/// The metric names of a flattened result, with their unit.
+fn metric_units(doc: &BTreeMap<String, Leaf>) -> BTreeMap<&str, &Leaf> {
+    doc.iter()
+        .filter_map(|(key, leaf)| {
+            let name = key.strip_prefix("metrics.")?.strip_suffix(".unit")?;
+            Some((name, leaf))
+        })
+        .collect()
+}
+
+/// Refuses to compare runs that measured different things.
+fn comparable(base: &BTreeMap<String, Leaf>, cur: &BTreeMap<String, Leaf>) -> Result<(), String> {
+    for field in SAME_RUN {
+        let key = format!("detail.{field}");
+        let (b, c) = (base.get(&key), cur.get(&key));
+        if b.is_none() || b != c {
+            return Err(format!("{key} differs: baseline {b:?}, current {c:?}"));
         }
-        if key == "dropped_requests" {
-            outcome.checks += 1;
-            if let (Leaf::Num(b), Leaf::Num(c)) = (base_leaf, cur_leaf) {
-                if *b == 0.0 && *c != 0.0 {
-                    outcome
-                        .failures
-                        .push(format!("{key}: baseline 0, current {c}"));
-                }
-            }
-            continue;
-        }
-        let (Leaf::Num(b), Leaf::Num(c)) = (base_leaf, cur_leaf) else {
-            continue;
-        };
-        if is_latency(key) {
-            outcome.checks += 1;
-            let limit = b * LAT_FACTOR + LAT_GRACE;
-            if *c > limit {
-                outcome.failures.push(format!(
-                    "{key}: {c} > {limit:.1} (baseline {b} x{LAT_FACTOR} + {LAT_GRACE})"
-                ));
-            }
-        } else if is_throughput(key) {
-            outcome.checks += 1;
-            let floor = b * TPUT_FLOOR;
-            if *c < floor {
-                outcome.failures.push(format!(
-                    "{key}: {c} < {floor:.1} (baseline {b} x{TPUT_FLOOR})"
+    }
+    let cur_units = metric_units(cur);
+    for (name, unit) in metric_units(base) {
+        if let Some(&cur_unit) = cur_units.get(name) {
+            if cur_unit != unit {
+                return Err(format!(
+                    "{name}: unit differs: baseline {unit:?}, current {cur_unit:?}"
                 ));
             }
         }
     }
-    outcome
+    Ok(())
+}
+
+/// Gates the current run against the baseline. `Err` is a document error:
+/// the two files are not comparable runs.
+fn compare(base: &BTreeMap<String, Leaf>, cur: &BTreeMap<String, Leaf>) -> Result<Outcome, String> {
+    comparable(base, cur)?;
+    let mut outcome = Outcome::default();
+    match cur.get("correct") {
+        Some(Leaf::Bool(true)) => {}
+        other => outcome.fail(format!("correct: current {other:?}")),
+    }
+    match cur.get("failed") {
+        Some(Leaf::Num(n)) if n == "0" => {}
+        other => outcome.fail(format!("failed: current {other:?}, want 0")),
+    }
+
+    for (name, unit) in metric_units(base) {
+        let Leaf::Str(unit) = unit else {
+            return Err(format!("{name}: unit is not a string"));
+        };
+        let value_key = format!("metrics.{name}.value");
+        let Some(cur_leaf) = cur.get(&value_key) else {
+            outcome
+                .report
+                .push(format!("  [skip] {name}: absent in current run"));
+            continue;
+        };
+        let base_leaf = &base[&value_key];
+        let (Leaf::Num(b_text), Some(b), Some(c)) = (base_leaf, base_leaf.num(), cur_leaf.num())
+        else {
+            return Err(format!("{name}: value is not a number"));
+        };
+        let failure = match gate(name, unit) {
+            Gate::Exact => (cur_leaf != base_leaf)
+                .then(|| format!("{name}: {c} {unit}, baseline {b_text} (exact)")),
+            Gate::Ceiling { grace } => {
+                let limit = b * CEILING_FACTOR + grace;
+                (c > limit).then(|| {
+                    format!(
+                        "{name}: {c} {unit} > {limit} (baseline {b} x{CEILING_FACTOR} + {grace})"
+                    )
+                })
+            }
+            Gate::Floor => {
+                let floor = b * FLOOR_FACTOR;
+                (c < floor)
+                    .then(|| format!("{name}: {c} {unit} < {floor} (baseline {b} x{FLOOR_FACTOR})"))
+            }
+            Gate::None => {
+                outcome.report.push(format!(
+                    "  [info] {name}: {c} {unit}, baseline {b} (not gated)"
+                ));
+                continue;
+            }
+        };
+        outcome.checks += 1;
+        match failure {
+            Some(line) => outcome.fail(line),
+            None => outcome
+                .report
+                .push(format!("  [ok]   {name}: {c} {unit}, baseline {b}")),
+        }
+    }
+    Ok(outcome)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [baseline_path, current_path] = &args[..] else {
+        eprintln!("usage: cc-bench-diff BASELINE CURRENT");
+        return ExitCode::from(2);
+    };
+    let read = |path: &str| -> Result<BTreeMap<String, Leaf>, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        flatten(&text).map_err(|e| format!("{path}: {e}"))
+    };
+    let outcome = read(baseline_path).and_then(|base| compare(&base, &read(current_path)?));
+    let outcome = match outcome {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("cc-bench-diff: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for line in &outcome.report {
+        eprintln!("{line}");
+    }
+    let checks = outcome.checks;
+    if !outcome.failures.is_empty() {
+        eprintln!(
+            "cc-bench-diff: {} check(s) FAILED ({current_path} vs {baseline_path})",
+            outcome.failures.len()
+        );
+        ExitCode::FAILURE
+    } else if checks == 0 {
+        eprintln!("cc-bench-diff: no gated check ran — the runs share no gated metric");
+        ExitCode::FAILURE
+    } else {
+        println!("cc-bench-diff: {checks} checks passed ({current_path} vs {baseline_path})");
+        ExitCode::SUCCESS
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const BASE: &str = concat!(
+        r#"{"detail": {"workload": "solve-gnp", "seed": 7, "seconds": 10, "trace": false, "setup_s": [0.005, 0.006], "git_revision": null}}"#,
+        "\n",
+        r#"{"correct": true, "attempted": 3, "failed": 0, "metrics": {"#,
+        r#""rounds_total": {"value": 19182, "unit": "rounds"}, "#,
+        r#""stretch_mean": {"value": 1.0298301201119093, "unit": "ratio"}, "#,
+        r#""latency_p50_ms": {"value": 10, "unit": "ms"}, "#,
+        r#""client.throughput_per_s": {"value": 100, "unit": "1/s"}, "#,
+        r#""serve.reloads": {"value": 9, "unit": "count"}}}"#,
+        "\n",
+    );
+
+    /// `(from, to)` text replacements, each applied once.
+    type Edits = &'static [(&'static str, &'static str)];
+
+    #[derive(Debug, PartialEq)]
+    enum Verdict {
+        Pass,
+        Fail,
+        NoGatedCheck,
+        DocumentError,
+    }
+
+    fn verdict(base: &str, cur: &str) -> Verdict {
+        let (base, cur) = (flatten(base).unwrap(), flatten(cur).unwrap());
+        match compare(&base, &cur) {
+            Err(_) => Verdict::DocumentError,
+            Ok(o) if !o.failures.is_empty() => Verdict::Fail,
+            Ok(o) if o.checks == 0 => Verdict::NoGatedCheck,
+            Ok(_) => Verdict::Pass,
+        }
+    }
+
     #[test]
-    fn flatten_walks_nested_objects_and_arrays() {
-        let doc = r#"{"bench": "x", "lat_us": {"p50": 1.5}, "results": [{"a": 1}, {"a": 2}], "ok": true}"#;
-        let m = flatten(doc).unwrap();
-        assert_eq!(m.get("bench"), Some(&Leaf::Str("x".into())));
-        assert_eq!(m.get("lat_us.p50"), Some(&Leaf::Num(1.5)));
+    fn gate_table() {
+        // (case, edits turning the baseline into the current run, verdict)
+        let cases: &[(&str, Edits, Verdict)] = &[
+            ("identical run", &[], Verdict::Pass),
+            ("rounds +1", &[("19182", "19183")], Verdict::Fail),
+            (
+                "stretch_mean last digit",
+                &[("1.0298301201119093", "1.0298301201119094")],
+                Verdict::Fail,
+            ),
+            (
+                "timing under ceiling",
+                &[("\"value\": 10,", "\"value\": 20.4,")],
+                Verdict::Pass,
+            ),
+            (
+                "timing over ceiling",
+                &[("\"value\": 10,", "\"value\": 20.6,")],
+                Verdict::Fail,
+            ),
+            (
+                "throughput above floor",
+                &[("\"value\": 100,", "\"value\": 50.1,")],
+                Verdict::Pass,
+            ),
+            (
+                "throughput below floor",
+                &[("\"value\": 100,", "\"value\": 49.9,")],
+                Verdict::Fail,
+            ),
+            (
+                "ungated metric moves",
+                &[("\"value\": 9,", "\"value\": 1,")],
+                Verdict::Pass,
+            ),
+            (
+                "failed: 1",
+                &[("\"failed\": 0", "\"failed\": 1")],
+                Verdict::Fail,
+            ),
+            (
+                "correct: false",
+                &[("\"correct\": true", "\"correct\": false")],
+                Verdict::Fail,
+            ),
+            (
+                "workload mismatch",
+                &[("solve-gnp", "solve-grid")],
+                Verdict::DocumentError,
+            ),
+            (
+                "seed mismatch",
+                &[("\"seed\": 7", "\"seed\": 8")],
+                Verdict::DocumentError,
+            ),
+            (
+                "trace mismatch",
+                &[("\"trace\": false", "\"trace\": true")],
+                Verdict::DocumentError,
+            ),
+            (
+                "unit mismatch",
+                &[("\"unit\": \"ms\"", "\"unit\": \"s\"")],
+                Verdict::DocumentError,
+            ),
+            (
+                "disjoint metrics",
+                &[
+                    ("rounds_total", "old_rounds"),
+                    ("stretch_mean", "old_stretch"),
+                    ("latency_p50_ms", "old_latency"),
+                    ("client.throughput_per_s", "old_throughput"),
+                ],
+                Verdict::NoGatedCheck,
+            ),
+        ];
+        for (case, edits, want) in cases {
+            let mut cur = BASE.to_string();
+            for (from, to) in *edits {
+                assert_eq!(
+                    cur.matches(from).count(),
+                    1,
+                    "{case}: {from:?} is not unique"
+                );
+                cur = cur.replacen(from, to, 1);
+            }
+            assert_eq!(verdict(BASE, &cur), *want, "{case}");
+        }
+    }
+
+    #[test]
+    fn flatten_reads_both_lines() {
+        let m = flatten(&format!("cargo noise\n{BASE}")).unwrap();
         assert_eq!(
-            m.get("results.1.a"),
-            Some(&Leaf::Num(2.0)),
-            "index fallback"
+            m.get("detail.workload"),
+            Some(&Leaf::Str("solve-gnp".into()))
         );
-        assert_eq!(m.get("ok"), Some(&Leaf::Bool(true)));
-
-        let rows = r#"{"results": [{"kernel": "sparse-csr", "threads": 1, "rho": 8, "n": 256, "ops_per_sec": 5}, [7]]}"#;
-        let m = flatten(rows).unwrap();
+        assert_eq!(m.get("detail.setup_s.1"), Some(&Leaf::Num("0.006".into())));
+        assert!(!m.contains_key("detail.git_revision"));
         assert_eq!(
-            m.get("results[sparse-csr,n=256,rho=8,threads=1].ops_per_sec"),
-            Some(&Leaf::Num(5.0))
+            m.get("metrics.stretch_mean.value"),
+            Some(&Leaf::Num("1.0298301201119093".into()))
         );
-        assert_eq!(m.get("results.1.0"), Some(&Leaf::Num(7.0)));
-
-        let dup = r#"{"results": [{"kernel": "a", "n": 1}, {"kernel": "a", "n": 1}]}"#;
-        let err = flatten(dup).unwrap_err();
-        assert!(
-            err.contains("duplicate array element results[a,n=1]"),
-            "{err}"
-        );
+        assert!(flatten(BASE.lines().next().unwrap()).is_err());
+        assert!(flatten("{} x\n{}").is_err());
     }
 
     #[test]
-    fn rows_are_compared_by_identity_not_position() {
-        // Baseline rows [A, B], current rows [B]: B must meet B (90 ≥ 0.5 ×
-        // 100 passes; meeting A's 1000 would fail), and A is only absent.
-        let base = flatten(
-            r#"{"bench": "t", "results": [{"kernel": "A", "n": 1, "ops_per_sec": 1000}, {"kernel": "B", "n": 1, "ops_per_sec": 100}]}"#,
-        )
-        .unwrap();
-        let cur =
-            flatten(r#"{"bench": "t", "results": [{"kernel": "B", "n": 1, "ops_per_sec": 90}]}"#)
-                .unwrap();
-        let outcome = compare(&base, &cur);
-        assert_eq!(outcome.checks, 1);
-        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-        assert!(outcome
-            .absent
-            .contains(&"results[A,n=1].ops_per_sec".to_string()));
-        assert!(!outcome.absent.iter().any(|k| k.starts_with("results[B")));
-    }
-
-    #[test]
-    fn disjoint_schemas_run_no_gated_check() {
-        let base = flatten(r#"{"bench": "t", "old_qps": 10}"#).unwrap();
-        let cur = flatten(r#"{"bench": "t", "new_qps": 10}"#).unwrap();
-        let outcome = compare(&base, &cur);
-        assert_eq!(outcome.checks, 0, "main turns this into a failure");
-        assert!(outcome.failures.is_empty());
-        assert_eq!(outcome.absent, vec!["old_qps".to_string()]);
-    }
-
-    #[test]
-    fn key_classifiers() {
-        assert!(is_latency("dist_latency_us.p50"));
-        assert!(is_latency("queue_wait_ns.p99"));
-        assert!(is_latency("queue_wait_ns.max"));
-        assert!(!is_latency("overload.ok"));
-        assert!(!is_latency("p50_ratio"));
-        assert!(is_throughput("requests_per_sec"));
-        assert!(is_throughput("results.3.ops_per_sec"));
-        assert!(is_throughput(
-            "results[sparse-csr,n=256,rho=8,threads=1].ops_per_sec"
-        ));
-        assert!(is_throughput("path_qps_batch"));
-        assert!(is_throughput("path_qps_by_threads.t2"));
-        assert!(!is_throughput("requests_per_client"));
+    fn gates_by_unit_then_name() {
+        assert_eq!(gate("clique.rounds.mssp", "rounds"), Gate::Exact);
+        assert_eq!(gate("check.violations", "pairs"), Gate::Exact);
+        assert_eq!(gate("snapshot.bytes", "bytes"), Gate::Exact);
+        assert_eq!(gate("emulator.edges", "count"), Gate::Exact);
+        assert_eq!(gate("ok_rate", "ratio"), Gate::Exact);
+        assert_eq!(gate("setup_s", "s"), Gate::Ceiling { grace: 0.0005 });
+        assert_eq!(gate("peak_rss_mb", "MiB"), Gate::Ceiling { grace: 0.0 });
+        assert_eq!(gate("client.throughput_per_s", "1/s"), Gate::Floor);
+        assert_eq!(gate("serve.reloads", "count"), Gate::None);
+        assert_eq!(gate("ccd.batch_jobs_mean", "jobs"), Gate::None);
+        assert_eq!(gate("trace.overhead_share", "ratio"), Gate::None);
     }
 }

@@ -3,7 +3,9 @@
 //! Each theorem-level claim of the paper maps to one experiment binary in
 //! `src/bin/` (see `DESIGN.md` §5 for the index and `EXPERIMENTS.md` for
 //! recorded results). This library provides the shared scaffolding: aligned
-//! text tables, seeded RNGs, and the standard graph suite.
+//! text tables, seeded RNGs, and the standard graph suite. The one other
+//! binary, `cc-bench-diff`, gates a perfbench result against its committed
+//! baseline (`DESIGN.md` §13.5).
 
 #![forbid(unsafe_code)]
 // Index-based loops are the clearest idiom for the dense adjacency/matrix

@@ -1038,7 +1038,7 @@ mod tests {
 
     #[test]
     fn threaded_run_is_bit_identical_to_serial() {
-        use crate::programs::{AllGather, RoutedWord, TwoPhaseRouting};
+        use crate::programs::{AllGather, Broadcast, DistributedBfs, RoutedWord, TwoPhaseRouting};
         let n = 17;
         let make_gather = || -> Vec<AllGather> {
             (0..n)
@@ -1087,6 +1087,54 @@ mod tests {
             assert_eq!(serial_stats, par_stats, "routing stats, threads={threads}");
             for (a, b) in serial.nodes().iter().zip(par.nodes()) {
                 assert_eq!(a.delivered(), b.delivered());
+            }
+        }
+
+        let make_broadcast = || -> Vec<Broadcast> {
+            (0..n)
+                .map(|i| Broadcast::new(NodeId::new(i), NodeId::new(0), 42))
+                .collect()
+        };
+        // BFS from node 0 on the n-cycle: node v sits at min(v, n - v).
+        let make_bfs = || -> Vec<DistributedBfs> {
+            (0..n)
+                .map(|v| {
+                    let around = [(v + 1) % n, (v + n - 1) % n];
+                    DistributedBfs::new(
+                        NodeId::new(v),
+                        NodeId::new(0),
+                        around.iter().map(|&u| NodeId::new(u)).collect(),
+                        None,
+                    )
+                })
+                .collect()
+        };
+        let mut serial = Engine::new(make_broadcast());
+        let broadcast_stats = serial.run().unwrap();
+        assert!(serial.nodes().iter().all(|p| p.received() == Some(42)));
+        let mut serial_bfs = Engine::new(make_bfs());
+        let bfs_stats = serial_bfs.run().unwrap();
+        for (v, p) in serial_bfs.nodes().iter().enumerate() {
+            assert_eq!(p.distance(), Some(v.min(n - v) as u64), "bfs at {v}");
+        }
+        for threads in [2, 5] {
+            let mut par = Engine::with_config(make_broadcast(), EngineConfig::threaded(threads));
+            assert_eq!(
+                broadcast_stats,
+                par.run().unwrap(),
+                "broadcast stats, threads={threads}"
+            );
+            for (a, b) in serial.nodes().iter().zip(par.nodes()) {
+                assert_eq!(a.received(), b.received());
+            }
+            let mut par = Engine::with_config(make_bfs(), EngineConfig::threaded(threads));
+            assert_eq!(
+                bfs_stats,
+                par.run().unwrap(),
+                "bfs stats, threads={threads}"
+            );
+            for (a, b) in serial_bfs.nodes().iter().zip(par.nodes()) {
+                assert_eq!(a.distance(), b.distance());
             }
         }
     }

@@ -13,7 +13,7 @@
 //! * [`stage`] — [`StageTimes`], gated wall-clock stage accounting for the
 //!   solver pipelines; disabled recorders never read the clock.
 //! * [`text`] — a parser for the exposition format plus exact bucket-rank
-//!   quantile extraction, shared by tests, benches and `cc-bench-diff`.
+//!   quantile extraction, shared by tests, `Client::stats` and perfbench.
 //!
 //! Metric names are `&'static str` by construction: the registry cannot be
 //! fed a formatted (per-request) name, which keeps lookups out of hot

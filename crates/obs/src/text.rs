@@ -1,6 +1,6 @@
 //! Parsing the integer text exposition back into samples — the shared
-//! substrate for tests (chaos reconciliation), benches (quantile blocks
-//! in BENCH_*.json) and `cc-bench-diff`.
+//! substrate for tests (chaos reconciliation), `Client::stats` and
+//! perfbench's per-layer `ccd.*` metrics.
 
 use std::collections::BTreeMap;
 

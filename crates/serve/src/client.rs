@@ -1,6 +1,6 @@
 //! A blocking client for the `ccd` protocol — one request in flight per
-//! connection. The integration tests and the `t17_serve`/`t18_reload`
-//! benches drive the server through this.
+//! connection. The integration tests and perfbench's `serve-mixed`
+//! workload drive the server through this.
 //!
 //! ## Failure semantics
 //!

@@ -20,7 +20,7 @@ fn emulator_collections(solver: &Solver) -> usize {
         .count()
 }
 
-/// The acceptance-criterion workload: `apsp_2eps()` then `mssp()` through
+/// The two-query workload: `apsp_2eps()` then `mssp()` through
 /// one `Solver` must construct and distribute the emulator exactly once.
 #[test]
 fn two_query_workload_builds_the_emulator_once() {
