@@ -23,12 +23,11 @@
 use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::EmulatorParams;
-use cc_graphs::{dadd, Dist, Graph, INF};
+use cc_graphs::{Dist, Graph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_routes::{PathStore, RecId};
 use cc_toolkit::knearest::{KNearest, Strategy};
-use cc_toolkit::source_detection::SourceDetection;
-use cc_toolkit::through_sets::{distance_through_sets, distance_through_sets_with_witness};
+use cc_toolkit::through_sets::ThroughSets;
 use rand::Rng;
 
 use crate::error::CcError;
@@ -210,27 +209,16 @@ pub(crate) fn run_mode(
             &mut mode,
             &mut phase,
         );
-        let union = hs.union_with(g);
-        let sd = match &paths {
-            Some(_) => SourceDetection::run_with_parents(&union, &s_pivots, hs.beta, &mut phase),
-            None => SourceDetection::run(&union, &s_pivots, hs.beta, &mut phase),
-        };
         if let Some(p) = paths.as_mut() {
             p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
         }
-        for v in 0..n {
-            for (i, &s) in s_pivots.iter().enumerate() {
-                let d = sd.dist_to_source_index(v, i);
-                if d < INF {
-                    delta.improve(v, s, d);
-                    if let Some(p) = paths.as_mut() {
-                        offer_sd_chain(p, g, &sd, i, v, d);
-                    }
-                }
-            }
-        }
+        substrates.timed("source_detection", || {
+            pipeline::detect_pivots(g, g, &hs, &s_pivots, &mut delta, paths.as_mut(), &mut phase)
+        });
         let sets: Vec<Vec<usize>> = vec![s_pivots.clone(); n];
-        merge_through_sets(n, &sets, &mut delta, paths.as_mut(), &mut phase);
+        substrates.timed("through_sets", || {
+            merge_through_sets(n, &sets, &mut delta, paths.as_mut(), &mut phase)
+        });
     }
 
     // ── Short low-degree-only paths (Claims 40/41), on G'. ───────────────
@@ -266,7 +254,9 @@ pub(crate) fn run_mode(
     let kn_sets: Vec<Vec<usize>> = (0..n)
         .map(|u| kn.list(u).iter().map(|&(v, _)| v as usize).collect())
         .collect();
-    merge_through_sets(n, &kn_sets, &mut delta, paths.as_mut(), &mut phase);
+    substrates.timed("through_sets", || {
+        merge_through_sets(n, &kn_sets, &mut delta, paths.as_mut(), &mut phase)
+    });
 
     // Steps 4–7: pivot set A over full lists; route through p_A (Case 2).
     let full_sets: Vec<Vec<usize>> = (0..n)
@@ -301,47 +291,28 @@ pub(crate) fn run_mode(
         p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
     }
     if let (Some(hs), false) = (&gp_hopset, a_pivots.is_empty()) {
-        let union = hs.union_with(&gp);
-        let sd = match &paths {
-            Some(_) => SourceDetection::run_with_parents(&union, &a_pivots, hs.beta, &mut phase),
-            None => SourceDetection::run(&union, &a_pivots, hs.beta, &mut phase),
-        };
-        for v in 0..n {
-            for (i, &a) in a_pivots.iter().enumerate() {
-                let d = sd.dist_to_source_index(v, i);
-                if d < INF {
-                    delta.improve(v, a, d);
-                    if let Some(p) = paths.as_mut() {
-                        offer_sd_chain(p, g, &sd, i, v, d);
-                    }
-                }
-            }
-        }
+        substrates.timed("source_detection", || {
+            pipeline::detect_pivots(
+                g,
+                &gp,
+                hs,
+                &a_pivots,
+                &mut delta,
+                paths.as_mut(),
+                &mut phase,
+            )
+        });
         phase.charge_broadcast("announce nearest A-pivots");
         let mut a_mask = vec![false; n];
         for &a in &a_pivots {
             a_mask[a] = true;
         }
-        for u in 0..n {
-            if let Some((a, _)) = kn.nearest_in(u, &a_mask) {
-                let a = a as usize;
-                let via = delta.get(u, a);
-                if via >= INF {
-                    continue;
-                }
-                for v in 0..n {
-                    if v != u {
-                        let leg = delta.get(a, v);
-                        if leg < INF {
-                            delta.improve_via(u, v, via, leg);
-                            if let Some(p) = paths.as_mut() {
-                                p.offer_via(u, v, dadd(via, leg), a);
-                            }
-                        }
-                    }
-                }
+        substrates.timed("pivot_routing", || {
+            for u in 0..n {
+                let a = kn.nearest_in(u, &a_mask).map(|(a, _)| a as usize);
+                pipeline::route_through(&mut delta, paths.as_mut(), u, a);
             }
-        }
+        });
     }
 
     // Steps 8–11: A' hits the neighborhoods of high-G'-degree vertices;
@@ -360,22 +331,17 @@ pub(crate) fn run_mode(
         &mut phase,
     )?;
     if let (Some(hs), false) = (&gp_hopset, a2_pivots.is_empty()) {
-        let union = hs.union_with(&gp);
-        let sd = match &paths {
-            Some(_) => SourceDetection::run_with_parents(&union, &a2_pivots, hs.beta, &mut phase),
-            None => SourceDetection::run(&union, &a2_pivots, hs.beta, &mut phase),
-        };
-        for v in 0..n {
-            for (i, &a) in a2_pivots.iter().enumerate() {
-                let d = sd.dist_to_source_index(v, i);
-                if d < INF {
-                    delta.improve(v, a, d);
-                    if let Some(p) = paths.as_mut() {
-                        offer_sd_chain(p, g, &sd, i, v, d);
-                    }
-                }
-            }
-        }
+        substrates.timed("source_detection", || {
+            pipeline::detect_pivots(
+                g,
+                &gp,
+                hs,
+                &a2_pivots,
+                &mut delta,
+                paths.as_mut(),
+                &mut phase,
+            )
+        });
         // Step 10: every vertex announces one A'-neighbor (1 round); each u
         // assembles A'_u from its list.
         phase.charge_broadcast("announce A'-attachments");
@@ -399,31 +365,17 @@ pub(crate) fn run_mode(
             a2_pivots.len() as u64,
             n as u64,
         );
-        for u in 0..n {
-            let mut a_u: Vec<usize> = kn_sets[u]
-                .iter()
-                .filter_map(|&v| attachment[v].map(|w| w as usize))
-                .collect();
-            a_u.sort_unstable();
-            a_u.dedup();
-            for w in a_u {
-                let via = delta.get(u, w);
-                if via >= INF {
-                    continue;
-                }
-                for v in 0..n {
-                    if v != u {
-                        let leg = delta.get(w, v);
-                        if leg < INF {
-                            delta.improve_via(u, v, via, leg);
-                            if let Some(p) = paths.as_mut() {
-                                p.offer_via(u, v, dadd(via, leg), w);
-                            }
-                        }
-                    }
-                }
+        substrates.timed("pivot_routing", || {
+            for u in 0..n {
+                let mut a_u: Vec<usize> = kn_sets[u]
+                    .iter()
+                    .filter_map(|&v| attachment[v].map(|w| w as usize))
+                    .collect();
+                a_u.sort_unstable();
+                a_u.dedup();
+                pipeline::route_through(&mut delta, paths.as_mut(), u, a_u);
             }
-        }
+        });
     }
 
     // Steps 12–14: exact three-hop product over the border edges E''
@@ -505,47 +457,25 @@ pub(crate) fn run_mode(
     })
 }
 
-/// Offers the source-detection walk behind `(sources[i], v)` at value `d`.
-/// The chains step over `G ∪ H`; hopset hops resolve against the routes the
-/// store absorbed from the hopset.
-fn offer_sd_chain(p: &mut PathStore, g: &Graph, sd: &SourceDetection, i: usize, v: usize, d: Dist) {
-    if let Some(chain) = sd.chain(i, v) {
-        let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
-        p.offer_walk(g, d, &chain);
-    }
-}
-
-/// `distance_through_sets` followed by the symmetric merge, shadowed with
-/// `Via` witnesses when recording. Values and round charges are identical in
-/// both branches (the witness variant is pinned to the plain one by test).
+/// Distance-through-sets (Thm 35) lowering `delta` straight from the
+/// candidate stream, shadowed with `Via` witnesses when recording. The
+/// candidates come from the estimates as gathered, so the result is the
+/// old table-then-merge answer; offering them in ascending `w` with the
+/// store's strict improvement leaves each pair the smallest realizing `w`.
 fn merge_through_sets(
     n: usize,
     sets: &[Vec<usize>],
     delta: &mut DistanceMatrix,
-    paths: Option<&mut PathStore>,
+    mut paths: Option<&mut PathStore>,
     ledger: &mut RoundLedger,
 ) {
-    match paths {
-        None => {
-            let rows = distance_through_sets(n, sets, |v, w| delta.get(v, w), ledger);
-            delta.merge_rows(&rows);
+    let gathered = ThroughSets::gather(n, sets, |v, w| delta.get(v, w), ledger);
+    gathered.for_each_candidate(|u, v, d, w| {
+        delta.improve(u, v, d);
+        if let Some(p) = paths.as_deref_mut() {
+            p.offer_via(u, v, d, w);
         }
-        Some(p) => {
-            let (rows, wit) =
-                distance_through_sets_with_witness(n, sets, |v, w| delta.get(v, w), ledger);
-            // The witnesses were computed against the pre-merge estimates,
-            // which is exactly what the store still mirrors: d ≥
-            // value(u,w) + value(w,v) holds at offer time.
-            for (u, row) in rows.iter().enumerate() {
-                for (v, &d) in row.iter().enumerate() {
-                    if u != v && d < INF {
-                        p.offer_via(u, v, d, wit[u][v] as usize);
-                    }
-                }
-            }
-            delta.merge_rows(&rows);
-        }
-    }
+    });
 }
 
 /// Offers routes for the Case 3b three-hop product `q = (W₁·W₂)·W₃`: each

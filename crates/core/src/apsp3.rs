@@ -16,9 +16,8 @@
 use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::EmulatorParams;
-use cc_graphs::{Dist, Graph, INF};
+use cc_graphs::{Dist, Graph};
 use cc_toolkit::knearest::{KNearest, Strategy};
-use cc_toolkit::source_detection::SourceDetection;
 use rand::Rng;
 
 use crate::error::CcError;
@@ -216,31 +215,12 @@ pub(crate) fn run_mode(
             &mut mode,
             &mut phase,
         );
-        let union = hs.union_with(g);
-        let sd = match &paths {
-            Some(_) => SourceDetection::run_with_parents(&union, &pivots, hs.beta, &mut phase),
-            None => SourceDetection::run(&union, &pivots, hs.beta, &mut phase),
-        };
         if let Some(p) = paths.as_mut() {
             p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
         }
-        for v in 0..n {
-            for (i, &a) in pivots.iter().enumerate() {
-                let d = sd.dist_to_source_index(v, i);
-                if d < INF {
-                    delta.improve(v, a, d);
-                    if let Some(p) = paths.as_mut() {
-                        let chain: Vec<u32> = sd
-                            .chain(i, v)
-                            .expect("detected pair has a chain")
-                            .into_iter()
-                            .map(|x| x as u32)
-                            .collect();
-                        p.offer_walk(g, d, &chain);
-                    }
-                }
-            }
-        }
+        substrates.timed("source_detection", || {
+            pipeline::detect_pivots(g, g, &hs, &pivots, &mut delta, paths.as_mut(), &mut phase)
+        });
         // Route every pair through the nearer endpoint's pivot. Each vertex
         // broadcasts its pivot and the distance to it: 1 round.
         phase.charge_broadcast("announce nearest pivots");
@@ -248,26 +228,12 @@ pub(crate) fn run_mode(
         for &a in &pivots {
             pivot_mask[a] = true;
         }
-        for u in 0..n {
-            if let Some((a, _)) = kn.nearest_in(u, &pivot_mask) {
-                let a = a as usize;
-                let via = delta.get(u, a);
-                if via >= INF {
-                    continue;
-                }
-                for v in 0..n {
-                    if v != u {
-                        let leg = delta.get(a, v);
-                        if leg < INF {
-                            delta.improve_via(u, v, via, leg);
-                            if let Some(p) = paths.as_mut() {
-                                p.offer_via(u, v, cc_graphs::dadd(via, leg), a);
-                            }
-                        }
-                    }
-                }
+        substrates.timed("pivot_routing", || {
+            for u in 0..n {
+                let a = kn.nearest_in(u, &pivot_mask).map(|(a, _)| a as usize);
+                pipeline::route_through(&mut delta, paths.as_mut(), u, a);
             }
-        }
+        });
     }
 
     Ok(Apsp3 {

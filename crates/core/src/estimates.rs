@@ -1,6 +1,6 @@
 //! Distance-estimate matrices shared by the APSP algorithms.
 
-use cc_graphs::{dadd, Dist, INF};
+use cc_graphs::{Dist, INF};
 
 /// A symmetric `n × n` matrix of distance estimates, initialized to ∞ with a
 /// zero diagonal. All updates keep the minimum (estimates only improve) and
@@ -42,12 +42,22 @@ impl DistanceMatrix {
         &self.data[u * self.n..(u + 1) * self.n]
     }
 
-    /// Debug-build check that the symmetric-write invariant held up. All
-    /// mutations go through [`DistanceMatrix::improve`]/merge, which write
-    /// both orientations; this micro-assert catches any future fast path
-    /// that forgets one. Compiled out of release builds.
+    /// The rows as disjoint mutable slices, in row order, so callers can
+    /// lower them in place across scoped workers. The caller must leave the
+    /// matrix symmetric: every writer lowers row `u` to the `u`-th row of a
+    /// symmetric table.
+    pub(crate) fn rows_mut(&mut self) -> std::slice::ChunksMut<'_, Dist> {
+        let n = self.n.max(1);
+        self.data.chunks_mut(n)
+    }
+
+    /// Debug-build check that the symmetric-write invariant held up.
+    /// [`DistanceMatrix::improve`] and merge write both orientations; the
+    /// row writers ([`DistanceMatrix::rows_mut`], the row kernel plus its
+    /// mirror) restore symmetry once they finish. This micro-assert catches
+    /// any fast path that forgets. Compiled out of release builds.
     #[inline]
-    fn debug_assert_symmetric(&self) {
+    pub(crate) fn debug_assert_symmetric(&self) {
         #[cfg(debug_assertions)]
         for u in 0..self.n {
             for v in (u + 1)..self.n {
@@ -70,12 +80,6 @@ impl DistanceMatrix {
         }
     }
 
-    /// Lowers `δ(u,v)` with the sum `a + b` (saturating).
-    #[inline]
-    pub fn improve_via(&mut self, u: usize, v: usize, a: Dist, b: Dist) {
-        self.improve(u, v, dadd(a, b));
-    }
-
     /// Merges another matrix pointwise. Both operands are symmetric, so the
     /// element-wise pass needs no per-entry branch or mirrored second write:
     /// `min` compiles to branch-free selects over the flat arrays.
@@ -91,23 +95,53 @@ impl DistanceMatrix {
         self.debug_assert_symmetric();
     }
 
-    /// Merges a dense `Vec<Vec<Dist>>` (e.g. the output of
-    /// `distance_through_sets`), symmetrizing via the min of both
-    /// orientations.
+    /// Lowers row `u` through `w`: `δ(u,v) = min(δ(u,v), via + δ(w,v))` for
+    /// every `v` (saturating), over two contiguous row slices — the
+    /// pivot-routing kernel of `apsp2` and `apsp3`. Entries never exceed
+    /// [`INF`] `= u32::MAX / 4`, so with `via` clamped to `INF` the plain sum
+    /// cannot overflow, and its `min` with the row equals the saturating
+    /// [`dadd`](cc_graphs::dadd) candidate.
     ///
-    /// # Panics
-    ///
-    /// Panics if the row count differs from `n`.
-    pub fn merge_rows(&mut self, rows: &[Vec<Dist>]) {
-        assert_eq!(rows.len(), self.n, "dimension mismatch");
-        for (u, row) in rows.iter().enumerate() {
-            for (v, &d) in row.iter().enumerate() {
-                if u != v && d < INF {
-                    self.improve(u, v, d);
-                }
+    /// Only row `u` is written. Column `u` stays stale until
+    /// [`DistanceMatrix::mirror_row`], which callers run once after their
+    /// last relaxation of `u`. Deferring it is exact for the routing
+    /// loops: the only column-`u` entry a relaxation of `u` reads is
+    /// `δ(w,u)`, at `v = u`, and that candidate can never lower
+    /// `δ(u,u) = 0` (DESIGN.md §7.4). With `u == w` the candidate
+    /// `via + δ(u,v)` never undercuts `δ(u,v)`, so the call is a no-op.
+    pub(crate) fn relax_row_via(&mut self, u: usize, w: usize, via: Dist) {
+        let n = self.n;
+        let (row, leg) = match u.cmp(&w) {
+            std::cmp::Ordering::Equal => return,
+            std::cmp::Ordering::Less => {
+                let (lo, hi) = self.data.split_at_mut(w * n);
+                (&mut lo[u * n..(u + 1) * n], &hi[..n])
+            }
+            std::cmp::Ordering::Greater => {
+                let (lo, hi) = self.data.split_at_mut(u * n);
+                (&mut hi[..n], &lo[w * n..(w + 1) * n])
+            }
+        };
+        let via = via.min(INF);
+        for (d, &l) in row.iter_mut().zip(leg) {
+            *d = (*d).min(via + l);
+        }
+    }
+
+    /// Restores symmetry after [`DistanceMatrix::relax_row_via`]: copies
+    /// every entry of row `u` that differs from `before` — the row as it was
+    /// before the relaxations — into column `u`. Exact because the
+    /// relaxations only lowered row `u` from a symmetric state and nothing
+    /// wrote column `u` in between; skipping the unchanged entries saves the
+    /// strided column writes.
+    pub(crate) fn mirror_row(&mut self, u: usize, before: &[Dist]) {
+        let n = self.n;
+        for v in 0..n {
+            let d = self.data[u * n + v];
+            if d != before[v] {
+                self.data[v * n + u] = d;
             }
         }
-        self.debug_assert_symmetric();
     }
 
     /// Number of finite off-diagonal (ordered) entries.
@@ -154,6 +188,7 @@ impl DistanceMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_graphs::dadd;
 
     #[test]
     fn fresh_matrix_is_diagonal_zero() {
@@ -174,13 +209,84 @@ mod tests {
         assert_eq!(m.get(0, 1), 2);
     }
 
+    /// The pivot-routing loop `relax_row_via` + `mirror_row` replaced,
+    /// pinned here as the reference: per `v ≠ u`, a symmetric `improve` of
+    /// `δ(u,v)` with `via + δ(w,v)` for every finite leg.
+    fn scalar_route(m: &mut DistanceMatrix, u: usize, w: usize, via: Dist) {
+        for v in 0..m.n() {
+            if v != u {
+                let leg = m.get(w, v);
+                if leg < INF {
+                    m.improve(u, v, dadd(via, leg));
+                }
+            }
+        }
+    }
+
+    fn random_symmetric(n: usize, rng: &mut impl rand::Rng) -> DistanceMatrix {
+        let mut m = DistanceMatrix::new(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                match rng.gen_range(0..8) {
+                    0 | 1 => {} // INF leg
+                    2 => m.improve(u, v, INF - 1 - rng.gen_range(0..4u32)),
+                    _ => m.improve(u, v, rng.gen_range(1..40)),
+                }
+            }
+        }
+        m
+    }
+
     #[test]
-    fn improve_via_saturates() {
-        let mut m = DistanceMatrix::new(2);
-        m.improve_via(0, 1, INF, 3);
-        assert_eq!(m.get(0, 1), INF);
-        m.improve_via(0, 1, 2, 3);
-        assert_eq!(m.get(0, 1), 5);
+    fn row_kernel_matches_the_scalar_loop() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(15);
+        for n in [1usize, 2, 5, 17, 32] {
+            for _ in 0..20 {
+                let mut fast = random_symmetric(n, &mut rng);
+                let mut slow = fast.clone();
+                // Several rows in a row, each relaxed through several
+                // midpoints before its one mirror — the Case 3a shape.
+                for _ in 0..rng.gen_range(1..6) {
+                    let u = rng.gen_range(0..n);
+                    let before = fast.row(u).to_vec();
+                    for _ in 0..rng.gen_range(1..5) {
+                        // u == w, progressive (Case 2/3a) and saturating via.
+                        let w = if rng.gen_bool(0.2) {
+                            u
+                        } else {
+                            rng.gen_range(0..n)
+                        };
+                        let via = match rng.gen_range(0..4) {
+                            0 => INF - 1,
+                            1 => rng.gen_range(0..3),
+                            _ => slow.get(u, w),
+                        };
+                        fast.relax_row_via(u, w, via);
+                        scalar_route(&mut slow, u, w, via);
+                        assert_eq!(fast.row(u), slow.row(u), "n={n} u={u} w={w}");
+                    }
+                    fast.mirror_row(u, &before);
+                    assert_eq!(fast, slow, "n={n} u={u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernel_saturates_and_skips_infinite_legs() {
+        let mut m = DistanceMatrix::new(3);
+        m.improve(0, 1, 4);
+        m.improve(1, 2, 3);
+        let before = m.row(0).to_vec();
+        m.relax_row_via(0, 1, INF);
+        m.mirror_row(0, &before);
+        assert_eq!(m.get(0, 2), INF, "saturating via stays infinite");
+        let before = m.row(2).to_vec();
+        m.relax_row_via(2, 1, 3);
+        m.mirror_row(2, &before);
+        assert_eq!((m.get(2, 0), m.get(0, 2)), (7, 7));
+        assert_eq!(m.get(2, 2), 0, "the diagonal never moves");
     }
 
     #[test]
@@ -191,17 +297,6 @@ mod tests {
         b.improve(0, 1, 4);
         a.merge(&b);
         assert_eq!(a.get(0, 1), 4);
-    }
-
-    #[test]
-    fn merge_rows_symmetrizes() {
-        let mut m = DistanceMatrix::new(3);
-        let rows = vec![vec![0, 7, INF], vec![3, 0, INF], vec![INF, INF, 0]];
-        m.merge_rows(&rows);
-        // Min of the two orientations (7 and 3) wins for both directions.
-        assert_eq!(m.get(0, 1), 3);
-        assert_eq!(m.get(1, 0), 3);
-        assert_eq!(m.get(0, 2), INF);
     }
 
     #[test]

@@ -10,10 +10,11 @@ use cc_clique::RoundLedger;
 use cc_derand::hitting;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::{deterministic, whp, Emulator};
-use cc_graphs::{dijkstra, Dist, Graph, INF};
+use cc_graphs::{dadd, dijkstra, Dist, Graph, INF};
 use cc_obs::StageTimes;
 use cc_routes::{PathStore, RecId, RowStore};
 use cc_toolkit::hopset::{self, BoundedHopset, HopsetParams};
+use cc_toolkit::source_detection::SourceDetection;
 use rand::RngCore;
 
 use crate::error::CcError;
@@ -127,6 +128,14 @@ pub(crate) struct Substrates {
 impl Substrates {
     pub(crate) fn new() -> Self {
         Substrates::default()
+    }
+
+    /// Runs `f`, crediting its wall time to `stage` when profiling is on.
+    pub(crate) fn timed<T>(&self, stage: &'static str, f: impl FnOnce() -> T) -> T {
+        let started = self.stages.borrow().start();
+        let out = f();
+        self.stages.borrow_mut().stop(stage, started);
+        out
     }
 
     /// The emulator for `cfg`, built (w.h.p. variant when randomized, Thm 50
@@ -245,9 +254,11 @@ impl Substrates {
 }
 
 /// Obtains the emulator (cached or freshly built), lets every vertex learn
-/// it, and merges its all-pairs distances plus the input adjacency into
-/// `delta`. When `paths` is given, every improvement is shadowed by a
-/// witness offer (the values written to `delta` are untouched either way).
+/// it, and lowers every row `u` of `delta` to `min(row, sssp(emu, u))` with
+/// the input adjacency entries lowered to 1. The per-source Dijkstras are
+/// sharded by rows over `cfg.threads` workers, each writing its own rows in
+/// place. When `paths` is given, every improvement is shadowed by a witness
+/// offer (the values written to `delta` are untouched either way).
 pub(crate) fn collect_emulator<'s>(
     g: &Graph,
     cfg: &CliqueEmulatorConfig,
@@ -257,57 +268,116 @@ pub(crate) fn collect_emulator<'s>(
     paths: Option<&mut PathStore>,
     ledger: &mut RoundLedger,
 ) -> &'s Emulator {
-    let emu = substrates.emulator_for(g, cfg, mode, ledger);
-    for (u, v) in g.edges() {
-        delta.improve(u, v, 1);
-    }
-    match paths {
-        None => delta.merge_rows(&emu.apsp()),
+    substrates.emulator_for(g, cfg, mode, ledger);
+    let substrates: &'s Substrates = substrates;
+    let emu = &substrates.emulator.as_ref().expect("built above").1;
+    substrates.timed("emulator_sweep", || match paths {
+        None => {
+            let mut rows: Vec<&mut [Dist]> = delta.rows_mut().collect();
+            sweep(&mut rows, 0, cfg.threads, |u, row| {
+                lower_row(row, &emu.sssp(u), g.neighbors(u));
+            });
+        }
         Some(store) => {
             for (u, v) in g.edges() {
                 store.offer_edge(u, v);
             }
-            // The recording pass's Dijkstra trees carry the same distances
-            // `emu.apsp()` would compute — merge from them instead of
-            // running a second per-source sweep.
-            let rows = record_emulator_pairs(g, emu, store);
-            delta.merge_rows(&rows);
+            record_emulator_pairs(g, emu, cfg.threads, delta, store);
         }
-    }
+    });
+    delta.debug_assert_symmetric();
     emu
 }
 
-/// Shadows the emulator all-pairs merge with witnesses: per source, the
-/// emulator Dijkstra tree's parent chains become records whose emulator-edge
-/// hops resolve against the emulator's own routes (absorbed here). Returns
-/// the per-source distance rows — the same table `emu.apsp()` computes — so
-/// the caller merges values without a second Dijkstra sweep.
-pub(crate) fn record_emulator_pairs(
+/// Sources per batch of the recording sweep: the trees of one batch are
+/// computed in parallel and held until they are interned.
+const TREE_BATCH: usize = 64;
+
+/// Calls `fill(first + i, &mut items[i])` for every item, sharding `items`
+/// into contiguous chunks over `threads` scoped workers. Each call writes
+/// only its own item and reads shared inputs, so the items come out
+/// bit-identical at any thread count (DESIGN.md §7.4).
+fn sweep<T: Send>(
+    items: &mut [T],
+    first: usize,
+    threads: usize,
+    fill: impl Fn(usize, &mut T) + Sync,
+) {
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            fill(first + i, item);
+        }
+        return;
+    }
+    let shard = items.len().div_ceil(threads);
+    let fill = &fill;
+    std::thread::scope(|scope| {
+        for (t, chunk) in items.chunks_mut(shard).enumerate() {
+            scope.spawn(move || {
+                for (i, item) in chunk.iter_mut().enumerate() {
+                    fill(first + t * shard + i, item);
+                }
+            });
+        }
+    });
+}
+
+/// Lowers one estimate row to the emulator distances `dists` and the input
+/// adjacency `neighbors` (weight 1).
+fn lower_row(row: &mut [Dist], dists: &[Dist], neighbors: &[u32]) {
+    for (d, &e) in row.iter_mut().zip(dists) {
+        *d = (*d).min(e);
+    }
+    for &v in neighbors {
+        let d = &mut row[v as usize];
+        *d = (*d).min(1);
+    }
+}
+
+/// The recording sweep: per batch of [`TREE_BATCH`] sources, the emulator
+/// Dijkstra trees are computed in parallel, then interned serially in
+/// source order — so every record id matches a serial run. Each tree's
+/// parent chains become records whose emulator-edge hops resolve against
+/// the emulator's own routes (absorbed here), offered per pair, and its
+/// distances lower the source's `delta` row.
+fn record_emulator_pairs(
     g: &Graph,
     emu: &Emulator,
+    threads: usize,
+    delta: &mut DistanceMatrix,
     store: &mut PathStore,
-) -> Vec<Vec<Dist>> {
+) {
     let routes = emu
         .routes
         .as_ref()
         .expect("path-recording pipelines build path-recording emulators");
     store.absorb_routes(routes);
     let n = g.n();
-    let mut rows = Vec::with_capacity(n);
-    for src in 0..n {
-        let tree = dijkstra::sssp_tree(&emu.graph, src);
-        let recs = emulator_tree_recs(g, store.routes_mut(), &tree);
-        for (v, rec) in recs.into_iter().enumerate() {
-            if let Some(rec) = rec {
-                store.offer_rec(src, v, tree.dist(v), rec);
+    let mut trees: Vec<Option<(dijkstra::ShortestPathTree, Vec<u32>)>> = Vec::new();
+    for first in (0..n).step_by(TREE_BATCH) {
+        trees.clear();
+        trees.resize(TREE_BATCH.min(n - first), None);
+        sweep(&mut trees, first, threads, |src, slot| {
+            let tree = dijkstra::sssp_tree(&emu.graph, src);
+            let order = settle_order(&tree);
+            *slot = Some((tree, order));
+        });
+        for (src, slot) in (first..).zip(trees.drain(..)) {
+            let (tree, order) = slot.expect("filled by the sweep");
+            let recs = emulator_tree_recs(g, store.routes_mut(), &tree, &order);
+            for (v, rec) in recs.into_iter().enumerate() {
+                if let Some(rec) = rec {
+                    store.offer_rec(src, v, tree.dist(v), rec);
+                }
             }
+            let row = delta.rows_mut().nth(src).expect("src < n");
+            lower_row(row, tree.dists(), g.neighbors(src));
         }
-        rows.push(tree.dists().to_vec());
     }
-    rows
 }
 
-/// The MSSP counterpart of [`record_emulator_pairs`]: shadows the per-source
+/// The MSSP counterpart of `record_emulator_pairs`: shadows the per-source
 /// emulator Dijkstras into a [`RowStore`] and returns the distance rows the
 /// estimates start from (same values as `emu.sssp` per source).
 pub(crate) fn record_emulator_rows(
@@ -324,7 +394,7 @@ pub(crate) fn record_emulator_rows(
     let mut out = Vec::with_capacity(sources.len());
     for (i, &src) in sources.iter().enumerate() {
         let tree = dijkstra::sssp_tree(&emu.graph, src);
-        let recs = emulator_tree_recs(g, rows.routes_mut(), &tree);
+        let recs = emulator_tree_recs(g, rows.routes_mut(), &tree, &settle_order(&tree));
         for (v, rec) in recs.into_iter().enumerate() {
             if let Some(rec) = rec {
                 rows.offer_rec(i, v, tree.dist(v), rec);
@@ -335,27 +405,34 @@ pub(crate) fn record_emulator_rows(
     out
 }
 
-/// Interns, for every vertex reachable in the emulator tree, the `G`-walk
-/// realizing its tree path (emulator-edge hops resolved through the
-/// unroller's absorbed routes; direct `G` edges preferred). Vertices are
-/// processed in `(distance, id)` order so every parent's record exists
+/// The tree's vertices in `(distance, id)` order, root and unreachable
+/// vertices left out — the order [`emulator_tree_recs`] interns in. A pure
+/// function of the tree, so the recording sweep computes it in parallel.
+fn settle_order(tree: &dijkstra::ShortestPathTree) -> Vec<u32> {
+    let n = tree.dists().len();
+    let mut order: Vec<u32> = (0..n as u32)
+        .filter(|&v| v as usize != tree.src() && tree.dist(v as usize) < INF)
+        .collect();
+    order.sort_unstable_by_key(|&v| (tree.dist(v as usize), v));
+    order
+}
+
+/// Interns, for every vertex of `order` (the tree's [`settle_order`]), the
+/// `G`-walk realizing its tree path (emulator-edge hops resolved through the
+/// unroller's absorbed routes; direct `G` edges preferred). Parents come
+/// before their children in that order, so every parent's record exists
 /// before its children extend it. Shared by the all-pairs and MSSP
 /// recorders.
 fn emulator_tree_recs(
     g: &Graph,
     routes: &mut cc_routes::Unroller,
     tree: &dijkstra::ShortestPathTree,
+    order: &[u32],
 ) -> Vec<Option<RecId>> {
-    let n = tree.dists().len();
     let src = tree.src();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&v| (tree.dist(v as usize), v));
-    let mut recs: Vec<Option<RecId>> = vec![None; n];
-    for &v32 in &order {
+    let mut recs: Vec<Option<RecId>> = vec![None; tree.dists().len()];
+    for &v32 in order {
         let v = v32 as usize;
-        if v == src || tree.dist(v) >= INF {
-            continue;
-        }
         let p = tree.parent(v).expect("finite non-root has a parent") as usize;
         let hop = if g.has_edge(p, v) {
             routes.arena_mut().edge(p as u32, v32)
@@ -375,6 +452,72 @@ fn emulator_tree_recs(
         recs[v] = Some(rec);
     }
     recs
+}
+
+/// `(S,d)`-source detection from `pivots` over `base ∪ H` (the hopset `hs`
+/// of `base`, `hs.beta` hops): lowers `δ(v, s)` for every detected pair and,
+/// when recording, offers the detection chain as a walk over `g` (the
+/// caller has absorbed the hopset's routes, so its shortcut hops resolve).
+pub(crate) fn detect_pivots(
+    g: &Graph,
+    base: &Graph,
+    hs: &BoundedHopset,
+    pivots: &[usize],
+    delta: &mut DistanceMatrix,
+    mut paths: Option<&mut PathStore>,
+    ledger: &mut RoundLedger,
+) {
+    let union = hs.union_with(base);
+    let sd = match paths {
+        Some(_) => SourceDetection::run_with_parents(&union, pivots, hs.beta, ledger),
+        None => SourceDetection::run(&union, pivots, hs.beta, ledger),
+    };
+    for v in 0..g.n() {
+        for (i, &s) in pivots.iter().enumerate() {
+            let d = sd.dist_to_source_index(v, i);
+            if d < INF {
+                delta.improve(v, s, d);
+                if let (Some(p), Some(chain)) = (paths.as_deref_mut(), sd.chain(i, v)) {
+                    let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
+                    p.offer_walk(g, d, &chain);
+                }
+            }
+        }
+    }
+}
+
+/// Routes row `u` through each midpoint `w` in turn: `δ(u,v) ≤ δ(u,w) +
+/// δ(w,v)` for every `v`, with `δ(u,w)` read afresh per midpoint (infinite
+/// ones skipped), then one mirror of row `u`. When recording, each
+/// relaxation is shadowed per element by `Via(w)` offers in ascending `v`;
+/// the legs come from row `w`, which relaxing row `u` never writes.
+pub(crate) fn route_through(
+    delta: &mut DistanceMatrix,
+    mut paths: Option<&mut PathStore>,
+    u: usize,
+    midpoints: impl IntoIterator<Item = usize>,
+) {
+    let mut before: Vec<Dist> = Vec::new();
+    for w in midpoints {
+        let via = delta.get(u, w);
+        if via >= INF {
+            continue;
+        }
+        if before.is_empty() {
+            before.extend_from_slice(delta.row(u));
+        }
+        delta.relax_row_via(u, w, via);
+        if let Some(p) = paths.as_deref_mut() {
+            for (v, &leg) in delta.row(w).iter().enumerate() {
+                if v != u && leg < INF {
+                    p.offer_via(u, v, dadd(via, leg), w);
+                }
+            }
+        }
+    }
+    if !before.is_empty() {
+        delta.mirror_row(u, &before);
+    }
 }
 
 /// The short/long threshold `t = ⌈2β̂/ε⌉` of §4 (β̂ = the emulator's
@@ -398,6 +541,28 @@ mod tests {
             .iter()
             .filter(|e| e.label.contains(needle))
             .count()
+    }
+
+    #[test]
+    fn sweep_covers_empty_single_and_oversubscribed_inputs() {
+        // Item i must hold f(first + i) whatever the split: no rows, one
+        // row, more threads than rows, and shards of unequal length.
+        let f = |i: usize| i * i + 7;
+        for len in [0usize, 1, 2, 3, 5, 97] {
+            for threads in [1usize, 2, 3, 4, 8, 200] {
+                let mut items = vec![0usize; len];
+                sweep(&mut items, 11, threads, |i, item| *item = f(i));
+                let want: Vec<usize> = (11..11 + len).map(f).collect();
+                assert_eq!(items, want, "len = {len}, threads = {threads}");
+            }
+        }
+        // The in-place row split of a 0- and a 1-vertex matrix.
+        for n in [0usize, 1] {
+            let mut m = DistanceMatrix::new(n);
+            let mut rows: Vec<&mut [Dist]> = m.rows_mut().collect();
+            sweep(&mut rows, 0, 4, |u, row| row[u] = 0);
+            assert_eq!(m, DistanceMatrix::new(n));
+        }
     }
 
     #[test]

@@ -941,23 +941,54 @@ mod tests {
 
     #[test]
     fn threaded_sessions_are_bit_identical() {
-        // The threads knob is wall-clock only: estimates AND charged rounds
-        // must match the serial session exactly.
-        let g = generators::caveman(6, 6);
-        let run = |threads: usize| {
+        // The threads knob is wall-clock only: estimates, witnesses, frozen
+        // routes AND charged rounds must match the serial session exactly.
+        // n = 97 divides by none of the thread counts, and the G(n, p) draw
+        // has non-empty A and A', so Case 2 and Case 3a both route.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        let g = generators::connected_gnp(97, 0.06, &mut rng);
+        let witnesses = |p: &Option<std::sync::Arc<cc_routes::PathStore>>| {
+            p.as_ref()
+                .map(|p| (p.witnesses().to_vec(), p.arena().clone()))
+        };
+        let run = |threads: usize, record: bool| {
             let mut solver = SolverBuilder::new(g.clone())
                 .eps(0.5)
                 .execution(Execution::Seeded(9))
                 .threads(threads)
+                .record_paths(record)
                 .build()
                 .unwrap();
-            let apsp = solver.apsp_2eps().unwrap();
+            let a2 = solver.apsp_2eps().unwrap();
+            let a3 = solver.apsp_3eps().unwrap();
+            let add = solver.apsp_near_additive().unwrap();
             let mssp = solver.mssp(&[0, 14, 28]).unwrap();
-            (apsp.estimates, mssp.estimates, solver.total_rounds())
+            let labels: Vec<String> = solver
+                .ledger()
+                .entries()
+                .iter()
+                .map(|e| e.label.clone())
+                .collect();
+            for case in ["announce nearest A-pivots", "announce A'-attachments"] {
+                assert!(labels.iter().any(|l| l.contains(case)), "{case} never ran");
+            }
+            let routes = record.then(|| solver.freeze_with_paths().unwrap());
+            (
+                (a2.estimates, a3.estimates, add.estimates, mssp.estimates),
+                (
+                    witnesses(&a2.paths),
+                    witnesses(&a3.paths),
+                    witnesses(&add.paths),
+                ),
+                routes,
+                solver.total_rounds(),
+            )
         };
-        let serial = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
+        for record in [false, true] {
+            let serial = run(1, record);
+            for threads in [2, 3, 4] {
+                assert_eq!(run(threads, record), serial, "threads = {threads}");
+            }
         }
         let solver = SolverBuilder::new(g).threads(3).build().unwrap();
         assert_eq!(solver.threads(), 3);
@@ -1027,7 +1058,8 @@ mod tests {
     fn stage_profiling_changes_neither_estimates_nor_rounds() {
         // Same contract as path recording: timing is observed, never fed
         // back — per pipeline, estimates AND charged rounds are
-        // bit-identical with profiling on or off.
+        // bit-identical with profiling on or off, including the stages
+        // timed inside the pipelines' own loops.
         let g = generators::caveman(6, 6);
         let run = |profile: bool| {
             let mut solver = SolverBuilder::new(g.clone())
@@ -1041,6 +1073,17 @@ mod tests {
             let add = solver.apsp_near_additive().unwrap();
             let ms = solver.mssp(&[0, 14, 28]).unwrap();
             let oracle = solver.freeze().unwrap();
+            let stages: Vec<&str> = solver.stage_times().iter().map(|(n, _)| *n).collect();
+            let inner = [
+                "emulator_sweep",
+                "through_sets",
+                "source_detection",
+                "pivot_routing",
+            ];
+            assert!(
+                inner.iter().all(|s| stages.contains(s) == profile),
+                "{stages:?}"
+            );
             (
                 a2.estimates,
                 a3.estimates,
@@ -1085,11 +1128,15 @@ mod tests {
         for expected in [
             "apsp2",
             "emulator_build",
+            "emulator_sweep",
             "freeze",
             "hitting_sets",
             "hopset_build",
             "minplus_products",
             "mssp",
+            "pivot_routing",
+            "source_detection",
+            "through_sets",
         ] {
             assert!(names.contains(&expected), "missing stage {expected}");
         }

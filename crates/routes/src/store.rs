@@ -183,7 +183,7 @@ impl PathStore {
 
     /// Offers the midpoint decomposition through `w` at value `d`. The
     /// caller guarantees `d ≥ value(u,w) + value(w,v)` at call time (the
-    /// `improve_via` pattern), which is what keeps expansion well-founded.
+    /// pivot-routing pattern), which is what keeps expansion well-founded.
     /// A degenerate midpoint (`w ∈ {u, v}`) is ignored — it restates the
     /// pair's own value and can never strictly improve it.
     pub fn offer_via(&mut self, u: usize, v: usize, d: Dist, w: usize) {

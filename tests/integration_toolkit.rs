@@ -6,7 +6,7 @@ use congested_clique::prelude::*;
 use congested_clique::toolkit::hopset::{self, HopsetParams};
 use congested_clique::toolkit::knearest::{KNearest, Strategy};
 use congested_clique::toolkit::source_detection::SourceDetection;
-use congested_clique::toolkit::through_sets::distance_through_sets;
+use congested_clique::toolkit::through_sets::ThroughSets;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -68,7 +68,9 @@ fn knearest_through_sets_covers_case_one() {
     let sets: Vec<Vec<usize>> = (0..n)
         .map(|u| kn.list(u).iter().map(|&(v, _)| v as usize).collect())
         .collect();
-    let rows = distance_through_sets(n, &sets, |u, w| kn.dist(u, w).unwrap_or(INF), &mut ledger);
+    let mut rows = vec![vec![INF; n]; n];
+    ThroughSets::gather(n, &sets, |u, w| kn.dist(u, w).unwrap_or(INF), &mut ledger)
+        .for_each_candidate(|u, v, d, _| rows[u][v] = rows[u][v].min(d));
     for u in 0..n {
         for v in 0..n {
             if u == v {
