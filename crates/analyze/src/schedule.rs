@@ -5,7 +5,9 @@
 //! *patterns* that produce nondeterminism; this module attacks the running
 //! code. Every iteration re-runs the workspace's parallel surfaces — the
 //! plain and witness-carrying min-plus kernels (sparse and dense), the
-//! sharded congested-clique engine, and periodically a loopback `ccd`
+//! source-sharded hop-limited kernel of `(S,d)`-source detection (plain
+//! and with parents), the sharded congested-clique engine, and
+//! periodically a loopback `ccd`
 //! burst — under a perturbed schedule: randomized thread counts, worker
 //! and batch-size choices (which move the queue-pop coalescing points),
 //! client-side send jitter, and background yield-spinner threads that
@@ -27,7 +29,7 @@ use cc_clique::engine::{Engine, EngineConfig};
 use cc_clique::programs::AllGather;
 use cc_clique::NodeId;
 use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
-use cc_graphs::{Dist, StorageKind};
+use cc_graphs::{dijkstra, Dist, StorageKind, WeightedGraph};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_serve::snapshot::Oracles;
 use cc_serve::{serve, Client, ServerConfig};
@@ -60,7 +62,8 @@ impl Default for ScheduleConfig {
 pub struct ScheduleSummary {
     /// Iterations completed.
     pub iterations: u64,
-    /// Kernel comparisons performed (sparse/dense × plain/witness + engine).
+    /// Kernel comparisons performed (sparse/dense × plain/witness,
+    /// hop-limited plain/parents, engine).
     pub comparisons: u64,
     /// Loopback `ccd` bursts performed.
     pub serve_bursts: u64,
@@ -70,6 +73,11 @@ pub struct ScheduleSummary {
 
 /// Matrix dimension for the kernel inputs.
 const KERNEL_N: usize = 48;
+/// Sources of the hop-limited kernel (divisible by no rolled thread count
+/// above 1, so shards come out uneven).
+const HOP_SOURCES: usize = 7;
+/// Hop bound of the hop-limited kernel.
+const HOP_LIMIT: usize = 5;
 /// Node count for the engine program.
 const ENGINE_N: usize = 24;
 /// Vertex count for the served oracle.
@@ -88,6 +96,10 @@ struct Baseline {
     sparse_witness: (SparseMatrix, Vec<u32>),
     dense_plain: DenseMatrix,
     dense_witness: (DenseMatrix, Vec<u32>),
+    hop_graph: WeightedGraph,
+    hop_sources: Vec<usize>,
+    hop_plain: Vec<Dist>,
+    hop_parents: (Vec<Dist>, Option<Vec<u32>>),
     engine_words: Vec<Vec<u64>>,
     engine_collected: Vec<Vec<u64>>,
     oracle: Arc<DistOracle>,
@@ -112,6 +124,24 @@ fn seeded_inputs(seed: u64) -> (SparseMatrix, DenseMatrix) {
         }
     }
     (rb.build(), dense)
+}
+
+/// Deterministic weighted graph for the hop-limited kernel: ~3 random
+/// edges per vertex with weights 1–9 (several relaxations per hop), and
+/// seeded sources.
+fn hop_inputs(seed: u64) -> (WeightedGraph, Vec<usize>) {
+    let mut rng = Xorshift::new(seed ^ 0x40b5);
+    let mut g = WeightedGraph::new(KERNEL_N);
+    for u in 0..KERNEL_N {
+        for _ in 0..3 {
+            let v = rng.below(KERNEL_N);
+            if v != u {
+                g.add_edge(u, v, 1 + rng.below(9) as Dist);
+            }
+        }
+    }
+    let sources = (0..HOP_SOURCES).map(|_| rng.below(KERNEL_N)).collect();
+    (g, sources)
 }
 
 fn engine_words(seed: u64) -> Vec<Vec<u64>> {
@@ -177,6 +207,11 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
     let sparse_witness = sparse_a.minplus_with_witness(&sparse_b, &mut serial);
     let dense_plain = dense_a.minplus_with(&dense_b, &serial);
     let dense_witness = dense_a.minplus_with_witness(&dense_b, &serial);
+    let (hop_graph, hop_sources) = hop_inputs(seed);
+    let (hop_plain, _) =
+        dijkstra::hop_limited_from_sources(&hop_graph, &hop_sources, HOP_LIMIT, 1, false);
+    let hop_parents =
+        dijkstra::hop_limited_from_sources(&hop_graph, &hop_sources, HOP_LIMIT, 1, true);
     let engine_words = engine_words(seed);
     let engine_collected = run_engine(&engine_words, 1)?;
     let (oracle, query_pairs, query_answers) = build_oracle(seed);
@@ -189,6 +224,10 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         sparse_witness,
         dense_plain,
         dense_witness,
+        hop_graph,
+        hop_sources,
+        hop_plain,
+        hop_parents,
         engine_words,
         engine_collected,
         oracle,
@@ -376,6 +415,36 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
             );
         }
 
+        let hop_threads = 1 + rng.below(max_threads);
+        let (got, _) = dijkstra::hop_limited_from_sources(
+            &base.hop_graph,
+            &base.hop_sources,
+            HOP_LIMIT,
+            hop_threads,
+            false,
+        );
+        if got != base.hop_plain {
+            fail(
+                &mut summary,
+                "hop-limited",
+                format!("threads={hop_threads}: distances differ from serial"),
+            );
+        }
+        let got = dijkstra::hop_limited_from_sources(
+            &base.hop_graph,
+            &base.hop_sources,
+            HOP_LIMIT,
+            hop_threads,
+            true,
+        );
+        if got != base.hop_parents {
+            fail(
+                &mut summary,
+                "hop-limited-parents",
+                format!("threads={hop_threads}: distances or parents differ from serial"),
+            );
+        }
+
         let engine_threads = 1 + rng.below(max_threads);
         match run_engine(&base.engine_words, engine_threads) {
             Ok(collected) if collected == base.engine_collected => {}
@@ -390,7 +459,7 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 format!("threads={engine_threads}: {e}"),
             ),
         }
-        summary.comparisons += 5;
+        summary.comparisons += 7;
 
         if iter % SERVE_EVERY == 0 {
             summary.serve_bursts += 1;
@@ -430,6 +499,7 @@ mod tests {
         let b = baseline(42).expect("baseline");
         assert_eq!(a.sparse_plain, b.sparse_plain);
         assert_eq!(a.dense_witness, b.dense_witness);
+        assert_eq!(a.hop_parents, b.hop_parents);
         assert_eq!(a.engine_collected, b.engine_collected);
         assert_eq!(a.query_answers, b.query_answers);
     }

@@ -22,7 +22,7 @@ fn main() {
         let sources: Vec<usize> = (0..n).step_by(n / s_count).take(s_count).collect();
         for d in [4usize, 16, 64] {
             let mut ledger = RoundLedger::new(n);
-            let _ = SourceDetection::run(&wg, &sources, d, &mut ledger);
+            let _ = SourceDetection::run(&wg, &sources, d, 1, &mut ledger);
             let rounds = ledger.total_rounds();
             table.row(vec![
                 s_count.to_string(),

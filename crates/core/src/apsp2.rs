@@ -213,7 +213,16 @@ pub(crate) fn run_mode(
             p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
         }
         substrates.timed("source_detection", || {
-            pipeline::detect_pivots(g, g, &hs, &s_pivots, &mut delta, paths.as_mut(), &mut phase)
+            pipeline::detect_pivots(
+                g,
+                g,
+                &hs,
+                &s_pivots,
+                threads,
+                &mut delta,
+                paths.as_mut(),
+                &mut phase,
+            )
         });
         let sets: Vec<Vec<usize>> = vec![s_pivots.clone(); n];
         substrates.timed("through_sets", || {
@@ -297,6 +306,7 @@ pub(crate) fn run_mode(
                 &gp,
                 hs,
                 &a_pivots,
+                threads,
                 &mut delta,
                 paths.as_mut(),
                 &mut phase,
@@ -337,6 +347,7 @@ pub(crate) fn run_mode(
                 &gp,
                 hs,
                 &a2_pivots,
+                threads,
                 &mut delta,
                 paths.as_mut(),
                 &mut phase,

@@ -219,7 +219,16 @@ pub(crate) fn run_mode(
             p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
         }
         substrates.timed("source_detection", || {
-            pipeline::detect_pivots(g, g, &hs, &pivots, &mut delta, paths.as_mut(), &mut phase)
+            pipeline::detect_pivots(
+                g,
+                g,
+                &hs,
+                &pivots,
+                cfg.emulator.threads,
+                &mut delta,
+                paths.as_mut(),
+                &mut phase,
+            )
         });
         // Route every pair through the nearer endpoint's pivot. Each vertex
         // broadcasts its pivot and the distance to it: 1 round.

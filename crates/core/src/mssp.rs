@@ -10,7 +10,7 @@
 use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::EmulatorParams;
-use cc_graphs::{Dist, DistStorage, Graph, INF};
+use cc_graphs::{Dist, DistStorage, Graph};
 use cc_toolkit::source_detection::SourceDetection;
 use rand::Rng;
 
@@ -244,14 +244,19 @@ pub(crate) fn run_mode(
     // Long range: the emulator, learned by everyone (cached across queries
     // by the session's substrate store); each vertex runs local Dijkstra
     // from the sources.
+    let threads = cfg.emulator.threads;
     let mut estimates: Vec<Vec<Dist>> = {
         let emu = substrates.emulator_for(g, &cfg.emulator, &mut mode, &mut phase);
         match paths.as_mut() {
-            None => sources.iter().map(|&s| emu.sssp(s)).collect(),
+            None => {
+                let mut rows = vec![Vec::new(); sources.len()];
+                pipeline::sweep(&mut rows, 0, threads, |i, row| *row = emu.sssp(sources[i]));
+                rows
+            }
             // The recording pass's Dijkstra trees carry the same distances
             // `emu.sssp` computes — start the estimates from them instead of
             // running a second per-source sweep.
-            Some(store) => pipeline::record_emulator_rows(g, emu, sources, store),
+            Some(store) => pipeline::record_emulator_rows(g, emu, sources, threads, store),
         }
     };
 
@@ -268,21 +273,25 @@ pub(crate) fn run_mode(
         &mut phase,
     );
     let union = hs.union_with(g);
-    let sd = match &paths {
-        Some(_) => SourceDetection::run_with_parents(&union, sources, hs.beta, &mut phase),
-        None => SourceDetection::run(&union, sources, hs.beta, &mut phase),
-    };
     if let Some(store) = paths.as_mut() {
         store.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
     }
-    for (i, row) in estimates.iter_mut().enumerate() {
-        for (v, est) in row.iter_mut().enumerate() {
-            let short = sd.dist_to_source_index(v, i);
-            if short < *est {
-                *est = short;
+    substrates.timed("source_detection", || {
+        let sd = match &paths {
+            Some(_) => {
+                SourceDetection::run_with_parents(&union, sources, hs.beta, threads, &mut phase)
             }
-            if short < INF {
-                if let Some(store) = paths.as_mut() {
+            None => SourceDetection::run(&union, sources, hs.beta, threads, &mut phase),
+        };
+        for (i, row) in estimates.iter_mut().enumerate() {
+            for (v, est) in row.iter_mut().enumerate() {
+                let short = sd.dist_to_source_index(v, i);
+                if short < *est {
+                    *est = short;
+                }
+                // Only a chain that beats the store's value can be
+                // interned (`offer_walk` makes the same test first).
+                if let Some(store) = paths.as_mut().filter(|p| short < p.value(i, v)) {
                     let chain: Vec<u32> = sd
                         .chain(i, v)
                         .expect("detected pair has a chain")
@@ -291,12 +300,12 @@ pub(crate) fn run_mode(
                         .collect();
                     store.offer_walk(g, i, short, &chain);
                 }
-            }
-            if v == sources[i] {
-                *est = 0;
+                if v == sources[i] {
+                    *est = 0;
+                }
             }
         }
-    }
+    });
     // Adjacency is known locally.
     for (i, &s) in sources.iter().enumerate() {
         for &u in g.neighbors(s) {
@@ -424,7 +433,7 @@ mod tests {
         let exact = bfs::sssp(&g, 0);
         for v in 0..100 {
             assert!(out.dist(0, v) >= exact[v]);
-            assert!(out.dist(0, v) < INF, "missing estimate at {v}");
+            assert!(out.dist(0, v) < cc_graphs::INF, "missing estimate at {v}");
         }
     }
 }

@@ -10,9 +10,9 @@ use cc_clique::RoundLedger;
 use cc_derand::hitting;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::{deterministic, whp, Emulator};
-use cc_graphs::{dadd, dijkstra, Dist, Graph, INF};
+use cc_graphs::{dijkstra, Dist, Graph, INF};
 use cc_obs::StageTimes;
-use cc_routes::{PathStore, RecId, RowStore};
+use cc_routes::{BatchRef, PathStore, RecId, RecordBatch, RouteArena, RowStore, Unroller};
 use cc_toolkit::hopset::{self, BoundedHopset, HopsetParams};
 use cc_toolkit::source_detection::SourceDetection;
 use rand::RngCore;
@@ -289,15 +289,15 @@ pub(crate) fn collect_emulator<'s>(
     emu
 }
 
-/// Sources per batch of the recording sweep: the trees of one batch are
-/// computed in parallel and held until they are interned.
-const TREE_BATCH: usize = 64;
+/// Sources per chunk of the recording sweeps: the interned trees of one
+/// chunk are held until they are appended to the arena.
+const TREE_CHUNK: usize = 64;
 
 /// Calls `fill(first + i, &mut items[i])` for every item, sharding `items`
 /// into contiguous chunks over `threads` scoped workers. Each call writes
 /// only its own item and reads shared inputs, so the items come out
 /// bit-identical at any thread count (DESIGN.md §7.4).
-fn sweep<T: Send>(
+pub(crate) fn sweep<T: Send>(
     items: &mut [T],
     first: usize,
     threads: usize,
@@ -335,12 +335,11 @@ fn lower_row(row: &mut [Dist], dists: &[Dist], neighbors: &[u32]) {
     }
 }
 
-/// The recording sweep: per batch of [`TREE_BATCH`] sources, the emulator
-/// Dijkstra trees are computed in parallel, then interned serially in
-/// source order — so every record id matches a serial run. Each tree's
-/// parent chains become records whose emulator-edge hops resolve against
-/// the emulator's own routes (absorbed here), offered per pair, and its
-/// distances lower the source's `delta` row.
+/// The recording sweep: per chunk of [`TREE_CHUNK`] sources, the emulator
+/// Dijkstra trees are computed and interned into record batches in
+/// parallel ([`intern_trees`]), then appended to the arena in source order
+/// — so every record id matches a serial run. Each tree's records are
+/// offered per pair, and its distances lower the source's `delta` row.
 fn record_emulator_pairs(
     g: &Graph,
     emu: &Emulator,
@@ -353,26 +352,15 @@ fn record_emulator_pairs(
         .as_ref()
         .expect("path-recording pipelines build path-recording emulators");
     store.absorb_routes(routes);
-    let n = g.n();
-    let mut trees: Vec<Option<(dijkstra::ShortestPathTree, Vec<u32>)>> = Vec::new();
-    for first in (0..n).step_by(TREE_BATCH) {
-        trees.clear();
-        trees.resize(TREE_BATCH.min(n - first), None);
-        sweep(&mut trees, first, threads, |src, slot| {
-            let tree = dijkstra::sssp_tree(&emu.graph, src);
-            let order = settle_order(&tree);
-            *slot = Some((tree, order));
-        });
-        for (src, slot) in (first..).zip(trees.drain(..)) {
-            let (tree, order) = slot.expect("filled by the sweep");
-            let recs = emulator_tree_recs(g, store.routes_mut(), &tree, &order);
-            for (v, rec) in recs.into_iter().enumerate() {
-                if let Some(rec) = rec {
-                    store.offer_rec(src, v, tree.dist(v), rec);
-                }
+    let sources: Vec<usize> = (0..g.n()).collect();
+    for chunk in sources.chunks(TREE_CHUNK) {
+        let trees = intern_trees(g, emu, store.routes(), chunk, threads);
+        for (&src, tree) in chunk.iter().zip(trees) {
+            for (v, d, rec) in tree.append_to(store.routes_mut().arena_mut()) {
+                store.offer_rec(src, v, d, rec);
             }
             let row = delta.rows_mut().nth(src).expect("src < n");
-            lower_row(row, tree.dists(), g.neighbors(src));
+            lower_row(row, &tree.dists, g.neighbors(src));
         }
     }
 }
@@ -384,6 +372,7 @@ pub(crate) fn record_emulator_rows(
     g: &Graph,
     emu: &Emulator,
     sources: &[usize],
+    threads: usize,
     rows: &mut RowStore,
 ) -> Vec<Vec<Dist>> {
     let routes = emu
@@ -392,92 +381,136 @@ pub(crate) fn record_emulator_rows(
         .expect("path-recording pipelines build path-recording emulators");
     rows.absorb_routes(routes);
     let mut out = Vec::with_capacity(sources.len());
-    for (i, &src) in sources.iter().enumerate() {
-        let tree = dijkstra::sssp_tree(&emu.graph, src);
-        let recs = emulator_tree_recs(g, rows.routes_mut(), &tree, &settle_order(&tree));
-        for (v, rec) in recs.into_iter().enumerate() {
-            if let Some(rec) = rec {
-                rows.offer_rec(i, v, tree.dist(v), rec);
+    for (c, chunk) in sources.chunks(TREE_CHUNK).enumerate() {
+        let trees = intern_trees(g, emu, rows.routes(), chunk, threads);
+        for (i, tree) in (c * TREE_CHUNK..).zip(trees) {
+            for (v, d, rec) in tree.append_to(rows.routes_mut().arena_mut()) {
+                rows.offer_rec(i, v, d, rec);
             }
+            out.push(tree.dists);
         }
-        out.push(tree.dists().to_vec());
     }
     out
 }
 
-/// The tree's vertices in `(distance, id)` order, root and unreachable
-/// vertices left out — the order [`emulator_tree_recs`] interns in. A pure
-/// function of the tree, so the recording sweep computes it in parallel.
-fn settle_order(tree: &dijkstra::ShortestPathTree) -> Vec<u32> {
-    let n = tree.dists().len();
-    let mut order: Vec<u32> = (0..n as u32)
-        .filter(|&v| v as usize != tree.src() && tree.dist(v as usize) < INF)
-        .collect();
-    order.sort_unstable_by_key(|&v| (tree.dist(v as usize), v));
-    order
+/// One source's emulator Dijkstra tree, interned away from the arena: its
+/// distances and, per vertex, the record of its tree path as a handle into
+/// `batch` (`None` for the root and unreachable vertices).
+#[derive(Default)]
+struct InternedTree {
+    dists: Vec<Dist>,
+    recs: Vec<Option<BatchRef>>,
+    batch: RecordBatch,
 }
 
-/// Interns, for every vertex of `order` (the tree's [`settle_order`]), the
-/// `G`-walk realizing its tree path (emulator-edge hops resolved through the
-/// unroller's absorbed routes; direct `G` edges preferred). Parents come
-/// before their children in that order, so every parent's record exists
-/// before its children extend it. Shared by the all-pairs and MSSP
-/// recorders.
-fn emulator_tree_recs(
+impl InternedTree {
+    /// Appends the tree's records to `arena` and yields `(v, dist, record)`
+    /// for every vertex with a record, in ascending `v`.
+    fn append_to<'t>(
+        &'t self,
+        arena: &mut RouteArena,
+    ) -> impl Iterator<Item = (usize, Dist, RecId)> + 't {
+        let offset = arena.append_batch(&self.batch);
+        self.recs
+            .iter()
+            .enumerate()
+            .filter_map(move |(v, rec)| rec.map(|r| (v, self.dists[v], r.resolve(offset))))
+    }
+}
+
+/// The emulator trees from `sources`, computed and interned by `threads`
+/// workers against the read-only `routes`, in source order.
+fn intern_trees(
     g: &Graph,
-    routes: &mut cc_routes::Unroller,
-    tree: &dijkstra::ShortestPathTree,
-    order: &[u32],
-) -> Vec<Option<RecId>> {
-    let src = tree.src();
-    let mut recs: Vec<Option<RecId>> = vec![None; tree.dists().len()];
-    for &v32 in order {
+    emu: &Emulator,
+    routes: &Unroller,
+    sources: &[usize],
+    threads: usize,
+) -> Vec<InternedTree> {
+    let mut trees: Vec<InternedTree> = std::iter::repeat_with(InternedTree::default)
+        .take(sources.len())
+        .collect();
+    sweep(&mut trees, 0, threads, |i, tree| {
+        *tree = intern_tree(g, emu, routes, sources[i]);
+    });
+    trees
+}
+
+/// Interns, for every vertex of the emulator Dijkstra tree from `src`, the
+/// `G`-walk realizing its tree path: emulator-edge hops resolve through the
+/// absorbed routes, and direct `G` edges are preferred. Vertices go in
+/// `(distance, id)` order, so every parent's record exists before its
+/// children extend it. The batch holds exactly the records a direct
+/// interning would push, in the same order (DESIGN.md §7.4).
+fn intern_tree(g: &Graph, emu: &Emulator, routes: &Unroller, src: usize) -> InternedTree {
+    let (dists, parents) = dijkstra::sssp_with_parents(&emu.graph, src);
+    let n = dists.len();
+    // `(distance, id)` packed into one sort key.
+    let mut order: Vec<u64> = (0..n)
+        .filter(|&v| v != src && dists[v] < INF)
+        .map(|v| u64::from(dists[v]) << 32 | v as u64)
+        .collect();
+    order.sort_unstable();
+    // At most an edge or a reversal plus a concatenation per vertex.
+    let mut batch = RecordBatch::with_capacity(2 * n);
+    let mut recs: Vec<Option<BatchRef>> = vec![None; n];
+    for key in order {
+        let v32 = key as u32;
         let v = v32 as usize;
-        let p = tree.parent(v).expect("finite non-root has a parent") as usize;
+        let p = parents[v].expect("finite non-root has a parent") as usize;
         let hop = if g.has_edge(p, v) {
-            routes.arena_mut().edge(p as u32, v32)
+            batch.edge(p as u32, v32)
         } else {
-            routes
-                .oriented(p, v)
-                .expect("emulator edge has provenance")
-                .1
+            let (_, rec, reversed) = routes
+                .rec_between(p, v)
+                .expect("emulator edge has provenance");
+            if reversed {
+                batch.rev(routes.arena(), BatchRef::Arena(rec))
+            } else {
+                BatchRef::Arena(rec)
+            }
         };
-        let rec = match recs[p] {
-            Some(prefix) => routes.arena_mut().cat(prefix, hop),
+        recs[v] = Some(match recs[p] {
+            Some(prefix) => batch.cat(routes.arena(), prefix, hop),
             None => {
                 debug_assert_eq!(p, src, "parents settle before children");
                 hop
             }
-        };
-        recs[v] = Some(rec);
+        });
     }
-    recs
+    InternedTree { dists, recs, batch }
 }
 
 /// `(S,d)`-source detection from `pivots` over `base ∪ H` (the hopset `hs`
-/// of `base`, `hs.beta` hops): lowers `δ(v, s)` for every detected pair and,
-/// when recording, offers the detection chain as a walk over `g` (the
-/// caller has absorbed the hopset's routes, so its shortcut hops resolve).
+/// of `base`, `hs.beta` hops, sharded over `threads`): lowers `δ(v, s)`
+/// for every detected pair and, when recording, offers the detection
+/// chain as a walk over `g` (the caller has absorbed the hopset's routes,
+/// so its shortcut hops resolve). A chain is only walked when its
+/// distance beats the store's value for the pair — the same test
+/// `offer_walk` makes before interning, so skipping the rest is exact.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn detect_pivots(
     g: &Graph,
     base: &Graph,
     hs: &BoundedHopset,
     pivots: &[usize],
+    threads: usize,
     delta: &mut DistanceMatrix,
     mut paths: Option<&mut PathStore>,
     ledger: &mut RoundLedger,
 ) {
     let union = hs.union_with(base);
     let sd = match paths {
-        Some(_) => SourceDetection::run_with_parents(&union, pivots, hs.beta, ledger),
-        None => SourceDetection::run(&union, pivots, hs.beta, ledger),
+        Some(_) => SourceDetection::run_with_parents(&union, pivots, hs.beta, threads, ledger),
+        None => SourceDetection::run(&union, pivots, hs.beta, threads, ledger),
     };
     for v in 0..g.n() {
         for (i, &s) in pivots.iter().enumerate() {
             let d = sd.dist_to_source_index(v, i);
             if d < INF {
                 delta.improve(v, s, d);
-                if let (Some(p), Some(chain)) = (paths.as_deref_mut(), sd.chain(i, v)) {
+                if let Some(p) = paths.as_deref_mut().filter(|p| d < p.value(s, v)) {
+                    let chain = sd.chain(i, v).expect("detected pair has a chain");
                     let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
                     p.offer_walk(g, d, &chain);
                 }
@@ -489,8 +522,10 @@ pub(crate) fn detect_pivots(
 /// Routes row `u` through each midpoint `w` in turn: `δ(u,v) ≤ δ(u,w) +
 /// δ(w,v)` for every `v`, with `δ(u,w)` read afresh per midpoint (infinite
 /// ones skipped), then one mirror of row `u`. When recording, each
-/// relaxation is shadowed per element by `Via(w)` offers in ascending `v`;
-/// the legs come from row `w`, which relaxing row `u` never writes.
+/// relaxation is shadowed by `Via(w)` offers at exactly the entries it
+/// lowered, in ascending `v`. The store mirrors `δ` under the same strict
+/// improvement, so an offer at an entry the kernel left alone could never
+/// win (DESIGN.md §7.4).
 pub(crate) fn route_through(
     delta: &mut DistanceMatrix,
     mut paths: Option<&mut PathStore>,
@@ -498,6 +533,8 @@ pub(crate) fn route_through(
     midpoints: impl IntoIterator<Item = usize>,
 ) {
     let mut before: Vec<Dist> = Vec::new();
+    // Recording only: row `u` as of the previous midpoint.
+    let mut prev: Vec<Dist> = Vec::new();
     for w in midpoints {
         let via = delta.get(u, w);
         if via >= INF {
@@ -505,12 +542,16 @@ pub(crate) fn route_through(
         }
         if before.is_empty() {
             before.extend_from_slice(delta.row(u));
+            if paths.is_some() {
+                prev.extend_from_slice(&before);
+            }
         }
         delta.relax_row_via(u, w, via);
         if let Some(p) = paths.as_deref_mut() {
-            for (v, &leg) in delta.row(w).iter().enumerate() {
-                if v != u && leg < INF {
-                    p.offer_via(u, v, dadd(via, leg), w);
+            for (v, (old, &d)) in prev.iter_mut().zip(delta.row(u)).enumerate() {
+                if d != *old {
+                    *old = d;
+                    p.offer_via(u, v, d, w);
                 }
             }
         }
@@ -562,6 +603,189 @@ mod tests {
             let mut rows: Vec<&mut [Dist]> = m.rows_mut().collect();
             sweep(&mut rows, 0, 4, |u, row| row[u] = 0);
             assert_eq!(m, DistanceMatrix::new(n));
+        }
+    }
+
+    /// Every off-diagonal pair of a recording run's store holds exactly
+    /// the pipeline's estimate: the store mirrors `δ` under the same
+    /// strict improvement, which is what lets `route_through` offer only
+    /// at the entries its kernel lowered.
+    #[test]
+    fn path_store_mirrors_the_estimates() {
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for (name, g) in [
+            ("grid", generators::grid(9, 11)),
+            ("caveman", generators::caveman(7, 6)),
+            ("gnp", generators::connected_gnp(97, 0.06, &mut rng)),
+        ] {
+            let mut solver = crate::SolverBuilder::new(g.clone())
+                .eps(0.5)
+                .execution(crate::Execution::Deterministic)
+                .threads(2)
+                .record_paths(true)
+                .build()
+                .unwrap();
+            let a2 = solver.apsp_2eps().unwrap();
+            let a3 = solver.apsp_3eps().unwrap();
+            let add = solver.apsp_near_additive().unwrap();
+            for (query, estimates, store) in [
+                ("apsp2", &a2.estimates, &a2.paths),
+                ("apsp3", &a3.estimates, &a3.paths),
+                ("additive", &add.estimates, &add.paths),
+            ] {
+                let store = store.as_ref().expect("recording run");
+                for u in 0..g.n() {
+                    for v in (0..g.n()).filter(|&v| v != u) {
+                        assert_eq!(
+                            store.value(u, v),
+                            estimates.get(u, v),
+                            "{name}/{query}: ({u},{v})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The detection offers before the chain filter: every detected pair's
+    /// chain is walked and offered.
+    fn detect_pivots_offering_all(
+        g: &Graph,
+        hs: &BoundedHopset,
+        pivots: &[usize],
+        delta: &mut DistanceMatrix,
+        store: &mut PathStore,
+        ledger: &mut RoundLedger,
+    ) {
+        let union = hs.union_with(g);
+        let sd = SourceDetection::run_with_parents(&union, pivots, hs.beta, 1, ledger);
+        for v in 0..g.n() {
+            for (i, &s) in pivots.iter().enumerate() {
+                let d = sd.dist_to_source_index(v, i);
+                if d < INF {
+                    delta.improve(v, s, d);
+                    if let Some(chain) = sd.chain(i, v) {
+                        let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
+                        store.offer_walk(g, d, &chain);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `route_through` before the lowered-entry filter: a `Via(w)` offer
+    /// at every entry of row `u`, per midpoint, in ascending `v`.
+    fn route_through_offering_all(
+        delta: &mut DistanceMatrix,
+        store: &mut PathStore,
+        u: usize,
+        midpoints: &[usize],
+    ) {
+        let mut before: Vec<Dist> = Vec::new();
+        for &w in midpoints {
+            let via = delta.get(u, w);
+            if via >= INF {
+                continue;
+            }
+            if before.is_empty() {
+                before.extend_from_slice(delta.row(u));
+            }
+            delta.relax_row_via(u, w, via);
+            for (v, &leg) in delta.row(w).iter().enumerate() {
+                if v != u && leg < INF {
+                    store.offer_via(u, v, cc_graphs::dadd(via, leg), w);
+                }
+            }
+        }
+        if !before.is_empty() {
+            delta.mirror_row(u, &before);
+        }
+    }
+
+    fn via_count(store: &PathStore) -> usize {
+        store
+            .witnesses()
+            .iter()
+            .filter(|w| matches!(w, cc_routes::PairWitness::Via(_)))
+            .count()
+    }
+
+    /// The filtered detection and routing offers leave the same witnesses
+    /// and the same arena as offering everything, on inputs where those
+    /// offers do win. The store starts from the adjacency plus, for every
+    /// third vertex, its shortest path to each pivot at one more than the
+    /// exact distance, so detection chains at that distance tie, shorter
+    /// ones win, and most `Via` offers improve a pair.
+    #[test]
+    fn filtered_offers_match_offering_everything() {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        for (name, g) in [
+            ("grid", generators::grid(7, 9)),
+            ("caveman", generators::caveman(6, 6)),
+            ("gnp", generators::connected_gnp(80, 0.06, &mut rng)),
+        ] {
+            let n = g.n();
+            let mut ledger = RoundLedger::new(n);
+            let params = HopsetParams::scaled(n, 8, 0.5).with_paths(true);
+            let hs = hopset::build_deterministic(&g, params, &mut ledger);
+            let pivots: Vec<usize> = (0..n).step_by(5).collect();
+            let mut delta = DistanceMatrix::new(n);
+            let mut store = PathStore::new(n);
+            for (u, v) in g.edges() {
+                delta.improve(u, v, 1);
+                store.offer_edge(u, v);
+            }
+            let unit = cc_graphs::WeightedGraph::from_unweighted(&g);
+            for &s in &pivots {
+                let tree = dijkstra::sssp_tree(&unit, s);
+                for v in (0..n).step_by(3).filter(|&v| v != s) {
+                    let path: Vec<u32> =
+                        tree.path_to(v).unwrap().iter().map(|&x| x as u32).collect();
+                    delta.improve(s, v, tree.dist(v) + 1);
+                    store.offer_walk(&g, tree.dist(v) + 1, &path);
+                }
+            }
+            store.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
+            let arena_before = store.arena().len();
+
+            let (mut old_delta, mut old_store) = (delta.clone(), store.clone());
+            detect_pivots_offering_all(
+                &g,
+                &hs,
+                &pivots,
+                &mut old_delta,
+                &mut old_store,
+                &mut ledger,
+            );
+            detect_pivots(
+                &g,
+                &g,
+                &hs,
+                &pivots,
+                2,
+                &mut delta,
+                Some(&mut store),
+                &mut ledger,
+            );
+            assert!(store.arena().len() > arena_before, "{name}: no chain won");
+            assert_eq!(delta, old_delta, "{name}: detection estimates");
+            assert_eq!(
+                store.witnesses(),
+                old_store.witnesses(),
+                "{name}: detection"
+            );
+            assert_eq!(store.arena(), old_store.arena(), "{name}: detection arena");
+
+            for u in 0..n {
+                // Two midpoints per row, the second one often redundant.
+                let mids = [pivots[u % pivots.len()], pivots[(u * 7 + 3) % pivots.len()]];
+                route_through_offering_all(&mut old_delta, &mut old_store, u, &mids);
+                route_through(&mut delta, Some(&mut store), u, mids);
+            }
+            assert!(via_count(&store) > 0, "{name}: no Via offer won");
+            assert_eq!(delta, old_delta, "{name}: routed estimates");
+            assert_eq!(store.witnesses(), old_store.witnesses(), "{name}: routing");
+            assert_eq!(store.arena(), old_store.arena(), "{name}: routing arena");
         }
     }
 

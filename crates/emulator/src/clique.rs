@@ -222,8 +222,10 @@ pub(crate) fn build_with_levels_and_kn(
         }
         let union = hs.union_with(g);
         let sd = match &routes {
-            Some(_) => SourceDetection::run_with_parents(&union, &sr, hs.beta, ledger),
-            None => SourceDetection::run(&union, &sr, hs.beta, ledger),
+            Some(_) => {
+                SourceDetection::run_with_parents(&union, &sr, hs.beta, config.threads, ledger)
+            }
+            None => SourceDetection::run(&union, &sr, hs.beta, config.threads, ledger),
         };
         let threshold = ((1.0 + config.eps_prime) * t as f64).ceil() as Dist;
         for &v in &sr {

@@ -148,98 +148,96 @@ pub fn path_from_parents(parent: &[Option<u32>], src: usize, dst: usize) -> Opti
     None
 }
 
-/// `h`-hop-limited distances from every vertex to every source: result
-/// `dist[v][i]` is the length of the shortest path from `v` to `sources[i]`
-/// using at most `h` edges of `g` (`INF` if none).
+/// `h`-hop-limited distances from every source, sharded over `threads`
+/// scoped workers: returns `(dist, parents)` in source-major rows of `n`
+/// entries, so `dist[i * n + v]` is the length of the shortest path from
+/// `sources[i]` to `v` using at most `h` edges of `g` (`INF` if none).
+///
+/// With `with_parents`, `parents[i * n + v]` is the predecessor of `v` on
+/// the search from `sources[i]` (`u32::MAX` for the source itself and
+/// unreached vertices). Walking that chain from `v` back to the source
+/// yields a real walk in `g`; because every parent assignment strictly
+/// lowered the tentative distance, distances strictly decrease along the
+/// chain (so it terminates at the source) and the walk's weight is **at
+/// most** `dist[i * n + v]` — late relaxations can only shorten the
+/// recorded prefix.
 ///
 /// This is the centralized computation performed by the `(S,d)`-source
-/// detection primitive of Thm 11; the round cost is charged separately by the
-/// caller.
-pub fn hop_limited_from_sources(g: &WeightedGraph, sources: &[usize], h: usize) -> Vec<Vec<Dist>> {
-    let n = g.n();
-    let s = sources.len();
-    // dist[v][i]; computed per source with its own frontier (sources are
-    // independent, and per-source frontiers settle much faster in practice
-    // than a joint sweep).
-    let mut dist = vec![vec![INF; s]; n];
-    let mut cur: Vec<Dist> = Vec::new();
-    for (i, &src) in sources.iter().enumerate() {
-        cur.clear();
-        cur.resize(n, INF);
-        cur[src] = 0;
-        // Frontier entries carry the distance at enqueue time so that a
-        // value improved during hop j only propagates at hop j+1 (strict
-        // synchronous hop semantics).
-        let mut frontier: Vec<(usize, Dist)> = vec![(src, 0)];
-        let mut slot = vec![usize::MAX; n];
-        for _hop in 0..h {
-            let mut next: Vec<(usize, Dist)> = Vec::new();
-            for &(u, du) in &frontier {
-                for &(v, w) in g.neighbors(u) {
-                    let v = v as usize;
-                    let nd = dadd(du, w);
-                    if nd < cur[v] {
-                        cur[v] = nd;
-                        if slot[v] == usize::MAX {
-                            slot[v] = next.len();
-                            next.push((v, nd));
-                        } else {
-                            next[slot[v]].1 = nd;
-                        }
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            for &(v, _) in &next {
-                slot[v] = usize::MAX;
-            }
-            frontier = next;
-        }
-        for (v, row) in dist.iter_mut().enumerate() {
-            row[i] = cur[v];
-        }
-    }
-    dist
-}
-
-/// [`hop_limited_from_sources`] with per-source predecessor tracking:
-/// additionally returns `parents[i][v]`, the predecessor of `v` on the
-/// hop-limited search from `sources[i]` (`u32::MAX` for the source itself
-/// and unreached vertices).
-///
-/// Walking the parent chain from `v` back to the source yields a real walk
-/// in `g`; because every parent assignment strictly lowered the tentative
-/// distance, distances strictly decrease along the chain (so it terminates
-/// at the source) and the walk's weight is **at most** `dist[v][i]` — late
-/// relaxations can only shorten the recorded prefix.
-pub fn hop_limited_from_sources_with_parents(
+/// detection primitive of Thm 11; the round cost is charged separately by
+/// the caller. Every source runs its own search and writes only its own
+/// rows, which are allocated before any worker starts, so the output is
+/// bit-identical at any thread count.
+pub fn hop_limited_from_sources(
     g: &WeightedGraph,
     sources: &[usize],
     h: usize,
-) -> (Vec<Vec<Dist>>, Vec<Vec<u32>>) {
+    threads: usize,
+    with_parents: bool,
+) -> (Vec<Dist>, Option<Vec<u32>>) {
     let n = g.n();
-    let s = sources.len();
-    let mut dist = vec![vec![INF; s]; n];
-    let mut parents: Vec<Vec<u32>> = vec![vec![u32::MAX; n]; s];
-    let mut cur: Vec<Dist> = Vec::new();
-    for (i, &src) in sources.iter().enumerate() {
-        cur.clear();
-        cur.resize(n, INF);
+    let mut dist = vec![INF; sources.len() * n];
+    let mut parents = with_parents.then(|| vec![u32::MAX; sources.len() * n]);
+    if sources.is_empty() {
+        return (dist, parents);
+    }
+    let threads = threads.clamp(1, sources.len());
+    let shard = sources.len().div_ceil(threads);
+    let dist_shards = dist.chunks_mut(shard * n);
+    let mut parent_shards = parents.as_mut().map(|p| p.chunks_mut(shard * n));
+    let jobs = sources.chunks(shard).zip(dist_shards).map(|(srcs, rows)| {
+        let prows = parent_shards
+            .as_mut()
+            .map(|p| p.next().expect("one shard per chunk"));
+        (srcs, rows, prows)
+    });
+    if threads == 1 {
+        for (srcs, rows, prows) in jobs {
+            hop_limited_rows(g, srcs, h, rows, prows);
+        }
+    } else {
+        std::thread::scope(|scope| {
+            for (srcs, rows, prows) in jobs {
+                scope.spawn(move || hop_limited_rows(g, srcs, h, rows, prows));
+            }
+        });
+    }
+    (dist, parents)
+}
+
+/// One worker's share of [`hop_limited_from_sources`]: the searches from
+/// `sources`, each written into its own `n`-entry row of `rows` (and of
+/// `parents` when tracked). Sources are independent, and per-source
+/// frontiers settle much faster in practice than a joint sweep.
+fn hop_limited_rows(
+    g: &WeightedGraph,
+    sources: &[usize],
+    h: usize,
+    rows: &mut [Dist],
+    mut parents: Option<&mut [u32]>,
+) {
+    let n = g.n();
+    let mut slot = vec![usize::MAX; n];
+    // Frontier entries carry the distance at enqueue time so that a value
+    // improved during hop j only propagates at hop j+1 (strict synchronous
+    // hop semantics).
+    let mut frontier: Vec<(usize, Dist)> = Vec::new();
+    let mut next: Vec<(usize, Dist)> = Vec::new();
+    for (i, (&src, cur)) in sources.iter().zip(rows.chunks_mut(n)).enumerate() {
+        let mut parent = parents.as_deref_mut().map(|p| &mut p[i * n..(i + 1) * n]);
         cur[src] = 0;
-        let parent = &mut parents[i];
-        let mut frontier: Vec<(usize, Dist)> = vec![(src, 0)];
-        let mut slot = vec![usize::MAX; n];
+        frontier.clear();
+        frontier.push((src, 0));
         for _hop in 0..h {
-            let mut next: Vec<(usize, Dist)> = Vec::new();
+            next.clear();
             for &(u, du) in &frontier {
                 for &(v, w) in g.neighbors(u) {
                     let v = v as usize;
                     let nd = dadd(du, w);
                     if nd < cur[v] {
                         cur[v] = nd;
-                        parent[v] = u as u32;
+                        if let Some(p) = parent.as_deref_mut() {
+                            p[v] = u as u32;
+                        }
                         if slot[v] == usize::MAX {
                             slot[v] = next.len();
                             next.push((v, nd));
@@ -255,13 +253,9 @@ pub fn hop_limited_from_sources_with_parents(
             for &(v, _) in &next {
                 slot[v] = usize::MAX;
             }
-            frontier = next;
-        }
-        for (v, row) in dist.iter_mut().enumerate() {
-            row[i] = cur[v];
+            std::mem::swap(&mut frontier, &mut next);
         }
     }
-    (dist, parents)
 }
 
 /// Walks a hop-limited parent row back from `v`, returning the vertex
@@ -291,7 +285,7 @@ pub fn chain_from_hop_parents(parents: &[u32], src: usize, v: usize) -> Option<V
 /// between `u` and `v` (`INF` if none). `O(h·m)`; used by tests to verify
 /// hopset guarantees.
 pub fn hop_limited_pair(g: &WeightedGraph, u: usize, v: usize, h: usize) -> Dist {
-    hop_limited_from_sources(g, &[u], h)[v][0]
+    hop_limited_from_sources(g, &[u], h, 1, false).0[v]
 }
 
 #[cfg(test)]
@@ -339,12 +333,11 @@ mod tests {
         let g = generators::gnp(40, 0.1, &mut seeded(3));
         let wg = WeightedGraph::from_unweighted(&g);
         let sources = [0usize, 5, 17];
-        let all = hop_limited_from_sources(&wg, &sources, 4);
+        let n = g.n();
+        let (all, _) = hop_limited_from_sources(&wg, &sources, 4, 2, false);
         for (i, &s) in sources.iter().enumerate() {
-            let single = hop_limited_from_sources(&wg, &[s], 4);
-            for v in 0..g.n() {
-                assert_eq!(all[v][i], single[v][0]);
-            }
+            let (single, _) = hop_limited_from_sources(&wg, &[s], 4, 1, false);
+            assert_eq!(all[i * n..(i + 1) * n], single[..]);
         }
     }
 
@@ -353,11 +346,8 @@ mod tests {
         let g = generators::gnp(30, 0.15, &mut seeded(9));
         let wg = WeightedGraph::from_unweighted(&g);
         let hops = g.n();
-        let hl = hop_limited_from_sources(&wg, &[0], hops);
-        let dj = sssp(&wg, 0);
-        for v in 0..g.n() {
-            assert_eq!(hl[v][0], dj[v]);
-        }
+        let (hl, _) = hop_limited_from_sources(&wg, &[0], hops, 1, false);
+        assert_eq!(hl, sssp(&wg, 0));
     }
 
     /// Weight of a path (vertex sequence) in `g`, taking the minimum over
@@ -418,22 +408,110 @@ mod tests {
         wg.add_edge(0, 30, 7); // a heavy shortcut exercises weighted hops
         let sources = [0usize, 5, 17];
         for h in [2usize, 4, 40] {
-            let plain = hop_limited_from_sources(&wg, &sources, h);
-            let (dist, parents) = hop_limited_from_sources_with_parents(&wg, &sources, h);
+            let n = wg.n();
+            let (plain, none) = hop_limited_from_sources(&wg, &sources, h, 1, false);
+            assert_eq!(none, None, "no parents unless asked for");
+            let (dist, parents) = hop_limited_from_sources(&wg, &sources, h, 1, true);
+            let parents = parents.expect("parents requested");
             assert_eq!(dist, plain, "h={h}: parents must not change distances");
             for (i, &s) in sources.iter().enumerate() {
-                for v in 0..wg.n() {
-                    if dist[v][i] >= INF {
-                        assert_eq!(chain_from_hop_parents(&parents[i], s, v), None);
+                let row = &parents[i * n..(i + 1) * n];
+                for v in 0..n {
+                    let d = dist[i * n + v];
+                    if d >= INF {
+                        assert_eq!(chain_from_hop_parents(row, s, v), None);
                         continue;
                     }
-                    let chain = chain_from_hop_parents(&parents[i], s, v)
+                    let chain = chain_from_hop_parents(row, s, v)
                         .unwrap_or_else(|| panic!("no chain for ({s},{v}) h={h}"));
                     assert_eq!(chain[0], s);
                     assert_eq!(*chain.last().unwrap(), v);
                     // The chain is a real walk of weight ≤ the reported
                     // distance (late relaxations can only shorten it).
-                    assert!(path_weight(&wg, &chain) <= dist[v][i], "({s},{v}) h={h}");
+                    assert!(path_weight(&wg, &chain) <= d, "({s},{v}) h={h}");
+                }
+            }
+        }
+    }
+
+    /// The serial, vertex-major kernel the sharded one replaced, kept as
+    /// the reference: `dist[v][i]` plus per-source parent rows.
+    fn serial_reference(
+        g: &WeightedGraph,
+        sources: &[usize],
+        h: usize,
+    ) -> (Vec<Vec<Dist>>, Vec<Vec<u32>>) {
+        let n = g.n();
+        let mut dist = vec![vec![INF; sources.len()]; n];
+        let mut parents = vec![vec![u32::MAX; n]; sources.len()];
+        for (i, &src) in sources.iter().enumerate() {
+            let mut cur = vec![INF; n];
+            cur[src] = 0;
+            let parent = &mut parents[i];
+            let mut frontier: Vec<(usize, Dist)> = vec![(src, 0)];
+            let mut slot = vec![usize::MAX; n];
+            for _hop in 0..h {
+                let mut next: Vec<(usize, Dist)> = Vec::new();
+                for &(u, du) in &frontier {
+                    for &(v, w) in g.neighbors(u) {
+                        let v = v as usize;
+                        let nd = dadd(du, w);
+                        if nd < cur[v] {
+                            cur[v] = nd;
+                            parent[v] = u as u32;
+                            if slot[v] == usize::MAX {
+                                slot[v] = next.len();
+                                next.push((v, nd));
+                            } else {
+                                next[slot[v]].1 = nd;
+                            }
+                        }
+                    }
+                }
+                if next.is_empty() {
+                    break;
+                }
+                for &(v, _) in &next {
+                    slot[v] = usize::MAX;
+                }
+                frontier = next;
+            }
+            for (v, row) in dist.iter_mut().enumerate() {
+                row[i] = cur[v];
+            }
+        }
+        (dist, parents)
+    }
+
+    #[test]
+    fn sharded_kernel_matches_the_serial_reference() {
+        let g = generators::gnp(53, 0.08, &mut seeded(31));
+        let mut wg = WeightedGraph::from_unweighted(&g);
+        wg.add_edge(2, 40, 5); // weighted shortcuts reorder the relaxations
+        wg.add_edge(7, 51, 3);
+        let n = wg.n();
+        // 7 sources split unevenly over 2–4 threads; 2 sources under 3–4
+        // threads leave workers idle; one source runs alone.
+        let source_sets: [&[usize]; 4] = [&[0, 3, 9, 14, 22, 40, 52], &[51, 7], &[5], &[]];
+        for sources in source_sets {
+            for h in [0usize, 1, 3, 60] {
+                let (want_dist, want_parents) = serial_reference(&wg, sources, h);
+                for threads in 1..=4 {
+                    for with_parents in [false, true] {
+                        let (dist, parents) =
+                            hop_limited_from_sources(&wg, sources, h, threads, with_parents);
+                        let at = format!("|S|={} h={h} threads={threads}", sources.len());
+                        assert_eq!(dist.len(), sources.len() * n, "{at}");
+                        for (i, want_parent) in want_parents.iter().enumerate() {
+                            for v in 0..n {
+                                assert_eq!(dist[i * n + v], want_dist[v][i], "{at} ({i},{v})");
+                            }
+                            if let Some(p) = &parents {
+                                assert_eq!(p[i * n..(i + 1) * n], want_parent[..], "{at}");
+                            }
+                        }
+                        assert_eq!(parents.is_some(), with_parents, "{at}");
+                    }
                 }
             }
         }

@@ -327,6 +327,13 @@ impl<T: Pod> PodData<T> {
     }
 }
 
+impl<T: Pod> Extend<T> for PodData<T> {
+    /// Appends every element (copy-on-write for shared tables).
+    fn extend<I: IntoIterator<Item = T>>(&mut self, values: I) {
+        self.make_owned().extend(values);
+    }
+}
+
 impl<T: Pod> Deref for PodData<T> {
     type Target = [T];
 

@@ -261,6 +261,203 @@ impl RouteArena {
         self.lens.extend_from_slice(&other.lens);
         offset
     }
+
+    /// Appends every record of `batch` in batch order, relocating its
+    /// batch-local operands: local record `i` becomes
+    /// `RecId(offset + i)`, where `offset` — the arena length before the
+    /// call — is returned ([`BatchRef::resolve`] maps a handle). Arena
+    /// operands are kept as they are. The arena ends up exactly as if the
+    /// batch's `edge`/`cat`/`rev` calls had been made on it directly at
+    /// this point, including the `Rev`-of-`Rev` collapse, so interning a
+    /// batch away from the arena changes no record id. The batch's lengths
+    /// and tags are copied as they are; only the operands are rewritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch references an arena record this arena does not
+    /// hold.
+    pub fn append_batch(&mut self, batch: &RecordBatch) -> u32 {
+        let offset = u32::try_from(self.len()).expect("arena exceeds u32 records");
+        assert!(
+            batch.arena_refs <= self.len(),
+            "batch references records this arena does not hold"
+        );
+        u32::try_from(self.len() + batch.len()).expect("arena exceeds u32 records");
+        self.tags.extend_from_slice(&batch.tags);
+        self.ops_a
+            .extend(batch.relocated(&batch.ops_a, LOCAL_A, offset));
+        self.ops_b
+            .extend(batch.relocated(&batch.ops_b, LOCAL_B, offset));
+        self.lens.extend_from_slice(&batch.lens);
+        offset
+    }
+}
+
+/// An operand of a [`RecordBatch`] record: a record already in the arena
+/// the batch will be appended to, or an earlier record of the batch itself.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum BatchRef {
+    /// A record of the arena.
+    Arena(RecId),
+    /// The batch's `i`-th record.
+    Local(u32),
+}
+
+impl BatchRef {
+    /// The arena id of this operand once its batch was appended at
+    /// `offset` (the value [`RouteArena::append_batch`] returned).
+    pub fn resolve(self, offset: u32) -> RecId {
+        match self {
+            BatchRef::Arena(id) => id,
+            BatchRef::Local(i) => RecId(offset + i),
+        }
+    }
+}
+
+/// `RecordBatch::local` bit: the first operand is batch-local.
+const LOCAL_A: u8 = 1;
+/// `RecordBatch::local` bit: the second operand is batch-local.
+const LOCAL_B: u8 = 2;
+
+/// Records built away from their arena: the same `edge`/`cat`/`rev`
+/// calls as on a [`RouteArena`], with operands that are arena ids or
+/// batch-local ids, so several batches can be filled in parallel against
+/// one read-only arena and then appended in a fixed order with
+/// [`RouteArena::append_batch`].
+///
+/// Storage mirrors the arena's columns, lengths included, plus one byte of
+/// flags per record marking the operands that are batch-local indices;
+/// appending rewrites only those.
+#[derive(Clone, Debug, Default)]
+pub struct RecordBatch {
+    tags: Vec<u8>,
+    ops_a: Vec<u32>,
+    ops_b: Vec<u32>,
+    lens: Vec<u32>,
+    local: Vec<u8>,
+    /// One past the largest arena id referenced.
+    arena_refs: usize,
+}
+
+impl RecordBatch {
+    /// An empty batch.
+    pub fn new() -> Self {
+        RecordBatch::default()
+    }
+
+    /// An empty batch with room for `records` records.
+    pub fn with_capacity(records: usize) -> Self {
+        RecordBatch {
+            tags: Vec::with_capacity(records),
+            ops_a: Vec::with_capacity(records),
+            ops_b: Vec::with_capacity(records),
+            lens: Vec::with_capacity(records),
+            local: Vec::with_capacity(records),
+            arena_refs: 0,
+        }
+    }
+
+    /// Number of records in the batch.
+    pub fn len(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// `true` when the batch holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.tags.is_empty()
+    }
+
+    /// The operand word, local flag and length of `r`, checked against
+    /// `arena` and this batch.
+    fn operand(&mut self, arena: &RouteArena, r: BatchRef) -> (u32, bool, u32) {
+        match r {
+            BatchRef::Arena(id) => {
+                let i = id.0 as usize;
+                assert!(i < arena.len(), "arena operand out of range");
+                self.arena_refs = self.arena_refs.max(i + 1);
+                (id.0, false, arena.lens[i])
+            }
+            BatchRef::Local(i) => {
+                assert!((i as usize) < self.len(), "batch operand out of range");
+                (i, true, self.lens[i as usize])
+            }
+        }
+    }
+
+    /// The operand column `ops` with every operand flagged `bit` moved up
+    /// by `offset`.
+    fn relocated<'b>(
+        &'b self,
+        ops: &'b [u32],
+        bit: u8,
+        offset: u32,
+    ) -> impl Iterator<Item = u32> + 'b {
+        ops.iter()
+            .zip(&self.local)
+            .map(move |(&op, &local)| if local & bit != 0 { op + offset } else { op })
+    }
+
+    fn push(&mut self, tag: u8, a: u32, b: u32, len: u32, local: u8) -> BatchRef {
+        let id = u32::try_from(self.len()).expect("batch exceeds u32 records");
+        self.tags.push(tag);
+        self.ops_a.push(a);
+        self.ops_b.push(b);
+        self.lens.push(len);
+        self.local.push(local);
+        BatchRef::Local(id)
+    }
+
+    /// Adds a single `G`-edge record `u → v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u == v` (self-loops are never part of a route).
+    pub fn edge(&mut self, u: u32, v: u32) -> BatchRef {
+        assert_ne!(u, v, "route edges cannot be self-loops");
+        self.push(TAG_EDGE, u, v, 1, 0)
+    }
+
+    /// Adds the concatenation `a ++ b`; `arena` is the arena the batch
+    /// will be appended to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is out of range of `arena` or of the batch.
+    pub fn cat(&mut self, arena: &RouteArena, a: BatchRef, b: BatchRef) -> BatchRef {
+        let (a, a_local, a_len) = self.operand(arena, a);
+        let (b, b_local, b_len) = self.operand(arena, b);
+        let local = if a_local { LOCAL_A } else { 0 } | if b_local { LOCAL_B } else { 0 };
+        self.push(TAG_CAT, a, b, a_len + b_len, local)
+    }
+
+    /// Adds the reversal of `a`. Like [`RouteArena::rev`], reversing a
+    /// `Rev` record — of the batch, or of `arena`, the arena the batch will
+    /// be appended to — collapses back to its child instead of stacking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is out of range of `arena` or of the batch.
+    pub fn rev(&mut self, arena: &RouteArena, a: BatchRef) -> BatchRef {
+        let (id, local, len) = self.operand(arena, a);
+        let (tags, ops_a, child_local) = if local {
+            (
+                &self.tags[..],
+                &self.ops_a[..],
+                self.local[id as usize] & LOCAL_A != 0,
+            )
+        } else {
+            (&arena.tags[..], &arena.ops_a[..], false)
+        };
+        if tags[id as usize] == TAG_REV {
+            let child = ops_a[id as usize];
+            return if child_local {
+                BatchRef::Local(child)
+            } else {
+                BatchRef::Arena(RecId(child))
+            };
+        }
+        self.push(TAG_REV, id, 0, len, if local { LOCAL_A } else { 0 })
+    }
 }
 
 #[cfg(test)]
@@ -369,6 +566,184 @@ mod tests {
         let mut bad_b = ops_b.clone();
         bad_b[3] = 1;
         assert!(RouteArena::from_sections(tags, ops_a, bad_b, lens, 3).is_none());
+    }
+
+    /// One random `edge`/`cat`/`rev` call, with operands drawn from the
+    /// arena's records and the calls made so far.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Edge(u32, u32),
+        Cat(Pick, Pick),
+        Rev(Pick),
+    }
+
+    /// An operand: the `i`-th arena record or the `i`-th earlier call.
+    #[derive(Clone, Copy, Debug)]
+    enum Pick {
+        Arena(u32),
+        Call(usize),
+    }
+
+    fn random_ops(rng: &mut impl rand::Rng, arena_len: u32, count: usize) -> Vec<Op> {
+        let mut ops = Vec::with_capacity(count);
+        let pick = |rng: &mut dyn rand::RngCore, calls: usize| {
+            if calls == 0 || rng.next_u32() & 1 == 0 {
+                Pick::Arena(rng.next_u32() % arena_len)
+            } else {
+                Pick::Call(rng.next_u32() as usize % calls)
+            }
+        };
+        for k in 0..count {
+            let u = rng.gen_range(0..20u32);
+            let v = (u + 1 + rng.gen_range(0..19u32)) % 20;
+            ops.push(match rng.gen_range(0..3u32) {
+                0 => Op::Edge(u, v),
+                1 => Op::Cat(pick(rng, k), pick(rng, k)),
+                _ => Op::Rev(pick(rng, k)),
+            });
+        }
+        ops
+    }
+
+    /// Applies `ops` directly to `arena`, returning each call's id.
+    fn apply_direct(arena: &mut RouteArena, ops: &[Op]) -> Vec<RecId> {
+        let mut out: Vec<RecId> = Vec::new();
+        for &op in ops {
+            let id = |p: Pick, out: &[RecId]| match p {
+                Pick::Arena(i) => RecId(i),
+                Pick::Call(k) => out[k],
+            };
+            let rec = match op {
+                Op::Edge(u, v) => arena.edge(u, v),
+                Op::Cat(a, b) => {
+                    let (a, b) = (id(a, &out), id(b, &out));
+                    arena.cat(a, b)
+                }
+                Op::Rev(a) => {
+                    let a = id(a, &out);
+                    arena.rev(a)
+                }
+            };
+            out.push(rec);
+        }
+        out
+    }
+
+    /// Records `ops` into a batch against the read-only `arena`.
+    fn apply_batch(arena: &RouteArena, ops: &[Op]) -> (RecordBatch, Vec<BatchRef>) {
+        let mut batch = RecordBatch::new();
+        let mut out: Vec<BatchRef> = Vec::new();
+        for &op in ops {
+            let r = |p: Pick| match p {
+                Pick::Arena(i) => BatchRef::Arena(RecId(i)),
+                Pick::Call(k) => out[k],
+            };
+            let rec = match op {
+                Op::Edge(u, v) => batch.edge(u, v),
+                Op::Cat(a, b) => {
+                    let (a, b) = (r(a), r(b));
+                    batch.cat(arena, a, b)
+                }
+                Op::Rev(a) => {
+                    let a = r(a);
+                    batch.rev(arena, a)
+                }
+            };
+            out.push(rec);
+        }
+        (batch, out)
+    }
+
+    #[test]
+    fn appended_batches_equal_direct_interning() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for round in 0..40 {
+            // A base arena that already holds Rev records.
+            let mut base = RouteArena::new();
+            let e = base.edge(0, 1);
+            let f = base.edge(1, 2);
+            let c = base.cat(e, f);
+            let _ = base.rev(c);
+            let _ = base.rev(e);
+            let ops = random_ops(&mut rng, base.len() as u32, 1 + round % 17 * 3);
+            let mut direct = base.clone();
+            let want = apply_direct(&mut direct, &ops);
+            // Two batches in a row: the second sees the first appended.
+            let split = ops.len() / 2;
+            let mut appended = base.clone();
+            let (b1, r1) = apply_batch(&appended, &ops[..split]);
+            let offset1 = appended.append_batch(&b1);
+            let first: Vec<RecId> = r1.iter().map(|r| r.resolve(offset1)).collect();
+            let rest: Vec<Op> = ops[split..]
+                .iter()
+                .map(|&op| {
+                    let relink = |p: Pick| match p {
+                        Pick::Call(k) if k < split => Pick::Arena(first[k].index()),
+                        Pick::Call(k) => Pick::Call(k - split),
+                        other => other,
+                    };
+                    match op {
+                        Op::Edge(u, v) => Op::Edge(u, v),
+                        Op::Cat(a, b) => Op::Cat(relink(a), relink(b)),
+                        Op::Rev(a) => Op::Rev(relink(a)),
+                    }
+                })
+                .collect();
+            let (b2, r2) = apply_batch(&appended, &rest);
+            let offset2 = appended.append_batch(&b2);
+            let got: Vec<RecId> = first
+                .into_iter()
+                .chain(r2.iter().map(|r| r.resolve(offset2)))
+                .collect();
+            assert_eq!(got, want, "round {round}: {ops:?}");
+            assert_eq!(appended.sections(), direct.sections(), "round {round}");
+            assert_eq!(b1.len() + b2.len(), direct.len() - base.len());
+        }
+    }
+
+    #[test]
+    fn batch_rev_collapses_arena_and_local_revs() {
+        let mut arena = RouteArena::new();
+        let e = arena.edge(0, 1);
+        let f = arena.edge(1, 2);
+        let c = arena.cat(e, f);
+        let r = arena.rev(c);
+        let mut batch = RecordBatch::new();
+        // Rev of an arena Rev is its arena child; nothing is pushed.
+        assert_eq!(batch.rev(&arena, BatchRef::Arena(r)), BatchRef::Arena(c));
+        assert!(batch.is_empty());
+        // Rev of an arena non-Rev pushes; reversing that local Rev
+        // collapses back to the arena record.
+        let local = batch.rev(&arena, BatchRef::Arena(e));
+        assert_eq!(local, BatchRef::Local(0));
+        assert_eq!(batch.rev(&arena, local), BatchRef::Arena(e));
+        // A local record reversed twice collapses to itself.
+        let g = batch.edge(2, 3);
+        let cat = batch.cat(&arena, BatchRef::Arena(c), g);
+        let rc = batch.rev(&arena, cat);
+        assert_eq!(batch.rev(&arena, rc), cat);
+        assert_eq!(batch.len(), 4);
+        let offset = arena.append_batch(&batch);
+        assert_eq!(offset, 4);
+        assert_eq!(
+            arena.emit(rc.resolve(offset), false),
+            vec![(3, 2), (2, 1), (1, 0)]
+        );
+        assert_eq!(arena.len_of(cat.resolve(offset)), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold")]
+    fn batch_for_a_longer_arena_is_rejected() {
+        let mut big = RouteArena::new();
+        let e = big.edge(0, 1);
+        let f = big.edge(1, 2);
+        let mut batch = RecordBatch::new();
+        batch.cat(&big, BatchRef::Arena(e), BatchRef::Arena(f));
+        let mut small = RouteArena::new();
+        let _ = small.edge(4, 5);
+        small.append_batch(&batch);
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub mod arena;
 pub mod store;
 pub mod unroller;
 
-pub use arena::{RecId, RouteArena, TAG_CAT, TAG_EDGE, TAG_REV};
+pub use arena::{BatchRef, RecId, RecordBatch, RouteArena, TAG_CAT, TAG_EDGE, TAG_REV};
 pub use store::{PairWitness, PathStore, RowStore};
 pub use unroller::Unroller;

@@ -97,6 +97,13 @@ impl PathStore {
         self.routes.arena()
     }
 
+    /// The shortcut-provenance unroller, read-only (resolve shortcut hops
+    /// into a [`RecordBatch`](crate::RecordBatch) built away from the
+    /// arena).
+    pub fn routes(&self) -> &Unroller {
+        &self.routes
+    }
+
     /// The shortcut-provenance unroller (absorb substrate routes, intern
     /// chains).
     pub fn routes_mut(&mut self) -> &mut Unroller {
@@ -324,6 +331,11 @@ impl RowStore {
     /// The raw record table, row-major like the estimate rows.
     pub fn recs(&self) -> &[Option<RecId>] {
         &self.recs
+    }
+
+    /// Read-only shortcut provenance, as [`PathStore::routes`].
+    pub fn routes(&self) -> &Unroller {
+        &self.routes
     }
 
     /// Shortcut-provenance access (absorb substrate routes, intern chains).

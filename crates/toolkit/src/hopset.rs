@@ -163,15 +163,22 @@ impl BoundedHopset {
     /// Returns the worst ratio observed.
     pub fn verify_from(&self, g: &Graph, samples: &[usize]) -> f64 {
         let union = self.union_with(g);
-        let hop_dist = dijkstra::hop_limited_from_sources(&union, samples, self.beta);
+        let (hop_dist, _) = dijkstra::hop_limited_from_sources(
+            &union,
+            samples,
+            self.beta,
+            self.params.threads,
+            false,
+        );
+        let n = g.n();
         let mut worst: f64 = 1.0;
         for (i, &s) in samples.iter().enumerate() {
             let exact = cc_graphs::bfs::sssp(g, s);
-            for v in 0..g.n() {
+            for v in 0..n {
                 if v == s || exact[v] > self.params.t || exact[v] >= INF {
                     continue;
                 }
-                let got = hop_dist[v][i];
+                let got = hop_dist[i * n + v];
                 assert!(got >= exact[v], "hopset below true distance at ({s},{v})");
                 worst = worst.max(got as f64 / exact[v] as f64);
             }
@@ -351,32 +358,28 @@ fn build_from_pivots(
                 a1.len() as u64,
                 4 * beta as u64,
             );
-            let (dist, parents) = match &routes {
-                Some(_) => {
-                    let (d, p) =
-                        dijkstra::hop_limited_from_sources_with_parents(&union, &a1, 4 * beta);
-                    (d, Some(p))
-                }
-                None => (
-                    dijkstra::hop_limited_from_sources(&union, &a1, 4 * beta),
-                    None,
-                ),
-            };
+            let (dist, parents) = dijkstra::hop_limited_from_sources(
+                &union,
+                &a1,
+                4 * beta,
+                params.threads,
+                routes.is_some(),
+            );
             for (i, &a) in a1.iter().enumerate() {
                 for &b in &a1 {
                     if b <= a {
                         continue;
                     }
-                    let d = dist[b][i];
+                    let d = dist[i * n + b];
                     if d < INF {
                         h.add_edge(a, b, d);
                         if let (Some(r), Some(parents)) = (routes.as_mut(), parents.as_ref()) {
-                            let chain: Vec<u32> =
-                                dijkstra::chain_from_hop_parents(&parents[i], a, b)
-                                    .expect("detected pivot has a parent chain")
-                                    .into_iter()
-                                    .map(|x| x as u32)
-                                    .collect();
+                            let row = &parents[i * n..(i + 1) * n];
+                            let chain: Vec<u32> = dijkstra::chain_from_hop_parents(row, a, b)
+                                .expect("detected pivot has a parent chain")
+                                .into_iter()
+                                .map(|x| x as u32)
+                                .collect();
                             let rec = r
                                 .intern_walk(g, &chain)
                                 .expect("interconnection hops are G or earlier-H edges");

@@ -17,16 +17,19 @@ use cc_graphs::{dijkstra, Dist, WeightedGraph, INF};
 pub struct SourceDetection {
     sources: Vec<usize>,
     hops: usize,
-    /// `dist[v][i]` = length of the shortest `≤ hops`-edge path from `v` to
-    /// `sources[i]`.
-    dist: Vec<Vec<Dist>>,
-    /// Per-source predecessor rows (see [`SourceDetection::run_with_parents`]).
-    parents: Option<Vec<Vec<u32>>>,
+    n: usize,
+    /// Source-major rows: `dist[i * n + v]` = length of the shortest
+    /// `≤ hops`-edge path from `v` to `sources[i]`.
+    dist: Vec<Dist>,
+    /// Per-source predecessor rows in the same layout (see
+    /// [`SourceDetection::run_with_parents`]).
+    parents: Option<Vec<u32>>,
 }
 
 impl SourceDetection {
     /// Runs `(S,d)`-source detection on the weighted graph `g`, charging the
-    /// Thm 11 round cost to `ledger`.
+    /// Thm 11 round cost to `ledger`. The sources' searches are sharded
+    /// over `threads` workers; the result is the same at any thread count.
     ///
     /// # Panics
     ///
@@ -35,9 +38,10 @@ impl SourceDetection {
         g: &WeightedGraph,
         sources: &[usize],
         hops: usize,
+        threads: usize,
         ledger: &mut RoundLedger,
     ) -> Self {
-        Self::run_impl(g, sources, hops, false, ledger)
+        Self::run_impl(g, sources, hops, threads, false, ledger)
     }
 
     /// [`SourceDetection::run`] with per-source predecessor tracking, so
@@ -53,15 +57,17 @@ impl SourceDetection {
         g: &WeightedGraph,
         sources: &[usize],
         hops: usize,
+        threads: usize,
         ledger: &mut RoundLedger,
     ) -> Self {
-        Self::run_impl(g, sources, hops, true, ledger)
+        Self::run_impl(g, sources, hops, threads, true, ledger)
     }
 
     fn run_impl(
         g: &WeightedGraph,
         sources: &[usize],
         hops: usize,
+        threads: usize,
         with_parents: bool,
         ledger: &mut RoundLedger,
     ) -> Self {
@@ -77,15 +83,12 @@ impl SourceDetection {
             sources.len() as u64,
             hops as u64,
         );
-        let (dist, parents) = if with_parents {
-            let (dist, parents) = dijkstra::hop_limited_from_sources_with_parents(g, sources, hops);
-            (dist, Some(parents))
-        } else {
-            (dijkstra::hop_limited_from_sources(g, sources, hops), None)
-        };
+        let (dist, parents) =
+            dijkstra::hop_limited_from_sources(g, sources, hops, threads, with_parents);
         SourceDetection {
             sources: sources.to_vec(),
             hops,
+            n: g.n(),
             dist,
             parents,
         }
@@ -97,7 +100,8 @@ impl SourceDetection {
     /// parents were not recorded.
     pub fn chain(&self, i: usize, v: usize) -> Option<Vec<usize>> {
         let parents = self.parents.as_ref()?;
-        dijkstra::chain_from_hop_parents(&parents[i], self.sources[i], v)
+        let row = &parents[i * self.n..(i + 1) * self.n];
+        dijkstra::chain_from_hop_parents(row, self.sources[i], v)
     }
 
     /// The sources, in the order used for indexing.
@@ -113,7 +117,7 @@ impl SourceDetection {
     /// Distance from `v` to the `i`-th source (`INF` if unreachable within
     /// the hop bound).
     pub fn dist_to_source_index(&self, v: usize, i: usize) -> Dist {
-        self.dist[v][i]
+        self.dist[i * self.n + v]
     }
 
     /// Distance from `v` to source vertex `s` (`None` if `s` is not a
@@ -122,16 +126,16 @@ impl SourceDetection {
         self.sources
             .iter()
             .position(|&x| x == s)
-            .map(|i| self.dist[v][i])
+            .map(|i| self.dist_to_source_index(v, i))
     }
 
     /// Iterator over `(source, distance)` pairs of `v`, skipping `INF`.
     pub fn detected(&self, v: usize) -> impl Iterator<Item = (usize, Dist)> + '_ {
         self.sources
             .iter()
-            .zip(self.dist[v].iter())
-            .filter(|&(_, &d)| d < INF)
-            .map(|(&s, &d)| (s, d))
+            .enumerate()
+            .map(move |(i, &s)| (s, self.dist_to_source_index(v, i)))
+            .filter(|&(_, d)| d < INF)
     }
 
     /// The nearest source to `v` (ties by source order), if any is within
@@ -146,13 +150,7 @@ impl SourceDetection {
     /// the general variant restricts each vertex's output to its `k`
     /// closest sources).
     pub fn nearest_sources(&self, v: usize, k: usize) -> Vec<(usize, Dist)> {
-        let mut found: Vec<(Dist, usize)> = self
-            .sources
-            .iter()
-            .zip(self.dist[v].iter())
-            .filter(|&(_, &d)| d < INF)
-            .map(|(&s, &d)| (d, s))
-            .collect();
+        let mut found: Vec<(Dist, usize)> = self.detected(v).map(|(s, d)| (d, s)).collect();
         found.sort_unstable();
         found.truncate(k);
         found.into_iter().map(|(d, s)| (s, d)).collect()
@@ -174,7 +172,7 @@ mod tests {
         let wg = weighted(&g);
         let sources = [0usize, 7, 19];
         let mut ledger = RoundLedger::new(g.n());
-        let sd = SourceDetection::run(&wg, &sources, g.n(), &mut ledger);
+        let sd = SourceDetection::run(&wg, &sources, g.n(), 1, &mut ledger);
         for &s in &sources {
             let exact = bfs::sssp(&g, s);
             for v in 0..g.n() {
@@ -188,7 +186,7 @@ mod tests {
         let g = generators::path(8);
         let wg = weighted(&g);
         let mut ledger = RoundLedger::new(8);
-        let sd = SourceDetection::run(&wg, &[0], 3, &mut ledger);
+        let sd = SourceDetection::run(&wg, &[0], 3, 1, &mut ledger);
         assert_eq!(sd.dist_to(3, 0), Some(3));
         assert_eq!(sd.dist_to(4, 0), Some(INF));
         assert_eq!(sd.detected(4).count(), 0);
@@ -199,9 +197,9 @@ mod tests {
         // One heavy edge: 2 hops reach weight-10 path.
         let wg = WeightedGraph::from_edges(3, &[(0, 1, 10), (1, 2, 10)]);
         let mut ledger = RoundLedger::new(3);
-        let sd = SourceDetection::run(&wg, &[0], 2, &mut ledger);
+        let sd = SourceDetection::run(&wg, &[0], 2, 1, &mut ledger);
         assert_eq!(sd.dist_to(2, 0), Some(20));
-        let sd = SourceDetection::run(&wg, &[0], 1, &mut ledger);
+        let sd = SourceDetection::run(&wg, &[0], 1, 1, &mut ledger);
         assert_eq!(sd.dist_to(2, 0), Some(INF));
     }
 
@@ -210,7 +208,7 @@ mod tests {
         let g = generators::path(9);
         let wg = weighted(&g);
         let mut ledger = RoundLedger::new(9);
-        let sd = SourceDetection::run(&wg, &[0, 8], 8, &mut ledger);
+        let sd = SourceDetection::run(&wg, &[0, 8], 8, 1, &mut ledger);
         assert_eq!(sd.nearest_source(1), Some((0, 1)));
         assert_eq!(sd.nearest_source(7), Some((8, 1)));
         // Midpoint ties break by source order.
@@ -222,12 +220,12 @@ mod tests {
         let g = generators::path(9);
         let wg = weighted(&g);
         let mut ledger = RoundLedger::new(9);
-        let sd = SourceDetection::run(&wg, &[0, 4, 8], 8, &mut ledger);
+        let sd = SourceDetection::run(&wg, &[0, 4, 8], 8, 1, &mut ledger);
         // From vertex 3: sources at distances 3 (v0), 1 (v4), 5 (v8).
         assert_eq!(sd.nearest_sources(3, 2), vec![(4, 1), (0, 3)]);
         assert_eq!(sd.nearest_sources(3, 10).len(), 3);
         // Hop-bounded: from vertex 0 with 2 hops only sources within 2 hops.
-        let sd = SourceDetection::run(&wg, &[0, 4, 8], 2, &mut ledger);
+        let sd = SourceDetection::run(&wg, &[0, 4, 8], 2, 1, &mut ledger);
         assert_eq!(sd.nearest_sources(3, 10), vec![(4, 1)]);
     }
 
@@ -238,8 +236,8 @@ mod tests {
         let sources = [0usize, 9, 17];
         let mut l1 = RoundLedger::new(g.n());
         let mut l2 = RoundLedger::new(g.n());
-        let plain = SourceDetection::run(&wg, &sources, 6, &mut l1);
-        let sd = SourceDetection::run_with_parents(&wg, &sources, 6, &mut l2);
+        let plain = SourceDetection::run(&wg, &sources, 6, 1, &mut l1);
+        let sd = SourceDetection::run_with_parents(&wg, &sources, 6, 3, &mut l2);
         assert_eq!(l1.total_rounds(), l2.total_rounds(), "same charge");
         assert!(plain.chain(0, 3).is_none(), "no parents recorded");
         for (i, &s) in sources.iter().enumerate() {
@@ -274,8 +272,8 @@ mod tests {
         let wg = weighted(&g);
         let mut l1 = RoundLedger::new(64);
         let mut l2 = RoundLedger::new(64);
-        let _ = SourceDetection::run(&wg, &[0, 1], 10, &mut l1);
-        let _ = SourceDetection::run(&wg, &[0, 1], 20, &mut l2);
+        let _ = SourceDetection::run(&wg, &[0, 1], 10, 1, &mut l1);
+        let _ = SourceDetection::run(&wg, &[0, 1], 20, 1, &mut l2);
         assert_eq!(l2.total_rounds(), 2 * l1.total_rounds());
     }
 
@@ -285,6 +283,6 @@ mod tests {
         let g = generators::path(4);
         let wg = weighted(&g);
         let mut ledger = RoundLedger::new(4);
-        let _ = SourceDetection::run(&wg, &[], 2, &mut ledger);
+        let _ = SourceDetection::run(&wg, &[], 2, 1, &mut ledger);
     }
 }

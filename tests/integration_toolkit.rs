@@ -34,7 +34,7 @@ fn hopset_plus_source_detection_is_one_plus_eps() {
             };
             let union = hs.union_with(&g);
             let sources = [0usize, g.n() / 2];
-            let sd = SourceDetection::run(&union, &sources, hs.beta, &mut ledger);
+            let sd = SourceDetection::run(&union, &sources, hs.beta, 2, &mut ledger);
             for &s in &sources {
                 let exact = bfs::sssp(&g, s);
                 for v in 0..g.n() {
@@ -101,7 +101,7 @@ fn sdk_variant_orders_pivots() {
     let hs = hopset::build_randomized(&g, params, &mut rng, &mut ledger);
     let union = hs.union_with(&g);
     let pivots: Vec<usize> = (0..g.n()).step_by(7).collect();
-    let sd = SourceDetection::run(&union, &pivots, hs.beta, &mut ledger);
+    let sd = SourceDetection::run(&union, &pivots, hs.beta, 2, &mut ledger);
     for v in 0..g.n() {
         let top3 = sd.nearest_sources(v, 3);
         assert!(top3.len() <= 3);
