@@ -6,7 +6,8 @@
 //! code. Every iteration re-runs the workspace's parallel surfaces — the
 //! plain and witness-carrying min-plus kernels (sparse and dense), the
 //! source-sharded hop-limited kernel of `(S,d)`-source detection (plain
-//! and with parents), the sharded congested-clique engine, and
+//! and with parents), the workspace sweep of bucket-queue Dijkstras behind
+//! the emulator sweep, the sharded congested-clique engine, and
 //! periodically a loopback `ccd`
 //! burst — under a perturbed schedule: randomized thread counts, worker
 //! and batch-size choices (which move the queue-pop coalescing points),
@@ -63,7 +64,7 @@ pub struct ScheduleSummary {
     /// Iterations completed.
     pub iterations: u64,
     /// Kernel comparisons performed (sparse/dense × plain/witness,
-    /// hop-limited plain/parents, engine).
+    /// hop-limited plain/parents, Dijkstra sweep, engine).
     pub comparisons: u64,
     /// Loopback `ccd` bursts performed.
     pub serve_bursts: u64,
@@ -100,11 +101,26 @@ struct Baseline {
     hop_sources: Vec<usize>,
     hop_plain: Vec<Dist>,
     hop_parents: (Vec<Dist>, Option<Vec<u32>>),
+    sweep_trees: Vec<SweptTree>,
     engine_words: Vec<Vec<u64>>,
     engine_collected: Vec<Vec<u64>>,
     oracle: Arc<DistOracle>,
     query_pairs: Vec<(u32, u32)>,
     query_answers: Vec<Option<PointEstimate>>,
+}
+
+/// One source's distances and parents from the Dijkstra sweep.
+type SweptTree = (Vec<Dist>, Vec<Option<u32>>);
+
+/// The Dijkstra tree from every vertex of `g`, by `dijkstra::sweep` over
+/// `threads` workers — the emulator sweep's kernel and sharding.
+fn sweep_trees(g: &WeightedGraph, threads: usize) -> Vec<SweptTree> {
+    let mut trees: Vec<SweptTree> = vec![(Vec::new(), Vec::new()); g.n()];
+    dijkstra::sweep(&mut trees, g.max_weight(), threads, |ws, src, tree| {
+        let (dist, parent) = ws.sssp_with_parents(g, src);
+        *tree = (dist.to_vec(), parent.to_vec());
+    });
+    trees
 }
 
 /// Deterministic sparse/dense input pair: ~6 entries per row, weights
@@ -212,6 +228,7 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         dijkstra::hop_limited_from_sources(&hop_graph, &hop_sources, HOP_LIMIT, 1, false);
     let hop_parents =
         dijkstra::hop_limited_from_sources(&hop_graph, &hop_sources, HOP_LIMIT, 1, true);
+    let sweep_trees = sweep_trees(&hop_graph, 1);
     let engine_words = engine_words(seed);
     let engine_collected = run_engine(&engine_words, 1)?;
     let (oracle, query_pairs, query_answers) = build_oracle(seed);
@@ -228,6 +245,7 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         hop_sources,
         hop_plain,
         hop_parents,
+        sweep_trees,
         engine_words,
         engine_collected,
         oracle,
@@ -459,7 +477,15 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 format!("threads={engine_threads}: {e}"),
             ),
         }
-        summary.comparisons += 7;
+        let sweep_threads = 1 + rng.below(max_threads);
+        if sweep_trees(&base.hop_graph, sweep_threads) != base.sweep_trees {
+            fail(
+                &mut summary,
+                "dijkstra-sweep",
+                format!("threads={sweep_threads}: distances or parents differ from serial"),
+            );
+        }
+        summary.comparisons += 8;
 
         if iter % SERVE_EVERY == 0 {
             summary.serve_bursts += 1;
@@ -500,6 +526,7 @@ mod tests {
         assert_eq!(a.sparse_plain, b.sparse_plain);
         assert_eq!(a.dense_witness, b.dense_witness);
         assert_eq!(a.hop_parents, b.hop_parents);
+        assert_eq!(a.sweep_trees, b.sweep_trees);
         assert_eq!(a.engine_collected, b.engine_collected);
         assert_eq!(a.query_answers, b.query_answers);
     }

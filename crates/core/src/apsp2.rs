@@ -165,23 +165,14 @@ pub(crate) fn run_mode(
     let n = g.n();
     let t = cfg.threshold();
     let threads = cfg.emulator.threads;
-    let mut delta = DistanceMatrix::new(n);
+
+    // ── Long range (Claim 37): emulator + adjacency. ──────────────────────
     // Witness shadowing: every `delta` improvement below is mirrored by an
     // offer with the same strict-improvement rule, so the estimates (and the
     // rounds — witnesses ride the same messages) are identical with
     // recording on or off.
-    let mut paths = cfg.emulator.record_paths.then(|| PathStore::new(n));
-
-    // ── Long range (Claim 37): emulator + adjacency. ──────────────────────
-    let _ = pipeline::collect_emulator(
-        g,
-        &cfg.emulator,
-        &mut mode,
-        &mut delta,
-        substrates,
-        paths.as_mut(),
-        &mut phase,
-    );
+    let (mut delta, mut paths) =
+        pipeline::collect_emulator(g, &cfg.emulator, &mut mode, substrates, &mut phase);
 
     // ── Short paths through a high-degree vertex (Claims 38/39). ─────────
     let hdt = cfg.high_degree_threshold;

@@ -146,26 +146,12 @@ pub(crate) fn run_mode(
     let mut phase = ledger.enter("apsp3");
     let n = g.n();
     let t = cfg.threshold();
-    let mut delta = DistanceMatrix::new(n);
-    // Witness shadowing: every `delta` improvement below is mirrored by an
-    // offer with the same strict-improvement rule, so the estimates (and the
-    // rounds — witnesses ride the same messages) are identical with
-    // recording on or off.
-    let mut paths = cfg
-        .emulator
-        .record_paths
-        .then(|| cc_routes::PathStore::new(n));
-
-    // Long range + adjacency.
-    let _ = pipeline::collect_emulator(
-        g,
-        &cfg.emulator,
-        &mut mode,
-        &mut delta,
-        substrates,
-        paths.as_mut(),
-        &mut phase,
-    );
+    // Long range + adjacency. Witness shadowing: every `delta` improvement
+    // below is mirrored by an offer with the same strict-improvement rule,
+    // so the estimates (and the rounds — witnesses ride the same messages)
+    // are identical with recording on or off.
+    let (mut delta, mut paths) =
+        pipeline::collect_emulator(g, &cfg.emulator, &mut mode, substrates, &mut phase);
 
     // (k, t)-nearest: exact short distances to the k nearest.
     let mut kn = KNearest::compute_with(

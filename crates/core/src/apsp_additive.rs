@@ -120,24 +120,12 @@ pub(crate) fn run_mode(
     substrates: &mut Substrates,
 ) -> AdditiveApsp {
     let mut phase = ledger.enter("apsp-additive");
-    let mut delta = DistanceMatrix::new(g.n());
-    let mut paths = cfg
-        .emulator
-        .record_paths
-        .then(|| cc_routes::PathStore::new(g.n()));
-    let emulator = pipeline::collect_emulator(
-        g,
-        &cfg.emulator,
-        &mut mode,
-        &mut delta,
-        substrates,
-        paths.as_mut(),
-        &mut phase,
-    )
-    .clone();
+    // The answer is the long-range table itself.
+    let ((estimates, paths), emulator) =
+        pipeline::take_long_range(g, &cfg.emulator, &mut mode, substrates, &mut phase);
     AdditiveApsp {
-        estimates: delta,
-        emulator,
+        estimates,
+        emulator: emulator.clone(),
         multiplicative_bound: cfg.multiplicative_bound(),
         additive_bound: cfg.additive_bound(),
         paths: paths.map(std::sync::Arc::new),

@@ -248,14 +248,10 @@ pub(crate) fn run_mode(
     let mut estimates: Vec<Vec<Dist>> = {
         let emu = substrates.emulator_for(g, &cfg.emulator, &mut mode, &mut phase);
         match paths.as_mut() {
-            None => {
-                let mut rows = vec![Vec::new(); sources.len()];
-                pipeline::sweep(&mut rows, 0, threads, |i, row| *row = emu.sssp(sources[i]));
-                rows
-            }
+            None => pipeline::emulator_rows(emu, sources, threads),
             // The recording pass's Dijkstra trees carry the same distances
-            // `emu.sssp` computes — start the estimates from them instead of
-            // running a second per-source sweep.
+            // — start the estimates from them instead of running a second
+            // per-source sweep.
             Some(store) => pipeline::record_emulator_rows(g, emu, sources, threads, store),
         }
     };

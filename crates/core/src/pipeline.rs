@@ -10,7 +10,8 @@ use cc_clique::RoundLedger;
 use cc_derand::hitting;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::{deterministic, whp, Emulator};
-use cc_graphs::{dijkstra, Dist, Graph, INF};
+use cc_graphs::dijkstra::{self, DialWorkspace};
+use cc_graphs::{Dist, Graph, INF};
 use cc_obs::StageTimes;
 use cc_routes::{BatchRef, PathStore, RecId, RecordBatch, RouteArena, RowStore, Unroller};
 use cc_toolkit::hopset::{self, BoundedHopset, HopsetParams};
@@ -98,6 +99,11 @@ fn sets_fingerprint(sets: &[Vec<usize>]) -> u64 {
     h
 }
 
+/// The long-range table of Claim 37 that apsp2, apsp3 and the additive
+/// query all start from: the estimates lowered to the emulator distances
+/// and the adjacency, plus their witnesses when recording.
+pub(crate) type LongRange = (DistanceMatrix, Option<PathStore>);
+
 /// Session-scoped cache of the expensive substrates every pipeline stands
 /// on: the near-additive emulator, bounded hopsets (keyed by graph, mode and
 /// threshold) and hitting sets.
@@ -117,6 +123,15 @@ pub(crate) struct Substrates {
     emulator: Option<(EmulatorKey, Emulator)>,
     hopsets: BTreeMap<HopsetKey, BoundedHopset>,
     hitting_sets: BTreeMap<HittingKey, Vec<usize>>,
+    /// The long-range table a producer (apsp2, apsp3) left for the one
+    /// consumer (the additive query), keyed like the emulator it was swept
+    /// from. The consumer moves it out; `freeze` drops it unconsumed
+    /// (DESIGN.md §7.4). `RefCell` for the same reason as `stages`.
+    long_range: RefCell<Option<(EmulatorKey, LongRange)>>,
+    /// Whether producers leave a copy in `long_range`: on in a solver
+    /// session until the consumer has run, off in one-shot runs, which
+    /// have no later consumer.
+    pub(crate) share_long_range: bool,
     /// Gated wall-clock stage profiling. `RefCell` because the freeze path
     /// records through `&Solver`; the solver session is single-threaded, so
     /// the borrows are trivially disjoint. Disabled (the default), `start`
@@ -126,8 +141,30 @@ pub(crate) struct Substrates {
 }
 
 impl Substrates {
+    /// The cache of a one-shot run: no long-range table is shared.
     pub(crate) fn new() -> Self {
         Substrates::default()
+    }
+
+    /// The cache of a solver session: apsp2 and apsp3 share their
+    /// long-range table with the additive query.
+    pub(crate) fn session() -> Self {
+        Substrates {
+            share_long_range: true,
+            ..Substrates::default()
+        }
+    }
+
+    /// Drops an unconsumed long-range table (called by `freeze` before it
+    /// allocates the merged tables).
+    pub(crate) fn drop_long_range(&self) {
+        self.long_range.borrow_mut().take();
+    }
+
+    /// `true` while a producer's long-range table waits for its consumer.
+    #[cfg(test)]
+    pub(crate) fn holds_long_range(&self) -> bool {
+        self.long_range.borrow().is_some()
     }
 
     /// Runs `f`, crediting its wall time to `stage` when profiling is on.
@@ -253,75 +290,91 @@ impl Substrates {
     }
 }
 
-/// Obtains the emulator (cached or freshly built), lets every vertex learn
-/// it, and lowers every row `u` of `delta` to `min(row, sssp(emu, u))` with
-/// the input adjacency entries lowered to 1. The per-source Dijkstras are
-/// sharded by rows over `cfg.threads` workers, each writing its own rows in
-/// place. When `paths` is given, every improvement is shadowed by a witness
-/// offer (the values written to `delta` are untouched either way).
-pub(crate) fn collect_emulator<'s>(
+/// The producer side of the long-range table (apsp2, apsp3): obtains the
+/// emulator (cached or freshly built, so every vertex has learned it) and
+/// returns a fresh long-range table. A table a previous producer left in
+/// the session is copied; otherwise the emulator is swept
+/// ([`sweep_emulator`]) and, in a session whose consumer has not run yet,
+/// a copy is left for it.
+pub(crate) fn collect_emulator(
     g: &Graph,
     cfg: &CliqueEmulatorConfig,
     mode: &mut Mode<'_>,
-    delta: &mut DistanceMatrix,
-    substrates: &'s mut Substrates,
-    paths: Option<&mut PathStore>,
+    substrates: &mut Substrates,
     ledger: &mut RoundLedger,
-) -> &'s Emulator {
+) -> LongRange {
+    let key = emulator_key(cfg, mode);
     substrates.emulator_for(g, cfg, mode, ledger);
-    let substrates: &'s Substrates = substrates;
+    if let Some((_, table)) = substrates
+        .long_range
+        .get_mut()
+        .as_ref()
+        .filter(|(k, _)| *k == key)
+    {
+        return table.clone();
+    }
+    let table = sweep_emulator(g, cfg, substrates);
+    if substrates.share_long_range {
+        *substrates.long_range.get_mut() = Some((key, table.clone()));
+    }
+    table
+}
+
+/// The consumer side of the long-range table (the additive query, whose
+/// answer *is* the table): obtains the emulator like [`collect_emulator`]
+/// and moves a producer's table out of the session, sweeping only when
+/// none is there. It never leaves a table behind, and no producer leaves
+/// one after it: the session has no second consumer.
+pub(crate) fn take_long_range<'s>(
+    g: &Graph,
+    cfg: &CliqueEmulatorConfig,
+    mode: &mut Mode<'_>,
+    substrates: &'s mut Substrates,
+    ledger: &mut RoundLedger,
+) -> (LongRange, &'s Emulator) {
+    let key = emulator_key(cfg, mode);
+    substrates.emulator_for(g, cfg, mode, ledger);
+    substrates.share_long_range = false;
+    let table = match substrates.long_range.get_mut().take() {
+        Some((k, table)) if k == key => table,
+        _ => sweep_emulator(g, cfg, substrates),
+    };
     let emu = &substrates.emulator.as_ref().expect("built above").1;
-    substrates.timed("emulator_sweep", || match paths {
+    (table, emu)
+}
+
+/// Lowers every row `u` of a fresh estimate matrix to `sssp(emu, u)` with
+/// the input adjacency entries lowered to 1. The per-source Dijkstras are
+/// sharded by rows over `cfg.threads` workers ([`dijkstra::sweep`]), each
+/// writing its own rows in place. When recording, every improvement is
+/// shadowed by a witness offer (the estimates are the same either way).
+fn sweep_emulator(g: &Graph, cfg: &CliqueEmulatorConfig, substrates: &Substrates) -> LongRange {
+    let emu = &substrates.emulator.as_ref().expect("emulator built").1;
+    let n = g.n();
+    let mut delta = DistanceMatrix::new(n);
+    let mut paths = cfg.record_paths.then(|| PathStore::new(n));
+    substrates.timed("emulator_sweep", || match paths.as_mut() {
         None => {
             let mut rows: Vec<&mut [Dist]> = delta.rows_mut().collect();
-            sweep(&mut rows, 0, cfg.threads, |u, row| {
-                lower_row(row, &emu.sssp(u), g.neighbors(u));
+            let max_weight = emu.graph.max_weight();
+            dijkstra::sweep(&mut rows, max_weight, cfg.threads, |ws, u, row| {
+                lower_row(row, ws.sssp(&emu.graph, u), g.neighbors(u));
             });
         }
         Some(store) => {
             for (u, v) in g.edges() {
                 store.offer_edge(u, v);
             }
-            record_emulator_pairs(g, emu, cfg.threads, delta, store);
+            record_emulator_pairs(g, emu, cfg.threads, &mut delta, store);
         }
     });
     delta.debug_assert_symmetric();
-    emu
+    (delta, paths)
 }
 
 /// Sources per chunk of the recording sweeps: the interned trees of one
 /// chunk are held until they are appended to the arena.
 const TREE_CHUNK: usize = 64;
-
-/// Calls `fill(first + i, &mut items[i])` for every item, sharding `items`
-/// into contiguous chunks over `threads` scoped workers. Each call writes
-/// only its own item and reads shared inputs, so the items come out
-/// bit-identical at any thread count (DESIGN.md §7.4).
-pub(crate) fn sweep<T: Send>(
-    items: &mut [T],
-    first: usize,
-    threads: usize,
-    fill: impl Fn(usize, &mut T) + Sync,
-) {
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            fill(first + i, item);
-        }
-        return;
-    }
-    let shard = items.len().div_ceil(threads);
-    let fill = &fill;
-    std::thread::scope(|scope| {
-        for (t, chunk) in items.chunks_mut(shard).enumerate() {
-            scope.spawn(move || {
-                for (i, item) in chunk.iter_mut().enumerate() {
-                    fill(first + t * shard + i, item);
-                }
-            });
-        }
-    });
-}
 
 /// Lowers one estimate row to the emulator distances `dists` and the input
 /// adjacency `neighbors` (weight 1).
@@ -352,9 +405,10 @@ fn record_emulator_pairs(
         .as_ref()
         .expect("path-recording pipelines build path-recording emulators");
     store.absorb_routes(routes);
+    let max_weight = emu.graph.max_weight();
     let sources: Vec<usize> = (0..g.n()).collect();
     for chunk in sources.chunks(TREE_CHUNK) {
-        let trees = intern_trees(g, emu, store.routes(), chunk, threads);
+        let trees = intern_trees(g, emu, store.routes(), chunk, max_weight, threads);
         for (&src, tree) in chunk.iter().zip(trees) {
             for (v, d, rec) in tree.append_to(store.routes_mut().arena_mut()) {
                 store.offer_rec(src, v, d, rec);
@@ -365,9 +419,20 @@ fn record_emulator_pairs(
     }
 }
 
+/// MSSP's emulator rows: `sssp(emu, s)` per source, swept over `threads`
+/// workers like the estimate rows.
+pub(crate) fn emulator_rows(emu: &Emulator, sources: &[usize], threads: usize) -> Vec<Vec<Dist>> {
+    let mut rows = vec![Vec::new(); sources.len()];
+    let max_weight = emu.graph.max_weight();
+    dijkstra::sweep(&mut rows, max_weight, threads, |ws, i, row| {
+        *row = ws.sssp(&emu.graph, sources[i]).to_vec();
+    });
+    rows
+}
+
 /// The MSSP counterpart of `record_emulator_pairs`: shadows the per-source
 /// emulator Dijkstras into a [`RowStore`] and returns the distance rows the
-/// estimates start from (same values as `emu.sssp` per source).
+/// estimates start from (the same values as [`emulator_rows`]).
 pub(crate) fn record_emulator_rows(
     g: &Graph,
     emu: &Emulator,
@@ -380,9 +445,10 @@ pub(crate) fn record_emulator_rows(
         .as_ref()
         .expect("path-recording pipelines build path-recording emulators");
     rows.absorb_routes(routes);
+    let max_weight = emu.graph.max_weight();
     let mut out = Vec::with_capacity(sources.len());
     for (c, chunk) in sources.chunks(TREE_CHUNK).enumerate() {
-        let trees = intern_trees(g, emu, rows.routes(), chunk, threads);
+        let trees = intern_trees(g, emu, rows.routes(), chunk, max_weight, threads);
         for (i, tree) in (c * TREE_CHUNK..).zip(trees) {
             for (v, d, rec) in tree.append_to(rows.routes_mut().arena_mut()) {
                 rows.offer_rec(i, v, d, rec);
@@ -419,19 +485,21 @@ impl InternedTree {
 }
 
 /// The emulator trees from `sources`, computed and interned by `threads`
-/// workers against the read-only `routes`, in source order.
+/// workers against the read-only `routes`, in source order. `max_weight`
+/// is the emulator's, computed once per sweep.
 fn intern_trees(
     g: &Graph,
     emu: &Emulator,
     routes: &Unroller,
     sources: &[usize],
+    max_weight: Dist,
     threads: usize,
 ) -> Vec<InternedTree> {
     let mut trees: Vec<InternedTree> = std::iter::repeat_with(InternedTree::default)
         .take(sources.len())
         .collect();
-    sweep(&mut trees, 0, threads, |i, tree| {
-        *tree = intern_tree(g, emu, routes, sources[i]);
+    dijkstra::sweep(&mut trees, max_weight, threads, |ws, i, tree| {
+        *tree = intern_tree(g, emu, routes, ws, sources[i]);
     });
     trees
 }
@@ -442,8 +510,15 @@ fn intern_trees(
 /// `(distance, id)` order, so every parent's record exists before its
 /// children extend it. The batch holds exactly the records a direct
 /// interning would push, in the same order (DESIGN.md §7.4).
-fn intern_tree(g: &Graph, emu: &Emulator, routes: &Unroller, src: usize) -> InternedTree {
-    let (dists, parents) = dijkstra::sssp_with_parents(&emu.graph, src);
+fn intern_tree(
+    g: &Graph,
+    emu: &Emulator,
+    routes: &Unroller,
+    ws: &mut DialWorkspace,
+    src: usize,
+) -> InternedTree {
+    let (dists, parents) = ws.sssp_with_parents(&emu.graph, src);
+    let dists = dists.to_vec();
     let n = dists.len();
     // `(distance, id)` packed into one sort key.
     let mut order: Vec<u64> = (0..n)
@@ -585,23 +660,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_empty_single_and_oversubscribed_inputs() {
-        // Item i must hold f(first + i) whatever the split: no rows, one
-        // row, more threads than rows, and shards of unequal length.
-        let f = |i: usize| i * i + 7;
-        for len in [0usize, 1, 2, 3, 5, 97] {
-            for threads in [1usize, 2, 3, 4, 8, 200] {
-                let mut items = vec![0usize; len];
-                sweep(&mut items, 11, threads, |i, item| *item = f(i));
-                let want: Vec<usize> = (11..11 + len).map(f).collect();
-                assert_eq!(items, want, "len = {len}, threads = {threads}");
-            }
-        }
-        // The in-place row split of a 0- and a 1-vertex matrix.
+    fn row_sweep_splits_empty_and_single_vertex_matrices() {
+        // The in-place row split of a 0- and a 1-vertex matrix, with more
+        // workers than rows.
         for n in [0usize, 1] {
             let mut m = DistanceMatrix::new(n);
             let mut rows: Vec<&mut [Dist]> = m.rows_mut().collect();
-            sweep(&mut rows, 0, 4, |u, row| row[u] = 0);
+            dijkstra::sweep(&mut rows, 0, 4, |_, u, row| row[u] = 0);
             assert_eq!(m, DistanceMatrix::new(n));
         }
     }

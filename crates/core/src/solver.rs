@@ -203,7 +203,7 @@ impl SolverBuilder {
         additive_cfg.emulator.record_paths = self.record_paths;
         mssp_cfg.emulator.record_paths = self.record_paths;
         let ledger = RoundLedger::new(n);
-        let substrates = Substrates::new();
+        let substrates = Substrates::session();
         substrates
             .stages
             .borrow_mut()
@@ -566,6 +566,7 @@ impl Solver {
     pub fn freeze(&self) -> Result<DistOracle, CcError> {
         let n = self.graph.n();
         let started = self.substrates.stages.borrow().start();
+        self.substrates.drop_long_range();
         let merged = self.merged_tables()?;
         let oracle = DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees);
         self.substrates.stages.borrow_mut().stop("freeze", started);
@@ -603,6 +604,7 @@ impl Solver {
         }
         let n = self.graph.n();
         let started = self.substrates.stages.borrow().start();
+        self.substrates.drop_long_range();
         let merged = self.merged_tables()?;
         // Providers in the exact order `merged_tables` numbered them.
         let mut providers: Vec<PathProvider> = Vec::new();
@@ -1224,5 +1226,180 @@ mod tests {
             solver.apsp_near_additive().unwrap().estimates
         };
         assert_eq!(run(), run());
+    }
+
+    /// A profiled session for the long-range sharing tests; `share` off
+    /// gives the session every one-shot run has, which sweeps per query.
+    fn sharing_session(
+        g: &Graph,
+        execution: Execution,
+        threads: usize,
+        record: bool,
+        share: bool,
+    ) -> Solver {
+        let mut solver = SolverBuilder::new(g.clone())
+            .eps(0.5)
+            .execution(execution)
+            .threads(threads)
+            .record_paths(record)
+            .profile_stages(true)
+            .build()
+            .unwrap();
+        solver.substrates.share_long_range = share;
+        solver
+    }
+
+    fn sweep_calls(solver: &Solver) -> u64 {
+        solver
+            .stage_times()
+            .iter()
+            .find(|(stage, _)| *stage == "emulator_sweep")
+            .map_or(0, |(_, stat)| stat.calls)
+    }
+
+    /// The one-shot additive run a session's additive answer must equal.
+    fn one_shot_additive(
+        g: &Graph,
+        execution: Execution,
+        threads: usize,
+        record: bool,
+    ) -> AdditiveApsp {
+        let mut cfg = AdditiveApspConfig::scaled(g.n(), 0.5).unwrap();
+        cfg.emulator.threads = threads;
+        cfg.emulator.record_paths = record;
+        let mut ledger = RoundLedger::new(g.n());
+        match execution {
+            Execution::Seeded(seed) => {
+                apsp_additive::run(g, &cfg, &mut StdRng::seed_from_u64(seed), &mut ledger)
+            }
+            Execution::Deterministic => apsp_additive::run_deterministic(g, &cfg, &mut ledger),
+        }
+    }
+
+    /// apsp2 and apsp3 leave their long-range table for the additive query,
+    /// which moves it out: its answer equals a one-shot run, and the
+    /// ledger equals a session that sweeps per query. The table is held
+    /// only between a producer and the consumer.
+    #[test]
+    fn long_range_table_is_shared_with_the_additive_query() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let graphs = [
+            ("gnp", generators::connected_gnp(60, 0.08, &mut rng)),
+            ("grid", generators::grid(6, 9)),
+        ];
+        let orders: [&[&str]; 5] = [
+            &["apsp2", "additive"],
+            &["apsp3", "additive"],
+            &["apsp2", "apsp3", "additive"],
+            &["additive"],
+            &["additive", "apsp2"],
+        ];
+        for (name, g) in &graphs {
+            for execution in [Execution::Seeded(9), Execution::Deterministic] {
+                for record in [false, true] {
+                    for threads in 1..=3 {
+                        let want = one_shot_additive(g, execution, threads, record);
+                        for order in orders {
+                            let at = format!(
+                                "{name} {execution:?} record={record} threads={threads} {order:?}"
+                            );
+                            let mut shared = sharing_session(g, execution, threads, record, true);
+                            let mut unshared =
+                                sharing_session(g, execution, threads, record, false);
+                            let mut consumed = false;
+                            for &query in order {
+                                for solver in [&mut shared, &mut unshared] {
+                                    match query {
+                                        "apsp2" => drop(solver.apsp_2eps().unwrap()),
+                                        "apsp3" => drop(solver.apsp_3eps().unwrap()),
+                                        _ => drop(solver.apsp_near_additive().unwrap()),
+                                    }
+                                }
+                                consumed |= query == "additive";
+                                assert_eq!(
+                                    shared.substrates.holds_long_range(),
+                                    !consumed,
+                                    "{at}: slot after {query}"
+                                );
+                                assert!(!unshared.substrates.holds_long_range(), "{at}");
+                            }
+                            let got = shared.apsp_near_additive().unwrap();
+                            assert_eq!(got.estimates, want.estimates, "{at}: estimates");
+                            match (&got.paths, &want.paths) {
+                                (Some(got), Some(want)) => {
+                                    assert_eq!(got.witnesses(), want.witnesses(), "{at}");
+                                    assert_eq!(got.arena(), want.arena(), "{at}: arena");
+                                }
+                                (None, None) => {}
+                                _ => panic!("{at}: recording differs"),
+                            }
+                            assert_eq!(
+                                shared.ledger().entries(),
+                                unshared.ledger().entries(),
+                                "{at}: ledger"
+                            );
+                            assert_eq!(shared.total_rounds(), unshared.total_rounds(), "{at}");
+                            // After the consumer, nothing is shared.
+                            let sweeps = match order[0] {
+                                "additive" => order.len() as u64,
+                                _ => 1,
+                            };
+                            assert_eq!(sweep_calls(&shared), sweeps, "{at}: emulator sweeps");
+                            assert_eq!(sweep_calls(&unshared), order.len() as u64, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A table no consumer took is dropped by `freeze`, and a later
+    /// additive query sweeps for itself with the same answer.
+    #[test]
+    fn freeze_drops_an_unconsumed_long_range_table() {
+        let g = generators::caveman(6, 7);
+        for record in [false, true] {
+            let mut solver = sharing_session(&g, Execution::Deterministic, 2, record, true);
+            solver.apsp_2eps().unwrap();
+            assert!(solver.substrates.holds_long_range(), "record={record}");
+            if record {
+                solver.freeze_with_paths().unwrap();
+            } else {
+                solver.freeze().unwrap();
+            }
+            assert!(!solver.substrates.holds_long_range(), "record={record}");
+            let got = solver.apsp_near_additive().unwrap();
+            let want = one_shot_additive(&g, Execution::Deterministic, 2, record);
+            assert_eq!(got.estimates, want.estimates, "record={record}");
+            assert_eq!(sweep_calls(&solver), 2, "record={record}");
+        }
+    }
+
+    /// One-shot runs have no later consumer, so they never copy their
+    /// table into the cache.
+    #[test]
+    fn one_shot_runs_leave_no_long_range_table() {
+        let g = generators::grid(5, 7);
+        let n = g.n();
+        for record in [false, true] {
+            let mut a2 = Apsp2Config::scaled(n, 0.5).unwrap();
+            let mut a3 = Apsp3Config::scaled(n, 0.5).unwrap();
+            let mut add = AdditiveApspConfig::scaled(n, 0.5).unwrap();
+            let mut ms = MsspConfig::scaled(n, 0.5).unwrap();
+            a2.emulator.record_paths = record;
+            a3.emulator.record_paths = record;
+            add.emulator.record_paths = record;
+            ms.emulator.record_paths = record;
+            let mut ledger = RoundLedger::new(n);
+            let mut subs = Substrates::new();
+            apsp2::run_mode(&g, &a2, Mode::Det, &mut ledger, &mut subs).unwrap();
+            assert!(!subs.holds_long_range(), "apsp2 record={record}");
+            apsp3::run_mode(&g, &a3, Mode::Det, &mut ledger, &mut subs).unwrap();
+            assert!(!subs.holds_long_range(), "apsp3 record={record}");
+            mssp::run_mode(&g, &[0, 9], &ms, Mode::Det, &mut ledger, &mut subs).unwrap();
+            assert!(!subs.holds_long_range(), "mssp record={record}");
+            apsp_additive::run_mode(&g, &add, Mode::Det, &mut ledger, &mut subs);
+            assert!(!subs.holds_long_range(), "additive record={record}");
+        }
     }
 }

@@ -42,11 +42,6 @@ impl Emulator {
         dijkstra::apsp_exact(&self.graph)
     }
 
-    /// Single-source distances in the emulator.
-    pub fn sssp(&self, src: usize) -> Vec<Dist> {
-        dijkstra::sssp(&self.graph, src)
-    }
-
     /// An emulator route from `u` to `v`: the vertex sequence of a shortest
     /// path *in the emulator* together with its length (which is the
     /// `(1+ε, β)`-approximate distance). Each emulator edge is a shortcut

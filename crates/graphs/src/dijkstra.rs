@@ -1,67 +1,172 @@
-//! Shortest paths on weighted graphs: Dijkstra and hop-limited
-//! Bellman–Ford (the computation behind `(S,d)`-source detection).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Shortest paths on weighted graphs: a bucket-queue Dijkstra and
+//! hop-limited Bellman–Ford (the computation behind `(S,d)`-source
+//! detection).
 
 use crate::dist::{dadd, Dist, INF};
 use crate::graph::WeightedGraph;
 
-/// Single-source shortest path distances on a weighted graph (Dijkstra).
-pub fn sssp(g: &WeightedGraph, src: usize) -> Vec<Dist> {
-    let mut dist = vec![INF; g.n()];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0;
-    heap.push(Reverse((0 as Dist, src)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u] {
-            continue;
-        }
-        for &(v, w) in g.neighbors(u) {
-            let v = v as usize;
-            let nd = dadd(d, w);
-            if nd < dist[v] {
-                dist[v] = nd;
-                heap.push(Reverse((nd, v)));
-            }
+/// Reusable scratch of the bucket-queue Dijkstra (Dial's algorithm): a
+/// circular array of at least `max_weight + 1` buckets (rounded up to a
+/// power of two, so a bucket index is a mask), plus distance and parent
+/// buffers. Sized once and reused across sources, so a sweep allocates per
+/// worker, not per source.
+///
+/// Every queued tentative distance lies in `[cur, cur + max_weight]`,
+/// where `cur` is the distance being settled, so the ring never wraps onto
+/// a live value. A run costs `O(m + D)` for the largest finite distance
+/// `D`, and the workspace holds `O(n + max_weight)` words: the kernel is
+/// meant for the small integer weights of emulators and unit graphs.
+#[derive(Clone, Debug)]
+pub struct DialWorkspace {
+    max_weight: Dist,
+    buckets: Vec<Vec<u32>>,
+    dist: Vec<Dist>,
+    parent: Vec<Option<u32>>,
+}
+
+impl DialWorkspace {
+    /// A workspace for graphs whose finite edge weights are at most
+    /// `max_weight` ([`WeightedGraph::max_weight`]).
+    pub fn new(max_weight: Dist) -> Self {
+        let slots = (max_weight as usize + 1).next_power_of_two();
+        DialWorkspace {
+            max_weight,
+            buckets: vec![Vec::new(); slots],
+            dist: Vec::new(),
+            parent: Vec::new(),
         }
     }
-    dist
+
+    /// Distances from `src` ([`INF`] when unreachable), in the workspace's
+    /// distance buffer.
+    pub fn sssp(&mut self, g: &WeightedGraph, src: usize) -> &[Dist] {
+        self.run::<false>(g, src);
+        &self.dist
+    }
+
+    /// Distances from `src` plus predecessors: `parent[v]` is the smallest
+    /// `u` with `dist[u] + w(u, v) = dist[v]` over the edges `(u, v, w)`
+    /// (`None` for `src` and unreachable vertices), which makes paths
+    /// deterministic.
+    ///
+    /// The parent is updated on a strict improvement and lowered on a tie,
+    /// as each settled vertex relaxes its edges. Every vertex with a finite
+    /// distance settles exactly once, at its final distance, and relaxes
+    /// every edge then; an offer that is not tight for the final distance
+    /// is overwritten by the first tight one, and each later tight offer
+    /// keeps the smaller id. So the parent is the smallest tight
+    /// predecessor whatever order equal distances settle in, weight-0
+    /// edges included, and equals the parent of any other label-setting
+    /// Dijkstra that applies this rule.
+    pub fn sssp_with_parents(
+        &mut self,
+        g: &WeightedGraph,
+        src: usize,
+    ) -> (&[Dist], &[Option<u32>]) {
+        self.run::<true>(g, src);
+        (&self.dist, &self.parent)
+    }
+
+    fn run<const PARENTS: bool>(&mut self, g: &WeightedGraph, src: usize) {
+        let n = g.n();
+        self.dist.clear();
+        self.dist.resize(n, INF);
+        if PARENTS {
+            self.parent.clear();
+            self.parent.resize(n, None);
+        }
+        let mask = self.buckets.len() - 1;
+        let (dist, parent, buckets) = (&mut self.dist, &mut self.parent, &mut self.buckets);
+        dist[src] = 0;
+        buckets[0].push(u32::try_from(src).expect("vertex ids fit in u32"));
+        let mut queued = 1usize;
+        let mut cur: Dist = 0;
+        while queued > 0 {
+            let slot = cur as usize & mask;
+            // Weight-0 edges push into this very bucket; popping until it
+            // is empty settles them at `cur` too.
+            while let Some(u) = buckets[slot].pop() {
+                queued -= 1;
+                if dist[u as usize] != cur {
+                    continue; // stale: `u` settled earlier at a lower distance
+                }
+                for &(v, w) in g.neighbors(u as usize) {
+                    let nd = dadd(cur, w);
+                    let dv = &mut dist[v as usize];
+                    if nd < *dv {
+                        debug_assert!(w <= self.max_weight, "weight {w} exceeds the workspace");
+                        *dv = nd;
+                        if PARENTS {
+                            parent[v as usize] = Some(u);
+                        }
+                        buckets[nd as usize & mask].push(v);
+                        queued += 1;
+                    } else if PARENTS && nd == *dv {
+                        let p = &mut parent[v as usize];
+                        if p.is_some_and(|p| u < p) {
+                            *p = Some(u);
+                        }
+                    }
+                }
+            }
+            cur += 1;
+        }
+    }
+}
+
+/// Single-source shortest path distances on a weighted graph (Dijkstra).
+pub fn sssp(g: &WeightedGraph, src: usize) -> Vec<Dist> {
+    DialWorkspace::new(g.max_weight()).sssp(g, src).to_vec()
 }
 
 /// Exact all-pairs distances on a weighted graph (one Dijkstra per vertex).
 pub fn apsp_exact(g: &WeightedGraph) -> Vec<Vec<Dist>> {
-    (0..g.n()).map(|v| sssp(g, v)).collect()
+    let mut ws = DialWorkspace::new(g.max_weight());
+    (0..g.n()).map(|v| ws.sssp(g, v).to_vec()).collect()
 }
 
 /// Dijkstra with predecessor tracking: returns `(dist, parent)` where
 /// `parent[v]` is the predecessor of `v` on a shortest path from `src`
 /// (`None` for `src` and unreachable vertices). Ties are broken toward the
-/// smaller predecessor id, making paths deterministic.
+/// smaller predecessor id, making paths deterministic
+/// ([`DialWorkspace::sssp_with_parents`]).
 pub fn sssp_with_parents(g: &WeightedGraph, src: usize) -> (Vec<Dist>, Vec<Option<u32>>) {
-    let mut dist = vec![INF; g.n()];
-    let mut parent: Vec<Option<u32>> = vec![None; g.n()];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0;
-    heap.push(Reverse((0 as Dist, src)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u] {
-            continue;
+    let mut ws = DialWorkspace::new(g.max_weight());
+    ws.run::<true>(g, src);
+    (ws.dist, ws.parent)
+}
+
+/// Calls `fill(ws, i, &mut items[i])` for every item, sharding `items` into
+/// contiguous runs over `threads` scoped workers. Each worker owns one
+/// [`DialWorkspace::new`]`(max_weight)`, in which `fill` typically runs a
+/// search of a graph whose weights are at most `max_weight` — computed
+/// once by the caller, not per source. Each call writes only its own item
+/// and reads shared inputs, so the items come out bit-identical at any
+/// thread count (DESIGN.md §7.4).
+pub fn sweep<T: Send>(
+    items: &mut [T],
+    max_weight: Dist,
+    threads: usize,
+    fill: impl Fn(&mut DialWorkspace, usize, &mut T) + Sync,
+) {
+    let threads = threads.clamp(1, items.len().max(1));
+    let shard = items.len().div_ceil(threads);
+    let run = |first: usize, chunk: &mut [T]| {
+        let mut ws = DialWorkspace::new(max_weight);
+        for (i, item) in chunk.iter_mut().enumerate() {
+            fill(&mut ws, first + i, item);
         }
-        for &(v, w) in g.neighbors(u) {
-            let v = v as usize;
-            let nd = dadd(d, w);
-            if nd < dist[v] || (nd == dist[v] && parent[v].is_some_and(|p| (u as u32) < p)) {
-                let improved = nd < dist[v];
-                dist[v] = nd;
-                parent[v] = Some(u as u32);
-                if improved {
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
+    };
+    if threads == 1 {
+        run(0, items);
+        return;
     }
-    (dist, parent)
+    let run = &run;
+    std::thread::scope(|scope| {
+        for (t, chunk) in items.chunks_mut(shard).enumerate() {
+            scope.spawn(move || run(t * shard, chunk));
+        }
+    });
 }
 
 /// A rooted shortest-path tree: distances plus deterministic predecessors,
@@ -513,6 +618,131 @@ mod tests {
                         assert_eq!(parents.is_some(), with_parents, "{at}");
                     }
                 }
+            }
+        }
+    }
+
+    /// The binary-heap Dijkstra the bucket queue replaced, kept as the
+    /// reference for distances and parents.
+    fn heap_sssp_with_parents(g: &WeightedGraph, src: usize) -> (Vec<Dist>, Vec<Option<u32>>) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut dist = vec![INF; g.n()];
+        let mut parent: Vec<Option<u32>> = vec![None; g.n()];
+        let mut heap = BinaryHeap::new();
+        dist[src] = 0;
+        heap.push(Reverse((0 as Dist, src)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u] {
+                continue;
+            }
+            for &(v, w) in g.neighbors(u) {
+                let v = v as usize;
+                let nd = dadd(d, w);
+                if nd < dist[v] || (nd == dist[v] && parent[v].is_some_and(|p| (u as u32) < p)) {
+                    let improved = nd < dist[v];
+                    dist[v] = nd;
+                    parent[v] = Some(u as u32);
+                    if improved {
+                        heap.push(Reverse((nd, v)));
+                    }
+                }
+            }
+        }
+        (dist, parent)
+    }
+
+    /// The plain heap `sssp` the bucket queue replaced.
+    fn heap_sssp(g: &WeightedGraph, src: usize) -> Vec<Dist> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut dist = vec![INF; g.n()];
+        let mut heap = BinaryHeap::new();
+        dist[src] = 0;
+        heap.push(Reverse((0 as Dist, src)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u] {
+                continue;
+            }
+            for &(v, w) in g.neighbors(u) {
+                let v = v as usize;
+                let nd = dadd(d, w);
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        dist
+    }
+
+    /// A seeded random graph on `n` vertices with weights in `lo..=hi`:
+    /// ~2 edges per vertex among the first `n - n/8` vertices (the rest
+    /// stay unreachable), a parallel copy of every fifth edge at another
+    /// weight, and one `INF`-weight edge.
+    fn random_weighted(n: usize, lo: Dist, hi: Dist, seed: u64) -> WeightedGraph {
+        use rand::Rng;
+        let mut rng = seeded(seed);
+        let mut g = WeightedGraph::new(n);
+        let reach = (n - n / 8).max(1);
+        for i in 0..2 * reach {
+            let (u, v) = (rng.gen_range(0..reach), rng.gen_range(0..reach));
+            g.add_edge(u, v, lo + rng.gen_range(0..hi - lo + 1));
+            if i % 5 == 0 {
+                g.add_edge(u, v, lo + rng.gen_range(0..hi - lo + 1));
+            }
+        }
+        if n > 1 {
+            g.add_edge(0, n - 1, INF);
+        }
+        g
+    }
+
+    #[test]
+    fn bucket_queue_matches_the_heap_kernel() {
+        // Weight 0 is outside the pipelines' inputs but inside the
+        // parent rule's proof, so it is pinned too.
+        for (lo, hi) in [(1, 1), (1, 4), (1, 1000), (0, 3)] {
+            for n in [1usize, 2, 97] {
+                for seed in 0..4 {
+                    let g = random_weighted(n, lo, hi, seed * 1000 + n as u64 + u64::from(hi));
+                    let mut ws = DialWorkspace::new(g.max_weight());
+                    for src in 0..n {
+                        let at = format!("w={lo}..={hi} n={n} seed={seed} src={src}");
+                        let (want_dist, want_parent) = heap_sssp_with_parents(&g, src);
+                        assert_eq!(heap_sssp(&g, src), want_dist, "{at}");
+                        assert_eq!(sssp(&g, src), want_dist, "{at}: sssp");
+                        assert_eq!(ws.sssp(&g, src), &want_dist[..], "{at}: reused");
+                        let (dist, parent) = sssp_with_parents(&g, src);
+                        assert_eq!(dist, want_dist, "{at}: parents' dist");
+                        assert_eq!(parent, want_parent, "{at}: parents");
+                        let (dist, parent) = ws.sssp_with_parents(&g, src);
+                        assert_eq!(dist, &want_dist[..], "{at}: reused parents' dist");
+                        assert_eq!(parent, &want_parent[..], "{at}: reused parents");
+                    }
+                    if n == 97 {
+                        assert_eq!(sssp(&g, 0)[n - 1], INF, "seed={seed}: unreachable tail");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_covers_empty_single_and_oversubscribed_inputs() {
+        // Item i must hold the search from vertex i whatever the split: no
+        // items, one item, more threads than items, and uneven shards.
+        let g = random_weighted(97, 1, 4, 5);
+        let want: Vec<(Vec<Dist>, Vec<Option<u32>>)> =
+            (0..g.n()).map(|s| heap_sssp_with_parents(&g, s)).collect();
+        for len in [0usize, 1, 2, 3, 5, 97] {
+            for threads in [1usize, 2, 3, 4, 8, 200] {
+                let mut items = vec![(Vec::new(), Vec::new()); len];
+                sweep(&mut items, g.max_weight(), threads, |ws, i, item| {
+                    let (d, p) = ws.sssp_with_parents(&g, i);
+                    *item = (d.to_vec(), p.to_vec());
+                });
+                assert_eq!(items, want[..len], "len = {len}, threads = {threads}");
             }
         }
     }
