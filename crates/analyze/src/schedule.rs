@@ -4,7 +4,7 @@
 //! The static rules ([`crate::rules`], [`crate::concurrency`]) ban the
 //! *patterns* that produce nondeterminism; this module attacks the running
 //! code. Every iteration re-runs the workspace's parallel surfaces — the
-//! plain and witness-carrying min-plus kernels (sparse and dense), the
+//! row-sharded sparse min-plus kernel (values and witnesses), the
 //! source-sharded hop-limited kernel of `(S,d)`-source detection (plain
 //! and with parents), the workspace sweep of bucket-queue Dijkstras behind
 //! the emulator sweep, the sharded congested-clique engine, and
@@ -31,7 +31,7 @@ use cc_clique::programs::AllGather;
 use cc_clique::NodeId;
 use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
 use cc_graphs::{dijkstra, Dist, StorageKind, WeightedGraph};
-use cc_matrix::{DenseMatrix, MinplusWorkspace, RowBuilder, SparseMatrix};
+use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_serve::snapshot::Oracles;
 use cc_serve::{serve, Client, ServerConfig};
 
@@ -63,8 +63,8 @@ impl Default for ScheduleConfig {
 pub struct ScheduleSummary {
     /// Iterations completed.
     pub iterations: u64,
-    /// Kernel comparisons performed (sparse/dense × plain/witness,
-    /// hop-limited plain/parents, Dijkstra sweep, engine).
+    /// Kernel comparisons performed (sparse min-plus, hop-limited
+    /// plain/parents, Dijkstra sweep, engine).
     pub comparisons: u64,
     /// Loopback `ccd` bursts performed.
     pub serve_bursts: u64,
@@ -91,12 +91,7 @@ const SERVE_EVERY: u64 = 8;
 struct Baseline {
     sparse_a: SparseMatrix,
     sparse_b: SparseMatrix,
-    dense_a: DenseMatrix,
-    dense_b: DenseMatrix,
-    sparse_plain: SparseMatrix,
-    sparse_witness: (SparseMatrix, Vec<u32>),
-    dense_plain: DenseMatrix,
-    dense_witness: (DenseMatrix, Vec<u32>),
+    sparse_product: (SparseMatrix, Vec<u32>),
     hop_graph: WeightedGraph,
     hop_sources: Vec<usize>,
     hop_plain: Vec<Dist>,
@@ -123,23 +118,19 @@ fn sweep_trees(g: &WeightedGraph, threads: usize) -> Vec<SweptTree> {
     trees
 }
 
-/// Deterministic sparse/dense input pair: ~6 entries per row, weights
-/// below 1000, mirrored into the dense form entry for entry.
-fn seeded_inputs(seed: u64) -> (SparseMatrix, DenseMatrix) {
+/// Deterministic sparse kernel input: ~6 entries per row, weights below
+/// 1000.
+fn seeded_input(seed: u64) -> SparseMatrix {
     let mut rng = Xorshift::new(seed);
     let mut rb = RowBuilder::new(KERNEL_N);
-    let mut dense = DenseMatrix::infinite(KERNEL_N);
     for i in 0..KERNEL_N {
         for _ in 0..6 {
             let j = rng.below(KERNEL_N);
             let w = rng.below(1000) as Dist;
             rb.push(i, j, w);
-            if w < dense.get(i, j) {
-                dense.set(i, j, w);
-            }
         }
     }
-    (rb.build(), dense)
+    rb.build()
 }
 
 /// Deterministic weighted graph for the hop-limited kernel: ~3 random
@@ -216,13 +207,9 @@ fn build_oracle(seed: u64) -> OracleBaseline {
 }
 
 fn baseline(seed: u64) -> Result<Baseline, String> {
-    let (sparse_a, dense_a) = seeded_inputs(seed ^ 0xa);
-    let (sparse_b, dense_b) = seeded_inputs(seed ^ 0xb);
-    let mut serial = MinplusWorkspace::with_threads(1);
-    let sparse_plain = sparse_a.minplus_with(&sparse_b, &mut serial);
-    let sparse_witness = sparse_a.minplus_with_witness(&sparse_b, &mut serial);
-    let dense_plain = dense_a.minplus_with(&dense_b, &serial);
-    let dense_witness = dense_a.minplus_with_witness(&dense_b, &serial);
+    let sparse_a = seeded_input(seed ^ 0xa);
+    let sparse_b = seeded_input(seed ^ 0xb);
+    let sparse_product = sparse_a.minplus(&sparse_b, &mut MinplusWorkspace::new());
     let (hop_graph, hop_sources) = hop_inputs(seed);
     let (hop_plain, _) =
         dijkstra::hop_limited_from_sources(&hop_graph, &hop_sources, HOP_LIMIT, 1, false);
@@ -235,12 +222,7 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
     Ok(Baseline {
         sparse_a,
         sparse_b,
-        dense_a,
-        dense_b,
-        sparse_plain,
-        sparse_witness,
-        dense_plain,
-        dense_witness,
+        sparse_product,
         hop_graph,
         hop_sources,
         hop_plain,
@@ -399,36 +381,11 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
 
         let threads = 1 + rng.below(max_threads);
         let mut ws = MinplusWorkspace::with_threads(threads);
-
-        let got = base.sparse_a.minplus_with(&base.sparse_b, &mut ws);
-        if got != base.sparse_plain {
+        let got = base.sparse_a.minplus(&base.sparse_b, &mut ws);
+        if got != base.sparse_product {
             fail(
                 &mut summary,
                 "sparse-minplus",
-                format!("threads={threads}: output differs from serial"),
-            );
-        }
-        let got = base.sparse_a.minplus_with_witness(&base.sparse_b, &mut ws);
-        if got != base.sparse_witness {
-            fail(
-                &mut summary,
-                "sparse-witness",
-                format!("threads={threads}: matrix or witnesses differ from serial"),
-            );
-        }
-        let got = base.dense_a.minplus_with(&base.dense_b, &ws);
-        if got != base.dense_plain {
-            fail(
-                &mut summary,
-                "dense-minplus",
-                format!("threads={threads}: output differs from serial"),
-            );
-        }
-        let got = base.dense_a.minplus_with_witness(&base.dense_b, &ws);
-        if got != base.dense_witness {
-            fail(
-                &mut summary,
-                "dense-witness",
                 format!("threads={threads}: matrix or witnesses differ from serial"),
             );
         }
@@ -485,7 +442,7 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 format!("threads={sweep_threads}: distances or parents differ from serial"),
             );
         }
-        summary.comparisons += 8;
+        summary.comparisons += 5;
 
         if iter % SERVE_EVERY == 0 {
             summary.serve_bursts += 1;
@@ -523,8 +480,7 @@ mod tests {
     fn baselines_are_reproducible() {
         let a = baseline(42).expect("baseline");
         let b = baseline(42).expect("baseline");
-        assert_eq!(a.sparse_plain, b.sparse_plain);
-        assert_eq!(a.dense_witness, b.dense_witness);
+        assert_eq!(a.sparse_product, b.sparse_product);
         assert_eq!(a.hop_parents, b.hop_parents);
         assert_eq!(a.sweep_trees, b.sweep_trees);
         assert_eq!(a.engine_collected, b.engine_collected);

@@ -9,23 +9,16 @@
 
 use cc_clique::RoundLedger;
 use cc_graphs::{Dist, Graph};
-use cc_matrix::{DenseMatrix, MinplusWorkspace};
+use cc_matrix::DenseMatrix;
 
 /// Exact APSP by iterated dense squaring. Returns the exact distance matrix
 /// (as a [`DenseMatrix`] in min-plus form).
 pub fn apsp(g: &Graph, ledger: &mut RoundLedger) -> DenseMatrix {
-    apsp_with(g, ledger, &MinplusWorkspace::new())
-}
-
-/// [`apsp`] with a caller-provided workspace: the squaring loop runs on
-/// `ws.threads()` worker threads with bit-identical results (and identical
-/// round charges) at any thread count.
-pub fn apsp_with(g: &Graph, ledger: &mut RoundLedger, ws: &MinplusWorkspace) -> DenseMatrix {
     let mut phase = ledger.enter("matrix-squaring");
     let mut a = DenseMatrix::adjacency(g);
     let mut reach = 1usize;
     while reach < g.n().max(2) - 1 {
-        a = a.square_charged_with(&mut phase, ws);
+        a = a.square_charged(&mut phase);
         reach *= 2;
     }
     a

@@ -89,11 +89,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Standard `n` sweep for scaling experiments.
-pub fn n_sweep() -> Vec<usize> {
-    vec![128, 256, 512, 1024]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

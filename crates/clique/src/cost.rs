@@ -357,12 +357,6 @@ impl RoundLedger {
         self.charge(label, model::learn_all(k, n));
     }
 
-    /// Charges a gather of `k` words to one node.
-    pub fn charge_gather(&mut self, label: impl Into<String>, k: u64) {
-        let n = self.n as u64;
-        self.charge(label, model::gather_to_one(k, n));
-    }
-
     /// Charges a dense min-plus matrix product.
     pub fn charge_dense_minplus(&mut self, label: impl Into<String>) {
         let n = self.n as u64;

@@ -403,37 +403,22 @@ pub(crate) fn run_mode(
         let w2 = w2.build();
         let w3 = w1.transpose();
         let mut ws = MinplusWorkspace::with_threads(threads);
-        // When recording, the witness-carrying kernels run instead; their
-        // outputs are bit-identical and the Thm 36 charge is the same
-        // density formula either way.
-        let (pm, wp) = match &paths {
-            Some(_) => {
-                let (pm, wp) = w1.minplus_with_witness(&w2, &mut ws);
-                (pm, Some(wp))
-            }
-            None => (w1.minplus_with(&w2, &mut ws), None),
-        };
+        let (pm, wp) = w1.minplus(&w2, &mut ws);
         phase.charge_sparse_minplus(
             "E'' product W1·W2",
             w1.density(),
             w2.density(),
             pm.density(),
         );
-        let (q, wq) = match &paths {
-            Some(_) => {
-                let (q, wq) = pm.minplus_with_witness(&w3, &mut ws);
-                (q, Some(wq))
-            }
-            None => (pm.minplus_with(&w3, &mut ws), None),
-        };
+        let (q, wq) = pm.minplus(&w3, &mut ws);
         phase.charge_sparse_minplus(
             "E'' product (W1·W2)·W3",
             pm.density(),
             w3.density(),
             q.density(),
         );
-        if let (Some(p), Some(wp), Some(wq)) = (paths.as_mut(), &wp, &wq) {
-            offer_product_routes(p, &kn, &kn_recs, &w1, &pm, wp, &q, wq);
+        if let Some(p) = paths.as_mut() {
+            offer_product_routes(p, &kn, &kn_recs, &w1, &pm, &wp, &q, &wq);
         }
         for u in 0..n {
             for &(v, d) in q.row(u) {
@@ -609,6 +594,66 @@ mod tests {
             let out = run_deterministic(&g, &cfg, &mut ledger).unwrap();
             assert_short_range(&g, &out, name);
         }
+    }
+
+    /// Case 3b routes are assembled from the sparse kernel's witnesses. In
+    /// a session every product entry ties an earlier stage (with
+    /// `thresh2 = 1` the product only re-derives distance-through-lists), so
+    /// here the product is offered to an empty store, where its entries win:
+    /// every stored route must be a real walk of `G` with the stored weight,
+    /// no heavier than the product entry.
+    #[test]
+    fn product_routes_follow_the_kernel_witnesses() {
+        let g = generators::random_tree(48, &mut ChaCha8Rng::seed_from_u64(5));
+        let n = g.n();
+        let kn = KNearest::compute(&g, 11, 12, Strategy::TruncatedBfs, &mut RoundLedger::new(n))
+            .with_parents(&g);
+        let mut store = PathStore::new(n);
+        let kn_recs: Vec<Vec<Option<RecId>>> = (0..n)
+            .map(|u| kn.route_recs(u, store.routes_mut().arena_mut()))
+            .collect();
+        // The factors as `run_mode` builds them, with G' = G and thresh2 = 1.
+        let mut w1 = RowBuilder::new(n);
+        for u in 0..n {
+            for &(v, d) in kn.list(u) {
+                w1.push(u, v as usize, d);
+            }
+        }
+        let w1 = w1.build();
+        let mut w2 = RowBuilder::new(n);
+        for x in (0..n).filter(|&x| g.degree(x) <= 1) {
+            for &y in g.neighbors(x) {
+                w2.push(x, y as usize, 1);
+            }
+        }
+        let w2 = w2.build();
+        let mut ws = MinplusWorkspace::with_threads(2);
+        let (pm, wp) = w1.minplus(&w2, &mut ws);
+        let (q, wq) = pm.minplus(&w1.transpose(), &mut ws);
+        offer_product_routes(&mut store, &kn, &kn_recs, &w1, &pm, &wp, &q, &wq);
+        let mut routed = 0;
+        for u in 0..n {
+            for &(v, d) in q.row(u) {
+                let v = v as usize;
+                if v == u {
+                    continue;
+                }
+                let stored = store.value(u, v);
+                assert!(stored <= d, "({u},{v}): product entry {d} not offered");
+                let walk = store.emit(u, v).expect("offered pair has a route");
+                assert_eq!(walk.len() as Dist, stored, "({u},{v}): walk weight");
+                assert_eq!(walk[0].0 as usize, u, "({u},{v}): walk start");
+                assert_eq!(walk[walk.len() - 1].1 as usize, v, "({u},{v}): walk end");
+                for (i, &(x, y)) in walk.iter().enumerate() {
+                    assert!(g.has_edge(x as usize, y as usize), "({u},{v}): ({x},{y})");
+                    if i > 0 {
+                        assert_eq!(walk[i - 1].1, x, "({u},{v}): walk is a chain");
+                    }
+                }
+                routed += 1;
+            }
+        }
+        assert!(routed > n, "the product reaches most pairs");
     }
 
     #[test]

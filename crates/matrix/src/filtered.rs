@@ -7,9 +7,9 @@
 //! computes, after `⌈log₂ d⌉` iterations, the `(ρ, d)`-nearest sets of every
 //! vertex (Claim 59) — while every intermediate matrix stays `ρ`-sparse.
 //!
-//! The `_with` variants thread one [`MinplusWorkspace`] through the whole
-//! squaring loop, so the repeated products reuse scratch and run on the
-//! workspace's worker threads.
+//! One [`MinplusWorkspace`] is threaded through the whole squaring loop, so
+//! the repeated products reuse scratch and run on the workspace's worker
+//! threads.
 
 use cc_clique::RoundLedger;
 use cc_graphs::{Dist, Graph};
@@ -42,21 +42,11 @@ pub fn filter_rows(m: &SparseMatrix, rho: usize) -> SparseMatrix {
     out
 }
 
-/// Filtered min-plus product: `filter(S · T, rho)`, charging the Thm 58
-/// round cost to `ledger` (`W` is taken from the largest value produced).
+/// Filtered min-plus product: `filter(S · T, rho)` on the workspace `ws`,
+/// charging the Thm 58 round cost to `ledger` (`W` is taken from the
+/// largest value produced; round charges do not depend on the thread
+/// count).
 pub fn filtered_product(
-    s: &SparseMatrix,
-    t: &SparseMatrix,
-    rho: usize,
-    ledger: &mut RoundLedger,
-    label: &str,
-) -> SparseMatrix {
-    filtered_product_with(s, t, rho, &mut MinplusWorkspace::new(), ledger, label)
-}
-
-/// [`filtered_product`] with a caller-provided workspace (scratch reuse and
-/// row-sharded parallel products; round charges are unchanged).
-pub fn filtered_product_with(
     s: &SparseMatrix,
     t: &SparseMatrix,
     rho: usize,
@@ -64,7 +54,7 @@ pub fn filtered_product_with(
     ledger: &mut RoundLedger,
     label: &str,
 ) -> SparseMatrix {
-    let product = s.minplus_with(t, ws);
+    let (product, _) = s.minplus(t, ws);
     let out = filter_rows(&product, rho);
     let w = out.max_value().max(1) as u64;
     ledger.charge_filtered_minplus(label, s.density(), t.density(), rho as u64, w);
@@ -73,20 +63,14 @@ pub fn filtered_product_with(
 
 /// Iterated filtered squaring (Claim 59): starting from the filtered
 /// adjacency matrix of `g`, squares (with filtering to width `rho`)
-/// `⌈log₂ d⌉` times. The resulting matrix holds, for every vertex `u`, the
-/// distances to (at least) its `rho` nearest vertices among those within
-/// distance `d` — the `(k,d)`-nearest object for `k = rho` (entries beyond
-/// `d` may appear and are dropped here).
+/// `⌈log₂ d⌉` times on the workspace `ws`. The resulting matrix holds, for
+/// every vertex `u`, the distances to (at least) its `rho` nearest vertices
+/// among those within distance `d` — the `(k,d)`-nearest object for
+/// `k = rho` (entries beyond `d` may appear and are dropped here).
 ///
 /// Rounds charged: one filtered product per iteration (Thm 10 total:
 /// `O((k/n^{2/3} + log d) · log d)`).
-pub fn knearest_matrix(g: &Graph, rho: usize, d: Dist, ledger: &mut RoundLedger) -> SparseMatrix {
-    knearest_matrix_with(g, rho, d, &mut MinplusWorkspace::new(), ledger)
-}
-
-/// [`knearest_matrix`] with a caller-provided workspace: every squaring
-/// iteration reuses the same scratch and thread configuration.
-pub fn knearest_matrix_with(
+pub fn knearest_matrix(
     g: &Graph,
     rho: usize,
     d: Dist,
@@ -99,7 +83,7 @@ pub fn knearest_matrix_with(
     let mut iter = 0;
     while reach < d {
         iter += 1;
-        a = filtered_product_with(
+        a = filtered_product(
             &a,
             &a,
             rho,
@@ -147,6 +131,11 @@ mod tests {
         assert_eq!(f, a);
     }
 
+    /// [`knearest_matrix`] on a serial one-shot workspace.
+    fn knearest(g: &Graph, rho: usize, d: Dist, ledger: &mut RoundLedger) -> SparseMatrix {
+        knearest_matrix(g, rho, d, &mut MinplusWorkspace::new(), ledger)
+    }
+
     #[test]
     fn knearest_matrix_matches_reference() {
         let mut rng = seeded(21);
@@ -157,7 +146,7 @@ mod tests {
         ] {
             let mut ledger = RoundLedger::new(g.n());
             for (k, d) in [(3usize, 2u32), (5, 4), (8, 7), (100, 3)] {
-                let m = knearest_matrix(&g, k, d, &mut ledger);
+                let m = knearest(&g, k, d, &mut ledger);
                 for v in 0..g.n() {
                     let want = bfs::knearest_reference(&g, v, k, d);
                     let mut got: Vec<(u32, Dist)> =
@@ -174,12 +163,12 @@ mod tests {
         let g = generators::caveman(4, 5);
         let serial = {
             let mut ledger = RoundLedger::new(g.n());
-            knearest_matrix(&g, 6, 8, &mut ledger)
+            knearest(&g, 6, 8, &mut ledger)
         };
         for threads in [2, 5] {
             let mut ws = MinplusWorkspace::with_threads(threads);
             let mut ledger = RoundLedger::new(g.n());
-            let got = knearest_matrix_with(&g, 6, 8, &mut ws, &mut ledger);
+            let got = knearest_matrix(&g, 6, 8, &mut ws, &mut ledger);
             assert_eq!(got, serial, "threads = {threads}");
         }
     }
@@ -188,7 +177,7 @@ mod tests {
     fn knearest_matrix_respects_distance_bound() {
         let g = generators::path(12);
         let mut ledger = RoundLedger::new(12);
-        let m = knearest_matrix(&g, 100, 3, &mut ledger);
+        let m = knearest(&g, 100, 3, &mut ledger);
         for v in 0..12 {
             for &(_, dist) in m.row(v) {
                 assert!(dist <= 3);
@@ -202,9 +191,9 @@ mod tests {
     fn rounds_scale_with_log_d() {
         let g = generators::cycle(256);
         let mut l1 = RoundLedger::new(256);
-        let _ = knearest_matrix(&g, 8, 4, &mut l1);
+        let _ = knearest(&g, 8, 4, &mut l1);
         let mut l2 = RoundLedger::new(256);
-        let _ = knearest_matrix(&g, 8, 64, &mut l2);
+        let _ = knearest(&g, 8, 64, &mut l2);
         assert!(l2.total_rounds() > l1.total_rounds());
         // log d = 6 vs 2 → roughly 3x the iterations; allow slack for the
         // per-iteration log W term growing with d.
@@ -215,7 +204,7 @@ mod tests {
     fn d_one_is_filtered_adjacency() {
         let g = generators::star(8);
         let mut ledger = RoundLedger::new(8);
-        let m = knearest_matrix(&g, 3, 1, &mut ledger);
+        let m = knearest(&g, 3, 1, &mut ledger);
         assert_eq!(ledger.total_rounds(), 0); // no products needed
                                               // Center keeps itself + 2 smallest leaves.
         assert_eq!(m.row(0).len(), 3);

@@ -3,15 +3,10 @@
 
 use std::ops::Range;
 
-use cc_clique::RoundLedger;
 use cc_graphs::{Dist, Graph, INF};
 
-use crate::workspace::{MinplusWorkspace, Scratch};
+use crate::workspace::{MinplusWorkspace, Scratch, PACKED_EMPTY};
 
-/// Kernel entries store column/witness ids as `u32`. Every index this
-/// narrows is bounded by a matrix dimension whose dense backing already
-/// fits in memory, so the conversion is total in practice; debug builds
-/// assert it instead of paying a branch on the hot path.
 /// Extracts the witness id from a packed `(dist << 32) | witness`
 /// accumulator word — a deliberate low-32-bit extraction, not an index
 /// narrowing.
@@ -21,6 +16,10 @@ fn packed_witness(packed: u64) -> u32 {
     packed as u32
 }
 
+/// Kernel entries store column/witness ids as `u32`. Every index this
+/// narrows is bounded by a matrix dimension whose dense backing already
+/// fits in memory, so the conversion is total in practice; debug builds
+/// assert it instead of paying a branch on the hot path.
 #[inline]
 fn small_u32(x: usize) -> u32 {
     debug_assert!(u32::try_from(x).is_ok(), "index exceeds u32 wire width");
@@ -148,24 +147,6 @@ impl RowBuilder {
 }
 
 impl SparseMatrix {
-    /// Empty (all-∞) matrix.
-    pub fn new(n: usize) -> Self {
-        SparseMatrix {
-            n,
-            offsets: vec![0; n + 1],
-            entries: Vec::new(),
-        }
-    }
-
-    /// Min-plus identity: 0 diagonal.
-    pub fn identity(n: usize) -> Self {
-        SparseMatrix {
-            n,
-            offsets: (0..=n).collect(),
-            entries: (0..n).map(|i| (small_u32(i), 0)).collect(),
-        }
-    }
-
     /// Adjacency matrix of an unweighted graph with 0 diagonal: the starting
     /// point of distance-product iterations.
     pub fn adjacency(g: &Graph) -> Self {
@@ -226,7 +207,7 @@ impl SparseMatrix {
     }
 
     /// The arena index range of row `i` — parallel arrays (e.g. the witness
-    /// arena of [`SparseMatrix::minplus_with_witness`]) are sliced with it.
+    /// arena of [`SparseMatrix::minplus`]) are sliced with it.
     #[inline]
     pub fn row_range(&self, i: usize) -> Range<usize> {
         self.offsets[i]..self.offsets[i + 1]
@@ -252,57 +233,51 @@ impl SparseMatrix {
             .max(1)
     }
 
-    /// Maximum finite entries in any row.
-    pub fn max_row_nnz(&self) -> usize {
-        (0..self.n).map(|i| self.row_nnz(i)).max().unwrap_or(0)
-    }
-
     /// Largest finite value in the matrix (0 if empty).
     pub fn max_value(&self) -> Dist {
         self.entries.iter().map(|&(_, v)| v).max().unwrap_or(0)
     }
 
-    /// Min-plus product `self · other` (serial, one-shot scratch). Loops
-    /// should use [`SparseMatrix::minplus_with`] with a persistent
-    /// [`MinplusWorkspace`] instead.
+    /// Min-plus product `self · other` plus, for every finite output entry,
+    /// the **smallest** intermediate index `k` with
+    /// `out(i,j) = self(i,k) + other(k,j)` — the classic witness matrix that
+    /// turns a distance product into a path product (Censor-Hillel & Paz).
+    /// Callers that need only distances drop the witnesses.
+    ///
+    /// The witnesses come back as a parallel `u32` arena: `witness[e]`
+    /// belongs to the output entry at arena index `e`, so the witnesses of
+    /// output row `i` are `witness[out.row_range(i)]`.
+    ///
+    /// `ws` supplies reusable scratch and the thread count: with
+    /// `ws.threads() > 1`, output rows are sharded contiguously across
+    /// scoped worker threads. Every output row (values *and* witnesses)
+    /// depends only on the inputs, so the result is **bit-identical** to
+    /// serial execution at any thread count.
     ///
     /// # Panics
     ///
     /// Panics if dimensions differ.
-    pub fn minplus(&self, other: &SparseMatrix) -> SparseMatrix {
-        self.minplus_with(other, &mut MinplusWorkspace::new())
-    }
-
-    /// Min-plus product `self · other` using (and reusing) `ws` for scratch
-    /// and thread configuration.
-    ///
-    /// With `ws.threads() > 1`, output rows are sharded contiguously across
-    /// scoped worker threads. Every output row depends only on the inputs,
-    /// so the result is **bit-identical** to serial execution at any thread
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn minplus_with(&self, other: &SparseMatrix, ws: &mut MinplusWorkspace) -> SparseMatrix {
+    pub fn minplus(
+        &self,
+        other: &SparseMatrix,
+        ws: &mut MinplusWorkspace,
+    ) -> (SparseMatrix, Vec<u32>) {
         assert_eq!(self.n, other.n, "dimension mismatch");
         let n = self.n;
         let threads = ws.threads().clamp(1, n.max(1));
-        if threads <= 1 {
-            let lane = &mut ws.lanes(1, n)[0];
-            let part = product_rows(self, other, 0..n, lane);
-            return assemble(n, vec![part]);
+        let lanes = ws.lanes(threads, n);
+        if threads == 1 {
+            return assemble(n, vec![product_rows(self, other, 0..n, &mut lanes[0])]);
         }
         let shard = n.div_ceil(threads);
-        let ranges: Vec<Range<usize>> = (0..threads)
-            .map(|t| (t * shard).min(n)..((t + 1) * shard).min(n))
-            .collect();
-        let lanes = ws.lanes(threads, n);
         let parts: Vec<RowsPart> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .zip(lanes.iter_mut())
-                .map(|(range, lane)| scope.spawn(move || product_rows(self, other, range, lane)))
+            let handles: Vec<_> = lanes
+                .iter_mut()
+                .enumerate()
+                .map(|(t, lane)| {
+                    let rows = (t * shard).min(n)..((t + 1) * shard).min(n);
+                    scope.spawn(move || product_rows(self, other, rows, lane))
+                })
                 .collect();
             handles
                 .into_iter()
@@ -311,88 +286,6 @@ impl SparseMatrix {
                 .collect()
         });
         assemble(n, parts)
-    }
-
-    /// Min-plus product with the Thm 36 round cost charged to `ledger`.
-    pub fn minplus_charged(
-        &self,
-        other: &SparseMatrix,
-        ledger: &mut RoundLedger,
-        label: &str,
-    ) -> SparseMatrix {
-        self.minplus_charged_with(other, &mut MinplusWorkspace::new(), ledger, label)
-    }
-
-    /// [`SparseMatrix::minplus_with`] plus the Thm 36 round charge. Model
-    /// accounting is independent of the thread count: rounds depend only on
-    /// the densities.
-    pub fn minplus_charged_with(
-        &self,
-        other: &SparseMatrix,
-        ws: &mut MinplusWorkspace,
-        ledger: &mut RoundLedger,
-        label: &str,
-    ) -> SparseMatrix {
-        let out = self.minplus_with(other, ws);
-        ledger.charge_sparse_minplus(label, self.density(), other.density(), out.density());
-        out
-    }
-
-    /// Witness-carrying min-plus product: `self · other` plus, for every
-    /// finite output entry, the **smallest** intermediate index `k` with
-    /// `out(i,j) = self(i,k) + other(k,j)` — the classic witness matrix that
-    /// turns a distance product into a path product (Censor-Hillel & Paz).
-    ///
-    /// The witnesses come back as a parallel `u32` arena: `witness[e]`
-    /// belongs to the output entry at arena index `e`, so the witnesses of
-    /// output row `i` are `witness[out.row_range(i)]`.
-    ///
-    /// The output matrix is **bit-identical** to
-    /// [`SparseMatrix::minplus_with`] (same values, same nnz), and — like
-    /// it — rows are sharded across `ws.threads()` workers with bit-identical
-    /// results (values *and* witnesses) at any thread count: each output
-    /// row's witness depends only on the inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn minplus_with_witness(
-        &self,
-        other: &SparseMatrix,
-        ws: &mut MinplusWorkspace,
-    ) -> (SparseMatrix, Vec<u32>) {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let n = self.n;
-        let threads = ws.threads().clamp(1, n.max(1));
-        if threads <= 1 {
-            let lane = &mut ws.lanes(1, n)[0];
-            lane.ensure_witness(n);
-            let part = product_rows_witness(self, other, 0..n, lane);
-            return assemble_witness(n, vec![part]);
-        }
-        let shard = n.div_ceil(threads);
-        let ranges: Vec<Range<usize>> = (0..threads)
-            .map(|t| (t * shard).min(n)..((t + 1) * shard).min(n))
-            .collect();
-        let lanes = ws.lanes(threads, n);
-        for lane in lanes.iter_mut() {
-            lane.ensure_witness(n);
-        }
-        let parts: Vec<WitnessRowsPart> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .zip(lanes.iter_mut())
-                .map(|(range, lane)| {
-                    scope.spawn(move || product_rows_witness(self, other, range, lane))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // cc-analyze: allow(unwrap-expect) — a panicked worker must propagate, not vanish.
-                .map(|h| h.join().expect("min-plus witness worker panicked"))
-                .collect()
-        });
-        assemble_witness(n, parts)
     }
 
     /// Transpose, by a two-pass counting sort over columns: `O(nnz + n)`,
@@ -422,60 +315,28 @@ impl SparseMatrix {
             entries,
         }
     }
-
-    /// Entry-wise minimum with `other`, by merging the column-sorted rows
-    /// (`O(nnz_self + nnz_other)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn min_with(&mut self, other: &SparseMatrix) {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let n = self.n;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut entries = Vec::with_capacity(self.entries.len().max(other.entries.len()));
-        for i in 0..n {
-            let (a, b) = (self.row(i), other.row(i));
-            let (mut x, mut y) = (0, 0);
-            while x < a.len() && y < b.len() {
-                let ((ca, va), (cb, vb)) = (a[x], b[y]);
-                match ca.cmp(&cb) {
-                    std::cmp::Ordering::Less => {
-                        entries.push((ca, va));
-                        x += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        entries.push((cb, vb));
-                        y += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        entries.push((ca, va.min(vb)));
-                        x += 1;
-                        y += 1;
-                    }
-                }
-            }
-            entries.extend_from_slice(&a[x..]);
-            entries.extend_from_slice(&b[y..]);
-            offsets.push(entries.len());
-        }
-        self.offsets = offsets;
-        self.entries = entries;
-    }
 }
 
-/// One shard's product output: per-row entry counts plus its slice of the
-/// arena, stitched into a full CSR matrix by [`assemble`].
-type RowsPart = (Vec<usize>, Vec<(u32, Dist)>);
+/// One shard's product output: per-row entry counts, its slice of the
+/// entry arena and the parallel witness arena, stitched into a full CSR
+/// matrix by [`assemble`].
+type RowsPart = (Vec<usize>, Vec<(u32, Dist)>, Vec<u32>);
 
 /// Output rows denser than `n / SCAN_DIVISOR` are emitted by scanning the
 /// accumulator (sorted for free, no touched tracking in the inner loop);
 /// sparser rows sort their touched-column list instead.
 const SCAN_DIVISOR: usize = 8;
 
-/// Computes output rows `rows` of `a · b`. Each row is independent, so any
-/// partition of the row space yields bit-identical results.
+/// Computes output rows `rows` of `a · b` with their witnesses. Each row is
+/// independent, so any partition of the row space yields bit-identical
+/// results.
+///
+/// The accumulator packs `(value << 32) | k` per cell, so the inner loop
+/// stays a single branch-free `min`: smaller values win, and among equal
+/// values the smaller `k` wins automatically (the witness specification).
+/// Finite entries are `< INF < 2³⁰`, so the raw sum `av + bv` cannot wrap
+/// `u32`; candidates whose value reaches ∞ never beat
+/// [`PACKED_EMPTY`] and vanish.
 fn product_rows(
     a: &SparseMatrix,
     b: &SparseMatrix,
@@ -500,8 +361,9 @@ fn product_rows(
         .map(|&bound| if bound * SCAN_DIVISOR >= n { n } else { bound })
         .sum();
     let mut out: Vec<(u32, Dist)> = vec![(0, 0); cap];
-    let mut w = 0usize; // write cursor into `out`
-    let acc = &mut lane.acc[..n];
+    let mut wit: Vec<u32> = vec![0; cap];
+    let mut w = 0usize; // write cursor into `out` and `wit`
+    let pacc = &mut lane.pacc[..n];
     let touched = &mut lane.touched;
     for (i, &bound) in rows.zip(bounds.iter()) {
         let arow = a.row(i);
@@ -511,85 +373,6 @@ fn product_rows(
             // that emits, resets and advances without a mispredictable
             // branch (finite cells bump the cursor; ∞ slots are overwritten
             // by the next write or truncated at the end).
-            for &(k, av) in arow {
-                for &(j, bv) in b.row(k as usize) {
-                    // Finite entries are < INF < 2³⁰, so the raw sum cannot
-                    // wrap u32; sums ≥ INF lose to the ∞ cell and vanish.
-                    let cell = &mut acc[j as usize];
-                    *cell = (*cell).min(av + bv);
-                }
-            }
-            for (j, cell) in acc.iter_mut().enumerate() {
-                let v = *cell;
-                *cell = INF;
-                out[w] = (small_u32(j), v);
-                w += usize::from(v < INF);
-            }
-        } else {
-            // Sparse row: track first-touched columns, sort once at emit.
-            for &(k, av) in arow {
-                for &(j, bv) in b.row(k as usize) {
-                    let cand = av + bv;
-                    let cell = &mut acc[j as usize];
-                    if cand < *cell {
-                        if *cell == INF {
-                            touched.push(j);
-                        }
-                        *cell = cand;
-                    }
-                }
-            }
-            touched.sort_unstable();
-            for &j in touched.iter() {
-                out[w] = (j, acc[j as usize]);
-                w += 1;
-                acc[j as usize] = INF;
-            }
-            touched.clear();
-        }
-        lens.push(w - before);
-    }
-    out.truncate(w);
-    (lens, out)
-}
-
-/// One shard's witness-product output: entry counts, entry arena and the
-/// parallel witness arena.
-type WitnessRowsPart = (Vec<usize>, Vec<(u32, Dist)>, Vec<u32>);
-
-/// Witness-carrying twin of [`product_rows`]: identical minima (so values
-/// and nnz are bit-identical), plus the smallest realizing `k` per finite
-/// output entry. The accumulator packs `(value << 32) | k` per cell, so the
-/// inner loop stays a single branch-free `min` — smaller values win, and
-/// among equal values the smaller `k` wins automatically (the witness
-/// specification). Candidates with value ≥ ∞ never beat
-/// [`crate::workspace::PACKED_EMPTY`], exactly mirroring the plain kernel.
-fn product_rows_witness(
-    a: &SparseMatrix,
-    b: &SparseMatrix,
-    rows: Range<usize>,
-    lane: &mut Scratch,
-) -> WitnessRowsPart {
-    use crate::workspace::PACKED_EMPTY;
-    let n = a.n;
-    let mut lens = Vec::with_capacity(rows.len());
-    let bounds: Vec<usize> = rows
-        .clone()
-        .map(|i| a.row(i).iter().map(|&(k, _)| b.row_nnz(k as usize)).sum())
-        .collect();
-    let cap: usize = bounds
-        .iter()
-        .map(|&bound| if bound * SCAN_DIVISOR >= n { n } else { bound })
-        .sum();
-    let mut out: Vec<(u32, Dist)> = vec![(0, 0); cap];
-    let mut wit: Vec<u32> = vec![0; cap];
-    let mut w = 0usize;
-    let pacc = &mut lane.pacc[..n];
-    let touched = &mut lane.touched;
-    for (i, &bound) in rows.zip(bounds.iter()) {
-        let arow = a.row(i);
-        let before = w;
-        if bound * SCAN_DIVISOR >= n {
             for &(k, av) in arow {
                 let kbits = k as u64;
                 for &(j, bv) in b.row(k as usize) {
@@ -606,6 +389,7 @@ fn product_rows_witness(
                 w += usize::from(v < INF);
             }
         } else {
+            // Sparse row: track first-touched columns, sort once at emit.
             for &(k, av) in arow {
                 let kbits = k as u64;
                 for &(j, bv) in b.row(k as usize) {
@@ -636,8 +420,10 @@ fn product_rows_witness(
     (lens, out, wit)
 }
 
-/// [`assemble`] twin that also stitches the witness arenas.
-fn assemble_witness(n: usize, parts: Vec<WitnessRowsPart>) -> (SparseMatrix, Vec<u32>) {
+/// Stitches per-shard products (in row order) into one CSR matrix and its
+/// witness arena. The serial (single-shard) case moves the arenas instead
+/// of copying them.
+fn assemble(n: usize, parts: Vec<RowsPart>) -> (SparseMatrix, Vec<u32>) {
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0);
     let mut cum = 0usize;
@@ -673,41 +459,17 @@ fn assemble_witness(n: usize, parts: Vec<WitnessRowsPart>) -> (SparseMatrix, Vec
     )
 }
 
-/// Stitches per-shard products (in row order) into one CSR matrix. The
-/// serial (single-shard) case moves the arena instead of copying it.
-fn assemble(n: usize, parts: Vec<RowsPart>) -> SparseMatrix {
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    let mut cum = 0usize;
-    let mut entries: Vec<(u32, Dist)> = Vec::new();
-    let single = parts.len() == 1;
-    if !single {
-        entries.reserve_exact(parts.iter().map(|(_, e)| e.len()).sum());
-    }
-    for (lens, mut part) in parts {
-        for len in lens {
-            cum += len;
-            offsets.push(cum);
-        }
-        if single {
-            entries = part;
-        } else {
-            entries.append(&mut part);
-        }
-    }
-    debug_assert_eq!(offsets.len(), n + 1);
-    SparseMatrix {
-        n,
-        offsets,
-        entries,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cc_clique::cost::model;
+    use cc_clique::RoundLedger;
     use cc_graphs::{bfs, generators};
+
+    /// `a · b` on a serial one-shot workspace, witnesses dropped.
+    fn product(a: &SparseMatrix, b: &SparseMatrix) -> SparseMatrix {
+        a.minplus(b, &mut MinplusWorkspace::new()).0
+    }
 
     #[test]
     fn builder_roundtrip_with_dedup_min() {
@@ -730,7 +492,7 @@ mod tests {
         let g = generators::gnp(20, 0.2, &mut seeded(8));
         let s = SparseMatrix::adjacency(&g);
         let d = crate::dense::DenseMatrix::adjacency(&g);
-        let sp = s.minplus(&s);
+        let sp = product(&s, &s);
         let dp = d.minplus(&d);
         for u in 0..g.n() {
             for v in 0..g.n() {
@@ -747,7 +509,7 @@ mod tests {
         let mut ws = MinplusWorkspace::new();
         let mut hops = 1;
         while hops < g.n() {
-            a = a.minplus_with(&a, &mut ws);
+            a = a.minplus(&a, &mut ws).0;
             hops *= 2;
         }
         for u in 0..g.n() {
@@ -761,14 +523,14 @@ mod tests {
     fn threaded_product_is_bit_identical() {
         let g = generators::connected_gnp(48, 0.1, &mut seeded(4));
         let a = SparseMatrix::adjacency(&g);
-        let serial = a.minplus(&a);
+        let serial = a.minplus(&a, &mut MinplusWorkspace::new());
         for threads in [2, 3, 8, 64] {
             let mut ws = MinplusWorkspace::with_threads(threads);
-            let par = a.minplus_with(&a, &mut ws);
+            let par = a.minplus(&a, &mut ws);
             assert_eq!(par, serial, "threads = {threads}");
             // The workspace is reusable: a second product from warm scratch
-            // must also agree.
-            assert_eq!(a.minplus_with(&a, &mut ws), serial);
+            // must also agree, values and witnesses.
+            assert_eq!(a.minplus(&a, &mut ws), serial);
         }
     }
 
@@ -788,15 +550,13 @@ mod tests {
     }
 
     #[test]
-    fn witness_product_matches_plain_and_realizes_entries() {
+    fn witnesses_are_the_smallest_realizing_k() {
         let g = generators::connected_gnp(40, 0.12, &mut seeded(19));
         let a = SparseMatrix::adjacency(&g);
         // Second power too, so both the scan and the sparse emit paths run.
         let mut ws = MinplusWorkspace::new();
-        let (p, wp) = a.minplus_with_witness(&a, &mut ws);
-        assert_eq!(p, a.minplus(&a), "witness kernel must not change values");
-        let (q, wq) = p.minplus_with_witness(&p, &mut ws);
-        assert_eq!(q, p.minplus(&p));
+        let (p, wp) = a.minplus(&a, &mut ws);
+        let (q, wq) = p.minplus(&p, &mut ws);
         for (m, wit, left) in [(&p, &wp, &a), (&q, &wq, &p)] {
             assert_eq!(wit.len(), m.nnz(), "one witness per finite entry");
             for i in 0..m.n() {
@@ -813,27 +573,11 @@ mod tests {
     }
 
     #[test]
-    fn witness_product_is_bit_identical_across_threads() {
-        let g = generators::connected_gnp(48, 0.1, &mut seeded(7));
-        let a = SparseMatrix::adjacency(&g);
-        let mut ws = MinplusWorkspace::new();
-        let serial = a.minplus_with_witness(&a, &mut ws);
-        for threads in [2, 3, 8] {
-            let mut ws = MinplusWorkspace::with_threads(threads);
-            let par = a.minplus_with_witness(&a, &mut ws);
-            assert_eq!(par, serial, "threads = {threads}");
-            // Warm-workspace reuse must also agree.
-            assert_eq!(a.minplus_with_witness(&a, &mut ws), serial);
-        }
-    }
-
-    #[test]
     fn density_tracks_nnz() {
         let g = generators::cycle(10);
         let a = SparseMatrix::adjacency(&g);
         assert_eq!(a.nnz(), 10 * 3); // self + two neighbors
         assert_eq!(a.density(), 3);
-        assert_eq!(a.max_row_nnz(), 3);
     }
 
     #[test]
@@ -861,7 +605,8 @@ mod tests {
         // 0..10, one entry removed (nnz = 10n − 1, so ρ = 10 ceiled but 9
         // floored). Right factor: stride-10 circulant (ρ = 10). Offset sums
         // o₁ + 10·o₂ cover every residue mod 100, so the product is
-        // (almost) full and ρ_out = 100.
+        // (almost) full and ρ_out = 100. Charged as the pipelines charge a
+        // product: from the factors' and the output's densities.
         let n = 100;
         let mut ab = RowBuilder::new(n);
         for i in 0..n {
@@ -881,15 +626,22 @@ mod tests {
         let b = bb.build();
         assert_eq!(a.nnz(), 10 * n - 1);
         assert_eq!((a.density(), b.density()), (10, 10));
-        let out = a.minplus(&b);
+        let out = product(&a, &b);
         assert_eq!(out.density(), 100);
         let mut ledger = RoundLedger::new(n);
-        let _ = a.minplus_charged(&b, &mut ledger, "band × stride");
+        ledger.charge_sparse_minplus("band × stride", a.density(), b.density(), out.density());
         let charged = ledger.total_rounds();
         assert_eq!(charged, model::sparse_minplus(10, 10, 100, n as u64));
         // The old floored left density (ρ = 9) charged strictly fewer
         // rounds — exactly the under-count this pins against.
         assert!(model::sparse_minplus(9, 10, 100, n as u64) < charged);
+
+        // A sparse constant-degree product is O(1) rounds.
+        let c = SparseMatrix::adjacency(&generators::cycle(64));
+        let sq = product(&c, &c);
+        let mut ledger = RoundLedger::new(64);
+        ledger.charge_sparse_minplus("sq", c.density(), c.density(), sq.density());
+        assert!(ledger.total_rounds() <= 3);
     }
 
     #[test]
@@ -908,48 +660,27 @@ mod tests {
     }
 
     #[test]
-    fn min_with_merges() {
-        let mut b = RowBuilder::new(2);
-        b.push(0, 1, 5);
-        let mut a = b.build();
-        let mut b2 = RowBuilder::new(2);
-        b2.push(0, 1, 3);
-        b2.push(1, 1, 0);
-        a.min_with(&b2.build());
-        assert_eq!(a.get(0, 1), 3);
-        assert_eq!(a.get(1, 1), 0);
-        assert_eq!(a.nnz(), 2);
-    }
-
-    #[test]
-    fn charged_product_records_cost() {
-        let g = generators::cycle(64);
-        let a = SparseMatrix::adjacency(&g);
-        let mut ledger = cc_clique::RoundLedger::new(64);
-        let _ = a.minplus_charged(&a, &mut ledger, "sq");
-        // Sparse constant-degree product is O(1) rounds.
-        assert!(ledger.total_rounds() <= 3);
-    }
-
-    #[test]
     fn max_value_reflects_entries() {
         let g = generators::path(5);
         let a = SparseMatrix::adjacency(&g);
         assert_eq!(a.max_value(), 1);
         let mut b = RowBuilder::new(5);
+        b.push(0, 1, 1);
         b.push(0, 4, 9);
-        let mut a2 = a.clone();
-        a2.min_with(&b.build());
-        assert_eq!(a2.max_value(), 9);
+        assert_eq!(b.build().max_value(), 9);
     }
 
     #[test]
     fn identity_is_neutral_for_products() {
         let g = generators::grid(4, 3);
         let a = SparseMatrix::adjacency(&g);
-        let id = SparseMatrix::identity(g.n());
-        assert_eq!(a.minplus(&id), a);
-        assert_eq!(id.minplus(&a), a);
+        let mut b = RowBuilder::new(g.n());
+        for i in 0..g.n() {
+            b.push(i, i, 0);
+        }
+        let id = b.build();
+        assert_eq!(product(&a, &id), a);
+        assert_eq!(product(&id, &a), a);
     }
 
     fn seeded(s: u64) -> impl rand::Rng {

@@ -1,52 +1,37 @@
-//! Reusable scratch and thread configuration for the min-plus kernels.
+//! Reusable scratch and thread configuration for the sparse min-plus
+//! kernel.
 //!
-//! The repeated-squaring loops (hopset iterations, filtered `(k,d)`-nearest
-//! squaring, the APSP pipelines' exact products) call the kernels many times
-//! on same-sized matrices. A [`MinplusWorkspace`] owns the dense accumulator
-//! rows and touched-column lists those kernels need, so steady-state products
-//! perform no scratch allocation, and carries the worker-thread count the
-//! row-sharded parallel kernels run with.
+//! Repeated products — the filtered `(k,d)`-nearest squaring and apsp2's
+//! two-step E'' product — call the kernel several times on same-sized
+//! matrices. A [`MinplusWorkspace`] owns the packed accumulator rows and
+//! touched-column lists the kernel needs, so steady-state products perform
+//! no scratch allocation, and carries the worker-thread count the kernel
+//! shards output rows across.
 
-use cc_graphs::{Dist, INF};
+use cc_graphs::INF;
 
-/// Per-worker scratch of the sparse kernel: a dense accumulator row that is
-/// kept all-∞ between products, and the touched-column list of the sparse
-/// emit path. One lane is handed to each worker thread.
-/// The "untouched" value of the packed witness accumulator: value ∞, witness
-/// bits zero. A candidate `(value << 32) | k` beats it exactly when its value
-/// is finite — and among equal values the **smaller witness wins**, which is
-/// how the witness kernels keep the smallest realizing `k` with a single
+/// The "untouched" value of the packed accumulator: value ∞, witness bits
+/// zero. A candidate `(value << 32) | k` beats it exactly when its value is
+/// finite — and among equal values the **smaller witness wins**, which is
+/// how the kernel keeps the smallest realizing `k` with a single
 /// branch-free `min`.
 pub(crate) const PACKED_EMPTY: u64 = (INF as u64) << 32;
 
+/// Per-worker scratch of the sparse kernel: the packed accumulator row
+/// `(value << 32) | witness` per column, kept at [`PACKED_EMPTY`] between
+/// products, and the touched-column list of the sparse emit path. One lane
+/// is handed to each worker thread.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    pub(crate) acc: Vec<Dist>,
-    pub(crate) touched: Vec<u32>,
-    /// Packed accumulator of the witness-carrying kernels:
-    /// `(value << 32) | witness` per column, kept at [`PACKED_EMPTY`]
-    /// between products (same restore discipline as `acc`).
     pub(crate) pacc: Vec<u64>,
+    pub(crate) touched: Vec<u32>,
 }
 
 impl Scratch {
-    /// Grows the accumulator to dimension `n`. The all-∞ invariant is
-    /// maintained by the kernels (they restore every cell they write), so
+    /// Grows the accumulator to dimension `n`. The empty invariant is
+    /// maintained by the kernel (it restores every cell it writes), so
     /// growth only needs to initialize the new tail.
     pub(crate) fn ensure(&mut self, n: usize) {
-        if self.acc.len() < n {
-            self.acc.resize(n, INF);
-        }
-        debug_assert!(
-            self.acc.iter().all(|&d| d == INF),
-            "workspace accumulator must be all-∞ between products"
-        );
-    }
-
-    /// Additionally grows the packed witness lane (only the witness kernels
-    /// pay for it).
-    pub(crate) fn ensure_witness(&mut self, n: usize) {
-        self.ensure(n);
         if self.pacc.len() < n {
             self.pacc.resize(n, PACKED_EMPTY);
         }
@@ -57,11 +42,11 @@ impl Scratch {
     }
 }
 
-/// Reusable workspace for the min-plus kernels.
+/// Reusable workspace for the sparse min-plus kernel.
 ///
-/// Holds the scratch lanes of [`SparseMatrix::minplus_with`] and the worker
-/// thread count both kernels shard rows across. Each output row of a
-/// min-plus product depends only on the input matrices, so row sharding is
+/// Holds the scratch lanes of [`SparseMatrix::minplus`] and the worker
+/// thread count it shards rows across. Each output row of a min-plus
+/// product depends only on the input matrices, so row sharding is
 /// **bit-identical** to serial execution at any thread count (the same
 /// determinism argument as the sharded clique engine, DESIGN.md §1.2).
 ///
@@ -75,12 +60,12 @@ impl Scratch {
 /// let mut ws = MinplusWorkspace::with_threads(4);
 /// let mut a = SparseMatrix::adjacency(&g);
 /// for _ in 0..3 {
-///     a = a.minplus_with(&a, &mut ws); // no scratch allocation after iter 1
+///     a = a.minplus(&a, &mut ws).0; // no scratch allocation after iter 1
 /// }
 /// assert_eq!(a.get(0, 8), 8);
 /// ```
 ///
-/// [`SparseMatrix::minplus_with`]: crate::SparseMatrix::minplus_with
+/// [`SparseMatrix::minplus`]: crate::SparseMatrix::minplus
 #[derive(Debug)]
 pub struct MinplusWorkspace {
     threads: usize,
@@ -93,7 +78,7 @@ impl MinplusWorkspace {
         Self::with_threads(1)
     }
 
-    /// A workspace running kernels on `threads` worker threads
+    /// A workspace running the kernel on `threads` worker threads
     /// (`0` and `1` both mean serial).
     pub fn with_threads(threads: usize) -> Self {
         MinplusWorkspace {
@@ -105,11 +90,6 @@ impl MinplusWorkspace {
     /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Changes the worker-thread count (scratch lanes are kept).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// `count` scratch lanes, each grown to dimension `n`.
@@ -135,11 +115,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn thread_count_is_clamped_and_mutable() {
-        let mut ws = MinplusWorkspace::with_threads(0);
-        assert_eq!(ws.threads(), 1);
-        ws.set_threads(6);
-        assert_eq!(ws.threads(), 6);
+    fn thread_count_is_clamped() {
+        assert_eq!(MinplusWorkspace::with_threads(0).threads(), 1);
+        assert_eq!(MinplusWorkspace::with_threads(6).threads(), 6);
         assert_eq!(MinplusWorkspace::default().threads(), 1);
     }
 
@@ -149,11 +127,13 @@ mod tests {
         {
             let lanes = ws.lanes(2, 8);
             assert_eq!(lanes.len(), 2);
-            assert!(lanes.iter().all(|l| l.acc.len() == 8));
+            assert!(lanes.iter().all(|l| l.pacc.len() == 8));
         }
-        // Larger n grows in place; the all-∞ invariant holds for the tail.
+        // Larger n grows in place; the empty invariant holds for the tail.
         let lanes = ws.lanes(2, 16);
-        assert!(lanes.iter().all(|l| l.acc.len() == 16));
-        assert!(lanes.iter().all(|l| l.acc.iter().all(|&d| d == INF)));
+        assert!(lanes.iter().all(|l| l.pacc.len() == 16));
+        assert!(lanes
+            .iter()
+            .all(|l| l.pacc.iter().all(|&p| p == PACKED_EMPTY)));
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests pinning the CSR min-plus kernels to their references.
+//! Property tests pinning the min-plus kernels to their references.
 //!
 //! Two families of properties over random gnp / grid / caveman graphs:
 //!
@@ -6,9 +6,10 @@
 //!    product both equal a naive triple loop entry-for-entry (first and
 //!    second squarings of the adjacency matrix, so both the sparse-row and
 //!    the dense-row emit paths of the CSR kernel are hit).
-//! 2. **Thread determinism** — `threads ∈ {1, 2, 4, 8}` produce bit-identical
-//!    matrices (values *and* nnz) for both kernels, including when a warm
-//!    workspace is reused across products.
+//! 2. **Witnesses and thread determinism** — every sparse witness realizes
+//!    its entry, and `threads ∈ {1, 2, 4, 8}` produce bit-identical
+//!    matrices and witnesses, including when a warm workspace is reused
+//!    across products.
 
 use cc_graphs::{dadd, generators, Dist, Graph, INF};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, SparseMatrix};
@@ -66,7 +67,7 @@ proptest! {
             if power > 0 {
                 reference = naive_square(n, |i, j| reference[i * n + j]);
             }
-            sp = sp.minplus(&sp);
+            sp = sp.minplus(&sp, &mut MinplusWorkspace::new()).0;
             dp = dp.minplus(&dp);
             for u in 0..n {
                 for v in 0..n {
@@ -80,72 +81,34 @@ proptest! {
         }
     }
 
-    /// Witness-carrying kernels: values bit-identical to the plain kernels,
-    /// witnesses realize their entries, and threads ∈ {1, 2, 4, 8} are
-    /// bit-identical (values AND witnesses) for both the sparse and the
-    /// dense kernel.
+    /// The sparse kernel: witnesses realize their entries, and threads ∈
+    /// {1, 2, 4, 8} are bit-identical (values AND witnesses), on a cold
+    /// workspace and on a warm one reused for a second product.
     #[test]
-    fn witness_kernels_are_bit_identical_across_threads((family, size, seed) in (0usize..3, 12usize..40, 0u64..1 << 40)) {
+    fn sparse_kernel_is_bit_identical_across_threads((family, size, seed) in (0usize..3, 12usize..40, 0u64..1 << 40)) {
         let g = graph_for(family, size, seed);
         let n = g.n();
         let s = SparseMatrix::adjacency(&g);
-        let d = DenseMatrix::adjacency(&g);
         let mut ws = MinplusWorkspace::new();
-        let sparse_serial = s.minplus_with_witness(&s, &mut ws);
-        let dense_serial = d.minplus_with_witness(&d, &ws);
-        // Values must equal the plain kernels'.
-        prop_assert_eq!(&sparse_serial.0, &s.minplus(&s));
-        prop_assert_eq!(&dense_serial.0, &d.minplus(&d));
-        // Sparse witnesses realize their entries from the inputs.
+        let serial = s.minplus(&s, &mut ws);
+        let serial_square = serial.0.minplus(&serial.0, &mut ws);
+        prop_assert_eq!(serial.1.len(), serial.0.nnz(), "one witness per finite entry");
         for i in 0..n {
-            let wrow = &sparse_serial.1[sparse_serial.0.row_range(i)];
-            for (&(j, v), &k) in sparse_serial.0.row(i).iter().zip(wrow) {
+            let wrow = &serial.1[serial.0.row_range(i)];
+            for (&(j, v), &k) in serial.0.row(i).iter().zip(wrow) {
                 let k = k as usize;
                 prop_assert_eq!(
                     s.get(i, k) + s.get(k, j as usize), v,
-                    "sparse witness at ({},{})", i, j
+                    "witness at ({},{})", i, j
                 );
             }
         }
-        // Dense witnesses: finite cells realized, ∞ cells sentinel.
-        for i in 0..n {
-            for j in 0..n {
-                let v = dense_serial.0.get(i, j);
-                let k = dense_serial.1[i * n + j];
-                if v >= INF {
-                    prop_assert_eq!(k, u32::MAX);
-                } else {
-                    let k = k as usize;
-                    prop_assert_eq!(d.get(i, k) + d.get(k, j), v, "dense witness at ({},{})", i, j);
-                }
-            }
-        }
         for threads in [2usize, 4, 8] {
             let mut ws = MinplusWorkspace::with_threads(threads);
-            prop_assert_eq!(&s.minplus_with_witness(&s, &mut ws), &sparse_serial, "sparse, threads = {}", threads);
-            // Warm-workspace reuse must stay identical too.
-            prop_assert_eq!(&s.minplus_with_witness(&s, &mut ws), &sparse_serial, "sparse warm, threads = {}", threads);
-            prop_assert_eq!(&d.minplus_with_witness(&d, &ws), &dense_serial, "dense, threads = {}", threads);
-        }
-    }
-
-    #[test]
-    fn thread_counts_are_bit_identical((family, size, seed) in (0usize..3, 12usize..40, 0u64..1 << 40)) {
-        let g = graph_for(family, size, seed);
-        let s = SparseMatrix::adjacency(&g);
-        let d = DenseMatrix::adjacency(&g);
-        let sparse_serial = s.minplus(&s);
-        let dense_serial = d.minplus(&d);
-        for threads in [2usize, 4, 8] {
-            let mut ws = MinplusWorkspace::with_threads(threads);
-            let sp = s.minplus_with(&s, &mut ws);
-            prop_assert_eq!(&sp, &sparse_serial, "sparse kernel, threads = {}", threads);
-            prop_assert_eq!(sp.nnz(), sparse_serial.nnz());
+            let par = s.minplus(&s, &mut ws);
+            prop_assert_eq!(&par, &serial, "threads = {}", threads);
             // Second product from the warm workspace (scratch reuse path).
-            let sp2 = sp.minplus_with(&sp, &mut ws);
-            prop_assert_eq!(sp2, sparse_serial.minplus(&sparse_serial), "warm workspace, threads = {}", threads);
-            let dp = d.minplus_with(&d, &ws);
-            prop_assert_eq!(dp, dense_serial.clone(), "dense kernel, threads = {}", threads);
+            prop_assert_eq!(&par.0.minplus(&par.0, &mut ws), &serial_square, "warm workspace, threads = {}", threads);
         }
     }
 }

@@ -153,36 +153,6 @@ impl Client {
         })
     }
 
-    /// [`Client::connect`], retried under `policy` with a liveness ping
-    /// per attempt — rides out a server restart or a reload-storm accept
-    /// hiccup.
-    ///
-    /// # Errors
-    ///
-    /// The last attempt's [`ClientError`] once retries are exhausted.
-    pub fn connect_with_retry<A: ToSocketAddrs>(
-        addr: A,
-        policy: &RetryPolicy,
-    ) -> Result<Client, ClientError> {
-        let mut attempt = 0;
-        loop {
-            match Client::connect(&addr) {
-                Ok(mut c) => match c.ping() {
-                    Ok(()) => return Ok(c),
-                    Err(e) if e.is_retryable() && attempt < policy.max_retries => {}
-                    Err(e) => return Err(e),
-                },
-                Err(e) => {
-                    if attempt >= policy.max_retries {
-                        return Err(ClientError::Connect(e));
-                    }
-                }
-            }
-            std::thread::sleep(policy.backoff(attempt));
-            attempt += 1;
-        }
-    }
-
     /// Drops the current socket and dials the same address again. Request
     /// ids keep counting up, so responses from the old connection can
     /// never be confused with the new one's.

@@ -35,7 +35,7 @@
 
 use std::io::{Read, Write};
 
-use cc_core::{Guarantee, GuaranteeKind, PointEstimate, Route};
+use cc_core::{Guarantee, GuaranteeKind, PointEstimate};
 
 /// The largest frame either side will read (16 MiB).
 pub const MAX_FRAME: usize = 16 << 20;
@@ -421,18 +421,6 @@ impl Response {
             op,
             payload,
         })
-    }
-
-    /// Converts an `Ok` path payload item into a [`Route`] for comparison
-    /// with local [`cc_core::PathOracle::path`] output.
-    pub fn to_route(src: u32, dst: u32, item: &PathItem) -> Route {
-        Route {
-            src,
-            dst,
-            edges: item.2.clone(),
-            weight: item.0,
-            guarantee: item.1,
-        }
     }
 }
 

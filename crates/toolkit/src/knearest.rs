@@ -8,7 +8,7 @@
 
 use cc_clique::{cost::model, RoundLedger};
 use cc_graphs::{bfs, Dist, Graph, INF};
-use cc_matrix::filtered::knearest_matrix_with;
+use cc_matrix::filtered::knearest_matrix;
 use cc_matrix::MinplusWorkspace;
 use cc_routes::{RecId, RouteArena};
 
@@ -110,7 +110,7 @@ impl KNearest {
                 // the single Thm 10 aggregate above, so use a scratch ledger.
                 let mut scratch = RoundLedger::new(n);
                 let mut ws = MinplusWorkspace::with_threads(threads);
-                let m = knearest_matrix_with(g, k, d, &mut ws, &mut scratch);
+                let m = knearest_matrix(g, k, d, &mut ws, &mut scratch);
                 (0..n)
                     .map(|v| {
                         let mut row: Vec<(u32, Dist)> = m.row(v).to_vec();

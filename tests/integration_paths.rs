@@ -57,28 +57,37 @@ fn assert_route(g: &Graph, tree: &dijkstra::ShortestPathTree, route: &Route, est
 }
 
 /// Routes from a full multi-pipeline session are verified pair-by-pair.
+/// The random tree under the paper profile is the input whose apsp2 Case 3b
+/// product (E'' border edges of low-degree vertices) is non-empty, so its
+/// routes are assembled from the sparse kernel's witnesses.
 #[test]
 fn session_routes_are_verified_against_dijkstra() {
-    let g = generators::caveman(7, 7);
-    let mut solver = SolverBuilder::new(g.clone())
-        .eps(0.5)
-        .execution(Execution::Seeded(21))
-        .record_paths(true)
-        .build()
-        .expect("valid configuration");
-    solver.apsp_2eps().expect("apsp2");
-    solver.apsp_near_additive().expect("additive");
-    solver.mssp(&[0, 13, 26, 39]).expect("mssp");
-    let oracle = solver.freeze_with_paths().expect("paths recorded");
-    let wg = WeightedGraph::from_unweighted(&g);
-    for u in 0..g.n() {
-        let tree = dijkstra::sssp_tree(&wg, u);
-        for v in 0..g.n() {
-            let est = oracle.dist(u, v);
-            let route = oracle.path(u, v);
-            assert_eq!(est.is_some(), route.is_some(), "coverage at ({u},{v})");
-            if let (Some(route), Some(est)) = (route, est) {
-                assert_route(&g, &tree, &route, est);
+    let tree = generators::random_tree(48, &mut ChaCha8Rng::seed_from_u64(5));
+    for (g, profile) in [
+        (generators::caveman(7, 7), ParamProfile::Scaled),
+        (tree, ParamProfile::Paper { levels: 2 }),
+    ] {
+        let mut solver = SolverBuilder::new(g.clone())
+            .eps(0.5)
+            .execution(Execution::Seeded(21))
+            .profile(profile)
+            .record_paths(true)
+            .build()
+            .expect("valid configuration");
+        solver.apsp_2eps().expect("apsp2");
+        solver.apsp_near_additive().expect("additive");
+        solver.mssp(&[0, 13, 26, 39]).expect("mssp");
+        let oracle = solver.freeze_with_paths().expect("paths recorded");
+        let wg = WeightedGraph::from_unweighted(&g);
+        for u in 0..g.n() {
+            let tree = dijkstra::sssp_tree(&wg, u);
+            for v in 0..g.n() {
+                let est = oracle.dist(u, v);
+                let route = oracle.path(u, v);
+                assert_eq!(est.is_some(), route.is_some(), "coverage at ({u},{v})");
+                if let (Some(route), Some(est)) = (route, est) {
+                    assert_route(&g, &tree, &route, est);
+                }
             }
         }
     }
