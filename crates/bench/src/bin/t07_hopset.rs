@@ -39,7 +39,7 @@ fn main() {
             table.row(vec![
                 t.to_string(),
                 profile.to_string(),
-                hs.edges.m().to_string(),
+                (hs.union.m() - g.m()).to_string(),
                 bound.to_string(),
                 hs.beta.to_string(),
                 f3(worst),

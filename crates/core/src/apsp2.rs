@@ -206,7 +206,6 @@ pub(crate) fn run_mode(
         substrates.timed("source_detection", || {
             pipeline::detect_pivots(
                 g,
-                g,
                 &hs,
                 &s_pivots,
                 threads,
@@ -294,7 +293,6 @@ pub(crate) fn run_mode(
         substrates.timed("source_detection", || {
             pipeline::detect_pivots(
                 g,
-                &gp,
                 hs,
                 &a_pivots,
                 threads,
@@ -335,7 +333,6 @@ pub(crate) fn run_mode(
         substrates.timed("source_detection", || {
             pipeline::detect_pivots(
                 g,
-                &gp,
                 hs,
                 &a2_pivots,
                 threads,

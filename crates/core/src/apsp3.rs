@@ -207,7 +207,6 @@ pub(crate) fn run_mode(
         substrates.timed("source_detection", || {
             pipeline::detect_pivots(
                 g,
-                g,
                 &hs,
                 &pivots,
                 cfg.emulator.threads,

@@ -268,16 +268,15 @@ pub(crate) fn run_mode(
         &mut mode,
         &mut phase,
     );
-    let union = hs.union_with(g);
     if let Some(store) = paths.as_mut() {
         store.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
     }
     substrates.timed("source_detection", || {
         let sd = match &paths {
             Some(_) => {
-                SourceDetection::run_with_parents(&union, sources, hs.beta, threads, &mut phase)
+                SourceDetection::run_with_parents(&hs.union, sources, hs.beta, threads, &mut phase)
             }
-            None => SourceDetection::run(&union, sources, hs.beta, threads, &mut phase),
+            None => SourceDetection::run(&hs.union, sources, hs.beta, threads, &mut phase),
         };
         for (i, row) in estimates.iter_mut().enumerate() {
             for (v, est) in row.iter_mut().enumerate() {

@@ -5,6 +5,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use cc_clique::RoundLedger;
 use cc_derand::hitting;
@@ -121,7 +122,7 @@ pub(crate) type LongRange = (DistanceMatrix, Option<PathStore>);
 #[derive(Debug, Default)]
 pub(crate) struct Substrates {
     emulator: Option<(EmulatorKey, Emulator)>,
-    hopsets: BTreeMap<HopsetKey, BoundedHopset>,
+    hopsets: BTreeMap<HopsetKey, Arc<BoundedHopset>>,
     hitting_sets: BTreeMap<HittingKey, Vec<usize>>,
     /// The long-range table a producer (apsp2, apsp3) left for the one
     /// consumer (the additive query), keyed like the emulator it was swept
@@ -208,8 +209,9 @@ impl Substrates {
     /// afterwards. `graph_tag` distinguishes derived graphs (e.g. the
     /// low-degree subgraph) that share `n` with the input.
     ///
-    /// Returns an owned clone so pipelines can interleave further cache
-    /// lookups while holding the hopset.
+    /// Returns a shared handle to the cached hopset, so pipelines can
+    /// interleave further cache lookups while holding it without copying
+    /// its union or routes.
     /// `threads` is purely wall-clock (the construction is bit-identical at
     /// any thread count), so it is deliberately **not** part of the cache
     /// key.
@@ -225,7 +227,7 @@ impl Substrates {
         record_paths: bool,
         mode: &mut Mode<'_>,
         ledger: &mut RoundLedger,
-    ) -> BoundedHopset {
+    ) -> Arc<BoundedHopset> {
         let key = (
             mode.tag(),
             graph_tag,
@@ -250,9 +252,9 @@ impl Substrates {
                 Mode::Det => hopset::build_deterministic(g, params, ledger),
             };
             self.stages.borrow_mut().stop("hopset_build", started);
-            self.hopsets.insert(key, built);
+            self.hopsets.insert(key, Arc::new(built));
         }
-        self.hopsets.get(&key).expect("just inserted").clone()
+        Arc::clone(self.hopsets.get(&key).expect("just inserted"))
     }
 
     /// A hitting set over `sets`, computed on first use per
@@ -556,8 +558,9 @@ fn intern_tree(
     InternedTree { dists, recs, batch }
 }
 
-/// `(S,d)`-source detection from `pivots` over `base ∪ H` (the hopset `hs`
-/// of `base`, `hs.beta` hops, sharded over `threads`): lowers `δ(v, s)`
+/// `(S,d)`-source detection from `pivots` over the union `G' ∪ H` the
+/// hopset `hs` keeps (`G'` = the graph it was built on, `hs.beta` hops,
+/// sharded over `threads`): lowers `δ(v, s)`
 /// for every detected pair and, when recording, offers the detection
 /// chain as a walk over `g` (the caller has absorbed the hopset's routes,
 /// so its shortcut hops resolve). A chain is only walked when its
@@ -566,7 +569,6 @@ fn intern_tree(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn detect_pivots(
     g: &Graph,
-    base: &Graph,
     hs: &BoundedHopset,
     pivots: &[usize],
     threads: usize,
@@ -574,10 +576,9 @@ pub(crate) fn detect_pivots(
     mut paths: Option<&mut PathStore>,
     ledger: &mut RoundLedger,
 ) {
-    let union = hs.union_with(base);
     let sd = match paths {
-        Some(_) => SourceDetection::run_with_parents(&union, pivots, hs.beta, threads, ledger),
-        None => SourceDetection::run(&union, pivots, hs.beta, threads, ledger),
+        Some(_) => SourceDetection::run_with_parents(&hs.union, pivots, hs.beta, threads, ledger),
+        None => SourceDetection::run(&hs.union, pivots, hs.beta, threads, ledger),
     };
     for v in 0..g.n() {
         for (i, &s) in pivots.iter().enumerate() {
@@ -722,8 +723,7 @@ mod tests {
         store: &mut PathStore,
         ledger: &mut RoundLedger,
     ) {
-        let union = hs.union_with(g);
-        let sd = SourceDetection::run_with_parents(&union, pivots, hs.beta, 1, ledger);
+        let sd = SourceDetection::run_with_parents(&hs.union, pivots, hs.beta, 1, ledger);
         for v in 0..g.n() {
             for (i, &s) in pivots.iter().enumerate() {
                 let d = sd.dist_to_source_index(v, i);
@@ -823,7 +823,6 @@ mod tests {
                 &mut ledger,
             );
             detect_pivots(
-                &g,
                 &g,
                 &hs,
                 &pivots,
@@ -929,7 +928,11 @@ mod tests {
             let hit = subs
                 .hitting_set_for("t", g.n(), 2, &sets, &mut det, &mut ledger)
                 .unwrap();
-            (hopset.edges, again.edges, hit)
+            assert!(
+                Arc::ptr_eq(&hopset, &again),
+                "a cache hit shares the stored hopset"
+            );
+            (hopset.union.clone(), again.union.clone(), hit)
         };
         let (a1, a2, ah) = run();
         let (b1, b2, bh) = run();

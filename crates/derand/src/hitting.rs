@@ -134,8 +134,6 @@ pub fn deterministic_hitting_set(
 ) -> Result<Vec<usize>, HittingError> {
     validate(universe, k, sets)?;
     ledger.charge_conditional_expectation("deterministic hitting set", universe as u64);
-    let mut unhit: Vec<bool> = vec![true; sets.len()];
-    let mut remaining = sets.len();
     // element -> list of set indices containing it
     let mut containing: Vec<Vec<u32>> = vec![Vec::new(); universe];
     for (si, s) in sets.iter().enumerate() {
@@ -143,27 +141,29 @@ pub fn deterministic_hitting_set(
             containing[e].push(si as u32);
         }
     }
+    // cover[e] = entries of containing[e] whose set is still unhit, kept
+    // current as sets are hit.
+    let mut cover: Vec<usize> = containing.iter().map(Vec::len).collect();
+    let mut unhit: Vec<bool> = vec![true; sets.len()];
+    let mut remaining = sets.len();
     let mut chosen = Vec::new();
     while remaining > 0 {
         // Pick the element covering the most unhit sets (ties: smallest id).
-        let mut best = 0usize;
-        let mut best_cover = 0usize;
-        for e in 0..universe {
-            let cover = containing[e]
+        let (best, best_cover) =
+            cover
                 .iter()
-                .filter(|&&si| unhit[si as usize])
-                .count();
-            if cover > best_cover {
-                best_cover = cover;
-                best = e;
-            }
-        }
+                .enumerate()
+                .fold((0, 0), |acc, (e, &c)| if c > acc.1 { (e, c) } else { acc });
         debug_assert!(best_cover > 0, "validated sets are nonempty");
         chosen.push(best);
         for &si in &containing[best] {
-            if unhit[si as usize] {
-                unhit[si as usize] = false;
+            let si = si as usize;
+            if unhit[si] {
+                unhit[si] = false;
                 remaining -= 1;
+                for &e in &sets[si] {
+                    cover[e] -= 1;
+                }
             }
         }
     }
@@ -243,6 +243,98 @@ mod tests {
             "size {} exceeds greedy bound {bound}",
             a.len()
         );
+    }
+
+    /// The greedy that recounts every element's cover in every round: the
+    /// reference the maintained counts must reproduce.
+    fn greedy_recounting(universe: usize, sets: &[Vec<usize>]) -> Vec<usize> {
+        let mut unhit: Vec<bool> = vec![true; sets.len()];
+        let mut remaining = sets.len();
+        let mut containing: Vec<Vec<u32>> = vec![Vec::new(); universe];
+        for (si, s) in sets.iter().enumerate() {
+            for &e in s {
+                containing[e].push(si as u32);
+            }
+        }
+        let mut chosen = Vec::new();
+        while remaining > 0 {
+            let mut best = 0usize;
+            let mut best_cover = 0usize;
+            for e in 0..universe {
+                let cover = containing[e]
+                    .iter()
+                    .filter(|&&si| unhit[si as usize])
+                    .count();
+                if cover > best_cover {
+                    best_cover = cover;
+                    best = e;
+                }
+            }
+            chosen.push(best);
+            for &si in &containing[best] {
+                if unhit[si as usize] {
+                    unhit[si as usize] = false;
+                    remaining -= 1;
+                }
+            }
+        }
+        chosen
+    }
+
+    /// On the `(k,d)`-nearest sets the hopsets hit — every vertex's list,
+    /// and the full lists only — and on sets with repeated elements.
+    #[test]
+    fn maintained_counts_match_recounting() {
+        use cc_graphs::{bfs, generators, Graph, INF};
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let two_parts = Graph::from_edges(
+            30,
+            &(0..29)
+                .filter(|&v| v != 11)
+                .map(|v| (v, v + 1))
+                .chain([(2, 8), (15, 25)])
+                .collect::<Vec<_>>(),
+        );
+        for (name, g) in [
+            ("grid", generators::grid(7, 6)),
+            ("gnp", generators::gnp(60, 0.06, &mut rng)),
+            ("caveman", generators::caveman(5, 6)),
+            ("disconnected", two_parts),
+        ] {
+            let n = g.n();
+            for k in [1, 2, 3, 5, 8, 13, n - 1, n, n + 7] {
+                for d in [1, 2, 3, 5, INF] {
+                    let lists: Vec<Vec<usize>> = (0..n)
+                        .map(|v| {
+                            bfs::knearest_reference(&g, v, k, d)
+                                .iter()
+                                .map(|&(u, _)| u as usize)
+                                .collect()
+                        })
+                        .collect();
+                    let full: Vec<Vec<usize>> =
+                        lists.iter().filter(|s| s.len() >= k).cloned().collect();
+                    let doubled: Vec<Vec<usize>> = lists
+                        .iter()
+                        .map(|s| s.iter().chain(s.iter().step_by(2)).copied().collect())
+                        .collect();
+                    for (kind, sets, min) in [
+                        ("all", &lists, 1),
+                        ("full", &full, k),
+                        ("repeated", &doubled, 1),
+                    ] {
+                        let mut ledger = RoundLedger::new(n);
+                        let got = deterministic_hitting_set(n, min, sets, &mut ledger).unwrap();
+                        assert_eq!(
+                            got,
+                            greedy_recounting(n, sets),
+                            "{name}/{kind}: k={k} d={d}"
+                        );
+                        assert!(hits_all(&got, sets));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

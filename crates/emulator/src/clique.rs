@@ -220,12 +220,11 @@ pub(crate) fn build_with_levels_and_kn(
         if let (Some(r), Some(hr)) = (routes.as_mut(), hs.routes.as_ref()) {
             r.absorb(hr);
         }
-        let union = hs.union_with(g);
         let sd = match &routes {
             Some(_) => {
-                SourceDetection::run_with_parents(&union, &sr, hs.beta, config.threads, ledger)
+                SourceDetection::run_with_parents(&hs.union, &sr, hs.beta, config.threads, ledger)
             }
-            None => SourceDetection::run(&union, &sr, hs.beta, config.threads, ledger),
+            None => SourceDetection::run(&hs.union, &sr, hs.beta, config.threads, ledger),
         };
         let threshold = ((1.0 + config.eps_prime) * t as f64).ceil() as Dist;
         for &v in &sr {

@@ -88,52 +88,91 @@ pub fn ball_size(g: &Graph, src: usize, radius: Dist) -> usize {
 }
 
 /// Reference implementation of the `(k,d)`-nearest problem (§2 of the
-/// paper): the `k` closest vertices within distance `d` of `src` (all of them
-/// if fewer than `k`), ties broken by vertex id, **including `src` itself at
-/// distance 0**, sorted by `(distance, vertex)`.
+/// paper): the `k ≥ 1` closest vertices within distance `d` of `src` (all of
+/// them if fewer than `k`), ties broken by vertex id, **including `src`
+/// itself at distance 0**, sorted by `(distance, vertex)`.
 ///
 /// This computes exactly the object that iterated filtered min-plus squaring
-/// computes (Claim 59); `cc-toolkit` cross-checks the two.
+/// computes (Claim 59); `cc-toolkit` cross-checks the two. One search; a
+/// caller running many reuses a [`KNearestBfs`].
 pub fn knearest_reference(g: &Graph, src: usize, k: usize, d: Dist) -> Vec<(u32, Dist)> {
-    let mut levels: Vec<Vec<u32>> = vec![vec![src as u32]];
-    let mut dist = vec![INF; g.n()];
-    dist[src] = 0;
-    let mut collected = 1usize;
-    let mut frontier = vec![src];
-    let mut depth: Dist = 0;
-    while !frontier.is_empty() && depth < d && collected < g.n() {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for &v in g.neighbors(u) {
-                let v = v as usize;
-                if dist[v] == INF {
-                    dist[v] = depth + 1;
-                    next.push(v);
+    KNearestBfs::new(g.n()).run(g, src, k, d)
+}
+
+/// Scratch of [`knearest_reference`] searches: a distance buffer that every
+/// search restores to [`INF`] at the entries it set, and the visit order by
+/// BFS level, so one worker runs any number of searches on an `n`-vertex
+/// graph with one allocation.
+#[derive(Clone, Debug)]
+pub struct KNearestBfs {
+    dist: Vec<Dist>,
+    order: Vec<u32>,
+    /// Start of each BFS level in `order`, then its end.
+    bounds: Vec<usize>,
+}
+
+impl KNearestBfs {
+    /// Scratch for graphs of at most `n` vertices.
+    pub fn new(n: usize) -> Self {
+        KNearestBfs {
+            dist: vec![INF; n],
+            order: Vec::new(),
+            bounds: Vec::new(),
+        }
+    }
+
+    /// [`knearest_reference`] of `src`. The BFS stops at the first level
+    /// that brings the count to `k`; only that level is cut, by selecting
+    /// its smallest ids instead of sorting it whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more vertices than the scratch was made for.
+    pub fn run(&mut self, g: &Graph, src: usize, k: usize, d: Dist) -> Vec<(u32, Dist)> {
+        let n = g.n();
+        assert!(n <= self.dist.len(), "scratch sized for fewer vertices");
+        self.order.clear();
+        self.bounds.clear();
+        self.dist[src] = 0;
+        self.order.push(src as u32);
+        self.bounds.push(0);
+        let mut depth: Dist = 0;
+        while self.order.len() < k && depth < d && self.order.len() < n {
+            let (start, end) = (self.bounds[self.bounds.len() - 1], self.order.len());
+            for i in start..end {
+                for &v in g.neighbors(self.order[i] as usize) {
+                    if self.dist[v as usize] == INF {
+                        self.dist[v as usize] = depth + 1;
+                        self.order.push(v);
+                    }
                 }
             }
-        }
-        depth += 1;
-        if next.is_empty() {
-            break;
-        }
-        collected += next.len();
-        levels.push(next.iter().map(|&v| v as u32).collect());
-        frontier = next;
-        if collected >= k {
-            break;
-        }
-    }
-    let mut out = Vec::with_capacity(collected.min(k));
-    'outer: for (d_level, level) in levels.iter_mut().enumerate() {
-        level.sort_unstable();
-        for &v in level.iter() {
-            out.push((v, d_level as Dist));
-            if out.len() == k {
-                break 'outer;
+            depth += 1;
+            if self.order.len() == end {
+                break;
             }
+            self.bounds.push(end);
         }
+        self.bounds.push(self.order.len());
+        let mut out = Vec::with_capacity(self.order.len().min(k));
+        for (level, w) in self.bounds.windows(2).enumerate() {
+            if out.len() == k {
+                break;
+            }
+            let ids = &mut self.order[w[0]..w[1]];
+            let take = (k - out.len()).min(ids.len());
+            if take < ids.len() {
+                ids.select_nth_unstable(take);
+            }
+            let ids = &mut ids[..take];
+            ids.sort_unstable();
+            out.extend(ids.iter().map(|&v| (v, level as Dist)));
+        }
+        for &v in &self.order {
+            self.dist[v as usize] = INF;
+        }
+        out
     }
-    out
 }
 
 /// Multi-source BFS: distance from each vertex to the nearest source, plus
@@ -224,6 +263,85 @@ mod tests {
                 let got = knearest_reference(&g, v, k, 3);
                 let want: Vec<(u32, Dist)> = b.iter().copied().take(k).collect();
                 assert_eq!(got, want, "v={v} k={k}");
+            }
+        }
+    }
+
+    /// The `(k,d)`-nearest search that allocates its distance buffer per
+    /// call and sorts every level: the reference [`KNearestBfs`] must
+    /// reproduce.
+    fn knearest_sorting_every_level(g: &Graph, src: usize, k: usize, d: Dist) -> Vec<(u32, Dist)> {
+        let mut levels: Vec<Vec<u32>> = vec![vec![src as u32]];
+        let mut dist = vec![INF; g.n()];
+        dist[src] = 0;
+        let mut collected = 1usize;
+        let mut frontier = vec![src];
+        let mut depth: Dist = 0;
+        while !frontier.is_empty() && depth < d && collected < g.n() {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                for &v in g.neighbors(u) {
+                    let v = v as usize;
+                    if dist[v] == INF {
+                        dist[v] = depth + 1;
+                        next.push(v);
+                    }
+                }
+            }
+            depth += 1;
+            if next.is_empty() {
+                break;
+            }
+            collected += next.len();
+            levels.push(next.iter().map(|&v| v as u32).collect());
+            frontier = next;
+            if collected >= k {
+                break;
+            }
+        }
+        let mut out = Vec::with_capacity(collected.min(k));
+        'outer: for (d_level, level) in levels.iter_mut().enumerate() {
+            level.sort_unstable();
+            for &v in level.iter() {
+                out.push((v, d_level as Dist));
+                if out.len() == k {
+                    break 'outer;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn reused_scratch_matches_sorting_every_level() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
+        let two_parts = Graph::from_edges(
+            30,
+            &(0..29)
+                .filter(|&v| v != 14)
+                .map(|v| (v, v + 1))
+                .chain([(3, 9), (20, 27)])
+                .collect::<Vec<_>>(),
+        );
+        for (name, g) in [
+            ("grid", generators::grid(7, 6)),
+            ("gnp", generators::gnp(60, 0.06, &mut rng)),
+            ("caveman", generators::caveman(5, 6)),
+            ("disconnected", two_parts),
+        ] {
+            let n = g.n();
+            let mut bfs = KNearestBfs::new(n);
+            for k in [1, 2, 3, 5, 8, 13, n - 1, n, n + 7] {
+                for d in [1, 2, 3, 5, INF] {
+                    for v in 0..n {
+                        assert_eq!(
+                            bfs.run(&g, v, k, d),
+                            knearest_sorting_every_level(&g, v, k, d),
+                            "{name}: v={v} k={k} d={d}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -205,20 +205,34 @@ impl WeightedGraph {
         self.m += 1;
     }
 
-    /// Merges all edges of `other` into `self` (graph union).
+    /// The union `g ∪ other`: every edge of `g` with weight 1, then every
+    /// edge of `other` in [`WeightedGraph::edges`] order. Each vertex's list
+    /// therefore starts with its `g.degree(v)` edges of `g`, and is
+    /// allocated at exactly its final length.
     ///
     /// # Panics
     ///
     /// Panics if vertex counts differ.
-    pub fn union_with(&mut self, other: &WeightedGraph) {
-        assert_eq!(self.n(), other.n(), "union of graphs of different order");
-        for u in 0..other.n() {
-            for &(v, w) in &other.adj[u] {
-                if (v as usize) > u {
-                    self.add_edge(u, v as usize, w);
-                }
-            }
+    pub fn union_of(g: &Graph, other: &WeightedGraph) -> Self {
+        assert_eq!(g.n(), other.n(), "union of graphs of different order");
+        let mut union = WeightedGraph {
+            adj: (0..g.n())
+                .map(|v| Vec::with_capacity(g.degree(v) + other.adj[v].len()))
+                .collect(),
+            m: 0,
+        };
+        for (a, b) in g.edges() {
+            union.add_edge(a, b, 1);
         }
+        for (a, b, w) in other.edges() {
+            union.add_edge(a, b, w);
+        }
+        union
+    }
+
+    /// Reserves room for exactly `additional` more entries in `v`'s list.
+    pub fn reserve_exact(&mut self, v: usize, additional: usize) {
+        self.adj[v].reserve_exact(additional);
     }
 
     /// Number of vertices.
@@ -311,11 +325,13 @@ mod tests {
     #[test]
     fn weighted_union() {
         let g = Graph::from_edges(3, &[(0, 1)]);
-        let mut a = WeightedGraph::from_unweighted(&g);
-        let b = WeightedGraph::from_edges(3, &[(1, 2, 5)]);
-        a.union_with(&b);
-        assert_eq!(a.m(), 2);
+        let b = WeightedGraph::from_edges(3, &[(1, 2, 5), (0, 1, 4)]);
+        let a = WeightedGraph::union_of(&g, &b);
+        assert_eq!(a.m(), 3);
         assert_eq!(a.max_weight(), 5);
+        // G's edges lead every list, then `b`'s in edge order.
+        assert_eq!(a.neighbors(1), &[(0, 1), (0, 4), (2, 5)]);
+        assert!((0..3).all(|v| a.adj[v].capacity() == a.adj[v].len()));
     }
 
     #[test]
@@ -328,8 +344,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different order")]
     fn union_of_mismatched_orders_panics() {
-        let mut a = WeightedGraph::new(2);
-        let b = WeightedGraph::new(3);
-        a.union_with(&b);
+        let g = Graph::from_edges(2, &[]);
+        let _ = WeightedGraph::union_of(&g, &WeightedGraph::new(3));
     }
 }

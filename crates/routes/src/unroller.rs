@@ -16,7 +16,7 @@ use crate::arena::{RecId, RouteArena};
 /// iteration's edges, whose defining walks step over `G` and *earlier*
 /// hopset edges only. The arena's append-only id order is exactly that
 /// layering, which is why unrolling terminates (`DESIGN.md` §8.2).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Unroller {
     arena: RouteArena,
     /// Canonical pair `{min, max}` → (edge count of the record, record as a

@@ -127,11 +127,16 @@ impl HopsetParams {
     }
 }
 
-/// A constructed `(β, ε, t)`-hopset.
+/// A constructed `(β, ε, t)`-hopset, kept as the union `G ∪ H` every
+/// caller searches.
 #[derive(Clone, Debug)]
 pub struct BoundedHopset {
-    /// The hopset edges `H` (weights are `≥` true `G`-distances).
-    pub edges: WeightedGraph,
+    /// `G ∪ H`: each vertex's list holds its `G` edges (weight 1) first,
+    /// then its hopset edges `H` (weights `≥` true `G`-distances), and is
+    /// allocated at exactly its length. `H` keeps the parallel copies every
+    /// interconnection iteration appends, so `union.m() − g.m()` is the
+    /// edge count the iterations' charges read.
+    pub union: WeightedGraph,
     /// The hop bound `β`.
     pub beta: usize,
     /// The parameters used.
@@ -149,11 +154,15 @@ pub struct BoundedHopset {
 }
 
 impl BoundedHopset {
-    /// `G ∪ H`: the input graph with the hopset overlaid.
-    pub fn union_with(&self, g: &Graph) -> WeightedGraph {
-        let mut u = WeightedGraph::from_unweighted(g);
-        u.union_with(&self.edges);
-        u
+    /// The hopset edges `H` of the hopset built on `g`, as `(u, v, w)` with
+    /// `u < v`, in the order they were added per vertex `u`.
+    pub fn edges<'a>(&'a self, g: &'a Graph) -> impl Iterator<Item = (usize, usize, Dist)> + 'a {
+        (0..g.n()).flat_map(move |u| {
+            self.union.neighbors(u)[g.degree(u)..]
+                .iter()
+                .filter(move |&&(v, _)| (v as usize) > u)
+                .map(move |&(v, w)| (u, v as usize, w))
+        })
     }
 
     /// Verifies the hopset guarantee from the given sample vertices: for
@@ -162,9 +171,8 @@ impl BoundedHopset {
     ///
     /// Returns the worst ratio observed.
     pub fn verify_from(&self, g: &Graph, samples: &[usize]) -> f64 {
-        let union = self.union_with(g);
         let (hop_dist, _) = dijkstra::hop_limited_from_sources(
-            &union,
+            &self.union,
             samples,
             self.beta,
             self.params.threads,
@@ -208,7 +216,7 @@ pub fn build_randomized(
     let a1 = hitting::random_hitting_set(
         g.n(),
         params.k.min(full_min_size(&full_sets, params.k)),
-        &sets_only(&full_sets),
+        &full_sets,
         params.hitting_c,
         rng,
         &mut phase,
@@ -237,7 +245,7 @@ pub fn build_deterministic(
     let a1 = hitting::deterministic_hitting_set(
         g.n(),
         params.k.min(full_min_size(&full_sets, params.k)),
-        &sets_only(&full_sets),
+        &full_sets,
         &mut phase,
     )
     .expect("(k,t)-nearest sets are valid hitting-set input");
@@ -246,27 +254,15 @@ pub fn build_deterministic(
 
 /// The `(k,t)`-nearest sets of vertices whose list is full (size `k`) —
 /// exactly the sets `A₁` must hit.
-fn full_knearest_sets(kn: &KNearest, n: usize, k: usize) -> Vec<(usize, Vec<usize>)> {
+fn full_knearest_sets(kn: &KNearest, n: usize, k: usize) -> Vec<Vec<usize>> {
     (0..n)
         .filter(|&v| kn.list(v).len() >= k)
-        .map(|v| {
-            (
-                v,
-                kn.list(v)
-                    .iter()
-                    .map(|&(c, _)| c as usize)
-                    .collect::<Vec<_>>(),
-            )
-        })
+        .map(|v| kn.list(v).iter().map(|&(c, _)| c as usize).collect())
         .collect()
 }
 
-fn sets_only(full: &[(usize, Vec<usize>)]) -> Vec<Vec<usize>> {
-    full.iter().map(|(_, s)| s.clone()).collect()
-}
-
-fn full_min_size(full: &[(usize, Vec<usize>)], k: usize) -> usize {
-    full.iter().map(|(_, s)| s.len()).min().unwrap_or(k).max(1)
+fn full_min_size(full: &[Vec<usize>], k: usize) -> usize {
+    full.iter().map(Vec::len).min().unwrap_or(k).max(1)
 }
 
 /// Shared construction once the pivot set `A₁` is fixed.
@@ -277,8 +273,30 @@ fn build_from_pivots(
     kn: KNearest,
     ledger: &mut RoundLedger,
 ) -> BoundedHopset {
+    let (h, mut routes) = bunches(g, &params, &a1, kn);
+    let union = if a1.is_empty() {
+        WeightedGraph::union_of(g, &h)
+    } else {
+        interconnect(g, &params, &a1, h, routes.as_mut(), ledger)
+    };
+    BoundedHopset {
+        union,
+        beta: params.beta(),
+        params,
+        a1,
+        routes,
+    }
+}
+
+/// `H⁰`: the bounded bunches of the non-pivot vertices, with their
+/// provenance when recording.
+fn bunches(
+    g: &Graph,
+    params: &HopsetParams,
+    a1: &[usize],
+    kn: KNearest,
+) -> (WeightedGraph, Option<Unroller>) {
     let n = g.n();
-    let beta = params.beta();
     // Witness bookkeeping is local-only: it must not change the edges built
     // or the rounds charged below.
     let kn = if params.record_paths && !kn.has_parents() {
@@ -288,7 +306,7 @@ fn build_from_pivots(
     };
     let mut routes = params.record_paths.then(Unroller::new);
     let mut in_a1 = vec![false; n];
-    for &a in &a1 {
+    for &a in a1 {
         in_a1[a] = true;
     }
 
@@ -339,65 +357,121 @@ fn build_from_pivots(
             }
         }
     }
+    (h, routes)
+}
 
-    // Iterated pivot interconnection: ℓ = 1..⌈log₂ t⌉. Interconnection
-    // walks step over G ∪ H^{(ℓ-1)}; their shortcut hops resolve against
-    // records registered in earlier iterations (or the bunches), so
-    // unrolling strictly descends through the layering.
-    if !a1.is_empty() {
-        let iterations = params.iterations();
-        for ell in 1..=iterations {
-            let union = {
-                let mut u = WeightedGraph::from_unweighted(g);
-                u.union_with(&h);
-                u
-            };
-            ledger.charge_source_detection(
-                format!("pivot interconnection #{ell}"),
-                union.m() as u64,
-                a1.len() as u64,
-                4 * beta as u64,
-            );
-            let (dist, parents) = dijkstra::hop_limited_from_sources(
-                &union,
-                &a1,
-                4 * beta,
-                params.threads,
-                routes.is_some(),
-            );
-            for (i, &a) in a1.iter().enumerate() {
-                for &b in &a1 {
-                    if b <= a {
-                        continue;
-                    }
-                    let d = dist[i * n + b];
-                    if d < INF {
-                        h.add_edge(a, b, d);
-                        if let (Some(r), Some(parents)) = (routes.as_mut(), parents.as_ref()) {
-                            let row = &parents[i * n..(i + 1) * n];
-                            let chain: Vec<u32> = dijkstra::chain_from_hop_parents(row, a, b)
-                                .expect("detected pivot has a parent chain")
-                                .into_iter()
-                                .map(|x| x as u32)
-                                .collect();
+/// Iterated pivot interconnection `ℓ = 1..⌈log₂ t⌉` over the bunches `h`,
+/// returning `G ∪ H`. Iteration `ℓ` detects the `≤ 4β`-hop distances
+/// between pivots in `G ∪ H^{(ℓ-1)}` and appends one edge per reached pair;
+/// its walks' shortcut hops resolve against records registered in earlier
+/// iterations (or the bunches), so unrolling strictly descends through the
+/// layering.
+///
+/// Detection stops at the first iteration that changes nothing: no pair
+/// distance drops and no registration is replaced. Its edges only add
+/// parallel copies, each behind an equal copy in both endpoints' lists, so
+/// no relaxation through them ever succeeds and every later iteration
+/// would detect, append and register exactly the same. Those iterations
+/// are replayed without detection: charged as before, the same copies
+/// appended in place (`DESIGN.md` §7.4).
+fn interconnect(
+    g: &Graph,
+    params: &HopsetParams,
+    a1: &[usize],
+    mut h: WeightedGraph,
+    mut routes: Option<&mut Unroller>,
+    ledger: &mut RoundLedger,
+) -> WeightedGraph {
+    let n = g.n();
+    let hops = 4 * params.beta();
+    let iterations = params.iterations();
+    let charge = |ledger: &mut RoundLedger, ell: usize, union: &WeightedGraph| {
+        ledger.charge_source_detection(
+            format!("pivot interconnection #{ell}"),
+            union.m() as u64,
+            a1.len() as u64,
+            hops as u64,
+        );
+    };
+    // Every pair's distance, reached or not, in pair order.
+    let mut prev: Option<Vec<Dist>> = None;
+    for ell in 1..=iterations {
+        let mut union = WeightedGraph::union_of(g, &h);
+        charge(ledger, ell, &union);
+        let (dist, parents) =
+            dijkstra::hop_limited_from_sources(&union, a1, hops, params.threads, routes.is_some());
+        let mut dists = Vec::new();
+        let mut reached: Vec<(usize, usize, Dist)> = Vec::new();
+        let mut replaced = false;
+        let mut single_hops = true;
+        for (i, &a) in a1.iter().enumerate() {
+            for &b in a1.iter().filter(|&&b| b > a) {
+                let d = dist[i * n + b];
+                dists.push(d);
+                if d >= INF {
+                    continue;
+                }
+                reached.push((a, b, d));
+                if let (Some(r), Some(parents)) = (routes.as_deref_mut(), parents.as_ref()) {
+                    let row = &parents[i * n..(i + 1) * n];
+                    let chain: Vec<u32> = dijkstra::chain_from_hop_parents(row, a, b)
+                        .expect("detected pivot has a parent chain")
+                        .into_iter()
+                        .map(|x| x as u32)
+                        .collect();
+                    single_hops &= chain.len() == 2;
+                    let before = r.rec_between(a, b);
+                    let rec = r
+                        .intern_walk(g, &chain)
+                        .expect("interconnection hops are G or earlier-H edges");
+                    r.register(a, b, rec);
+                    replaced |= r.rec_between(a, b) != before;
+                }
+            }
+        }
+        let unchanged = match &prev {
+            Some(p) => *p == dists,
+            None => reached.is_empty(),
+        };
+        if unchanged && !replaced {
+            // Each distance is already a pair edge's weight, which the
+            // search reaches in its first hop: every walk is `a → b`.
+            debug_assert!(single_hops, "a settled iteration walks single hops");
+            let copies = iterations - ell + 1;
+            let mut extra = vec![0usize; n];
+            for &(a, b, _) in &reached {
+                extra[a] += copies;
+                extra[b] += copies;
+            }
+            for (v, &x) in extra.iter().enumerate().filter(|&(_, &x)| x > 0) {
+                union.reserve_exact(v, x);
+            }
+            for replay in ell..=iterations {
+                if replay > ell {
+                    charge(ledger, replay, &union);
+                    // The settled walks again: a single `G` edge interns one
+                    // fresh edge record, a registered pair nothing.
+                    if let Some(r) = routes.as_deref_mut() {
+                        for &(a, b, _) in &reached {
                             let rec = r
-                                .intern_walk(g, &chain)
-                                .expect("interconnection hops are G or earlier-H edges");
+                                .intern_walk(g, &[a as u32, b as u32])
+                                .expect("settled pairs are G or registered edges");
                             r.register(a, b, rec);
                         }
                     }
                 }
+                for &(a, b, d) in &reached {
+                    union.add_edge(a, b, d);
+                }
             }
+            return union;
         }
+        for &(a, b, d) in &reached {
+            h.add_edge(a, b, d);
+        }
+        prev = Some(dists);
     }
-
-    BoundedHopset {
-        edges: h,
-        beta,
-        params,
-        a1,
-        routes,
-    }
+    WeightedGraph::union_of(g, &h)
 }
 
 #[cfg(test)]
@@ -409,6 +483,171 @@ mod tests {
 
     fn check_params(n: usize, t: Dist, eps: f64) -> HopsetParams {
         HopsetParams::paper(n, t, eps)
+    }
+
+    /// The interconnection loop that detects in every iteration, rebuilding
+    /// `G ∪ H^{(ℓ-1)}` each time: the reference `interconnect` must
+    /// reproduce. Returns `H`, the routes and, per iteration, the number of
+    /// pivot pairs whose distance dropped.
+    fn reference_build(
+        g: &Graph,
+        params: HopsetParams,
+        rng: Option<&mut ChaCha8Rng>,
+        ledger: &mut RoundLedger,
+    ) -> (WeightedGraph, Vec<usize>, Option<Unroller>, Vec<usize>) {
+        let mut phase = ledger.enter("hopset");
+        let n = g.n();
+        let kn = KNearest::compute_with(
+            g,
+            params.k,
+            params.t,
+            Strategy::TruncatedBfs,
+            params.threads,
+            &mut phase,
+        );
+        let full_sets = full_knearest_sets(&kn, n, params.k);
+        let k = params.k.min(full_min_size(&full_sets, params.k));
+        let a1 = match rng {
+            Some(rng) => {
+                hitting::random_hitting_set(n, k, &full_sets, params.hitting_c, rng, &mut phase)
+            }
+            None => hitting::deterministic_hitting_set(n, k, &full_sets, &mut phase),
+        }
+        .unwrap();
+        let beta = params.beta();
+        let (mut h, mut routes) = bunches(g, &params, &a1, kn);
+        let mut best = std::collections::BTreeMap::new();
+        let mut improved = Vec::new();
+        if !a1.is_empty() {
+            for ell in 1..=params.iterations() {
+                let union = {
+                    let mut u = WeightedGraph::from_unweighted(g);
+                    for (a, b, w) in h.edges() {
+                        u.add_edge(a, b, w);
+                    }
+                    u
+                };
+                phase.charge_source_detection(
+                    format!("pivot interconnection #{ell}"),
+                    union.m() as u64,
+                    a1.len() as u64,
+                    4 * beta as u64,
+                );
+                let (dist, parents) = dijkstra::hop_limited_from_sources(
+                    &union,
+                    &a1,
+                    4 * beta,
+                    params.threads,
+                    routes.is_some(),
+                );
+                let mut dropped = 0;
+                for (i, &a) in a1.iter().enumerate() {
+                    for &b in &a1 {
+                        if b <= a {
+                            continue;
+                        }
+                        let d = dist[i * n + b];
+                        if d < INF {
+                            if d < *best.get(&(a, b)).unwrap_or(&INF) {
+                                best.insert((a, b), d);
+                                dropped += 1;
+                            }
+                            h.add_edge(a, b, d);
+                            if let (Some(r), Some(parents)) = (routes.as_mut(), parents.as_ref()) {
+                                let row = &parents[i * n..(i + 1) * n];
+                                let chain: Vec<u32> = dijkstra::chain_from_hop_parents(row, a, b)
+                                    .unwrap()
+                                    .into_iter()
+                                    .map(|x| x as u32)
+                                    .collect();
+                                let rec = r.intern_walk(g, &chain).unwrap();
+                                r.register(a, b, rec);
+                            }
+                        }
+                    }
+                }
+                improved.push(dropped);
+            }
+        }
+        (h, a1, routes, improved)
+    }
+
+    /// Stopping detection at the fixpoint changes nothing: `H` edge for
+    /// edge, `A₁`, `β`, every ledger entry, the arena and the registry match
+    /// the every-iteration loop, deterministic and randomized, recording on
+    /// and off, at 1–3 threads. The inputs cover an iteration ≥ 2 that
+    /// still improves a pair (a long cycle with a hop bound under its pivot
+    /// spacing), a loop that settles at iteration 2 with iterations left to
+    /// replay, and pivots adjacent in `G`, whose replayed walks intern fresh
+    /// edge records.
+    #[test]
+    fn fixpoint_matches_the_every_iteration_loop() {
+        let mut gen = ChaCha8Rng::seed_from_u64(5);
+        let mut short_hops = check_params(240, 96, 0.5);
+        short_hops.beta_factor = 0.1;
+        let mut dense_pivots = HopsetParams::scaled(48, 16, 0.5);
+        dense_pivots.k = 6;
+        dense_pivots.hitting_c = 6.0;
+        let cases = [
+            ("cycle", generators::cycle(240), short_hops),
+            (
+                "grid",
+                generators::grid(9, 9),
+                HopsetParams::scaled(81, 16, 0.5),
+            ),
+            (
+                "gnp",
+                generators::connected_gnp(90, 0.05, &mut gen),
+                HopsetParams::scaled(90, 32, 0.5),
+            ),
+            ("caveman", generators::caveman(6, 8), dense_pivots),
+        ];
+        let (mut late_drop, mut settled_early, mut adjacent) = (false, false, false);
+        for (name, g, params) in &cases {
+            for randomized in [false, true] {
+                for record in [false, true] {
+                    for threads in 1..=3 {
+                        let params = params.with_threads(threads).with_paths(record);
+                        let mut rng_ref = ChaCha8Rng::seed_from_u64(11);
+                        let mut rng_new = ChaCha8Rng::seed_from_u64(11);
+                        let mut l_ref = RoundLedger::new(g.n());
+                        let mut l_new = RoundLedger::new(g.n());
+                        let (h, a1, routes, improved) = reference_build(
+                            g,
+                            params,
+                            randomized.then_some(&mut rng_ref),
+                            &mut l_ref,
+                        );
+                        let hs = if randomized {
+                            build_randomized(g, params, &mut rng_new, &mut l_new)
+                        } else {
+                            build_deterministic(g, params, &mut l_new)
+                        };
+                        let tag = format!("{name} rng={randomized} rec={record} t={threads}");
+                        assert_eq!(
+                            hs.edges(g).collect::<Vec<_>>(),
+                            h.edges().collect::<Vec<_>>(),
+                            "{tag}: H"
+                        );
+                        assert_eq!(hs.union.m(), g.m() + h.m(), "{tag}: edge count");
+                        assert_eq!(hs.a1, a1, "{tag}: A1");
+                        assert_eq!(hs.beta, params.beta(), "{tag}: beta");
+                        assert_eq!(l_new.entries(), l_ref.entries(), "{tag}: ledger");
+                        assert_eq!(hs.routes, routes, "{tag}: arena and registry");
+                        late_drop |= improved.iter().skip(1).any(|&x| x > 0);
+                        settled_early |= improved.len() > 2
+                            && improved[0] > 0
+                            && improved[1..].iter().all(|&x| x == 0);
+                        adjacent |= record
+                            && improved.len() > 2
+                            && a1.iter().any(|&a| a1.iter().any(|&b| g.has_edge(a, b)));
+                    }
+                }
+            }
+        }
+        assert!(late_drop, "no input improves a pair after iteration 1");
+        assert!(settled_early, "no input settles at iteration 2");
+        assert!(adjacent, "no recorded input has adjacent pivots");
     }
 
     #[test]
@@ -463,10 +702,10 @@ mod tests {
         let hs = build_randomized(&g, params, &mut rng, &mut ledger);
         let n = g.n() as f64;
         let bound = 4.0 * n.powf(1.5) * n.ln();
+        let size = hs.union.m() - g.m();
         assert!(
-            (hs.edges.m() as f64) < bound,
-            "hopset has {} edges, bound {bound}",
-            hs.edges.m()
+            (size as f64) < bound,
+            "hopset has {size} edges, bound {bound}"
         );
     }
 
@@ -484,11 +723,9 @@ mod tests {
             for &b in &hs.a1 {
                 if a < b && exact[a][b] <= params.t {
                     let w = hs
-                        .edges
-                        .neighbors(a)
-                        .iter()
-                        .filter(|&&(x, _)| x as usize == b)
-                        .map(|&(_, w)| w)
+                        .edges(&g)
+                        .filter(|&(x, y, _)| (x, y) == (a.min(b), a.max(b)))
+                        .map(|(_, _, w)| w)
                         .min();
                     assert!(w.is_some(), "pivots {a},{b} not interconnected");
                     assert!(w.unwrap() >= exact[a][b]);
@@ -513,7 +750,7 @@ mod tests {
             let plain = build_randomized(&g, params, &mut rng_a, &mut l_plain);
             let hs = build_randomized(&g, params.with_paths(true), &mut rng_b, &mut l_rec);
             // Recording is wall-clock only: same edges, same rounds.
-            assert_eq!(hs.edges, plain.edges, "{name}: recording changed edges");
+            assert_eq!(hs.union, plain.union, "{name}: recording changed edges");
             assert_eq!(
                 l_plain.total_rounds(),
                 l_rec.total_rounds(),
@@ -521,7 +758,7 @@ mod tests {
             );
             assert!(plain.routes.is_none());
             let routes = hs.routes.as_ref().expect("routes recorded");
-            for (u, v, w) in hs.edges.edges() {
+            for (u, v, w) in hs.edges(&g) {
                 let walk = routes
                     .unroll(u, v)
                     .unwrap_or_else(|| panic!("{name}: edge ({u},{v}) has no route"));
@@ -551,7 +788,7 @@ mod tests {
         let hs = build_deterministic(&g, params, &mut ledger);
         let routes = hs.routes.as_ref().expect("routes recorded");
         let exact = cc_graphs::bfs::apsp_exact(&g);
-        for (u, v, w) in hs.edges.edges() {
+        for (u, v, w) in hs.edges(&g) {
             let walk = routes.unroll(u, v).expect("every edge unrolls");
             assert!(walk.len() as Dist >= exact[u][v], "walks cannot undercut");
             assert!(walk.len() as Dist <= w);
@@ -577,7 +814,7 @@ mod tests {
         let mut ledger = RoundLedger::new(60);
         let hs = build_randomized(&g, params, &mut rng, &mut ledger);
         let exact = cc_graphs::bfs::apsp_exact(&g);
-        for (u, v, w) in hs.edges.edges() {
+        for (u, v, w) in hs.edges(&g) {
             assert!(
                 w >= exact[u][v],
                 "edge ({u},{v}) weight {w} < {}",

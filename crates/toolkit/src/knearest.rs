@@ -81,9 +81,10 @@ impl KNearest {
         ledger.charge("(k,d)-nearest", Self::rounds(n, k, d));
         let threads = threads.clamp(1, n.max(1));
         let lists: Vec<Vec<(u32, Dist)>> = match strategy {
-            Strategy::TruncatedBfs if threads <= 1 => (0..n)
-                .map(|v| bfs::knearest_reference(g, v, k, d))
-                .collect(),
+            Strategy::TruncatedBfs if threads <= 1 => {
+                let mut scratch = bfs::KNearestBfs::new(n);
+                (0..n).map(|v| scratch.run(g, v, k, d)).collect()
+            }
             Strategy::TruncatedBfs => {
                 let shard = n.div_ceil(threads);
                 let chunks: Vec<Vec<Vec<(u32, Dist)>>> = std::thread::scope(|scope| {
@@ -92,9 +93,8 @@ impl KNearest {
                             let lo = (t * shard).min(n);
                             let hi = ((t + 1) * shard).min(n);
                             scope.spawn(move || {
-                                (lo..hi)
-                                    .map(|v| bfs::knearest_reference(g, v, k, d))
-                                    .collect()
+                                let mut scratch = bfs::KNearestBfs::new(n);
+                                (lo..hi).map(|v| scratch.run(g, v, k, d)).collect()
                             })
                         })
                         .collect();

@@ -32,9 +32,8 @@ fn hopset_plus_source_detection_is_one_plus_eps() {
             } else {
                 hopset::build_randomized(&g, params, &mut rng, &mut ledger)
             };
-            let union = hs.union_with(&g);
             let sources = [0usize, g.n() / 2];
-            let sd = SourceDetection::run(&union, &sources, hs.beta, 2, &mut ledger);
+            let sd = SourceDetection::run(&hs.union, &sources, hs.beta, 2, &mut ledger);
             for &s in &sources {
                 let exact = bfs::sssp(&g, s);
                 for v in 0..g.n() {
@@ -99,9 +98,8 @@ fn sdk_variant_orders_pivots() {
     let params = HopsetParams::scaled(g.n(), 8, 0.5);
     let mut ledger = RoundLedger::new(g.n());
     let hs = hopset::build_randomized(&g, params, &mut rng, &mut ledger);
-    let union = hs.union_with(&g);
     let pivots: Vec<usize> = (0..g.n()).step_by(7).collect();
-    let sd = SourceDetection::run(&union, &pivots, hs.beta, 2, &mut ledger);
+    let sd = SourceDetection::run(&hs.union, &pivots, hs.beta, 2, &mut ledger);
     for v in 0..g.n() {
         let top3 = sd.nearest_sources(v, 3);
         assert!(top3.len() <= 3);
