@@ -8,9 +8,8 @@
 
 #![forbid(unsafe_code)]
 
-use cc_bench::{f3, rng, Table};
-use cc_clique::RoundLedger;
-use cc_core::apsp_additive::{self, AdditiveApspConfig};
+use cc_bench::{f3, session, Table};
+use cc_core::Execution;
 use cc_graphs::{bfs, generators, stretch};
 
 fn main() {
@@ -18,11 +17,8 @@ fn main() {
     let n = 512;
     let g = generators::cycle(n);
     let exact = bfs::apsp_exact(&g);
-    let mut r = rng(2);
-
-    let acfg = AdditiveApspConfig::scaled(n, eps).expect("valid");
-    let mut la = RoundLedger::new(n);
-    let additive = apsp_additive::run(&g, &acfg, &mut r, &mut la);
+    let mut solver = session(&g, eps, Execution::Seeded(2));
+    let additive = solver.apsp_near_additive().expect("additive");
 
     // A genuinely multiplicative comparator: a (2k−1)-spanner with k = 2 on
     // a denser graph would show stretch ≈ 3; on the cycle the relevant
@@ -79,5 +75,5 @@ fn main() {
          long distances — the measured ratio column must decrease toward 1+eps.",
         crossover
     );
-    println!("rounds: {}", la.total_rounds());
+    println!("rounds: {}", solver.total_rounds());
 }

@@ -2,9 +2,8 @@
 #![allow(clippy::needless_range_loop)]
 //! T1 — Thm 3/33: (1+ε)-MSSP from O(√n) sources in Õ((log log n)²) rounds.
 
-use cc_bench::{f3, rng, Table};
-use cc_clique::RoundLedger;
-use cc_core::mssp::{self, MsspConfig};
+use cc_bench::{f3, rng, session, Table};
+use cc_core::Execution;
 use cc_graphs::{bfs, generators, INF};
 
 fn main() {
@@ -33,9 +32,8 @@ fn main() {
             let nn = g.n();
             let s_count = (nn as f64).sqrt().ceil() as usize;
             let sources: Vec<usize> = (0..nn).step_by((nn / s_count).max(1)).collect();
-            let cfg = MsspConfig::scaled(nn, eps).expect("valid");
-            let mut ledger = RoundLedger::new(nn);
-            let out = mssp::run(&g, &sources, &cfg, &mut r, &mut ledger).expect("mssp");
+            let mut solver = session(&g, eps, Execution::Seeded(n as u64));
+            let out = solver.mssp(&sources).expect("mssp");
             let mut worst: f64 = 1.0;
             let mut sum = 0.0;
             let mut pairs = 0usize;
@@ -59,7 +57,7 @@ fn main() {
                 f3(worst),
                 f3(sum / pairs.max(1) as f64),
                 f3(1.0 + eps),
-                ledger.total_rounds().to_string(),
+                solver.total_rounds().to_string(),
             ]);
         }
     }

@@ -3,10 +3,8 @@
 
 #![forbid(unsafe_code)]
 
-use cc_bench::{f3, rng, Table};
-use cc_clique::RoundLedger;
-use cc_core::apsp2::{self, Apsp2Config};
-use cc_core::apsp3::{self, Apsp3Config};
+use cc_bench::{f3, rng, session, Table};
+use cc_core::Execution;
 use cc_graphs::{bfs, generators, stretch};
 
 fn main() {
@@ -35,14 +33,13 @@ fn main() {
             let nn = g.n();
             let exact = bfs::apsp_exact(&g);
 
-            let cfg2 = Apsp2Config::scaled(nn, eps).expect("valid");
-            let mut l2 = RoundLedger::new(nn);
-            let out2 = apsp2::run(&g, &cfg2, &mut r, &mut l2).expect("apsp2");
+            let execution = Execution::Seeded(3 + n as u64);
+            let mut s2 = session(&g, eps, execution);
+            let out2 = s2.apsp_2eps().expect("apsp2");
             let rep2 = stretch::evaluate_range(&exact, out2.estimates.as_fn(), 0.0, 1, out2.t);
 
-            let cfg3 = Apsp3Config::scaled(nn, eps).expect("valid");
-            let mut l3 = RoundLedger::new(nn);
-            let out3 = apsp3::run(&g, &cfg3, &mut r, &mut l3).expect("apsp3");
+            let mut s3 = session(&g, eps, execution);
+            let out3 = s3.apsp_3eps().expect("apsp3");
             let rep3 = stretch::evaluate_range(&exact, out3.estimates.as_fn(), 0.0, 1, out3.t);
 
             let ok = rep2.lower_violations == 0
@@ -53,9 +50,9 @@ fn main() {
                 nn.to_string(),
                 f3(rep2.max_multiplicative),
                 f3(rep2.mean_multiplicative),
-                l2.total_rounds().to_string(),
+                s2.total_rounds().to_string(),
                 f3(rep3.max_multiplicative),
-                l3.total_rounds().to_string(),
+                s3.total_rounds().to_string(),
                 ok.to_string(),
             ]);
         }

@@ -3,9 +3,8 @@
 
 #![forbid(unsafe_code)]
 
-use cc_bench::{f2, f3, rng, Table};
-use cc_clique::RoundLedger;
-use cc_core::apsp_additive::{self, AdditiveApspConfig};
+use cc_bench::{f2, f3, rng, session, Table};
+use cc_core::Execution;
 use cc_graphs::{bfs, generators, stretch};
 
 fn main() {
@@ -32,9 +31,8 @@ fn main() {
             ("cycle", generators::cycle(n)),
         ] {
             let nn = g.n();
-            let cfg = AdditiveApspConfig::scaled(nn, eps).expect("valid");
-            let mut ledger = RoundLedger::new(nn);
-            let out = apsp_additive::run(&g, &cfg, &mut r, &mut ledger);
+            let mut solver = session(&g, eps, Execution::Seeded(11 + n as u64));
+            let out = solver.apsp_near_additive().expect("additive");
             let exact = bfs::apsp_exact(&g);
             // Measured additive error over the *user* (1+eps) line — the
             // paper's beta is the worst case for this quantity.
@@ -52,7 +50,7 @@ fn main() {
                 f2(out.additive_bound),
                 f3(report.max_multiplicative),
                 f3(report.mean_multiplicative),
-                ledger.total_rounds().to_string(),
+                solver.total_rounds().to_string(),
                 ok.to_string(),
             ]);
         }

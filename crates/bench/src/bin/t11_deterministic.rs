@@ -3,10 +3,8 @@
 
 #![forbid(unsafe_code)]
 
-use cc_bench::{f3, rng, Table};
-use cc_clique::RoundLedger;
-use cc_core::apsp2::{self, Apsp2Config};
-use cc_core::apsp_additive::{self, AdditiveApspConfig};
+use cc_bench::{f3, session, Table};
+use cc_core::Execution;
 use cc_graphs::{bfs, generators, stretch};
 
 fn main() {
@@ -29,14 +27,13 @@ fn main() {
         let g = generators::caveman(n / 24, 24);
         let nn = g.n();
         let exact = bfs::apsp_exact(&g);
-        let mut r = rng(n as u64);
+        let seeded = Execution::Seeded(n as u64);
 
         // (1+eps, beta)-APSP.
-        let cfg = AdditiveApspConfig::scaled(nn, 0.25).expect("valid");
-        let mut lr = RoundLedger::new(nn);
-        let rand_out = apsp_additive::run(&g, &cfg, &mut r, &mut lr);
-        let mut ld = RoundLedger::new(nn);
-        let det_out = apsp_additive::run_deterministic(&g, &cfg, &mut ld);
+        let mut sr = session(&g, 0.25, seeded);
+        let rand_out = sr.apsp_near_additive().expect("additive");
+        let mut sd = session(&g, 0.25, Execution::Deterministic);
+        let det_out = sd.apsp_near_additive().expect("additive det");
         let rep_r = stretch::evaluate(&exact, rand_out.estimates.as_fn(), 0.0);
         let rep_d = stretch::evaluate(&exact, det_out.estimates.as_fn(), 0.0);
         table.row(vec![
@@ -44,18 +41,17 @@ fn main() {
             "caveman".into(),
             nn.to_string(),
             f3(rep_r.max_multiplicative),
-            lr.total_rounds().to_string(),
+            sr.total_rounds().to_string(),
             f3(rep_d.max_multiplicative),
-            ld.total_rounds().to_string(),
-            format!("{:+}", ld.total_rounds() as i64 - lr.total_rounds() as i64),
+            sd.total_rounds().to_string(),
+            format!("{:+}", sd.total_rounds() as i64 - sr.total_rounds() as i64),
         ]);
 
         // (2+eps)-APSP.
-        let cfg2 = Apsp2Config::scaled(nn, 0.5).expect("valid");
-        let mut lr2 = RoundLedger::new(nn);
-        let rand2 = apsp2::run(&g, &cfg2, &mut r, &mut lr2).expect("apsp2");
-        let mut ld2 = RoundLedger::new(nn);
-        let det2 = apsp2::run_deterministic(&g, &cfg2, &mut ld2).expect("apsp2 det");
+        let mut sr2 = session(&g, 0.5, seeded);
+        let rand2 = sr2.apsp_2eps().expect("apsp2");
+        let mut sd2 = session(&g, 0.5, Execution::Deterministic);
+        let det2 = sd2.apsp_2eps().expect("apsp2 det");
         let rep_r2 = stretch::evaluate_range(&exact, rand2.estimates.as_fn(), 0.0, 1, rand2.t);
         let rep_d2 = stretch::evaluate_range(&exact, det2.estimates.as_fn(), 0.0, 1, det2.t);
         table.row(vec![
@@ -63,12 +59,12 @@ fn main() {
             "caveman".into(),
             nn.to_string(),
             f3(rep_r2.max_multiplicative),
-            lr2.total_rounds().to_string(),
+            sr2.total_rounds().to_string(),
             f3(rep_d2.max_multiplicative),
-            ld2.total_rounds().to_string(),
+            sd2.total_rounds().to_string(),
             format!(
                 "{:+}",
-                ld2.total_rounds() as i64 - lr2.total_rounds() as i64
+                sd2.total_rounds() as i64 - sr2.total_rounds() as i64
             ),
         ]);
     }

@@ -3,7 +3,7 @@
 //! Each theorem-level claim of the paper maps to one experiment binary in
 //! `src/bin/` (see `DESIGN.md` §5 for the index and `EXPERIMENTS.md` for
 //! recorded results). This library provides the shared scaffolding: aligned
-//! text tables, seeded RNGs, and the standard graph suite. The one other
+//! text tables, seeded RNGs, and fresh solver sessions. The one other
 //! binary, `cc-bench-diff`, gates a perfbench result against its committed
 //! baseline (`DESIGN.md` §13.5).
 
@@ -13,6 +13,8 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
+use cc_core::{Execution, Solver, SolverBuilder};
+use cc_graphs::Graph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -77,6 +79,17 @@ impl Table {
 /// A reproducible RNG for experiment `seed`.
 pub fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
+}
+
+/// A fresh scaled-profile session over `g`. Each experiment cell runs its
+/// query first in a session of its own, so its rounds include building
+/// every substrate it stands on.
+pub fn session(g: &Graph, eps: f64, execution: Execution) -> Solver {
+    SolverBuilder::new(g.clone())
+        .eps(eps)
+        .execution(execution)
+        .build()
+        .expect("valid parameters")
 }
 
 /// Formats a float with 3 decimals.

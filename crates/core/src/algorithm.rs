@@ -10,27 +10,26 @@
 
 use cc_clique::RoundLedger;
 use cc_graphs::{Dist, Graph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::apsp2::{self, Apsp2Config};
-use crate::apsp3::{self, Apsp3Config};
-use crate::apsp_additive::{self, AdditiveApspConfig};
 use crate::error::CcError;
-use crate::solver::Execution;
+use crate::solver::{Execution, Solver, SolverBuilder};
 
-/// Dispatches one run to the seeded or deterministic variant of a pipeline,
-/// centralizing per-run generator construction for every `Algorithm` impl.
-fn run_either<T>(
+/// Runs `query` as the first query of a fresh scaled-profile session over
+/// `g`, then charges the session's rounds to `ledger`.
+fn first_query<T>(
+    g: &Graph,
+    eps: f64,
     execution: Execution,
     ledger: &mut RoundLedger,
-    seeded: impl FnOnce(&mut StdRng, &mut RoundLedger) -> T,
-    deterministic: impl FnOnce(&mut RoundLedger) -> T,
-) -> T {
-    match execution {
-        Execution::Seeded(seed) => seeded(&mut StdRng::seed_from_u64(seed), ledger),
-        Execution::Deterministic => deterministic(ledger),
-    }
+    query: impl FnOnce(&mut Solver) -> Result<T, CcError>,
+) -> Result<T, CcError> {
+    let mut solver = SolverBuilder::new(g.clone())
+        .eps(eps)
+        .execution(execution)
+        .build()?;
+    let out = query(&mut solver);
+    ledger.absorb(solver.ledger());
+    out
 }
 
 /// Normalized output of one APSP-class run.
@@ -83,13 +82,7 @@ impl Algorithm for NearAdditiveApsp {
         execution: Execution,
         ledger: &mut RoundLedger,
     ) -> Result<AlgorithmOutput, CcError> {
-        let cfg = AdditiveApspConfig::scaled(g.n(), self.eps)?;
-        let out = run_either(
-            execution,
-            ledger,
-            |rng, ledger| apsp_additive::run(g, &cfg, rng, ledger),
-            |ledger| apsp_additive::run_deterministic(g, &cfg, ledger),
-        );
+        let out = first_query(g, self.eps, execution, ledger, Solver::apsp_near_additive)?;
         Ok(AlgorithmOutput {
             estimates: out.estimates.to_rows(),
             guarantee: (out.multiplicative_bound, out.additive_bound),
@@ -115,13 +108,7 @@ impl Algorithm for TwoPlusEpsApsp {
         execution: Execution,
         ledger: &mut RoundLedger,
     ) -> Result<AlgorithmOutput, CcError> {
-        let cfg = Apsp2Config::scaled(g.n(), self.eps)?;
-        let out = run_either(
-            execution,
-            ledger,
-            |rng, ledger| apsp2::run(g, &cfg, rng, ledger),
-            |ledger| apsp2::run_deterministic(g, &cfg, ledger),
-        )?;
+        let out = first_query(g, self.eps, execution, ledger, Solver::apsp_2eps)?;
         Ok(AlgorithmOutput {
             estimates: out.estimates.to_rows(),
             guarantee: (out.short_range_guarantee, 0.0),
@@ -147,13 +134,7 @@ impl Algorithm for ThreePlusEpsApsp {
         execution: Execution,
         ledger: &mut RoundLedger,
     ) -> Result<AlgorithmOutput, CcError> {
-        let cfg = Apsp3Config::scaled(g.n(), self.eps)?;
-        let out = run_either(
-            execution,
-            ledger,
-            |rng, ledger| apsp3::run(g, &cfg, rng, ledger),
-            |ledger| apsp3::run_deterministic(g, &cfg, ledger),
-        )?;
+        let out = first_query(g, self.eps, execution, ledger, Solver::apsp_3eps)?;
         Ok(AlgorithmOutput {
             estimates: out.estimates.to_rows(),
             guarantee: (out.short_range_guarantee, 0.0),

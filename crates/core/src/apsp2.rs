@@ -28,7 +28,6 @@ use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_routes::{PathStore, RecId};
 use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::through_sets::ThroughSets;
-use rand::Rng;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
@@ -125,36 +124,13 @@ impl Apsp2 {
     }
 }
 
-/// Randomized `(2+ε)`-APSP (Thm 34).
+/// `(2+ε)`-APSP, randomized (Thm 34) or deterministic (Thm 53) by `mode`.
 ///
 /// # Errors
 ///
 /// Returns [`CcError`] if a pipeline-internal hitting-set instance fails
 /// validation.
-pub fn run(
-    g: &Graph,
-    cfg: &Apsp2Config,
-    rng: &mut impl Rng,
-    ledger: &mut RoundLedger,
-) -> Result<Apsp2, CcError> {
-    run_mode(g, cfg, Mode::Rng(rng), ledger, &mut Substrates::new())
-}
-
-/// Deterministic `(2+ε)`-APSP (Thm 53).
-///
-/// # Errors
-///
-/// Returns [`CcError`] if a pipeline-internal hitting-set instance fails
-/// validation.
-pub fn run_deterministic(
-    g: &Graph,
-    cfg: &Apsp2Config,
-    ledger: &mut RoundLedger,
-) -> Result<Apsp2, CcError> {
-    run_mode(g, cfg, Mode::Det, ledger, &mut Substrates::new())
-}
-
-pub(crate) fn run_mode(
+pub(crate) fn run(
     g: &Graph,
     cfg: &Apsp2Config,
     mut mode: Mode<'_>,
@@ -575,7 +551,14 @@ mod tests {
         ] {
             let cfg = Apsp2Config::new(g.n(), 0.5, 2).unwrap();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+            let out = run(
+                &g,
+                &cfg,
+                Mode::Rng(&mut rng),
+                &mut ledger,
+                &mut Substrates::default(),
+            )
+            .unwrap();
             assert_short_range(&g, &out, name);
         }
     }
@@ -588,7 +571,7 @@ mod tests {
         ] {
             let cfg = Apsp2Config::new(g.n(), 0.5, 2).unwrap();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run_deterministic(&g, &cfg, &mut ledger).unwrap();
+            let out = run(&g, &cfg, Mode::Det, &mut ledger, &mut Substrates::default()).unwrap();
             assert_short_range(&g, &out, name);
         }
     }
@@ -609,7 +592,7 @@ mod tests {
         let kn_recs: Vec<Vec<Option<RecId>>> = (0..n)
             .map(|u| kn.route_recs(u, store.routes_mut().arena_mut()))
             .collect();
-        // The factors as `run_mode` builds them, with G' = G and thresh2 = 1.
+        // The factors as `run` builds them, with G' = G and thresh2 = 1.
         let mut w1 = RowBuilder::new(n);
         for u in 0..n {
             for &(v, d) in kn.list(u) {
@@ -663,7 +646,14 @@ mod tests {
         let mut cfg = Apsp2Config::new(40, 0.5, 2).unwrap();
         cfg.high_degree_threshold = 10; // force the phase at this scale
         let mut ledger = RoundLedger::new(40);
-        let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(
+            &g,
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap();
         assert!(!out.high_degree_pivots.is_empty());
         assert_short_range(&g, &out, "hub");
     }
@@ -674,7 +664,14 @@ mod tests {
         let g = generators::connected_gnp(48, 0.08, &mut rng);
         let cfg = Apsp2Config::new(48, 0.5, 2).unwrap();
         let mut ledger = RoundLedger::new(48);
-        let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(
+            &g,
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap();
         for u in 0..48 {
             for v in 0..48 {
                 assert_eq!(out.estimates.get(u, v), out.estimates.get(v, u));
@@ -688,7 +685,14 @@ mod tests {
         let g = generators::caveman(8, 8);
         let cfg = Apsp2Config::scaled(g.n(), 0.5).unwrap();
         let mut ledger = RoundLedger::new(g.n());
-        let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(
+            &g,
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap();
         assert_short_range(&g, &out, "scaled");
     }
 }

@@ -18,7 +18,6 @@ use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::EmulatorParams;
 use cc_graphs::{Dist, Graph};
 use cc_toolkit::knearest::{KNearest, Strategy};
-use rand::Rng;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
@@ -107,36 +106,13 @@ impl Apsp3 {
     }
 }
 
-/// Randomized `(3+ε)`-APSP.
+/// `(3+ε)`-APSP, randomized or deterministic by `mode`.
 ///
 /// # Errors
 ///
 /// Returns [`CcError`] if a pipeline-internal hitting-set instance fails
 /// validation.
-pub fn run(
-    g: &Graph,
-    cfg: &Apsp3Config,
-    rng: &mut impl Rng,
-    ledger: &mut RoundLedger,
-) -> Result<Apsp3, CcError> {
-    run_mode(g, cfg, Mode::Rng(rng), ledger, &mut Substrates::new())
-}
-
-/// Deterministic `(3+ε)`-APSP.
-///
-/// # Errors
-///
-/// Returns [`CcError`] if a pipeline-internal hitting-set instance fails
-/// validation.
-pub fn run_deterministic(
-    g: &Graph,
-    cfg: &Apsp3Config,
-    ledger: &mut RoundLedger,
-) -> Result<Apsp3, CcError> {
-    run_mode(g, cfg, Mode::Det, ledger, &mut Substrates::new())
-}
-
-pub(crate) fn run_mode(
+pub(crate) fn run(
     g: &Graph,
     cfg: &Apsp3Config,
     mut mode: Mode<'_>,
@@ -269,7 +245,14 @@ mod tests {
         ] {
             let cfg = Apsp3Config::new(g.n(), 0.5, 2).unwrap();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+            let out = run(
+                &g,
+                &cfg,
+                Mode::Rng(&mut rng),
+                &mut ledger,
+                &mut Substrates::default(),
+            )
+            .unwrap();
             let _ = name;
             assert_short_range(&g, &out);
         }
@@ -280,7 +263,7 @@ mod tests {
         let g = generators::caveman(7, 7);
         let cfg = Apsp3Config::new(g.n(), 0.5, 2).unwrap();
         let mut ledger = RoundLedger::new(g.n());
-        let out = run_deterministic(&g, &cfg, &mut ledger).unwrap();
+        let out = run(&g, &cfg, Mode::Det, &mut ledger, &mut Substrates::default()).unwrap();
         assert_short_range(&g, &out);
     }
 
@@ -293,7 +276,14 @@ mod tests {
         cfg.k = 12;
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut ledger = RoundLedger::new(12);
-        let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(
+            &g,
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap();
         let exact = bfs::apsp_exact(&g);
         for u in 0..12 {
             for v in 0..12 {

@@ -9,7 +9,6 @@ use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::{Emulator, EmulatorParams};
 use cc_graphs::Graph;
-use rand::Rng;
 
 use crate::estimates::DistanceMatrix;
 use crate::oracle::{DistOracle, Guarantee};
@@ -93,26 +92,9 @@ impl AdditiveApsp {
     }
 }
 
-/// Randomized `(1+ε, β)`-APSP (Thm 32).
-pub fn run(
-    g: &Graph,
-    cfg: &AdditiveApspConfig,
-    rng: &mut impl Rng,
-    ledger: &mut RoundLedger,
-) -> AdditiveApsp {
-    run_mode(g, cfg, Mode::Rng(rng), ledger, &mut Substrates::new())
-}
-
-/// Deterministic `(1+ε, β)`-APSP (Thm 51).
-pub fn run_deterministic(
-    g: &Graph,
-    cfg: &AdditiveApspConfig,
-    ledger: &mut RoundLedger,
-) -> AdditiveApsp {
-    run_mode(g, cfg, Mode::Det, ledger, &mut Substrates::new())
-}
-
-pub(crate) fn run_mode(
+/// `(1+ε, β)`-APSP, randomized (Thm 32) or deterministic (Thm 51) by
+/// `mode`.
+pub(crate) fn run(
     g: &Graph,
     cfg: &AdditiveApspConfig,
     mut mode: Mode<'_>,
@@ -149,7 +131,13 @@ mod tests {
         ] {
             let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).unwrap();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run(&g, &cfg, &mut rng, &mut ledger);
+            let out = run(
+                &g,
+                &cfg,
+                Mode::Rng(&mut rng),
+                &mut ledger,
+                &mut Substrates::default(),
+            );
             let exact = bfs::apsp_exact(&g);
             let report = stretch::evaluate(
                 &exact,
@@ -168,9 +156,9 @@ mod tests {
         let g = generators::caveman(6, 6);
         let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).unwrap();
         let mut l1 = RoundLedger::new(g.n());
-        let a = run_deterministic(&g, &cfg, &mut l1);
+        let a = run(&g, &cfg, Mode::Det, &mut l1, &mut Substrates::default());
         let mut l2 = RoundLedger::new(g.n());
-        let b = run_deterministic(&g, &cfg, &mut l2);
+        let b = run(&g, &cfg, Mode::Det, &mut l2, &mut Substrates::default());
         assert_eq!(a.estimates, b.estimates);
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate(&exact, a.estimates.as_fn(), a.multiplicative_bound - 1.0);
@@ -183,7 +171,13 @@ mod tests {
         let g = generators::connected_gnp(60, 0.06, &mut rng);
         let cfg = AdditiveApspConfig::new(g.n(), 0.3, 2).unwrap();
         let mut ledger = RoundLedger::new(g.n());
-        let out = run(&g, &cfg, &mut rng, &mut ledger);
+        let out = run(
+            &g,
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        );
         let exact = bfs::apsp_exact(&g);
         for u in 0..g.n() {
             for v in 0..g.n() {
@@ -198,7 +192,13 @@ mod tests {
         let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut ledger = RoundLedger::new(g.n());
-        let _ = run(&g, &cfg, &mut rng, &mut ledger);
+        let _ = run(
+            &g,
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        );
         let phases = ledger.by_phase();
         assert!(phases.contains_key("apsp-additive"));
     }

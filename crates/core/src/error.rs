@@ -1,7 +1,7 @@
 //! The unified error hierarchy of the application layer.
 //!
 //! Every fallible entry point in `cc_core` — the [`crate::Solver`] session
-//! API and the per-algorithm `run` functions — returns [`CcError`]. The
+//! API and the [`crate::Algorithm`] impls — returns [`CcError`]. The
 //! per-subsystem error types ([`ParamError`], [`MsspError`],
 //! [`HittingError`], [`EngineError`]) remain the source-of-truth payloads
 //! and convert in via `From`, so callers can still match on the precise

@@ -25,8 +25,8 @@
 //!
 //! # Example
 //!
-//! The [`Solver`] session API is the recommended entry point: configure it
-//! once, then issue queries that share the cached substrates.
+//! The [`Solver`] session API is the one way to run a pipeline: configure
+//! it once, then issue queries that share the cached substrates.
 //!
 //! ```
 //! use cc_core::{Execution, SolverBuilder};

@@ -12,7 +12,6 @@ use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::EmulatorParams;
 use cc_graphs::{Dist, DistStorage, Graph};
 use cc_toolkit::source_detection::SourceDetection;
-use rand::Rng;
 
 use crate::error::CcError;
 use crate::oracle::{DistOracle, Guarantee};
@@ -84,7 +83,7 @@ impl MsspConfig {
     }
 }
 
-/// Errors of the MSSP entry points.
+/// Errors of an MSSP query ([`crate::Solver::mssp`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum MsspError {
     /// More sources than the `O(√n)` regime admits (the sparse matrix
@@ -167,45 +166,13 @@ impl Mssp {
     }
 }
 
-/// Randomized `(1+ε)`-MSSP (Thm 33).
+/// `(1+ε)`-MSSP, randomized (Thm 33) or deterministic (Thm 52) by `mode`.
 ///
 /// # Errors
 ///
 /// Returns [`CcError::Mssp`] if sources are invalid or exceed the `O(√n)`
 /// limit.
-pub fn run(
-    g: &Graph,
-    sources: &[usize],
-    cfg: &MsspConfig,
-    rng: &mut impl Rng,
-    ledger: &mut RoundLedger,
-) -> Result<Mssp, CcError> {
-    run_mode(
-        g,
-        sources,
-        cfg,
-        Mode::Rng(rng),
-        ledger,
-        &mut Substrates::new(),
-    )
-}
-
-/// Deterministic `(1+ε)`-MSSP (Thm 52).
-///
-/// # Errors
-///
-/// Returns [`CcError::Mssp`] if sources are invalid or exceed the `O(√n)`
-/// limit.
-pub fn run_deterministic(
-    g: &Graph,
-    sources: &[usize],
-    cfg: &MsspConfig,
-    ledger: &mut RoundLedger,
-) -> Result<Mssp, CcError> {
-    run_mode(g, sources, cfg, Mode::Det, ledger, &mut Substrates::new())
-}
-
-pub(crate) fn run_mode(
+pub(crate) fn run(
     g: &Graph,
     sources: &[usize],
     cfg: &MsspConfig,
@@ -339,7 +306,15 @@ mod tests {
             let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
             let sources: Vec<usize> = (0..g.n()).step_by(9).collect();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run(&g, &sources, &cfg, &mut rng, &mut ledger).unwrap();
+            let out = run(
+                &g,
+                &sources,
+                &cfg,
+                Mode::Rng(&mut rng),
+                &mut ledger,
+                &mut Substrates::default(),
+            )
+            .unwrap();
             for (i, &s) in sources.iter().enumerate() {
                 let exact = bfs::sssp(&g, s);
                 for v in 0..g.n() {
@@ -364,7 +339,15 @@ mod tests {
         let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
         let sources = [0usize, 10, 20, 30];
         let mut ledger = RoundLedger::new(g.n());
-        let out = run_deterministic(&g, &sources, &cfg, &mut ledger).unwrap();
+        let out = run(
+            &g,
+            &sources,
+            &cfg,
+            Mode::Det,
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap();
         for (i, &s) in sources.iter().enumerate() {
             let exact = bfs::sssp(&g, s);
             for v in 0..g.n() {
@@ -389,14 +372,38 @@ mod tests {
             acc.push(v);
             acc
         });
-        let err = run(&g, &too_many, &cfg, &mut rng, &mut ledger).unwrap_err();
+        let err = run(
+            &g,
+            &too_many,
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             CcError::Mssp(MsspError::TooManySources { .. })
         ));
-        let err = run(&g, &[], &cfg, &mut rng, &mut ledger).unwrap_err();
+        let err = run(
+            &g,
+            &[],
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap_err();
         assert_eq!(err, CcError::Mssp(MsspError::NoSources));
-        let err = run(&g, &[99], &cfg, &mut rng, &mut ledger).unwrap_err();
+        let err = run(
+            &g,
+            &[99],
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             CcError::Mssp(MsspError::SourceOutOfRange { .. })
@@ -410,7 +417,15 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut ledger = RoundLedger::new(g.n());
         let sources = [3usize, 17];
-        let out = run(&g, &sources, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(
+            &g,
+            &sources,
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap();
         assert_eq!(out.dist(0, 3), 0);
         assert_eq!(out.dist(1, 17), 0);
     }
@@ -424,7 +439,15 @@ mod tests {
         cfg.t_override = Some(8);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let mut ledger = RoundLedger::new(100);
-        let out = run(&g, &[0], &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(
+            &g,
+            &[0],
+            &cfg,
+            Mode::Rng(&mut rng),
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap();
         let exact = bfs::sssp(&g, 0);
         for v in 0..100 {
             assert!(out.dist(0, v) >= exact[v]);

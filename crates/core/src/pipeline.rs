@@ -31,15 +31,6 @@ pub(crate) enum Mode<'a> {
     Det,
 }
 
-impl Mode<'_> {
-    fn tag(&self) -> &'static str {
-        match self {
-            Mode::Rng(_) => "rng",
-            Mode::Det => "det",
-        }
-    }
-}
-
 /// `f64` parameters as cache-key bits (exact — the configs store the same
 /// float the caller passed).
 fn bits(x: f64) -> u64 {
@@ -50,11 +41,10 @@ fn bits(x: f64) -> u64 {
 /// of the key: a path-carrying query must not be served a witness-less
 /// cached emulator (the estimates are identical either way, but the routes
 /// would be missing).
-type EmulatorKey = (&'static str, usize, u64, usize, u64, usize, bool, bool);
+type EmulatorKey = (usize, u64, usize, u64, usize, bool, bool);
 
-fn emulator_key(cfg: &CliqueEmulatorConfig, mode: &Mode<'_>) -> EmulatorKey {
+fn emulator_key(cfg: &CliqueEmulatorConfig) -> EmulatorKey {
     (
-        mode.tag(),
         cfg.params.n(),
         bits(cfg.params.eps()),
         cfg.params.r(),
@@ -66,22 +56,13 @@ fn emulator_key(cfg: &CliqueEmulatorConfig, mode: &Mode<'_>) -> EmulatorKey {
 }
 
 /// Cache key identifying one bounded-hopset construction: graph tag and
-/// shape, threshold, accuracy, profile, mode, path recording.
-type HopsetKey = (
-    &'static str,
-    &'static str,
-    usize,
-    usize,
-    Dist,
-    u64,
-    bool,
-    bool,
-);
+/// shape, threshold, accuracy, profile, path recording.
+type HopsetKey = (&'static str, usize, usize, Dist, u64, bool, bool);
 
-/// Cache key identifying one hitting-set selection: mode, call-site label,
+/// Cache key identifying one hitting-set selection: call-site label,
 /// universe, clamped `k`, and a fingerprint of the set contents (so a label
 /// reused with different sets cannot serve a stale, non-hitting selection).
-type HittingKey = (&'static str, &'static str, usize, usize, u64);
+type HittingKey = (&'static str, usize, usize, u64);
 
 /// FNV-1a fingerprint of a set collection, order-sensitive.
 fn sets_fingerprint(sets: &[Vec<usize>]) -> u64 {
@@ -106,15 +87,15 @@ fn sets_fingerprint(sets: &[Vec<usize>]) -> u64 {
 pub(crate) type LongRange = (DistanceMatrix, Option<PathStore>);
 
 /// Session-scoped cache of the expensive substrates every pipeline stands
-/// on: the near-additive emulator, bounded hopsets (keyed by graph, mode and
+/// on: the near-additive emulator, bounded hopsets (keyed by graph and
 /// threshold) and hitting sets.
 ///
-/// The one-shot entry points run with a fresh cache, so each free-function
-/// call charges exactly what it always did. A [`crate::Solver`] keeps one
-/// `Substrates` for its lifetime, which is what amortizes construction
-/// across queries: a cache hit returns the stored object and charges **zero**
-/// rounds, modelling that every node of the clique already holds the
-/// substrate locally from the earlier query.
+/// A [`crate::Solver`] keeps one `Substrates` for its lifetime, which is
+/// what amortizes construction across queries: a cache hit returns the
+/// stored object and charges **zero** rounds, modelling that every node of
+/// the clique already holds the substrate locally from the earlier query.
+/// No key holds the execution mode: only [`crate::SolverBuilder::build`]
+/// creates a `Substrates`, and a session never changes its execution.
 /// Keys are fully ordered and the maps are `BTreeMap`s, not `HashMap`s:
 /// nothing here may iterate in an address-dependent order (the
 /// `unordered-iter` rule in `cc-analyze` bans unordered containers in
@@ -129,10 +110,9 @@ pub(crate) struct Substrates {
     /// from. The consumer moves it out; `freeze` drops it unconsumed
     /// (DESIGN.md §7.4). `RefCell` for the same reason as `stages`.
     long_range: RefCell<Option<(EmulatorKey, LongRange)>>,
-    /// Whether producers leave a copy in `long_range`: on in a solver
-    /// session until the consumer has run, off in one-shot runs, which
-    /// have no later consumer.
-    pub(crate) share_long_range: bool,
+    /// Set once the consumer has run: producers stop leaving a copy in
+    /// `long_range`, because the session has no second consumer.
+    pub(crate) long_range_consumed: bool,
     /// Gated wall-clock stage profiling. `RefCell` because the freeze path
     /// records through `&Solver`; the solver session is single-threaded, so
     /// the borrows are trivially disjoint. Disabled (the default), `start`
@@ -142,20 +122,6 @@ pub(crate) struct Substrates {
 }
 
 impl Substrates {
-    /// The cache of a one-shot run: no long-range table is shared.
-    pub(crate) fn new() -> Self {
-        Substrates::default()
-    }
-
-    /// The cache of a solver session: apsp2 and apsp3 share their
-    /// long-range table with the additive query.
-    pub(crate) fn session() -> Self {
-        Substrates {
-            share_long_range: true,
-            ..Substrates::default()
-        }
-    }
-
     /// Drops an unconsumed long-range table (called by `freeze` before it
     /// allocates the merged tables).
     pub(crate) fn drop_long_range(&self) {
@@ -186,7 +152,7 @@ impl Substrates {
         mode: &mut Mode<'_>,
         ledger: &mut RoundLedger,
     ) -> &Emulator {
-        let key = emulator_key(cfg, mode);
+        let key = emulator_key(cfg);
         let stale = match &self.emulator {
             Some((k, _)) => *k != key,
             None => true,
@@ -205,7 +171,7 @@ impl Substrates {
     }
 
     /// A `(β, ε, t)`-bounded hopset of `g`, built on first use per
-    /// `(graph, threshold, accuracy, profile, mode)` key and reused
+    /// `(graph, threshold, accuracy, profile)` key and reused
     /// afterwards. `graph_tag` distinguishes derived graphs (e.g. the
     /// low-degree subgraph) that share `n` with the input.
     ///
@@ -228,16 +194,7 @@ impl Substrates {
         mode: &mut Mode<'_>,
         ledger: &mut RoundLedger,
     ) -> Arc<BoundedHopset> {
-        let key = (
-            mode.tag(),
-            graph_tag,
-            g.n(),
-            g.m(),
-            t,
-            bits(eps),
-            scaled,
-            record_paths,
-        );
+        let key = (graph_tag, g.n(), g.m(), t, bits(eps), scaled, record_paths);
         if !self.hopsets.contains_key(&key) {
             let started = self.stages.borrow().start();
             let params = if scaled {
@@ -258,7 +215,7 @@ impl Substrates {
     }
 
     /// A hitting set over `sets`, computed on first use per
-    /// `(label, universe, k, mode)` key and reused afterwards.
+    /// `(label, universe, k, sets)` key and reused afterwards.
     ///
     /// The promised minimum size `k` is clamped to the smallest set so the
     /// paper-level parameter choice cannot over-promise; genuine instance
@@ -277,7 +234,7 @@ impl Substrates {
             return Ok(Vec::new());
         }
         let k = k.min(sets.iter().map(Vec::len).min().unwrap_or(k)).max(1);
-        let key = (mode.tag(), label, universe, k, sets_fingerprint(sets));
+        let key = (label, universe, k, sets_fingerprint(sets));
         if let Some(cached) = self.hitting_sets.get(&key) {
             return Ok(cached.clone());
         }
@@ -296,8 +253,8 @@ impl Substrates {
 /// emulator (cached or freshly built, so every vertex has learned it) and
 /// returns a fresh long-range table. A table a previous producer left in
 /// the session is copied; otherwise the emulator is swept
-/// ([`sweep_emulator`]) and, in a session whose consumer has not run yet,
-/// a copy is left for it.
+/// ([`sweep_emulator`]) and, while the consumer has not run yet, a copy is
+/// left for it.
 pub(crate) fn collect_emulator(
     g: &Graph,
     cfg: &CliqueEmulatorConfig,
@@ -305,7 +262,7 @@ pub(crate) fn collect_emulator(
     substrates: &mut Substrates,
     ledger: &mut RoundLedger,
 ) -> LongRange {
-    let key = emulator_key(cfg, mode);
+    let key = emulator_key(cfg);
     substrates.emulator_for(g, cfg, mode, ledger);
     if let Some((_, table)) = substrates
         .long_range
@@ -316,7 +273,7 @@ pub(crate) fn collect_emulator(
         return table.clone();
     }
     let table = sweep_emulator(g, cfg, substrates);
-    if substrates.share_long_range {
+    if !substrates.long_range_consumed {
         *substrates.long_range.get_mut() = Some((key, table.clone()));
     }
     table
@@ -334,9 +291,9 @@ pub(crate) fn take_long_range<'s>(
     substrates: &'s mut Substrates,
     ledger: &mut RoundLedger,
 ) -> (LongRange, &'s Emulator) {
-    let key = emulator_key(cfg, mode);
+    let key = emulator_key(cfg);
     substrates.emulator_for(g, cfg, mode, ledger);
-    substrates.share_long_range = false;
+    substrates.long_range_consumed = true;
     let table = match substrates.long_range.get_mut().take() {
         Some((k, table)) if k == key => table,
         _ => sweep_emulator(g, cfg, substrates),
@@ -859,7 +816,7 @@ mod tests {
         let cfg = CliqueEmulatorConfig::scaled(EmulatorParams::loglog(g.n(), 0.5).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut mode = Mode::Rng(&mut rng);
-        let mut subs = Substrates::new();
+        let mut subs = Substrates::default();
         let mut ledger = RoundLedger::new(g.n());
         let m1 = subs.emulator_for(&g, &cfg, &mut mode, &mut ledger).m();
         let after_first = ledger.total_rounds();
@@ -874,27 +831,9 @@ mod tests {
     }
 
     #[test]
-    fn mode_change_invalidates_the_emulator_cache() {
-        let g = generators::grid(5, 5);
-        let cfg = CliqueEmulatorConfig::scaled(EmulatorParams::loglog(g.n(), 0.5).unwrap());
-        let mut subs = Substrates::new();
-        let mut ledger = RoundLedger::new(g.n());
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut mode = Mode::Rng(&mut rng);
-        subs.emulator_for(&g, &cfg, &mut mode, &mut ledger);
-        let mut det = Mode::Det;
-        subs.emulator_for(&g, &cfg, &mut det, &mut ledger);
-        assert_eq!(
-            count_label(&ledger, "collect emulator"),
-            2,
-            "deterministic rebuild must not reuse the randomized emulator"
-        );
-    }
-
-    #[test]
     fn hopsets_cache_per_threshold() {
         let g = generators::cycle(40);
-        let mut subs = Substrates::new();
+        let mut subs = Substrates::default();
         let mut ledger = RoundLedger::new(g.n());
         let mut det = Mode::Det;
         subs.hopset_for("g", &g, 8, 0.5, true, 1, false, &mut det, &mut ledger);
@@ -917,7 +856,7 @@ mod tests {
         let g = generators::cycle(40);
         let sets: Vec<Vec<usize>> = (0..6).map(|i| vec![i, i + 7, i + 19]).collect();
         let run = || {
-            let mut subs = Substrates::new();
+            let mut subs = Substrates::default();
             let mut ledger = RoundLedger::new(g.n());
             let mut det = Mode::Det;
             let hopset = subs.hopset_for("g", &g, 8, 0.5, true, 1, false, &mut det, &mut ledger);
@@ -944,7 +883,7 @@ mod tests {
 
     #[test]
     fn hitting_sets_cache_and_validate() {
-        let mut subs = Substrates::new();
+        let mut subs = Substrates::default();
         let mut ledger = RoundLedger::new(16);
         let mut det = Mode::Det;
         let sets: Vec<Vec<usize>> = (0..4).map(|i| vec![i, i + 1, i + 2]).collect();

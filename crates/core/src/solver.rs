@@ -33,13 +33,16 @@
 
 use cc_clique::RoundLedger;
 use cc_graphs::{Dist, DistStorage, Graph, INF};
+use cc_routes::PathStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::apsp2::{self, Apsp2, Apsp2Config};
 use crate::apsp3::{self, Apsp3, Apsp3Config};
 use crate::apsp_additive::{self, AdditiveApsp, AdditiveApspConfig};
 use crate::error::CcError;
+use crate::estimates::DistanceMatrix;
 use crate::mssp::{self, Mssp, MsspConfig};
 use crate::oracle::{DistOracle, Guarantee, PointEstimate};
 use crate::path_oracle::{PathOracle, PathProvider};
@@ -49,12 +52,12 @@ use crate::pipeline::{Mode, Substrates};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Execution {
     /// Randomized with the given seed (Thms 3–5). Every query draws a fresh
-    /// generator from the seed, so the **first** query of a session matches
-    /// the corresponding free-function call with the same seed bit-for-bit.
-    /// Later queries reuse cached substrates and therefore consume the
-    /// random stream from a different position than a cold run would — still
-    /// deterministic per (seed, query history), and every approximation
-    /// guarantee holds, but not stream-identical to a fresh call.
+    /// generator from the seed, so the **first** query of a session is
+    /// bit-for-bit the same in every session with that seed. Later queries
+    /// reuse cached substrates and therefore consume the random stream from
+    /// a different position than a fresh session's first query would —
+    /// still deterministic per (seed, query history), and every
+    /// approximation guarantee holds, but not stream-identical.
     Seeded(u64),
     /// Deterministic (Thms 51–53): bit-for-bit reproducible.
     Deterministic,
@@ -203,7 +206,7 @@ impl SolverBuilder {
         additive_cfg.emulator.record_paths = self.record_paths;
         mssp_cfg.emulator.record_paths = self.record_paths;
         let ledger = RoundLedger::new(n);
-        let substrates = Substrates::session();
+        let substrates = Substrates::default();
         substrates
             .stages
             .borrow_mut()
@@ -234,7 +237,7 @@ impl SolverBuilder {
 /// Created by [`SolverBuilder`]. All queries charge simulated rounds to the
 /// solver-owned [`RoundLedger`] (accessible via [`Solver::ledger`]), and the
 /// expensive substrates — emulator, bounded hopsets, hitting sets — are
-/// built once and memoized (keyed by mode and threshold) across queries.
+/// built once and memoized (keyed by graph and threshold) across queries.
 /// Query results themselves are memoized too, so repeating a query is free,
 /// and [`Solver::estimate`] answers point lookups from everything computed
 /// so far without charging any rounds.
@@ -256,6 +259,23 @@ pub struct Solver {
     apsp3_result: Option<Apsp3>,
     additive_result: Option<AdditiveApsp>,
     mssp_results: Vec<(Vec<usize>, Mssp)>,
+}
+
+/// One stored query result, as [`Solver::results`] visits it.
+enum Stored<'a> {
+    /// An all-pairs result: its estimates, guarantee and pair witnesses.
+    Pairs(&'a DistanceMatrix, Guarantee, &'a Option<Arc<PathStore>>),
+    /// One MSSP batch.
+    Rows(&'a Mssp),
+}
+
+impl Stored<'_> {
+    fn guarantee(&self) -> Guarantee {
+        match self {
+            Stored::Pairs(_, g, _) => *g,
+            Stored::Rows(m) => m.guarantee_tag(),
+        }
+    }
 }
 
 /// Output of the shared freeze merge (packed upper-triangle indexing).
@@ -375,7 +395,7 @@ impl Solver {
     pub fn apsp_2eps(&mut self) -> Result<Apsp2, CcError> {
         if self.apsp2_result.is_none() {
             let started = self.substrates.stages.borrow().start();
-            let out = with_mode!(self.execution, |mode| apsp2::run_mode(
+            let out = with_mode!(self.execution, |mode| apsp2::run(
                 &self.graph,
                 &self.apsp2_cfg,
                 mode,
@@ -397,7 +417,7 @@ impl Solver {
     pub fn apsp_3eps(&mut self) -> Result<Apsp3, CcError> {
         if self.apsp3_result.is_none() {
             let started = self.substrates.stages.borrow().start();
-            let out = with_mode!(self.execution, |mode| apsp3::run_mode(
+            let out = with_mode!(self.execution, |mode| apsp3::run(
                 &self.graph,
                 &self.apsp3_cfg,
                 mode,
@@ -419,7 +439,7 @@ impl Solver {
     pub fn apsp_near_additive(&mut self) -> Result<AdditiveApsp, CcError> {
         if self.additive_result.is_none() {
             let started = self.substrates.stages.borrow().start();
-            let out = with_mode!(self.execution, |mode| apsp_additive::run_mode(
+            let out = with_mode!(self.execution, |mode| apsp_additive::run(
                 &self.graph,
                 &self.additive_cfg,
                 mode,
@@ -448,7 +468,7 @@ impl Solver {
             return Ok(out.clone());
         }
         let started = self.substrates.stages.borrow().start();
-        let out = with_mode!(self.execution, |mode| mssp::run_mode(
+        let out = with_mode!(self.execution, |mode| mssp::run(
             &self.graph,
             sources,
             &self.mssp_cfg,
@@ -461,52 +481,16 @@ impl Solver {
         Ok(out)
     }
 
-    /// Feeds every estimate any computed result holds for `(u, v)` — with
-    /// the guarantee that result proved — to `consider`.
-    fn for_each_candidate(&self, u: usize, v: usize, mut consider: impl FnMut(Dist, Guarantee)) {
-        if let Some(r) = &self.apsp3_result {
-            consider(r.estimates.get(u, v), r.guarantee());
-        }
-        if let Some(r) = &self.apsp2_result {
-            consider(r.estimates.get(u, v), r.guarantee());
-        }
-        if let Some(r) = &self.additive_result {
-            consider(r.estimates.get(u, v), r.guarantee());
-        }
-        for (_, m) in &self.mssp_results {
-            let g = m.guarantee_tag();
-            for (i, &s) in m.sources.iter().enumerate() {
-                if s == u {
-                    consider(m.estimates[i][v], g);
-                }
-                if s == v {
-                    consider(m.estimates[i][u], g);
-                }
-            }
-        }
-    }
-
-    /// The strongest guarantee among the results computed so far.
-    fn strongest_computed(&self) -> Option<Guarantee> {
-        let mut best: Option<Guarantee> = None;
-        let mut upd = |g: Guarantee| {
-            if best.is_none_or(|b| g.stronger_than(&b)) {
-                best = Some(g);
-            }
-        };
-        if let Some(r) = &self.apsp3_result {
-            upd(r.guarantee());
-        }
-        if let Some(r) = &self.apsp2_result {
-            upd(r.guarantee());
-        }
-        if let Some(r) = &self.additive_result {
-            upd(r.guarantee());
-        }
-        for (_, m) in &self.mssp_results {
-            upd(m.guarantee_tag());
-        }
-        best
+    /// Every stored result, in the one order the session merges them:
+    /// apsp3, apsp2, additive, then each MSSP batch in query order.
+    fn results(&self) -> impl Iterator<Item = Stored<'_>> {
+        let a3 = self.apsp3_result.iter();
+        let a2 = self.apsp2_result.iter();
+        let add = self.additive_result.iter();
+        a3.map(|r| Stored::Pairs(&r.estimates, r.guarantee(), &r.paths))
+            .chain(a2.map(|r| Stored::Pairs(&r.estimates, r.guarantee(), &r.paths)))
+            .chain(add.map(|r| Stored::Pairs(&r.estimates, r.guarantee(), &r.paths)))
+            .chain(self.mssp_results.iter().map(|(_, m)| Stored::Rows(m)))
     }
 
     /// Cheap tagged point lookup over everything computed so far: the best
@@ -525,27 +509,36 @@ impl Solver {
         if u >= n || v >= n {
             return None;
         }
-        if u == v {
-            return self
-                .strongest_computed()
-                .map(|guarantee| PointEstimate { dist: 0, guarantee });
-        }
         let mut best: Option<PointEstimate> = None;
-        self.for_each_candidate(u, v, |d, g| {
-            if d >= INF {
-                return;
-            }
+        let mut consider = |dist: Dist, guarantee: Guarantee| {
             let wins = match &best {
-                Some(b) => d < b.dist || (d == b.dist && g.stronger_than(&b.guarantee)),
-                None => true,
+                Some(b) => {
+                    dist < b.dist || (dist == b.dist && guarantee.stronger_than(&b.guarantee))
+                }
+                None => dist < INF,
             };
             if wins {
-                best = Some(PointEstimate {
-                    dist: d,
-                    guarantee: g,
-                });
+                best = Some(PointEstimate { dist, guarantee });
             }
-        });
+        };
+        for result in self.results() {
+            let guarantee = result.guarantee();
+            match result {
+                // Every result answers `d(v, v) = 0` under its guarantee.
+                _ if u == v => consider(0, guarantee),
+                Stored::Pairs(estimates, ..) => consider(estimates.get(u, v), guarantee),
+                Stored::Rows(m) => {
+                    for (i, &s) in m.sources.iter().enumerate() {
+                        if s == u {
+                            consider(m.estimates[i][v], guarantee);
+                        }
+                        if s == v {
+                            consider(m.estimates[i][u], guarantee);
+                        }
+                    }
+                }
+            }
+        }
         best
     }
 
@@ -607,27 +600,14 @@ impl Solver {
         self.substrates.drop_long_range();
         let merged = self.merged_tables()?;
         // Providers in the exact order `merged_tables` numbered them.
-        let mut providers: Vec<PathProvider> = Vec::new();
-        if let Some(r) = &self.apsp3_result {
-            providers.push(PathProvider::Pairs(
-                r.paths.clone().expect("recorded session result"),
-            ));
-        }
-        if let Some(r) = &self.apsp2_result {
-            providers.push(PathProvider::Pairs(
-                r.paths.clone().expect("recorded session result"),
-            ));
-        }
-        if let Some(r) = &self.additive_result {
-            providers.push(PathProvider::Pairs(
-                r.paths.clone().expect("recorded session result"),
-            ));
-        }
-        for (_, m) in &self.mssp_results {
-            providers.push(PathProvider::Rows(
-                m.paths.clone().expect("recorded session result"),
-            ));
-        }
+        let recorded = "recorded session result";
+        let providers: Vec<PathProvider> = self
+            .results()
+            .map(|result| match result {
+                Stored::Pairs(_, _, paths) => PathProvider::Pairs(paths.clone().expect(recorded)),
+                Stored::Rows(m) => PathProvider::Rows(m.paths.clone().expect(recorded)),
+            })
+            .collect();
         let oracle = DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees);
         let frozen = PathOracle::new(oracle, merged.origins, providers);
         self.substrates.stages.borrow_mut().stop("freeze", started);
@@ -637,8 +617,7 @@ impl Solver {
     /// The shared freeze merge: pointwise-best packed values, provenance
     /// tags, and — for the path oracle — the index of the result whose
     /// estimate (and therefore witness) won each pair. Results are numbered
-    /// in the order they are merged: apsp3, apsp2, additive, then each MSSP
-    /// batch.
+    /// in the order [`Solver::results`] visits them.
     fn merged_tables(&self) -> Result<MergedTables, CcError> {
         let n = self.graph.n();
         // Dedup guarantees into a small table (repeat MSSP batches share
@@ -656,79 +635,43 @@ impl Solver {
         let mut data = vec![INF; entries];
         let mut tags = vec![0u8; entries];
         let mut origins = vec![0u8; entries];
-        let merge = |idx: usize,
-                     d: Dist,
-                     tag: u8,
-                     origin: u8,
-                     data: &mut [Dist],
-                     tags: &mut [u8],
-                     origins: &mut [u8],
-                     table: &[Guarantee]| {
-            let wins = d < data[idx]
-                || (d < INF
-                    && d == data[idx]
-                    && table[tag as usize].stronger_than(&table[tags[idx] as usize]));
-            if wins {
-                data[idx] = d;
-                tags[idx] = tag;
-                origins[idx] = origin;
-            }
-        };
-        // One origin byte per winning result. The byte can only wrap past
-        // 256 results; `freeze()` never reads origins, and
-        // `freeze_with_paths()` rejects such sessions before using them.
-        let mut origin: usize = 0;
         let mut frozen_any = false;
-        let mut matrix_layers = Vec::new();
-        if let Some(r) = &self.apsp3_result {
-            matrix_layers.push((&r.estimates, r.guarantee()));
-        }
-        if let Some(r) = &self.apsp2_result {
-            matrix_layers.push((&r.estimates, r.guarantee()));
-        }
-        if let Some(r) = &self.additive_result {
-            matrix_layers.push((&r.estimates, r.guarantee()));
-        }
-        for (m, g) in matrix_layers {
+        for (origin, result) in self.results().enumerate() {
             frozen_any = true;
-            let tag = tag_for(g, &mut guarantees);
-            let mut idx = 0;
-            for u in 0..n {
-                let row = m.row(u);
-                for &d in &row[u..] {
-                    merge(
-                        idx,
-                        d,
-                        tag,
-                        origin as u8,
-                        &mut data,
-                        &mut tags,
-                        &mut origins,
-                        &guarantees,
-                    );
-                    idx += 1;
+            let tag = tag_for(result.guarantee(), &mut guarantees);
+            // One origin byte per winning result. The byte can only wrap
+            // past 256 results; `freeze()` never reads origins, and
+            // `freeze_with_paths()` rejects such sessions before using them.
+            let origin = origin as u8;
+            let mut merge = |idx: usize, d: Dist| {
+                let wins = d < data[idx]
+                    || (d < INF
+                        && d == data[idx]
+                        && guarantees[tag as usize].stronger_than(&guarantees[tags[idx] as usize]));
+                if wins {
+                    data[idx] = d;
+                    tags[idx] = tag;
+                    origins[idx] = origin;
+                }
+            };
+            match result {
+                Stored::Pairs(m, ..) => {
+                    let mut idx = 0;
+                    for u in 0..n {
+                        for &d in &m.row(u)[u..] {
+                            merge(idx, d);
+                            idx += 1;
+                        }
+                    }
+                }
+                Stored::Rows(m) => {
+                    for (i, &s) in m.sources.iter().enumerate() {
+                        for (v, &d) in m.estimates[i].iter().enumerate() {
+                            merge(DistStorage::packed_index(n, s, v), d);
+                        }
+                    }
                 }
             }
-            origin += 1;
-        }
-        for (_, m) in &self.mssp_results {
-            frozen_any = true;
-            let tag = tag_for(m.guarantee_tag(), &mut guarantees);
-            for (i, &s) in m.sources.iter().enumerate() {
-                for (v, &d) in m.estimates[i].iter().enumerate() {
-                    merge(
-                        DistStorage::packed_index(n, s, v),
-                        d,
-                        tag,
-                        origin as u8,
-                        &mut data,
-                        &mut tags,
-                        &mut origins,
-                        &guarantees,
-                    );
-                }
-            }
-            origin += 1;
         }
         if !frozen_any {
             return Err(CcError::UnsupportedQuery {
@@ -741,46 +684,6 @@ impl Solver {
             guarantees,
             origins,
         })
-    }
-
-    /// Number of ordered vertex pairs with a cached finite estimate —
-    /// a single union pass over the stored results (one packed coverage
-    /// flag per unordered pair; no freeze-sized value/tag materialization).
-    pub fn cached_pairs(&self) -> usize {
-        let n = self.graph.n();
-        let mut covered = vec![false; n * (n + 1) / 2];
-        let mut matrices = Vec::new();
-        if let Some(r) = &self.apsp3_result {
-            matrices.push(&r.estimates);
-        }
-        if let Some(r) = &self.apsp2_result {
-            matrices.push(&r.estimates);
-        }
-        if let Some(r) = &self.additive_result {
-            matrices.push(&r.estimates);
-        }
-        for m in matrices {
-            let mut idx = 0;
-            for u in 0..n {
-                let row = m.row(u);
-                for (v, &d) in row.iter().enumerate().skip(u) {
-                    covered[idx] |= v != u && d < INF;
-                    idx += 1;
-                }
-            }
-        }
-        for (_, m) in &self.mssp_results {
-            for (i, &s) in m.sources.iter().enumerate() {
-                for (v, &d) in m.estimates[i].iter().enumerate() {
-                    if v != s && d < INF {
-                        covered[DistStorage::packed_index(n, s, v)] = true;
-                    }
-                }
-            }
-        }
-        // Estimates are symmetric, so each covered unordered pair counts
-        // for both orientations.
-        2 * covered.iter().filter(|&&b| b).count()
     }
 }
 
@@ -800,7 +703,6 @@ mod tests {
         assert_eq!(solver.execution(), Execution::Seeded(0));
         assert_eq!(solver.profile(), ParamProfile::Scaled);
         assert_eq!(solver.total_rounds(), 0);
-        assert_eq!(solver.cached_pairs(), 0);
     }
 
     #[test]
@@ -920,7 +822,6 @@ mod tests {
                 assert_eq!(oracle.dist(u, v), solver.estimate(u, v), "({u},{v})");
             }
         }
-        assert_eq!(oracle.finite_pairs(), solver.cached_pairs());
     }
 
     #[test]
@@ -1229,7 +1130,8 @@ mod tests {
     }
 
     /// A profiled session for the long-range sharing tests; `share` off
-    /// gives the session every one-shot run has, which sweeps per query.
+    /// marks the table consumed from the start, so the session sweeps per
+    /// query.
     fn sharing_session(
         g: &Graph,
         execution: Execution,
@@ -1245,7 +1147,7 @@ mod tests {
             .profile_stages(true)
             .build()
             .unwrap();
-        solver.substrates.share_long_range = share;
+        solver.substrates.long_range_consumed = !share;
         solver
     }
 
@@ -1257,27 +1159,21 @@ mod tests {
             .map_or(0, |(_, stat)| stat.calls)
     }
 
-    /// The one-shot additive run a session's additive answer must equal.
-    fn one_shot_additive(
+    /// The additive answer of a fresh session, which a later additive
+    /// query must equal.
+    fn fresh_additive(
         g: &Graph,
         execution: Execution,
         threads: usize,
         record: bool,
     ) -> AdditiveApsp {
-        let mut cfg = AdditiveApspConfig::scaled(g.n(), 0.5).unwrap();
-        cfg.emulator.threads = threads;
-        cfg.emulator.record_paths = record;
-        let mut ledger = RoundLedger::new(g.n());
-        match execution {
-            Execution::Seeded(seed) => {
-                apsp_additive::run(g, &cfg, &mut StdRng::seed_from_u64(seed), &mut ledger)
-            }
-            Execution::Deterministic => apsp_additive::run_deterministic(g, &cfg, &mut ledger),
-        }
+        sharing_session(g, execution, threads, record, true)
+            .apsp_near_additive()
+            .unwrap()
     }
 
     /// apsp2 and apsp3 leave their long-range table for the additive query,
-    /// which moves it out: its answer equals a one-shot run, and the
+    /// which moves it out: its answer equals a fresh session's, and the
     /// ledger equals a session that sweeps per query. The table is held
     /// only between a producer and the consumer.
     #[test]
@@ -1298,7 +1194,7 @@ mod tests {
             for execution in [Execution::Seeded(9), Execution::Deterministic] {
                 for record in [false, true] {
                     for threads in 1..=3 {
-                        let want = one_shot_additive(g, execution, threads, record);
+                        let want = fresh_additive(g, execution, threads, record);
                         for order in orders {
                             let at = format!(
                                 "{name} {execution:?} record={record} threads={threads} {order:?}"
@@ -1369,37 +1265,9 @@ mod tests {
             }
             assert!(!solver.substrates.holds_long_range(), "record={record}");
             let got = solver.apsp_near_additive().unwrap();
-            let want = one_shot_additive(&g, Execution::Deterministic, 2, record);
+            let want = fresh_additive(&g, Execution::Deterministic, 2, record);
             assert_eq!(got.estimates, want.estimates, "record={record}");
             assert_eq!(sweep_calls(&solver), 2, "record={record}");
-        }
-    }
-
-    /// One-shot runs have no later consumer, so they never copy their
-    /// table into the cache.
-    #[test]
-    fn one_shot_runs_leave_no_long_range_table() {
-        let g = generators::grid(5, 7);
-        let n = g.n();
-        for record in [false, true] {
-            let mut a2 = Apsp2Config::scaled(n, 0.5).unwrap();
-            let mut a3 = Apsp3Config::scaled(n, 0.5).unwrap();
-            let mut add = AdditiveApspConfig::scaled(n, 0.5).unwrap();
-            let mut ms = MsspConfig::scaled(n, 0.5).unwrap();
-            a2.emulator.record_paths = record;
-            a3.emulator.record_paths = record;
-            add.emulator.record_paths = record;
-            ms.emulator.record_paths = record;
-            let mut ledger = RoundLedger::new(n);
-            let mut subs = Substrates::new();
-            apsp2::run_mode(&g, &a2, Mode::Det, &mut ledger, &mut subs).unwrap();
-            assert!(!subs.holds_long_range(), "apsp2 record={record}");
-            apsp3::run_mode(&g, &a3, Mode::Det, &mut ledger, &mut subs).unwrap();
-            assert!(!subs.holds_long_range(), "apsp3 record={record}");
-            mssp::run_mode(&g, &[0, 9], &ms, Mode::Det, &mut ledger, &mut subs).unwrap();
-            assert!(!subs.holds_long_range(), "mssp record={record}");
-            apsp_additive::run_mode(&g, &add, Mode::Det, &mut ledger, &mut subs);
-            assert!(!subs.holds_long_range(), "additive record={record}");
         }
     }
 }

@@ -15,14 +15,15 @@
 //! * **PRGs fooling read-once DNFs** (Thm 55, \[Gopalan et al.\]) driving a
 //!   distributed method of conditional expectations (Thm 57).
 //!
-//! This crate implements the soft hitting set selection by the method of
-//! conditional expectations with *exact* conditional probabilities
-//! (independent bits), which yields Definition 42 deterministically — the
-//! same guarantee the PRG route provides. The PRG's role in the paper is to
-//! compress the seed so the distributed protocol runs in `O((log log n)³)`
-//! rounds; we charge exactly those rounds
-//! ([`cc_clique::cost::model::conditional_expectation_rounds`]) and document
-//! the substitution in `DESIGN.md` §3.
+//! This crate implements the first two. The soft hitting set is selected by
+//! the method of conditional expectations with *exact* conditional
+//! probabilities (independent bits), which yields Definition 42
+//! deterministically — the same guarantee the PRG route provides. The PRG's
+//! role in the paper is to compress the seed so the distributed protocol
+//! runs in `O((log log n)³)` rounds; no PRG is implemented, but exactly
+//! those rounds are charged
+//! ([`cc_clique::cost::model::conditional_expectation_rounds`]), and
+//! `DESIGN.md` §3 documents the substitution.
 //!
 //! # Example
 //!
@@ -44,9 +45,7 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-pub mod dnf;
 pub mod hitting;
-pub mod prg;
 pub mod soft_hitting;
 
 pub use hitting::{deterministic_hitting_set, random_hitting_set};

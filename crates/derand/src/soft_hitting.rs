@@ -25,9 +25,6 @@
 //! constant `c = 3`. Rounds are charged per Thm 57.
 
 use cc_clique::RoundLedger;
-use rand::Rng;
-
-use crate::prg::BlockPrg;
 
 /// A validated soft-hitting-set instance.
 #[derive(Clone, Debug)]
@@ -249,64 +246,10 @@ pub fn soft_hitting_set(inst: &SoftHittingInstance, ledger: &mut RoundLedger) ->
     SoftHittingSet::from_selection(inst, &selected)
 }
 
-/// Randomized soft hitting set (the un-derandomized core of Lemma 56):
-/// selects each element with probability `2^{-ℓ} ≈ 1/Δ` using the given
-/// RNG. Satisfies Definition 42 *in expectation*; callers retry if the
-/// constant-`c` check fails (constant success probability).
-pub fn soft_hitting_set_random(
-    inst: &SoftHittingInstance,
-    rng: &mut impl Rng,
-    ledger: &mut RoundLedger,
-) -> SoftHittingSet {
-    ledger.charge_broadcast("announce soft hitting selection");
-    let ell = inst.ell();
-    let p = 0.5f64.powi(ell as i32);
-    let selected: Vec<bool> = (0..inst.universe()).map(|_| rng.gen_bool(p)).collect();
-    SoftHittingSet::from_selection(inst, &selected)
-}
-
-/// Seeded-PRG variant mirroring Lemma 56's `h_s(i)` hash-function family:
-/// element `i` is selected iff the `ℓ` bits of block `i` under seed `s` are
-/// all 1. Reproducible from the (short) seed.
-pub fn soft_hitting_set_prg(
-    inst: &SoftHittingInstance,
-    seed: u64,
-    ledger: &mut RoundLedger,
-) -> SoftHittingSet {
-    ledger.charge_broadcast("announce PRG seed");
-    let prg = BlockPrg::new(seed);
-    let ell = inst.ell();
-    let selected: Vec<bool> = (0..inst.universe())
-        .map(|i| prg.block_and(i as u64, ell))
-        .collect();
-    SoftHittingSet::from_selection(inst, &selected)
-}
-
-/// The §1.2 remark: under the *unbounded local computation* assumption, a
-/// Nisan–Wigderson-style PRG with a logarithmic seed lets the whole seed be
-/// fixed in `O(1)` rounds (`⌊log n⌋` bits per broadcast word): each node
-/// evaluates the expensive PRG locally, and the conditional-expectation
-/// tournament over seed chunks collapses to a constant number of rounds.
-///
-/// Functionally this returns the same set as [`soft_hitting_set`] (exact
-/// conditional expectations); it differs only in the rounds charged — `O(1)`
-/// instead of `O((log log n)³)` — making the trade-off of the remark
-/// measurable. The paper prefers the Thm 57 route because unbounded local
-/// computation, while standard, is "clearly less desirable".
-pub fn soft_hitting_set_unbounded_local(
-    inst: &SoftHittingInstance,
-    ledger: &mut RoundLedger,
-) -> SoftHittingSet {
-    // Seed length O(log n) → ⌈seed/⌊log n⌋⌉ = O(1) broadcast rounds.
-    ledger.charge("fix NW seed (unbounded local computation)", 2);
-    let mut scratch = RoundLedger::new(ledger.n());
-    soft_hitting_set(inst, &mut scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn random_instance(
@@ -369,31 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn randomized_matches_in_expectation() {
-        let inst = random_instance(512, 16, 128, 9);
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let mut ledger = RoundLedger::new(512);
-        // With constant success probability a single draw verifies with a
-        // generous constant; retry a few times like the algorithms do.
-        let ok = (0..10).any(|_| {
-            let z = soft_hitting_set_random(&inst, &mut rng, &mut ledger);
-            z.verify(&inst, 6.0)
-        });
-        assert!(ok);
-    }
-
-    #[test]
-    fn prg_variant_is_reproducible() {
-        let inst = random_instance(256, 8, 64, 11);
-        let mut ledger = RoundLedger::new(256);
-        let a = soft_hitting_set_prg(&inst, 5, &mut ledger);
-        let b = soft_hitting_set_prg(&inst, 5, &mut ledger);
-        let c = soft_hitting_set_prg(&inst, 6, &mut ledger);
-        assert_eq!(a, b);
-        assert!(a != c || a.set.is_empty() == c.set.is_empty());
-    }
-
-    #[test]
     fn empty_l_yields_small_set() {
         let inst = SoftHittingInstance::new(100, 10, Vec::new()).unwrap();
         let mut ledger = RoundLedger::new(100);
@@ -429,18 +347,6 @@ mod tests {
             SoftHittingInstance::new(10, 2, vec![vec![1, 10]]),
             Err(SoftHittingError::ElementOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn unbounded_local_variant_same_set_fewer_rounds() {
-        let inst = random_instance(256, 16, 64, 15);
-        let mut l1 = RoundLedger::new(256);
-        let a = soft_hitting_set(&inst, &mut l1);
-        let mut l2 = RoundLedger::new(256);
-        let b = soft_hitting_set_unbounded_local(&inst, &mut l2);
-        assert_eq!(a, b);
-        assert_eq!(l2.total_rounds(), 2);
-        assert!(l1.total_rounds() > l2.total_rounds());
     }
 
     #[test]

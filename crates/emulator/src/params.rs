@@ -223,12 +223,6 @@ impl EmulatorParams {
             })
             .collect()
     }
-
-    /// Probability that a vertex reaches level `r`: `∏ pᵢ = n^{-1/2}`
-    /// (Claim 15).
-    pub fn top_level_probability(&self) -> f64 {
-        (1..=self.r).map(|i| self.p[i]).product()
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +283,8 @@ mod tests {
     fn sampling_probabilities_multiply_to_inverse_sqrt() {
         for r in 2..=4 {
             let p = EmulatorParams::new(4096, 0.25, r).unwrap();
-            let total = p.top_level_probability();
+            // Probability that a vertex reaches level r (Claim 15).
+            let total: f64 = (1..=r).map(|i| p.p(i)).product();
             let want = 1.0 / (4096f64).sqrt();
             assert!(
                 (total - want).abs() < 1e-9,

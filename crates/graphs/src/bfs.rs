@@ -63,30 +63,6 @@ pub fn ball(g: &Graph, src: usize, radius: Dist) -> Vec<(u32, Dist)> {
     out
 }
 
-/// Size of the ball `B(src, radius)` without materializing it.
-pub fn ball_size(g: &Graph, src: usize, radius: Dist) -> usize {
-    let mut count = 1usize;
-    let mut dist = vec![INF; g.n()];
-    let mut q = VecDeque::new();
-    dist[src] = 0;
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
-        let du = dist[u];
-        if du == radius {
-            continue;
-        }
-        for &v in g.neighbors(u) {
-            let v = v as usize;
-            if dist[v] == INF {
-                dist[v] = du + 1;
-                count += 1;
-                q.push_back(v);
-            }
-        }
-    }
-    count
-}
-
 /// Reference implementation of the `(k,d)`-nearest problem (§2 of the
 /// paper): the `k ≥ 1` closest vertices within distance `d` of `src` (all of
 /// them if fewer than `k`), ties broken by vertex id, **including `src`
@@ -244,14 +220,12 @@ mod tests {
         let b = ball(&g, 5, 2);
         let ids: Vec<u32> = b.iter().map(|&(v, _)| v).collect();
         assert_eq!(ids, vec![5, 4, 6, 3, 7]);
-        assert_eq!(ball_size(&g, 5, 2), 5);
     }
 
     #[test]
     fn ball_zero_radius_is_self() {
         let g = generators::cycle(6);
         assert_eq!(ball(&g, 2, 0), vec![(2, 0)]);
-        assert_eq!(ball_size(&g, 2, 0), 1);
     }
 
     #[test]

@@ -386,13 +386,6 @@ pub fn chain_from_hop_parents(parents: &[u32], src: usize, v: usize) -> Option<V
     None
 }
 
-/// `h`-hop-limited single-pair check: length of the shortest `≤ h`-edge path
-/// between `u` and `v` (`INF` if none). `O(h·m)`; used by tests to verify
-/// hopset guarantees.
-pub fn hop_limited_pair(g: &WeightedGraph, u: usize, v: usize, h: usize) -> Dist {
-    hop_limited_from_sources(g, &[u], h, 1, false).0[v]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,11 +419,12 @@ mod tests {
     fn hop_limit_binds() {
         // Path of weight-1 edges: 0-1-2-3; and a heavy direct edge 0-3.
         let g = WeightedGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 10)]);
-        assert_eq!(hop_limited_pair(&g, 0, 3, 3), 3);
-        assert_eq!(hop_limited_pair(&g, 0, 3, 2), 10);
-        assert_eq!(hop_limited_pair(&g, 0, 3, 1), 10);
+        let pair = |g: &WeightedGraph, h| hop_limited_from_sources(g, &[0], h, 1, false).0[3];
+        assert_eq!(pair(&g, 3), 3);
+        assert_eq!(pair(&g, 2), 10);
+        assert_eq!(pair(&g, 1), 10);
         let iso = WeightedGraph::from_edges(4, &[(0, 1, 1)]);
-        assert_eq!(hop_limited_pair(&iso, 0, 3, 5), INF);
+        assert_eq!(pair(&iso, 5), INF);
     }
 
     #[test]

@@ -60,24 +60,6 @@ pub fn grid(w: usize, h: usize) -> Graph {
     Graph::from_edges(w * h, &edges)
 }
 
-/// `w × h` torus (grid with wraparound).
-///
-/// # Panics
-///
-/// Panics if `w < 3` or `h < 3` (wraparound would create parallel edges).
-pub fn torus(w: usize, h: usize) -> Graph {
-    assert!(w >= 3 && h >= 3, "torus needs dimensions ≥ 3");
-    let idx = |x: usize, y: usize| y * w + x;
-    let mut edges = Vec::new();
-    for y in 0..h {
-        for x in 0..w {
-            edges.push((idx(x, y), idx((x + 1) % w, y)));
-            edges.push((idx(x, y), idx(x, (y + 1) % h)));
-        }
-    }
-    Graph::from_edges(w * h, &edges)
-}
-
 /// Erdős–Rényi `G(n, p)`.
 pub fn gnp(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
     let mut edges = Vec::new();
@@ -189,22 +171,6 @@ pub fn caveman(cliques: usize, size: usize) -> Graph {
     Graph::from_edges(n, &edges)
 }
 
-/// Random `d`-regular-ish graph by stub matching (retries collisions; the
-/// result has maximum degree `d` and average degree close to `d`).
-pub fn random_regular_ish(n: usize, d: usize, rng: &mut impl Rng) -> Graph {
-    let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
-    stubs.shuffle(rng);
-    let mut edges = Vec::new();
-    for pair in stubs.chunks(2) {
-        if let [u, v] = *pair {
-            if u != v {
-                edges.push((u, v));
-            }
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
 /// Watts–Strogatz small world: a ring lattice where each vertex connects to
 /// its `k/2` nearest neighbors on each side, with every edge rewired to a
 /// random endpoint with probability `p`.
@@ -286,27 +252,6 @@ pub fn barbell(k: usize, bridge: usize) -> Graph {
     Graph::from_edges(n, &edges)
 }
 
-/// The standard seeded test-suite of graph families used across experiments.
-///
-/// Returns `(name, graph)` pairs, all with roughly `n` vertices.
-pub fn standard_suite(n: usize, seed: u64) -> Vec<(&'static str, Graph)> {
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let side = (n as f64).sqrt().round() as usize;
-    vec![
-        ("gnp-sparse", connected_gnp(n, 4.0 / n as f64, &mut rng)),
-        ("gnp-dense", connected_gnp(n, 32.0 / n as f64, &mut rng)),
-        ("cycle", cycle(n.max(3))),
-        ("grid", grid(side.max(2), side.max(2))),
-        ("caveman", caveman((n / 8).max(3), 8)),
-        (
-            "pref-attach",
-            preferential_attachment(n.max(4), 3, &mut rng),
-        ),
-        ("tree", random_tree(n, &mut rng)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,12 +290,6 @@ mod tests {
         assert_eq!(g.n(), 12);
         assert_eq!(g.m(), 4 * 2 + 3 * 3); // horizontal rows + vertical cols
         assert!(g.is_connected());
-    }
-
-    #[test]
-    fn torus_is_4_regular() {
-        let g = torus(4, 5);
-        assert!((0..g.n()).all(|v| g.degree(v) == 4));
     }
 
     #[test]
@@ -406,12 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn regular_ish_degree_bound() {
-        let g = random_regular_ish(80, 6, &mut rng(4));
-        assert!(g.max_degree() <= 6);
-    }
-
-    #[test]
     fn watts_strogatz_shapes() {
         // p = 0: pure ring lattice, exactly nk/2 edges, diameter ~ n/k.
         let g = watts_strogatz(24, 4, 0.0, &mut rng(1));
@@ -446,14 +379,6 @@ mod tests {
         assert_eq!(crate::bfs::diameter(&g), 2);
         assert!(!g.has_edge(0, 1)); // same side
         assert!(g.has_edge(0, 3));
-    }
-
-    #[test]
-    fn standard_suite_all_connected() {
-        for (name, g) in standard_suite(64, 11) {
-            assert!(g.n() >= 32, "{name} too small: {}", g.n());
-            assert!(g.is_connected(), "{name} not connected");
-        }
     }
 
     #[test]

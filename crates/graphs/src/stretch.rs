@@ -45,11 +45,6 @@ impl StretchReport {
             && self.missed == 0
             && self.max_additive_residual <= beta + 1e-9
     }
-
-    /// `true` when the report witnesses a pure multiplicative `α` guarantee.
-    pub fn satisfies_multiplicative(&self, alpha: f64) -> bool {
-        self.lower_violations == 0 && self.missed == 0 && self.max_multiplicative <= alpha + 1e-9
-    }
 }
 
 /// Evaluates an estimate oracle against exact all-pairs distances.
@@ -217,7 +212,6 @@ mod tests {
         assert_eq!(report.missed, 0);
         assert!((report.max_multiplicative - 1.0).abs() < 1e-12);
         assert!(report.satisfies(0.0, 0.0));
-        assert!(report.satisfies_multiplicative(1.0));
     }
 
     #[test]
@@ -226,8 +220,6 @@ mod tests {
         let exact = bfs::apsp_exact(&g);
         let report = evaluate(&exact, |u, v| exact[u][v] * 2, 0.0);
         assert!((report.max_multiplicative - 2.0).abs() < 1e-12);
-        assert!(report.satisfies_multiplicative(2.0));
-        assert!(!report.satisfies_multiplicative(1.9));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! so the client never blind-retries it — [`ClientError::is_retryable`]
 //! is `false` and the retrying helpers give up.
 //!
-//! [`Client::dist_batch_retry`] / [`Client::path_batch_retry`] reconnect
-//! and retry **idempotent** queries under a [`RetryPolicy`] (bounded
-//! attempts, exponential backoff, deterministic jitter). Admin ops —
+//! [`Client::dist_batch_retry`] reconnects and retries the **idempotent**
+//! distance query under a [`RetryPolicy`] (bounded attempts, exponential
+//! backoff, deterministic jitter). Admin ops —
 //! `reload` in particular — are never retried by this module: a reload
 //! may have been applied even when its response was lost.
 
@@ -271,7 +271,10 @@ impl Client {
     }
 
     /// [`Client::dist_batch`] with reconnect-and-retry on retryable
-    /// failures — safe because a distance query is pure.
+    /// failures — safe because a distance query is pure. On a retryable
+    /// error it backs off, reconnects and re-asks; on anything else —
+    /// including an error after response bytes arrived — it gives up at
+    /// once.
     ///
     /// # Errors
     ///
@@ -283,7 +286,20 @@ impl Client {
         deadline_ms: u32,
         policy: &RetryPolicy,
     ) -> Result<Result<Vec<Option<PointEstimate>>, Status>, ClientError> {
-        self.retry_idempotent(policy, |c| c.dist_batch(pairs, deadline_ms))
+        let mut attempt = 0;
+        loop {
+            match self.dist_batch(pairs, deadline_ms) {
+                Ok(v) => return Ok(v),
+                Err(e) if e.is_retryable() && attempt < policy.max_retries => {
+                    std::thread::sleep(policy.backoff(attempt));
+                    attempt += 1;
+                    // A failed reconnect consumes this attempt; keep the
+                    // old (dead) socket and let the next lap try again.
+                    let _ = self.reconnect();
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Batched routes; items are `(weight, guarantee, edges)`.
@@ -307,46 +323,6 @@ impl Client {
             }
             (Status::Ok, _) => Err(ClientError::Protocol("wrong payload kind")),
             (status, _) => Ok(Err(status)),
-        }
-    }
-
-    /// [`Client::path_batch`] with reconnect-and-retry on retryable
-    /// failures.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error once retries are exhausted, or the first
-    /// non-retryable error immediately.
-    pub fn path_batch_retry(
-        &mut self,
-        pairs: &[(u32, u32)],
-        deadline_ms: u32,
-        policy: &RetryPolicy,
-    ) -> Result<Result<Vec<Option<crate::protocol::PathItem>>, Status>, ClientError> {
-        self.retry_idempotent(policy, |c| c.path_batch(pairs, deadline_ms))
-    }
-
-    /// The retry loop shared by the idempotent query helpers: on a
-    /// retryable error, back off, reconnect, re-ask; on anything else —
-    /// including an error after response bytes arrived — give up at once.
-    fn retry_idempotent<T>(
-        &mut self,
-        policy: &RetryPolicy,
-        mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut attempt = 0;
-        loop {
-            match op(self) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() && attempt < policy.max_retries => {
-                    std::thread::sleep(policy.backoff(attempt));
-                    attempt += 1;
-                    // A failed reconnect consumes this attempt; keep the
-                    // old (dead) socket and let the next lap try again.
-                    let _ = self.reconnect();
-                }
-                Err(e) => return Err(e),
-            }
         }
     }
 

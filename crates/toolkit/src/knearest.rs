@@ -237,12 +237,6 @@ impl KNearest {
         &self.lists[v]
     }
 
-    /// `true` when the list of `v` covers its whole `d`-ball (fewer than `k`
-    /// vertices within distance `d`).
-    pub fn covers_ball(&self, v: usize) -> bool {
-        self.lists[v].len() < self.k
-    }
-
     /// Distance from `v` to `u` if `u` is among the `(k,d)`-nearest of `v`.
     pub fn dist(&self, v: usize, u: usize) -> Option<Dist> {
         self.lists[v]
@@ -304,15 +298,15 @@ mod tests {
     }
 
     #[test]
-    fn covers_ball_detection() {
+    fn lists_truncate_at_k_or_cover_the_ball() {
         let g = generators::path(10);
         let mut ledger = RoundLedger::new(10);
-        // d = 1: ball of interior vertex has 3 members < k = 5.
+        // d = 1: the ball of an interior vertex has 3 members < k = 5.
         let kn = KNearest::compute(&g, 5, 1, Strategy::TruncatedBfs, &mut ledger);
-        assert!(kn.covers_ball(5));
-        // d = 4: ball of interior vertex has 9 members ≥ k = 5.
+        assert_eq!(kn.list(5).len(), 3);
+        // d = 4: the ball of an interior vertex has 9 members ≥ k = 5.
         let kn = KNearest::compute(&g, 5, 4, Strategy::TruncatedBfs, &mut ledger);
-        assert!(!kn.covers_ball(5));
+        assert_eq!(kn.list(5).len(), 5);
     }
 
     #[test]

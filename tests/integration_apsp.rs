@@ -6,6 +6,16 @@ use congested_clique::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// A paper-profile session (`r = 2`) over `g`.
+fn session(g: &Graph, eps: f64, execution: Execution) -> Solver {
+    SolverBuilder::new(g.clone())
+        .eps(eps)
+        .profile(ParamProfile::Paper { levels: 2 })
+        .execution(execution)
+        .build()
+        .expect("valid")
+}
+
 fn families(seed: u64) -> Vec<(&'static str, Graph)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     vec![
@@ -23,11 +33,10 @@ fn families(seed: u64) -> Vec<(&'static str, Graph)> {
 
 #[test]
 fn additive_apsp_respects_bounds_everywhere() {
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
     for (name, g) in families(10) {
-        let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).expect("valid");
-        let mut ledger = RoundLedger::new(g.n());
-        let out = apsp_additive::run(&g, &cfg, &mut rng, &mut ledger);
+        let out = session(&g, 0.25, Execution::Seeded(1))
+            .apsp_near_additive()
+            .expect("additive");
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate(
             &exact,
@@ -43,11 +52,10 @@ fn additive_apsp_respects_bounds_everywhere() {
 
 #[test]
 fn two_plus_eps_short_range_everywhere() {
-    let mut rng = ChaCha8Rng::seed_from_u64(2);
     for (name, g) in families(20) {
-        let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
-        let mut ledger = RoundLedger::new(g.n());
-        let out = apsp2::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp2");
+        let out = session(&g, 0.5, Execution::Seeded(2))
+            .apsp_2eps()
+            .expect("apsp2");
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate_range(&exact, out.estimates.as_fn(), 0.0, 1, out.t);
         assert_eq!(report.lower_violations, 0, "{name}");
@@ -64,13 +72,12 @@ fn two_plus_eps_short_range_everywhere() {
 #[test]
 fn deterministic_variants_agree_with_bounds_and_reproduce() {
     for (name, g) in families(30) {
-        let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
-        let mut l1 = RoundLedger::new(g.n());
-        let a = apsp2::run_deterministic(&g, &cfg, &mut l1).expect("apsp2 det");
-        let mut l2 = RoundLedger::new(g.n());
-        let b = apsp2::run_deterministic(&g, &cfg, &mut l2).expect("apsp2 det");
+        let mut s1 = session(&g, 0.5, Execution::Deterministic);
+        let a = s1.apsp_2eps().expect("apsp2 det");
+        let mut s2 = session(&g, 0.5, Execution::Deterministic);
+        let b = s2.apsp_2eps().expect("apsp2 det");
         assert_eq!(a.estimates, b.estimates, "{name}: determinism violated");
-        assert_eq!(l1.total_rounds(), l2.total_rounds(), "{name}");
+        assert_eq!(s1.total_rounds(), s2.total_rounds(), "{name}");
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate_range(&exact, a.estimates.as_fn(), 0.0, 1, a.t);
         assert!(
@@ -83,11 +90,10 @@ fn deterministic_variants_agree_with_bounds_and_reproduce() {
 
 #[test]
 fn three_plus_eps_is_weaker_but_valid() {
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
     for (name, g) in families(40) {
-        let cfg = Apsp3Config::new(g.n(), 0.5, 2).expect("valid");
-        let mut ledger = RoundLedger::new(g.n());
-        let out = apsp3::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp3");
+        let out = session(&g, 0.5, Execution::Seeded(4))
+            .apsp_3eps()
+            .expect("apsp3");
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate_range(&exact, out.estimates.as_fn(), 0.0, 1, out.t);
         assert_eq!(report.lower_violations, 0, "{name}");
@@ -104,11 +110,10 @@ fn estimates_obey_triangle_inequality_through_merges() {
     // δ(u,v) values produced by the pipelines are path lengths in G, so
     // δ(u,v) ≤ δ(u,w) + δ(w,v) need not hold exactly — but the *exact lower
     // bound* d ≤ δ must, and δ must be symmetric. Check both.
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
     let g = generators::caveman(6, 6);
-    let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
-    let mut ledger = RoundLedger::new(g.n());
-    let out = apsp2::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp2");
+    let out = session(&g, 0.5, Execution::Seeded(5))
+        .apsp_2eps()
+        .expect("apsp2");
     let exact = bfs::apsp_exact(&g);
     for u in 0..g.n() {
         for v in 0..g.n() {

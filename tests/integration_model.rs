@@ -152,11 +152,15 @@ fn cost_model_orderings_hold() {
 
 #[test]
 fn ledger_breakdown_is_complete() {
-    let mut rng = ChaCha8Rng::seed_from_u64(8);
     let g = generators::caveman(6, 6);
-    let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
-    let mut ledger = RoundLedger::new(g.n());
-    let _ = apsp2::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp2");
+    let mut solver = SolverBuilder::new(g)
+        .eps(0.5)
+        .profile(ParamProfile::Paper { levels: 2 })
+        .execution(Execution::Seeded(8))
+        .build()
+        .expect("valid");
+    let _ = solver.apsp_2eps().expect("apsp2");
+    let ledger = solver.ledger();
     let by_phase: u64 = ledger.by_phase().values().sum();
     assert_eq!(by_phase, ledger.total_rounds());
     assert!(ledger.report().contains("apsp2"));

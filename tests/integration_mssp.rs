@@ -5,6 +5,16 @@ use congested_clique::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// A paper-profile session (`r = 2`) over `g`.
+fn session(g: &Graph, eps: f64, execution: Execution) -> Solver {
+    SolverBuilder::new(g.clone())
+        .eps(eps)
+        .profile(ParamProfile::Paper { levels: 2 })
+        .execution(execution)
+        .build()
+        .expect("valid")
+}
+
 fn check_short_range(g: &Graph, out: &congested_clique::core::mssp::Mssp, eps: f64, label: &str) {
     for (i, &s) in out.sources.iter().enumerate() {
         let exact = bfs::sssp(g, s);
@@ -33,15 +43,14 @@ fn mssp_one_plus_eps_across_families_and_source_patterns() {
     ];
     for (name, g) in graphs {
         let n = g.n();
-        let cfg = MsspConfig::new(n, 0.5, 2).expect("valid");
         // Three source patterns: spread, clustered, single.
         let patterns: Vec<Vec<usize>> =
             vec![(0..n).step_by(9).collect(), (0..6).collect(), vec![n / 2]];
         for (pi, sources) in patterns.iter().enumerate() {
-            let mut ledger = RoundLedger::new(n);
-            let out = mssp::run(&g, sources, &cfg, &mut rng, &mut ledger)
+            let out = session(&g, 0.5, Execution::Seeded(3))
+                .mssp(sources)
                 .unwrap_or_else(|e| panic!("{name}/{pi}: {e}"));
-            check_short_range(&g, &out, cfg.eps, &format!("{name}/{pi}"));
+            check_short_range(&g, &out, 0.5, &format!("{name}/{pi}"));
         }
     }
 }
@@ -49,36 +58,33 @@ fn mssp_one_plus_eps_across_families_and_source_patterns() {
 #[test]
 fn deterministic_mssp_reproduces_and_satisfies() {
     let g = generators::caveman(7, 7);
-    let cfg = MsspConfig::new(g.n(), 0.5, 2).expect("valid");
     let sources = [0usize, 13, 26, 39];
-    let mut l1 = RoundLedger::new(g.n());
-    let a = mssp::run_deterministic(&g, &sources, &cfg, &mut l1).unwrap();
-    let mut l2 = RoundLedger::new(g.n());
-    let b = mssp::run_deterministic(&g, &sources, &cfg, &mut l2).unwrap();
+    let run = || {
+        session(&g, 0.5, Execution::Deterministic)
+            .mssp(&sources)
+            .unwrap()
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.estimates, b.estimates);
-    check_short_range(&g, &a, cfg.eps, "det");
+    check_short_range(&g, &a, 0.5, "det");
 }
 
 #[test]
 fn single_source_is_a_special_case() {
     // SSSP = MSSP with one source; the paper notes even this case had no
     // sub-logarithmic solution before.
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
     let g = generators::grid(9, 9);
-    let cfg = MsspConfig::new(g.n(), 0.25, 2).expect("valid");
-    let mut ledger = RoundLedger::new(g.n());
-    let out = mssp::run(&g, &[40], &cfg, &mut rng, &mut ledger).unwrap();
-    check_short_range(&g, &out, cfg.eps, "sssp");
+    let out = session(&g, 0.25, Execution::Seeded(4)).mssp(&[40]).unwrap();
+    check_short_range(&g, &out, 0.25, "sssp");
 }
 
 #[test]
 fn estimates_cover_all_vertices_on_connected_input() {
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
     let g = generators::caveman(10, 5);
-    let cfg = MsspConfig::new(g.n(), 0.5, 2).expect("valid");
     let sources = [0usize, 25];
-    let mut ledger = RoundLedger::new(g.n());
-    let out = mssp::run(&g, &sources, &cfg, &mut rng, &mut ledger).unwrap();
+    let out = session(&g, 0.5, Execution::Seeded(5))
+        .mssp(&sources)
+        .unwrap();
     for i in 0..sources.len() {
         for v in 0..g.n() {
             assert!(out.dist(i, v) < INF, "source {i} missing vertex {v}");

@@ -1,14 +1,15 @@
 #![allow(clippy::needless_range_loop)]
 //! End-to-end tests of the `Solver` session API: substrate reuse across
-//! queries, builder validation, the unified error type, and equivalence
-//! with the direct per-algorithm entry points for equal seeds.
+//! queries, builder validation, the unified error type, and answers that do
+//! not depend on which queries ran before.
 
-use congested_clique::core::mssp::{self, MsspConfig, MsspError};
-use congested_clique::core::{apsp2, CcError};
+use congested_clique::clique::cost::CostEntry;
+use congested_clique::core::mssp::MsspError;
+use congested_clique::core::CcError;
 use congested_clique::prelude::*;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
+use congested_clique::routes::{PairWitness, PathStore, RecId, RouteArena};
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Ledger entries whose label marks emulator construction/distribution.
 fn emulator_collections(solver: &Solver) -> usize {
@@ -193,69 +194,104 @@ fn errors_format_and_chain() {
     assert!(std::error::Error::source(&err).is_some());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// What one query answered: estimates, plus witnesses and arena when the
+/// session records paths.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Pairs(DistanceMatrix, Option<(Vec<PairWitness>, RouteArena)>),
+    Rows(Vec<Vec<Dist>>, Option<(Vec<Option<RecId>>, RouteArena)>),
+}
 
-    /// A fresh seeded `Solver` produces exactly the estimates of the direct
-    /// `apsp2::run` call with the same seed and the scaled profile.
-    #[test]
-    fn solver_apsp2_matches_direct_run((n_factor, seed) in (2usize..5, 0u64..200)) {
-        let g = generators::caveman(n_factor + 3, 6);
-        let n = g.n();
-        let mut solver = SolverBuilder::new(g.clone())
-            .eps(0.5)
-            .execution(Execution::Seeded(seed))
-            .build()
-            .unwrap();
-        let via_solver = solver.apsp_2eps().unwrap();
+/// Runs `query` on `solver` and returns its answer with the ledger entries
+/// it charged.
+fn answer(solver: &mut Solver, query: &str, sources: &[usize]) -> (Answer, Vec<CostEntry>) {
+    let before = solver.ledger().entries().len();
+    let pairs = |estimates, paths: Option<Arc<PathStore>>| {
+        Answer::Pairs(
+            estimates,
+            paths.map(|p| (p.witnesses().to_vec(), p.arena().clone())),
+        )
+    };
+    let out = match query {
+        "apsp2" => {
+            let r = solver.apsp_2eps().unwrap();
+            pairs(r.estimates, r.paths)
+        }
+        "apsp3" => {
+            let r = solver.apsp_3eps().unwrap();
+            pairs(r.estimates, r.paths)
+        }
+        _ => {
+            let r = solver.mssp(sources).unwrap();
+            Answer::Rows(
+                r.estimates,
+                r.paths.map(|p| (p.recs().to_vec(), p.arena().clone())),
+            )
+        }
+    };
+    (out, solver.ledger().entries()[before..].to_vec())
+}
 
-        let cfg = Apsp2Config::scaled(n, 0.5).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ledger = RoundLedger::new(n);
-        let direct = apsp2::run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+/// `true` when `part` is `whole` with some entries left out.
+fn is_subsequence(part: &[CostEntry], whole: &[CostEntry]) -> bool {
+    let mut rest = whole.iter();
+    part.iter().all(|x| rest.any(|y| y == x))
+}
 
-        prop_assert_eq!(&via_solver.estimates, &direct.estimates);
-        prop_assert_eq!(via_solver.t, direct.t);
-        prop_assert_eq!(solver.total_rounds(), ledger.total_rounds());
-    }
+fn rounds(entries: &[CostEntry]) -> u64 {
+    entries.iter().map(|e| e.rounds).sum()
+}
 
-    /// Same equivalence for MSSP.
-    #[test]
-    fn solver_mssp_matches_direct_run((step, seed) in (3usize..9, 0u64..200)) {
-        let g = generators::grid(7, 7);
-        let n = g.n();
-        let sources: Vec<usize> = (0..n).step_by(step).collect();
-        let mut solver = SolverBuilder::new(g.clone())
-            .eps(0.5)
-            .execution(Execution::Seeded(seed))
-            .build()
-            .unwrap();
-        let via_solver = solver.mssp(&sources).unwrap();
-
-        let cfg = MsspConfig::scaled(n, 0.5).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ledger = RoundLedger::new(n);
-        let direct = mssp::run(&g, &sources, &cfg, &mut rng, &mut ledger).unwrap();
-
-        prop_assert_eq!(&via_solver.estimates, &direct.estimates);
-        prop_assert_eq!(via_solver.t, direct.t);
-    }
-
-    /// Deterministic sessions match the deterministic free functions.
-    #[test]
-    fn deterministic_solver_matches_direct_run(n_factor in 2usize..6) {
-        let g = generators::caveman(n_factor + 3, 5);
-        let n = g.n();
-        let mut solver = SolverBuilder::new(g.clone())
-            .eps(0.5)
-            .execution(Execution::Deterministic)
-            .build()
-            .unwrap();
-        let via_solver = solver.apsp_2eps().unwrap();
-
-        let cfg = Apsp2Config::scaled(n, 0.5).unwrap();
-        let mut ledger = RoundLedger::new(n);
-        let direct = apsp2::run_deterministic(&g, &cfg, &mut ledger).unwrap();
-        prop_assert_eq!(&via_solver.estimates, &direct.estimates);
+/// Every substrate a deterministic query reads from the session cache is
+/// the one it would build itself, so apsp2, apsp3 and MSSP answer exactly
+/// like a fresh session's first query whatever ran before — estimates,
+/// witnesses and arenas. A cache hit only skips a construction's charges,
+/// so the later query's ledger entries are the fresh query's with some left
+/// out, and it never charges more rounds. The graph has a hub above the
+/// high-degree threshold, so all three queries build or reuse a hopset of
+/// the input graph.
+#[test]
+fn deterministic_answers_do_not_depend_on_query_order() {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+    let base = generators::connected_gnp(97, 0.06, &mut rng);
+    let mut edges: Vec<(usize, usize)> = base.edges().collect();
+    edges.extend((2..97).step_by(2).map(|v| (0, v)));
+    let g = Graph::from_edges(97, &edges);
+    let sources: Vec<usize> = (0..97).step_by(11).collect();
+    const QUERIES: [&str; 3] = ["apsp2", "apsp3", "mssp"];
+    let orders: [[&str; 3]; 6] = [
+        ["apsp2", "apsp3", "mssp"],
+        ["apsp2", "mssp", "apsp3"],
+        ["apsp3", "apsp2", "mssp"],
+        ["apsp3", "mssp", "apsp2"],
+        ["mssp", "apsp2", "apsp3"],
+        ["mssp", "apsp3", "apsp2"],
+    ];
+    for record in [false, true] {
+        let session = || {
+            SolverBuilder::new(g.clone())
+                .eps(0.5)
+                .execution(Execution::Deterministic)
+                .threads(2)
+                .record_paths(record)
+                .build()
+                .unwrap()
+        };
+        let fresh: Vec<(Answer, Vec<CostEntry>)> = QUERIES
+            .iter()
+            .map(|query| answer(&mut session(), query, &sources))
+            .collect();
+        for order in orders {
+            let mut solver = session();
+            for query in order {
+                let at = format!("record={record} {order:?}: {query}");
+                let (got, charged) = answer(&mut solver, query, &sources);
+                let idx = QUERIES.iter().position(|q| *q == query);
+                let (want, fresh_charged) = &fresh[idx.expect("known query")];
+                assert!(got == *want, "{at}: answer differs from a fresh session");
+                assert!(is_subsequence(&charged, fresh_charged), "{at}: ledger");
+                assert!(rounds(&charged) <= rounds(fresh_charged), "{at}: rounds");
+            }
+        }
     }
 }

@@ -126,9 +126,14 @@ fn apsp2_on_small_world_and_hypercube() {
         if !g.is_connected() {
             continue;
         }
-        let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
-        let mut ledger = RoundLedger::new(g.n());
-        let out = apsp2::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp2");
+        let out = SolverBuilder::new(g.clone())
+            .eps(0.5)
+            .profile(ParamProfile::Paper { levels: 2 })
+            .execution(Execution::Seeded(6))
+            .build()
+            .expect("valid")
+            .apsp_2eps()
+            .expect("apsp2");
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate_range(&exact, out.estimates.as_fn(), 0.0, 1, out.t);
         assert_eq!(report.lower_violations, 0, "{name}");

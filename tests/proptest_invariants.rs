@@ -106,10 +106,14 @@ proptest! {
 
     #[test]
     fn additive_apsp_never_undercuts((g, seed) in (arb_graph(), 0u64..300)) {
-        let cfg = AdditiveApspConfig::new(g.n(), 0.3, 2).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut ledger = RoundLedger::new(g.n());
-        let out = apsp_additive::run(&g, &cfg, &mut rng, &mut ledger);
+        let out = SolverBuilder::new(g.clone())
+            .eps(0.3)
+            .profile(ParamProfile::Paper { levels: 2 })
+            .execution(Execution::Seeded(seed))
+            .build()
+            .unwrap()
+            .apsp_near_additive()
+            .unwrap();
         let exact = bfs::apsp_exact(&g);
         for u in 0..g.n() {
             for v in 0..g.n() {
