@@ -22,7 +22,7 @@
 
 use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
-use cc_emulator::EmulatorParams;
+use cc_emulator::params::ParamError;
 use cc_graphs::{Dist, Graph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_routes::{PathStore, RecId};
@@ -32,22 +32,22 @@ use cc_toolkit::through_sets::ThroughSets;
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
 use crate::oracle::{DistOracle, Guarantee};
-use crate::pipeline::{self, Mode, Substrates};
+use crate::pipeline::{self, HopsetGraph, Mode, Substrates};
+use crate::solver::ParamProfile;
 use cc_graphs::StorageKind;
 
-/// Configuration of the `(2+ε)` pipeline.
+/// Per-query parameters of the `(2+ε)` pipeline. The emulator and the
+/// other session-wide parameters belong to the [`crate::Solver`].
 #[derive(Clone, Debug)]
 pub struct Apsp2Config {
     /// Accuracy `ε`.
     pub eps: f64,
-    /// Emulator configuration (long range).
-    pub emulator: CliqueEmulatorConfig,
     /// Low-degree-phase nearest-list width `k` (paper: `n^{1/4} log²n`).
     pub k: usize,
     /// High-degree threshold (paper: `√n log n`).
     pub high_degree_threshold: usize,
-    /// Override of the short/long threshold `t`.
-    pub t_override: Option<Dist>,
+    /// The short/long threshold `t`, fixed by `(n, ε)` and the profile.
+    t: Dist,
 }
 
 impl Apsp2Config {
@@ -56,15 +56,8 @@ impl Apsp2Config {
     /// # Errors
     ///
     /// Propagates parameter validation errors.
-    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, cc_emulator::params::ParamError> {
-        let ln = (n.max(2) as f64).ln();
-        Ok(Apsp2Config {
-            eps,
-            emulator: CliqueEmulatorConfig::paper(EmulatorParams::new(n, eps, r)?),
-            k: (((n as f64).powf(0.25) * ln * ln).ceil() as usize).clamp(2, n),
-            high_degree_threshold: (((n as f64).sqrt() * ln).ceil() as usize).max(2),
-            t_override: None,
-        })
+    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, ParamError> {
+        Self::for_profile(n, eps, ParamProfile::Paper { levels: r })
     }
 
     /// Benchmark-scale profile: `r = ⌊log₂log₂ n⌋`, `k = n^{1/4}·ln n`, and
@@ -73,21 +66,34 @@ impl Apsp2Config {
     /// # Errors
     ///
     /// Propagates parameter validation errors.
-    pub fn scaled(n: usize, eps: f64) -> Result<Self, cc_emulator::params::ParamError> {
+    pub fn scaled(n: usize, eps: f64) -> Result<Self, ParamError> {
+        Self::for_profile(n, eps, ParamProfile::Scaled)
+    }
+
+    /// The configuration of `profile`.
+    pub(crate) fn for_profile(
+        n: usize,
+        eps: f64,
+        profile: ParamProfile,
+    ) -> Result<Self, ParamError> {
+        // Validated first: n < 2 must be an error, not a panic in `clamp(2, n)`.
+        let t = pipeline::threshold(n, eps, profile)?;
         let ln = (n.max(2) as f64).ln();
+        let mut k = (n as f64).powf(0.25) * ln;
+        if let ParamProfile::Paper { .. } = profile {
+            k *= ln;
+        }
         Ok(Apsp2Config {
             eps,
-            emulator: CliqueEmulatorConfig::scaled(EmulatorParams::loglog(n, eps)?),
-            k: (((n as f64).powf(0.25) * ln).ceil() as usize).clamp(2, n),
+            k: (k.ceil() as usize).clamp(2, n),
             high_degree_threshold: (((n as f64).sqrt() * ln).ceil() as usize).max(2),
-            t_override: None,
+            t,
         })
     }
 
     /// The short/long threshold `t`.
     pub fn threshold(&self) -> Dist {
-        self.t_override
-            .unwrap_or_else(|| pipeline::default_threshold(&self.emulator, self.eps))
+        self.t
     }
 }
 
@@ -124,7 +130,8 @@ impl Apsp2 {
     }
 }
 
-/// `(2+ε)`-APSP, randomized (Thm 34) or deterministic (Thm 53) by `mode`.
+/// `(2+ε)`-APSP, randomized (Thm 34) or deterministic (Thm 53) by `mode`,
+/// over the session's emulator configuration `emu`.
 ///
 /// # Errors
 ///
@@ -133,6 +140,7 @@ impl Apsp2 {
 pub(crate) fn run(
     g: &Graph,
     cfg: &Apsp2Config,
+    emu: &CliqueEmulatorConfig,
     mut mode: Mode<'_>,
     ledger: &mut RoundLedger,
     substrates: &mut Substrates,
@@ -140,7 +148,7 @@ pub(crate) fn run(
     let mut phase = ledger.enter("apsp2");
     let n = g.n();
     let t = cfg.threshold();
-    let threads = cfg.emulator.threads;
+    let threads = emu.threads;
 
     // ── Long range (Claim 37): emulator + adjacency. ──────────────────────
     // Witness shadowing: every `delta` improvement below is mirrored by an
@@ -148,7 +156,7 @@ pub(crate) fn run(
     // rounds — witnesses ride the same messages) are identical with
     // recording on or off.
     let (mut delta, mut paths) =
-        pipeline::collect_emulator(g, &cfg.emulator, &mut mode, substrates, &mut phase);
+        pipeline::collect_emulator(g, emu, &mut mode, substrates, &mut phase);
 
     // ── Short paths through a high-degree vertex (Claims 38/39). ─────────
     let hdt = cfg.high_degree_threshold;
@@ -156,23 +164,13 @@ pub(crate) fn run(
         .filter(|&v| g.degree(v) >= hdt)
         .map(|v| g.neighbors(v).iter().map(|&u| u as usize).collect())
         .collect();
-    let s_pivots = substrates.hitting_set_for(
-        "apsp2/high-degree",
-        n,
-        hdt,
-        &high_sets,
-        &mut mode,
-        &mut phase,
-    )?;
+    let s_pivots = substrates.hitting_set(n, hdt, &high_sets, &mut mode, &mut phase)?;
     if !s_pivots.is_empty() {
         let hs = substrates.hopset_for(
-            "input",
+            HopsetGraph::Input,
             g,
-            2 * t,
-            cfg.eps / 2.0,
-            cfg.emulator.scaled_hopset,
-            threads,
-            cfg.emulator.record_paths,
+            (2 * t, cfg.eps / 2.0),
+            emu,
             &mut mode,
             &mut phase,
         );
@@ -238,26 +236,16 @@ pub(crate) fn run(
         .filter(|&v| kn.list(v).len() >= k)
         .map(|v| kn_sets[v].clone())
         .collect();
-    let a_pivots = substrates.hitting_set_for(
-        "apsp2/low-degree-A",
-        n,
-        k,
-        &full_sets,
-        &mut mode,
-        &mut phase,
-    )?;
+    let a_pivots = substrates.hitting_set(n, k, &full_sets, &mut mode, &mut phase)?;
     // One hopset of G' serves steps 5 and 9.
     let gp_hopset = if a_pivots.is_empty() && gp.m() == 0 {
         None
     } else {
         Some(substrates.hopset_for(
-            "low-degree",
+            HopsetGraph::LowDegree,
             &gp,
-            2 * t,
-            cfg.eps / 2.0,
-            cfg.emulator.scaled_hopset,
-            threads,
-            cfg.emulator.record_paths,
+            (2 * t, cfg.eps / 2.0),
+            emu,
             &mut mode,
             &mut phase,
         ))
@@ -297,14 +285,7 @@ pub(crate) fn run(
         .filter(|&v| gp.degree(v) >= thresh2)
         .map(|v| gp.neighbors(v).iter().map(|&u| u as usize).collect())
         .collect();
-    let a2_pivots = substrates.hitting_set_for(
-        "apsp2/low-degree-A2",
-        n,
-        thresh2,
-        &big_sets,
-        &mut mode,
-        &mut phase,
-    )?;
+    let a2_pivots = substrates.hitting_set(n, thresh2, &big_sets, &mut mode, &mut phase)?;
     if let (Some(hs), false) = (&gp_hopset, a2_pivots.is_empty()) {
         substrates.timed("source_detection", || {
             pipeline::detect_pivots(
@@ -554,6 +535,7 @@ mod tests {
             let out = run(
                 &g,
                 &cfg,
+                &pipeline::paper_emulator(g.n(), 0.5),
                 Mode::Rng(&mut rng),
                 &mut ledger,
                 &mut Substrates::default(),
@@ -571,7 +553,16 @@ mod tests {
         ] {
             let cfg = Apsp2Config::new(g.n(), 0.5, 2).unwrap();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run(&g, &cfg, Mode::Det, &mut ledger, &mut Substrates::default()).unwrap();
+            let emu = pipeline::paper_emulator(g.n(), 0.5);
+            let out = run(
+                &g,
+                &cfg,
+                &emu,
+                Mode::Det,
+                &mut ledger,
+                &mut Substrates::default(),
+            )
+            .unwrap();
             assert_short_range(&g, &out, name);
         }
     }
@@ -649,6 +640,7 @@ mod tests {
         let out = run(
             &g,
             &cfg,
+            &pipeline::paper_emulator(40, 0.5),
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),
@@ -667,6 +659,7 @@ mod tests {
         let out = run(
             &g,
             &cfg,
+            &pipeline::paper_emulator(48, 0.5),
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),
@@ -684,10 +677,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let g = generators::caveman(8, 8);
         let cfg = Apsp2Config::scaled(g.n(), 0.5).unwrap();
+        let emu = pipeline::emulator_config(g.n(), 0.5, ParamProfile::Scaled).unwrap();
         let mut ledger = RoundLedger::new(g.n());
         let out = run(
             &g,
             &cfg,
+            &emu,
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),

@@ -15,27 +15,27 @@
 
 use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
-use cc_emulator::EmulatorParams;
+use cc_emulator::params::ParamError;
 use cc_graphs::{Dist, Graph};
 use cc_toolkit::knearest::{KNearest, Strategy};
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
 use crate::oracle::{DistOracle, Guarantee};
-use crate::pipeline::{self, Mode, Substrates};
+use crate::pipeline::{self, HopsetGraph, Mode, Substrates};
+use crate::solver::ParamProfile;
 use cc_graphs::StorageKind;
 
-/// Configuration of the `(3+ε)` pipeline.
+/// Per-query parameters of the `(3+ε)` pipeline. The emulator and the
+/// other session-wide parameters belong to the [`crate::Solver`].
 #[derive(Clone, Debug)]
 pub struct Apsp3Config {
     /// Accuracy `ε`.
     pub eps: f64,
-    /// Emulator configuration (long range).
-    pub emulator: CliqueEmulatorConfig,
     /// Nearest-list width `k` (paper: `√n log n`).
     pub k: usize,
-    /// Override of the short/long threshold `t`.
-    pub t_override: Option<Dist>,
+    /// The short/long threshold `t`, fixed by `(n, ε)` and the profile.
+    t: Dist,
 }
 
 impl Apsp3Config {
@@ -44,14 +44,8 @@ impl Apsp3Config {
     /// # Errors
     ///
     /// Propagates parameter validation errors.
-    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, cc_emulator::params::ParamError> {
-        let k = (((n as f64).sqrt() * (n.max(2) as f64).ln()).ceil() as usize).clamp(2, n);
-        Ok(Apsp3Config {
-            eps,
-            emulator: CliqueEmulatorConfig::paper(EmulatorParams::new(n, eps, r)?),
-            k,
-            t_override: None,
-        })
+    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, ParamError> {
+        Self::for_profile(n, eps, ParamProfile::Paper { levels: r })
     }
 
     /// Benchmark-scale profile.
@@ -59,20 +53,32 @@ impl Apsp3Config {
     /// # Errors
     ///
     /// Propagates parameter validation errors.
-    pub fn scaled(n: usize, eps: f64) -> Result<Self, cc_emulator::params::ParamError> {
-        let k = ((n as f64).sqrt().ceil() as usize).clamp(2, n);
+    pub fn scaled(n: usize, eps: f64) -> Result<Self, ParamError> {
+        Self::for_profile(n, eps, ParamProfile::Scaled)
+    }
+
+    /// The configuration of `profile`.
+    pub(crate) fn for_profile(
+        n: usize,
+        eps: f64,
+        profile: ParamProfile,
+    ) -> Result<Self, ParamError> {
+        // Validated first: n < 2 must be an error, not a panic in `clamp(2, n)`.
+        let t = pipeline::threshold(n, eps, profile)?;
+        let mut k = (n as f64).sqrt();
+        if let ParamProfile::Paper { .. } = profile {
+            k *= (n.max(2) as f64).ln();
+        }
         Ok(Apsp3Config {
             eps,
-            emulator: CliqueEmulatorConfig::scaled(EmulatorParams::loglog(n, eps)?),
-            k,
-            t_override: None,
+            k: (k.ceil() as usize).clamp(2, n),
+            t,
         })
     }
 
     /// The short/long threshold `t`.
     pub fn threshold(&self) -> Dist {
-        self.t_override
-            .unwrap_or_else(|| pipeline::default_threshold(&self.emulator, self.eps))
+        self.t
     }
 }
 
@@ -106,7 +112,8 @@ impl Apsp3 {
     }
 }
 
-/// `(3+ε)`-APSP, randomized or deterministic by `mode`.
+/// `(3+ε)`-APSP, randomized or deterministic by `mode`, over the
+/// session's emulator configuration `emu`.
 ///
 /// # Errors
 ///
@@ -115,6 +122,7 @@ impl Apsp3 {
 pub(crate) fn run(
     g: &Graph,
     cfg: &Apsp3Config,
+    emu: &CliqueEmulatorConfig,
     mut mode: Mode<'_>,
     ledger: &mut RoundLedger,
     substrates: &mut Substrates,
@@ -127,17 +135,11 @@ pub(crate) fn run(
     // so the estimates (and the rounds — witnesses ride the same messages)
     // are identical with recording on or off.
     let (mut delta, mut paths) =
-        pipeline::collect_emulator(g, &cfg.emulator, &mut mode, substrates, &mut phase);
+        pipeline::collect_emulator(g, emu, &mut mode, substrates, &mut phase);
 
     // (k, t)-nearest: exact short distances to the k nearest.
-    let mut kn = KNearest::compute_with(
-        g,
-        cfg.k,
-        t,
-        Strategy::TruncatedBfs,
-        cfg.emulator.threads,
-        &mut phase,
-    );
+    let mut kn =
+        KNearest::compute_with(g, cfg.k, t, Strategy::TruncatedBfs, emu.threads, &mut phase);
     if paths.is_some() {
         kn = kn.with_parents(g);
     }
@@ -161,19 +163,15 @@ pub(crate) fn run(
         .filter(|&v| kn.list(v).len() >= cfg.k)
         .map(|v| kn.list(v).iter().map(|&(u, _)| u as usize).collect())
         .collect();
-    let pivots =
-        substrates.hitting_set_for("apsp3/pivots", n, cfg.k, &full_sets, &mut mode, &mut phase)?;
+    let pivots = substrates.hitting_set(n, cfg.k, &full_sets, &mut mode, &mut phase)?;
 
     if !pivots.is_empty() {
         // (1+ε/2)-approximate distances to A within 2t.
         let hs = substrates.hopset_for(
-            "input",
+            HopsetGraph::Input,
             g,
-            2 * t,
-            cfg.eps / 2.0,
-            cfg.emulator.scaled_hopset,
-            cfg.emulator.threads,
-            cfg.emulator.record_paths,
+            (2 * t, cfg.eps / 2.0),
+            emu,
             &mut mode,
             &mut phase,
         );
@@ -185,7 +183,7 @@ pub(crate) fn run(
                 g,
                 &hs,
                 &pivots,
-                cfg.emulator.threads,
+                emu.threads,
                 &mut delta,
                 paths.as_mut(),
                 &mut phase,
@@ -248,6 +246,7 @@ mod tests {
             let out = run(
                 &g,
                 &cfg,
+                &pipeline::paper_emulator(g.n(), 0.5),
                 Mode::Rng(&mut rng),
                 &mut ledger,
                 &mut Substrates::default(),
@@ -263,7 +262,16 @@ mod tests {
         let g = generators::caveman(7, 7);
         let cfg = Apsp3Config::new(g.n(), 0.5, 2).unwrap();
         let mut ledger = RoundLedger::new(g.n());
-        let out = run(&g, &cfg, Mode::Det, &mut ledger, &mut Substrates::default()).unwrap();
+        let emu = pipeline::paper_emulator(g.n(), 0.5);
+        let out = run(
+            &g,
+            &cfg,
+            &emu,
+            Mode::Det,
+            &mut ledger,
+            &mut Substrates::default(),
+        )
+        .unwrap();
         assert_short_range(&g, &out);
     }
 
@@ -279,6 +287,7 @@ mod tests {
         let out = run(
             &g,
             &cfg,
+            &pipeline::paper_emulator(12, 0.5),
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),

@@ -5,9 +5,11 @@
 //! `O(log log n)` rounds), and have each vertex answer distance queries by
 //! local Dijkstra on the emulator. Total: `O(log²β/ε)` rounds.
 
+use std::sync::Arc;
+
 use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
-use cc_emulator::{Emulator, EmulatorParams};
+use cc_emulator::Emulator;
 use cc_graphs::Graph;
 
 use crate::estimates::DistanceMatrix;
@@ -15,59 +17,13 @@ use crate::oracle::{DistOracle, Guarantee};
 use crate::pipeline::{self, Mode, Substrates};
 use cc_graphs::StorageKind;
 
-/// Configuration of the near-additive APSP algorithm.
-#[derive(Clone, Debug)]
-pub struct AdditiveApspConfig {
-    /// The emulator configuration.
-    pub emulator: CliqueEmulatorConfig,
-}
-
-impl AdditiveApspConfig {
-    /// Paper profile with explicit level count `r`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors.
-    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, cc_emulator::params::ParamError> {
-        Ok(AdditiveApspConfig {
-            emulator: CliqueEmulatorConfig::paper(EmulatorParams::new(n, eps, r)?),
-        })
-    }
-
-    /// Benchmark-scale profile: `r = max(2, ⌊log₂log₂ n⌋)` levels and
-    /// tempered hopset constants.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors.
-    pub fn scaled(n: usize, eps: f64) -> Result<Self, cc_emulator::params::ParamError> {
-        Ok(AdditiveApspConfig {
-            emulator: CliqueEmulatorConfig::scaled(EmulatorParams::loglog(n, eps)?),
-        })
-    }
-
-    /// The proven multiplicative part of the stretch.
-    pub fn multiplicative_bound(&self) -> f64 {
-        self.emulator
-            .params
-            .clique_multiplicative_bound(self.emulator.eps_prime)
-    }
-
-    /// The proven additive part `β`.
-    pub fn additive_bound(&self) -> f64 {
-        self.emulator
-            .params
-            .clique_additive_bound(self.emulator.eps_prime)
-    }
-}
-
 /// Result of the near-additive APSP computation.
 #[derive(Clone, Debug)]
 pub struct AdditiveApsp {
     /// Estimates `δ` with `d_G ≤ δ ≤ (1+ε̂)d_G + β̂`.
     pub estimates: DistanceMatrix,
-    /// The emulator the estimates came from.
-    pub emulator: Emulator,
+    /// The emulator the estimates came from, shared with the session.
+    pub emulator: Arc<Emulator>,
     /// The proven multiplicative bound `1+ε̂`.
     pub multiplicative_bound: f64,
     /// The proven additive bound `β̂`.
@@ -75,7 +31,7 @@ pub struct AdditiveApsp {
     /// Per-pair path witnesses, recorded when the configuration set
     /// [`CliqueEmulatorConfig::record_paths`]. `Arc`-shared so memoized
     /// results clone cheaply.
-    pub paths: Option<std::sync::Arc<cc_routes::PathStore>>,
+    pub paths: Option<Arc<cc_routes::PathStore>>,
 }
 
 impl AdditiveApsp {
@@ -92,11 +48,11 @@ impl AdditiveApsp {
     }
 }
 
-/// `(1+ε, β)`-APSP, randomized (Thm 32) or deterministic (Thm 51) by
-/// `mode`.
+/// `(1+ε, β)`-APSP over the session's emulator configuration `emu`,
+/// randomized (Thm 32) or deterministic (Thm 51) by `mode`.
 pub(crate) fn run(
     g: &Graph,
-    cfg: &AdditiveApspConfig,
+    emu: &CliqueEmulatorConfig,
     mut mode: Mode<'_>,
     ledger: &mut RoundLedger,
     substrates: &mut Substrates,
@@ -104,13 +60,13 @@ pub(crate) fn run(
     let mut phase = ledger.enter("apsp-additive");
     // The answer is the long-range table itself.
     let ((estimates, paths), emulator) =
-        pipeline::take_long_range(g, &cfg.emulator, &mut mode, substrates, &mut phase);
+        pipeline::take_long_range(g, emu, &mut mode, substrates, &mut phase);
     AdditiveApsp {
         estimates,
-        emulator: emulator.clone(),
-        multiplicative_bound: cfg.multiplicative_bound(),
-        additive_bound: cfg.additive_bound(),
-        paths: paths.map(std::sync::Arc::new),
+        emulator,
+        multiplicative_bound: emu.params.clique_multiplicative_bound(emu.eps_prime),
+        additive_bound: emu.params.clique_additive_bound(emu.eps_prime),
+        paths: paths.map(Arc::new),
     }
 }
 
@@ -129,11 +85,11 @@ mod tests {
             ("grid", generators::grid(8, 8)),
             ("caveman", generators::caveman(8, 8)),
         ] {
-            let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).unwrap();
+            let emu = pipeline::paper_emulator(g.n(), 0.25);
             let mut ledger = RoundLedger::new(g.n());
             let out = run(
                 &g,
-                &cfg,
+                &emu,
                 Mode::Rng(&mut rng),
                 &mut ledger,
                 &mut Substrates::default(),
@@ -154,11 +110,11 @@ mod tests {
     #[test]
     fn deterministic_matches_guarantee_and_reproduces() {
         let g = generators::caveman(6, 6);
-        let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).unwrap();
+        let emu = pipeline::paper_emulator(g.n(), 0.25);
         let mut l1 = RoundLedger::new(g.n());
-        let a = run(&g, &cfg, Mode::Det, &mut l1, &mut Substrates::default());
+        let a = run(&g, &emu, Mode::Det, &mut l1, &mut Substrates::default());
         let mut l2 = RoundLedger::new(g.n());
-        let b = run(&g, &cfg, Mode::Det, &mut l2, &mut Substrates::default());
+        let b = run(&g, &emu, Mode::Det, &mut l2, &mut Substrates::default());
         assert_eq!(a.estimates, b.estimates);
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate(&exact, a.estimates.as_fn(), a.multiplicative_bound - 1.0);
@@ -169,11 +125,11 @@ mod tests {
     fn estimates_never_undercut() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let g = generators::connected_gnp(60, 0.06, &mut rng);
-        let cfg = AdditiveApspConfig::new(g.n(), 0.3, 2).unwrap();
+        let emu = pipeline::paper_emulator(g.n(), 0.3);
         let mut ledger = RoundLedger::new(g.n());
         let out = run(
             &g,
-            &cfg,
+            &emu,
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),
@@ -189,12 +145,12 @@ mod tests {
     #[test]
     fn rounds_include_collection_cost() {
         let g = generators::grid(10, 10);
-        let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).unwrap();
+        let emu = pipeline::paper_emulator(g.n(), 0.25);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut ledger = RoundLedger::new(g.n());
         let _ = run(
             &g,
-            &cfg,
+            &emu,
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),

@@ -9,25 +9,23 @@
 
 use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
-use cc_emulator::EmulatorParams;
+use cc_emulator::params::ParamError;
 use cc_graphs::{Dist, DistStorage, Graph};
 use cc_toolkit::source_detection::SourceDetection;
 
 use crate::error::CcError;
 use crate::oracle::{DistOracle, Guarantee};
-use crate::pipeline::{self, Mode, Substrates};
+use crate::pipeline::{self, HopsetGraph, Mode, Substrates};
+use crate::solver::ParamProfile;
 
-/// Configuration of the MSSP algorithm.
+/// Per-query parameters of the MSSP algorithm. The emulator and the
+/// other session-wide parameters belong to the [`crate::Solver`].
 #[derive(Clone, Debug)]
 pub struct MsspConfig {
     /// Short-range accuracy `ε` (the hopset/source-detection stretch).
     pub eps: f64,
-    /// The emulator configuration for the long range.
-    pub emulator: CliqueEmulatorConfig,
-    /// Override of the short/long threshold `t` (default `⌈2β̂/ε⌉`).
-    pub t_override: Option<Dist>,
-    /// Maximum sources as a multiple of `√n` (paper: `O(√n)`; default 4).
-    pub max_sources_factor: f64,
+    /// The short/long threshold `t`, fixed by `(n, ε)` and the profile.
+    t: Dist,
 }
 
 impl MsspConfig {
@@ -36,13 +34,8 @@ impl MsspConfig {
     /// # Errors
     ///
     /// Propagates parameter validation errors.
-    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, cc_emulator::params::ParamError> {
-        Ok(MsspConfig {
-            eps,
-            emulator: CliqueEmulatorConfig::paper(EmulatorParams::new(n, eps, r)?),
-            t_override: None,
-            max_sources_factor: 4.0,
-        })
+    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, ParamError> {
+        Self::for_profile(n, eps, ParamProfile::Paper { levels: r })
     }
 
     /// Benchmark-scale profile (`r = ⌊log₂log₂ n⌋`, tempered hopset
@@ -51,36 +44,34 @@ impl MsspConfig {
     /// # Errors
     ///
     /// Propagates parameter validation errors.
-    pub fn scaled(n: usize, eps: f64) -> Result<Self, cc_emulator::params::ParamError> {
+    pub fn scaled(n: usize, eps: f64) -> Result<Self, ParamError> {
+        Self::for_profile(n, eps, ParamProfile::Scaled)
+    }
+
+    /// The configuration of `profile`.
+    pub(crate) fn for_profile(
+        n: usize,
+        eps: f64,
+        profile: ParamProfile,
+    ) -> Result<Self, ParamError> {
         Ok(MsspConfig {
             eps,
-            emulator: CliqueEmulatorConfig::scaled(EmulatorParams::loglog(n, eps)?),
-            t_override: None,
-            max_sources_factor: 4.0,
+            t: pipeline::threshold(n, eps, profile)?,
         })
     }
 
     /// The short/long threshold `t`.
     pub fn threshold(&self) -> Dist {
-        self.t_override
-            .unwrap_or_else(|| pipeline::default_threshold(&self.emulator, self.eps))
+        self.t
     }
+}
 
-    /// Maximum admissible number of sources.
-    pub fn max_sources(&self, n: usize) -> usize {
-        ((self.max_sources_factor * (n as f64).sqrt()).ceil() as usize).max(1)
-    }
+/// Maximum sources as a multiple of `√n` (paper: `O(√n)`).
+const MAX_SOURCES_FACTOR: f64 = 4.0;
 
-    /// The proven multiplicative guarantee: `1+ε` for short pairs, and the
-    /// emulator's long-range stretch `M + ε/2` beyond `t` (with the default
-    /// threshold). Measured stretch is reported by experiment T1.
-    pub fn guarantee(&self) -> f64 {
-        let m = self
-            .emulator
-            .params
-            .clique_multiplicative_bound(self.emulator.eps_prime);
-        (1.0 + self.eps).max(m + self.eps / 2.0)
-    }
+/// Maximum admissible number of sources on `n` vertices.
+fn max_sources(n: usize) -> usize {
+    ((MAX_SOURCES_FACTOR * (n as f64).sqrt()).ceil() as usize).max(1)
 }
 
 /// Errors of an MSSP query ([`crate::Solver::mssp`]).
@@ -166,7 +157,8 @@ impl Mssp {
     }
 }
 
-/// `(1+ε)`-MSSP, randomized (Thm 33) or deterministic (Thm 52) by `mode`.
+/// `(1+ε)`-MSSP, randomized (Thm 33) or deterministic (Thm 52) by `mode`,
+/// over the session's emulator configuration `emu`.
 ///
 /// # Errors
 ///
@@ -176,6 +168,7 @@ pub(crate) fn run(
     g: &Graph,
     sources: &[usize],
     cfg: &MsspConfig,
+    emu_cfg: &CliqueEmulatorConfig,
     mut mode: Mode<'_>,
     ledger: &mut RoundLedger,
     substrates: &mut Substrates,
@@ -183,7 +176,7 @@ pub(crate) fn run(
     if sources.is_empty() {
         return Err(MsspError::NoSources.into());
     }
-    let max = cfg.max_sources(g.n());
+    let max = max_sources(g.n());
     if sources.len() > max {
         return Err(MsspError::TooManySources {
             given: sources.len(),
@@ -203,35 +196,29 @@ pub(crate) fn run(
     // Witness shadowing: every estimate update below is mirrored by an offer
     // with the same improvement rule, so estimates and rounds are identical
     // with recording on or off.
-    let mut paths = cfg
-        .emulator
+    let mut paths = emu_cfg
         .record_paths
         .then(|| cc_routes::RowStore::new(g.n(), sources));
 
     // Long range: the emulator, learned by everyone (cached across queries
     // by the session's substrate store); each vertex runs local Dijkstra
     // from the sources.
-    let threads = cfg.emulator.threads;
-    let mut estimates: Vec<Vec<Dist>> = {
-        let emu = substrates.emulator_for(g, &cfg.emulator, &mut mode, &mut phase);
-        match paths.as_mut() {
-            None => pipeline::emulator_rows(emu, sources, threads),
-            // The recording pass's Dijkstra trees carry the same distances
-            // — start the estimates from them instead of running a second
-            // per-source sweep.
-            Some(store) => pipeline::record_emulator_rows(g, emu, sources, threads, store),
-        }
+    let threads = emu_cfg.threads;
+    let emu = substrates.emulator_for(g, emu_cfg, &mut mode, &mut phase);
+    let mut estimates: Vec<Vec<Dist>> = match paths.as_mut() {
+        None => pipeline::emulator_rows(&emu, sources, threads),
+        // The recording pass's Dijkstra trees carry the same distances —
+        // start the estimates from them instead of running a second
+        // per-source sweep.
+        Some(store) => pipeline::record_emulator_rows(g, &emu, sources, threads, store),
     };
 
     // Short range: bounded hopset + source detection with h = β hops.
     let hs = substrates.hopset_for(
-        "input",
+        HopsetGraph::Input,
         g,
-        t,
-        cfg.eps,
-        cfg.emulator.scaled_hopset,
-        cfg.emulator.threads,
-        cfg.emulator.record_paths,
+        (t, cfg.eps),
+        emu_cfg,
         &mut mode,
         &mut phase,
     );
@@ -278,11 +265,16 @@ pub(crate) fn run(
             }
         }
     }
+    // The proven multiplicative guarantee: `1+ε` for short pairs, and the
+    // emulator's long-range stretch `M + ε/2` beyond `t`.
+    let long_range = emu_cfg
+        .params
+        .clique_multiplicative_bound(emu_cfg.eps_prime);
     Ok(Mssp {
         sources: sources.to_vec(),
         estimates,
         t,
-        guarantee: cfg.guarantee(),
+        guarantee: (1.0 + cfg.eps).max(long_range + cfg.eps / 2.0),
         paths: paths.map(std::sync::Arc::new),
     })
 }
@@ -304,12 +296,14 @@ mod tests {
             ("gnp", generators::connected_gnp(80, 0.05, &mut rng)),
         ] {
             let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
+            let emu = pipeline::paper_emulator(g.n(), 0.5);
             let sources: Vec<usize> = (0..g.n()).step_by(9).collect();
             let mut ledger = RoundLedger::new(g.n());
             let out = run(
                 &g,
                 &sources,
                 &cfg,
+                &emu,
                 Mode::Rng(&mut rng),
                 &mut ledger,
                 &mut Substrates::default(),
@@ -337,12 +331,14 @@ mod tests {
     fn deterministic_variant_matches_guarantee() {
         let g = generators::caveman(6, 6);
         let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
+        let emu = pipeline::paper_emulator(g.n(), 0.5);
         let sources = [0usize, 10, 20, 30];
         let mut ledger = RoundLedger::new(g.n());
         let out = run(
             &g,
             &sources,
             &cfg,
+            &emu,
             Mode::Det,
             &mut ledger,
             &mut Substrates::default(),
@@ -365,6 +361,7 @@ mod tests {
     fn source_count_validation() {
         let g = generators::cycle(16);
         let cfg = MsspConfig::new(16, 0.5, 2).unwrap();
+        let emu = pipeline::paper_emulator(16, 0.5);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut ledger = RoundLedger::new(16);
         let too_many: Vec<usize> = (0..16).fold(Vec::new(), |mut acc, v| {
@@ -376,6 +373,7 @@ mod tests {
             &g,
             &too_many,
             &cfg,
+            &emu,
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),
@@ -389,6 +387,7 @@ mod tests {
             &g,
             &[],
             &cfg,
+            &emu,
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),
@@ -399,6 +398,7 @@ mod tests {
             &g,
             &[99],
             &cfg,
+            &emu,
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),
@@ -414,6 +414,7 @@ mod tests {
     fn sources_have_zero_self_distance() {
         let g = generators::grid(6, 6);
         let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
+        let emu = pipeline::paper_emulator(g.n(), 0.5);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut ledger = RoundLedger::new(g.n());
         let sources = [3usize, 17];
@@ -421,6 +422,7 @@ mod tests {
             &g,
             &sources,
             &cfg,
+            &emu,
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),
@@ -432,24 +434,31 @@ mod tests {
 
     #[test]
     fn long_range_estimates_exist_and_upper_bound() {
-        // A long cycle with a small override threshold exercises the
-        // emulator path for pairs beyond t.
-        let g = generators::cycle(100);
-        let mut cfg = MsspConfig::new(100, 0.5, 2).unwrap();
-        cfg.t_override = Some(8);
+        // A cycle longer than 2t has pairs beyond t (t = 213 here), which
+        // only the emulator path answers.
+        let n = 512;
+        let g = generators::cycle(n);
+        let cfg = MsspConfig::new(n, 0.5, 2).unwrap();
+        let emu = pipeline::paper_emulator(n, 0.5);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mut ledger = RoundLedger::new(100);
+        let mut ledger = RoundLedger::new(n);
         let out = run(
             &g,
             &[0],
             &cfg,
+            &emu,
             Mode::Rng(&mut rng),
             &mut ledger,
             &mut Substrates::default(),
         )
         .unwrap();
         let exact = bfs::sssp(&g, 0);
-        for v in 0..100 {
+        assert!(
+            exact.iter().any(|&d| d > out.t),
+            "no pair beyond t = {}",
+            out.t
+        );
+        for v in 0..n {
             assert!(out.dist(0, v) >= exact[v]);
             assert!(out.dist(0, v) < cc_graphs::INF, "missing estimate at {v}");
         }

@@ -10,7 +10,8 @@ use std::sync::Arc;
 use cc_clique::RoundLedger;
 use cc_derand::hitting;
 use cc_emulator::clique::CliqueEmulatorConfig;
-use cc_emulator::{deterministic, whp, Emulator};
+use cc_emulator::params::ParamError;
+use cc_emulator::{deterministic, whp, Emulator, EmulatorParams};
 use cc_graphs::dijkstra::{self, DialWorkspace};
 use cc_graphs::{Dist, Graph, INF};
 use cc_obs::StageTimes;
@@ -21,6 +22,7 @@ use rand::RngCore;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
+use crate::solver::ParamProfile;
 
 /// Randomized-or-deterministic mode threaded through the pipelines.
 pub(crate) enum Mode<'a> {
@@ -31,55 +33,19 @@ pub(crate) enum Mode<'a> {
     Det,
 }
 
-/// `f64` parameters as cache-key bits (exact — the configs store the same
-/// float the caller passed).
-fn bits(x: f64) -> u64 {
-    x.to_bits()
+/// The graph a cached hopset is built on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum HopsetGraph {
+    /// The input graph `G`.
+    Input,
+    /// apsp2's low-degree subgraph `G'`.
+    LowDegree,
 }
 
-/// Cache key identifying one emulator construction. `record_paths` is part
-/// of the key: a path-carrying query must not be served a witness-less
-/// cached emulator (the estimates are identical either way, but the routes
-/// would be missing).
-type EmulatorKey = (usize, u64, usize, u64, usize, bool, bool);
-
-fn emulator_key(cfg: &CliqueEmulatorConfig) -> EmulatorKey {
-    (
-        cfg.params.n(),
-        bits(cfg.params.eps()),
-        cfg.params.r(),
-        bits(cfg.eps_prime),
-        cfg.k,
-        cfg.scaled_hopset,
-        cfg.record_paths,
-    )
-}
-
-/// Cache key identifying one bounded-hopset construction: graph tag and
-/// shape, threshold, accuracy, profile, path recording.
-type HopsetKey = (&'static str, usize, usize, Dist, u64, bool, bool);
-
-/// Cache key identifying one hitting-set selection: call-site label,
-/// universe, clamped `k`, and a fingerprint of the set contents (so a label
-/// reused with different sets cannot serve a stale, non-hitting selection).
-type HittingKey = (&'static str, usize, usize, u64);
-
-/// FNV-1a fingerprint of a set collection, order-sensitive.
-fn sets_fingerprint(sets: &[Vec<usize>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    mix(sets.len() as u64);
-    for s in sets {
-        mix(s.len() as u64);
-        for &e in s {
-            mix(e as u64);
-        }
-    }
-    h
-}
+/// Cache key of one bounded hopset: its graph and the requested threshold
+/// and accuracy (the accuracy as exact bits — callers pass the same float
+/// every time).
+type HopsetKey = (HopsetGraph, Dist, u64);
 
 /// The long-range table of Claim 37 that apsp2, apsp3 and the additive
 /// query all start from: the estimates lowered to the emulator distances
@@ -87,29 +53,29 @@ fn sets_fingerprint(sets: &[Vec<usize>]) -> u64 {
 pub(crate) type LongRange = (DistanceMatrix, Option<PathStore>);
 
 /// Session-scoped cache of the expensive substrates every pipeline stands
-/// on: the near-additive emulator, bounded hopsets (keyed by graph and
-/// threshold) and hitting sets.
+/// on: the near-additive emulator and the bounded hopsets.
 ///
 /// A [`crate::Solver`] keeps one `Substrates` for its lifetime, which is
 /// what amortizes construction across queries: a cache hit returns the
 /// stored object and charges **zero** rounds, modelling that every node of
 /// the clique already holds the substrate locally from the earlier query.
-/// No key holds the execution mode: only [`crate::SolverBuilder::build`]
-/// creates a `Substrates`, and a session never changes its execution.
-/// Keys are fully ordered and the maps are `BTreeMap`s, not `HashMap`s:
-/// nothing here may iterate in an address-dependent order (the
+/// Only [`crate::SolverBuilder::build`] creates a `Substrates`, and a
+/// session never changes its execution mode or its emulator
+/// configuration, so the emulator and the long-range table each have one
+/// unkeyed slot. Hopsets are keyed only by what varies inside a session:
+/// their graph and the requested `(t, ε)`. The map is a `BTreeMap`, not a
+/// `HashMap`: nothing here may iterate in an address-dependent order (the
 /// `unordered-iter` rule in `cc-analyze` bans unordered containers in
 /// result-affecting crates wholesale — see `DESIGN.md` §11.1).
 #[derive(Debug, Default)]
 pub(crate) struct Substrates {
-    emulator: Option<(EmulatorKey, Emulator)>,
+    emulator: Option<Arc<Emulator>>,
     hopsets: BTreeMap<HopsetKey, Arc<BoundedHopset>>,
-    hitting_sets: BTreeMap<HittingKey, Vec<usize>>,
     /// The long-range table a producer (apsp2, apsp3) left for the one
-    /// consumer (the additive query), keyed like the emulator it was swept
-    /// from. The consumer moves it out; `freeze` drops it unconsumed
-    /// (DESIGN.md §7.4). `RefCell` for the same reason as `stages`.
-    long_range: RefCell<Option<(EmulatorKey, LongRange)>>,
+    /// consumer (the additive query). The consumer moves it out; `freeze`
+    /// drops it unconsumed (DESIGN.md §7.4). `RefCell` for the same reason
+    /// as `stages`.
+    long_range: RefCell<Option<LongRange>>,
     /// Set once the consumer has run: producers stop leaving a copy in
     /// `long_range`, because the session has no second consumer.
     pub(crate) long_range_consumed: bool,
@@ -142,88 +108,78 @@ impl Substrates {
         out
     }
 
-    /// The emulator for `cfg`, built (w.h.p. variant when randomized, Thm 50
-    /// when deterministic) and distributed to every vertex on first use,
-    /// reused afterwards.
+    /// The session's emulator, built from `cfg` (w.h.p. variant when
+    /// randomized, Thm 50 when deterministic) and distributed to every
+    /// vertex on first use, shared afterwards.
     pub(crate) fn emulator_for(
         &mut self,
         g: &Graph,
         cfg: &CliqueEmulatorConfig,
         mode: &mut Mode<'_>,
         ledger: &mut RoundLedger,
-    ) -> &Emulator {
-        let key = emulator_key(cfg);
-        let stale = match &self.emulator {
-            Some((k, _)) => *k != key,
-            None => true,
-        };
-        if stale {
-            let started = self.stages.borrow().start();
+    ) -> Arc<Emulator> {
+        let stages = &self.stages;
+        let emu = self.emulator.get_or_insert_with(|| {
+            let started = stages.borrow().start();
             let emu = match mode {
                 Mode::Rng(rng) => whp::build(g, cfg, rng, ledger).0,
                 Mode::Det => deterministic::build(g, cfg, ledger),
             };
             ledger.charge_learn_all("collect emulator at all vertices", emu.m() as u64);
-            self.stages.borrow_mut().stop("emulator_build", started);
-            self.emulator = Some((key, emu));
-        }
-        &self.emulator.as_ref().expect("just inserted").1
+            stages.borrow_mut().stop("emulator_build", started);
+            Arc::new(emu)
+        });
+        Arc::clone(emu)
     }
 
-    /// A `(β, ε, t)`-bounded hopset of `g`, built on first use per
-    /// `(graph, threshold, accuracy, profile)` key and reused
-    /// afterwards. `graph_tag` distinguishes derived graphs (e.g. the
-    /// low-degree subgraph) that share `n` with the input.
-    ///
-    /// Returns a shared handle to the cached hopset, so pipelines can
-    /// interleave further cache lookups while holding it without copying
-    /// its union or routes.
-    /// `threads` is purely wall-clock (the construction is bit-identical at
-    /// any thread count), so it is deliberately **not** part of the cache
-    /// key.
-    #[allow(clippy::too_many_arguments)]
+    /// A `(β, ε, t)`-bounded hopset of `g` for the requested `(t, ε)`,
+    /// built on first use per `(graph, t, ε)` and shared afterwards, so
+    /// pipelines can interleave further cache lookups while holding it
+    /// without copying its union or routes. The profile, `threads` and
+    /// path recording come from the session's emulator configuration
+    /// `cfg`; `threads` is purely wall-clock (the construction is
+    /// bit-identical at any thread count).
     pub(crate) fn hopset_for(
         &mut self,
-        graph_tag: &'static str,
+        on: HopsetGraph,
         g: &Graph,
-        t: Dist,
-        eps: f64,
-        scaled: bool,
-        threads: usize,
-        record_paths: bool,
+        (t, eps): (Dist, f64),
+        cfg: &CliqueEmulatorConfig,
         mode: &mut Mode<'_>,
         ledger: &mut RoundLedger,
     ) -> Arc<BoundedHopset> {
-        let key = (graph_tag, g.n(), g.m(), t, bits(eps), scaled, record_paths);
-        if !self.hopsets.contains_key(&key) {
-            let started = self.stages.borrow().start();
-            let params = if scaled {
-                HopsetParams::scaled(g.n(), t, eps)
-            } else {
-                HopsetParams::paper(g.n(), t, eps)
-            }
-            .with_threads(threads)
-            .with_paths(record_paths);
-            let built = match mode {
-                Mode::Rng(rng) => hopset::build_randomized(g, params, rng, ledger),
-                Mode::Det => hopset::build_deterministic(g, params, ledger),
-            };
-            self.stages.borrow_mut().stop("hopset_build", started);
-            self.hopsets.insert(key, Arc::new(built));
-        }
-        Arc::clone(self.hopsets.get(&key).expect("just inserted"))
+        let stages = &self.stages;
+        let hopset = self
+            .hopsets
+            .entry((on, t, eps.to_bits()))
+            .or_insert_with(|| {
+                let started = stages.borrow().start();
+                let params = if cfg.scaled_hopset {
+                    HopsetParams::scaled(g.n(), t, eps)
+                } else {
+                    HopsetParams::paper(g.n(), t, eps)
+                }
+                .with_threads(cfg.threads)
+                .with_paths(cfg.record_paths);
+                let built = match mode {
+                    Mode::Rng(rng) => hopset::build_randomized(g, params, rng, ledger),
+                    Mode::Det => hopset::build_deterministic(g, params, ledger),
+                };
+                stages.borrow_mut().stop("hopset_build", started);
+                Arc::new(built)
+            });
+        Arc::clone(hopset)
     }
 
-    /// A hitting set over `sets`, computed on first use per
-    /// `(label, universe, k, sets)` key and reused afterwards.
+    /// A hitting set over `sets`. Never cached: each query is memoized and
+    /// draws its own sets, so no selection is asked for twice in a session.
     ///
     /// The promised minimum size `k` is clamped to the smallest set so the
     /// paper-level parameter choice cannot over-promise; genuine instance
     /// violations (out-of-range elements) surface as [`CcError::Hitting`]
     /// instead of panicking.
-    pub(crate) fn hitting_set_for(
-        &mut self,
-        label: &'static str,
+    pub(crate) fn hitting_set(
+        &self,
         universe: usize,
         k: usize,
         sets: &[Vec<usize>],
@@ -234,18 +190,10 @@ impl Substrates {
             return Ok(Vec::new());
         }
         let k = k.min(sets.iter().map(Vec::len).min().unwrap_or(k)).max(1);
-        let key = (label, universe, k, sets_fingerprint(sets));
-        if let Some(cached) = self.hitting_sets.get(&key) {
-            return Ok(cached.clone());
-        }
-        let started = self.stages.borrow().start();
-        let selected = match mode {
+        Ok(self.timed("hitting_sets", || match mode {
             Mode::Rng(rng) => hitting::random_hitting_set(universe, k, sets, 2.5, rng, ledger),
             Mode::Det => hitting::deterministic_hitting_set(universe, k, sets, ledger),
-        }?;
-        self.stages.borrow_mut().stop("hitting_sets", started);
-        self.hitting_sets.insert(key, selected.clone());
-        Ok(selected)
+        })?)
     }
 }
 
@@ -262,19 +210,13 @@ pub(crate) fn collect_emulator(
     substrates: &mut Substrates,
     ledger: &mut RoundLedger,
 ) -> LongRange {
-    let key = emulator_key(cfg);
-    substrates.emulator_for(g, cfg, mode, ledger);
-    if let Some((_, table)) = substrates
-        .long_range
-        .get_mut()
-        .as_ref()
-        .filter(|(k, _)| *k == key)
-    {
+    let emu = substrates.emulator_for(g, cfg, mode, ledger);
+    if let Some(table) = substrates.long_range.get_mut().as_ref() {
         return table.clone();
     }
-    let table = sweep_emulator(g, cfg, substrates);
+    let table = sweep_emulator(g, &emu, cfg, substrates);
     if !substrates.long_range_consumed {
-        *substrates.long_range.get_mut() = Some((key, table.clone()));
+        *substrates.long_range.get_mut() = Some(table.clone());
     }
     table
 }
@@ -284,21 +226,19 @@ pub(crate) fn collect_emulator(
 /// and moves a producer's table out of the session, sweeping only when
 /// none is there. It never leaves a table behind, and no producer leaves
 /// one after it: the session has no second consumer.
-pub(crate) fn take_long_range<'s>(
+pub(crate) fn take_long_range(
     g: &Graph,
     cfg: &CliqueEmulatorConfig,
     mode: &mut Mode<'_>,
-    substrates: &'s mut Substrates,
+    substrates: &mut Substrates,
     ledger: &mut RoundLedger,
-) -> (LongRange, &'s Emulator) {
-    let key = emulator_key(cfg);
-    substrates.emulator_for(g, cfg, mode, ledger);
+) -> (LongRange, Arc<Emulator>) {
+    let emu = substrates.emulator_for(g, cfg, mode, ledger);
     substrates.long_range_consumed = true;
     let table = match substrates.long_range.get_mut().take() {
-        Some((k, table)) if k == key => table,
-        _ => sweep_emulator(g, cfg, substrates),
+        Some(table) => table,
+        None => sweep_emulator(g, &emu, cfg, substrates),
     };
-    let emu = &substrates.emulator.as_ref().expect("built above").1;
     (table, emu)
 }
 
@@ -307,8 +247,12 @@ pub(crate) fn take_long_range<'s>(
 /// sharded by rows over `cfg.threads` workers ([`dijkstra::sweep`]), each
 /// writing its own rows in place. When recording, every improvement is
 /// shadowed by a witness offer (the estimates are the same either way).
-fn sweep_emulator(g: &Graph, cfg: &CliqueEmulatorConfig, substrates: &Substrates) -> LongRange {
-    let emu = &substrates.emulator.as_ref().expect("emulator built").1;
+fn sweep_emulator(
+    g: &Graph,
+    emu: &Emulator,
+    cfg: &CliqueEmulatorConfig,
+    substrates: &Substrates,
+) -> LongRange {
     let n = g.n();
     let mut delta = DistanceMatrix::new(n);
     let mut paths = cfg.record_paths.then(|| PathStore::new(n));
@@ -594,17 +538,40 @@ pub(crate) fn route_through(
     }
 }
 
-/// The short/long threshold `t = ⌈2β̂/ε⌉` of §4 (β̂ = the emulator's
-/// effective additive bound), clamped to at least 4.
-pub(crate) fn default_threshold(cfg: &CliqueEmulatorConfig, eps: f64) -> Dist {
+/// The emulator configuration of the `(n, ε)` parameter set under
+/// `profile`, serial and without path recording.
+pub(crate) fn emulator_config(
+    n: usize,
+    eps: f64,
+    profile: ParamProfile,
+) -> Result<CliqueEmulatorConfig, ParamError> {
+    Ok(match profile {
+        ParamProfile::Paper { levels } => {
+            CliqueEmulatorConfig::paper(EmulatorParams::new(n, eps, levels)?)
+        }
+        ParamProfile::Scaled => CliqueEmulatorConfig::scaled(EmulatorParams::loglog(n, eps)?),
+    })
+}
+
+/// The short/long threshold `t = ⌈2β̂/ε⌉` of §4 for the same parameter
+/// set (β̂ = the emulator's effective additive bound), clamped to at
+/// least 4.
+pub(crate) fn threshold(n: usize, eps: f64, profile: ParamProfile) -> Result<Dist, ParamError> {
+    let cfg = emulator_config(n, eps, profile)?;
     let beta_hat = cfg.params.clique_additive_bound(cfg.eps_prime);
-    ((2.0 * beta_hat / eps).ceil() as Dist).max(4)
+    Ok(((2.0 * beta_hat / eps).ceil() as Dist).max(4))
+}
+
+/// The paper-profile emulator configuration the pipelines' unit tests run
+/// with (`r = 2`).
+#[cfg(test)]
+pub(crate) fn paper_emulator(n: usize, eps: f64) -> CliqueEmulatorConfig {
+    emulator_config(n, eps, ParamProfile::Paper { levels: 2 }).unwrap()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_emulator::EmulatorParams;
     use cc_graphs::generators;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -811,17 +778,20 @@ mod tests {
     }
 
     #[test]
-    fn emulator_is_built_once_per_key() {
+    fn emulator_is_built_once() {
         let g = generators::caveman(6, 6);
-        let cfg = CliqueEmulatorConfig::scaled(EmulatorParams::loglog(g.n(), 0.5).unwrap());
+        let cfg = emulator_config(g.n(), 0.5, ParamProfile::Scaled).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut mode = Mode::Rng(&mut rng);
         let mut subs = Substrates::default();
         let mut ledger = RoundLedger::new(g.n());
-        let m1 = subs.emulator_for(&g, &cfg, &mut mode, &mut ledger).m();
+        let first = subs.emulator_for(&g, &cfg, &mut mode, &mut ledger);
         let after_first = ledger.total_rounds();
-        let m2 = subs.emulator_for(&g, &cfg, &mut mode, &mut ledger).m();
-        assert_eq!(m1, m2, "cache must return the same emulator");
+        let again = subs.emulator_for(&g, &cfg, &mut mode, &mut ledger);
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "a hit shares the stored emulator"
+        );
         assert_eq!(
             ledger.total_rounds(),
             after_first,
@@ -831,20 +801,32 @@ mod tests {
     }
 
     #[test]
-    fn hopsets_cache_per_threshold() {
+    fn hopsets_cache_per_request() {
         let g = generators::cycle(40);
+        let cfg = paper_emulator(g.n(), 0.5);
         let mut subs = Substrates::default();
         let mut ledger = RoundLedger::new(g.n());
         let mut det = Mode::Det;
-        subs.hopset_for("g", &g, 8, 0.5, true, 1, false, &mut det, &mut ledger);
-        let after_first = ledger.total_rounds();
-        subs.hopset_for("g", &g, 8, 0.5, true, 1, false, &mut det, &mut ledger);
-        assert_eq!(ledger.total_rounds(), after_first, "hit charges nothing");
-        subs.hopset_for("g", &g, 16, 0.5, true, 1, false, &mut det, &mut ledger);
-        assert!(
-            ledger.total_rounds() > after_first,
-            "different threshold is a different substrate"
-        );
+        let mut hopset = |on, request, ledger: &mut RoundLedger| {
+            subs.hopset_for(on, &g, request, &cfg, &mut det, ledger);
+            ledger.total_rounds()
+        };
+        let first = hopset(HopsetGraph::Input, (8, 0.5), &mut ledger);
+        let hit = hopset(HopsetGraph::Input, (8, 0.5), &mut ledger);
+        assert_eq!(hit, first, "hit charges nothing");
+        let mut charged = first;
+        for (on, request) in [
+            (HopsetGraph::Input, (16, 0.25)),
+            (HopsetGraph::Input, (8, 0.25)),
+            (HopsetGraph::LowDegree, (8, 0.5)),
+        ] {
+            let after = hopset(on, request, &mut ledger);
+            assert!(
+                after > charged,
+                "{on:?} {request:?} is a different substrate"
+            );
+            charged = after;
+        }
     }
 
     /// Two independent sessions over the same inputs must produce
@@ -854,24 +836,28 @@ mod tests {
     #[test]
     fn substrate_results_are_stable_across_runs() {
         let g = generators::cycle(40);
+        let cfg = paper_emulator(g.n(), 0.5);
         let sets: Vec<Vec<usize>> = (0..6).map(|i| vec![i, i + 7, i + 19]).collect();
         let run = || {
             let mut subs = Substrates::default();
             let mut ledger = RoundLedger::new(g.n());
             let mut det = Mode::Det;
-            let hopset = subs.hopset_for("g", &g, 8, 0.5, true, 1, false, &mut det, &mut ledger);
+            let mut hopset = |request| {
+                subs.hopset_for(HopsetGraph::Input, &g, request, &cfg, &mut det, &mut ledger)
+            };
+            let first = hopset((8, 0.5));
             // A second, different-threshold entry so the map holds several
             // keys before the first one is re-read.
-            subs.hopset_for("g", &g, 16, 0.5, true, 1, false, &mut det, &mut ledger);
-            let again = subs.hopset_for("g", &g, 8, 0.5, true, 1, false, &mut det, &mut ledger);
-            let hit = subs
-                .hitting_set_for("t", g.n(), 2, &sets, &mut det, &mut ledger)
-                .unwrap();
+            hopset((16, 0.25));
+            let again = hopset((8, 0.5));
             assert!(
-                Arc::ptr_eq(&hopset, &again),
+                Arc::ptr_eq(&first, &again),
                 "a cache hit shares the stored hopset"
             );
-            (hopset.union.clone(), again.union.clone(), hit)
+            let hit = subs
+                .hitting_set(g.n(), 2, &sets, &mut Mode::Det, &mut ledger)
+                .unwrap();
+            (first.union.clone(), again.union.clone(), hit)
         };
         let (a1, a2, ah) = run();
         let (b1, b2, bh) = run();
@@ -882,32 +868,25 @@ mod tests {
     }
 
     #[test]
-    fn hitting_sets_cache_and_validate() {
-        let mut subs = Substrates::default();
+    fn hitting_sets_clamp_and_validate() {
+        let subs = Substrates::default();
         let mut ledger = RoundLedger::new(16);
         let mut det = Mode::Det;
+        // `k` above the smallest set is clamped, so the selection still
+        // hits every set.
         let sets: Vec<Vec<usize>> = (0..4).map(|i| vec![i, i + 1, i + 2]).collect();
-        let a = subs
-            .hitting_set_for("t", 16, 2, &sets, &mut det, &mut ledger)
+        let hit = subs
+            .hitting_set(16, 9, &sets, &mut det, &mut ledger)
             .unwrap();
-        let after_first = ledger.total_rounds();
-        let b = subs
-            .hitting_set_for("t", 16, 2, &sets, &mut det, &mut ledger)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(ledger.total_rounds(), after_first);
-
-        // Same label but different set contents must not serve the stale
-        // selection: the fingerprint forces a rebuild that hits the new sets.
-        let other_sets: Vec<Vec<usize>> = (8..12).map(|i| vec![i, i + 1, i + 2]).collect();
-        let c = subs
-            .hitting_set_for("t", 16, 2, &other_sets, &mut det, &mut ledger)
-            .unwrap();
-        assert!(cc_derand::hitting::hits_all(&c, &other_sets));
+        assert!(cc_derand::hitting::hits_all(&hit, &sets));
+        assert!(subs
+            .hitting_set(16, 2, &[], &mut det, &mut ledger)
+            .unwrap()
+            .is_empty());
 
         let bad = vec![vec![99usize]];
         let err = subs
-            .hitting_set_for("bad", 16, 1, &bad, &mut det, &mut ledger)
+            .hitting_set(16, 1, &bad, &mut det, &mut ledger)
             .unwrap_err();
         assert!(matches!(err, CcError::Hitting(_)));
     }

@@ -32,6 +32,7 @@
 //! ```
 
 use cc_clique::RoundLedger;
+use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_graphs::{Dist, DistStorage, Graph, INF};
 use cc_routes::PathStore;
 use rand::rngs::StdRng;
@@ -40,13 +41,13 @@ use std::sync::Arc;
 
 use crate::apsp2::{self, Apsp2, Apsp2Config};
 use crate::apsp3::{self, Apsp3, Apsp3Config};
-use crate::apsp_additive::{self, AdditiveApsp, AdditiveApspConfig};
+use crate::apsp_additive::{self, AdditiveApsp};
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
 use crate::mssp::{self, Mssp, MsspConfig};
 use crate::oracle::{DistOracle, Guarantee, PointEstimate};
 use crate::path_oracle::{PathOracle, PathProvider};
-use crate::pipeline::{Mode, Substrates};
+use crate::pipeline::{self, Mode, Substrates};
 
 /// Randomized (seeded) or deterministic execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,29 +183,10 @@ impl SolverBuilder {
     /// two vertices, a zero level count, or a radius schedule that overflows
     /// the distance type.
     pub fn build(self) -> Result<Solver, CcError> {
-        let n = self.graph.n();
-        let (mut apsp2_cfg, mut apsp3_cfg, mut additive_cfg, mut mssp_cfg) = match self.profile {
-            ParamProfile::Paper { levels } => (
-                Apsp2Config::new(n, self.eps, levels)?,
-                Apsp3Config::new(n, self.eps, levels)?,
-                AdditiveApspConfig::new(n, self.eps, levels)?,
-                MsspConfig::new(n, self.eps, levels)?,
-            ),
-            ParamProfile::Scaled => (
-                Apsp2Config::scaled(n, self.eps)?,
-                Apsp3Config::scaled(n, self.eps)?,
-                AdditiveApspConfig::scaled(n, self.eps)?,
-                MsspConfig::scaled(n, self.eps)?,
-            ),
-        };
-        apsp2_cfg.emulator.threads = self.threads;
-        apsp3_cfg.emulator.threads = self.threads;
-        additive_cfg.emulator.threads = self.threads;
-        mssp_cfg.emulator.threads = self.threads;
-        apsp2_cfg.emulator.record_paths = self.record_paths;
-        apsp3_cfg.emulator.record_paths = self.record_paths;
-        additive_cfg.emulator.record_paths = self.record_paths;
-        mssp_cfg.emulator.record_paths = self.record_paths;
+        let (n, eps, profile) = (self.graph.n(), self.eps, self.profile);
+        let mut emulator = pipeline::emulator_config(n, eps, profile)?;
+        emulator.threads = self.threads;
+        emulator.record_paths = self.record_paths;
         let ledger = RoundLedger::new(n);
         let substrates = Substrates::default();
         substrates
@@ -213,15 +195,12 @@ impl SolverBuilder {
             .set_enabled(self.profile_stages);
         Ok(Solver {
             graph: self.graph,
-            eps: self.eps,
             execution: self.execution,
-            profile: self.profile,
-            threads: self.threads,
-            record_paths: self.record_paths,
-            apsp2_cfg,
-            apsp3_cfg,
-            additive_cfg,
-            mssp_cfg,
+            profile,
+            emulator,
+            apsp2_cfg: Apsp2Config::for_profile(n, eps, profile)?,
+            apsp3_cfg: Apsp3Config::for_profile(n, eps, profile)?,
+            mssp_cfg: MsspConfig::for_profile(n, eps, profile)?,
             ledger,
             substrates,
             apsp2_result: None,
@@ -234,24 +213,26 @@ impl SolverBuilder {
 
 /// A prepared shortest-path session over one graph.
 ///
-/// Created by [`SolverBuilder`]. All queries charge simulated rounds to the
-/// solver-owned [`RoundLedger`] (accessible via [`Solver::ledger`]), and the
-/// expensive substrates — emulator, bounded hopsets, hitting sets — are
-/// built once and memoized (keyed by graph and threshold) across queries.
-/// Query results themselves are memoized too, so repeating a query is free,
-/// and [`Solver::estimate`] answers point lookups from everything computed
-/// so far without charging any rounds.
+/// Created by [`SolverBuilder`], which fixes the session's one parameter
+/// set: a single [`CliqueEmulatorConfig`] (with the thread count and path
+/// recording) that every query runs over, and the per-query configurations
+/// derived from the same `(n, ε)` and profile. All queries charge simulated
+/// rounds to the solver-owned [`RoundLedger`] (accessible via
+/// [`Solver::ledger`]). The expensive substrates are built once and shared
+/// across queries: the emulator (one per session) and the bounded hopsets
+/// (keyed by their graph and requested `(t, ε)`). Query results are
+/// memoized too, so repeating a query is free, and [`Solver::estimate`]
+/// answers point lookups from everything computed so far without charging
+/// any rounds.
 #[derive(Debug)]
 pub struct Solver {
     graph: Graph,
-    eps: f64,
     execution: Execution,
     profile: ParamProfile,
-    threads: usize,
-    record_paths: bool,
+    /// The one emulator configuration every query runs over.
+    emulator: CliqueEmulatorConfig,
     apsp2_cfg: Apsp2Config,
     apsp3_cfg: Apsp3Config,
-    additive_cfg: AdditiveApspConfig,
     mssp_cfg: MsspConfig,
     ledger: RoundLedger,
     substrates: Substrates,
@@ -323,7 +304,7 @@ impl Solver {
 
     /// The accuracy `ε` shared by all queries.
     pub fn eps(&self) -> f64 {
-        self.eps
+        self.emulator.params.eps()
     }
 
     /// The execution mode.
@@ -338,13 +319,13 @@ impl Solver {
 
     /// The worker-thread count of the pipelines' local computation.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.emulator.threads
     }
 
     /// `true` when queries record path witnesses
     /// ([`SolverBuilder::record_paths`]).
     pub fn records_paths(&self) -> bool {
-        self.record_paths
+        self.emulator.record_paths
     }
 
     /// `true` when the session records wall-clock stage timings
@@ -398,6 +379,7 @@ impl Solver {
             let out = with_mode!(self.execution, |mode| apsp2::run(
                 &self.graph,
                 &self.apsp2_cfg,
+                &self.emulator,
                 mode,
                 &mut self.ledger,
                 &mut self.substrates,
@@ -420,6 +402,7 @@ impl Solver {
             let out = with_mode!(self.execution, |mode| apsp3::run(
                 &self.graph,
                 &self.apsp3_cfg,
+                &self.emulator,
                 mode,
                 &mut self.ledger,
                 &mut self.substrates,
@@ -441,7 +424,7 @@ impl Solver {
             let started = self.substrates.stages.borrow().start();
             let out = with_mode!(self.execution, |mode| apsp_additive::run(
                 &self.graph,
-                &self.additive_cfg,
+                &self.emulator,
                 mode,
                 &mut self.ledger,
                 &mut self.substrates,
@@ -472,6 +455,7 @@ impl Solver {
             &self.graph,
             sources,
             &self.mssp_cfg,
+            &self.emulator,
             mode,
             &mut self.ledger,
             &mut self.substrates,
@@ -583,7 +567,7 @@ impl Solver {
     /// Returns [`CcError::UnsupportedQuery`] when path recording is off or
     /// no pipeline query has run yet.
     pub fn freeze_with_paths(&self) -> Result<PathOracle, CcError> {
-        if !self.record_paths {
+        if !self.emulator.record_paths {
             return Err(CcError::UnsupportedQuery {
                 reason: "path freezing requires SolverBuilder::record_paths(true)".into(),
             });
@@ -715,11 +699,45 @@ mod tests {
         let tiny = Graph::from_edges(1, &[]);
         let err = SolverBuilder::new(tiny).build().unwrap_err();
         assert!(matches!(err, CcError::Params(ParamError::BadN(1))));
+        assert!(Apsp2Config::new(1, 0.5, 2).is_err() && Apsp3Config::scaled(1, 0.5).is_err());
         let err = SolverBuilder::new(g)
             .profile(ParamProfile::Paper { levels: 0 })
             .build()
             .unwrap_err();
         assert!(matches!(err, CcError::Params(ParamError::BadLevels(0))));
+    }
+
+    /// perfbench recomputes `G'`'s `(k,t)`-nearest lists from
+    /// `Apsp2Config::scaled(n, ε)`, reading its `k`, `high_degree_threshold`
+    /// and `threshold()`: a session's apsp2 must run with exactly those
+    /// values. Scaled at n = 128 and 256 sits on both sides of the step in
+    /// `t`.
+    #[test]
+    fn apsp2_runs_with_its_public_config() {
+        let cases = [
+            (ParamProfile::Scaled, 128, 213),
+            (ParamProfile::Scaled, 256, 1004),
+            (ParamProfile::Paper { levels: 2 }, 128, 213),
+        ];
+        for (profile, n, t) in cases {
+            let want = match profile {
+                ParamProfile::Paper { levels } => Apsp2Config::new(n, 0.5, levels),
+                ParamProfile::Scaled => Apsp2Config::scaled(n, 0.5),
+            }
+            .unwrap();
+            let mut solver = SolverBuilder::new(generators::cycle(n))
+                .execution(Execution::Deterministic)
+                .profile(profile)
+                .build()
+                .unwrap();
+            assert_eq!(want.threshold(), t, "{profile:?} n = {n}");
+            assert_eq!(solver.apsp_2eps().unwrap().t, want.threshold());
+            assert_eq!(solver.apsp2_cfg.k, want.k, "{profile:?} n = {n}");
+            assert_eq!(
+                solver.apsp2_cfg.high_degree_threshold,
+                want.high_degree_threshold
+            );
+        }
     }
 
     #[test]

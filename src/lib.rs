@@ -75,7 +75,7 @@ pub mod prelude {
     pub use cc_clique::RoundLedger;
     pub use cc_core::apsp2::{self, Apsp2Config};
     pub use cc_core::apsp3::{self, Apsp3Config};
-    pub use cc_core::apsp_additive::{self, AdditiveApspConfig};
+    pub use cc_core::apsp_additive;
     pub use cc_core::mssp::{self, MsspConfig};
     pub use cc_core::{
         Algorithm, AlgorithmOutput, CcError, DistOracle, DistanceMatrix, Execution, Guarantee,

@@ -221,6 +221,10 @@ fn answer(solver: &mut Solver, query: &str, sources: &[usize]) -> (Answer, Vec<C
             let r = solver.apsp_3eps().unwrap();
             pairs(r.estimates, r.paths)
         }
+        "additive" => {
+            let r = solver.apsp_near_additive().unwrap();
+            pairs(r.estimates, r.paths)
+        }
         _ => {
             let r = solver.mssp(sources).unwrap();
             Answer::Rows(
@@ -247,9 +251,11 @@ fn rounds(entries: &[CostEntry]) -> u64 {
 /// like a fresh session's first query whatever ran before — estimates,
 /// witnesses and arenas. A cache hit only skips a construction's charges,
 /// so the later query's ledger entries are the fresh query's with some left
-/// out, and it never charges more rounds. The graph has a hub above the
-/// high-degree threshold, so all three queries build or reuse a hopset of
-/// the input graph.
+/// out, and it never charges more rounds. Each order then runs a second
+/// MSSP batch and the additive query, under the same checks. The graph has
+/// a hub above the high-degree threshold, so the session uses all three
+/// hopset roles (the input graph at `(2t, ε/2)` and at `(t, ε)`, and `G'`
+/// at `(2t, ε/2)`) and builds each one once, beside one emulator.
 #[test]
 fn deterministic_answers_do_not_depend_on_query_order() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
@@ -258,7 +264,9 @@ fn deterministic_answers_do_not_depend_on_query_order() {
     edges.extend((2..97).step_by(2).map(|v| (0, v)));
     let g = Graph::from_edges(97, &edges);
     let sources: Vec<usize> = (0..97).step_by(11).collect();
-    const QUERIES: [&str; 3] = ["apsp2", "apsp3", "mssp"];
+    let second: Vec<usize> = (5..97).step_by(13).collect();
+    let batch = |query: &str| if query == "mssp2" { &second } else { &sources };
+    const QUERIES: [&str; 5] = ["apsp2", "apsp3", "mssp", "mssp2", "additive"];
     let orders: [[&str; 3]; 6] = [
         ["apsp2", "apsp3", "mssp"],
         ["apsp2", "mssp", "apsp3"],
@@ -267,6 +275,13 @@ fn deterministic_answers_do_not_depend_on_query_order() {
         ["mssp", "apsp2", "apsp3"],
         ["mssp", "apsp3", "apsp2"],
     ];
+    let calls = |solver: &Solver, stage: &str| {
+        let stages = solver.stage_times();
+        stages
+            .iter()
+            .find(|(s, _)| *s == stage)
+            .map_or(0, |(_, stat)| stat.calls)
+    };
     for record in [false, true] {
         let session = || {
             SolverBuilder::new(g.clone())
@@ -274,24 +289,28 @@ fn deterministic_answers_do_not_depend_on_query_order() {
                 .execution(Execution::Deterministic)
                 .threads(2)
                 .record_paths(record)
+                .profile_stages(true)
                 .build()
                 .unwrap()
         };
         let fresh: Vec<(Answer, Vec<CostEntry>)> = QUERIES
             .iter()
-            .map(|query| answer(&mut session(), query, &sources))
+            .map(|query| answer(&mut session(), query, batch(query)))
             .collect();
         for order in orders {
             let mut solver = session();
-            for query in order {
+            for query in order.into_iter().chain(["mssp2", "additive"]) {
                 let at = format!("record={record} {order:?}: {query}");
-                let (got, charged) = answer(&mut solver, query, &sources);
+                let (got, charged) = answer(&mut solver, query, batch(query));
                 let idx = QUERIES.iter().position(|q| *q == query);
                 let (want, fresh_charged) = &fresh[idx.expect("known query")];
                 assert!(got == *want, "{at}: answer differs from a fresh session");
                 assert!(is_subsequence(&charged, fresh_charged), "{at}: ledger");
                 assert!(rounds(&charged) <= rounds(fresh_charged), "{at}: rounds");
             }
+            let at = format!("record={record} {order:?}");
+            assert_eq!(calls(&solver, "emulator_build"), 1, "{at}: emulators");
+            assert_eq!(calls(&solver, "hopset_build"), 3, "{at}: hopsets");
         }
     }
 }
