@@ -26,6 +26,7 @@ use std::io;
 use std::panic;
 use std::path::Path;
 
+use cc_core::snapshot::header::fnv1a;
 use cc_core::{DistOracle, PathOracle, SnapshotError};
 use cc_serve::protocol::{Op, Request, MAX_FRAME};
 
@@ -291,7 +292,7 @@ fn dir_abuse(case: &mut [u8], rng: &mut Xorshift) {
     reseal(case);
 }
 
-/// Recomputes the trailing FNV-1a checksum over the mutated payload.
+/// Recomputes the trailing snapshot checksum over the mutated payload.
 fn reseal(case: &mut [u8]) {
     if case.len() < 8 {
         return;
@@ -299,16 +300,6 @@ fn reseal(case: &mut [u8]) {
     let split = case.len() - 8;
     let sum = fnv1a(&case[..split]);
     case[split..].copy_from_slice(&sum.to_le_bytes());
-}
-
-/// FNV-1a 64, byte-for-byte the snapshot checksum in `cc_core`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// Validates a burst of length-prefixed `ccd` request frames exactly the

@@ -151,8 +151,8 @@ pub(crate) fn run(
     let threads = emu.threads;
 
     // ── Long range (Claim 37): emulator + adjacency. ──────────────────────
-    // Witness shadowing: every `delta` improvement below is mirrored by an
-    // offer with the same strict-improvement rule, so the estimates (and the
+    // Witness recording: a pair's witness is set exactly when `delta`
+    // strictly improves it, and never read back, so the estimates (and the
     // rounds — witnesses ride the same messages) are identical with
     // recording on or off.
     let (mut delta, mut paths) =
@@ -204,8 +204,8 @@ pub(crate) fn run(
     if paths.is_some() {
         kn = kn.with_parents(&gp);
     }
-    // Per-entry records of the lists (recording only), reused by the kn
-    // offers and as the W₁/W₃ factor provenance of Case 3b.
+    // Per-entry records of the lists (recording only), reused as the
+    // kn-list witnesses and as the W₁/W₃ factor provenance of Case 3b.
     let kn_recs: Vec<Vec<Option<RecId>>> = match paths.as_mut() {
         Some(p) => (0..n)
             .map(|u| kn.route_recs(u, p.routes_mut().arena_mut()))
@@ -214,11 +214,11 @@ pub(crate) fn run(
     };
     for u in 0..n {
         for (idx, &(v, d)) in kn.list(u).iter().enumerate() {
-            if v as usize != u {
-                delta.improve(u, v as usize, d);
-                if let Some(p) = paths.as_mut() {
-                    p.offer_rec(u, v as usize, d, kn_recs[u][idx].expect("non-root entry"));
-                }
+            if v as usize == u || !delta.improve(u, v as usize, d) {
+                continue;
+            }
+            if let Some(p) = paths.as_mut() {
+                p.set_rec(u, v as usize, kn_recs[u][idx].expect("non-root entry"));
             }
         }
     }
@@ -371,17 +371,7 @@ pub(crate) fn run(
             w3.density(),
             q.density(),
         );
-        if let Some(p) = paths.as_mut() {
-            offer_product_routes(p, &kn, &kn_recs, &w1, &pm, &wp, &q, &wq);
-        }
-        for u in 0..n {
-            for &(v, d) in q.row(u) {
-                let v = v as usize;
-                if v != u && d < INF {
-                    delta.improve(u, v, d);
-                }
-            }
-        }
+        lower_through_product(&mut delta, paths.as_mut(), &kn, &kn_recs, &pm, &wp, &q, &wq);
         substrates
             .stages
             .borrow_mut()
@@ -399,10 +389,11 @@ pub(crate) fn run(
 }
 
 /// Distance-through-sets (Thm 35) lowering `delta` straight from the
-/// candidate stream, shadowed with `Via` witnesses when recording. The
-/// candidates come from the estimates as gathered, so the result is the
-/// old table-then-merge answer; offering them in ascending `w` with the
-/// store's strict improvement leaves each pair the smallest realizing `w`.
+/// candidate stream, setting a `Via` witness at every pair a candidate
+/// lowers when recording. The candidates come from the estimates as
+/// gathered, so the result is the old table-then-merge answer; they arrive
+/// in ascending `w` and only a strict improvement sets, so each pair keeps
+/// the smallest realizing `w`.
 fn merge_through_sets(
     n: usize,
     sets: &[Vec<usize>],
@@ -412,54 +403,61 @@ fn merge_through_sets(
 ) {
     let gathered = ThroughSets::gather(n, sets, |v, w| delta.get(v, w), ledger);
     gathered.for_each_candidate(|u, v, d, w| {
-        delta.improve(u, v, d);
+        if !delta.improve(u, v, d) {
+            return;
+        }
         if let Some(p) = paths.as_deref_mut() {
-            p.offer_via(u, v, d, w);
+            p.set_via(u, v, w);
         }
     });
 }
 
-/// Offers routes for the Case 3b three-hop product `q = (W₁·W₂)·W₃`: each
-/// winning entry's walk is assembled from the kernel witnesses — `u ⇝ k`
-/// from the `(k,t)`-nearest record, the border edge `k → y`, and the
-/// reversed nearest record `y ⇝ v`.
+/// Lowers `delta` to the Case 3b three-hop product `q = (W₁·W₂)·W₃` and,
+/// when recording, sets a route at every entry it lowered. Each route is
+/// assembled from the kernel witnesses — `u ⇝ k` from the
+/// `(k,t)`-nearest record, the border edge `k → y`, and the reversed
+/// nearest record `y ⇝ v`. Lowering and setting in one pass lets `(v,u)`
+/// see the value `(u,v)` was lowered to.
 #[allow(clippy::too_many_arguments)]
-fn offer_product_routes(
-    store: &mut PathStore,
+fn lower_through_product(
+    delta: &mut DistanceMatrix,
+    mut paths: Option<&mut PathStore>,
     kn: &KNearest,
     kn_recs: &[Vec<Option<RecId>>],
-    w1: &SparseMatrix,
     pm: &SparseMatrix,
     wp: &[u32],
     q: &SparseMatrix,
     wq: &[u32],
 ) {
-    let n = w1.n();
-    // Column-indexed nearest-list records per vertex: rec_of[u] is sorted by
-    // column, mirroring w1.row(u).
-    let rec_of: Vec<Vec<(u32, RecId)>> = (0..n)
-        .map(|u| {
-            let mut row: Vec<(u32, RecId)> = kn
-                .list(u)
-                .iter()
-                .zip(&kn_recs[u])
-                .filter(|&(&(c, _), _)| c as usize != u)
-                .map(|(&(c, _), rec)| (c, rec.expect("non-root entry")))
-                .collect();
-            row.sort_unstable_by_key(|&(c, _)| c);
-            row
-        })
-        .collect();
+    let n = delta.n();
+    // Column-indexed nearest-list records per vertex (recording only):
+    // rec_of[u] is sorted by column, mirroring w1.row(u).
+    let rec_of: Vec<Vec<(u32, RecId)>> = match paths {
+        Some(_) => (0..n)
+            .map(|u| {
+                let mut row: Vec<(u32, RecId)> = kn
+                    .list(u)
+                    .iter()
+                    .zip(&kn_recs[u])
+                    .filter(|&(&(c, _), _)| c as usize != u)
+                    .map(|(&(c, _), rec)| (c, rec.expect("non-root entry")))
+                    .collect();
+                row.sort_unstable_by_key(|&(c, _)| c);
+                row
+            })
+            .collect(),
+        None => Vec::new(),
+    };
     let lookup = |row: &[(u32, RecId)], col: u32| -> RecId {
         let pos = row
             .binary_search_by_key(&col, |&(c, _)| c)
             .expect("witness column is a list entry");
         row[pos].1
     };
-    // The arena is append-only, so only intern records for offers that will
-    // actually win (and only the pm prefixes those winners reference) —
-    // losing records would otherwise sit in the arena for the session and
-    // bloat the CCRO snapshot.
+    // The arena is append-only, so only intern records for entries that
+    // lower `delta` (and only the pm prefixes those entries reference) —
+    // other records would sit in the arena for the session and bloat the
+    // CCRO snapshot.
     let mut precs: Vec<Option<RecId>> = Vec::new();
     for u in 0..n {
         let prow = pm.row(u);
@@ -469,9 +467,12 @@ fn offer_product_routes(
         precs.resize(prow.len(), None);
         for (&(v, d), &y) in q.row(u).iter().zip(qwit) {
             let v = v as usize;
-            if v == u || d >= INF || d >= store.value(u, v) {
+            if v == u || d >= INF || !delta.improve(u, v, d) {
                 continue;
             }
+            let Some(store) = paths.as_deref_mut() else {
+                continue;
+            };
             // q(u,v) = pm(u,y) + w3(y,v); w3 = W₁ᵀ, so the right leg is the
             // reversed nearest record of v toward y.
             let pos = prow
@@ -495,7 +496,7 @@ fn offer_product_routes(
                 let back = store.routes_mut().arena_mut().rev(fwd);
                 store.routes_mut().arena_mut().cat(left, back)
             };
-            store.offer_rec(u, v, d, rec);
+            store.set_rec(u, v, rec);
         }
     }
 }
@@ -570,9 +571,9 @@ mod tests {
     /// Case 3b routes are assembled from the sparse kernel's witnesses. In
     /// a session every product entry ties an earlier stage (with
     /// `thresh2 = 1` the product only re-derives distance-through-lists), so
-    /// here the product is offered to an empty store, where its entries win:
-    /// every stored route must be a real walk of `G` with the stored weight,
-    /// no heavier than the product entry.
+    /// here the product lowers a fresh estimate matrix, where its entries
+    /// win: every stored route must be a real walk of `G` whose weight is
+    /// the pair's estimate, no heavier than the product entry.
     #[test]
     fn product_routes_follow_the_kernel_witnesses() {
         let g = generators::random_tree(48, &mut ChaCha8Rng::seed_from_u64(5));
@@ -601,7 +602,17 @@ mod tests {
         let mut ws = MinplusWorkspace::with_threads(2);
         let (pm, wp) = w1.minplus(&w2, &mut ws);
         let (q, wq) = pm.minplus(&w1.transpose(), &mut ws);
-        offer_product_routes(&mut store, &kn, &kn_recs, &w1, &pm, &wp, &q, &wq);
+        let mut delta = DistanceMatrix::new(n);
+        lower_through_product(
+            &mut delta,
+            Some(&mut store),
+            &kn,
+            &kn_recs,
+            &pm,
+            &wp,
+            &q,
+            &wq,
+        );
         let mut routed = 0;
         for u in 0..n {
             for &(v, d) in q.row(u) {
@@ -609,9 +620,9 @@ mod tests {
                 if v == u {
                     continue;
                 }
-                let stored = store.value(u, v);
-                assert!(stored <= d, "({u},{v}): product entry {d} not offered");
-                let walk = store.emit(u, v).expect("offered pair has a route");
+                let stored = delta.get(u, v);
+                assert!(stored <= d, "({u},{v}): product entry {d} not applied");
+                let walk = store.emit(u, v).expect("lowered pair has a route");
                 assert_eq!(walk.len() as Dist, stored, "({u},{v}): walk weight");
                 assert_eq!(walk[0].0 as usize, u, "({u},{v}): walk start");
                 assert_eq!(walk[walk.len() - 1].1 as usize, v, "({u},{v}): walk end");

@@ -130,10 +130,10 @@ pub(crate) fn run(
     let mut phase = ledger.enter("apsp3");
     let n = g.n();
     let t = cfg.threshold();
-    // Long range + adjacency. Witness shadowing: every `delta` improvement
-    // below is mirrored by an offer with the same strict-improvement rule,
-    // so the estimates (and the rounds — witnesses ride the same messages)
-    // are identical with recording on or off.
+    // Long range + adjacency. Witness recording: a pair's witness is set
+    // exactly when `delta` strictly improves it, and never read back, so the
+    // estimates (and the rounds — witnesses ride the same messages) are
+    // identical with recording on or off.
     let (mut delta, mut paths) =
         pipeline::collect_emulator(g, emu, &mut mode, substrates, &mut phase);
 
@@ -149,11 +149,11 @@ pub(crate) fn run(
             .map(|p| kn.route_recs(u, p.routes_mut().arena_mut()))
             .unwrap_or_default();
         for (idx, &(v, d)) in kn.list(u).iter().enumerate() {
-            if v as usize != u {
-                delta.improve(u, v as usize, d);
-                if let Some(p) = paths.as_mut() {
-                    p.offer_rec(u, v as usize, d, recs[idx].expect("non-root entry"));
-                }
+            if v as usize == u || !delta.improve(u, v as usize, d) {
+                continue;
+            }
+            if let Some(p) = paths.as_mut() {
+                p.set_rec(u, v as usize, recs[idx].expect("non-root entry"));
             }
         }
     }

@@ -70,14 +70,18 @@ impl DistanceMatrix {
         }
     }
 
-    /// Lowers `δ(u,v)` (and `δ(v,u)`) to `min(current, value)`.
+    /// Lowers `δ(u,v)` (and `δ(v,u)`) to `min(current, value)`, and
+    /// returns whether the entry strictly dropped — the moment a
+    /// path-recording pipeline sets the pair's witness.
     #[inline]
-    pub fn improve(&mut self, u: usize, v: usize, value: Dist) {
+    pub fn improve(&mut self, u: usize, v: usize, value: Dist) -> bool {
         let n = self.n;
-        if value < self.data[u * n + v] {
+        let lowered = value < self.data[u * n + v];
+        if lowered {
             self.data[u * n + v] = value;
             self.data[v * n + u] = value;
         }
+        lowered
     }
 
     /// Merges another matrix pointwise. Both operands are symmetric, so the
@@ -201,12 +205,14 @@ mod tests {
     #[test]
     fn improve_is_symmetric_and_monotone() {
         let mut m = DistanceMatrix::new(3);
-        m.improve(0, 1, 5);
+        assert!(m.improve(0, 1, 5));
         assert_eq!(m.get(1, 0), 5);
-        m.improve(0, 1, 7);
+        assert!(!m.improve(0, 1, 7), "a larger value does not lower");
         assert_eq!(m.get(0, 1), 5);
-        m.improve(1, 0, 2);
+        assert!(m.improve(1, 0, 2));
         assert_eq!(m.get(0, 1), 2);
+        assert!(!m.improve(0, 1, 2), "an equal value does not lower");
+        assert!(!m.improve(2, 2, 0), "nor does the diagonal");
     }
 
     /// The pivot-routing loop `relax_row_via` + `mirror_row` replaced,
@@ -229,8 +235,8 @@ mod tests {
             for v in u + 1..n {
                 match rng.gen_range(0..8) {
                     0 | 1 => {} // INF leg
-                    2 => m.improve(u, v, INF - 1 - rng.gen_range(0..4u32)),
-                    _ => m.improve(u, v, rng.gen_range(1..40)),
+                    2 => _ = m.improve(u, v, INF - 1 - rng.gen_range(0..4u32)),
+                    _ => _ = m.improve(u, v, rng.gen_range(1..40)),
                 }
             }
         }

@@ -193,9 +193,9 @@ pub(crate) fn run(
     }
     let mut phase = ledger.enter("mssp");
     let t = cfg.threshold();
-    // Witness shadowing: every estimate update below is mirrored by an offer
-    // with the same improvement rule, so estimates and rounds are identical
-    // with recording on or off.
+    // Witness recording: a cell's record is set exactly when its estimate
+    // strictly drops, and never read back, so estimates and rounds are
+    // identical with recording on or off.
     let mut paths = emu_cfg
         .record_paths
         .then(|| cc_routes::RowStore::new(g.n(), sources));
@@ -237,17 +237,15 @@ pub(crate) fn run(
                 let short = sd.dist_to_source_index(v, i);
                 if short < *est {
                     *est = short;
-                }
-                // Only a chain that beats the store's value can be
-                // interned (`offer_walk` makes the same test first).
-                if let Some(store) = paths.as_mut().filter(|p| short < p.value(i, v)) {
-                    let chain: Vec<u32> = sd
-                        .chain(i, v)
-                        .expect("detected pair has a chain")
-                        .into_iter()
-                        .map(|x| x as u32)
-                        .collect();
-                    store.offer_walk(g, i, short, &chain);
+                    if let Some(store) = paths.as_mut() {
+                        let chain: Vec<u32> = sd
+                            .chain(i, v)
+                            .expect("detected pair has a chain")
+                            .into_iter()
+                            .map(|x| x as u32)
+                            .collect();
+                        store.set_walk(g, i, &chain);
+                    }
                 }
                 if v == sources[i] {
                     *est = 0;
@@ -259,9 +257,11 @@ pub(crate) fn run(
     for (i, &s) in sources.iter().enumerate() {
         for &u in g.neighbors(s) {
             let e = &mut estimates[i][u as usize];
-            *e = (*e).min(1);
-            if let Some(store) = paths.as_mut() {
-                store.offer_edge(i, u as usize);
+            if *e > 1 {
+                *e = 1;
+                if let Some(store) = paths.as_mut() {
+                    store.set_edge(i, u as usize);
+                }
             }
         }
     }

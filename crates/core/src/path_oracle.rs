@@ -553,11 +553,11 @@ impl PartialEq for PathOracle {
 
 /// Emits a row-store walk for the ordered pair `(u, v)` where one endpoint
 /// is a source: the **shortest recorded walk** over every row covering the
-/// pair (first row on ties). Selecting by walk length — not by the mirrored
-/// estimate values, which snapshots do not persist — keeps loaded oracles
-/// byte-for-byte equivalent to the ones that were saved, and the winner is
-/// never heavier than the frozen estimate (some covering row realized it,
-/// and that row's walk is at most its value).
+/// pair (first row on ties). Walk length is a function of the arena alone,
+/// which snapshots persist, so loaded oracles stay byte-for-byte equivalent
+/// to the ones that were saved, and the winner is never heavier than the
+/// frozen estimate (some covering row realized it, and that row's walk is
+/// at most its estimate).
 fn emit_row_pair_into(
     r: &RowStore,
     u: usize,
@@ -607,7 +607,7 @@ mod tests {
         for u in 0..4 {
             for v in (u + 1)..4 {
                 let verts: Vec<u32> = (u as u32..=v as u32).collect();
-                store.offer_walk(&g, (v - u) as Dist, &verts);
+                store.set_walk(&g, &verts);
             }
         }
         let mut m = crate::estimates::DistanceMatrix::new(4);
@@ -722,7 +722,7 @@ mod tests {
         for u in 0..4u32 {
             for v in (u + 1)..4 {
                 let verts: Vec<u32> = (u..=v).collect();
-                pairs.offer_walk(&g, (v - u) as Dist, &verts);
+                pairs.set_walk(&g, &verts);
             }
         }
         let mut rows = RowStore::new(4, &[0, 2]);
@@ -736,7 +736,7 @@ mod tests {
                 } else {
                     (v..=s).rev().collect()
                 };
-                rows.offer_walk(&g, i, s.abs_diff(v) as Dist, &verts);
+                rows.set_walk(&g, i, &verts);
             }
         }
         let mut m = crate::estimates::DistanceMatrix::new(4);

@@ -245,8 +245,8 @@ pub(crate) fn take_long_range(
 /// Lowers every row `u` of a fresh estimate matrix to `sssp(emu, u)` with
 /// the input adjacency entries lowered to 1. The per-source Dijkstras are
 /// sharded by rows over `cfg.threads` workers ([`dijkstra::sweep`]), each
-/// writing its own rows in place. When recording, every improvement is
-/// shadowed by a witness offer (the estimates are the same either way).
+/// writing its own rows in place. When recording, the witnesses are set
+/// by [`record_emulator_pairs`] (the estimates are the same either way).
 fn sweep_emulator(
     g: &Graph,
     emu: &Emulator,
@@ -264,12 +264,7 @@ fn sweep_emulator(
                 lower_row(row, ws.sssp(&emu.graph, u), g.neighbors(u));
             });
         }
-        Some(store) => {
-            for (u, v) in g.edges() {
-                store.offer_edge(u, v);
-            }
-            record_emulator_pairs(g, emu, cfg.threads, &mut delta, store);
-        }
+        Some(store) => record_emulator_pairs(g, emu, cfg.threads, &mut delta, store),
     });
     delta.debug_assert_symmetric();
     (delta, paths)
@@ -291,11 +286,16 @@ fn lower_row(row: &mut [Dist], dists: &[Dist], neighbors: &[u32]) {
     }
 }
 
-/// The recording sweep: per chunk of [`TREE_CHUNK`] sources, the emulator
-/// Dijkstra trees are computed and interned into record batches in
-/// parallel ([`intern_trees`]), then appended to the arena in source order
-/// — so every record id matches a serial run. Each tree's records are
-/// offered per pair, and its distances lower the source's `delta` row.
+/// The recording sweep. Every `G` edge is set first: adjacency lowers its
+/// pair to 1, and no emulator distance is smaller. Then, per chunk of
+/// [`TREE_CHUNK`] sources, the emulator Dijkstra trees are computed and
+/// interned into record batches in parallel ([`intern_trees`]) and
+/// appended to the arena in source order — so every record id matches a
+/// serial run. Tree `src` sets `(src, v)` for every `v > src` that is not a
+/// `G` neighbour, and its distances lower the source's `delta` row.
+/// Emulator distances are symmetric, so for `v < src` the tree of `v` has
+/// already set the pair at the same value: the first tree to reach a pair
+/// is the one that lowers it (DESIGN.md §7.4).
 fn record_emulator_pairs(
     g: &Graph,
     emu: &Emulator,
@@ -307,14 +307,19 @@ fn record_emulator_pairs(
         .routes
         .as_ref()
         .expect("path-recording pipelines build path-recording emulators");
+    for (u, v) in g.edges() {
+        store.set_edge(u, v);
+    }
     store.absorb_routes(routes);
     let max_weight = emu.graph.max_weight();
     let sources: Vec<usize> = (0..g.n()).collect();
     for chunk in sources.chunks(TREE_CHUNK) {
         let trees = intern_trees(g, emu, store.routes(), chunk, max_weight, threads);
         for (&src, tree) in chunk.iter().zip(trees) {
-            for (v, d, rec) in tree.append_to(store.routes_mut().arena_mut()) {
-                store.offer_rec(src, v, d, rec);
+            for (v, rec) in tree.append_to(store.routes_mut().arena_mut()) {
+                if v > src && !g.has_edge(src, v) {
+                    store.set_rec(src, v, rec);
+                }
             }
             let row = delta.rows_mut().nth(src).expect("src < n");
             lower_row(row, &tree.dists, g.neighbors(src));
@@ -333,9 +338,10 @@ pub(crate) fn emulator_rows(emu: &Emulator, sources: &[usize], threads: usize) -
     rows
 }
 
-/// The MSSP counterpart of `record_emulator_pairs`: shadows the per-source
-/// emulator Dijkstras into a [`RowStore`] and returns the distance rows the
-/// estimates start from (the same values as [`emulator_rows`]).
+/// The MSSP counterpart of `record_emulator_pairs`: sets every finite cell
+/// of a fresh [`RowStore`] to its emulator tree path and returns the
+/// distance rows the estimates start from (the same values as
+/// [`emulator_rows`]).
 pub(crate) fn record_emulator_rows(
     g: &Graph,
     emu: &Emulator,
@@ -353,8 +359,8 @@ pub(crate) fn record_emulator_rows(
     for (c, chunk) in sources.chunks(TREE_CHUNK).enumerate() {
         let trees = intern_trees(g, emu, rows.routes(), chunk, max_weight, threads);
         for (i, tree) in (c * TREE_CHUNK..).zip(trees) {
-            for (v, d, rec) in tree.append_to(rows.routes_mut().arena_mut()) {
-                rows.offer_rec(i, v, d, rec);
+            for (v, rec) in tree.append_to(rows.routes_mut().arena_mut()) {
+                rows.set_rec(i, v, rec);
             }
             out.push(tree.dists);
         }
@@ -373,17 +379,17 @@ struct InternedTree {
 }
 
 impl InternedTree {
-    /// Appends the tree's records to `arena` and yields `(v, dist, record)`
-    /// for every vertex with a record, in ascending `v`.
+    /// Appends the tree's records to `arena` and yields `(v, record)` for
+    /// every vertex with a record, in ascending `v`.
     fn append_to<'t>(
         &'t self,
         arena: &mut RouteArena,
-    ) -> impl Iterator<Item = (usize, Dist, RecId)> + 't {
+    ) -> impl Iterator<Item = (usize, RecId)> + 't {
         let offset = arena.append_batch(&self.batch);
         self.recs
             .iter()
             .enumerate()
-            .filter_map(move |(v, rec)| rec.map(|r| (v, self.dists[v], r.resolve(offset))))
+            .filter_map(move |(v, rec)| rec.map(|r| (v, r.resolve(offset))))
     }
 }
 
@@ -462,11 +468,10 @@ fn intern_tree(
 /// `(S,d)`-source detection from `pivots` over the union `G' ∪ H` the
 /// hopset `hs` keeps (`G'` = the graph it was built on, `hs.beta` hops,
 /// sharded over `threads`): lowers `δ(v, s)`
-/// for every detected pair and, when recording, offers the detection
-/// chain as a walk over `g` (the caller has absorbed the hopset's routes,
-/// so its shortcut hops resolve). A chain is only walked when its
-/// distance beats the store's value for the pair — the same test
-/// `offer_walk` makes before interning, so skipping the rest is exact.
+/// for every detected pair and, when recording, sets the detection chain
+/// of each pair it lowered as a walk over `g` (the caller has absorbed the
+/// hopset's routes, so its shortcut hops resolve). Only those chains are
+/// walked and interned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn detect_pivots(
     g: &Graph,
@@ -484,13 +489,13 @@ pub(crate) fn detect_pivots(
     for v in 0..g.n() {
         for (i, &s) in pivots.iter().enumerate() {
             let d = sd.dist_to_source_index(v, i);
-            if d < INF {
-                delta.improve(v, s, d);
-                if let Some(p) = paths.as_deref_mut().filter(|p| d < p.value(s, v)) {
-                    let chain = sd.chain(i, v).expect("detected pair has a chain");
-                    let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
-                    p.offer_walk(g, d, &chain);
-                }
+            if !delta.improve(v, s, d) {
+                continue;
+            }
+            if let Some(p) = paths.as_deref_mut() {
+                let chain = sd.chain(i, v).expect("detected pair has a chain");
+                let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
+                p.set_walk(g, &chain);
             }
         }
     }
@@ -499,10 +504,8 @@ pub(crate) fn detect_pivots(
 /// Routes row `u` through each midpoint `w` in turn: `δ(u,v) ≤ δ(u,w) +
 /// δ(w,v)` for every `v`, with `δ(u,w)` read afresh per midpoint (infinite
 /// ones skipped), then one mirror of row `u`. When recording, each
-/// relaxation is shadowed by `Via(w)` offers at exactly the entries it
-/// lowered, in ascending `v`. The store mirrors `δ` under the same strict
-/// improvement, so an offer at an entry the kernel left alone could never
-/// win (DESIGN.md §7.4).
+/// relaxation sets `Via(w)` at exactly the entries it lowered, in
+/// ascending `v` (DESIGN.md §7.4).
 pub(crate) fn route_through(
     delta: &mut DistanceMatrix,
     mut paths: Option<&mut PathStore>,
@@ -528,7 +531,7 @@ pub(crate) fn route_through(
             for (v, (old, &d)) in prev.iter_mut().zip(delta.row(u)).enumerate() {
                 if d != *old {
                     *old = d;
-                    p.offer_via(u, v, d, w);
+                    p.set_via(u, v, w);
                 }
             }
         }
@@ -596,55 +599,37 @@ mod tests {
         }
     }
 
-    /// Every off-diagonal pair of a recording run's store holds exactly
-    /// the pipeline's estimate: the store mirrors `δ` under the same
-    /// strict improvement, which is what lets `route_through` offer only
-    /// at the entries its kernel lowered.
-    #[test]
-    fn path_store_mirrors_the_estimates() {
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        for (name, g) in [
-            ("grid", generators::grid(9, 11)),
-            ("caveman", generators::caveman(7, 6)),
-            ("gnp", generators::connected_gnp(97, 0.06, &mut rng)),
-        ] {
-            let mut solver = crate::SolverBuilder::new(g.clone())
-                .eps(0.5)
-                .execution(crate::Execution::Deterministic)
-                .threads(2)
-                .record_paths(true)
-                .build()
-                .unwrap();
-            let a2 = solver.apsp_2eps().unwrap();
-            let a3 = solver.apsp_3eps().unwrap();
-            let add = solver.apsp_near_additive().unwrap();
-            for (query, estimates, store) in [
-                ("apsp2", &a2.estimates, &a2.paths),
-                ("apsp3", &a3.estimates, &a3.paths),
-                ("additive", &add.estimates, &add.paths),
-            ] {
-                let store = store.as_ref().expect("recording run");
-                for u in 0..g.n() {
-                    for v in (0..g.n()).filter(|&v| v != u) {
-                        assert_eq!(
-                            store.value(u, v),
-                            estimates.get(u, v),
-                            "{name}/{query}: ({u},{v})"
-                        );
-                    }
-                }
+    /// The offer-everything reference for the recording filters: a store
+    /// with its own value table, which takes an offered witness exactly when
+    /// the offer strictly improves on that table.
+    struct OfferAll {
+        best: DistanceMatrix,
+        store: PathStore,
+    }
+
+    impl OfferAll {
+        fn offer_walk(&mut self, g: &Graph, d: Dist, verts: &[u32]) {
+            let (u, v) = (verts[0] as usize, verts[verts.len() - 1] as usize);
+            if self.best.improve(u, v, d) {
+                self.store.set_walk(g, verts);
+            }
+        }
+
+        fn offer_via(&mut self, u: usize, v: usize, d: Dist, w: usize) {
+            if self.best.improve(u, v, d) {
+                self.store.set_via(u, v, w);
             }
         }
     }
 
-    /// The detection offers before the chain filter: every detected pair's
-    /// chain is walked and offered.
+    /// The detection before the chain filter: every detected pair's chain
+    /// is walked and offered.
     fn detect_pivots_offering_all(
         g: &Graph,
         hs: &BoundedHopset,
         pivots: &[usize],
         delta: &mut DistanceMatrix,
-        store: &mut PathStore,
+        reference: &mut OfferAll,
         ledger: &mut RoundLedger,
     ) {
         let sd = SourceDetection::run_with_parents(&hs.union, pivots, hs.beta, 1, ledger);
@@ -655,7 +640,7 @@ mod tests {
                     delta.improve(v, s, d);
                     if let Some(chain) = sd.chain(i, v) {
                         let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
-                        store.offer_walk(g, d, &chain);
+                        reference.offer_walk(g, d, &chain);
                     }
                 }
             }
@@ -666,7 +651,7 @@ mod tests {
     /// at every entry of row `u`, per midpoint, in ascending `v`.
     fn route_through_offering_all(
         delta: &mut DistanceMatrix,
-        store: &mut PathStore,
+        reference: &mut OfferAll,
         u: usize,
         midpoints: &[usize],
     ) {
@@ -682,7 +667,7 @@ mod tests {
             delta.relax_row_via(u, w, via);
             for (v, &leg) in delta.row(w).iter().enumerate() {
                 if v != u && leg < INF {
-                    store.offer_via(u, v, cc_graphs::dadd(via, leg), w);
+                    reference.offer_via(u, v, cc_graphs::dadd(via, leg), w);
                 }
             }
         }
@@ -699,12 +684,13 @@ mod tests {
             .count()
     }
 
-    /// The filtered detection and routing offers leave the same witnesses
-    /// and the same arena as offering everything, on inputs where those
-    /// offers do win. The store starts from the adjacency plus, for every
-    /// third vertex, its shortest path to each pivot at one more than the
-    /// exact distance, so detection chains at that distance tie, shorter
-    /// ones win, and most `Via` offers improve a pair.
+    /// The filtered detection and routing sets leave the same witnesses
+    /// and the same arena as offering everything against a separate value
+    /// table, on inputs where those offers do win. The store starts from
+    /// the adjacency plus, for every third vertex, its shortest path to
+    /// each pivot at one more than the exact distance, so detection chains
+    /// at that distance tie, shorter ones win, and most `Via` offers
+    /// improve a pair.
     #[test]
     fn filtered_offers_match_offering_everything() {
         let mut rng = ChaCha8Rng::seed_from_u64(29);
@@ -722,7 +708,7 @@ mod tests {
             let mut store = PathStore::new(n);
             for (u, v) in g.edges() {
                 delta.improve(u, v, 1);
-                store.offer_edge(u, v);
+                store.set_edge(u, v);
             }
             let unit = cc_graphs::WeightedGraph::from_unweighted(&g);
             for &s in &pivots {
@@ -730,20 +716,25 @@ mod tests {
                 for v in (0..n).step_by(3).filter(|&v| v != s) {
                     let path: Vec<u32> =
                         tree.path_to(v).unwrap().iter().map(|&x| x as u32).collect();
-                    delta.improve(s, v, tree.dist(v) + 1);
-                    store.offer_walk(&g, tree.dist(v) + 1, &path);
+                    if delta.improve(s, v, tree.dist(v) + 1) {
+                        store.set_walk(&g, &path);
+                    }
                 }
             }
             store.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
             let arena_before = store.arena().len();
 
-            let (mut old_delta, mut old_store) = (delta.clone(), store.clone());
+            let mut old_delta = delta.clone();
+            let mut reference = OfferAll {
+                best: delta.clone(),
+                store: store.clone(),
+            };
             detect_pivots_offering_all(
                 &g,
                 &hs,
                 &pivots,
                 &mut old_delta,
-                &mut old_store,
+                &mut reference,
                 &mut ledger,
             );
             detect_pivots(
@@ -757,23 +748,37 @@ mod tests {
             );
             assert!(store.arena().len() > arena_before, "{name}: no chain won");
             assert_eq!(delta, old_delta, "{name}: detection estimates");
+            assert_eq!(delta, reference.best, "{name}: detection values");
             assert_eq!(
                 store.witnesses(),
-                old_store.witnesses(),
+                reference.store.witnesses(),
                 "{name}: detection"
             );
-            assert_eq!(store.arena(), old_store.arena(), "{name}: detection arena");
+            assert_eq!(
+                store.arena(),
+                reference.store.arena(),
+                "{name}: detection arena"
+            );
 
             for u in 0..n {
                 // Two midpoints per row, the second one often redundant.
                 let mids = [pivots[u % pivots.len()], pivots[(u * 7 + 3) % pivots.len()]];
-                route_through_offering_all(&mut old_delta, &mut old_store, u, &mids);
+                route_through_offering_all(&mut old_delta, &mut reference, u, &mids);
                 route_through(&mut delta, Some(&mut store), u, mids);
             }
             assert!(via_count(&store) > 0, "{name}: no Via offer won");
             assert_eq!(delta, old_delta, "{name}: routed estimates");
-            assert_eq!(store.witnesses(), old_store.witnesses(), "{name}: routing");
-            assert_eq!(store.arena(), old_store.arena(), "{name}: routing arena");
+            assert_eq!(delta, reference.best, "{name}: routed values");
+            assert_eq!(
+                store.witnesses(),
+                reference.store.witnesses(),
+                "{name}: routing"
+            );
+            assert_eq!(
+                store.arena(),
+                reference.store.arena(),
+                "{name}: routing arena"
+            );
         }
     }
 

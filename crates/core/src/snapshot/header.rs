@@ -58,8 +58,10 @@ pub(crate) fn checked_frame<'a>(buf: &'a [u8], magic: &[u8; 4]) -> Result<&'a [u
     Ok(payload)
 }
 
-/// FNV-1a over a byte slice (the snapshot checksum).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte slice (the snapshot checksum). Tools that rewrite
+/// a snapshot's payload, such as the structure-aware fuzzer, reseal it
+/// with this function, so they follow any change of the checksum.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -22,7 +22,7 @@ fn build_oracles(n: usize) -> (DistOracle, PathOracle) {
             m.improve(u, v, (v - u) as u32);
             m.improve(v, u, (v - u) as u32);
             let verts: Vec<u32> = (u as u32..=v as u32).collect();
-            store.offer_walk(&g, (v - u) as u32, &verts);
+            store.set_walk(&g, &verts);
         }
     }
     let dist = DistOracle::from_matrix(&m, Guarantee::mult2(0.25), StorageKind::SymmetricPacked);

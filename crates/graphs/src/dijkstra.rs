@@ -209,18 +209,6 @@ impl ShortestPathTree {
     pub fn path_to(&self, v: usize) -> Option<Vec<usize>> {
         path_from_parents(&self.parent, self.src, v)
     }
-
-    /// The shortest path to `v` as directed edges `(x, y)`, or `None` when
-    /// unreachable. An empty vector for `v == src`.
-    pub fn edges_to(&self, v: usize) -> Option<Vec<(u32, u32)>> {
-        let verts = self.path_to(v)?;
-        Some(
-            verts
-                .windows(2)
-                .map(|w| (w[0] as u32, w[1] as u32))
-                .collect(),
-        )
-    }
 }
 
 /// Single-source shortest paths with deterministic predecessor tracking,
@@ -233,7 +221,7 @@ pub fn sssp_tree(g: &WeightedGraph, src: usize) -> ShortestPathTree {
 /// Reconstructs the shortest path from `src` to `dst` using the parent
 /// array of [`sssp_with_parents`]. Returns the vertex sequence
 /// `src, …, dst`, or `None` if `dst` is unreachable.
-pub fn path_from_parents(parent: &[Option<u32>], src: usize, dst: usize) -> Option<Vec<usize>> {
+fn path_from_parents(parent: &[Option<u32>], src: usize, dst: usize) -> Option<Vec<usize>> {
     if src == dst {
         return Some(vec![src]);
     }
@@ -475,8 +463,6 @@ mod tests {
             assert_eq!(*path.last().unwrap(), v);
             // Path length (in weight) must equal the distance.
             assert_eq!(path_weight(&wg, &path), tree.dist(v), "path to {v}");
-            let edges = tree.edges_to(v).unwrap();
-            assert_eq!(edges.len(), path.len() - 1);
         }
     }
 
@@ -485,9 +471,7 @@ mod tests {
         let wg = WeightedGraph::from_edges(3, &[(0, 1, 1)]);
         let tree = sssp_tree(&wg, 0);
         assert_eq!(tree.path_to(2), None);
-        assert_eq!(tree.edges_to(2), None);
         assert_eq!(tree.path_to(0), Some(vec![0]));
-        assert_eq!(tree.edges_to(0), Some(vec![]));
         assert_eq!(tree.parent(0), None);
         assert_eq!(tree.src(), 0);
     }

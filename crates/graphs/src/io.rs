@@ -1,4 +1,4 @@
-//! Plain-text graph interchange: whitespace edge lists and Graphviz DOT.
+//! Plain-text graph interchange: whitespace edge lists.
 //!
 //! Keeps experiments debuggable (dump a failing graph, re-load it in a
 //! test) without adding serialization dependencies.
@@ -6,7 +6,7 @@
 use std::fmt::Write as _;
 use std::num::ParseIntError;
 
-use crate::graph::{Graph, WeightedGraph};
+use crate::graph::Graph;
 
 /// Errors raised when parsing an edge list.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -123,29 +123,6 @@ pub fn from_edge_list(text: &str, min_n: usize) -> Result<Graph, ParseError> {
     Ok(Graph::from_edges(n, &edges))
 }
 
-/// Renders a graph in Graphviz DOT format (undirected).
-pub fn to_dot(g: &Graph, name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "graph {name} {{");
-    for (u, v) in g.edges() {
-        let _ = writeln!(out, "  {u} -- {v};");
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Renders a weighted graph in DOT format with edge-weight labels — handy
-/// for inspecting small emulators and hopsets.
-pub fn weighted_to_dot(g: &WeightedGraph, name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "graph {name} {{");
-    for (u, v, w) in g.edges() {
-        let _ = writeln!(out, "  {u} -- {v} [label=\"{w}\"];");
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,22 +198,5 @@ mod tests {
         let err = from_edge_list("0 x\n", 0).unwrap_err();
         assert!(matches!(err, ParseError::BadVertex { line: 1, .. }));
         assert!(err.to_string().contains("line 1"));
-    }
-
-    #[test]
-    fn dot_contains_all_edges() {
-        let g = generators::cycle(4);
-        let dot = to_dot(&g, "c4");
-        assert!(dot.starts_with("graph c4 {"));
-        assert_eq!(dot.matches(" -- ").count(), 4);
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn weighted_dot_has_labels() {
-        let wg = crate::graph::WeightedGraph::from_edges(3, &[(0, 1, 7), (1, 2, 3)]);
-        let dot = weighted_to_dot(&wg, "w");
-        assert!(dot.contains("label=\"7\""));
-        assert!(dot.contains("label=\"3\""));
     }
 }

@@ -16,8 +16,10 @@
 //! * [`PathStore`] — the per-pair witness table a pipeline fills alongside
 //!   its [`DistanceMatrix`]-style estimates: every finite pair carries a
 //!   record, or a *via*-midpoint whose two halves are again witnessed pairs.
+//!   The store keeps no values of its own: the pipeline sets a pair's
+//!   witness exactly when it strictly lowers the pair's estimate.
 //! * [`RowStore`] — the row-shaped counterpart for multi-source (MSSP)
-//!   results.
+//!   results, under the same rule.
 //!
 //! All structures are plain data: once filled they are read-only and can be
 //! queried lock-free from shared references.

@@ -1,6 +1,6 @@
 //! Per-pair and per-row witness stores filled by the distance pipelines.
 
-use cc_graphs::{Dist, DistStorage, Graph, INF};
+use cc_graphs::{DistStorage, Graph};
 
 use crate::arena::{RecId, RouteArena};
 use crate::unroller::Unroller;
@@ -8,7 +8,7 @@ use crate::unroller::Unroller;
 /// The witness of one vertex pair in a [`PathStore`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PairWitness {
-    /// No finite estimate has been offered for the pair.
+    /// No witness has been set for the pair.
     None,
     /// An interned path record running `min(u,v) → max(u,v)` (reversed when
     /// `rev` is set).
@@ -20,8 +20,8 @@ pub enum PairWitness {
     },
     /// Midpoint decomposition: the pair's walk is the walk to `via` followed
     /// by the walk from `via` — both again witnessed pairs of this store.
-    /// Every `Via` is recorded with a value that is at least the sum of the
-    /// two halves' values at record time, and values only decrease, so
+    /// Every `Via` is set when the pair's estimate drops to at least the sum
+    /// of the two halves' estimates, and estimates only decrease, so
     /// expansion strictly descends and terminates (`DESIGN.md` §8.2).
     Via(u32),
 }
@@ -29,18 +29,16 @@ pub enum PairWitness {
 /// The per-pair witness table a pipeline fills alongside its symmetric
 /// estimate matrix.
 ///
-/// The store mirrors the estimate values on its own (`offer_*` updates value
-/// and witness atomically with the same strict-improvement rule the
-/// [`DistanceMatrix`] uses), so recording witnesses never changes the
-/// pipeline's estimates — the offers are a parallel shadow of the existing
-/// `improve` calls.
+/// The store holds witnesses only; the distances are the pipeline's
+/// estimates. A pipeline sets a pair's witness exactly when it strictly
+/// lowers the pair's estimate ([`DistanceMatrix::improve`] returns `true`),
+/// so every witness's walk weighs at most the estimate it was set with, and
+/// recording never changes an estimate (`DESIGN.md` §8).
 ///
-/// [`DistanceMatrix`]: https://docs.rs/cc-core
+/// [`DistanceMatrix::improve`]: https://docs.rs/cc-core
 #[derive(Clone, Debug)]
 pub struct PathStore {
     n: usize,
-    /// Mirrored best values, packed upper triangle (diagonal 0).
-    best: Vec<Dist>,
     /// One witness per packed pair.
     entries: Vec<PairWitness>,
     /// Shortcut provenance (hopset/emulator records absorbed in) plus the
@@ -51,39 +49,26 @@ pub struct PathStore {
 impl PathStore {
     /// An empty store for an `n`-vertex graph.
     pub fn new(n: usize) -> Self {
-        let entries = n * (n + 1) / 2;
-        let mut best = vec![INF; entries];
-        for u in 0..n {
-            best[DistStorage::packed_index(n, u, u)] = 0;
-        }
         PathStore {
             n,
-            best,
-            entries: vec![PairWitness::None; entries],
+            entries: vec![PairWitness::None; n * (n + 1) / 2],
             routes: Unroller::new(),
         }
     }
 
     /// Rebuilds a store from frozen parts (snapshot loading). The arena is
     /// taken as-is — no copy, so zero-copy (shared-section) arenas stay
-    /// zero-copy. Mirrored values are not part of snapshots; the rebuilt
-    /// store only serves [`PathStore::emit`].
+    /// zero-copy.
     ///
     /// # Panics
     ///
     /// Panics if `entries.len() != n(n+1)/2`.
     pub fn from_parts(n: usize, arena: RouteArena, entries: Vec<PairWitness>) -> Self {
         assert_eq!(entries.len(), n * (n + 1) / 2, "one witness per pair");
-        let routes = Unroller::from_arena(arena);
-        let mut best = vec![INF; entries.len()];
-        for u in 0..n {
-            best[DistStorage::packed_index(n, u, u)] = 0;
-        }
         PathStore {
             n,
-            best,
             entries,
-            routes,
+            routes: Unroller::from_arena(arena),
         }
     }
 
@@ -116,17 +101,6 @@ impl PathStore {
         self.routes.absorb(routes);
     }
 
-    /// The mirrored best value for `(u, v)` (`0` on the diagonal, [`INF`]
-    /// before any offer).
-    pub fn value(&self, u: usize, v: usize) -> Dist {
-        self.best[DistStorage::packed_index(self.n, u, v)]
-    }
-
-    /// The witness of `(u, v)` in wire form — used by snapshots and tests.
-    pub fn witness(&self, u: usize, v: usize) -> PairWitness {
-        self.entries[DistStorage::packed_index(self.n, u, v)]
-    }
-
     /// Raw packed witness table, indexed like
     /// [`DistStorage::packed_index`].
     pub fn witnesses(&self) -> &[PairWitness] {
@@ -134,36 +108,26 @@ impl PathStore {
     }
 
     #[inline]
-    fn offer(&mut self, u: usize, v: usize, d: Dist, witness: PairWitness) {
-        if u == v || d >= INF {
-            return;
-        }
-        let idx = DistStorage::packed_index(self.n, u, v);
-        if d < self.best[idx] {
-            self.best[idx] = d;
-            self.entries[idx] = witness;
-        }
+    fn set(&mut self, u: usize, v: usize, witness: PairWitness) {
+        debug_assert_ne!(u, v, "the diagonal has no witness");
+        self.entries[DistStorage::packed_index(self.n, u, v)] = witness;
     }
 
-    /// Offers the direct `G` edge `{u, v}` (weight 1).
-    pub fn offer_edge(&mut self, u: usize, v: usize) {
-        if u == v || self.value(u, v) <= 1 {
-            return;
-        }
+    /// Sets the witness of `{u, v}` to the direct `G` edge.
+    pub fn set_edge(&mut self, u: usize, v: usize) {
         let rec = self
             .routes
             .arena_mut()
             .edge(u.min(v) as u32, u.max(v) as u32);
-        self.offer(u, v, 1, PairWitness::Rec { rec, rev: false });
+        self.set(u, v, PairWitness::Rec { rec, rev: false });
     }
 
-    /// Offers an interned record (a path `u → v` in this store's arena) at
-    /// value `d`.
-    pub fn offer_rec(&mut self, u: usize, v: usize, d: Dist, rec: RecId) {
-        self.offer(
+    /// Sets the witness of `{u, v}` to an interned record (a path `u → v`
+    /// in this store's arena).
+    pub fn set_rec(&mut self, u: usize, v: usize, rec: RecId) {
+        self.set(
             u,
             v,
-            d,
             PairWitness::Rec {
                 rec,
                 rev: u > v, // stored canonically as min → max
@@ -171,35 +135,27 @@ impl PathStore {
         );
     }
 
-    /// Offers a walk given as a vertex sequence over `G` ∪ registered
-    /// shortcuts at value `d`. No-op (and no interning) unless it improves;
-    /// panics in debug builds if a hop cannot be resolved.
-    pub fn offer_walk(&mut self, g: &Graph, d: Dist, verts: &[u32]) {
-        if verts.len() < 2 {
-            return;
-        }
-        let (u, v) = (verts[0] as usize, verts[verts.len() - 1] as usize);
-        if u == v || d >= INF || d >= self.value(u, v) {
-            return;
-        }
+    /// Interns a walk given as a vertex sequence over `G` ∪ registered
+    /// shortcuts and sets it as the witness of its endpoints. Panics in
+    /// debug builds if a hop cannot be resolved.
+    pub fn set_walk(&mut self, g: &Graph, verts: &[u32]) {
         match self.routes.intern_walk(g, verts) {
-            Some(rec) => self.offer_rec(u, v, d, rec),
-            None => debug_assert!(false, "unresolvable hop in offered walk"),
+            Some(rec) => {
+                let (u, v) = (verts[0] as usize, verts[verts.len() - 1] as usize);
+                self.set_rec(u, v, rec);
+            }
+            None => debug_assert!(false, "unresolvable hop in a set walk"),
         }
     }
 
-    /// Offers the midpoint decomposition through `w` at value `d`. The
-    /// caller guarantees `d ≥ value(u,w) + value(w,v)` at call time (the
-    /// pivot-routing pattern), which is what keeps expansion well-founded.
-    /// A degenerate midpoint (`w ∈ {u, v}`) is ignored — it restates the
-    /// pair's own value and can never strictly improve it.
-    pub fn offer_via(&mut self, u: usize, v: usize, d: Dist, w: usize) {
-        if w == u || w == v {
-            return;
-        }
-        self.offer(u, v, d, PairWitness::Via(w as u32));
+    /// Sets the witness of `{u, v}` to the midpoint decomposition through
+    /// `w`. The caller guarantees that the pair's new estimate is at least
+    /// `δ(u,w) + δ(w,v)` (the pivot-routing pattern), which is what keeps
+    /// expansion well-founded, so `w` is never `u` or `v`.
+    pub fn set_via(&mut self, u: usize, v: usize, w: usize) {
+        debug_assert!(w != u && w != v, "degenerate midpoint {w} of ({u},{v})");
+        self.set(u, v, PairWitness::Via(w as u32));
     }
-
     /// Expands the witnessed walk for `(u, v)` into directed `G` edges
     /// running `u → v` (`Some(vec![])` on the diagonal). Returns `None` when
     /// the pair has no witness, an endpoint is out of range, or — on
@@ -223,8 +179,8 @@ impl PathStore {
             return Some(0);
         }
         let mut stack: Vec<(u32, u32)> = vec![(u as u32, v as u32)];
-        // Well-formed stores strictly descend in value on every Via, so the
-        // walk has at most `value(u,v)` edges; the budget only trips on
+        // Well-formed stores strictly descend in estimate on every Via, so
+        // the walk has at most `δ(u,v)` edges; the budget only trips on
         // corrupt snapshots (where it turns a cycle into a clean None).
         let mut budget: u64 = 64 * (self.n as u64) * (self.n as u64) + 1024;
         while let Some((x, y)) = stack.pop() {
@@ -257,14 +213,14 @@ impl PathStore {
 }
 
 /// The row-shaped witness store for multi-source (MSSP) results: one record
-/// per `(source, vertex)` cell, no midpoint decomposition.
+/// per `(source, vertex)` cell, no midpoint decomposition. Like
+/// [`PathStore`] it holds no distances: a cell's record is set exactly when
+/// the cell's estimate strictly drops.
 #[derive(Clone, Debug)]
 pub struct RowStore {
     n: usize,
     sources: Vec<u32>,
-    /// Mirrored best values, `|S| × n` row-major.
-    best: Vec<Dist>,
-    /// Records oriented `source → vertex`.
+    /// Records oriented `source → vertex`, `|S| × n` row-major.
     recs: Vec<Option<RecId>>,
     routes: Unroller,
 }
@@ -272,22 +228,15 @@ pub struct RowStore {
 impl RowStore {
     /// An empty store for the given source rows.
     pub fn new(n: usize, sources: &[usize]) -> Self {
-        let sources: Vec<u32> = sources.iter().map(|&s| s as u32).collect();
-        let mut best = vec![INF; sources.len() * n];
-        for (i, &s) in sources.iter().enumerate() {
-            best[i * n + s as usize] = 0;
-        }
         RowStore {
             n,
             recs: vec![None; sources.len() * n],
-            best,
-            sources,
+            sources: sources.iter().map(|&s| s as u32).collect(),
             routes: Unroller::new(),
         }
     }
 
-    /// Rebuilds a store from frozen parts (snapshot loading; mirrored values
-    /// are not serialized).
+    /// Rebuilds a store from frozen parts (snapshot loading).
     ///
     /// # Panics
     ///
@@ -299,17 +248,11 @@ impl RowStore {
         recs: Vec<Option<RecId>>,
     ) -> Self {
         assert_eq!(recs.len(), sources.len() * n, "one record per cell");
-        let routes = Unroller::from_arena(arena);
-        let mut best = vec![INF; recs.len()];
-        for (i, &s) in sources.iter().enumerate() {
-            best[i * n + s as usize] = 0;
-        }
         RowStore {
             n,
             sources,
-            best,
             recs,
-            routes,
+            routes: Unroller::from_arena(arena),
         }
     }
 
@@ -348,47 +291,27 @@ impl RowStore {
         self.routes.absorb(routes);
     }
 
-    /// The mirrored best value of cell `(i, v)`.
-    pub fn value(&self, i: usize, v: usize) -> Dist {
-        self.best[i * self.n + v]
+    /// Sets the record (oriented `sources[i] → v`) of cell `(i, v)`.
+    pub fn set_rec(&mut self, i: usize, v: usize, rec: RecId) {
+        debug_assert_ne!(v, self.sources[i] as usize, "the source cell has no record");
+        self.recs[i * self.n + v] = Some(rec);
     }
 
-    /// Offers a record (oriented `sources[i] → v`) at value `d`.
-    pub fn offer_rec(&mut self, i: usize, v: usize, d: Dist, rec: RecId) {
-        if v == self.sources[i] as usize || d >= INF {
-            return;
-        }
-        let idx = i * self.n + v;
-        if d < self.best[idx] {
-            self.best[idx] = d;
-            self.recs[idx] = Some(rec);
-        }
+    /// Sets the record of cell `(i, v)` to the direct `G` edge
+    /// `(sources[i], v)`.
+    pub fn set_edge(&mut self, i: usize, v: usize) {
+        let rec = self.routes.arena_mut().edge(self.sources[i], v as u32);
+        self.set_rec(i, v, rec);
     }
 
-    /// Offers the direct `G` edge `(sources[i], v)` (weight 1).
-    pub fn offer_edge(&mut self, i: usize, v: usize) {
-        let s = self.sources[i] as usize;
-        if v == s || self.value(i, v) <= 1 {
-            return;
-        }
-        let rec = self.routes.arena_mut().edge(s as u32, v as u32);
-        self.offer_rec(i, v, 1, rec);
-    }
-
-    /// Offers a walk (vertex sequence from `sources[i]` to `v` over `G` ∪
-    /// registered shortcuts) at value `d`. No-op unless it improves.
-    pub fn offer_walk(&mut self, g: &Graph, i: usize, d: Dist, verts: &[u32]) {
-        if verts.len() < 2 {
-            return;
-        }
+    /// Interns a walk (vertex sequence from `sources[i]` to `v` over `G` ∪
+    /// registered shortcuts) and sets it as the record of cell `(i, v)`.
+    /// Panics in debug builds if a hop cannot be resolved.
+    pub fn set_walk(&mut self, g: &Graph, i: usize, verts: &[u32]) {
         debug_assert_eq!(verts[0], self.sources[i], "walk must start at the source");
-        let v = verts[verts.len() - 1] as usize;
-        if d >= INF || d >= self.value(i, v) {
-            return;
-        }
         match self.routes.intern_walk(g, verts) {
-            Some(rec) => self.offer_rec(i, v, d, rec),
-            None => debug_assert!(false, "unresolvable hop in offered walk"),
+            Some(rec) => self.set_rec(i, verts[verts.len() - 1] as usize, rec),
+            None => debug_assert!(false, "unresolvable hop in a set walk"),
         }
     }
 
@@ -426,16 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn offers_mirror_strict_improvement() {
+    fn set_walks_emit_in_both_orientations() {
         let g = path_graph(5);
         let mut s = PathStore::new(5);
-        assert_eq!(s.value(0, 3), INF);
-        s.offer_walk(&g, 3, &[0, 1, 2, 3]);
-        assert_eq!(s.value(0, 3), 3);
-        assert_eq!(s.value(3, 0), 3, "values are symmetric");
-        // A worse offer neither changes the value nor the witness.
-        s.offer_walk(&g, 5, &[0, 1, 2, 1, 2, 3]);
-        assert_eq!(s.value(0, 3), 3);
+        s.set_walk(&g, &[0, 1, 2, 1, 2, 3]);
+        // A later set replaces the witness: the store does not compare.
+        s.set_walk(&g, &[3, 2, 1, 0]);
         assert_eq!(s.emit(0, 3).unwrap(), vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(s.emit(3, 0).unwrap(), vec![(3, 2), (2, 1), (1, 0)]);
         assert_eq!(s.emit(2, 2).unwrap(), vec![], "diagonal is empty");
@@ -447,19 +366,19 @@ mod tests {
     fn via_decomposition_expands_both_halves() {
         let g = path_graph(5);
         let mut s = PathStore::new(5);
-        s.offer_edge(0, 1);
-        s.offer_edge(1, 2);
-        s.offer_walk(&g, 2, &[2, 3, 4]);
+        s.set_edge(0, 1);
+        s.set_edge(1, 2);
+        s.set_walk(&g, &[2, 3, 4]);
         // (0,2) via 1, then (0,4) via 2 — nested Via resolution.
-        s.offer_via(0, 2, 2, 1);
-        s.offer_via(0, 4, 4, 2);
+        s.set_via(0, 2, 1);
+        s.set_via(0, 4, 2);
         assert_eq!(s.emit(0, 4).unwrap(), vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
         assert_eq!(s.emit(4, 0).unwrap()[0], (4, 3));
     }
 
     #[test]
     fn corrupt_via_cycle_returns_none() {
-        // Hand-built cycle (only reachable through from_parts — offers
+        // Hand-built cycle (only reachable through from_parts — pipelines
         // cannot create one): (0,2) via 1 and (0,1) via 2.
         let s0 = PathStore::new(3);
         let mut entries = s0.witnesses().to_vec();
@@ -471,13 +390,11 @@ mod tests {
     }
 
     #[test]
-    fn row_store_offers_and_emits() {
+    fn row_store_sets_and_emits() {
         let g = path_graph(6);
         let mut r = RowStore::new(6, &[2]);
-        r.offer_edge(0, 3);
-        r.offer_walk(&g, 0, 2, &[2, 1, 0]);
-        assert_eq!(r.value(0, 0), 2);
-        assert_eq!(r.value(0, 2), 0);
+        r.set_edge(0, 3);
+        r.set_walk(&g, 0, &[2, 1, 0]);
         assert_eq!(r.emit(0, 0).unwrap(), vec![(2, 1), (1, 0)]);
         assert_eq!(r.emit(0, 3).unwrap(), vec![(2, 3)]);
         assert_eq!(r.emit(0, 2).unwrap(), vec![], "source cell is empty");
@@ -488,21 +405,21 @@ mod tests {
     #[test]
     fn stores_absorb_substrate_routes() {
         // A shortcut (0,3) registered in a substrate unroller is usable by
-        // walks offered to the store after absorption.
+        // walks set in the store after absorption.
         let g = path_graph(6);
         let mut substrate = Unroller::new();
         let rec = substrate.intern_walk(&g, &[0, 1, 2, 3]).unwrap();
         substrate.register(0, 3, rec);
         let mut s = PathStore::new(6);
         s.absorb_routes(&substrate);
-        s.offer_walk(&g, 5, &[5, 4, 3, 0]); // hop (3,0) is the shortcut
+        s.set_walk(&g, &[5, 4, 3, 0]); // hop (3,0) is the shortcut
         assert_eq!(
             s.emit(5, 0).unwrap(),
             vec![(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]
         );
         let mut r = RowStore::new(6, &[5]);
         r.absorb_routes(&substrate);
-        r.offer_walk(&g, 0, 5, &[5, 4, 3, 0]);
+        r.set_walk(&g, 0, &[5, 4, 3, 0]);
         assert_eq!(r.emit(0, 0).unwrap().len(), 5);
     }
 }

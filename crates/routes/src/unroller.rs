@@ -55,11 +55,6 @@ impl Unroller {
         &mut self.arena
     }
 
-    /// Number of registered shortcut pairs.
-    pub fn pairs(&self) -> usize {
-        self.by_pair.len()
-    }
-
     /// Registers `rec` (a path `u → v` in this arena) as provenance for the
     /// shortcut pair `{u, v}`. Keeps the record with the fewest `G` edges;
     /// on equal length the first registration wins (deterministic given a
@@ -92,7 +87,7 @@ impl Unroller {
 
     /// Like [`Unroller::rec_between`], but returns a record already oriented
     /// `u → v` (interning a `Rev` node when needed).
-    pub fn oriented(&mut self, u: usize, v: usize) -> Option<(u32, RecId)> {
+    fn oriented(&mut self, u: usize, v: usize) -> Option<(u32, RecId)> {
         let (len, rec, reversed) = self.rec_between(u, v)?;
         let rec = if reversed { self.arena.rev(rec) } else { rec };
         Some((len, rec))
@@ -168,7 +163,6 @@ mod tests {
         // A longer re-registration does not displace the short one.
         u.register(3, 0, long);
         assert_eq!(u.unroll(0, 3).unwrap().len(), 3);
-        assert_eq!(u.pairs(), 1);
     }
 
     #[test]
@@ -208,7 +202,6 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.unroll(0, 3).unwrap().len(), 3, "shorter record wins");
         assert_eq!(a.unroll(3, 1).unwrap(), vec![(3, 2), (2, 1)]);
-        assert_eq!(a.pairs(), 2);
     }
 
     /// Two independent absorb-merges of the same unrollers must agree on

@@ -215,12 +215,12 @@ fn reference_path_oracle() -> PathOracle {
                 continue; // witnessed below via a midpoint instead
             }
             let verts: Vec<u32> = (u as u32..=v as u32).collect();
-            pairs.offer_walk(&g, (v - u) as Dist, &verts);
+            pairs.set_walk(&g, &verts);
         }
     }
     // Pin the Via wire tag: (0,9) decomposes through 4, whose two halves
     // are already witnessed.
-    pairs.offer_via(0, 9, 9, 4);
+    pairs.set_via(0, 9, 4);
     let mut rows = RowStore::new(n, &[3, 8]);
     for (i, s) in [3usize, 8].into_iter().enumerate() {
         for v in 0..n {
@@ -234,7 +234,7 @@ fn reference_path_oracle() -> PathOracle {
             };
             // Leave one cell unwitnessed per row to pin the None tag.
             if v != 9 - i {
-                rows.offer_walk(&g, i, v.abs_diff(s) as Dist, &verts);
+                rows.set_walk(&g, i, &verts);
             }
         }
     }

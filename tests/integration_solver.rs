@@ -5,6 +5,7 @@
 
 use congested_clique::clique::cost::CostEntry;
 use congested_clique::core::mssp::MsspError;
+use congested_clique::core::snapshot::header::fnv1a;
 use congested_clique::core::CcError;
 use congested_clique::prelude::*;
 use congested_clique::routes::{PairWitness, PathStore, RecId, RouteArena};
@@ -202,6 +203,16 @@ enum Answer {
     Rows(Vec<Vec<Dist>>, Option<(Vec<Option<RecId>>, RouteArena)>),
 }
 
+/// A connected gnp(97) with a hub joined to every even vertex: the hub
+/// is above apsp2's high-degree threshold, so every pipeline phase runs.
+fn hub_gnp() -> Graph {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+    let base = generators::connected_gnp(97, 0.06, &mut rng);
+    let mut edges: Vec<(usize, usize)> = base.edges().collect();
+    edges.extend((2..97).step_by(2).map(|v| (0, v)));
+    Graph::from_edges(97, &edges)
+}
+
 /// Runs `query` on `solver` and returns its answer with the ledger entries
 /// it charged.
 fn answer(solver: &mut Solver, query: &str, sources: &[usize]) -> (Answer, Vec<CostEntry>) {
@@ -258,11 +269,7 @@ fn rounds(entries: &[CostEntry]) -> u64 {
 /// at `(2t, ε/2)`) and builds each one once, beside one emulator.
 #[test]
 fn deterministic_answers_do_not_depend_on_query_order() {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
-    let base = generators::connected_gnp(97, 0.06, &mut rng);
-    let mut edges: Vec<(usize, usize)> = base.edges().collect();
-    edges.extend((2..97).step_by(2).map(|v| (0, v)));
-    let g = Graph::from_edges(97, &edges);
+    let g = hub_gnp();
     let sources: Vec<usize> = (0..97).step_by(11).collect();
     let second: Vec<usize> = (5..97).step_by(13).collect();
     let batch = |query: &str| if query == "mssp2" { &second } else { &sources };
@@ -312,5 +319,40 @@ fn deterministic_answers_do_not_depend_on_query_order() {
             assert_eq!(calls(&solver, "emulator_build"), 1, "{at}: emulators");
             assert_eq!(calls(&solver, "hopset_build"), 3, "{at}: hopsets");
         }
+    }
+}
+
+/// Pins which witness wins each pair and which records the arenas hold: a
+/// Deterministic recording session runs apsp2 → additive → MSSP → apsp3,
+/// and the FNV-1a of its `freeze_with_paths` snapshot must equal the
+/// committed value. A change to the rule or the order by which the
+/// pipelines set witnesses moves a witness or a record id, and so the
+/// bytes.
+#[test]
+fn recorded_witnesses_are_pinned() {
+    for (name, g, want) in [
+        ("grid 9x11", generators::grid(9, 11), 0x2525_45d7_9f89_68e6),
+        ("hub + gnp(97)", hub_gnp(), 0xd4de_381d_0d4f_b0e5),
+    ] {
+        let sources: Vec<usize> = (0..g.n()).step_by(11).collect();
+        let mut solver = SolverBuilder::new(g)
+            .eps(0.5)
+            .execution(Execution::Deterministic)
+            .threads(2)
+            .record_paths(true)
+            .build()
+            .unwrap();
+        solver.apsp_2eps().unwrap();
+        solver.apsp_near_additive().unwrap();
+        solver.mssp(&sources).unwrap();
+        solver.apsp_3eps().unwrap();
+        let mut bytes = Vec::new();
+        solver
+            .freeze_with_paths()
+            .unwrap()
+            .save_v2(&mut bytes)
+            .unwrap();
+        let got = fnv1a(&bytes);
+        assert_eq!(got, want, "{name}: snapshot FNV-1a is {got:#018x}");
     }
 }
