@@ -6,13 +6,13 @@
 //! code. Every iteration re-runs the workspace's parallel surfaces — the
 //! row-sharded sparse min-plus kernel (values and witnesses), the
 //! source-sharded hop-limited kernel of `(S,d)`-source detection (plain
-//! and with parents), the workspace sweep of bucket-queue Dijkstras behind
-//! the emulator sweep, the sharded congested-clique engine, and
-//! periodically a loopback `ccd`
-//! burst — under a perturbed schedule: randomized thread counts, worker
-//! and batch-size choices (which move the queue-pop coalescing points),
-//! client-side send jitter, and background yield-spinner threads that
-//! shuffle OS scheduling. Outputs must be **bit-identical** to a serial
+//! and with parents), its certified variant over a hopset-shaped union
+//! (with parents filled on demand), the workspace sweep of bucket-queue
+//! Dijkstras behind the emulator sweep, the sharded congested-clique
+//! engine, and periodically a loopback `ccd` burst — under a perturbed
+//! schedule: randomized thread counts, worker and batch-size choices
+//! (which move the queue-pop coalescing points), client-side send jitter,
+//! and background yield-spinner threads that shuffle OS scheduling. Outputs must be **bit-identical** to a serial
 //! baseline computed once up front; any divergence is reported with the
 //! xorshift seed and iteration so the exact schedule roll can be replayed
 //! with `cc-analyze schedule --seed <s> --iters <i>`.
@@ -30,7 +30,8 @@ use cc_clique::engine::{Engine, EngineConfig};
 use cc_clique::programs::AllGather;
 use cc_clique::NodeId;
 use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
-use cc_graphs::{dijkstra, Dist, StorageKind, WeightedGraph};
+use cc_graphs::dijkstra;
+use cc_graphs::{bfs, Dist, Graph, StorageKind, WeightedGraph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_serve::snapshot::Oracles;
 use cc_serve::{serve, Client, ServerConfig};
@@ -64,7 +65,7 @@ pub struct ScheduleSummary {
     /// Iterations completed.
     pub iterations: u64,
     /// Kernel comparisons performed (sparse min-plus, hop-limited
-    /// plain/parents, Dijkstra sweep, engine).
+    /// plain/parents, certified hop-limited, Dijkstra sweep, engine).
     pub comparisons: u64,
     /// Loopback `ccd` bursts performed.
     pub serve_bursts: u64,
@@ -96,6 +97,10 @@ struct Baseline {
     hop_sources: Vec<usize>,
     hop_plain: Vec<Dist>,
     hop_parents: (Vec<Dist>, Option<Vec<u32>>),
+    union_degree: Vec<u32>,
+    union_graph: WeightedGraph,
+    union_sources: Vec<usize>,
+    union_rows: CertifiedRows,
     sweep_trees: Vec<SweptTree>,
     engine_words: Vec<Vec<u64>>,
     engine_collected: Vec<Vec<u64>>,
@@ -103,6 +108,10 @@ struct Baseline {
     query_pairs: Vec<(u32, u32)>,
     query_answers: Vec<Option<PointEstimate>>,
 }
+
+/// Distances of the certified hop-limited kernel and every source's
+/// parent row.
+type CertifiedRows = (Vec<Dist>, Vec<u32>);
 
 /// One source's distances and parents from the Dijkstra sweep.
 type SweptTree = (Vec<Dist>, Vec<Option<u32>>);
@@ -149,6 +158,52 @@ fn hop_inputs(seed: u64) -> (WeightedGraph, Vec<usize>) {
     }
     let sources = (0..HOP_SOURCES).map(|_| rng.below(KERNEL_N)).collect();
     (g, sources)
+}
+
+/// Hopset-shaped input of the certified kernel: a base graph whose first
+/// half is a path (every vertex deeper than `HOP_LIMIT` from some other)
+/// and whose second half is a hub with seeded chords (depth ≤ 2), the
+/// union of that graph with seeded shortcuts weighing their endpoints'
+/// base distance plus 0–2, and sources on both halves, so both sides of
+/// the BFS depth check run.
+fn union_inputs(seed: u64) -> (Graph, WeightedGraph, Vec<usize>) {
+    let mut rng = Xorshift::new(seed ^ 0xce27);
+    let half = KERNEL_N / 2;
+    let mut edges: Vec<(usize, usize)> = (1..half).map(|v| (v - 1, v)).collect();
+    edges.extend((half + 1..KERNEL_N).map(|v| (half, v)));
+    for _ in 0..KERNEL_N {
+        edges.push((half + rng.below(half), half + rng.below(half)));
+    }
+    let base = Graph::from_edges(KERNEL_N, &edges);
+    let mut shortcuts = WeightedGraph::new(KERNEL_N);
+    for _ in 0..2 * KERNEL_N {
+        let u = rng.below(KERNEL_N);
+        let d = bfs::sssp(&base, u);
+        let v = rng.below(KERNEL_N);
+        if v != u && d[v] < INF {
+            shortcuts.add_edge(u, v, d[v] + rng.below(3) as Dist);
+        }
+    }
+    let union = WeightedGraph::union_of(&base, &shortcuts);
+    let sources = (0..HOP_SOURCES)
+        .map(|i| (i % 2) * half + rng.below(half))
+        .collect();
+    (base, union, sources)
+}
+
+/// The certified kernel's distances and every source's parent row filled
+/// on demand: the rows a caller recording every pair would read.
+fn certified_rows(
+    base_degree: &[u32],
+    union: &WeightedGraph,
+    sources: &[usize],
+    threads: usize,
+) -> CertifiedRows {
+    let dist = dijkstra::hop_limited_over_union(union, base_degree, sources, HOP_LIMIT, threads);
+    let mut parents = vec![u32::MAX; sources.len() * union.n()];
+    let all = vec![true; sources.len()];
+    dijkstra::fill_hop_parents(union, sources, HOP_LIMIT, threads, &all, &mut parents);
+    (dist, parents)
 }
 
 fn engine_words(seed: u64) -> Vec<Vec<u64>> {
@@ -215,6 +270,25 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         dijkstra::hop_limited_from_sources(&hop_graph, &hop_sources, HOP_LIMIT, 1, false);
     let hop_parents =
         dijkstra::hop_limited_from_sources(&hop_graph, &hop_sources, HOP_LIMIT, 1, true);
+    let (union_base, union_graph, union_sources) = union_inputs(seed);
+    let union_degree: Vec<u32> = (0..KERNEL_N).map(|u| union_base.degree(u) as u32).collect();
+    let union_rows = certified_rows(&union_degree, &union_graph, &union_sources, 1);
+    let deep: Vec<bool> = union_sources
+        .iter()
+        .map(|&s| {
+            bfs::sssp(&union_base, s)
+                .iter()
+                .any(|&d| d < INF && d as usize > HOP_LIMIT)
+        })
+        .collect();
+    if !(deep.contains(&true) && deep.contains(&false)) {
+        return Err("certified kernel input misses a side of the depth check".into());
+    }
+    let (bf_dist, bf_parents) =
+        dijkstra::hop_limited_from_sources(&union_graph, &union_sources, HOP_LIMIT, 1, true);
+    if union_rows.0 != bf_dist || bf_parents.as_ref() != Some(&union_rows.1) {
+        return Err("certified kernel differs from the Bellman–Ford kernel".into());
+    }
     let sweep_trees = sweep_trees(&hop_graph, 1);
     let engine_words = engine_words(seed);
     let engine_collected = run_engine(&engine_words, 1)?;
@@ -227,6 +301,10 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         hop_sources,
         hop_plain,
         hop_parents,
+        union_degree,
+        union_graph,
+        union_sources,
+        union_rows,
         sweep_trees,
         engine_words,
         engine_collected,
@@ -420,6 +498,20 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
             );
         }
 
+        let got = certified_rows(
+            &base.union_degree,
+            &base.union_graph,
+            &base.union_sources,
+            hop_threads,
+        );
+        if got != base.union_rows {
+            fail(
+                &mut summary,
+                "hop-certified",
+                format!("threads={hop_threads}: distances or parents differ from serial"),
+            );
+        }
+
         let engine_threads = 1 + rng.below(max_threads);
         match run_engine(&base.engine_words, engine_threads) {
             Ok(collected) if collected == base.engine_collected => {}
@@ -442,7 +534,7 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 format!("threads={sweep_threads}: distances or parents differ from serial"),
             );
         }
-        summary.comparisons += 5;
+        summary.comparisons += 6;
 
         if iter % SERVE_EVERY == 0 {
             summary.serve_bursts += 1;
@@ -482,6 +574,7 @@ mod tests {
         let b = baseline(42).expect("baseline");
         assert_eq!(a.sparse_product, b.sparse_product);
         assert_eq!(a.hop_parents, b.hop_parents);
+        assert_eq!(a.union_rows, b.union_rows);
         assert_eq!(a.sweep_trees, b.sweep_trees);
         assert_eq!(a.engine_collected, b.engine_collected);
         assert_eq!(a.query_answers, b.query_answers);

@@ -79,7 +79,7 @@ pub fn apsp(g: &Graph, eps: f64, rng: &mut impl Rng, ledger: &mut RoundLedger) -
         // Unbounded hopset (t = n): Θ(log²n/ε) rounds.
         let hp = HopsetParams::paper(n, t, (eps / 2.0).min(0.9));
         let hs = hopset::build_randomized(g, hp, rng, &mut phase);
-        let sd = SourceDetection::run(&hs.union, &pivots, hs.beta, hs.params.threads, &mut phase);
+        let sd = SourceDetection::over_hopset(&hs, &pivots, hs.params.threads, &mut phase);
         for v in 0..n {
             for (a, d) in sd.detected(v) {
                 improve(&mut est, v, a, d);

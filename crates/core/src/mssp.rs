@@ -226,31 +226,28 @@ pub(crate) fn run(
         store.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
     }
     substrates.timed("source_detection", || {
-        let sd = match &paths {
-            Some(_) => {
-                SourceDetection::run_with_parents(&hs.union, sources, hs.beta, threads, &mut phase)
-            }
-            None => SourceDetection::run(&hs.union, sources, hs.beta, threads, &mut phase),
-        };
+        let mut sd = SourceDetection::over_hopset(&hs, sources, threads, &mut phase);
+        // Lower the estimates first, then set the lowered cells' chains in
+        // the same order (`pipeline::detect_pivots`).
+        let mut lowered: Vec<(u32, u32)> = Vec::new();
         for (i, row) in estimates.iter_mut().enumerate() {
             for (v, est) in row.iter_mut().enumerate() {
                 let short = sd.dist_to_source_index(v, i);
                 if short < *est {
                     *est = short;
-                    if let Some(store) = paths.as_mut() {
-                        let chain: Vec<u32> = sd
-                            .chain(i, v)
-                            .expect("detected pair has a chain")
-                            .into_iter()
-                            .map(|x| x as u32)
-                            .collect();
-                        store.set_walk(g, i, &chain);
+                    if paths.is_some() {
+                        lowered.push((i as u32, v as u32));
                     }
                 }
                 if v == sources[i] {
                     *est = 0;
                 }
             }
+        }
+        if let Some(store) = paths.as_mut() {
+            pipeline::set_detected_walks(&hs.union, &mut sd, &lowered, threads, |i, chain| {
+                store.set_walk(g, i, chain);
+            });
         }
     });
     // Adjacency is known locally.

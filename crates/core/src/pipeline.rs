@@ -13,7 +13,7 @@ use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::params::ParamError;
 use cc_emulator::{deterministic, whp, Emulator, EmulatorParams};
 use cc_graphs::dijkstra::{self, DialWorkspace};
-use cc_graphs::{Dist, Graph, INF};
+use cc_graphs::{Dist, Graph, WeightedGraph, INF};
 use cc_obs::StageTimes;
 use cc_routes::{BatchRef, PathStore, RecId, RecordBatch, RouteArena, RowStore, Unroller};
 use cc_toolkit::hopset::{self, BoundedHopset, HopsetParams};
@@ -467,11 +467,14 @@ fn intern_tree(
 
 /// `(S,d)`-source detection from `pivots` over the union `G' ∪ H` the
 /// hopset `hs` keeps (`G'` = the graph it was built on, `hs.beta` hops,
-/// sharded over `threads`): lowers `δ(v, s)`
-/// for every detected pair and, when recording, sets the detection chain
-/// of each pair it lowered as a walk over `g` (the caller has absorbed the
-/// hopset's routes, so its shortcut hops resolve). Only those chains are
-/// walked and interned.
+/// sharded over `threads`): lowers `δ(v, s)` for every detected pair
+/// and, when recording, sets the detection chain of each pair it lowered
+/// as a walk over `g` (the caller has absorbed the hopset's routes, so its
+/// shortcut hops resolve). Only those chains are walked and interned, and
+/// only the sources that own one get a Bellman–Ford parent row: `δ` is
+/// lowered first, then the chains are set in the same `(v, s)` order, so
+/// the witnesses and the arena are those of setting each as it is lowered
+/// (DESIGN.md §7.4).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn detect_pivots(
     g: &Graph,
@@ -479,25 +482,47 @@ pub(crate) fn detect_pivots(
     pivots: &[usize],
     threads: usize,
     delta: &mut DistanceMatrix,
-    mut paths: Option<&mut PathStore>,
+    paths: Option<&mut PathStore>,
     ledger: &mut RoundLedger,
 ) {
-    let sd = match paths {
-        Some(_) => SourceDetection::run_with_parents(&hs.union, pivots, hs.beta, threads, ledger),
-        None => SourceDetection::run(&hs.union, pivots, hs.beta, threads, ledger),
-    };
+    let mut sd = SourceDetection::over_hopset(hs, pivots, threads, ledger);
+    // Recording only: the lowered pairs `(source index, v)`, in order.
+    let mut lowered: Vec<(u32, u32)> = Vec::new();
     for v in 0..g.n() {
         for (i, &s) in pivots.iter().enumerate() {
-            let d = sd.dist_to_source_index(v, i);
-            if !delta.improve(v, s, d) {
-                continue;
-            }
-            if let Some(p) = paths.as_deref_mut() {
-                let chain = sd.chain(i, v).expect("detected pair has a chain");
-                let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
-                p.set_walk(g, &chain);
+            if delta.improve(v, s, sd.dist_to_source_index(v, i)) && paths.is_some() {
+                lowered.push((i as u32, v as u32));
             }
         }
+    }
+    if let Some(p) = paths {
+        set_detected_walks(&hs.union, &mut sd, &lowered, threads, |_, chain| {
+            p.set_walk(g, chain);
+        });
+    }
+}
+
+/// Computes the parent rows of the sources in `lowered` (pairs
+/// `(source index, v)`) and hands each pair's source index and detection
+/// chain to `set`, in `lowered` order.
+pub(crate) fn set_detected_walks(
+    union: &WeightedGraph,
+    sd: &mut SourceDetection,
+    lowered: &[(u32, u32)],
+    threads: usize,
+    mut set: impl FnMut(usize, &[u32]),
+) {
+    sd.record_parents(union, lowered.iter().map(|&(i, _)| i as usize), threads);
+    let mut chain: Vec<u32> = Vec::new();
+    for &(i, v) in lowered {
+        chain.clear();
+        chain.extend(
+            sd.chain(i as usize, v as usize)
+                .expect("detected pair has a chain")
+                .into_iter()
+                .map(|x| x as u32),
+        );
+        set(i as usize, &chain);
     }
 }
 
@@ -632,7 +657,8 @@ mod tests {
         reference: &mut OfferAll,
         ledger: &mut RoundLedger,
     ) {
-        let sd = SourceDetection::run_with_parents(&hs.union, pivots, hs.beta, 1, ledger);
+        let mut sd = SourceDetection::over_hopset(hs, pivots, 1, ledger);
+        sd.record_parents(&hs.union, 0..pivots.len(), 1);
         for v in 0..g.n() {
             for (i, &s) in pivots.iter().enumerate() {
                 let d = sd.dist_to_source_index(v, i);
@@ -684,43 +710,89 @@ mod tests {
             .count()
     }
 
+    /// A store seeded with the adjacency plus, for every third vertex, its
+    /// shortest path to each pivot at one more than the exact distance, so
+    /// detection chains at that distance tie, shorter ones win, and most
+    /// `Via` offers improve a pair; and the recording hopset of `g`.
+    fn seeded_store(
+        g: &Graph,
+        pivots: &[usize],
+    ) -> (Arc<BoundedHopset>, DistanceMatrix, PathStore) {
+        let n = g.n();
+        let mut ledger = RoundLedger::new(n);
+        let params = HopsetParams::scaled(n, 8, 0.5).with_paths(true);
+        let hs = hopset::build_deterministic(g, params, &mut ledger);
+        let mut delta = DistanceMatrix::new(n);
+        let mut store = PathStore::new(n);
+        for (u, v) in g.edges() {
+            delta.improve(u, v, 1);
+            store.set_edge(u, v);
+        }
+        let unit = WeightedGraph::from_unweighted(g);
+        for &s in pivots {
+            let tree = dijkstra::sssp_tree(&unit, s);
+            for v in (0..n).step_by(3).filter(|&v| v != s) {
+                let Some(path) = tree.path_to(v) else {
+                    continue;
+                };
+                let path: Vec<u32> = path.iter().map(|&x| x as u32).collect();
+                if delta.improve(s, v, tree.dist(v) + 1) {
+                    store.set_walk(g, &path);
+                }
+            }
+        }
+        (Arc::new(hs), delta, store)
+    }
+
+    /// A recording session's long-range table (the emulator distances and
+    /// the adjacency, with their witnesses) and the session's apsp2-size
+    /// hopset of `g`.
+    fn session_store(g: &Graph) -> (Arc<BoundedHopset>, DistanceMatrix, PathStore) {
+        let n = g.n();
+        let cfg = emulator_config(n, 0.5, ParamProfile::Scaled)
+            .unwrap()
+            .with_paths(true);
+        let mut subs = Substrates::default();
+        let mut mode = Mode::Det;
+        let mut ledger = RoundLedger::new(n);
+        let (delta, store) = collect_emulator(g, &cfg, &mut mode, &mut subs, &mut ledger);
+        let t = threshold(n, 0.5, ParamProfile::Scaled).unwrap();
+        let on = HopsetGraph::Input;
+        let hs = subs.hopset_for(on, g, (2 * t, 0.25), &cfg, &mut mode, &mut ledger);
+        (hs, delta, store.expect("recording session"))
+    }
+
     /// The filtered detection and routing sets leave the same witnesses
     /// and the same arena as offering everything against a separate value
-    /// table, on inputs where those offers do win. The store starts from
-    /// the adjacency plus, for every third vertex, its shortest path to
-    /// each pivot at one more than the exact distance, so detection chains
-    /// at that distance tie, shorter ones win, and most `Via` offers
-    /// improve a pair.
+    /// table, on inputs where those offers do win: seeded stores
+    /// ([`seeded_store`]), among them a two-component graph with pivots
+    /// on both sides of the BFS depth check (a long path, a clique ring),
+    /// and a recording session's long-range table, which detection lowers.
     #[test]
     fn filtered_offers_match_offering_everything() {
         let mut rng = ChaCha8Rng::seed_from_u64(29);
-        for (name, g) in [
-            ("grid", generators::grid(7, 9)),
-            ("caveman", generators::caveman(6, 6)),
-            ("gnp", generators::connected_gnp(80, 0.06, &mut rng)),
+        let mut two_parts: Vec<(usize, usize)> = (0..39).map(|v| (v, v + 1)).collect();
+        two_parts.extend(
+            generators::caveman(5, 5)
+                .edges()
+                .map(|(u, v)| (u + 40, v + 40)),
+        );
+        let session_graph = generators::connected_gnp(150, 0.03, &mut rng);
+        for (name, g, session) in [
+            ("grid", generators::grid(7, 9), false),
+            ("caveman", generators::caveman(6, 6), false),
+            ("gnp", generators::connected_gnp(80, 0.06, &mut rng), false),
+            ("two parts", Graph::from_edges(65, &two_parts), false),
+            ("session", session_graph, true),
         ] {
             let n = g.n();
             let mut ledger = RoundLedger::new(n);
-            let params = HopsetParams::scaled(n, 8, 0.5).with_paths(true);
-            let hs = hopset::build_deterministic(&g, params, &mut ledger);
             let pivots: Vec<usize> = (0..n).step_by(5).collect();
-            let mut delta = DistanceMatrix::new(n);
-            let mut store = PathStore::new(n);
-            for (u, v) in g.edges() {
-                delta.improve(u, v, 1);
-                store.set_edge(u, v);
-            }
-            let unit = cc_graphs::WeightedGraph::from_unweighted(&g);
-            for &s in &pivots {
-                let tree = dijkstra::sssp_tree(&unit, s);
-                for v in (0..n).step_by(3).filter(|&v| v != s) {
-                    let path: Vec<u32> =
-                        tree.path_to(v).unwrap().iter().map(|&x| x as u32).collect();
-                    if delta.improve(s, v, tree.dist(v) + 1) {
-                        store.set_walk(&g, &path);
-                    }
-                }
-            }
+            let (hs, mut delta, mut store) = if session {
+                session_store(&g)
+            } else {
+                seeded_store(&g, &pivots)
+            };
             store.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
             let arena_before = store.arena().len();
 

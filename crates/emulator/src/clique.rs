@@ -220,12 +220,11 @@ pub(crate) fn build_with_levels_and_kn(
         if let (Some(r), Some(hr)) = (routes.as_mut(), hs.routes.as_ref()) {
             r.absorb(hr);
         }
-        let sd = match &routes {
-            Some(_) => {
-                SourceDetection::run_with_parents(&hs.union, &sr, hs.beta, config.threads, ledger)
-            }
-            None => SourceDetection::run(&hs.union, &sr, hs.beta, config.threads, ledger),
-        };
+        let mut sd = SourceDetection::over_hopset(&hs, &sr, config.threads, ledger);
+        if routes.is_some() {
+            // Recording walks every detected pair within the threshold.
+            sd.record_parents(&hs.union, 0..sr.len(), config.threads);
+        }
         let threshold = ((1.0 + config.eps_prime) * t as f64).ceil() as Dist;
         for &v in &sr {
             for (i, &s) in sr.iter().enumerate() {

@@ -1,6 +1,7 @@
 //! Shortest paths on weighted graphs: a bucket-queue Dijkstra and
 //! hop-limited Bellman–Ford (the computation behind `(S,d)`-source
-//! detection).
+//! detection), with a BFS certificate that skips Bellman–Ford over hopset
+//! unions when the hop bound cannot bind.
 
 use crate::dist::{dadd, Dist, INF};
 use crate::graph::WeightedGraph;
@@ -149,12 +150,24 @@ pub fn sweep<T: Send>(
     threads: usize,
     fill: impl Fn(&mut DialWorkspace, usize, &mut T) + Sync,
 ) {
+    sharded(items, threads, || DialWorkspace::new(max_weight), fill);
+}
+
+/// The sharding behind [`sweep`] and the hop-limited kernels: contiguous
+/// runs of `items` over `threads` scoped workers, each with its own
+/// `scratch()`, calling `fill(scratch, i, &mut items[i])` once per item.
+fn sharded<S, T: Send>(
+    items: &mut [T],
+    threads: usize,
+    scratch: impl Fn() -> S + Sync,
+    fill: impl Fn(&mut S, usize, &mut T) + Sync,
+) {
     let threads = threads.clamp(1, items.len().max(1));
     let shard = items.len().div_ceil(threads);
     let run = |first: usize, chunk: &mut [T]| {
-        let mut ws = DialWorkspace::new(max_weight);
+        let mut s = scratch();
         for (i, item) in chunk.iter_mut().enumerate() {
-            fill(&mut ws, first + i, item);
+            fill(&mut s, first + i, item);
         }
     };
     if threads == 1 {
@@ -256,10 +269,11 @@ fn path_from_parents(parent: &[Option<u32>], src: usize, dst: usize) -> Option<V
 /// recorded prefix.
 ///
 /// This is the centralized computation performed by the `(S,d)`-source
-/// detection primitive of Thm 11; the round cost is charged separately by
-/// the caller. Every source runs its own search and writes only its own
-/// rows, which are allocated before any worker starts, so the output is
-/// bit-identical at any thread count.
+/// detection primitive of Thm 11 on an arbitrary weighted graph; the round
+/// cost is charged separately by the caller. Searches over a hopset union
+/// go through [`hop_limited_over_union`] instead. Every source runs its
+/// own search and writes only its own rows, which are allocated before any
+/// worker starts, so the output is bit-identical at any thread count.
 pub fn hop_limited_from_sources(
     g: &WeightedGraph,
     sources: &[usize],
@@ -270,59 +284,216 @@ pub fn hop_limited_from_sources(
     let n = g.n();
     let mut dist = vec![INF; sources.len() * n];
     let mut parents = with_parents.then(|| vec![u32::MAX; sources.len() * n]);
-    if sources.is_empty() {
-        return (dist, parents);
-    }
-    let threads = threads.clamp(1, sources.len());
-    let shard = sources.len().div_ceil(threads);
-    let dist_shards = dist.chunks_mut(shard * n);
-    let mut parent_shards = parents.as_mut().map(|p| p.chunks_mut(shard * n));
-    let jobs = sources.chunks(shard).zip(dist_shards).map(|(srcs, rows)| {
-        let prows = parent_shards
-            .as_mut()
-            .map(|p| p.next().expect("one shard per chunk"));
-        (srcs, rows, prows)
-    });
-    if threads == 1 {
-        for (srcs, rows, prows) in jobs {
-            hop_limited_rows(g, srcs, h, rows, prows);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for (srcs, rows, prows) in jobs {
-                scope.spawn(move || hop_limited_rows(g, srcs, h, rows, prows));
-            }
-        });
-    }
+    let mut rows = hop_rows(sources, n, &mut dist, parents.as_deref_mut());
+    sharded(
+        &mut rows,
+        threads,
+        || BellmanFord::new(n),
+        |bf, _, row| bf.run(g, row.src, h, row.dist, row.parents.as_deref_mut()),
+    );
     (dist, parents)
 }
 
-/// One worker's share of [`hop_limited_from_sources`]: the searches from
-/// `sources`, each written into its own `n`-entry row of `rows` (and of
-/// `parents` when tracked). Sources are independent, and per-source
-/// frontiers settle much faster in practice than a joint sweep.
-fn hop_limited_rows(
+/// The distance rows of [`hop_limited_from_sources`] over a hopset union
+/// `G ∪ H`, bit for bit, without parents ([`fill_hop_parents`] computes a
+/// source's row where a caller needs it). `base_degree[u]` is the degree
+/// of `u` in the graph `G` the hopset was built on.
+///
+/// The first `base_degree[u]` entries of `u`'s union list must be its `G`
+/// edges at weight 1 ([`WeightedGraph::union_of`]), and the other edges
+/// must weigh at least their endpoints' `G` distance, as hopset edges do.
+/// Then no walk from `s` to `v` weighs less than `d_G(s,v)`, and the BFS
+/// path of `G` realizes it in `d_G(s,v)` hops. So when every vertex `G`
+/// reaches from `s` lies within `h` hops of it, the BFS row of `G` is the
+/// exact `h`-hop row of the union, unreached vertices included. Each
+/// source runs that BFS first, stopping as soon as it finds a vertex
+/// deeper than `h`; only those deeper sources run the Bellman–Ford search.
+/// The sources are sharded as in [`hop_limited_from_sources`], so the
+/// output is bit-identical at any thread count.
+///
+/// # Panics
+///
+/// Panics if `base_degree` does not hold one degree per vertex.
+pub fn hop_limited_over_union(
+    union: &WeightedGraph,
+    base_degree: &[u32],
+    sources: &[usize],
+    h: usize,
+    threads: usize,
+) -> Vec<Dist> {
+    let n = union.n();
+    assert_eq!(base_degree.len(), n, "one base degree per vertex");
+    debug_assert!(
+        (0..n).all(|u| union
+            .neighbors(u)
+            .get(..base_degree[u] as usize)
+            .is_some_and(|head| head.iter().all(|&(_, w)| w == 1))),
+        "each union list must begin with the base graph's neighbours at weight 1"
+    );
+    let mut dist = vec![INF; sources.len() * n];
+    let mut rows = hop_rows(sources, n, &mut dist, None);
+    sharded(
+        &mut rows,
+        threads,
+        || (BellmanFord::new(n), Vec::new()),
+        |(bf, queue), _, row| {
+            if !bfs_within(union, base_degree, row.src, h, row.dist, queue) {
+                bf.run(union, row.src, h, row.dist, None);
+            }
+        },
+    );
+    dist
+}
+
+/// Replaces row `i` of the source-major `parents` with the Bellman–Ford
+/// predecessor row of `sources[i]` over `g` at hop bound `h`, for every
+/// `i` with `wanted[i]`: the row [`hop_limited_from_sources`] records for
+/// that source, since each source's search is independent of the others.
+/// The wanted rows are sharded over `threads` workers.
+///
+/// # Panics
+///
+/// Panics if `wanted` or `parents` does not match `sources`.
+pub fn fill_hop_parents(
     g: &WeightedGraph,
     sources: &[usize],
     h: usize,
-    rows: &mut [Dist],
-    mut parents: Option<&mut [u32]>,
+    threads: usize,
+    wanted: &[bool],
+    parents: &mut [u32],
 ) {
     let n = g.n();
-    let mut slot = vec![usize::MAX; n];
-    // Frontier entries carry the distance at enqueue time so that a value
-    // improved during hop j only propagates at hop j+1 (strict synchronous
-    // hop semantics).
-    let mut frontier: Vec<(usize, Dist)> = Vec::new();
-    let mut next: Vec<(usize, Dist)> = Vec::new();
-    for (i, (&src, cur)) in sources.iter().zip(rows.chunks_mut(n)).enumerate() {
-        let mut parent = parents.as_deref_mut().map(|p| &mut p[i * n..(i + 1) * n]);
+    assert_eq!(wanted.len(), sources.len(), "one flag per source");
+    assert_eq!(
+        parents.len(),
+        sources.len() * n,
+        "one parent row per source"
+    );
+    let mut rows: Vec<(usize, &mut [u32])> = sources
+        .iter()
+        .zip(parents.chunks_mut(n.max(1)))
+        .zip(wanted)
+        .filter(|&(_, &want)| want)
+        .map(|((&src, row), _)| (src, row))
+        .collect();
+    sharded(
+        &mut rows,
+        threads,
+        || (BellmanFord::new(n), vec![INF; n]),
+        |(bf, cur), _, (src, row)| {
+            cur.fill(INF);
+            row.fill(u32::MAX);
+            bf.run(g, *src, h, cur, Some(row));
+        },
+    );
+}
+
+/// One source's output rows in a hop-limited search.
+struct HopRow<'a> {
+    src: usize,
+    dist: &'a mut [Dist],
+    parents: Option<&'a mut [u32]>,
+}
+
+/// Splits source-major `dist` (and `parents`) into one row per source.
+fn hop_rows<'a>(
+    sources: &[usize],
+    n: usize,
+    dist: &'a mut [Dist],
+    parents: Option<&'a mut [u32]>,
+) -> Vec<HopRow<'a>> {
+    let mut parent_rows = parents.map(|p| p.chunks_mut(n.max(1)));
+    sources
+        .iter()
+        .zip(dist.chunks_mut(n.max(1)))
+        .map(|(&src, dist)| HopRow {
+            src,
+            dist,
+            parents: parent_rows
+                .as_mut()
+                .map(|p| p.next().expect("one parent row per source")),
+        })
+        .collect()
+}
+
+/// The BFS certificate of [`hop_limited_over_union`]: searches the base
+/// graph (the first `base_degree[u]` edges of each union list) from `src`
+/// into `row` (all `INF` on entry) and returns `true` when every reached
+/// vertex lies within `h` hops. Otherwise it stops at the first vertex
+/// deeper than `h`, restores the entries it wrote to `INF` and returns
+/// `false`. `queue` is scratch.
+fn bfs_within(
+    union: &WeightedGraph,
+    base_degree: &[u32],
+    src: usize,
+    h: usize,
+    row: &mut [Dist],
+    queue: &mut Vec<u32>,
+) -> bool {
+    queue.clear();
+    row[src] = 0;
+    queue.push(src as u32);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let u = u as usize;
+        let du = row[u];
+        for &(v, _) in &union.neighbors(u)[..base_degree[u] as usize] {
+            if row[v as usize] < INF {
+                continue;
+            }
+            if du as usize >= h {
+                for &x in queue.iter() {
+                    row[x as usize] = INF;
+                }
+                return false;
+            }
+            row[v as usize] = du + 1;
+            queue.push(v);
+        }
+    }
+    true
+}
+
+/// Per-worker scratch of the hop-limited Bellman–Ford: the frontier of
+/// the current hop, the next one, and each vertex's slot in the next.
+/// Sources are independent, and per-source frontiers settle much faster
+/// in practice than a joint sweep.
+struct BellmanFord {
+    slot: Vec<usize>,
+    frontier: Vec<(usize, Dist)>,
+    next: Vec<(usize, Dist)>,
+}
+
+impl BellmanFord {
+    fn new(n: usize) -> Self {
+        BellmanFord {
+            slot: vec![usize::MAX; n],
+            frontier: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// The `h`-hop search from `src` over `g` into `cur` (all `INF` on
+    /// entry), and into `parent` (all `u32::MAX` on entry) when tracked.
+    fn run(
+        &mut self,
+        g: &WeightedGraph,
+        src: usize,
+        h: usize,
+        cur: &mut [Dist],
+        mut parent: Option<&mut [u32]>,
+    ) {
+        let (slot, frontier, next) = (&mut self.slot, &mut self.frontier, &mut self.next);
+        // Frontier entries carry the distance at enqueue time so that a
+        // value improved during hop j only propagates at hop j+1 (strict
+        // synchronous hop semantics).
         cur[src] = 0;
         frontier.clear();
         frontier.push((src, 0));
         for _hop in 0..h {
             next.clear();
-            for &(u, du) in &frontier {
+            for &(u, du) in frontier.iter() {
                 for &(v, w) in g.neighbors(u) {
                     let v = v as usize;
                     let nd = dadd(du, w);
@@ -343,10 +514,10 @@ fn hop_limited_rows(
             if next.is_empty() {
                 break;
             }
-            for &(v, _) in &next {
+            for &(v, _) in next.iter() {
                 slot[v] = usize::MAX;
             }
-            std::mem::swap(&mut frontier, &mut next);
+            std::mem::swap(frontier, next);
         }
     }
 }
@@ -598,6 +769,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "base graph's neighbours at weight 1")]
+    fn certified_kernel_checks_the_union_layout() {
+        // The shortcut, not the base edge 0–1, leads vertex 0's list.
+        let g = generators::path(4);
+        let mut union = WeightedGraph::from_edges(4, &[(0, 3, 3)]);
+        for (u, v) in g.edges() {
+            union.add_edge(u, v, 1);
+        }
+        let degree: Vec<u32> = (0..4).map(|u| g.degree(u) as u32).collect();
+        let _ = hop_limited_over_union(&union, &degree, &[0], 3, 1);
     }
 
     /// The binary-heap Dijkstra the bucket queue replaced, kept as the

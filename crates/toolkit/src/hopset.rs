@@ -151,18 +151,24 @@ pub struct BoundedHopset {
     /// earlier iterations — the arena's append-only order is the
     /// termination argument (`DESIGN.md` §8.2).
     pub routes: Option<Unroller>,
+    /// Each vertex's degree in the graph `G` the hopset was built on: the
+    /// length of the `G` prefix of its `union` list.
+    pub(crate) base_degree: Vec<u32>,
 }
 
 impl BoundedHopset {
-    /// The hopset edges `H` of the hopset built on `g`, as `(u, v, w)` with
-    /// `u < v`, in the order they were added per vertex `u`.
-    pub fn edges<'a>(&'a self, g: &'a Graph) -> impl Iterator<Item = (usize, usize, Dist)> + 'a {
-        (0..g.n()).flat_map(move |u| {
-            self.union.neighbors(u)[g.degree(u)..]
-                .iter()
-                .filter(move |&&(v, _)| (v as usize) > u)
-                .map(move |&(v, w)| (u, v as usize, w))
-        })
+    /// The hopset edges `H`, as `(u, v, w)` with `u < v`, in the order they
+    /// were added per vertex `u`.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize, Dist)> + '_ {
+        self.base_degree
+            .iter()
+            .enumerate()
+            .flat_map(move |(u, &deg)| {
+                self.union.neighbors(u)[deg as usize..]
+                    .iter()
+                    .filter(move |&&(v, _)| (v as usize) > u)
+                    .map(move |&(v, w)| (u, v as usize, w))
+            })
     }
 
     /// Verifies the hopset guarantee from the given sample vertices: for
@@ -274,10 +280,11 @@ fn build_from_pivots(
     ledger: &mut RoundLedger,
 ) -> BoundedHopset {
     let (h, mut routes) = bunches(g, &params, &a1, kn);
+    let base_degree: Vec<u32> = (0..g.n()).map(|u| g.degree(u) as u32).collect();
     let union = if a1.is_empty() {
         WeightedGraph::union_of(g, &h)
     } else {
-        interconnect(g, &params, &a1, h, routes.as_mut(), ledger)
+        interconnect(g, &base_degree, &params, &a1, h, routes.as_mut(), ledger)
     };
     BoundedHopset {
         union,
@@ -285,6 +292,7 @@ fn build_from_pivots(
         params,
         a1,
         routes,
+        base_degree,
     }
 }
 
@@ -376,6 +384,7 @@ fn bunches(
 /// appended in place (`DESIGN.md` §7.4).
 fn interconnect(
     g: &Graph,
+    base_degree: &[u32],
     params: &HopsetParams,
     a1: &[usize],
     mut h: WeightedGraph,
@@ -398,8 +407,15 @@ fn interconnect(
     for ell in 1..=iterations {
         let mut union = WeightedGraph::union_of(g, &h);
         charge(ledger, ell, &union);
-        let (dist, parents) =
-            dijkstra::hop_limited_from_sources(&union, a1, hops, params.threads, routes.is_some());
+        let dist = dijkstra::hop_limited_over_union(&union, base_degree, a1, hops, params.threads);
+        // Recording walks every reached pair, so every pivot needs its
+        // parent row.
+        let parents = routes.is_some().then(|| {
+            let mut rows = vec![u32::MAX; a1.len() * n];
+            let all = vec![true; a1.len()];
+            dijkstra::fill_hop_parents(&union, a1, hops, params.threads, &all, &mut rows);
+            rows
+        });
         let mut dists = Vec::new();
         let mut reached: Vec<(usize, usize, Dist)> = Vec::new();
         let mut replaced = false;
@@ -625,7 +641,7 @@ mod tests {
                         };
                         let tag = format!("{name} rng={randomized} rec={record} t={threads}");
                         assert_eq!(
-                            hs.edges(g).collect::<Vec<_>>(),
+                            hs.edges().collect::<Vec<_>>(),
                             h.edges().collect::<Vec<_>>(),
                             "{tag}: H"
                         );
@@ -723,7 +739,7 @@ mod tests {
             for &b in &hs.a1 {
                 if a < b && exact[a][b] <= params.t {
                     let w = hs
-                        .edges(&g)
+                        .edges()
                         .filter(|&(x, y, _)| (x, y) == (a.min(b), a.max(b)))
                         .map(|(_, _, w)| w)
                         .min();
@@ -758,7 +774,7 @@ mod tests {
             );
             assert!(plain.routes.is_none());
             let routes = hs.routes.as_ref().expect("routes recorded");
-            for (u, v, w) in hs.edges(&g) {
+            for (u, v, w) in hs.edges() {
                 let walk = routes
                     .unroll(u, v)
                     .unwrap_or_else(|| panic!("{name}: edge ({u},{v}) has no route"));
@@ -788,7 +804,7 @@ mod tests {
         let hs = build_deterministic(&g, params, &mut ledger);
         let routes = hs.routes.as_ref().expect("routes recorded");
         let exact = cc_graphs::bfs::apsp_exact(&g);
-        for (u, v, w) in hs.edges(&g) {
+        for (u, v, w) in hs.edges() {
             let walk = routes.unroll(u, v).expect("every edge unrolls");
             assert!(walk.len() as Dist >= exact[u][v], "walks cannot undercut");
             assert!(walk.len() as Dist <= w);
@@ -814,7 +830,7 @@ mod tests {
         let mut ledger = RoundLedger::new(60);
         let hs = build_randomized(&g, params, &mut rng, &mut ledger);
         let exact = cc_graphs::bfs::apsp_exact(&g);
-        for (u, v, w) in hs.edges(&g) {
+        for (u, v, w) in hs.edges() {
             assert!(
                 w >= exact[u][v],
                 "edge ({u},{v}) weight {w} < {}",

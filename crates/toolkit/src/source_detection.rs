@@ -8,9 +8,19 @@
 //! Round cost: `O((m^{1/3}|S|^{2/3}/n + 1)·d)` — linear in `d`, which is
 //! exactly why the paper pairs it with hopsets: a `(β, ε, t)`-hopset lets one
 //! call it with `d = β = O(log t / ε)` instead of `d = t`.
+//!
+//! Over a hopset union ([`SourceDetection::over_hopset`]) the local
+//! computation is often far cheaper than `d` hops: a source whose BFS depth
+//! in the hopset's base graph is at most `d` has its BFS row as its exact
+//! row (`dijkstra::hop_limited_over_union`). The charge does not depend on
+//! that. Every run is charged Thm 11's formula at the caller's `d`, which
+//! every hopset caller sets to the worst case `β`, however shallow its
+//! sources are.
 
 use cc_clique::RoundLedger;
 use cc_graphs::{dijkstra, Dist, WeightedGraph, INF};
+
+use crate::hopset::BoundedHopset;
 
 /// Result of an `(S,d)`-source detection run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -21,9 +31,11 @@ pub struct SourceDetection {
     /// Source-major rows: `dist[i * n + v]` = length of the shortest
     /// `≤ hops`-edge path from `v` to `sources[i]`.
     dist: Vec<Dist>,
-    /// Per-source predecessor rows in the same layout (see
-    /// [`SourceDetection::run_with_parents`]).
+    /// Per-source predecessor rows in the same layout, allocated by the
+    /// first [`SourceDetection::record_parents`] that asks for one.
     parents: Option<Vec<u32>>,
+    /// Per source: its parent row has been recorded.
+    recorded: Vec<bool>,
 }
 
 impl SourceDetection {
@@ -41,36 +53,65 @@ impl SourceDetection {
         threads: usize,
         ledger: &mut RoundLedger,
     ) -> Self {
-        Self::run_impl(g, sources, hops, threads, false, ledger)
+        Self::charge(g, sources, hops, ledger);
+        let (dist, _) = dijkstra::hop_limited_from_sources(g, sources, hops, threads, false);
+        Self::new(g, sources, hops, dist)
     }
 
-    /// [`SourceDetection::run`] with per-source predecessor tracking, so
-    /// every detected distance comes with a reconstructible walk over `g`
-    /// ([`SourceDetection::chain`]). Distances and charged rounds are
-    /// identical to [`SourceDetection::run`] — in the model the witnesses
-    /// ride the very messages that carry the distances.
+    /// [`SourceDetection::run`] over the union `G ∪ H` the hopset `hs`
+    /// keeps, at its hop bound `β`. Distances and charged rounds are those
+    /// of [`SourceDetection::run`]; a source whose BFS depth in `G` is at
+    /// most `β` takes its BFS row and skips the Bellman–Ford search.
     ///
     /// # Panics
     ///
     /// Panics if `sources` is empty or contains an out-of-range vertex.
-    pub fn run_with_parents(
-        g: &WeightedGraph,
+    pub fn over_hopset(
+        hs: &BoundedHopset,
         sources: &[usize],
-        hops: usize,
         threads: usize,
         ledger: &mut RoundLedger,
     ) -> Self {
-        Self::run_impl(g, sources, hops, threads, true, ledger)
+        Self::charge(&hs.union, sources, hs.beta, ledger);
+        let dist =
+            dijkstra::hop_limited_over_union(&hs.union, &hs.base_degree, sources, hs.beta, threads);
+        Self::new(&hs.union, sources, hs.beta, dist)
     }
 
-    fn run_impl(
+    /// Records the predecessor rows of the listed source indices, sharded
+    /// over `threads` workers, so the walks behind their detected
+    /// distances are available ([`SourceDetection::chain`]). `g` is the
+    /// graph the run searched. Each row is the one a hop-limited
+    /// Bellman–Ford search from that source records, whatever else is
+    /// recorded: sources are searched independently. In the model the
+    /// witnesses ride the very messages that carry the distances, so
+    /// recording charges nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn record_parents(
+        &mut self,
         g: &WeightedGraph,
-        sources: &[usize],
-        hops: usize,
+        indices: impl IntoIterator<Item = usize>,
         threads: usize,
-        with_parents: bool,
-        ledger: &mut RoundLedger,
-    ) -> Self {
+    ) {
+        let mut wanted = vec![false; self.sources.len()];
+        for i in indices {
+            wanted[i] = !self.recorded[i];
+        }
+        if !wanted.contains(&true) {
+            return;
+        }
+        let rows = self.sources.len() * self.n;
+        let parents = self.parents.get_or_insert_with(|| vec![u32::MAX; rows]);
+        dijkstra::fill_hop_parents(g, &self.sources, self.hops, threads, &wanted, parents);
+        for (recorded, want) in self.recorded.iter_mut().zip(wanted) {
+            *recorded |= want;
+        }
+    }
+
+    fn charge(g: &WeightedGraph, sources: &[usize], hops: usize, ledger: &mut RoundLedger) {
         assert!(!sources.is_empty(), "source detection needs ≥ 1 source");
         assert!(
             sources.iter().all(|&s| s < g.n()),
@@ -83,22 +124,27 @@ impl SourceDetection {
             sources.len() as u64,
             hops as u64,
         );
-        let (dist, parents) =
-            dijkstra::hop_limited_from_sources(g, sources, hops, threads, with_parents);
+    }
+
+    fn new(g: &WeightedGraph, sources: &[usize], hops: usize, dist: Vec<Dist>) -> Self {
         SourceDetection {
             sources: sources.to_vec(),
             hops,
             n: g.n(),
             dist,
-            parents,
+            parents: None,
+            recorded: vec![false; sources.len()],
         }
     }
 
     /// The walk behind the detected distance of `(v, sources[i])`: the
-    /// vertex sequence `sources[i], …, v` over `g`, whose weight is at most
-    /// `dist_to_source_index(v, i)`. `None` when `v` was not detected or
-    /// parents were not recorded.
+    /// vertex sequence `sources[i], …, v` over the searched graph, whose
+    /// weight is at most `dist_to_source_index(v, i)`. `None` when `v` was
+    /// not detected or the source's parents were not recorded.
     pub fn chain(&self, i: usize, v: usize) -> Option<Vec<usize>> {
+        if !self.recorded[i] {
+            return None;
+        }
         let parents = self.parents.as_ref()?;
         let row = &parents[i * self.n..(i + 1) * self.n];
         dijkstra::chain_from_hop_parents(row, self.sources[i], v)
@@ -136,12 +182,6 @@ impl SourceDetection {
             .enumerate()
             .map(move |(i, &s)| (s, self.dist_to_source_index(v, i)))
             .filter(|&(_, d)| d < INF)
-    }
-
-    /// The nearest source to `v` (ties by source order), if any is within
-    /// the hop bound.
-    pub fn nearest_source(&self, v: usize) -> Option<(usize, Dist)> {
-        self.nearest_sources(v, 1).into_iter().next()
     }
 
     /// The `k` nearest detected sources to `v`, sorted by
@@ -204,18 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_source_picks_minimum() {
-        let g = generators::path(9);
-        let wg = weighted(&g);
-        let mut ledger = RoundLedger::new(9);
-        let sd = SourceDetection::run(&wg, &[0, 8], 8, 1, &mut ledger);
-        assert_eq!(sd.nearest_source(1), Some((0, 1)));
-        assert_eq!(sd.nearest_source(7), Some((8, 1)));
-        // Midpoint ties break by source order.
-        assert_eq!(sd.nearest_source(4), Some((0, 4)));
-    }
-
-    #[test]
     fn nearest_k_sources_sorted_and_truncated() {
         let g = generators::path(9);
         let wg = weighted(&g);
@@ -227,6 +255,11 @@ mod tests {
         // Hop-bounded: from vertex 0 with 2 hops only sources within 2 hops.
         let sd = SourceDetection::run(&wg, &[0, 4, 8], 2, 1, &mut ledger);
         assert_eq!(sd.nearest_sources(3, 10), vec![(4, 1)]);
+        // k = 1 is the nearest source; ties break by source id.
+        let sd = SourceDetection::run(&wg, &[8, 0], 8, 1, &mut ledger);
+        assert_eq!(sd.nearest_sources(1, 1), vec![(0, 1)]);
+        assert_eq!(sd.nearest_sources(7, 1), vec![(8, 1)]);
+        assert_eq!(sd.nearest_sources(4, 1), vec![(0, 4)]);
     }
 
     #[test]
@@ -234,16 +267,15 @@ mod tests {
         let g = generators::caveman(4, 5);
         let wg = weighted(&g);
         let sources = [0usize, 9, 17];
-        let mut l1 = RoundLedger::new(g.n());
-        let mut l2 = RoundLedger::new(g.n());
-        let plain = SourceDetection::run(&wg, &sources, 6, 1, &mut l1);
-        let sd = SourceDetection::run_with_parents(&wg, &sources, 6, 3, &mut l2);
-        assert_eq!(l1.total_rounds(), l2.total_rounds(), "same charge");
-        assert!(plain.chain(0, 3).is_none(), "no parents recorded");
+        let mut ledger = RoundLedger::new(g.n());
+        let mut sd = SourceDetection::run(&wg, &sources, 6, 1, &mut ledger);
+        assert!(sd.chain(0, 3).is_none(), "no parents recorded");
+        sd.record_parents(&wg, [0], 1);
+        assert!(sd.chain(1, 3).is_none(), "only the asked rows");
+        sd.record_parents(&wg, 0..sources.len(), 3);
         for (i, &s) in sources.iter().enumerate() {
             for v in 0..g.n() {
                 let d = sd.dist_to_source_index(v, i);
-                assert_eq!(d, plain.dist_to_source_index(v, i), "same distances");
                 if d >= INF {
                     continue;
                 }
@@ -264,6 +296,112 @@ mod tests {
                 assert!(weight <= d, "chain weight {weight} exceeds estimate {d}");
             }
         }
+    }
+
+    /// The certified kernel against the Bellman–Ford kernel on real
+    /// hopset unions: every row, and the parent row of every source asked
+    /// for (and no other), bit for bit, at hop bounds on both sides of the
+    /// sources' BFS depths in the base graph.
+    #[test]
+    fn certified_rows_match_bellman_ford() {
+        use crate::hopset::{self, HopsetParams};
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let mut two_parts: Vec<(usize, usize)> = (0..59).map(|v| (v, v + 1)).collect();
+        two_parts.extend(
+            generators::caveman(4, 6)
+                .edges()
+                .map(|(u, v)| (u + 60, v + 60)),
+        );
+        let graphs = [
+            ("grid 9x11", generators::grid(9, 11)),
+            ("gnp 90", generators::gnp(90, 0.05, &mut rng)),
+            ("caveman 6x8", generators::caveman(6, 8)),
+            ("cycle 240", generators::cycle(240)),
+            ("two parts", Graph::from_edges(84, &two_parts)),
+        ];
+        let (mut certified, mut fallback) = (0usize, 0usize);
+        for (name, g) in &graphs {
+            let n = g.n();
+            let sources: Vec<usize> = (0..n).step_by(7).collect();
+            let depths: Vec<usize> = sources
+                .iter()
+                .map(|&s| {
+                    let d = bfs::sssp(g, s);
+                    d.into_iter().filter(|&x| x < INF).max().unwrap_or(0) as usize
+                })
+                .collect();
+            let (lo, hi) = (*depths.iter().min().unwrap(), *depths.iter().max().unwrap());
+            for randomized in [false, true] {
+                for record in [false, true] {
+                    let params = HopsetParams::scaled(n, 16, 0.5).with_paths(record);
+                    let mut ledger = RoundLedger::new(n);
+                    let hs = if randomized {
+                        hopset::build_randomized(g, params, &mut rng, &mut ledger)
+                    } else {
+                        hopset::build_deterministic(g, params, &mut ledger)
+                    };
+                    let union = &hs.union;
+                    for h in [0, 1, lo.max(1) - 1, (lo + hi) / 2, hi, hs.beta] {
+                        let at = format!("{name} randomized={randomized} record={record} h={h}");
+                        let (want_dist, want_parents) =
+                            dijkstra::hop_limited_from_sources(union, &sources, h, 1, true);
+                        let want_parents = want_parents.unwrap();
+                        certified += depths.iter().filter(|&&d| d <= h).count();
+                        fallback += depths.iter().filter(|&&d| d > h).count();
+                        for threads in 1..=4 {
+                            let at = format!("{at} threads={threads}");
+                            let dist = dijkstra::hop_limited_over_union(
+                                union,
+                                &hs.base_degree,
+                                &sources,
+                                h,
+                                threads,
+                            );
+                            assert_eq!(dist, want_dist, "{at}: rows");
+                            let wanted: Vec<bool> =
+                                (0..sources.len()).map(|i| (i + threads) % 3 != 0).collect();
+                            let mut rows = vec![u32::MAX; sources.len() * n];
+                            dijkstra::fill_hop_parents(
+                                union, &sources, h, threads, &wanted, &mut rows,
+                            );
+                            for (i, &want) in wanted.iter().enumerate() {
+                                let row = &rows[i * n..(i + 1) * n];
+                                if want {
+                                    assert_eq!(row, &want_parents[i * n..(i + 1) * n], "{at}: {i}");
+                                } else {
+                                    assert!(row.iter().all(|&p| p == u32::MAX), "{at}: {i}");
+                                }
+                            }
+                        }
+                    }
+                    // Through the toolkit at `β`: the chains of every pair of
+                    // the sources asked for, and none of the others.
+                    let at = format!("{name} randomized={randomized} record={record}");
+                    let (want_dist, want_parents) =
+                        dijkstra::hop_limited_from_sources(union, &sources, hs.beta, 1, true);
+                    let want_parents = want_parents.unwrap();
+                    let mut sd = SourceDetection::over_hopset(&hs, &sources, 2, &mut ledger);
+                    let asked: Vec<usize> = (0..sources.len()).step_by(2).collect();
+                    sd.record_parents(union, asked.iter().copied(), 3);
+                    for (i, &s) in sources.iter().enumerate() {
+                        let want_row = &want_parents[i * n..(i + 1) * n];
+                        for v in 0..n {
+                            assert_eq!(sd.dist_to_source_index(v, i), want_dist[i * n + v]);
+                            let want = if asked.contains(&i) {
+                                dijkstra::chain_from_hop_parents(want_row, s, v)
+                            } else {
+                                None
+                            };
+                            assert_eq!(sd.chain(i, v), want, "{at}: chain ({i},{v})");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(certified > 0 && fallback > 0, "both kinds of source occur");
     }
 
     #[test]
