@@ -8,8 +8,9 @@
 //! source-sharded hop-limited kernel of `(S,d)`-source detection (plain
 //! and with parents), its certified variant over a hopset-shaped union
 //! (with parents filled on demand), the workspace sweep of bucket-queue
-//! Dijkstras behind the emulator sweep, the sharded congested-clique
-//! engine, and periodically a loopback `ccd` burst — under a perturbed
+//! Dijkstras behind the emulator sweep, two recorded hopsets built through
+//! one shared basis cache, the sharded congested-clique engine, and
+//! periodically a loopback `ccd` burst — under a perturbed
 //! schedule: randomized thread counts, worker and batch-size choices
 //! (which move the queue-pop coalescing points), client-side send jitter,
 //! and background yield-spinner threads that shuffle OS scheduling. Outputs must be **bit-identical** to a serial
@@ -26,15 +27,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cc_clique::cost::CostEntry;
 use cc_clique::engine::{Engine, EngineConfig};
 use cc_clique::programs::AllGather;
-use cc_clique::NodeId;
+use cc_clique::{NodeId, RoundLedger};
 use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
 use cc_graphs::dijkstra;
 use cc_graphs::{bfs, Dist, Graph, StorageKind, WeightedGraph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
+use cc_routes::Unroller;
 use cc_serve::snapshot::Oracles;
 use cc_serve::{serve, Client, ServerConfig};
+use cc_toolkit::hopset::{self, BasisCache, HopsetParams};
+use cc_toolkit::{KNearest, Strategy};
 
 use crate::fuzz::Xorshift;
 
@@ -65,7 +70,8 @@ pub struct ScheduleSummary {
     /// Iterations completed.
     pub iterations: u64,
     /// Kernel comparisons performed (sparse min-plus, hop-limited
-    /// plain/parents, certified hop-limited, Dijkstra sweep, engine).
+    /// plain/parents, certified hop-limited, Dijkstra sweep, shared-basis
+    /// hopsets, engine).
     pub comparisons: u64,
     /// Loopback `ccd` bursts performed.
     pub serve_bursts: u64,
@@ -80,6 +86,9 @@ const KERNEL_N: usize = 48;
 const HOP_SOURCES: usize = 7;
 /// Hop bound of the hop-limited kernel.
 const HOP_LIMIT: usize = 5;
+/// The smaller threshold of the shared-basis hopset requests (`2t`, then
+/// `t`, which cuts the first request's lists on the input's path half).
+const BASIS_T: Dist = 4;
 /// Node count for the engine program.
 const ENGINE_N: usize = 24;
 /// Vertex count for the served oracle.
@@ -101,6 +110,8 @@ struct Baseline {
     union_graph: WeightedGraph,
     union_sources: Vec<usize>,
     union_rows: CertifiedRows,
+    union_base: Graph,
+    basis_hopsets: SharedHopsets,
     sweep_trees: Vec<SweptTree>,
     engine_words: Vec<Vec<u64>>,
     engine_collected: Vec<Vec<u64>>,
@@ -112,6 +123,34 @@ struct Baseline {
 /// Distances of the certified hop-limited kernel and every source's
 /// parent row.
 type CertifiedRows = (Vec<Dist>, Vec<u32>);
+
+/// Per request of [`shared_hopsets`], the union `G ∪ H`, `A₁` and the
+/// routes, plus every ledger entry the requests charged.
+type SharedHopsets = (
+    Vec<(WeightedGraph, Vec<usize>, Option<Unroller>)>,
+    Vec<CostEntry>,
+);
+
+/// Two recorded deterministic hopsets of `g`, at `2t` then `t`, on
+/// `threads` workers: through one shared [`BasisCache`] when `shared`,
+/// else each through a fresh one.
+fn shared_hopsets(g: &Graph, threads: usize, shared: bool) -> SharedHopsets {
+    let mut ledger = RoundLedger::new(g.n());
+    let mut cache = BasisCache::default();
+    let built = [2 * BASIS_T, BASIS_T]
+        .into_iter()
+        .map(|t| {
+            let params = HopsetParams::scaled(g.n(), t, 0.5)
+                .with_threads(threads)
+                .with_paths(true);
+            let mut fresh = BasisCache::default();
+            let basis = if shared { &mut cache } else { &mut fresh };
+            let hs = hopset::build_deterministic(g, params, basis, &mut ledger);
+            (hs.union, hs.a1, hs.routes)
+        })
+        .collect();
+    (built, ledger.entries().to_vec())
+}
 
 /// One source's distances and parents from the Dijkstra sweep.
 type SweptTree = (Vec<Dist>, Vec<Option<u32>>);
@@ -289,6 +328,18 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
     if union_rows.0 != bf_dist || bf_parents.as_ref() != Some(&union_rows.1) {
         return Err("certified kernel differs from the Bellman–Ford kernel".into());
     }
+    let k = HopsetParams::scaled(KERNEL_N, BASIS_T, 0.5).k;
+    let wide = KNearest::compute(
+        &union_base,
+        k,
+        2 * BASIS_T,
+        Strategy::TruncatedBfs,
+        &mut RoundLedger::new(KERNEL_N),
+    );
+    if (0..KERNEL_N).all(|v| wide.radius(v) <= BASIS_T) {
+        return Err("shared-basis input has no list for the second request to cut".into());
+    }
+    let basis_hopsets = shared_hopsets(&union_base, 1, false);
     let sweep_trees = sweep_trees(&hop_graph, 1);
     let engine_words = engine_words(seed);
     let engine_collected = run_engine(&engine_words, 1)?;
@@ -305,6 +356,8 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         union_graph,
         union_sources,
         union_rows,
+        union_base,
+        basis_hopsets,
         sweep_trees,
         engine_words,
         engine_collected,
@@ -534,7 +587,18 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 format!("threads={sweep_threads}: distances or parents differ from serial"),
             );
         }
-        summary.comparisons += 6;
+        let basis_threads = 1 + rng.below(max_threads);
+        if shared_hopsets(&base.union_base, basis_threads, true) != base.basis_hopsets {
+            fail(
+                &mut summary,
+                "hopset-shared-basis",
+                format!(
+                    "threads={basis_threads}: a hopset or a ledger entry differs from \
+                     fresh serial builds"
+                ),
+            );
+        }
+        summary.comparisons += 7;
 
         if iter % SERVE_EVERY == 0 {
             summary.serve_bursts += 1;
@@ -575,6 +639,7 @@ mod tests {
         assert_eq!(a.sparse_product, b.sparse_product);
         assert_eq!(a.hop_parents, b.hop_parents);
         assert_eq!(a.union_rows, b.union_rows);
+        assert_eq!(a.basis_hopsets, b.basis_hopsets);
         assert_eq!(a.sweep_trees, b.sweep_trees);
         assert_eq!(a.engine_collected, b.engine_collected);
         assert_eq!(a.query_answers, b.query_answers);

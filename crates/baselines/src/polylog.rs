@@ -16,7 +16,7 @@
 
 use cc_clique::RoundLedger;
 use cc_graphs::{Dist, Graph, INF};
-use cc_toolkit::hopset::{self, HopsetParams};
+use cc_toolkit::hopset::{self, BasisCache, HopsetParams};
 use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::source_detection::SourceDetection;
 use rand::Rng;
@@ -78,7 +78,7 @@ pub fn apsp(g: &Graph, eps: f64, rng: &mut impl Rng, ledger: &mut RoundLedger) -
     if !pivots.is_empty() {
         // Unbounded hopset (t = n): Θ(log²n/ε) rounds.
         let hp = HopsetParams::paper(n, t, (eps / 2.0).min(0.9));
-        let hs = hopset::build_randomized(g, hp, rng, &mut phase);
+        let hs = hopset::build_randomized(g, hp, rng, &mut BasisCache::default(), &mut phase);
         let sd = SourceDetection::over_hopset(&hs, &pivots, hs.params.threads, &mut phase);
         for v in 0..n {
             for (a, d) in sd.detected(v) {

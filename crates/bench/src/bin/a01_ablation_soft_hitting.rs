@@ -13,6 +13,7 @@ use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::deterministic::{build_with_selector, LevelSelector};
 use cc_emulator::EmulatorParams;
 use cc_graphs::generators;
+use cc_toolkit::BasisCache;
 
 fn main() {
     let mut table = Table::new(
@@ -50,9 +51,21 @@ fn main() {
             let add = params.clique_additive_bound(cfg.eps_prime);
 
             let mut l1 = RoundLedger::new(g.n());
-            let soft = build_with_selector(&g, &cfg, LevelSelector::SoftHitting, &mut l1);
+            let soft = build_with_selector(
+                &g,
+                &cfg,
+                LevelSelector::SoftHitting,
+                &mut BasisCache::default(),
+                &mut l1,
+            );
             let mut l2 = RoundLedger::new(g.n());
-            let plain = build_with_selector(&g, &cfg, LevelSelector::PlainHitting, &mut l2);
+            let plain = build_with_selector(
+                &g,
+                &cfg,
+                LevelSelector::PlainHitting,
+                &mut BasisCache::default(),
+                &mut l2,
+            );
 
             let ok = soft
                 .verify_with_bounds(&g, mult, add, params.size_bound())

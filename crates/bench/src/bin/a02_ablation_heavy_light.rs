@@ -17,6 +17,7 @@ use cc_clique::RoundLedger;
 use cc_emulator::clique::{self, CliqueEmulatorConfig};
 use cc_emulator::EmulatorParams;
 use cc_graphs::generators;
+use cc_toolkit::BasisCache;
 
 fn main() {
     let mut table = Table::new(
@@ -38,7 +39,7 @@ fn main() {
             cfg.k = k;
             let mut r = rng(nn as u64);
             let mut ledger = RoundLedger::new(nn);
-            let emu = clique::build(&g, &cfg, &mut r, &mut ledger);
+            let emu = clique::build(&g, &cfg, &mut r, &mut BasisCache::default(), &mut ledger);
             let report = emu.verify_with_bounds(
                 &g,
                 params.clique_multiplicative_bound(cfg.eps_prime),

@@ -9,7 +9,7 @@ use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::{whp, EmulatorParams};
 use cc_graphs::generators;
-use cc_toolkit::hopset::{self, HopsetParams};
+use cc_toolkit::hopset::{self, BasisCache, HopsetParams};
 
 fn main() {
     let eps = 0.25;
@@ -30,13 +30,13 @@ fn main() {
         let params = EmulatorParams::new(n, eps, 2).expect("valid");
         let cfg = CliqueEmulatorConfig::scaled(params.clone());
         let mut le = RoundLedger::new(n);
-        let _ = whp::build(&g, &cfg, &mut r, &mut le);
+        let _ = whp::build(&g, &cfg, &mut r, &mut BasisCache::default(), &mut le);
 
         // The same hopset primitive *without* the distance bound (t = n):
         // what a non-distance-sensitive pipeline pays.
         let mut lh = RoundLedger::new(n);
         let hp = HopsetParams::scaled(n, n as u32, eps);
-        let _ = hopset::build_randomized(&g, hp, &mut r, &mut lh);
+        let _ = hopset::build_randomized(&g, hp, &mut r, &mut BasisCache::default(), &mut lh);
 
         let dr = params.delta(2) as f64;
         table.row(vec![

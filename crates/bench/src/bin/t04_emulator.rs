@@ -8,6 +8,7 @@ use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::{ideal, whp, EmulatorParams};
 use cc_graphs::generators;
+use cc_toolkit::BasisCache;
 
 fn main() {
     let eps = 0.25;
@@ -37,7 +38,7 @@ fn main() {
             let params = EmulatorParams::new(g.n(), eps, 2).expect("valid");
             let cfg = CliqueEmulatorConfig::scaled(params.clone());
             let mut ledger = RoundLedger::new(g.n());
-            let (emu, _) = whp::build(&g, &cfg, &mut r, &mut ledger);
+            let (emu, _) = whp::build(&g, &cfg, &mut r, &mut BasisCache::default(), &mut ledger);
             let report = emu.verify_with_bounds(
                 &g,
                 params.clique_multiplicative_bound(cfg.eps_prime),

@@ -6,7 +6,7 @@
 use cc_bench::{f3, rng, Table};
 use cc_clique::RoundLedger;
 use cc_graphs::generators;
-use cc_toolkit::hopset::{self, HopsetParams};
+use cc_toolkit::hopset::{self, BasisCache, HopsetParams};
 
 fn main() {
     let n = 512;
@@ -33,7 +33,13 @@ fn main() {
         ] {
             let mut r = rng(t as u64);
             let mut ledger = RoundLedger::new(n);
-            let hs = hopset::build_randomized(&g, params, &mut r, &mut ledger);
+            let hs = hopset::build_randomized(
+                &g,
+                params,
+                &mut r,
+                &mut BasisCache::default(),
+                &mut ledger,
+            );
             let samples: Vec<usize> = (0..n).step_by(23).collect();
             let worst = hs.verify_from(&g, &samples);
             table.row(vec![

@@ -173,11 +173,13 @@ impl PathOracle {
     /// witness tables); the distance side is
     /// [`DistOracle::storage_bytes`].
     pub fn witness_bytes(&self) -> usize {
+        // An arena record is a `u8` tag and three `u32` columns.
+        const RECORD: usize = 13;
         self.providers
             .iter()
             .map(|p| match p {
-                PathProvider::Pairs(s) => s.arena().len() * 12 + s.witnesses().len() * 5,
-                PathProvider::Rows(r) => r.arena().len() * 12 + r.recs().len() * 5,
+                PathProvider::Pairs(s) => s.arena().len() * RECORD + s.witnesses().len() * 5,
+                PathProvider::Rows(r) => r.arena().len() * RECORD + r.recs().len() * 5,
             })
             .sum::<usize>()
             + self.origins.len()
@@ -646,6 +648,28 @@ mod tests {
         let batch = o.path_batch(&[(0, 3), (2, 2)]);
         assert_eq!(batch[0].as_ref().unwrap().weight, 3);
         assert!(o.witness_bytes() > 0);
+    }
+
+    /// Each arena record counts at the byte length of its four SoA
+    /// sections.
+    #[test]
+    fn witness_bytes_count_the_arena_sections() {
+        let o = tiny_oracle();
+        let PathProvider::Pairs(store) = &o.providers[0] else {
+            panic!("tiny_oracle has one pair store");
+        };
+        let (tags, a, b, lens) = store.arena().sections();
+        let arena = [
+            size_of_val(tags),
+            size_of_val(a),
+            size_of_val(b),
+            size_of_val(lens),
+        ];
+        assert!(!store.arena().is_empty());
+        assert_eq!(
+            o.witness_bytes(),
+            arena.iter().sum::<usize>() + store.witnesses().len() * 5 + o.origins.len()
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use cc_graphs::dijkstra::{self, DialWorkspace};
 use cc_graphs::{Dist, Graph, WeightedGraph, INF};
 use cc_obs::StageTimes;
 use cc_routes::{BatchRef, PathStore, RecId, RecordBatch, RouteArena, RowStore, Unroller};
-use cc_toolkit::hopset::{self, BoundedHopset, HopsetParams};
+use cc_toolkit::hopset::{self, BasisCache, BoundedHopset, HopsetParams};
 use cc_toolkit::source_detection::SourceDetection;
 use rand::RngCore;
 
@@ -53,7 +53,8 @@ type HopsetKey = (HopsetGraph, Dist, u64);
 pub(crate) type LongRange = (DistanceMatrix, Option<PathStore>);
 
 /// Session-scoped cache of the expensive substrates every pipeline stands
-/// on: the near-additive emulator and the bounded hopsets.
+/// on: the near-additive emulator, the bounded hopsets and the hopset
+/// bases they share.
 ///
 /// A [`crate::Solver`] keeps one `Substrates` for its lifetime, which is
 /// what amortizes construction across queries: a cache hit returns the
@@ -63,7 +64,10 @@ pub(crate) type LongRange = (DistanceMatrix, Option<PathStore>);
 /// session never changes its execution mode or its emulator
 /// configuration, so the emulator and the long-range table each have one
 /// unkeyed slot. Hopsets are keyed only by what varies inside a session:
-/// their graph and the requested `(t, ε)`. The map is a `BTreeMap`, not a
+/// their graph and the requested `(t, ε)`; every hopset build on a miss —
+/// the emulator's top level included — takes steps 1–2 from the one
+/// [`BasisCache`], which holds one basis per distinct graph (apsp2's `G'`
+/// shares `G`'s when no edge was removed). The map is a `BTreeMap`, not a
 /// `HashMap`: nothing here may iterate in an address-dependent order (the
 /// `unordered-iter` rule in `cc-analyze` bans unordered containers in
 /// result-affecting crates wholesale — see `DESIGN.md` §11.1).
@@ -71,6 +75,8 @@ pub(crate) type LongRange = (DistanceMatrix, Option<PathStore>);
 pub(crate) struct Substrates {
     emulator: Option<Arc<Emulator>>,
     hopsets: BTreeMap<HopsetKey, Arc<BoundedHopset>>,
+    /// Steps 1–2 of every hopset the session builds: lists, `A₁`, bunches.
+    basis: BasisCache,
     /// The long-range table a producer (apsp2, apsp3) left for the one
     /// consumer (the additive query). The consumer moves it out; `freeze`
     /// drops it unconsumed (DESIGN.md §7.4). `RefCell` for the same reason
@@ -88,6 +94,12 @@ pub(crate) struct Substrates {
 }
 
 impl Substrates {
+    /// Switches stage profiling on or off, the hopset basis timer with it.
+    pub(crate) fn profile_stages(&mut self, enabled: bool) {
+        self.stages.get_mut().set_enabled(enabled);
+        self.basis.set_timed(enabled);
+    }
+
     /// Drops an unconsumed long-range table (called by `freeze` before it
     /// allocates the merged tables).
     pub(crate) fn drop_long_range(&self) {
@@ -118,22 +130,27 @@ impl Substrates {
         mode: &mut Mode<'_>,
         ledger: &mut RoundLedger,
     ) -> Arc<Emulator> {
-        let stages = &self.stages;
+        let (stages, basis) = (&self.stages, &mut self.basis);
         let emu = self.emulator.get_or_insert_with(|| {
             let started = stages.borrow().start();
             let emu = match mode {
-                Mode::Rng(rng) => whp::build(g, cfg, rng, ledger).0,
-                Mode::Det => deterministic::build(g, cfg, ledger),
+                Mode::Rng(rng) => whp::build(g, cfg, rng, basis, ledger).0,
+                Mode::Det => deterministic::build(g, cfg, basis, ledger),
             };
             ledger.charge_learn_all("collect emulator at all vertices", emu.m() as u64);
-            stages.borrow_mut().stop("emulator_build", started);
+            let mut stages = stages.borrow_mut();
+            stages.stop("emulator_build", started);
+            for elapsed in basis.take_timings() {
+                stages.record("hopset_basis", elapsed);
+            }
             Arc::new(emu)
         });
         Arc::clone(emu)
     }
 
     /// A `(β, ε, t)`-bounded hopset of `g` for the requested `(t, ε)`,
-    /// built on first use per `(graph, t, ε)` and shared afterwards, so
+    /// built on first use per `(graph, t, ε)` over the session's hopset
+    /// basis of `g` and shared afterwards, so
     /// pipelines can interleave further cache lookups while holding it
     /// without copying its union or routes. The profile, `threads` and
     /// path recording come from the session's emulator configuration
@@ -148,7 +165,7 @@ impl Substrates {
         mode: &mut Mode<'_>,
         ledger: &mut RoundLedger,
     ) -> Arc<BoundedHopset> {
-        let stages = &self.stages;
+        let (stages, basis) = (&self.stages, &mut self.basis);
         let hopset = self
             .hopsets
             .entry((on, t, eps.to_bits()))
@@ -162,10 +179,14 @@ impl Substrates {
                 .with_threads(cfg.threads)
                 .with_paths(cfg.record_paths);
                 let built = match mode {
-                    Mode::Rng(rng) => hopset::build_randomized(g, params, rng, ledger),
-                    Mode::Det => hopset::build_deterministic(g, params, ledger),
+                    Mode::Rng(rng) => hopset::build_randomized(g, params, rng, basis, ledger),
+                    Mode::Det => hopset::build_deterministic(g, params, basis, ledger),
                 };
-                stages.borrow_mut().stop("hopset_build", started);
+                let mut stages = stages.borrow_mut();
+                stages.stop("hopset_build", started);
+                for elapsed in basis.take_timings() {
+                    stages.record("hopset_basis", elapsed);
+                }
                 Arc::new(built)
             });
         Arc::clone(hopset)
@@ -721,7 +742,7 @@ mod tests {
         let n = g.n();
         let mut ledger = RoundLedger::new(n);
         let params = HopsetParams::scaled(n, 8, 0.5).with_paths(true);
-        let hs = hopset::build_deterministic(g, params, &mut ledger);
+        let hs = hopset::build_deterministic(g, params, &mut BasisCache::default(), &mut ledger);
         let mut delta = DistanceMatrix::new(n);
         let mut store = PathStore::new(n);
         for (u, v) in g.edges() {

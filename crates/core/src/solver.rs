@@ -188,11 +188,8 @@ impl SolverBuilder {
         emulator.threads = self.threads;
         emulator.record_paths = self.record_paths;
         let ledger = RoundLedger::new(n);
-        let substrates = Substrates::default();
-        substrates
-            .stages
-            .borrow_mut()
-            .set_enabled(self.profile_stages);
+        let mut substrates = Substrates::default();
+        substrates.profile_stages(self.profile_stages);
         Ok(Solver {
             graph: self.graph,
             execution: self.execution,

@@ -134,16 +134,26 @@ pub fn deterministic_hitting_set(
 ) -> Result<Vec<usize>, HittingError> {
     validate(universe, k, sets)?;
     ledger.charge_conditional_expectation("deterministic hitting set", universe as u64);
-    // element -> list of set indices containing it
-    let mut containing: Vec<Vec<u32>> = vec![Vec::new(); universe];
+    // The indices of the sets containing element `e`, in set order:
+    // `containing[start[e]..start[e + 1]]`, filled by counting sort.
+    let mut start = vec![0usize; universe + 1];
+    for &e in sets.iter().flatten() {
+        start[e + 1] += 1;
+    }
+    for e in 0..universe {
+        start[e + 1] += start[e];
+    }
+    let mut next = start.clone();
+    let mut containing = vec![0u32; start[universe]];
     for (si, s) in sets.iter().enumerate() {
         for &e in s {
-            containing[e].push(si as u32);
+            containing[next[e]] = si as u32;
+            next[e] += 1;
         }
     }
-    // cover[e] = entries of containing[e] whose set is still unhit, kept
-    // current as sets are hit.
-    let mut cover: Vec<usize> = containing.iter().map(Vec::len).collect();
+    // cover[e] = sets containing e that are still unhit, kept current as
+    // sets are hit.
+    let mut cover: Vec<usize> = start.windows(2).map(|w| w[1] - w[0]).collect();
     let mut unhit: Vec<bool> = vec![true; sets.len()];
     let mut remaining = sets.len();
     let mut chosen = Vec::new();
@@ -156,7 +166,7 @@ pub fn deterministic_hitting_set(
                 .fold((0, 0), |acc, (e, &c)| if c > acc.1 { (e, c) } else { acc });
         debug_assert!(best_cover > 0, "validated sets are nonempty");
         chosen.push(best);
-        for &si in &containing[best] {
+        for &si in &containing[start[best]..start[best + 1]] {
             let si = si as usize;
             if unhit[si] {
                 unhit[si] = false;

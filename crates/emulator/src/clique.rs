@@ -20,7 +20,7 @@
 
 use cc_clique::RoundLedger;
 use cc_graphs::{Dist, Graph, WeightedGraph};
-use cc_toolkit::hopset::{self, HopsetParams};
+use cc_toolkit::hopset::{self, BasisCache, HopsetParams};
 use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::source_detection::SourceDetection;
 use rand::{Rng, RngCore};
@@ -95,15 +95,17 @@ impl CliqueEmulatorConfig {
 }
 
 /// Builds the emulator in the Congested Clique cost model with freshly
-/// sampled levels (Thm 29).
+/// sampled levels (Thm 29). The top-level hopset takes its basis from
+/// `basis` (see [`BasisCache`]).
 pub fn build(
     g: &Graph,
     config: &CliqueEmulatorConfig,
     rng: &mut impl Rng,
+    basis: &mut BasisCache,
     ledger: &mut RoundLedger,
 ) -> Emulator {
     let levels = config.params.sample_levels(rng);
-    build_with_levels(g, config, levels, Some(rng), ledger)
+    build_with_levels(g, config, levels, Some(rng), basis, ledger)
 }
 
 /// Builds the emulator for fixed levels. `rng = None` selects the
@@ -118,6 +120,7 @@ pub fn build_with_levels(
     config: &CliqueEmulatorConfig,
     levels: Vec<u8>,
     rng: Option<&mut dyn RngCore>,
+    basis: &mut BasisCache,
     ledger: &mut RoundLedger,
 ) -> Emulator {
     let mut phase = ledger.enter("emulator");
@@ -135,7 +138,7 @@ pub fn build_with_levels(
     if config.record_paths {
         kn = kn.with_parents(g);
     }
-    build_with_levels_and_kn(g, config, levels, &kn, rng, &mut phase)
+    build_with_levels_and_kn(g, config, levels, &kn, rng, basis, &mut phase)
 }
 
 /// Core construction with a precomputed `(k, δ_r)`-nearest structure (shared
@@ -147,6 +150,7 @@ pub(crate) fn build_with_levels_and_kn(
     levels: Vec<u8>,
     kn: &KNearest,
     rng: Option<&mut dyn RngCore>,
+    basis: &mut BasisCache,
     ledger: &mut RoundLedger,
 ) -> Emulator {
     assert_eq!(levels.len(), g.n(), "one level per vertex");
@@ -214,8 +218,8 @@ pub(crate) fn build_with_levels_and_kn(
         .with_threads(config.threads)
         .with_paths(config.record_paths);
         let hs = match rng {
-            Some(mut rng) => hopset::build_randomized(g, hp, &mut rng, ledger),
-            None => hopset::build_deterministic(g, hp, ledger),
+            Some(mut rng) => hopset::build_randomized(g, hp, &mut rng, basis, ledger),
+            None => hopset::build_deterministic(g, hp, basis, ledger),
         };
         if let (Some(r), Some(hr)) = (routes.as_mut(), hs.routes.as_ref()) {
             r.absorb(hr);
@@ -388,7 +392,7 @@ mod tests {
         ] {
             let cfg = config(g.n(), 0.25, 2);
             let mut ledger = RoundLedger::new(g.n());
-            let emu = build(&g, &cfg, &mut r, &mut ledger);
+            let emu = build(&g, &cfg, &mut r, &mut BasisCache::default(), &mut ledger);
             let report = emu.verify_with_bounds(
                 &g,
                 cfg.params.clique_multiplicative_bound(cfg.eps_prime),
@@ -411,7 +415,14 @@ mod tests {
         let ideal = crate::ideal::build_with_levels(&g, &cfg.params, levels.clone());
         let mut ledger = RoundLedger::new(48);
         let mut r = rng(5);
-        let clique = build_with_levels(&g, &cfg, levels, Some(&mut r), &mut ledger);
+        let clique = build_with_levels(
+            &g,
+            &cfg,
+            levels,
+            Some(&mut r),
+            &mut BasisCache::default(),
+            &mut ledger,
+        );
         // Compare non-top-level edges exactly.
         let top = |v: usize| clique.levels[v] as usize >= cfg.params.r();
         let mut ideal_low: Vec<_> = ideal
@@ -435,7 +446,7 @@ mod tests {
         let cfg = config(64, 0.25, 2);
         let mut r = rng(8);
         let mut ledger = RoundLedger::new(64);
-        let emu = build(&g, &cfg, &mut r, &mut ledger);
+        let emu = build(&g, &cfg, &mut r, &mut BasisCache::default(), &mut ledger);
         let exact = bfs::apsp_exact(&g);
         for (u, v, w) in emu.graph.edges() {
             assert!(w >= exact[u][v], "undercut at ({u},{v})");
@@ -455,11 +466,25 @@ mod tests {
         // Same levels, same seed: recording must not change edges or rounds.
         let mut l_plain = RoundLedger::new(g.n());
         let mut r1 = rng(9);
-        let plain = build_with_levels(&g, &cfg, levels.clone(), Some(&mut r1), &mut l_plain);
+        let plain = build_with_levels(
+            &g,
+            &cfg,
+            levels.clone(),
+            Some(&mut r1),
+            &mut BasisCache::default(),
+            &mut l_plain,
+        );
         let rec_cfg = cfg.clone().with_paths(true);
         let mut l_rec = RoundLedger::new(g.n());
         let mut r2 = rng(9);
-        let emu = build_with_levels(&g, &rec_cfg, levels, Some(&mut r2), &mut l_rec);
+        let emu = build_with_levels(
+            &g,
+            &rec_cfg,
+            levels,
+            Some(&mut r2),
+            &mut BasisCache::default(),
+            &mut l_rec,
+        );
         assert_eq!(emu.graph, plain.graph, "recording changed the emulator");
         assert_eq!(l_plain.total_rounds(), l_rec.total_rounds());
         assert!(plain.routes.is_none());
@@ -488,7 +513,7 @@ mod tests {
         let cfg = CliqueEmulatorConfig::scaled(EmulatorParams::loglog(g.n(), 0.5).unwrap())
             .with_paths(true);
         let mut ledger = RoundLedger::new(g.n());
-        let emu = crate::deterministic::build(&g, &cfg, &mut ledger);
+        let emu = crate::deterministic::build(&g, &cfg, &mut BasisCache::default(), &mut ledger);
         let routes = emu.routes.as_ref().expect("routes recorded");
         for (u, v, w) in emu.graph.edges() {
             let walk = routes.unroll(u, v).expect("every edge unrolls");
@@ -508,7 +533,7 @@ mod tests {
         let formula = 48.0 * log2 * log2 / cfg.eps_prime;
         let mut r = rng(2);
         let mut ledger = RoundLedger::new(400);
-        let _ = build(&g, &cfg, &mut r, &mut ledger);
+        let _ = build(&g, &cfg, &mut r, &mut BasisCache::default(), &mut ledger);
         let total = ledger.total_rounds() as f64;
         assert!(
             total < 3.0 * formula,
@@ -517,7 +542,7 @@ mod tests {
         // The scaled profile tempers the constant by 4×.
         let mut ledger2 = RoundLedger::new(400);
         let cfg2 = CliqueEmulatorConfig::scaled(cfg.params.clone());
-        let _ = build(&g, &cfg2, &mut r, &mut ledger2);
+        let _ = build(&g, &cfg2, &mut r, &mut BasisCache::default(), &mut ledger2);
         assert!(ledger2.total_rounds() < ledger.total_rounds());
     }
 

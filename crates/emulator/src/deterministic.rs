@@ -23,6 +23,7 @@ use cc_derand::hitting;
 use cc_derand::soft_hitting::{soft_hitting_set, SoftHittingInstance};
 use cc_graphs::Graph;
 use cc_toolkit::knearest::{KNearest, Strategy};
+use cc_toolkit::BasisCache;
 
 use crate::clique::{self, CliqueEmulatorConfig};
 use crate::emulator::Emulator;
@@ -50,8 +51,14 @@ pub enum LevelSelector {
 }
 
 /// Builds the deterministic emulator (Thm 50). No randomness is consumed.
-pub fn build(g: &Graph, config: &CliqueEmulatorConfig, ledger: &mut RoundLedger) -> Emulator {
-    build_with_selector(g, config, LevelSelector::SoftHitting, ledger)
+/// The top-level hopset takes its basis from `basis`.
+pub fn build(
+    g: &Graph,
+    config: &CliqueEmulatorConfig,
+    basis: &mut BasisCache,
+    ledger: &mut RoundLedger,
+) -> Emulator {
+    build_with_selector(g, config, LevelSelector::SoftHitting, basis, ledger)
 }
 
 /// Builds the deterministic emulator with an explicit level-set selector
@@ -60,6 +67,7 @@ pub fn build_with_selector(
     g: &Graph,
     config: &CliqueEmulatorConfig,
     selector: LevelSelector,
+    basis: &mut BasisCache,
     ledger: &mut RoundLedger,
 ) -> Emulator {
     let mut phase = ledger.enter("emulator-det");
@@ -198,7 +206,7 @@ pub fn build_with_selector(
         levels[v] = r as u8;
     }
 
-    clique::build_with_levels_and_kn(g, config, levels, &kn, None, &mut phase)
+    clique::build_with_levels_and_kn(g, config, levels, &kn, None, basis, &mut phase)
 }
 
 #[cfg(test)]
@@ -217,8 +225,8 @@ mod tests {
         let cfg = config(g.n(), 0.25, 2);
         let mut l1 = RoundLedger::new(g.n());
         let mut l2 = RoundLedger::new(g.n());
-        let a = build(&g, &cfg, &mut l1);
-        let b = build(&g, &cfg, &mut l2);
+        let a = build(&g, &cfg, &mut BasisCache::default(), &mut l1);
+        let b = build(&g, &cfg, &mut BasisCache::default(), &mut l2);
         assert_eq!(a.graph, b.graph);
         assert_eq!(a.levels, b.levels);
         assert_eq!(l1.total_rounds(), l2.total_rounds());
@@ -234,7 +242,7 @@ mod tests {
         ] {
             let cfg = config(g.n(), 0.25, 2);
             let mut ledger = RoundLedger::new(g.n());
-            let emu = build(&g, &cfg, &mut ledger);
+            let emu = build(&g, &cfg, &mut BasisCache::default(), &mut ledger);
             let report = emu.verify_with_bounds(
                 &g,
                 cfg.params.clique_multiplicative_bound(cfg.eps_prime),
@@ -254,7 +262,7 @@ mod tests {
         ] {
             let cfg = config(g.n(), 0.25, 2);
             let mut ledger = RoundLedger::new(g.n());
-            let emu = build(&g, &cfg, &mut ledger);
+            let emu = build(&g, &cfg, &mut BasisCache::default(), &mut ledger);
             assert!(
                 (emu.m() as f64) <= 12.0 * cfg.params.size_bound(),
                 "{name}: edges = {} vs bound {}",
@@ -269,7 +277,7 @@ mod tests {
         let g = generators::caveman(12, 8);
         let cfg = config(g.n(), 0.25, 2);
         let mut ledger = RoundLedger::new(g.n());
-        let emu = build(&g, &cfg, &mut ledger);
+        let emu = build(&g, &cfg, &mut BasisCache::default(), &mut ledger);
         let s1 = emu.level_set(1).len();
         let s0 = g.n();
         // |S₁| ≤ p₁·n·c + |A|: geometric decay with generous slack.
@@ -285,9 +293,21 @@ mod tests {
         let g = generators::caveman(12, 8);
         let cfg = config(g.n(), 0.25, 2);
         let mut l1 = RoundLedger::new(g.n());
-        let soft = build_with_selector(&g, &cfg, LevelSelector::SoftHitting, &mut l1);
+        let soft = build_with_selector(
+            &g,
+            &cfg,
+            LevelSelector::SoftHitting,
+            &mut BasisCache::default(),
+            &mut l1,
+        );
         let mut l2 = RoundLedger::new(g.n());
-        let plain = build_with_selector(&g, &cfg, LevelSelector::PlainHitting, &mut l2);
+        let plain = build_with_selector(
+            &g,
+            &cfg,
+            LevelSelector::PlainHitting,
+            &mut BasisCache::default(),
+            &mut l2,
+        );
         for emu in [&soft, &plain] {
             let report = emu.verify_with_bounds(
                 &g,
@@ -308,7 +328,7 @@ mod tests {
         let g = generators::grid(10, 10);
         let cfg = config(g.n(), 0.25, 2);
         let mut ledger = RoundLedger::new(g.n());
-        let _ = build(&g, &cfg, &mut ledger);
+        let _ = build(&g, &cfg, &mut BasisCache::default(), &mut ledger);
         // The (log log n)³-style conditional-expectation charges dominate a
         // single broadcast but stay far below poly(n).
         let total = ledger.total_rounds();

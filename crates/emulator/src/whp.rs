@@ -17,6 +17,7 @@
 use cc_clique::{cost::model, RoundLedger};
 use cc_graphs::Graph;
 use cc_toolkit::knearest::{KNearest, Strategy};
+use cc_toolkit::BasisCache;
 use rand::Rng;
 
 use crate::clique::{self, CliqueEmulatorConfig};
@@ -40,11 +41,13 @@ pub struct WhpStats {
 /// Builds the emulator with the Thm 31 run-selection. Returns the emulator
 /// of the best qualifying run (falling back to the smallest run if, against
 /// w.h.p. odds, none qualifies — reported via
-/// [`WhpStats::qualifying_runs`]` == 0`).
+/// [`WhpStats::qualifying_runs`]` == 0`). The top-level hopset takes its
+/// basis from `basis`.
 pub fn build(
     g: &Graph,
     config: &CliqueEmulatorConfig,
     rng: &mut impl Rng,
+    basis: &mut BasisCache,
     ledger: &mut RoundLedger,
 ) -> (Emulator, WhpStats) {
     let mut phase = ledger.enter("emulator-whp");
@@ -111,7 +114,8 @@ pub fn build(
     let top_level_size = levels.iter().filter(|&&l| l as usize >= r).count();
 
     let rng_dyn: &mut dyn rand::RngCore = rng;
-    let emu = clique::build_with_levels_and_kn(g, config, levels, &kn, Some(rng_dyn), &mut phase);
+    let emu =
+        clique::build_with_levels_and_kn(g, config, levels, &kn, Some(rng_dyn), basis, &mut phase);
     (
         emu,
         WhpStats {
@@ -142,7 +146,7 @@ mod tests {
         let cfg = config(g.n(), 0.25, 2);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut ledger = RoundLedger::new(g.n());
-        let (emu, stats) = build(&g, &cfg, &mut rng, &mut ledger);
+        let (emu, stats) = build(&g, &cfg, &mut rng, &mut BasisCache::default(), &mut ledger);
         assert!(stats.qualifying_runs > 0, "no qualifying run");
         // Thm 31: the chosen run's size satisfies the bound outright (not
         // just in expectation). Constant 8 as in the ideal-size test.
@@ -160,7 +164,7 @@ mod tests {
         let cfg = config(g.n(), 0.25, 2);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut ledger = RoundLedger::new(g.n());
-        let (emu, _) = build(&g, &cfg, &mut rng, &mut ledger);
+        let (emu, _) = build(&g, &cfg, &mut rng, &mut BasisCache::default(), &mut ledger);
         let report = emu.verify_with_bounds(
             &g,
             cfg.params.clique_multiplicative_bound(cfg.eps_prime),
@@ -176,7 +180,7 @@ mod tests {
         let cfg = config(128, 0.25, 2);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut ledger = RoundLedger::new(128);
-        let (_, stats) = build(&g, &cfg, &mut rng, &mut ledger);
+        let (_, stats) = build(&g, &cfg, &mut rng, &mut BasisCache::default(), &mut ledger);
         assert_eq!(stats.runs, 14); // 2·log₂(128) = 14
         assert!(stats.chosen < stats.runs);
     }
@@ -189,9 +193,15 @@ mod tests {
         let cfg = config(96, 0.25, 2);
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut l_whp = RoundLedger::new(96);
-        let _ = build(&g, &cfg, &mut rng, &mut l_whp);
+        let _ = build(&g, &cfg, &mut rng, &mut BasisCache::default(), &mut l_whp);
         let mut l_single = RoundLedger::new(96);
-        let _ = clique::build(&g, &cfg, &mut rng, &mut l_single);
+        let _ = clique::build(
+            &g,
+            &cfg,
+            &mut rng,
+            &mut BasisCache::default(),
+            &mut l_single,
+        );
         // A recomputation-per-run bug would cost ~runs× (14× here); allow a
         // generous constant factor for sampling variance between the two
         // builds' level draws.

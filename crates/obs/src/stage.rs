@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Accumulated wall-clock for one named stage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,10 +47,18 @@ impl StageTimes {
     /// Stops an interval started by [`StageTimes::start`], crediting the
     /// elapsed nanoseconds to `name`. A `None` token is a no-op.
     pub fn stop(&mut self, name: &'static str, started: Option<Instant>) {
-        let Some(started) = started else {
+        if let Some(started) = started {
+            self.record(name, started.elapsed());
+        }
+    }
+
+    /// Credits one interval that a lower layer timed itself to `name`; a
+    /// no-op when disabled.
+    pub fn record(&mut self, name: &'static str, elapsed: Duration) {
+        if !self.enabled {
             return;
-        };
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         let stat = self.stages.entry(name).or_default();
         stat.calls = stat.calls.saturating_add(1);
         stat.total_ns = stat.total_ns.saturating_add(ns);
@@ -115,5 +123,17 @@ mod tests {
         let text = st.exposition("cc_solver");
         assert!(text.contains("cc_solver_stage_calls{stage=\"minplus_products\"} 3"));
         assert!(text.contains("cc_solver_stage_ns{stage=\"minplus_products\"}"));
+    }
+
+    #[test]
+    fn recorded_intervals_count_only_when_enabled() {
+        let mut st = StageTimes::default();
+        st.record("hopset_basis", Duration::from_nanos(5));
+        assert!(st.get("hopset_basis").is_none());
+        st.set_enabled(true);
+        st.record("hopset_basis", Duration::from_nanos(5));
+        st.record("hopset_basis", Duration::from_nanos(7));
+        let stat = st.get("hopset_basis").expect("recorded");
+        assert_eq!((stat.calls, stat.total_ns), (2, 12));
     }
 }

@@ -1,7 +1,5 @@
 //! Shortcut-edge provenance: unrolling hopset/emulator edges into `G` edges.
 
-use std::collections::BTreeMap;
-
 use cc_graphs::Graph;
 
 use crate::arena::{RecId, RouteArena};
@@ -20,11 +18,13 @@ use crate::arena::{RecId, RouteArena};
 pub struct Unroller {
     arena: RouteArena,
     /// Canonical pair `{min, max}` → (edge count of the record, record as a
-    /// path `min → max`). Ordered deliberately: [`Unroller::absorb`]
-    /// iterates this map to merge pair tables, and an address-dependent
-    /// iteration order is exactly the hazard the `unordered-iter` rule
-    /// bans in result-affecting crates (`DESIGN.md` §11.1).
-    by_pair: BTreeMap<(u32, u32), (u32, RecId)>,
+    /// path `min → max`), kept as one row per `min`: `(max, edge count,
+    /// record)` sorted by `max`. Lookups and inserts touch one vertex's
+    /// row, and the rows in order visit the pairs in `(min, max)` order —
+    /// [`Unroller::absorb`] merges in that order, never an
+    /// address-dependent one (the `unordered-iter` rule, `DESIGN.md`
+    /// §11.1).
+    by_pair: Vec<Vec<(u32, u32, RecId)>>,
 }
 
 impl Unroller {
@@ -40,7 +40,7 @@ impl Unroller {
     pub fn from_arena(arena: RouteArena) -> Self {
         Unroller {
             arena,
-            by_pair: BTreeMap::new(),
+            by_pair: Vec::new(),
         }
     }
 
@@ -66,23 +66,32 @@ impl Unroller {
     pub fn register(&mut self, u: usize, v: usize, rec: RecId) {
         assert_ne!(u, v, "shortcut pairs cannot be self-loops");
         let len = self.arena.len_of(rec);
-        let key = (u.min(v) as u32, u.max(v) as u32);
+        let (lo, hi) = (u.min(v), u.max(v) as u32);
+        if lo >= self.by_pair.len() {
+            self.by_pair.resize_with(lo + 1, Vec::new);
+        }
+        let slot = self.by_pair[lo].binary_search_by_key(&hi, |e| e.0);
         // Decide before interning: a losing registration must not leave a
         // dead Rev node in the append-only arena (it would be carried into
         // every absorbing store and snapshot).
-        if self.by_pair.get(&key).is_some_and(|cur| cur.0 <= len) {
+        if slot.is_ok_and(|i| self.by_pair[lo][i].1 <= len) {
             return;
         }
         let stored = if u < v { rec } else { self.arena.rev(rec) };
-        self.by_pair.insert(key, (len, stored));
+        match slot {
+            Ok(i) => self.by_pair[lo][i] = (hi, len, stored),
+            Err(i) => self.by_pair[lo].insert(i, (hi, len, stored)),
+        }
     }
 
     /// The best record for pair `{u, v}`: `(edge count, record, reversed)`
     /// where `reversed` tells whether the record must be emitted reversed to
     /// run `u → v`.
     pub fn rec_between(&self, u: usize, v: usize) -> Option<(u32, RecId, bool)> {
-        let key = (u.min(v) as u32, u.max(v) as u32);
-        self.by_pair.get(&key).map(|&(len, rec)| (len, rec, u > v))
+        let row = self.by_pair.get(u.min(v))?;
+        let i = row.binary_search_by_key(&(u.max(v) as u32), |e| e.0).ok()?;
+        let (_, len, rec) = row[i];
+        Some((len, rec, u > v))
     }
 
     /// Like [`Unroller::rec_between`], but returns a record already oriented
@@ -129,15 +138,42 @@ impl Unroller {
     /// (arena ids shift; pair conflicts keep the shorter record).
     pub fn absorb(&mut self, other: &Unroller) {
         let offset = self.arena.absorb(&other.arena);
-        for (&(u, v), &(len, rec)) in &other.by_pair {
-            let shifted = RecId::from_index(rec.index() + offset);
-            match self.by_pair.get_mut(&(u, v)) {
-                Some(cur) if cur.0 <= len => {}
-                Some(cur) => *cur = (len, shifted),
-                None => {
-                    self.by_pair.insert((u, v), (len, shifted));
+        if self.by_pair.len() < other.by_pair.len() {
+            self.by_pair.resize_with(other.by_pair.len(), Vec::new);
+        }
+        let shift =
+            |&(v, len, rec): &(u32, u32, RecId)| (v, len, RecId::from_index(rec.index() + offset));
+        for (mine, theirs) in self.by_pair.iter_mut().zip(&other.by_pair) {
+            if mine.is_empty() {
+                mine.extend(theirs.iter().map(shift));
+                continue;
+            }
+            // Merge two rows sorted by `max`; on a shared pair the shorter
+            // record wins, ours on a tie.
+            let mut merged = Vec::with_capacity(mine.len() + theirs.len());
+            let (mut i, mut j) = (0, 0);
+            loop {
+                match (mine.get(i).copied(), theirs.get(j).map(shift)) {
+                    (Some(x), Some(y)) if x.0 == y.0 => {
+                        merged.push(if x.1 <= y.1 { x } else { y });
+                        (i, j) = (i + 1, j + 1);
+                    }
+                    (Some(x), Some(y)) if x.0 < y.0 => {
+                        merged.push(x);
+                        i += 1;
+                    }
+                    (Some(x), None) => {
+                        merged.push(x);
+                        i += 1;
+                    }
+                    (_, Some(y)) => {
+                        merged.push(y);
+                        j += 1;
+                    }
+                    (None, None) => break,
                 }
             }
+            *mine = merged;
         }
     }
 }
@@ -202,6 +238,40 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.unroll(0, 3).unwrap().len(), 3, "shorter record wins");
         assert_eq!(a.unroll(3, 1).unwrap(), vec![(3, 2), (2, 1)]);
+    }
+
+    /// Absorbing merges rows pair by pair: pairs only one side knows are
+    /// kept, a shared pair keeps the shorter record (ours on a tie), and
+    /// absorbed record ids shift past our arena.
+    #[test]
+    fn absorb_merges_interleaved_rows() {
+        let g = path_graph(8);
+        let walk = |u: &mut Unroller, verts: &[u32]| {
+            let rec = u.intern_walk(&g, verts).unwrap();
+            let (x, y) = (verts[0] as usize, verts[verts.len() - 1] as usize);
+            u.register(x, y, rec);
+        };
+        let mut a = Unroller::new();
+        walk(&mut a, &[2, 3, 4, 3, 4]);
+        walk(&mut a, &[2, 3, 4, 5, 6]);
+        walk(&mut a, &[7, 6, 5, 4, 3, 2, 1]);
+        let mut b = Unroller::new();
+        walk(&mut b, &[1, 2, 3]);
+        walk(&mut b, &[2, 3, 4]);
+        walk(&mut b, &[2, 3, 4, 5]);
+        walk(&mut b, &[6, 5, 4, 3, 2]);
+        let before = a.arena().len() as u32;
+        a.absorb(&b);
+        let len = |u: usize, v: usize| a.rec_between(u, v).map(|(len, _, _)| len);
+        assert_eq!(len(2, 4), Some(2), "their shorter record wins");
+        assert_eq!(len(2, 6), Some(4), "ours wins a tie");
+        assert_eq!(len(1, 7), Some(6), "ours alone");
+        assert_eq!(len(1, 3), Some(2), "theirs alone");
+        assert_eq!(len(2, 5), Some(3), "theirs alone, between ours");
+        let (_, rec, _) = a.rec_between(1, 3).unwrap();
+        assert!(rec.index() >= before, "absorbed ids shift");
+        assert_eq!(a.unroll(3, 1).unwrap(), vec![(3, 2), (2, 1)]);
+        assert_eq!(a.unroll(6, 2).unwrap().len(), 4);
     }
 
     /// Two independent absorb-merges of the same unrollers must agree on

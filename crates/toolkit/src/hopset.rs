@@ -21,11 +21,24 @@
 //!    `(S,d)`-source detection and interconnect; `H^{(ℓ)}` is a
 //!    `(β, ℓ·ε₀, 2^ℓ)`-hopset (Lemma 65).
 //!
+//! Only step 3 depends on `ε` and `β`. Steps 1–2 — the *basis*: the
+//! `(k, t)`-nearest lists, `A₁` and the bunches `H⁰` with their routes —
+//! go through a [`BasisCache`], which every builder takes by `&mut`. A
+//! cache keeps one basis per graph and serves later requests on that graph
+//! from it: a request at `t ≤ t₀` cuts the lists at `t`, and any `t` reuses
+//! them when every list is full. `A₁` is always recomputed from the
+//! request's lists, and `H⁰` is reused only when those lists and `A₁` equal
+//! the basis's, so a shared cache builds exactly what a fresh one does,
+//! and every request charges its own `(k,t)`-nearest, hitting set and
+//! interconnection (`DESIGN.md` §4).
+//!
 //! Rounds: `O(log²t / ε)` (+`O((log log n)³)` for the deterministic hitting
 //! set). Size: `O(n^{3/2} log n)` edges. `β = O(log t / ε)`.
 
+use std::time::{Duration, Instant};
+
 use cc_clique::RoundLedger;
-use cc_derand::hitting;
+use cc_derand::hitting::{self, HittingError};
 use cc_graphs::{dijkstra, Dist, Graph, WeightedGraph, INF};
 use cc_routes::Unroller;
 use rand::Rng;
@@ -201,61 +214,159 @@ impl BoundedHopset {
     }
 }
 
+/// Steps 1–2 of the construction on one graph: its `(k, t₀)`-nearest
+/// lists (with parents when recording), and `A₁`, the bunches `H⁰` and
+/// their routes built from them.
+#[derive(Debug)]
+struct Basis {
+    graph: Graph,
+    kn: KNearest,
+    a1: Vec<usize>,
+    bunches: WeightedGraph,
+    routes: Option<Unroller>,
+}
+
+/// `A₁`, the bunches `H⁰` built for it, and their routes when recording.
+type Bunches = (Vec<usize>, WeightedGraph, Option<Unroller>);
+
+/// The hopset bases (steps 1–2) of the graphs a caller builds hopsets on,
+/// shared by every build that is passed the cache.
+///
+/// A request on graph `g` with `(k, t)` reuses `g`'s basis lists computed
+/// at `(k, t₀)` when `t ≤ t₀` — cut at `t`, which is exactly the
+/// `(k, t)`-nearest object — or when every basis list is full, since a
+/// larger bound then finds the same lists. A recording request also needs
+/// lists with parents. Otherwise it computes fresh lists, which replace
+/// the basis. The hitting set is always recomputed from the request's
+/// lists (same RNG draws and charges as a fresh build); the stored bunches
+/// are reused, a recorded [`Unroller`] cloned, only when those lists and
+/// `A₁` equal the basis's. Every request charges its own `(k,t)`-nearest
+/// computation, so a shared cache changes no ledger entry: it builds
+/// bit-identical hopsets, only faster.
+#[derive(Debug, Default)]
+pub struct BasisCache {
+    bases: Vec<Basis>,
+    /// Whether basis computations are timed; off by default, and then no
+    /// clock is read.
+    timed: bool,
+    /// Wall time of each basis computed since the last
+    /// [`BasisCache::take_timings`].
+    timings: Vec<Duration>,
+}
+
+impl BasisCache {
+    /// Switches timing of basis computations on or off.
+    pub fn set_timed(&mut self, timed: bool) {
+        self.timed = timed;
+    }
+
+    /// Drains the wall times of the bases computed since the last call,
+    /// one per basis, each covering steps 1–2 of the build that computed
+    /// it. Empty unless timed.
+    pub fn take_timings(&mut self) -> Vec<Duration> {
+        std::mem::take(&mut self.timings)
+    }
+
+    /// Steps 1–2 of a build on `g`: the request's `(k, t)`-nearest lists
+    /// (charged), `A₁` from `hitting_set` over their full lists, and the
+    /// bunches with their routes when recording.
+    fn bunches(
+        &mut self,
+        g: &Graph,
+        params: &HopsetParams,
+        ledger: &mut RoundLedger,
+        hitting_set: impl FnOnce(
+            usize,
+            &[Vec<usize>],
+            &mut RoundLedger,
+        ) -> Result<Vec<usize>, HittingError>,
+    ) -> Bunches {
+        let (n, k, t) = (g.n(), params.k, params.t);
+        let pivots = |kn: &KNearest, ledger: &mut RoundLedger| {
+            let full_sets = full_knearest_sets(kn, n, k);
+            hitting_set(k.min(full_min_size(&full_sets, k)), &full_sets, ledger)
+                .expect("(k,t)-nearest sets are valid hitting-set input")
+        };
+        let slot = self.bases.iter().position(|b| b.graph == *g);
+        let reuse = slot.filter(|&i| {
+            let kn = &self.bases[i].kn;
+            kn.k() == k
+                && (kn.has_parents() || !params.record_paths)
+                && (t <= kn.d() || kn.all_full())
+        });
+        let Some(i) = reuse else {
+            let started = self.timed.then(Instant::now);
+            let mut kn =
+                KNearest::compute_with(g, k, t, Strategy::TruncatedBfs, params.threads, ledger);
+            if params.record_paths {
+                kn = kn.with_parents(g);
+            }
+            let a1 = pivots(&kn, ledger);
+            let (h, routes) = bunches(g, params, &a1, &kn);
+            let basis = Basis {
+                graph: g.clone(),
+                kn,
+                a1: a1.clone(),
+                bunches: h.clone(),
+                routes: routes.clone(),
+            };
+            match slot {
+                Some(i) => self.bases[i] = basis,
+                None => self.bases.push(basis),
+            }
+            if let Some(started) = started {
+                self.timings.push(started.elapsed());
+            }
+            return (a1, h, routes);
+        };
+        KNearest::charge(n, k, t, ledger);
+        let basis = &self.bases[i];
+        let cut = if t < basis.kn.d() {
+            basis.kn.cut(t)
+        } else {
+            None
+        };
+        let kn = cut.as_ref().unwrap_or(&basis.kn);
+        let a1 = pivots(kn, ledger);
+        if cut.is_none() && a1 == basis.a1 {
+            let routes = basis.routes.clone().filter(|_| params.record_paths);
+            return (a1, basis.bunches.clone(), routes);
+        }
+        let (h, routes) = bunches(g, params, &a1, kn);
+        (a1, h, routes)
+    }
+}
+
 /// Builds a `(β, ε, t)`-hopset with a randomized hitting set (Thm 12.1):
-/// `O(log²t/ε)` rounds w.h.p.
+/// `O(log²t/ε)` rounds w.h.p. Steps 1–2 come from `basis`.
 pub fn build_randomized(
     g: &Graph,
     params: HopsetParams,
     rng: &mut impl Rng,
+    basis: &mut BasisCache,
     ledger: &mut RoundLedger,
 ) -> BoundedHopset {
     let mut phase = ledger.enter("hopset");
-    let kn = KNearest::compute_with(
-        g,
-        params.k,
-        params.t,
-        Strategy::TruncatedBfs,
-        params.threads,
-        &mut phase,
-    );
-    let full_sets = full_knearest_sets(&kn, g.n(), params.k);
-    let a1 = hitting::random_hitting_set(
-        g.n(),
-        params.k.min(full_min_size(&full_sets, params.k)),
-        &full_sets,
-        params.hitting_c,
-        rng,
-        &mut phase,
-    )
-    .expect("(k,t)-nearest sets are valid hitting-set input");
-    build_from_pivots(g, params, a1, kn, &mut phase)
+    let bunches = basis.bunches(g, &params, &mut phase, |k, sets, ledger| {
+        hitting::random_hitting_set(g.n(), k, sets, params.hitting_c, rng, ledger)
+    });
+    build_from_bunches(g, params, bunches, &mut phase)
 }
 
 /// Builds a `(β, ε, t)`-hopset with the deterministic hitting set of
-/// Lemma 9 (Thm 12.2): `O(log²t/ε + (log log n)³)` rounds.
+/// Lemma 9 (Thm 12.2): `O(log²t/ε + (log log n)³)` rounds. Steps 1–2 come
+/// from `basis`.
 pub fn build_deterministic(
     g: &Graph,
     params: HopsetParams,
+    basis: &mut BasisCache,
     ledger: &mut RoundLedger,
 ) -> BoundedHopset {
     let mut phase = ledger.enter("hopset");
-    let kn = KNearest::compute_with(
-        g,
-        params.k,
-        params.t,
-        Strategy::TruncatedBfs,
-        params.threads,
-        &mut phase,
-    );
-    let full_sets = full_knearest_sets(&kn, g.n(), params.k);
-    let a1 = hitting::deterministic_hitting_set(
-        g.n(),
-        params.k.min(full_min_size(&full_sets, params.k)),
-        &full_sets,
-        &mut phase,
-    )
-    .expect("(k,t)-nearest sets are valid hitting-set input");
-    build_from_pivots(g, params, a1, kn, &mut phase)
+    let bunches = basis.bunches(g, &params, &mut phase, |k, sets, ledger| {
+        hitting::deterministic_hitting_set(g.n(), k, sets, ledger)
+    });
+    build_from_bunches(g, params, bunches, &mut phase)
 }
 
 /// The `(k,t)`-nearest sets of vertices whose list is full (size `k`) —
@@ -271,15 +382,13 @@ fn full_min_size(full: &[Vec<usize>], k: usize) -> usize {
     full.iter().map(Vec::len).min().unwrap_or(k).max(1)
 }
 
-/// Shared construction once the pivot set `A₁` is fixed.
-fn build_from_pivots(
+/// Step 3 over the bunches of `A₁`.
+fn build_from_bunches(
     g: &Graph,
     params: HopsetParams,
-    a1: Vec<usize>,
-    kn: KNearest,
+    (a1, h, mut routes): Bunches,
     ledger: &mut RoundLedger,
 ) -> BoundedHopset {
-    let (h, mut routes) = bunches(g, &params, &a1, kn);
     let base_degree: Vec<u32> = (0..g.n()).map(|u| g.degree(u) as u32).collect();
     let union = if a1.is_empty() {
         WeightedGraph::union_of(g, &h)
@@ -297,21 +406,14 @@ fn build_from_pivots(
 }
 
 /// `H⁰`: the bounded bunches of the non-pivot vertices, with their
-/// provenance when recording.
+/// provenance when recording (`kn` then carries parents).
 fn bunches(
     g: &Graph,
     params: &HopsetParams,
     a1: &[usize],
-    kn: KNearest,
+    kn: &KNearest,
 ) -> (WeightedGraph, Option<Unroller>) {
     let n = g.n();
-    // Witness bookkeeping is local-only: it must not change the edges built
-    // or the rounds charged below.
-    let kn = if params.record_paths && !kn.has_parents() {
-        kn.with_parents(g)
-    } else {
-        kn
-    };
     let mut routes = params.record_paths.then(Unroller::new);
     let mut in_a1 = vec![false; n];
     for &a in a1 {
@@ -531,7 +633,12 @@ mod tests {
         }
         .unwrap();
         let beta = params.beta();
-        let (mut h, mut routes) = bunches(g, &params, &a1, kn);
+        let kn = if params.record_paths {
+            kn.with_parents(g)
+        } else {
+            kn
+        };
+        let (mut h, mut routes) = bunches(g, &params, &a1, &kn);
         let mut best = std::collections::BTreeMap::new();
         let mut improved = Vec::new();
         if !a1.is_empty() {
@@ -634,10 +741,11 @@ mod tests {
                             randomized.then_some(&mut rng_ref),
                             &mut l_ref,
                         );
+                        let fresh = &mut BasisCache::default();
                         let hs = if randomized {
-                            build_randomized(g, params, &mut rng_new, &mut l_new)
+                            build_randomized(g, params, &mut rng_new, fresh, &mut l_new)
                         } else {
-                            build_deterministic(g, params, &mut l_new)
+                            build_deterministic(g, params, fresh, &mut l_new)
                         };
                         let tag = format!("{name} rng={randomized} rec={record} t={threads}");
                         assert_eq!(
@@ -666,6 +774,104 @@ mod tests {
         assert!(adjacent, "no recorded input has adjacent pivots");
     }
 
+    /// Builds through one shared [`BasisCache`] equal fresh builds in `H`,
+    /// the union, `A₁`, `β`, the routes and every ledger entry: request
+    /// pairs `(t, 2t)` in both orders on one graph, with a request on a
+    /// subgraph in between (the session's `G'`), deterministic and
+    /// randomized, recording on and off, at 1–3 threads. The long cycle's
+    /// lists are not full, so `(2t, t)` cuts entries off; the gnp graph's
+    /// lists are all full at `t`, so `(t, 2t)` reuses them; and randomized
+    /// requests draw a different `A₁` on reused lists, so the bunches are
+    /// rebuilt.
+    #[test]
+    fn shared_basis_matches_fresh_builds() {
+        let mut gen = ChaCha8Rng::seed_from_u64(8);
+        let cases = [
+            ("cycle", generators::cycle(240), 8),
+            ("gnp", generators::connected_gnp(90, 0.05, &mut gen), 8),
+        ];
+        let (mut cut_drops, mut all_full, mut a1_differs) = (false, false, false);
+        for (name, g, t) in &cases {
+            let edges: Vec<(usize, usize)> = g.edges().skip(1).collect();
+            let sub = Graph::from_edges(g.n(), &edges);
+            let k = HopsetParams::scaled(g.n(), *t, 0.5).k;
+            let mut ledger = RoundLedger::new(g.n());
+            let narrow = KNearest::compute(g, k, *t, Strategy::TruncatedBfs, &mut ledger);
+            let wide = KNearest::compute(g, k, 2 * t, Strategy::TruncatedBfs, &mut ledger);
+            cut_drops |= wide.cut(*t).is_some();
+            all_full |= narrow.all_full();
+            for (first, second) in [(*t, 2 * t), (2 * t, *t)] {
+                // Bases the shared cache must compute: `g`, `sub`, and `g`
+                // again only when the first lists can serve neither bound.
+                let bases = if first < second && !narrow.all_full() {
+                    3
+                } else {
+                    2
+                };
+                let requests = [(g, first), (&sub, first), (g, second)];
+                for randomized in [false, true] {
+                    for record in [false, true] {
+                        for threads in 1..=3 {
+                            let mut shared = BasisCache::default();
+                            shared.set_timed(true);
+                            let build = |shared: Option<&mut BasisCache>| {
+                                let mut rng = ChaCha8Rng::seed_from_u64(3);
+                                let mut ledger = RoundLedger::new(g.n());
+                                let mut shared = shared;
+                                let built: Vec<BoundedHopset> = requests
+                                    .iter()
+                                    .map(|&(g, t)| {
+                                        let params = HopsetParams::scaled(g.n(), t, 0.5)
+                                            .with_threads(threads)
+                                            .with_paths(record);
+                                        let mut fresh = BasisCache::default();
+                                        let basis = shared.as_deref_mut().unwrap_or(&mut fresh);
+                                        if randomized {
+                                            build_randomized(
+                                                g,
+                                                params,
+                                                &mut rng,
+                                                basis,
+                                                &mut ledger,
+                                            )
+                                        } else {
+                                            build_deterministic(g, params, basis, &mut ledger)
+                                        }
+                                    })
+                                    .collect();
+                                (built, ledger)
+                            };
+                            let (want, l_fresh) = build(None);
+                            let (got, l_shared) = build(Some(&mut shared));
+                            let tag = format!(
+                                "{name} ({first},{second}) rng={randomized} rec={record} t={threads}"
+                            );
+                            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                                let tag = format!("{tag} request {i}");
+                                assert_eq!(
+                                    a.edges().collect::<Vec<_>>(),
+                                    b.edges().collect::<Vec<_>>(),
+                                    "{tag}: H"
+                                );
+                                assert_eq!(a.union, b.union, "{tag}: union");
+                                assert_eq!(a.a1, b.a1, "{tag}: A1");
+                                assert_eq!(a.beta, b.beta, "{tag}: beta");
+                                assert_eq!(a.routes, b.routes, "{tag}: routes");
+                            }
+                            assert_eq!(l_shared.entries(), l_fresh.entries(), "{tag}: ledger");
+                            let calls = shared.take_timings().len();
+                            assert_eq!(calls, bases, "{tag}: bases computed");
+                            a1_differs |= randomized && got[0].a1 != got[2].a1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cut_drops, "no input cuts list entries");
+        assert!(all_full, "no input has all lists full");
+        assert!(a1_differs, "no randomized input redraws A1");
+    }
+
     #[test]
     fn params_shapes() {
         let p = check_params(1024, 64, 0.5);
@@ -691,7 +897,13 @@ mod tests {
         ] {
             let params = check_params(g.n(), 8, 0.5);
             let mut ledger = RoundLedger::new(g.n());
-            let hs = build_randomized(&g, params, &mut rng, &mut ledger);
+            let hs = build_randomized(
+                &g,
+                params,
+                &mut rng,
+                &mut BasisCache::default(),
+                &mut ledger,
+            );
             let samples: Vec<usize> = (0..g.n()).step_by(5).collect();
             let worst = hs.verify_from(&g, &samples);
             assert!(worst <= 1.5 + 1e-9, "{name}: worst ratio {worst}");
@@ -703,7 +915,7 @@ mod tests {
         let g = generators::caveman(5, 6);
         let params = check_params(g.n(), 6, 0.4);
         let mut ledger = RoundLedger::new(g.n());
-        let hs = build_deterministic(&g, params, &mut ledger);
+        let hs = build_deterministic(&g, params, &mut BasisCache::default(), &mut ledger);
         let samples: Vec<usize> = (0..g.n()).collect();
         let worst = hs.verify_from(&g, &samples);
         assert!(worst <= 1.4 + 1e-9, "worst ratio {worst}");
@@ -715,7 +927,13 @@ mod tests {
         let g = generators::connected_gnp(120, 0.05, &mut rng);
         let params = check_params(g.n(), 8, 0.5);
         let mut ledger = RoundLedger::new(g.n());
-        let hs = build_randomized(&g, params, &mut rng, &mut ledger);
+        let hs = build_randomized(
+            &g,
+            params,
+            &mut rng,
+            &mut BasisCache::default(),
+            &mut ledger,
+        );
         let n = g.n() as f64;
         let bound = 4.0 * n.powf(1.5) * n.ln();
         let size = hs.union.m() - g.m();
@@ -731,7 +949,13 @@ mod tests {
         let g = generators::cycle(32);
         let params = check_params(32, 8, 0.5);
         let mut ledger = RoundLedger::new(32);
-        let hs = build_randomized(&g, params, &mut rng, &mut ledger);
+        let hs = build_randomized(
+            &g,
+            params,
+            &mut rng,
+            &mut BasisCache::default(),
+            &mut ledger,
+        );
         // Every pair of pivots within distance t must be ≤ 2 hops apart in H
         // (they share a direct edge after the final interconnection).
         let exact = cc_graphs::bfs::apsp_exact(&g);
@@ -763,8 +987,20 @@ mod tests {
             let mut rng_b = ChaCha8Rng::seed_from_u64(77);
             let mut l_plain = RoundLedger::new(g.n());
             let mut l_rec = RoundLedger::new(g.n());
-            let plain = build_randomized(&g, params, &mut rng_a, &mut l_plain);
-            let hs = build_randomized(&g, params.with_paths(true), &mut rng_b, &mut l_rec);
+            let plain = build_randomized(
+                &g,
+                params,
+                &mut rng_a,
+                &mut BasisCache::default(),
+                &mut l_plain,
+            );
+            let hs = build_randomized(
+                &g,
+                params.with_paths(true),
+                &mut rng_b,
+                &mut BasisCache::default(),
+                &mut l_rec,
+            );
             // Recording is wall-clock only: same edges, same rounds.
             assert_eq!(hs.union, plain.union, "{name}: recording changed edges");
             assert_eq!(
@@ -801,7 +1037,7 @@ mod tests {
         let g = generators::caveman(5, 5);
         let params = check_params(g.n(), 6, 0.4).with_paths(true);
         let mut ledger = RoundLedger::new(g.n());
-        let hs = build_deterministic(&g, params, &mut ledger);
+        let hs = build_deterministic(&g, params, &mut BasisCache::default(), &mut ledger);
         let routes = hs.routes.as_ref().expect("routes recorded");
         let exact = cc_graphs::bfs::apsp_exact(&g);
         for (u, v, w) in hs.edges() {
@@ -816,9 +1052,21 @@ mod tests {
         let g = generators::cycle(200);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut l_small = RoundLedger::new(200);
-        let _ = build_randomized(&g, check_params(200, 4, 0.5), &mut rng, &mut l_small);
+        let _ = build_randomized(
+            &g,
+            check_params(200, 4, 0.5),
+            &mut rng,
+            &mut BasisCache::default(),
+            &mut l_small,
+        );
         let mut l_big = RoundLedger::new(200);
-        let _ = build_randomized(&g, check_params(200, 64, 0.5), &mut rng, &mut l_big);
+        let _ = build_randomized(
+            &g,
+            check_params(200, 64, 0.5),
+            &mut rng,
+            &mut BasisCache::default(),
+            &mut l_big,
+        );
         assert!(l_big.total_rounds() > l_small.total_rounds());
     }
 
@@ -828,7 +1076,13 @@ mod tests {
         let g = generators::connected_gnp(60, 0.06, &mut rng);
         let params = check_params(60, 8, 0.5);
         let mut ledger = RoundLedger::new(60);
-        let hs = build_randomized(&g, params, &mut rng, &mut ledger);
+        let hs = build_randomized(
+            &g,
+            params,
+            &mut rng,
+            &mut BasisCache::default(),
+            &mut ledger,
+        );
         let exact = cc_graphs::bfs::apsp_exact(&g);
         for (u, v, w) in hs.edges() {
             assert!(

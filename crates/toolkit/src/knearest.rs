@@ -78,7 +78,7 @@ impl KNearest {
     ) -> Self {
         assert!(k > 0, "k must be positive");
         let n = g.n();
-        ledger.charge("(k,d)-nearest", Self::rounds(n, k, d));
+        Self::charge(n, k, d, ledger);
         let threads = threads.clamp(1, n.max(1));
         let lists: Vec<Vec<(u32, Dist)>> = match strategy {
             Strategy::TruncatedBfs if threads <= 1 => {
@@ -212,6 +212,48 @@ impl KNearest {
             recs.push(Some(arena.cat(prefix, hop)));
         }
         recs
+    }
+
+    /// The lists cut at distance `d ≤ self.d()`: exactly the `(k, d)`-nearest
+    /// lists, parents included, because each list is the `(distance, id)`
+    /// prefix of its ball and cutting keeps the prefix of the smaller ball.
+    /// `None` when no entry lies beyond `d`, so the lists are already the
+    /// answer.
+    pub(crate) fn cut(&self, d: Dist) -> Option<KNearest> {
+        debug_assert!(d <= self.d, "a cut cannot extend the lists");
+        let keep = |list: &[(u32, Dist)]| list.partition_point(|&(_, x)| x <= d);
+        if self.lists.iter().all(|list| keep(list) == list.len()) {
+            return None;
+        }
+        let parents = self.parents.as_ref().map(|parents| {
+            parents
+                .iter()
+                .zip(&self.lists)
+                .map(|(row, list)| row[..keep(list)].to_vec())
+                .collect()
+        });
+        Some(KNearest {
+            k: self.k,
+            d,
+            lists: self
+                .lists
+                .iter()
+                .map(|list| list[..keep(list)].to_vec())
+                .collect(),
+            parents,
+        })
+    }
+
+    /// `true` if every list holds `k` entries: then a larger `d` finds the
+    /// same lists.
+    pub(crate) fn all_full(&self) -> bool {
+        self.lists.iter().all(|list| list.len() >= self.k)
+    }
+
+    /// Charges the Thm 10 cost of one `(k,d)`-nearest computation on `n`
+    /// vertices.
+    pub(crate) fn charge(n: usize, k: usize, d: Dist, ledger: &mut RoundLedger) {
+        ledger.charge("(k,d)-nearest", Self::rounds(n, k, d));
     }
 
     /// The Thm 10 round formula.
@@ -397,6 +439,31 @@ mod tests {
                     assert!(g.has_edge(x as usize, y as usize), "real G edge");
                 }
             }
+        }
+    }
+
+    /// Cutting `(k, d₀)` lists at `d ≤ d₀` gives the `(k, d)` lists and
+    /// their parents; a cut that drops nothing returns `None`.
+    #[test]
+    fn cut_equals_a_fresh_computation() {
+        let mut rng = seeded(12);
+        for (name, g) in [
+            ("cycle", generators::cycle(30)),
+            ("grid", generators::grid(6, 6)),
+            ("gnp", generators::connected_gnp(40, 0.08, &mut rng)),
+        ] {
+            let mut ledger = RoundLedger::new(g.n());
+            let wide = KNearest::compute(&g, 9, 6, Strategy::TruncatedBfs, &mut ledger);
+            let wide = wide.with_parents(&g);
+            for d in 1..=6 {
+                let fresh = KNearest::compute(&g, 9, d, Strategy::TruncatedBfs, &mut ledger);
+                let fresh = fresh.with_parents(&g);
+                match wide.cut(d) {
+                    Some(cut) => assert_eq!(cut, fresh, "{name} d={d}"),
+                    None => assert_eq!(wide.lists, fresh.lists, "{name} d={d}"),
+                }
+            }
+            assert!(wide.cut(1).is_some(), "{name}: d = 1 drops entries");
         }
     }
 

@@ -45,6 +45,6 @@ pub mod knearest;
 pub mod source_detection;
 pub mod through_sets;
 
-pub use hopset::{BoundedHopset, HopsetParams};
+pub use hopset::{BasisCache, BoundedHopset, HopsetParams};
 pub use knearest::{KNearest, Strategy};
 pub use source_detection::SourceDetection;

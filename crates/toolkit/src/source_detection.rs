@@ -304,7 +304,7 @@ mod tests {
     /// sources' BFS depths in the base graph.
     #[test]
     fn certified_rows_match_bellman_ford() {
-        use crate::hopset::{self, HopsetParams};
+        use crate::hopset::{self, BasisCache, HopsetParams};
         use rand::SeedableRng;
         use rand_chacha::ChaCha8Rng;
 
@@ -339,9 +339,20 @@ mod tests {
                     let params = HopsetParams::scaled(n, 16, 0.5).with_paths(record);
                     let mut ledger = RoundLedger::new(n);
                     let hs = if randomized {
-                        hopset::build_randomized(g, params, &mut rng, &mut ledger)
+                        hopset::build_randomized(
+                            g,
+                            params,
+                            &mut rng,
+                            &mut BasisCache::default(),
+                            &mut ledger,
+                        )
                     } else {
-                        hopset::build_deterministic(g, params, &mut ledger)
+                        hopset::build_deterministic(
+                            g,
+                            params,
+                            &mut BasisCache::default(),
+                            &mut ledger,
+                        )
                     };
                     let union = &hs.union;
                     for h in [0, 1, lo.max(1) - 1, (lo + hi) / 2, hi, hs.beta] {

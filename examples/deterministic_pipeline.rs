@@ -6,6 +6,7 @@
 use congested_clique::derand::soft_hitting::{soft_hitting_set, SoftHittingInstance};
 use congested_clique::emulator::deterministic;
 use congested_clique::prelude::*;
+use congested_clique::toolkit::BasisCache;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The derandomization primitive: a soft hitting set (Definition 42).
@@ -46,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = generators::caveman(10, 8);
     let cfg = CliqueEmulatorConfig::scaled(EmulatorParams::new(g.n(), 0.25, 2)?);
     let mut l1 = RoundLedger::new(g.n());
-    let emu1 = deterministic::build(&g, &cfg, &mut l1);
+    let emu1 = deterministic::build(&g, &cfg, &mut BasisCache::default(), &mut l1);
     let mut l2 = RoundLedger::new(g.n());
-    let emu2 = deterministic::build(&g, &cfg, &mut l2);
+    let emu2 = deterministic::build(&g, &cfg, &mut BasisCache::default(), &mut l2);
     assert_eq!(emu1.graph, emu2.graph, "deterministic build must reproduce");
     println!(
         "\ndeterministic emulator: {} edges (bound ~ r·n^(1+1/2^r) = {:.0}), rounds = {}",

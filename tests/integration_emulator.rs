@@ -3,6 +3,7 @@
 
 use congested_clique::emulator::{clique, deterministic, ideal, whp};
 use congested_clique::prelude::*;
+use congested_clique::toolkit::BasisCache;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -29,7 +30,7 @@ fn all_four_constructions_meet_their_bounds() {
         assert!(emu_ideal.verify(&g, &params).within_bounds, "{name}: ideal");
 
         let mut ledger = RoundLedger::new(g.n());
-        let emu_clique = clique::build(&g, &cfg, &mut rng, &mut ledger);
+        let emu_clique = clique::build(&g, &cfg, &mut rng, &mut BasisCache::default(), &mut ledger);
         assert!(
             emu_clique
                 .verify_with_bounds(&g, mult, add, params.size_bound())
@@ -38,7 +39,8 @@ fn all_four_constructions_meet_their_bounds() {
         );
 
         let mut ledger = RoundLedger::new(g.n());
-        let (emu_whp, stats) = whp::build(&g, &cfg, &mut rng, &mut ledger);
+        let (emu_whp, stats) =
+            whp::build(&g, &cfg, &mut rng, &mut BasisCache::default(), &mut ledger);
         assert!(
             emu_whp
                 .verify_with_bounds(&g, mult, add, params.size_bound())
@@ -48,7 +50,7 @@ fn all_four_constructions_meet_their_bounds() {
         assert!(stats.qualifying_runs > 0, "{name}: no qualifying whp run");
 
         let mut ledger = RoundLedger::new(g.n());
-        let emu_det = deterministic::build(&g, &cfg, &mut ledger);
+        let emu_det = deterministic::build(&g, &cfg, &mut BasisCache::default(), &mut ledger);
         assert!(
             emu_det
                 .verify_with_bounds(&g, mult, add, params.size_bound())

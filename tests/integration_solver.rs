@@ -266,7 +266,10 @@ fn rounds(entries: &[CostEntry]) -> u64 {
 /// MSSP batch and the additive query, under the same checks. The graph has
 /// a hub above the high-degree threshold, so the session uses all three
 /// hopset roles (the input graph at `(2t, ε/2)` and at `(t, ε)`, and `G'`
-/// at `(2t, ε/2)`) and builds each one once, beside one emulator.
+/// at `(2t, ε/2)`) and builds each one once, beside one emulator. The
+/// hopsets share one basis per distinct graph: one here, because every hub
+/// edge has a low-degree end, so `G'` keeps it and equals `G`; two once a
+/// second hub adjacent to the first makes `G' ≠ G`.
 #[test]
 fn deterministic_answers_do_not_depend_on_query_order() {
     let g = hub_gnp();
@@ -318,8 +321,28 @@ fn deterministic_answers_do_not_depend_on_query_order() {
             let at = format!("record={record} {order:?}");
             assert_eq!(calls(&solver, "emulator_build"), 1, "{at}: emulators");
             assert_eq!(calls(&solver, "hopset_build"), 3, "{at}: hopsets");
+            assert_eq!(calls(&solver, "hopset_basis"), 1, "{at}: bases");
         }
     }
+    let mut edges: Vec<(usize, usize)> = g.edges().collect();
+    edges.extend((1..97).step_by(2).map(|v| (1, v)));
+    edges.push((0, 1));
+    let two_hubs = Graph::from_edges(97, &edges);
+    let mut solver = SolverBuilder::new(two_hubs)
+        .eps(0.5)
+        .execution(Execution::Deterministic)
+        .threads(2)
+        .profile_stages(true)
+        .build()
+        .unwrap();
+    solver.apsp_2eps().unwrap();
+    solver.mssp(&sources).unwrap();
+    assert_eq!(calls(&solver, "hopset_build"), 3, "two hubs: hopsets");
+    assert_eq!(
+        calls(&solver, "hopset_basis"),
+        2,
+        "two hubs: bases of G and G'"
+    );
 }
 
 /// Pins which witness wins each pair and which records the arenas hold: a

@@ -3,7 +3,7 @@
 //! the way the applications compose them.
 
 use congested_clique::prelude::*;
-use congested_clique::toolkit::hopset::{self, HopsetParams};
+use congested_clique::toolkit::hopset::{self, BasisCache, HopsetParams};
 use congested_clique::toolkit::knearest::{KNearest, Strategy};
 use congested_clique::toolkit::source_detection::SourceDetection;
 use congested_clique::toolkit::through_sets::ThroughSets;
@@ -28,9 +28,15 @@ fn hopset_plus_source_detection_is_one_plus_eps() {
             let params = HopsetParams::paper(g.n(), t, eps);
             let mut ledger = RoundLedger::new(g.n());
             let hs = if deterministic {
-                hopset::build_deterministic(&g, params, &mut ledger)
+                hopset::build_deterministic(&g, params, &mut BasisCache::default(), &mut ledger)
             } else {
-                hopset::build_randomized(&g, params, &mut rng, &mut ledger)
+                hopset::build_randomized(
+                    &g,
+                    params,
+                    &mut rng,
+                    &mut BasisCache::default(),
+                    &mut ledger,
+                )
             };
             let sources = [0usize, g.n() / 2];
             let sd = SourceDetection::run(&hs.union, &sources, hs.beta, 2, &mut ledger);
@@ -97,7 +103,13 @@ fn sdk_variant_orders_pivots() {
     let g = generators::caveman(8, 6);
     let params = HopsetParams::scaled(g.n(), 8, 0.5);
     let mut ledger = RoundLedger::new(g.n());
-    let hs = hopset::build_randomized(&g, params, &mut rng, &mut ledger);
+    let hs = hopset::build_randomized(
+        &g,
+        params,
+        &mut rng,
+        &mut BasisCache::default(),
+        &mut ledger,
+    );
     let pivots: Vec<usize> = (0..g.n()).step_by(7).collect();
     let sd = SourceDetection::run(&hs.union, &pivots, hs.beta, 2, &mut ledger);
     for v in 0..g.n() {

@@ -10,7 +10,7 @@
 use congested_clique::derand::soft_hitting::{soft_hitting_set, SoftHittingInstance};
 use congested_clique::emulator::ideal;
 use congested_clique::prelude::*;
-use congested_clique::toolkit::hopset::{self, HopsetParams};
+use congested_clique::toolkit::hopset::{self, BasisCache, HopsetParams};
 use congested_clique::toolkit::knearest::{KNearest, Strategy as KnStrategy};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -74,7 +74,7 @@ proptest! {
         let params = HopsetParams::scaled(g.n(), t, eps);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut ledger = RoundLedger::new(g.n());
-        let hs = hopset::build_randomized(&g, params, &mut rng, &mut ledger);
+        let hs = hopset::build_randomized(&g, params, &mut rng, &mut BasisCache::default(), &mut ledger);
         let samples: Vec<usize> = (0..g.n()).step_by(3).collect();
         let worst = hs.verify_from(&g, &samples);
         prop_assert!(worst <= 1.0 + eps + 1e-9, "worst = {worst}");
@@ -187,7 +187,7 @@ proptest! {
         let params = HopsetParams::scaled(g.n(), 4, 0.5);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut ledger = RoundLedger::new(g.n());
-        let hs = hopset::build_randomized(&g, params, &mut rng, &mut ledger);
+        let hs = hopset::build_randomized(&g, params, &mut rng, &mut BasisCache::default(), &mut ledger);
         let exact = bfs::apsp_exact(&g);
         let d0 = congested_clique::graphs::dijkstra::sssp(&hs.union, 0);
         for v in 0..g.n() {
