@@ -158,6 +158,12 @@ impl PathOracle {
         self.oracle.n()
     }
 
+    /// Number of witness providers.
+    #[cfg(test)]
+    pub(crate) fn provider_count(&self) -> usize {
+        self.providers.len()
+    }
+
     /// The embedded distance oracle (same values and tags the routes are
     /// served under).
     pub fn dist_oracle(&self) -> &DistOracle {

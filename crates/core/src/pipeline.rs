@@ -316,7 +316,8 @@ fn lower_row(row: &mut [Dist], dists: &[Dist], neighbors: &[u32]) {
 /// `G` neighbour, and its distances lower the source's `delta` row.
 /// Emulator distances are symmetric, so for `v < src` the tree of `v` has
 /// already set the pair at the same value: the first tree to reach a pair
-/// is the one that lowers it (DESIGN.md §7.4).
+/// is the one that lowers it (DESIGN.md §7.4). A tree interns only the
+/// records those witnesses reach.
 fn record_emulator_pairs(
     g: &Graph,
     emu: &Emulator,
@@ -334,11 +335,12 @@ fn record_emulator_pairs(
     store.absorb_routes(routes);
     let max_weight = emu.graph.max_weight();
     let sources: Vec<usize> = (0..g.n()).collect();
+    let sets = |src: usize, v: usize| v > src && !g.has_edge(src, v);
     for chunk in sources.chunks(TREE_CHUNK) {
-        let trees = intern_trees(g, emu, store.routes(), chunk, max_weight, threads);
+        let trees = intern_trees(g, emu, store.routes(), chunk, max_weight, threads, sets);
         for (&src, tree) in chunk.iter().zip(trees) {
             for (v, rec) in tree.append_to(store.routes_mut().arena_mut()) {
-                if v > src && !g.has_edge(src, v) {
+                if sets(src, v) {
                     store.set_rec(src, v, rec);
                 }
             }
@@ -378,7 +380,9 @@ pub(crate) fn record_emulator_rows(
     let max_weight = emu.graph.max_weight();
     let mut out = Vec::with_capacity(sources.len());
     for (c, chunk) in sources.chunks(TREE_CHUNK).enumerate() {
-        let trees = intern_trees(g, emu, rows.routes(), chunk, max_weight, threads);
+        let trees = intern_trees(g, emu, rows.routes(), chunk, max_weight, threads, |_, _| {
+            true
+        });
         for (i, tree) in (c * TREE_CHUNK..).zip(trees) {
             for (v, rec) in tree.append_to(rows.routes_mut().arena_mut()) {
                 rows.set_rec(i, v, rec);
@@ -391,7 +395,8 @@ pub(crate) fn record_emulator_rows(
 
 /// One source's emulator Dijkstra tree, interned away from the arena: its
 /// distances and, per vertex, the record of its tree path as a handle into
-/// `batch` (`None` for the root and unreachable vertices).
+/// `batch` (`None` for the root, unreachable vertices and vertices no
+/// witness reaches).
 #[derive(Default)]
 struct InternedTree {
     dists: Vec<Dist>,
@@ -416,7 +421,8 @@ impl InternedTree {
 
 /// The emulator trees from `sources`, computed and interned by `threads`
 /// workers against the read-only `routes`, in source order. `max_weight`
-/// is the emulator's, computed once per sweep.
+/// is the emulator's, computed once per sweep; `wanted(src, v)` names the
+/// vertices whose record the caller sets ([`intern_tree`]).
 fn intern_trees(
     g: &Graph,
     emu: &Emulator,
@@ -424,28 +430,34 @@ fn intern_trees(
     sources: &[usize],
     max_weight: Dist,
     threads: usize,
+    wanted: impl Fn(usize, usize) -> bool + Sync,
 ) -> Vec<InternedTree> {
     let mut trees: Vec<InternedTree> = std::iter::repeat_with(InternedTree::default)
         .take(sources.len())
         .collect();
     dijkstra::sweep(&mut trees, max_weight, threads, |ws, i, tree| {
-        *tree = intern_tree(g, emu, routes, ws, sources[i]);
+        let src = sources[i];
+        *tree = intern_tree(g, emu, routes, ws, src, |v| wanted(src, v));
     });
     trees
 }
 
-/// Interns, for every vertex of the emulator Dijkstra tree from `src`, the
-/// `G`-walk realizing its tree path: emulator-edge hops resolve through the
-/// absorbed routes, and direct `G` edges are preferred. Vertices go in
-/// `(distance, id)` order, so every parent's record exists before its
-/// children extend it. The batch holds exactly the records a direct
-/// interning would push, in the same order (DESIGN.md §7.4).
+/// Interns, for every `wanted` vertex of the emulator Dijkstra tree from
+/// `src` and every tree ancestor of one, the `G`-walk realizing its tree
+/// path: emulator-edge hops resolve through the absorbed routes, and
+/// direct `G` edges are preferred. Vertices go in `(distance, id)` order,
+/// so every parent's record exists before its children extend it, and one
+/// reverse pass over that order closes the wanted set under parents. The
+/// batch holds exactly the records a direct interning of those vertices
+/// would push, in the same order: a whole tree's records minus those no
+/// wanted vertex reaches (DESIGN.md §7.4).
 fn intern_tree(
     g: &Graph,
     emu: &Emulator,
     routes: &Unroller,
     ws: &mut DialWorkspace,
     src: usize,
+    wanted: impl Fn(usize) -> bool,
 ) -> InternedTree {
     let (dists, parents) = ws.sssp_with_parents(&emu.graph, src);
     let dists = dists.to_vec();
@@ -456,13 +468,26 @@ fn intern_tree(
         .map(|v| u64::from(dists[v]) << 32 | v as u64)
         .collect();
     order.sort_unstable();
+    let parent = |v: usize| parents[v].expect("finite non-root has a parent") as usize;
+    let mut marked: Vec<bool> = (0..n).map(&wanted).collect();
+    let mut kept = 0;
+    for &key in order.iter().rev() {
+        let v = key as u32 as usize;
+        if marked[v] {
+            marked[parent(v)] = true;
+            kept += 1;
+        }
+    }
     // At most an edge or a reversal plus a concatenation per vertex.
-    let mut batch = RecordBatch::with_capacity(2 * n);
+    let mut batch = RecordBatch::with_capacity(2 * kept);
     let mut recs: Vec<Option<BatchRef>> = vec![None; n];
     for key in order {
         let v32 = key as u32;
         let v = v32 as usize;
-        let p = parents[v].expect("finite non-root has a parent") as usize;
+        if !marked[v] {
+            continue;
+        }
+        let p = parent(v);
         let hop = if g.has_edge(p, v) {
             batch.edge(p as u32, v32)
         } else {
@@ -872,6 +897,93 @@ mod tests {
                 reference.store.arena(),
                 "{name}: routing arena"
             );
+        }
+    }
+
+    /// Marks every record reachable from `roots` in one reverse pass:
+    /// children precede parents, so a record's mark is final when the pass
+    /// reaches it.
+    fn reachable(arena: &RouteArena, roots: impl IntoIterator<Item = RecId>) -> Vec<bool> {
+        let (tags, ops_a, ops_b, _) = arena.sections();
+        let mut marked = vec![false; tags.len()];
+        for rec in roots {
+            marked[rec.index() as usize] = true;
+        }
+        for i in (0..tags.len()).rev() {
+            if marked[i] && tags[i] != cc_routes::TAG_EDGE {
+                marked[ops_a[i] as usize] = true;
+                if tags[i] == cc_routes::TAG_CAT {
+                    marked[ops_b[i] as usize] = true;
+                }
+            }
+        }
+        marked
+    }
+
+    /// The records of `arena` that no root reaches, outside the `absorbed`
+    /// records from `at` on: their count and the first one.
+    fn unreached(
+        arena: &RouteArena,
+        roots: impl IntoIterator<Item = RecId>,
+        (at, absorbed): (usize, usize),
+    ) -> (usize, Option<usize>) {
+        let marked = reachable(arena, roots);
+        let mut lost =
+            (0..marked.len()).filter(|&i| !marked[i] && !(at..at + absorbed).contains(&i));
+        let first = lost.next();
+        (first.map_or(0, |_| 1 + lost.count()), first)
+    }
+
+    /// Every record the recording sweeps append is reachable from a
+    /// witness: the pair sweep interns only the tree records of the pairs
+    /// it sets and their ancestors, and the MSSP rows set every tree
+    /// record. The absorbed emulator routes are the one exception. The
+    /// hub + gnp(97) emulator has hops that resolve through absorbed,
+    /// sometimes reversed, routes.
+    #[test]
+    fn sweep_records_are_reachable_from_witnesses() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut hub: Vec<(usize, usize)> = generators::connected_gnp(97, 0.06, &mut rng)
+            .edges()
+            .collect();
+        hub.extend((2..97).step_by(2).map(|v| (0, v)));
+        for (name, g) in [
+            ("grid 9x11", generators::grid(9, 11)),
+            ("caveman", generators::caveman(6, 6)),
+            ("hub + gnp(97)", Graph::from_edges(97, &hub)),
+        ] {
+            let n = g.n();
+            for threads in 1..=3 {
+                let at = format!("{name}, {threads} threads");
+                let cfg = emulator_config(n, 0.5, ParamProfile::Scaled)
+                    .unwrap()
+                    .with_paths(true)
+                    .with_threads(threads);
+                let mut ledger = RoundLedger::new(n);
+                let subs = &mut Substrates::default();
+                let emu = subs.emulator_for(&g, &cfg, &mut Mode::Det, &mut ledger);
+                let absorbed = emu.routes.as_ref().expect("recording").arena().len();
+
+                let (_, store) = sweep_emulator(&g, &emu, &cfg, subs);
+                let store = store.expect("recording sweep");
+                let witnessed = store.witnesses().iter().filter_map(|w| match *w {
+                    cc_routes::PairWitness::Rec { rec, .. } => Some(rec),
+                    _ => None,
+                });
+                let lost = unreached(store.arena(), witnessed, (g.m(), absorbed));
+                assert!(store.arena().len() > g.m() + absorbed, "{at}: no tree");
+                assert_eq!(lost, (0, None), "{at}: pair sweep (unreached, first)");
+
+                let sources: Vec<usize> = (0..n).step_by(5).collect();
+                let mut rows = RowStore::new(n, &sources);
+                record_emulator_rows(&g, &emu, &sources, threads, &mut rows);
+                let lost = unreached(
+                    rows.arena(),
+                    rows.recs().iter().flatten().copied(),
+                    (0, absorbed),
+                );
+                assert_eq!(lost, (0, None), "{at}: MSSP rows (unreached, first)");
+            }
         }
     }
 

@@ -254,6 +254,17 @@ impl Stored<'_> {
             Stored::Rows(m) => m.guarantee_tag(),
         }
     }
+
+    /// The result's witnesses as a route provider (recording sessions).
+    fn provider(&self) -> PathProvider {
+        let recorded = "recorded session result";
+        match self {
+            Stored::Pairs(_, _, paths) => {
+                PathProvider::Pairs(Arc::clone(paths.as_ref().expect(recorded)))
+            }
+            Stored::Rows(m) => PathProvider::Rows(Arc::clone(m.paths.as_ref().expect(recorded))),
+        }
+    }
 }
 
 /// Output of the shared freeze merge (packed upper-triangle indexing).
@@ -557,7 +568,9 @@ impl Solver {
     /// The embedded distance oracle is identical to [`Solver::freeze`]'s
     /// (same merge, same provenance tags); per pair, the witness of the
     /// pipeline whose estimate won serves the route, so every route's
-    /// weight is bounded by the answered estimate.
+    /// weight is bounded by the answered estimate. A pipeline whose
+    /// estimate wins no pair off the diagonal serves no route, and the
+    /// oracle does not keep its witnesses.
     ///
     /// # Errors
     ///
@@ -579,16 +592,35 @@ impl Solver {
         let n = self.graph.n();
         let started = self.substrates.stages.borrow().start();
         self.substrates.drop_long_range();
-        let merged = self.merged_tables()?;
-        // Providers in the exact order `merged_tables` numbered them.
-        let recorded = "recorded session result";
-        let providers: Vec<PathProvider> = self
-            .results()
-            .map(|result| match result {
-                Stored::Pairs(_, _, paths) => PathProvider::Pairs(paths.clone().expect(recorded)),
-                Stored::Rows(m) => PathProvider::Rows(m.paths.clone().expect(recorded)),
-            })
-            .collect();
+        let mut merged = self.merged_tables()?;
+        // A result serves the finite off-diagonal pairs it is the origin
+        // of (a diagonal route is empty). The first result is kept when
+        // none serves a pair: an oracle has at least one provider.
+        let mut serves = vec![false; self.results().count()];
+        let mut idx = 0;
+        for u in 0..n {
+            for v in u..n {
+                if v != u && merged.data[idx] < INF {
+                    serves[usize::from(merged.origins[idx])] = true;
+                }
+                idx += 1;
+            }
+        }
+        serves[0] |= !serves.contains(&true);
+        // Kept providers in the order `merged_tables` numbered them, and
+        // each result's number among them (that of a dropped result is
+        // never read: it is the origin only of unserved pairs).
+        let mut renumber = vec![0u8; serves.len()];
+        let mut providers: Vec<PathProvider> = Vec::new();
+        for (origin, result) in self.results().enumerate() {
+            if serves[origin] {
+                renumber[origin] = providers.len() as u8;
+                providers.push(result.provider());
+            }
+        }
+        for origin in &mut merged.origins {
+            *origin = renumber[usize::from(*origin)];
+        }
         let oracle = DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees);
         let frozen = PathOracle::new(oracle, merged.origins, providers);
         self.substrates.stages.borrow_mut().stop("freeze", started);
@@ -1089,6 +1121,39 @@ mod tests {
                     (None, None) => {}
                     (p, d) => panic!("route/dist coverage mismatch at ({u},{v}): {p:?} {d:?}"),
                 }
+            }
+        }
+    }
+
+    /// On a grid the additive query is exact, and on equal estimates its
+    /// guarantee beats apsp2's, so apsp2 wins no pair. `freeze_with_paths`
+    /// drops it, and every route is the one the oracle with every result
+    /// kept serves.
+    #[test]
+    fn freeze_with_paths_drops_idle_providers() {
+        let g = generators::grid(9, 11);
+        let n = g.n();
+        let mut solver = SolverBuilder::new(g)
+            .eps(0.5)
+            .execution(Execution::Deterministic)
+            .threads(2)
+            .record_paths(true)
+            .build()
+            .unwrap();
+        solver.apsp_2eps().unwrap();
+        solver.apsp_near_additive().unwrap();
+        let frozen = solver.freeze_with_paths().unwrap();
+        let merged = solver.merged_tables().unwrap();
+        let every = PathOracle::new(
+            DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees),
+            merged.origins,
+            solver.results().map(|r| r.provider()).collect(),
+        );
+        assert_eq!((every.provider_count(), frozen.provider_count()), (2, 1));
+        assert!(frozen.witness_bytes() < every.witness_bytes());
+        for u in 0..n {
+            for v in 0..n {
+                assert_eq!(frozen.path(u, v), every.path(u, v), "({u},{v})");
             }
         }
     }

@@ -33,32 +33,46 @@ impl Graph {
     ///
     /// Panics if an endpoint is `≥ n`.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Counting sort into the CSR arrays, then sort and deduplicate each
+        // list in place: two allocations, whatever the vertex count.
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in edges {
             assert!(u < n && v < n, "edge ({u},{v}) out of range for n = {n}");
-            if u == v {
-                continue;
+            if u != v {
+                offsets[u + 1] += 1;
+                offsets[v + 1] += 1;
             }
-            adj[u].push(v as u32);
-            adj[v].push(u as u32);
         }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        Self::from_adjacency(adj)
-    }
-
-    /// Builds a graph from per-vertex sorted, deduplicated adjacency lists.
-    fn from_adjacency(adj: Vec<Vec<u32>>) -> Self {
-        let n = adj.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut targets = Vec::new();
-        for list in adj {
-            targets.extend_from_slice(&list);
-            offsets.push(targets.len());
+        let mut targets = vec![0u32; offsets[n]];
+        let mut next = offsets.clone();
+        for &(u, v) in edges {
+            if u != v {
+                targets[next[u]] = v as u32;
+                next[u] += 1;
+                targets[next[v]] = u as u32;
+                next[v] += 1;
+            }
         }
+        // List `v` spans `start..offsets[v + 1]` before compaction; its
+        // deduplicated entries move down to `offsets[v]..`.
+        let (mut start, mut write) = (0, 0);
+        for v in 0..n {
+            let end = offsets[v + 1];
+            targets[start..end].sort_unstable();
+            offsets[v] = write;
+            for i in start..end {
+                if i == start || targets[i] != targets[i - 1] {
+                    targets[write] = targets[i];
+                    write += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n] = write;
+        targets.truncate(write);
         Graph { offsets, targets }
     }
 
@@ -283,6 +297,27 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(0, 2));
         assert_eq!(g.degree(4), 0);
+
+        // A random multigraph with self-loops and repeats, against per-vertex
+        // sorted sets.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let n = 40;
+        let edges: Vec<(usize, usize)> = (0..400)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .collect();
+        let mut want = vec![std::collections::BTreeSet::new(); n];
+        for &(u, v) in &edges {
+            if u != v {
+                want[u].insert(v as u32);
+                want[v].insert(u as u32);
+            }
+        }
+        let g = Graph::from_edges(n, &edges);
+        for (v, set) in want.iter().enumerate() {
+            assert_eq!(g.neighbors(v), set.iter().copied().collect::<Vec<_>>());
+        }
+        assert_eq!(2 * g.m(), want.iter().map(|s| s.len()).sum::<usize>());
     }
 
     #[test]

@@ -222,6 +222,9 @@ struct Basis {
     graph: Graph,
     kn: KNearest,
     a1: Vec<usize>,
+    /// The ledger charges `(label, rounds)` of the hitting set that picked
+    /// `a1`, kept when it was the deterministic one.
+    a1_charges: Option<Vec<(String, u64)>>,
     bunches: WeightedGraph,
     routes: Option<Unroller>,
 }
@@ -237,12 +240,15 @@ type Bunches = (Vec<usize>, WeightedGraph, Option<Unroller>);
 /// `(k, t)`-nearest object — or when every basis list is full, since a
 /// larger bound then finds the same lists. A recording request also needs
 /// lists with parents. Otherwise it computes fresh lists, which replace
-/// the basis. The hitting set is always recomputed from the request's
-/// lists (same RNG draws and charges as a fresh build); the stored bunches
-/// are reused, a recorded [`Unroller`] cloned, only when those lists and
-/// `A₁` equal the basis's. Every request charges its own `(k,t)`-nearest
-/// computation, so a shared cache changes no ledger entry: it builds
-/// bit-identical hopsets, only faster.
+/// the basis. A randomized hitting set is always recomputed from the
+/// request's lists (same RNG draws and charges as a fresh build). The
+/// deterministic one is a function of the lists alone, so over the
+/// basis's uncut lists it would return the basis's `A₁`: its charges are
+/// replayed instead, and it is recomputed only over cut lists. The stored
+/// bunches are reused, a recorded [`Unroller`] cloned, only when those
+/// lists and `A₁` equal the basis's. Every request charges its own
+/// `(k,t)`-nearest computation and hitting set, so a shared cache changes
+/// no ledger entry: it builds bit-identical hopsets, only faster.
 #[derive(Debug, Default)]
 pub struct BasisCache {
     bases: Vec<Basis>,
@@ -269,12 +275,14 @@ impl BasisCache {
 
     /// Steps 1–2 of a build on `g`: the request's `(k, t)`-nearest lists
     /// (charged), `A₁` from `hitting_set` over their full lists, and the
-    /// bunches with their routes when recording.
+    /// bunches with their routes when recording. `deterministic` says that
+    /// `hitting_set` is a function of its input alone (Lemma 9).
     fn bunches(
         &mut self,
         g: &Graph,
         params: &HopsetParams,
         ledger: &mut RoundLedger,
+        deterministic: bool,
         hitting_set: impl FnOnce(
             usize,
             &[Vec<usize>],
@@ -282,10 +290,17 @@ impl BasisCache {
         ) -> Result<Vec<usize>, HittingError>,
     ) -> Bunches {
         let (n, k, t) = (g.n(), params.k, params.t);
+        // `A₁` and the charges of the hitting set that picked it.
         let pivots = |kn: &KNearest, ledger: &mut RoundLedger| {
+            let before = ledger.entries().len();
             let full_sets = full_knearest_sets(kn, n, k);
-            hitting_set(k.min(full_min_size(&full_sets, k)), &full_sets, ledger)
-                .expect("(k,t)-nearest sets are valid hitting-set input")
+            let a1 = hitting_set(k.min(full_min_size(&full_sets, k)), &full_sets, ledger)
+                .expect("(k,t)-nearest sets are valid hitting-set input");
+            let charges = ledger.entries()[before..]
+                .iter()
+                .map(|e| (e.label.clone(), e.rounds))
+                .collect();
+            (a1, charges)
         };
         let slot = self.bases.iter().position(|b| b.graph == *g);
         let reuse = slot.filter(|&i| {
@@ -301,12 +316,13 @@ impl BasisCache {
             if params.record_paths {
                 kn = kn.with_parents(g);
             }
-            let a1 = pivots(&kn, ledger);
+            let (a1, charges) = pivots(&kn, ledger);
             let (h, routes) = bunches(g, params, &a1, &kn);
             let basis = Basis {
                 graph: g.clone(),
                 kn,
                 a1: a1.clone(),
+                a1_charges: deterministic.then_some(charges),
                 bunches: h.clone(),
                 routes: routes.clone(),
             };
@@ -327,7 +343,19 @@ impl BasisCache {
             None
         };
         let kn = cut.as_ref().unwrap_or(&basis.kn);
-        let a1 = pivots(kn, ledger);
+        let replay = basis
+            .a1_charges
+            .as_ref()
+            .filter(|_| deterministic && cut.is_none());
+        let a1 = match replay {
+            Some(charges) => {
+                for (label, rounds) in charges {
+                    ledger.charge(label.as_str(), *rounds);
+                }
+                basis.a1.clone()
+            }
+            None => pivots(kn, ledger).0,
+        };
         if cut.is_none() && a1 == basis.a1 {
             let routes = basis.routes.clone().filter(|_| params.record_paths);
             return (a1, basis.bunches.clone(), routes);
@@ -347,7 +375,7 @@ pub fn build_randomized(
     ledger: &mut RoundLedger,
 ) -> BoundedHopset {
     let mut phase = ledger.enter("hopset");
-    let bunches = basis.bunches(g, &params, &mut phase, |k, sets, ledger| {
+    let bunches = basis.bunches(g, &params, &mut phase, false, |k, sets, ledger| {
         hitting::random_hitting_set(g.n(), k, sets, params.hitting_c, rng, ledger)
     });
     build_from_bunches(g, params, bunches, &mut phase)
@@ -363,7 +391,7 @@ pub fn build_deterministic(
     ledger: &mut RoundLedger,
 ) -> BoundedHopset {
     let mut phase = ledger.enter("hopset");
-    let bunches = basis.bunches(g, &params, &mut phase, |k, sets, ledger| {
+    let bunches = basis.bunches(g, &params, &mut phase, true, |k, sets, ledger| {
         hitting::deterministic_hitting_set(g.n(), k, sets, ledger)
     });
     build_from_bunches(g, params, bunches, &mut phase)
@@ -870,6 +898,48 @@ mod tests {
         assert!(cut_drops, "no input cuts list entries");
         assert!(all_full, "no input has all lists full");
         assert!(a1_differs, "no randomized input redraws A1");
+    }
+
+    /// A deterministic request over a basis's uncut lists replays the
+    /// hitting set's charges and never runs it, at the bound the basis was
+    /// computed for and, the lists being all full, at twice it. A
+    /// randomized request on the same lists runs its hitting set.
+    #[test]
+    fn deterministic_reuse_replays_the_hitting_set() {
+        let mut gen = ChaCha8Rng::seed_from_u64(8);
+        let g = generators::connected_gnp(90, 0.05, &mut gen);
+        let n = g.n();
+        let request = |t: Dist| HopsetParams::scaled(n, t, 0.5);
+        let mut cache = BasisCache::default();
+        let mut first = RoundLedger::new(n);
+        let fresh = cache.bunches(&g, &request(8), &mut first, true, |k, sets, ledger| {
+            hitting::deterministic_hitting_set(n, k, sets, ledger)
+        });
+        assert!(cache.bases[0].kn.all_full(), "lists are all full");
+        for t in [8, 16] {
+            let mut again = RoundLedger::new(n);
+            let reused = cache.bunches(&g, &request(t), &mut again, true, |_, _, _| {
+                panic!("the deterministic hitting set ran again at t = {t}")
+            });
+            assert_eq!(reused, fresh, "t = {t}: A1 and bunches");
+            let mut want = RoundLedger::new(n);
+            let rebuilt = BasisCache::default().bunches(
+                &g,
+                &request(t),
+                &mut want,
+                true,
+                |k, sets, ledger| hitting::deterministic_hitting_set(n, k, sets, ledger),
+            );
+            assert_eq!(reused, rebuilt, "t = {t}: a fresh basis");
+            assert_eq!(again.entries(), want.entries(), "t = {t}: ledger");
+        }
+        let mut ran = false;
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        cache.bunches(&g, &request(8), &mut first, false, |k, sets, ledger| {
+            ran = true;
+            hitting::random_hitting_set(n, k, sets, 2.5, &mut rng, ledger)
+        });
+        assert!(ran, "a randomized request runs its hitting set");
     }
 
     #[test]

@@ -345,17 +345,53 @@ fn deterministic_answers_do_not_depend_on_query_order() {
     );
 }
 
+/// FNV-1a of every ordered pair's route as the oracle emits it: its
+/// edges, weight and guarantee (`0` for a pair without one). Record ids do
+/// not enter it, so it moves only when some route does.
+fn route_digest(oracle: &PathOracle) -> u64 {
+    let n = oracle.n();
+    let mut bytes = Vec::new();
+    for u in 0..n {
+        for v in 0..n {
+            let Some(route) = oracle.path(u, v) else {
+                bytes.push(0);
+                continue;
+            };
+            bytes.push(1);
+            bytes.extend_from_slice(&route.weight.to_le_bytes());
+            bytes.extend_from_slice(format!("{:?}", route.guarantee).as_bytes());
+            bytes.extend_from_slice(&(route.edges.len() as u64).to_le_bytes());
+            for (x, y) in route.edges {
+                bytes.extend_from_slice(&x.to_le_bytes());
+                bytes.extend_from_slice(&y.to_le_bytes());
+            }
+        }
+    }
+    fnv1a(&bytes)
+}
+
 /// Pins which witness wins each pair and which records the arenas hold: a
 /// Deterministic recording session runs apsp2 → additive → MSSP → apsp3,
 /// and the FNV-1a of its `freeze_with_paths` snapshot must equal the
 /// committed value. A change to the rule or the order by which the
 /// pipelines set witnesses moves a witness or a record id, and so the
-/// bytes.
+/// bytes. The second pin, [`route_digest`], does not see record ids: a
+/// change that only renumbers or drops records must leave it as it is.
 #[test]
 fn recorded_witnesses_are_pinned() {
-    for (name, g, want) in [
-        ("grid 9x11", generators::grid(9, 11), 0x2525_45d7_9f89_68e6),
-        ("hub + gnp(97)", hub_gnp(), 0xd4de_381d_0d4f_b0e5),
+    for (name, g, want, want_routes) in [
+        (
+            "grid 9x11",
+            generators::grid(9, 11),
+            0xfcd7_54b7_b6fe_6842,
+            0x75af_f7f5_3519_a501,
+        ),
+        (
+            "hub + gnp(97)",
+            hub_gnp(),
+            0xc03c_851c_881c_dbb3,
+            0x9639_2820_bf78_b929,
+        ),
     ] {
         let sources: Vec<usize> = (0..g.n()).step_by(11).collect();
         let mut solver = SolverBuilder::new(g)
@@ -369,12 +405,14 @@ fn recorded_witnesses_are_pinned() {
         solver.apsp_near_additive().unwrap();
         solver.mssp(&sources).unwrap();
         solver.apsp_3eps().unwrap();
+        let oracle = solver.freeze_with_paths().unwrap();
+        let routes = route_digest(&oracle);
+        assert_eq!(
+            routes, want_routes,
+            "{name}: route digest is {routes:#018x}"
+        );
         let mut bytes = Vec::new();
-        solver
-            .freeze_with_paths()
-            .unwrap()
-            .save_v2(&mut bytes)
-            .unwrap();
+        oracle.save_v2(&mut bytes).unwrap();
         let got = fnv1a(&bytes);
         assert_eq!(got, want, "{name}: snapshot FNV-1a is {got:#018x}");
     }
