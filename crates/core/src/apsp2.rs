@@ -28,6 +28,7 @@ use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_routes::{PathStore, RecId};
 use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::through_sets::ThroughSets;
+use std::sync::Arc;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
@@ -100,8 +101,8 @@ impl Apsp2Config {
 /// Result of the `(2+ε)` pipeline.
 #[derive(Clone, Debug)]
 pub struct Apsp2 {
-    /// The estimates.
-    pub estimates: DistanceMatrix,
+    /// The estimates, `Arc`-shared so memoized results clone cheaply.
+    pub estimates: Arc<DistanceMatrix>,
     /// The threshold `t` used.
     pub t: Dist,
     /// The proven guarantee for pairs within `t`: `2+ε`.
@@ -112,7 +113,7 @@ pub struct Apsp2 {
     pub low_degree_pivots: Vec<usize>,
     /// Per-pair path witnesses, recorded when the configuration set
     /// `record_paths`. `Arc`-shared so memoized results clone cheaply.
-    pub paths: Option<std::sync::Arc<PathStore>>,
+    pub paths: Option<Arc<PathStore>>,
 }
 
 impl Apsp2 {
@@ -155,8 +156,9 @@ pub(crate) fn run(
     // strictly improves it, and never read back, so the estimates (and the
     // rounds — witnesses ride the same messages) are identical with
     // recording on or off.
-    let (mut delta, mut paths) =
-        pipeline::collect_emulator(g, emu, &mut mode, substrates, &mut phase);
+    let (table, table_paths) = substrates.long_range(g, emu, &mut mode, &mut phase);
+    let mut delta = DistanceMatrix::clone(&table);
+    let mut paths = table_paths.as_deref().cloned();
 
     // ── Short paths through a high-degree vertex (Claims 38/39). ─────────
     let hdt = cfg.high_degree_threshold;
@@ -379,12 +381,12 @@ pub(crate) fn run(
     }
 
     Ok(Apsp2 {
-        estimates: delta,
+        estimates: Arc::new(delta),
         t,
         short_range_guarantee: 2.0 + cfg.eps,
         high_degree_pivots: s_pivots,
         low_degree_pivots: a_pivots,
-        paths: paths.map(std::sync::Arc::new),
+        paths: paths.map(Arc::new),
     })
 }
 

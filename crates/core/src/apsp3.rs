@@ -18,6 +18,7 @@ use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::params::ParamError;
 use cc_graphs::{Dist, Graph};
 use cc_toolkit::knearest::{KNearest, Strategy};
+use std::sync::Arc;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
@@ -85,8 +86,8 @@ impl Apsp3Config {
 /// Result of the `(3+ε)` pipeline.
 #[derive(Clone, Debug)]
 pub struct Apsp3 {
-    /// The estimates.
-    pub estimates: DistanceMatrix,
+    /// The estimates, `Arc`-shared so memoized results clone cheaply.
+    pub estimates: Arc<DistanceMatrix>,
     /// The threshold `t` used.
     pub t: Dist,
     /// The pivot set `A`.
@@ -95,7 +96,7 @@ pub struct Apsp3 {
     pub short_range_guarantee: f64,
     /// Per-pair path witnesses, recorded when the configuration set
     /// `record_paths`. `Arc`-shared so memoized results clone cheaply.
-    pub paths: Option<std::sync::Arc<cc_routes::PathStore>>,
+    pub paths: Option<Arc<cc_routes::PathStore>>,
 }
 
 impl Apsp3 {
@@ -134,8 +135,9 @@ pub(crate) fn run(
     // exactly when `delta` strictly improves it, and never read back, so the
     // estimates (and the rounds — witnesses ride the same messages) are
     // identical with recording on or off.
-    let (mut delta, mut paths) =
-        pipeline::collect_emulator(g, emu, &mut mode, substrates, &mut phase);
+    let (table, table_paths) = substrates.long_range(g, emu, &mut mode, &mut phase);
+    let mut delta = DistanceMatrix::clone(&table);
+    let mut paths = table_paths.as_deref().cloned();
 
     // (k, t)-nearest: exact short distances to the k nearest.
     let mut kn =
@@ -205,11 +207,11 @@ pub(crate) fn run(
     }
 
     Ok(Apsp3 {
-        estimates: delta,
+        estimates: Arc::new(delta),
         t,
         pivots,
         short_range_guarantee: 3.0 + cfg.eps,
-        paths: paths.map(std::sync::Arc::new),
+        paths: paths.map(Arc::new),
     })
 }
 

@@ -14,14 +14,15 @@ use cc_graphs::Graph;
 
 use crate::estimates::DistanceMatrix;
 use crate::oracle::{DistOracle, Guarantee};
-use crate::pipeline::{self, Mode, Substrates};
+use crate::pipeline::{Mode, Substrates};
 use cc_graphs::StorageKind;
 
 /// Result of the near-additive APSP computation.
 #[derive(Clone, Debug)]
 pub struct AdditiveApsp {
-    /// Estimates `δ` with `d_G ≤ δ ≤ (1+ε̂)d_G + β̂`.
-    pub estimates: DistanceMatrix,
+    /// Estimates `δ` with `d_G ≤ δ ≤ (1+ε̂)d_G + β̂`: the session's
+    /// long-range table, `Arc`-shared with the session.
+    pub estimates: Arc<DistanceMatrix>,
     /// The emulator the estimates came from, shared with the session.
     pub emulator: Arc<Emulator>,
     /// The proven multiplicative bound `1+ε̂`.
@@ -29,8 +30,8 @@ pub struct AdditiveApsp {
     /// The proven additive bound `β̂`.
     pub additive_bound: f64,
     /// Per-pair path witnesses, recorded when the configuration set
-    /// [`CliqueEmulatorConfig::record_paths`]. `Arc`-shared so memoized
-    /// results clone cheaply.
+    /// [`CliqueEmulatorConfig::record_paths`]. `Arc`-shared like the
+    /// estimates.
     pub paths: Option<Arc<cc_routes::PathStore>>,
 }
 
@@ -59,20 +60,20 @@ pub(crate) fn run(
 ) -> AdditiveApsp {
     let mut phase = ledger.enter("apsp-additive");
     // The answer is the long-range table itself.
-    let ((estimates, paths), emulator) =
-        pipeline::take_long_range(g, emu, &mut mode, substrates, &mut phase);
+    let (estimates, paths) = substrates.long_range(g, emu, &mut mode, &mut phase);
     AdditiveApsp {
         estimates,
-        emulator,
+        emulator: substrates.emulator_for(g, emu, &mut mode, &mut phase),
         multiplicative_bound: emu.params.clique_multiplicative_bound(emu.eps_prime),
         additive_bound: emu.params.clique_additive_bound(emu.eps_prime),
-        paths: paths.map(Arc::new),
+        paths,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline;
     use cc_graphs::{bfs, generators, stretch};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

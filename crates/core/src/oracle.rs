@@ -15,10 +15,9 @@
 //! * stores the table in the most compact [`DistStorage`] layout for its
 //!   shape (symmetric-packed triangle, or source rows only), chosen
 //!   automatically at freeze time;
-//! * persists to a versioned binary snapshot
-//!   ([`save_v2`](DistOracle::save_v2)/[`load`](DistOracle::load), no
-//!   external dependencies) so a solved substrate can be served by a fresh
-//!   process.
+//! * persists to a versioned binary snapshot ([`DistOracle::save_v2`],
+//!   [`DistOracle::from_snapshot_bytes`], no external dependencies) so a
+//!   solved substrate can be served by a fresh process.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -39,7 +38,7 @@
 //! ```
 
 use std::borrow::Cow;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -498,7 +497,10 @@ impl DistOracle {
 
     /// Reads a snapshot produced by [`DistOracle::save_v2`]. The
     /// result is bit-identical to the oracle that was saved (validated by
-    /// the checksum, structural length checks and tag-range checks).
+    /// the checksum, structural length checks and tag-range checks). The
+    /// bytes are copied once into an aligned owner so the hot tables can be
+    /// viewed in place; use [`DistOracle::load_v2_shared`] to serve an
+    /// existing owner (a mapped file) with no copy at all.
     ///
     /// Magic and version are inspected **before** the checksum: a snapshot
     /// written by a future format version (whose trailing bytes this build
@@ -507,18 +509,8 @@ impl DistOracle {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] for I/O failures, a wrong magic, an
-    /// unsupported version, or a corrupt/truncated payload.
-    pub fn load<R: Read>(r: &mut R) -> Result<Self, SnapshotError> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
-        Self::from_snapshot_bytes(&buf)
-    }
-
-    /// [`DistOracle::load`] over an in-memory snapshot. v2 bytes are copied
-    /// once into an aligned owner so the hot tables can be viewed in place;
-    /// use [`DistOracle::load_v2_shared`] to serve an existing owner (a
-    /// mapped file) with no copy at all.
+    /// Returns [`SnapshotError`] for a wrong magic, an unsupported version,
+    /// or a corrupt/truncated payload.
     pub fn from_snapshot_bytes(buf: &[u8]) -> Result<Self, SnapshotError> {
         let (magic, _) = crate::snapshot::sniff(buf)?;
         if &magic != b"CCDO" {
@@ -534,7 +526,8 @@ impl DistOracle {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] as [`DistOracle::load`] does.
+    /// Returns [`SnapshotError`] as [`DistOracle::from_snapshot_bytes`]
+    /// does.
     pub fn load_v2_shared(owner: Arc<dyn ByteOwner>) -> Result<Self, SnapshotError> {
         let view = SnapshotView::parse(owner, b"CCDO")?;
         Self::load_v2(&view)
@@ -714,14 +707,14 @@ impl DistOracle {
         })
     }
 
-    /// [`DistOracle::load`] from a filesystem path.
+    /// [`DistOracle::from_snapshot_bytes`] over a file's contents.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] as [`DistOracle::load`] does.
+    /// Returns [`SnapshotError`] for an I/O failure, or as
+    /// [`DistOracle::from_snapshot_bytes`] does.
     pub fn load_from_path<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        let mut f = std::fs::File::open(path)?;
-        Self::load(&mut f)
+        Self::from_snapshot_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -861,7 +854,7 @@ mod tests {
         future.extend_from_slice(b"CCDO");
         future.extend_from_slice(&255u16.to_le_bytes());
         future.extend_from_slice(&[0xAB; 32]);
-        let err = DistOracle::load(&mut &future[..]).unwrap_err();
+        let err = DistOracle::from_snapshot_bytes(&future).unwrap_err();
         assert!(matches!(err, SnapshotError::UnsupportedVersion(255)));
         assert_eq!(err.to_string(), "unsupported snapshot version 255");
         // Every other version over an otherwise valid v2 body (checksum
@@ -877,7 +870,7 @@ mod tests {
             buf[4..6].copy_from_slice(&version.to_le_bytes());
             let checksum = fnv1a(&buf);
             buf.extend_from_slice(&checksum.to_le_bytes());
-            let err = DistOracle::load(&mut &buf[..]).unwrap_err();
+            let err = DistOracle::from_snapshot_bytes(&buf).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::UnsupportedVersion(v) if v == version),
                 "version {version}: {err}"
@@ -978,7 +971,7 @@ mod tests {
         );
         let mut buf = Vec::new();
         o.save_v2(&mut buf).unwrap();
-        let back = DistOracle::load(&mut &buf[..]).unwrap();
+        let back = DistOracle::from_snapshot_bytes(&buf).unwrap();
         assert_eq!(back, o);
         assert_eq!(back.dist(0, 1).unwrap().dist, 5, "first row wins, then min");
     }
@@ -990,7 +983,7 @@ mod tests {
             let o = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), kind);
             let mut buf = Vec::new();
             o.save_v2(&mut buf).unwrap();
-            let back = DistOracle::load(&mut &buf[..]).unwrap();
+            let back = DistOracle::from_snapshot_bytes(&buf).unwrap();
             assert_eq!(o, back, "{kind:?}");
             if cfg!(target_endian = "little") {
                 assert!(back.storage().is_shared(), "{kind:?}: entries are views");
@@ -1012,12 +1005,12 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0xFF;
         assert!(matches!(
-            DistOracle::load(&mut &flipped[..]),
+            DistOracle::from_snapshot_bytes(&flipped),
             Err(SnapshotError::Corrupt(_))
         ));
         for cut in [3, 9, buf.len() / 2, buf.len() - 1] {
             assert!(
-                DistOracle::load(&mut &buf[..buf.len() - cut]).is_err(),
+                DistOracle::from_snapshot_bytes(&buf[..buf.len() - cut]).is_err(),
                 "truncated by {cut}"
             );
         }
@@ -1025,17 +1018,17 @@ mod tests {
         wrong_magic[0] = b'X';
         // Magic is validated before the checksum: the error names the cause.
         assert!(matches!(
-            DistOracle::load(&mut &wrong_magic[..]),
+            DistOracle::from_snapshot_bytes(&wrong_magic),
             Err(SnapshotError::BadMagic(_))
         ));
         // Garbage that is long enough to carry a magic reports BadMagic;
         // anything shorter is Corrupt.
         assert!(matches!(
-            DistOracle::load(&mut &b"1234567"[..]),
+            DistOracle::from_snapshot_bytes(b"1234567"),
             Err(SnapshotError::BadMagic(_))
         ));
         assert!(matches!(
-            DistOracle::load(&mut &b"1234"[..]),
+            DistOracle::from_snapshot_bytes(b"1234"),
             Err(SnapshotError::Corrupt(_))
         ));
         // Layout byte 0 (no layout since the square table was retired) over
@@ -1050,7 +1043,7 @@ mod tests {
         layout0[meta] = 0;
         let checksum = fnv1a(&layout0);
         layout0.extend_from_slice(&checksum.to_le_bytes());
-        match DistOracle::load(&mut &layout0[..]) {
+        match DistOracle::from_snapshot_bytes(&layout0) {
             Err(SnapshotError::Corrupt(msg)) => assert_eq!(msg, "unknown storage kind"),
             other => panic!("layout byte 0: {other:?}"),
         }

@@ -40,7 +40,7 @@
 //! # Ok::<(), cc_core::CcError>(())
 //! ```
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -241,23 +241,15 @@ impl PathOracle {
     /// are inspected before the checksum (an unknown version reports
     /// [`SnapshotError::UnsupportedVersion`], never a checksum mismatch);
     /// every count is bounded by the bytes actually present before anything
-    /// is allocated, and all record/witness indices are range-checked.
+    /// is allocated, and all record/witness indices are range-checked. The
+    /// bytes are copied once into an aligned owner so the hot tables can be
+    /// viewed in place; use [`PathOracle::load_v2_shared`] to serve an
+    /// existing owner (a mapped file) with no copy at all.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] for I/O failures, a wrong magic, an
-    /// unsupported version, or a corrupt/truncated payload.
-    pub fn load<R: Read>(r: &mut R) -> Result<Self, SnapshotError> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
-        Self::from_snapshot_bytes(&buf)
-    }
-
-    /// [`PathOracle::load`] over an in-memory snapshot. The bytes are copied
-    /// once into an aligned owner so the hot tables can be viewed in place;
-    /// use
-    /// [`PathOracle::load_v2_shared`] to serve an existing owner (a mapped
-    /// file) with no copy at all.
+    /// Returns [`SnapshotError`] for a wrong magic, an unsupported version,
+    /// or a corrupt/truncated payload.
     pub fn from_snapshot_bytes(buf: &[u8]) -> Result<Self, SnapshotError> {
         let (magic, _) = crate::snapshot::sniff(buf)?;
         if &magic != b"CCRO" {
@@ -272,7 +264,8 @@ impl PathOracle {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] as [`PathOracle::load`] does.
+    /// Returns [`SnapshotError`] as [`PathOracle::from_snapshot_bytes`]
+    /// does.
     pub fn load_v2_shared(owner: Arc<dyn ByteOwner>) -> Result<Self, SnapshotError> {
         let view = SnapshotView::parse(owner, b"CCRO")?;
         Self::load_v2(&view)
@@ -525,14 +518,14 @@ impl PathOracle {
         })
     }
 
-    /// [`PathOracle::load`] from a filesystem path.
+    /// [`PathOracle::from_snapshot_bytes`] over a file's contents.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] as [`PathOracle::load`] does.
+    /// Returns [`SnapshotError`] for an I/O failure, or as
+    /// [`PathOracle::from_snapshot_bytes`] does.
     pub fn load_from_path<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        let mut f = std::fs::File::open(path)?;
-        Self::load(&mut f)
+        Self::from_snapshot_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -683,7 +676,7 @@ mod tests {
         let o = tiny_oracle();
         let mut buf = Vec::new();
         o.save_v2(&mut buf).unwrap();
-        let back = PathOracle::load(&mut &buf[..]).unwrap();
+        let back = PathOracle::from_snapshot_bytes(&buf).unwrap();
         assert_eq!(back, o);
         assert_eq!(back.path(1, 3), o.path(1, 3));
         let mut again = Vec::new();
@@ -695,7 +688,7 @@ mod tests {
         for version in [1u16, 9] {
             let mut other = buf.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
-            let err = PathOracle::load(&mut &other[..]).unwrap_err();
+            let err = PathOracle::from_snapshot_bytes(&other).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::UnsupportedVersion(v) if v == version),
                 "version {version}: {err}"
@@ -705,14 +698,14 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(matches!(
-            PathOracle::load(&mut &bad[..]),
+            PathOracle::from_snapshot_bytes(&bad),
             Err(SnapshotError::BadMagic(_))
         ));
         let mut flipped = buf.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0xFF;
-        assert!(PathOracle::load(&mut &flipped[..]).is_err());
-        assert!(PathOracle::load(&mut &buf[..buf.len() - 3]).is_err());
+        assert!(PathOracle::from_snapshot_bytes(&flipped).is_err());
+        assert!(PathOracle::from_snapshot_bytes(&buf[..buf.len() - 3]).is_err());
     }
 
     #[test]
@@ -802,7 +795,7 @@ mod tests {
         let o = two_provider_oracle();
         let mut buf = Vec::new();
         o.save_v2(&mut buf).unwrap();
-        let back = PathOracle::load(&mut &buf[..]).unwrap();
+        let back = PathOracle::from_snapshot_bytes(&buf).unwrap();
         assert_eq!(back, o);
         for u in 0..4 {
             for v in 0..4 {
@@ -831,13 +824,13 @@ mod tests {
             let mut bad = buf.clone();
             bad[pos] ^= 0x01;
             assert!(
-                PathOracle::load(&mut &bad[..]).is_err(),
+                PathOracle::from_snapshot_bytes(&bad).is_err(),
                 "flip at {pos} must be rejected"
             );
         }
         // Truncations at section boundaries and mid-directory.
         for cut in [10, 64, 200, buf.len() - 1] {
-            let err = PathOracle::load(&mut &buf[..cut]).unwrap_err();
+            let err = PathOracle::from_snapshot_bytes(&buf[..cut]).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::Corrupt(_)),
                 "cut at {cut}: {err}"
@@ -846,7 +839,7 @@ mod tests {
         let mut wrong_magic = buf.clone();
         wrong_magic[..4].copy_from_slice(b"CCDO");
         assert!(matches!(
-            PathOracle::load(&mut &wrong_magic[..]),
+            PathOracle::from_snapshot_bytes(&wrong_magic),
             Err(SnapshotError::BadMagic(_))
         ));
     }

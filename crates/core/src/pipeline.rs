@@ -50,11 +50,11 @@ type HopsetKey = (HopsetGraph, Dist, u64);
 /// The long-range table of Claim 37 that apsp2, apsp3 and the additive
 /// query all start from: the estimates lowered to the emulator distances
 /// and the adjacency, plus their witnesses when recording.
-pub(crate) type LongRange = (DistanceMatrix, Option<PathStore>);
+pub(crate) type LongRange = (Arc<DistanceMatrix>, Option<Arc<PathStore>>);
 
 /// Session-scoped cache of the expensive substrates every pipeline stands
-/// on: the near-additive emulator, the bounded hopsets and the hopset
-/// bases they share.
+/// on: the near-additive emulator and its long-range table, the bounded
+/// hopsets and the hopset bases they share.
 ///
 /// A [`crate::Solver`] keeps one `Substrates` for its lifetime, which is
 /// what amortizes construction across queries: a cache hit returns the
@@ -77,14 +77,10 @@ pub(crate) struct Substrates {
     hopsets: BTreeMap<HopsetKey, Arc<BoundedHopset>>,
     /// Steps 1–2 of every hopset the session builds: lists, `A₁`, bunches.
     basis: BasisCache,
-    /// The long-range table a producer (apsp2, apsp3) left for the one
-    /// consumer (the additive query). The consumer moves it out; `freeze`
-    /// drops it unconsumed (DESIGN.md §7.4). `RefCell` for the same reason
-    /// as `stages`.
+    /// The long-range table, swept on first use and shared afterwards;
+    /// `freeze` releases it (DESIGN.md §7.4). `RefCell` for the same
+    /// reason as `stages`.
     long_range: RefCell<Option<LongRange>>,
-    /// Set once the consumer has run: producers stop leaving a copy in
-    /// `long_range`, because the session has no second consumer.
-    pub(crate) long_range_consumed: bool,
     /// Gated wall-clock stage profiling. `RefCell` because the freeze path
     /// records through `&Solver`; the solver session is single-threaded, so
     /// the borrows are trivially disjoint. Disabled (the default), `start`
@@ -100,16 +96,11 @@ impl Substrates {
         self.basis.set_timed(enabled);
     }
 
-    /// Drops an unconsumed long-range table (called by `freeze` before it
-    /// allocates the merged tables).
+    /// Releases the session's long-range table (called by the freeze
+    /// merge). A result that holds the table keeps it alive; a later query
+    /// sweeps again.
     pub(crate) fn drop_long_range(&self) {
         self.long_range.borrow_mut().take();
-    }
-
-    /// `true` while a producer's long-range table waits for its consumer.
-    #[cfg(test)]
-    pub(crate) fn holds_long_range(&self) -> bool {
-        self.long_range.borrow().is_some()
     }
 
     /// Runs `f`, crediting its wall time to `stage` when profiling is on.
@@ -216,51 +207,25 @@ impl Substrates {
             Mode::Det => hitting::deterministic_hitting_set(universe, k, sets, ledger),
         })?)
     }
-}
 
-/// The producer side of the long-range table (apsp2, apsp3): obtains the
-/// emulator (cached or freshly built, so every vertex has learned it) and
-/// returns a fresh long-range table. A table a previous producer left in
-/// the session is copied; otherwise the emulator is swept
-/// ([`sweep_emulator`]) and, while the consumer has not run yet, a copy is
-/// left for it.
-pub(crate) fn collect_emulator(
-    g: &Graph,
-    cfg: &CliqueEmulatorConfig,
-    mode: &mut Mode<'_>,
-    substrates: &mut Substrates,
-    ledger: &mut RoundLedger,
-) -> LongRange {
-    let emu = substrates.emulator_for(g, cfg, mode, ledger);
-    if let Some(table) = substrates.long_range.get_mut().as_ref() {
-        return table.clone();
+    /// The session's long-range table: obtains the emulator (cached or
+    /// freshly built, so every vertex has learned it) and sweeps it
+    /// ([`sweep_emulator`]) only when the session holds no table yet.
+    /// Every caller shares the one table; apsp2 and apsp3 lower their own
+    /// copy of it.
+    pub(crate) fn long_range(
+        &mut self,
+        g: &Graph,
+        cfg: &CliqueEmulatorConfig,
+        mode: &mut Mode<'_>,
+        ledger: &mut RoundLedger,
+    ) -> LongRange {
+        let emu = self.emulator_for(g, cfg, mode, ledger);
+        if self.long_range.get_mut().is_none() {
+            *self.long_range.get_mut() = Some(sweep_emulator(g, &emu, cfg, self));
+        }
+        self.long_range.get_mut().clone().expect("swept above")
     }
-    let table = sweep_emulator(g, &emu, cfg, substrates);
-    if !substrates.long_range_consumed {
-        *substrates.long_range.get_mut() = Some(table.clone());
-    }
-    table
-}
-
-/// The consumer side of the long-range table (the additive query, whose
-/// answer *is* the table): obtains the emulator like [`collect_emulator`]
-/// and moves a producer's table out of the session, sweeping only when
-/// none is there. It never leaves a table behind, and no producer leaves
-/// one after it: the session has no second consumer.
-pub(crate) fn take_long_range(
-    g: &Graph,
-    cfg: &CliqueEmulatorConfig,
-    mode: &mut Mode<'_>,
-    substrates: &mut Substrates,
-    ledger: &mut RoundLedger,
-) -> (LongRange, Arc<Emulator>) {
-    let emu = substrates.emulator_for(g, cfg, mode, ledger);
-    substrates.long_range_consumed = true;
-    let table = match substrates.long_range.get_mut().take() {
-        Some(table) => table,
-        None => sweep_emulator(g, &emu, cfg, substrates),
-    };
-    (table, emu)
 }
 
 /// Lowers every row `u` of a fresh estimate matrix to `sssp(emu, u)` with
@@ -288,7 +253,7 @@ fn sweep_emulator(
         Some(store) => record_emulator_pairs(g, emu, cfg.threads, &mut delta, store),
     });
     delta.debug_assert_symmetric();
-    (delta, paths)
+    (Arc::new(delta), paths.map(Arc::new))
 }
 
 /// Sources per chunk of the recording sweeps: the interned trees of one
@@ -801,11 +766,12 @@ mod tests {
         let mut subs = Substrates::default();
         let mut mode = Mode::Det;
         let mut ledger = RoundLedger::new(n);
-        let (delta, store) = collect_emulator(g, &cfg, &mut mode, &mut subs, &mut ledger);
+        let (delta, store) = subs.long_range(g, &cfg, &mut mode, &mut ledger);
         let t = threshold(n, 0.5, ParamProfile::Scaled).unwrap();
         let on = HopsetGraph::Input;
         let hs = subs.hopset_for(on, g, (2 * t, 0.25), &cfg, &mut mode, &mut ledger);
-        (hs, delta, store.expect("recording session"))
+        let store = store.expect("recording session");
+        (hs, Arc::unwrap_or_clone(delta), Arc::unwrap_or_clone(store))
     }
 
     /// The filtered detection and routing sets leave the same witnesses

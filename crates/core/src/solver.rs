@@ -374,8 +374,7 @@ impl Solver {
 
     /// `(2+ε)`-approximate APSP (Thm 4/34). Memoized: the first call runs
     /// the pipeline, later calls return the cached result without charging
-    /// rounds (they still copy the `n × n` result; use [`Solver::estimate`]
-    /// for repeated point lookups).
+    /// rounds.
     ///
     /// # Errors
     ///
@@ -551,7 +550,6 @@ impl Solver {
     pub fn freeze(&self) -> Result<DistOracle, CcError> {
         let n = self.graph.n();
         let started = self.substrates.stages.borrow().start();
-        self.substrates.drop_long_range();
         let merged = self.merged_tables()?;
         let oracle = DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees);
         self.substrates.stages.borrow_mut().stop("freeze", started);
@@ -591,7 +589,6 @@ impl Solver {
         }
         let n = self.graph.n();
         let started = self.substrates.stages.borrow().start();
-        self.substrates.drop_long_range();
         let mut merged = self.merged_tables()?;
         // A result serves the finite off-diagonal pairs it is the origin
         // of (a diagonal route is empty). The first result is kept when
@@ -630,8 +627,10 @@ impl Solver {
     /// The shared freeze merge: pointwise-best packed values, provenance
     /// tags, and — for the path oracle — the index of the result whose
     /// estimate (and therefore witness) won each pair. Results are numbered
-    /// in the order [`Solver::results`] visits them.
+    /// in the order [`Solver::results`] visits them. The session's
+    /// long-range table is released before the tables are allocated.
     fn merged_tables(&self) -> Result<MergedTables, CcError> {
+        self.substrates.drop_long_range();
         let n = self.graph.n();
         // Dedup guarantees into a small table (repeat MSSP batches share
         // one entry); the per-entry tag bytes index into it.
@@ -1186,7 +1185,7 @@ mod tests {
         let oracle = solver.freeze_with_paths().unwrap();
         let mut buf = Vec::new();
         oracle.save_v2(&mut buf).unwrap();
-        let back = crate::PathOracle::load(&mut &buf[..]).unwrap();
+        let back = crate::PathOracle::from_snapshot_bytes(&buf).unwrap();
         assert_eq!(back, oracle);
         for u in (0..g.n()).step_by(3) {
             for v in (0..g.n()).step_by(4) {
@@ -1209,26 +1208,16 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// A profiled session for the long-range sharing tests; `share` off
-    /// marks the table consumed from the start, so the session sweeps per
-    /// query.
-    fn sharing_session(
-        g: &Graph,
-        execution: Execution,
-        threads: usize,
-        record: bool,
-        share: bool,
-    ) -> Solver {
-        let mut solver = SolverBuilder::new(g.clone())
+    /// A profiled session for the long-range table tests.
+    fn profiled_session(g: &Graph, execution: Execution, threads: usize, record: bool) -> Solver {
+        SolverBuilder::new(g.clone())
             .eps(0.5)
             .execution(execution)
             .threads(threads)
             .record_paths(record)
             .profile_stages(true)
             .build()
-            .unwrap();
-        solver.substrates.long_range_consumed = !share;
-        solver
+            .unwrap()
     }
 
     fn sweep_calls(solver: &Solver) -> u64 {
@@ -1239,23 +1228,20 @@ mod tests {
             .map_or(0, |(_, stat)| stat.calls)
     }
 
-    /// The additive answer of a fresh session, which a later additive
-    /// query must equal.
-    fn fresh_additive(
-        g: &Graph,
-        execution: Execution,
-        threads: usize,
-        record: bool,
-    ) -> AdditiveApsp {
-        sharing_session(g, execution, threads, record, true)
-            .apsp_near_additive()
-            .unwrap()
+    fn assert_same_additive(got: &AdditiveApsp, want: &AdditiveApsp, at: &str) {
+        assert_eq!(got.estimates, want.estimates, "{at}: estimates");
+        let parts = |p: &PathStore| (p.witnesses().to_vec(), p.arena().clone());
+        let (got, want) = (
+            got.paths.as_deref().map(parts),
+            want.paths.as_deref().map(parts),
+        );
+        assert!(got == want, "{at}: witnesses or arena");
     }
 
-    /// apsp2 and apsp3 leave their long-range table for the additive query,
-    /// which moves it out: its answer equals a fresh session's, and the
-    /// ledger equals a session that sweeps per query. The table is held
-    /// only between a producer and the consumer.
+    /// Every query starts from the session's one long-range table, swept
+    /// once whatever the order: the additive answer equals a fresh
+    /// session's, and every session's ledger entries fold to the pinned
+    /// FNV-1a (sharing the table moves no round).
     #[test]
     fn long_range_table_is_shared_with_the_additive_query() {
         let mut rng = StdRng::seed_from_u64(41);
@@ -1270,84 +1256,67 @@ mod tests {
             &["additive"],
             &["additive", "apsp2"],
         ];
+        let mut ledgers = String::new();
         for (name, g) in &graphs {
             for execution in [Execution::Seeded(9), Execution::Deterministic] {
                 for record in [false, true] {
                     for threads in 1..=3 {
-                        let want = fresh_additive(g, execution, threads, record);
+                        let want = profiled_session(g, execution, threads, record)
+                            .apsp_near_additive()
+                            .unwrap();
                         for order in orders {
                             let at = format!(
                                 "{name} {execution:?} record={record} threads={threads} {order:?}"
                             );
-                            let mut shared = sharing_session(g, execution, threads, record, true);
-                            let mut unshared =
-                                sharing_session(g, execution, threads, record, false);
-                            let mut consumed = false;
+                            let mut solver = profiled_session(g, execution, threads, record);
                             for &query in order {
-                                for solver in [&mut shared, &mut unshared] {
-                                    match query {
-                                        "apsp2" => drop(solver.apsp_2eps().unwrap()),
-                                        "apsp3" => drop(solver.apsp_3eps().unwrap()),
-                                        _ => drop(solver.apsp_near_additive().unwrap()),
-                                    }
+                                match query {
+                                    "apsp2" => drop(solver.apsp_2eps().unwrap()),
+                                    "apsp3" => drop(solver.apsp_3eps().unwrap()),
+                                    _ => drop(solver.apsp_near_additive().unwrap()),
                                 }
-                                consumed |= query == "additive";
-                                assert_eq!(
-                                    shared.substrates.holds_long_range(),
-                                    !consumed,
-                                    "{at}: slot after {query}"
-                                );
-                                assert!(!unshared.substrates.holds_long_range(), "{at}");
                             }
-                            let got = shared.apsp_near_additive().unwrap();
-                            assert_eq!(got.estimates, want.estimates, "{at}: estimates");
-                            match (&got.paths, &want.paths) {
-                                (Some(got), Some(want)) => {
-                                    assert_eq!(got.witnesses(), want.witnesses(), "{at}");
-                                    assert_eq!(got.arena(), want.arena(), "{at}: arena");
-                                }
-                                (None, None) => {}
-                                _ => panic!("{at}: recording differs"),
+                            let got = solver.apsp_near_additive().unwrap();
+                            assert_same_additive(&got, &want, &at);
+                            assert_eq!(sweep_calls(&solver), 1, "{at}: emulator sweeps");
+                            for e in solver.ledger().entries() {
+                                ledgers
+                                    .push_str(&format!("{}\0{}\0{}\0", e.phase, e.label, e.rounds));
                             }
-                            assert_eq!(
-                                shared.ledger().entries(),
-                                unshared.ledger().entries(),
-                                "{at}: ledger"
-                            );
-                            assert_eq!(shared.total_rounds(), unshared.total_rounds(), "{at}");
-                            // After the consumer, nothing is shared.
-                            let sweeps = match order[0] {
-                                "additive" => order.len() as u64,
-                                _ => 1,
-                            };
-                            assert_eq!(sweep_calls(&shared), sweeps, "{at}: emulator sweeps");
-                            assert_eq!(sweep_calls(&unshared), order.len() as u64, "{at}");
                         }
                     }
                 }
             }
         }
+        let got = crate::snapshot::header::fnv1a(ledgers.as_bytes());
+        assert_eq!(got, LEDGERS_FNV1A, "ledger FNV-1a is {got:#018x}");
     }
 
-    /// A table no consumer took is dropped by `freeze`, and a later
-    /// additive query sweeps for itself with the same answer.
+    /// FNV-1a of every session's ledger entries in
+    /// `long_range_table_is_shared_with_the_additive_query`: sharing the
+    /// table charges exactly what sweeping it per query charged.
+    const LEDGERS_FNV1A: u64 = 0xc7b9_ddf0_1729_c2e9;
+
+    /// `freeze` releases the session's table: a later additive query
+    /// sweeps again, with a fresh session's answer.
     #[test]
-    fn freeze_drops_an_unconsumed_long_range_table() {
+    fn freeze_releases_the_long_range_table() {
         let g = generators::caveman(6, 7);
         for record in [false, true] {
-            let mut solver = sharing_session(&g, Execution::Deterministic, 2, record, true);
+            let at = format!("record={record}");
+            let mut solver = profiled_session(&g, Execution::Deterministic, 2, record);
             solver.apsp_2eps().unwrap();
-            assert!(solver.substrates.holds_long_range(), "record={record}");
             if record {
                 solver.freeze_with_paths().unwrap();
             } else {
                 solver.freeze().unwrap();
             }
-            assert!(!solver.substrates.holds_long_range(), "record={record}");
             let got = solver.apsp_near_additive().unwrap();
-            let want = fresh_additive(&g, Execution::Deterministic, 2, record);
-            assert_eq!(got.estimates, want.estimates, "record={record}");
-            assert_eq!(sweep_calls(&solver), 2, "record={record}");
+            let want = profiled_session(&g, Execution::Deterministic, 2, record)
+                .apsp_near_additive()
+                .unwrap();
+            assert_same_additive(&got, &want, &at);
+            assert_eq!(sweep_calls(&solver), 2, "{at}");
         }
     }
 }

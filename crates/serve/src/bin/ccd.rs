@@ -143,7 +143,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let stats = handle.stats();
     handle.shutdown();
     println!(
-        "ccd: drained; served={} shed={} deadline_missed={} malformed={} generation={} reloads_ok={} reloads_rejected={} worker_panics={} slow_disconnects={}",
+        "ccd: drained; served={} shed={} deadline_missed={} malformed={} generation={} reloads_ok={} reloads_rejected={} worker_panics={} slow_disconnects={} spawn_refused={}",
         stats.served,
         stats.shed,
         stats.deadline_missed,
@@ -152,7 +152,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         stats.reloads_ok,
         stats.reloads_rejected,
         stats.worker_panics,
-        stats.slow_disconnects
+        stats.slow_disconnects,
+        stats.spawn_refused
     );
     ExitCode::SUCCESS
 }

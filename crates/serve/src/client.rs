@@ -331,7 +331,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport or protocol failures; [`ClientError::Protocol`] when any
-    /// of the ten counter samples is missing from the exposition.
+    /// of the eleven counter samples is missing from the exposition.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
         let text = self.metrics()?;
         stats_from_exposition(&text).ok_or(ClientError::Protocol("stats samples missing"))

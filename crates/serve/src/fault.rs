@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is a seeded schedule of induced failures, threaded
 //! through test-only seams in the server ([`crate::server`]) and client
 //! ([`crate::client`]): worker panics, connection resets, torn
-//! (partially-written) frames on either side. Every decision is a pure
-//! function of `(seed, site, draw index)` — the same xorshift
+//! (partially-written) frames on either side, refused thread spawns.
+//! Every decision is a pure function of `(seed, site, draw index)` — the same xorshift
 //! replay-coordinates discipline as `cc-analyze schedule` — so a chaos
 //! run that fails prints one seed and replays exactly, per site. (Thread
 //! interleaving still varies across runs; what is deterministic is the
@@ -38,9 +38,12 @@ pub enum FaultSite {
     /// The client writes a torn request frame, then drops the connection;
     /// the server's reader must survive the mid-stream EOF.
     ClientTornWrite,
+    /// The OS refuses to start one of a connection's threads; the acceptor
+    /// must drop that connection, count it and keep accepting.
+    SpawnRefused,
 }
 
-const SITE_COUNT: usize = 4;
+const SITE_COUNT: usize = 5;
 
 impl FaultSite {
     /// Every site, for iteration in summaries.
@@ -49,15 +52,12 @@ impl FaultSite {
         FaultSite::ConnReset,
         FaultSite::PartialWrite,
         FaultSite::ClientTornWrite,
+        FaultSite::SpawnRefused,
     ];
 
+    /// The site's slot in the per-site tables: its declaration order.
     fn idx(self) -> usize {
-        match self {
-            FaultSite::WorkerPanic => 0,
-            FaultSite::ConnReset => 1,
-            FaultSite::PartialWrite => 2,
-            FaultSite::ClientTornWrite => 3,
-        }
+        self as usize
     }
 
     /// A per-site salt so sites draw independent streams from one seed.
@@ -67,6 +67,7 @@ impl FaultSite {
             FaultSite::ConnReset => 0xbf58_476d_1ce4_e5b9,
             FaultSite::PartialWrite => 0x94d0_49bb_1331_11eb,
             FaultSite::ClientTornWrite => 0xd6e8_feb8_6659_fd93,
+            FaultSite::SpawnRefused => 0xa076_1d64_78bd_642f,
         }
     }
 }

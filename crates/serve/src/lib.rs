@@ -60,3 +60,12 @@ pub use metrics::StatsSnapshot;
 pub use protocol::{Op, PathItem, Payload, Request, Response, Status, VersionInfo};
 pub use server::{serve, ReloadConfig, ReloadError, ServerConfig, ServerHandle};
 pub use snapshot::{open, open_quarantining, OpenError, OpenedSnapshot, Oracles};
+
+/// Locks `m`, recovering the guard from a poisoned mutex instead of
+/// panicking. Every mutex in this crate guards state that is valid after
+/// any interrupted operation (queues of owned frames, a `VecDeque` plus a
+/// flag, an `Arc` slot, a config struct), so a panicked holder must not
+/// take the serving path down with it.
+pub(crate) fn lock_recovering<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

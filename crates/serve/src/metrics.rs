@@ -1,4 +1,4 @@
-//! The daemon's metric set: the ten [`StatsSnapshot`] counters and
+//! The daemon's metric set: the eleven [`StatsSnapshot`] counters and
 //! gauges, backed by the `cc_obs` registry, plus the request-lifecycle
 //! histograms.
 //!
@@ -22,6 +22,7 @@ pub(crate) const RELOADS_OK: &str = "ccd_reloads_ok_total";
 pub(crate) const RELOADS_REJECTED: &str = "ccd_reloads_rejected_total";
 pub(crate) const WORKER_PANICS: &str = "ccd_worker_panics_total";
 pub(crate) const SLOW_DISCONNECTS: &str = "ccd_slow_disconnects_total";
+pub(crate) const SPAWN_REFUSED: &str = "ccd_spawn_refused_total";
 
 /// The server's counters at one instant: in-process from
 /// `ServerHandle::stats`, or over the wire from `Client::stats`.
@@ -50,9 +51,12 @@ pub struct StatsSnapshot {
     /// Connections dropped for reading too slowly (outbox overflow or
     /// write timeout) instead of blocking workers.
     pub slow_disconnects: u64,
+    /// Connections dropped because the OS refused to start one of their
+    /// threads; the acceptor kept accepting.
+    pub spawn_refused: u64,
 }
 
-/// Reads the ten [`StatsSnapshot`] samples out of an `Op::Metrics`
+/// Reads the eleven [`StatsSnapshot`] samples out of an `Op::Metrics`
 /// exposition; `None` if any is missing.
 pub(crate) fn stats_from_exposition(text: &str) -> Option<StatsSnapshot> {
     let samples = cc_obs::parse_exposition(text);
@@ -68,6 +72,7 @@ pub(crate) fn stats_from_exposition(text: &str) -> Option<StatsSnapshot> {
         reloads_rejected: get(RELOADS_REJECTED)?,
         worker_panics: get(WORKER_PANICS)?,
         slow_disconnects: get(SLOW_DISCONNECTS)?,
+        spawn_refused: get(SPAWN_REFUSED)?,
     })
 }
 
@@ -96,6 +101,8 @@ pub(crate) struct ServeMetrics {
     pub worker_panics: Counter,
     /// Connections dropped for reading too slowly.
     pub slow_disconnects: Counter,
+    /// Connections dropped on a refused thread spawn.
+    pub spawn_refused: Counter,
     /// Queue depth at exposition time.
     pub queue_depth: Gauge,
     /// Serving snapshot generation at exposition time.
@@ -122,6 +129,7 @@ impl ServeMetrics {
             reloads_rejected: registry.counter(RELOADS_REJECTED),
             worker_panics: registry.counter(WORKER_PANICS),
             slow_disconnects: registry.counter(SLOW_DISCONNECTS),
+            spawn_refused: registry.counter(SPAWN_REFUSED),
             queue_depth: registry.gauge(QUEUE_DEPTH),
             generation: registry.gauge(GENERATION),
             queue_wait_ns: registry.histogram("ccd_queue_wait_ns"),
@@ -143,13 +151,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_parse_reads_every_sample_and_needs_all_ten() {
+    fn stats_parse_reads_every_sample_and_needs_all_eleven() {
         let m = ServeMetrics::new();
         m.served.add(5);
         m.worker_panics.inc();
         m.generation.set(3);
         let text = m.registry.render();
-        let parsed = stats_from_exposition(&text).expect("all ten samples present");
+        let parsed = stats_from_exposition(&text).expect("all eleven samples present");
         assert_eq!(
             parsed,
             StatsSnapshot {
@@ -170,6 +178,7 @@ mod tests {
             RELOADS_REJECTED,
             WORKER_PANICS,
             SLOW_DISCONNECTS,
+            SPAWN_REFUSED,
         ] {
             let without: String = text
                 .lines()

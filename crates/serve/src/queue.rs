@@ -14,15 +14,9 @@
 //! graceful-shutdown contract.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 
-/// Locks `m`, recovering the guard from a poisoned mutex instead of
-/// panicking: queue state is a `VecDeque` plus a flag, both valid after any
-/// interrupted operation, so a worker that panicked mid-hold must not take
-/// the whole intake path down with it.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use crate::lock_recovering;
 
 /// Why a push was refused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

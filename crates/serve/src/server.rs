@@ -56,7 +56,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -64,6 +64,7 @@ use cc_core::PointEstimate;
 use cc_obs::{SpanEvent, TraceRing};
 
 use crate::fault::{FaultPlan, FaultSite};
+use crate::lock_recovering;
 use crate::metrics::{elapsed_ns, ServeMetrics, StatsSnapshot, TRACE_RING_CAPACITY};
 use crate::protocol::{
     guarantee_kind_wire, wire_count, Op, Payload, Request, Response, Status, VersionInfo, MAX_FRAME,
@@ -173,14 +174,6 @@ impl std::fmt::Display for ReloadError {
 
 impl std::error::Error for ReloadError {}
 
-/// Locks recovering from poison: every mutex in this module guards state
-/// that is valid after any interrupted operation (queues of owned frames,
-/// an `Arc` slot, a config struct), so a panicked holder must not take
-/// the serving path down with it.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Everything the server's threads share.
 struct Shared {
     slot: SnapshotSlot,
@@ -262,6 +255,7 @@ fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
         reloads_rejected: m.reloads_rejected.get(),
         worker_panics: m.worker_panics.get(),
         slow_disconnects: m.slow_disconnects.get(),
+        spawn_refused: m.spawn_refused.get(),
     }
 }
 
@@ -466,7 +460,8 @@ impl Drop for ServerHandle {
 ///
 /// # Errors
 ///
-/// Propagates the bind failure.
+/// Propagates the bind failure, or the OS's refusal to start a worker or
+/// the acceptor (the threads already started are stopped and joined).
 pub fn serve(oracles: Oracles, addr: &str, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
@@ -492,71 +487,86 @@ pub fn serve(oracles: Oracles, addr: &str, config: ServerConfig) -> std::io::Res
         write_timeout,
         outbox_cap: config.outbox_cap_bytes.max(1024),
     });
-    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let workers = (0..config.threads.max(1))
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            let batch_max = config.batch_max.max(1);
-            std::thread::spawn(move || worker_loop(&shared, batch_max))
-        })
-        .collect();
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        let conn_threads = Arc::clone(&conn_threads);
-        std::thread::spawn(move || {
-            while !shared.shutdown.load(Ordering::Relaxed) {
-                if let Some(flag) = sighup {
-                    if flag.swap(false, Ordering::AcqRel) {
-                        // Outcome lands in the reload counters and the
-                        // generation gauge (`Op::Metrics`, `Op::Version`).
-                        // A refusal keeps the old generation.
-                        let _ = try_reload(&shared);
-                    }
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-                        let _ = stream.set_write_timeout(shared.write_timeout);
-                        let conn = Arc::new(Conn::new(stream));
-                        let reader = {
-                            let conn = Arc::clone(&conn);
-                            let shared = Arc::clone(&shared);
-                            std::thread::spawn(move || {
-                                reader_loop(&conn, &shared);
-                                conn.reader_finished();
-                            })
-                        };
-                        let writer = {
-                            let shared = Arc::clone(&shared);
-                            std::thread::spawn(move || writer_loop(&conn, &shared))
-                        };
-                        let mut conn_threads = lock_recovering(&conn_threads);
-                        // Reap finished connections so churn cannot grow
-                        // the handle list without bound.
-                        conn_threads.retain(|h| !h.is_finished());
-                        conn_threads.push(reader);
-                        conn_threads.push(writer);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-        })
+    // Built first, so that an early return drops it and its `Drop` stops
+    // and joins whatever had started.
+    let mut handle = ServerHandle {
+        addr,
+        shared: Arc::clone(&shared),
+        acceptor: None,
+        workers: Vec::new(),
+        conn_threads: Arc::new(Mutex::new(Vec::new())),
     };
 
-    Ok(ServerHandle {
-        addr,
-        shared,
-        acceptor: Some(acceptor),
-        workers,
-        conn_threads,
-    })
+    for _ in 0..config.threads.max(1) {
+        let shared = Arc::clone(&shared);
+        let batch_max = config.batch_max.max(1);
+        let worker = std::thread::Builder::new().spawn(move || worker_loop(&shared, batch_max))?;
+        handle.workers.push(worker);
+    }
+
+    let conn_threads = Arc::clone(&handle.conn_threads);
+    let acceptor = std::thread::Builder::new().spawn(move || {
+        while !shared.shutdown.load(Ordering::Relaxed) {
+            if let Some(flag) = sighup {
+                if flag.swap(false, Ordering::AcqRel) {
+                    // Outcome lands in the reload counters and the
+                    // generation gauge (`Op::Metrics`, `Op::Version`).
+                    // A refusal keeps the old generation.
+                    let _ = try_reload(&shared);
+                }
+            }
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_nonblocking(false);
+                    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
+                    let _ = stream.set_write_timeout(shared.write_timeout);
+                    let conn = Arc::new(Conn::new(stream));
+                    let mut started = Vec::with_capacity(2);
+                    if start_conn(&shared, &conn, &mut started).is_err() {
+                        // Drop the connection; a reader that did start
+                        // exits on the kill and is reaped like any other.
+                        shared.metrics.spawn_refused.inc();
+                        conn.kill();
+                    }
+                    let mut conn_threads = lock_recovering(&conn_threads);
+                    // Reap finished connections so churn cannot grow
+                    // the handle list without bound.
+                    conn_threads.retain(|h| !h.is_finished());
+                    conn_threads.extend(started);
+                }
+                // Nothing to accept (`WouldBlock`), or a failed accept.
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    })?;
+    handle.acceptor = Some(acceptor);
+    Ok(handle)
+}
+
+/// Starts `conn`'s reader, then its writer, pushing each started thread
+/// onto `started`; stops at the first spawn that is refused (by the OS,
+/// or by [`FaultSite::SpawnRefused`] in its place).
+fn start_conn(
+    shared: &Arc<Shared>,
+    conn: &Arc<Conn>,
+    started: &mut Vec<JoinHandle<()>>,
+) -> std::io::Result<()> {
+    for reader in [true, false] {
+        if shared.fault_fires(FaultSite::SpawnRefused) {
+            return Err(std::io::Error::other("injected thread spawn refusal"));
+        }
+        let (conn, shared) = (Arc::clone(conn), Arc::clone(shared));
+        started.push(std::thread::Builder::new().spawn(move || {
+            if reader {
+                reader_loop(&conn, &shared);
+                conn.reader_finished();
+            } else {
+                writer_loop(&conn, &shared);
+            }
+        })?);
+    }
+    Ok(())
 }
 
 /// Reads `buf.len()` bytes, polling the shutdown flag across read
@@ -1060,19 +1070,19 @@ mod tests {
     use crate::client::Client;
     use cc_core::{DistOracle, DistanceMatrix, Guarantee};
     use cc_graphs::StorageKind;
+    use std::io::ErrorKind;
 
-    #[test]
-    fn connection_churn_does_not_pile_up_thread_handles() {
+    fn tiny_oracles() -> Oracles {
         let mut m = DistanceMatrix::new(4);
         m.improve(0, 1, 1);
         let oracle =
             DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::SymmetricPacked);
-        let handle = serve(
-            Oracles::DistOnly(Arc::new(oracle)),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-        )
-        .unwrap();
+        Oracles::DistOnly(Arc::new(oracle))
+    }
+
+    #[test]
+    fn connection_churn_does_not_pile_up_thread_handles() {
+        let handle = serve(tiny_oracles(), "127.0.0.1:0", ServerConfig::default()).unwrap();
         let held = || lock_recovering(&handle.conn_threads).len();
         let mut peak = 0;
         for _ in 0..200 {
@@ -1095,5 +1105,56 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         handle.shutdown();
+    }
+
+    /// A refused connection-thread spawn drops that connection and counts
+    /// it, and the acceptor lives on to serve the next one: first with the
+    /// first `K` connections refused at their reader, then with a reader
+    /// started and the writer refused, so the kill must stop the reader.
+    /// The refusals are injected: the test starts no thread beyond the
+    /// server's own.
+    #[test]
+    fn refused_spawns_drop_the_connection_and_keep_the_acceptor() {
+        const K: u64 = 3;
+        let site = FaultSite::SpawnRefused;
+        // A seed whose first draw at rate 1/2 passes and second fires.
+        let writer_refused = (0..)
+            .find(|&seed| {
+                let plan = FaultPlan::new(seed).with_site(site, 500, 2);
+                !plan.fire(site) && plan.fire(site)
+            })
+            .expect("some seed passes, then fires");
+        for (plan, refused) in [
+            (FaultPlan::new(1).with_site(site, 1000, K), K),
+            (FaultPlan::new(writer_refused).with_site(site, 500, 2), 1),
+        ] {
+            let plan = Arc::new(plan);
+            let at = plan.coordinates();
+            let config = ServerConfig {
+                fault: Some(Arc::clone(&plan)),
+                ..ServerConfig::default()
+            };
+            let handle = serve(tiny_oracles(), "127.0.0.1:0", config).unwrap();
+            for k in 1..=refused {
+                let mut stream = TcpStream::connect(handle.addr()).unwrap();
+                let timeout = Some(Duration::from_secs(10));
+                stream.set_read_timeout(timeout).unwrap();
+                // Dropped: the read ends at EOF or a reset, not a timeout.
+                match stream.read(&mut [0u8; 1]) {
+                    Ok(n) => assert_eq!(n, 0, "{at}: connection {k} answered"),
+                    Err(e) => assert!(
+                        !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                        "{at}: connection {k} still open"
+                    ),
+                }
+                assert_eq!(handle.stats().spawn_refused, k, "{at}");
+            }
+            let mut client = Client::connect(handle.addr()).unwrap();
+            client.ping().unwrap();
+            assert_eq!(client.stats().unwrap().spawn_refused, refused, "{at}");
+            assert_eq!(plan.fires(site), refused, "{at}");
+            drop(client);
+            handle.shutdown();
+        }
     }
 }

@@ -20,8 +20,9 @@
 //! [`swap`]: SnapshotSlot::swap
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
+use crate::lock_recovering;
 use crate::snapshot::Oracles;
 
 /// One published snapshot: the oracles plus the generation that swapped
@@ -42,13 +43,6 @@ pub struct SnapshotSlot {
     /// Mirror of the published generation, readable without the lock
     /// (stats, version answers).
     generation: AtomicU64,
-}
-
-/// Locks recovering from poison: the slot holds a plain `Arc`, valid
-/// after any interrupted operation, so a panicked holder must not take
-/// the serving path down.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl SnapshotSlot {

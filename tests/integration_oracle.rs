@@ -208,7 +208,7 @@ fn golden_v2_snapshots_round_trip_bit_identically() {
         let path = golden_v2_path(label);
         let bytes = std::fs::read(&path)
             .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e}); regenerate with `cargo test --test integration_oracle -- --ignored`"));
-        let loaded = DistOracle::load(&mut &bytes[..])
+        let loaded = DistOracle::from_snapshot_bytes(&bytes)
             .unwrap_or_else(|e| panic!("{label}: v2 golden no longer parses: {e}"));
         assert_eq!(loaded, reference, "{label}: loaded oracle differs");
         let mut resaved = Vec::new();

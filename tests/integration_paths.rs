@@ -282,7 +282,7 @@ fn golden_v255_snapshot_reports_unsupported_version() {
              `cargo test --test integration_paths -- --ignored`"
         )
     });
-    let err = DistOracle::load(&mut &bytes[..]).expect_err("v255 must not load");
+    let err = DistOracle::from_snapshot_bytes(&bytes).expect_err("v255 must not load");
     assert!(
         matches!(err, SnapshotError::UnsupportedVersion(255)),
         "got {err:?}"
@@ -291,7 +291,7 @@ fn golden_v255_snapshot_reports_unsupported_version() {
     // The CCRO loader applies the same order.
     let mut ccro = bytes.clone();
     ccro[..4].copy_from_slice(b"CCRO");
-    let err = PathOracle::load(&mut &ccro[..]).expect_err("v255 must not load");
+    let err = PathOracle::from_snapshot_bytes(&ccro).expect_err("v255 must not load");
     assert!(matches!(err, SnapshotError::UnsupportedVersion(255)));
 }
 
@@ -318,7 +318,7 @@ fn golden_ccro_v2_snapshot_round_trips_bit_identically() {
              `cargo test --test integration_paths -- --ignored`"
         )
     });
-    let loaded = PathOracle::load(&mut &bytes[..]).expect("v2 golden parses");
+    let loaded = PathOracle::from_snapshot_bytes(&bytes).expect("v2 golden parses");
     assert_eq!(loaded, reference, "loaded oracle differs from reference");
     let mut resaved = Vec::new();
     reference.save_v2(&mut resaved).expect("save to memory");

@@ -199,7 +199,7 @@ fn errors_format_and_chain() {
 /// session records paths.
 #[derive(Debug, PartialEq)]
 enum Answer {
-    Pairs(DistanceMatrix, Option<(Vec<PairWitness>, RouteArena)>),
+    Pairs(Arc<DistanceMatrix>, Option<(Vec<PairWitness>, RouteArena)>),
     Rows(Vec<Vec<Dist>>, Option<(Vec<Option<RecId>>, RouteArena)>),
 }
 
@@ -266,7 +266,8 @@ fn rounds(entries: &[CostEntry]) -> u64 {
 /// MSSP batch and the additive query, under the same checks. The graph has
 /// a hub above the high-degree threshold, so the session uses all three
 /// hopset roles (the input graph at `(2t, ε/2)` and at `(t, ε)`, and `G'`
-/// at `(2t, ε/2)`) and builds each one once, beside one emulator. The
+/// at `(2t, ε/2)`) and builds each one once, beside one emulator swept
+/// once into the long-range table every APSP query starts from. The
 /// hopsets share one basis per distinct graph: one here, because every hub
 /// edge has a low-degree end, so `G'` keeps it and equals `G`; two once a
 /// second hub adjacent to the first makes `G' ≠ G`.
@@ -320,6 +321,7 @@ fn deterministic_answers_do_not_depend_on_query_order() {
             }
             let at = format!("record={record} {order:?}");
             assert_eq!(calls(&solver, "emulator_build"), 1, "{at}: emulators");
+            assert_eq!(calls(&solver, "emulator_sweep"), 1, "{at}: sweeps");
             assert_eq!(calls(&solver, "hopset_build"), 3, "{at}: hopsets");
             assert_eq!(calls(&solver, "hopset_basis"), 1, "{at}: bases");
         }
