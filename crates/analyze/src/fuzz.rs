@@ -27,7 +27,7 @@ use std::panic;
 use std::path::Path;
 
 use cc_core::snapshot::header::fnv1a;
-use cc_core::{DistOracle, PathOracle, SnapshotError};
+use cc_core::{DistOracle, SnapshotError};
 use cc_serve::protocol::{Op, Request, MAX_FRAME};
 
 /// Baseline allocation headroom a single load may use, on top of the
@@ -158,7 +158,7 @@ pub fn run(
         if let Some(p) = probe {
             (p.reset_peak)();
         }
-        match panic::catch_unwind(|| load_any(&case)) {
+        match panic::catch_unwind(|| DistOracle::from_snapshot_bytes(&case)) {
             Ok(Ok(_)) => summary.clean_loads += 1,
             Ok(Err(e)) => *summary.rejections.entry(error_kind(&e)).or_insert(0) += 1,
             Err(_) => summary.failures.push(format!(
@@ -461,15 +461,6 @@ fn proto_error_kind(e: &str) -> &'static str {
     }
 }
 
-/// Dispatches a load by magic: `CCRO` to the path oracle, everything else
-/// to the distance oracle (whose magic check reports the mismatch).
-pub fn load_any(bytes: &[u8]) -> Result<&'static str, SnapshotError> {
-    match bytes.get(..4) {
-        Some(b"CCRO") => PathOracle::from_snapshot_bytes(bytes).map(|_| "paths"),
-        _ => DistOracle::from_snapshot_bytes(bytes).map(|_| "dist"),
-    }
-}
-
 fn error_kind(e: &SnapshotError) -> &'static str {
     match e {
         SnapshotError::Io(_) => "io",
@@ -495,10 +486,10 @@ pub fn emit_corpus(
     for (name, base) in corpus {
         let stem = name.trim_end_matches(".snap");
         for (case, bytes) in abuse_cases(stem, base) {
-            let err = match panic::catch_unwind(|| load_any(&bytes)) {
-                Ok(Ok(kind)) => {
+            let err = match panic::catch_unwind(|| DistOracle::from_snapshot_bytes(&bytes)) {
+                Ok(Ok(_)) => {
                     return Err(io::Error::other(format!(
-                        "generator bug: case {case} loaded cleanly as {kind}"
+                        "generator bug: case {case} loaded cleanly"
                     )))
                 }
                 Ok(Err(e)) => e.to_string(),
@@ -695,7 +686,7 @@ mod tests {
     fn abuse_cases_all_reject_with_typed_errors() {
         let base = tiny_snapshot();
         for (name, bytes) in abuse_cases("tiny", &base) {
-            let r = std::panic::catch_unwind(|| load_any(&bytes));
+            let r = std::panic::catch_unwind(|| DistOracle::from_snapshot_bytes(&bytes));
             match r {
                 Ok(Err(_)) => {}
                 Ok(Ok(_)) => panic!("{name} loaded cleanly"),

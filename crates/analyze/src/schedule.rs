@@ -36,7 +36,6 @@ use cc_graphs::dijkstra;
 use cc_graphs::{bfs, Dist, Graph, StorageKind, WeightedGraph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_routes::Unroller;
-use cc_serve::snapshot::Oracles;
 use cc_serve::{serve, Client, ServerConfig};
 use cc_toolkit::hopset::{self, BasisCache, HopsetParams};
 use cc_toolkit::{KNearest, Strategy};
@@ -411,12 +410,8 @@ fn serve_burst(base: &Baseline, rng: &mut Xorshift) -> Result<(), String> {
         default_deadline_ms: 0,
         ..ServerConfig::default()
     };
-    let handle = serve(
-        Oracles::DistOnly(Arc::clone(&base.oracle)),
-        "127.0.0.1:0",
-        config,
-    )
-    .map_err(|e| format!("serve: {e}"))?;
+    let handle = serve(Arc::clone(&base.oracle), "127.0.0.1:0", config)
+        .map_err(|e| format!("serve: {e}"))?;
     let addr = handle.addr();
 
     let requests = 6 + rng.below(6);

@@ -32,10 +32,9 @@ use std::sync::Arc;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
-use crate::oracle::{DistOracle, Guarantee};
+use crate::oracle::Guarantee;
 use crate::pipeline::{self, HopsetGraph, Mode, Substrates};
 use crate::solver::ParamProfile;
-use cc_graphs::StorageKind;
 
 /// Per-query parameters of the `(2+ε)` pipeline. The emulator and the
 /// other session-wide parameters belong to the [`crate::Solver`].
@@ -120,14 +119,6 @@ impl Apsp2 {
     /// The provenance every estimate of this result is served under.
     pub fn guarantee(&self) -> Guarantee {
         Guarantee::mult2(self.short_range_guarantee - 2.0)
-    }
-
-    /// Freezes the estimates into an immutable, `Arc`-shareable
-    /// [`DistOracle`]. The pipeline's output is symmetric, so the oracle
-    /// uses the symmetric-packed layout (half the memory of the square).
-    pub fn into_oracle(self) -> DistOracle {
-        let guarantee = self.guarantee();
-        DistOracle::from_matrix(&self.estimates, guarantee, StorageKind::SymmetricPacked)
     }
 }
 

@@ -22,10 +22,9 @@ use std::sync::Arc;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
-use crate::oracle::{DistOracle, Guarantee};
+use crate::oracle::Guarantee;
 use crate::pipeline::{self, HopsetGraph, Mode, Substrates};
 use crate::solver::ParamProfile;
-use cc_graphs::StorageKind;
 
 /// Per-query parameters of the `(3+ε)` pipeline. The emulator and the
 /// other session-wide parameters belong to the [`crate::Solver`].
@@ -103,13 +102,6 @@ impl Apsp3 {
     /// The provenance every estimate of this result is served under.
     pub fn guarantee(&self) -> Guarantee {
         Guarantee::mult3(self.short_range_guarantee - 3.0)
-    }
-
-    /// Freezes the estimates into an immutable, `Arc`-shareable
-    /// [`DistOracle`] (symmetric-packed layout).
-    pub fn into_oracle(self) -> DistOracle {
-        let guarantee = self.guarantee();
-        DistOracle::from_matrix(&self.estimates, guarantee, StorageKind::SymmetricPacked)
     }
 }
 

@@ -13,9 +13,8 @@ use cc_emulator::Emulator;
 use cc_graphs::Graph;
 
 use crate::estimates::DistanceMatrix;
-use crate::oracle::{DistOracle, Guarantee};
+use crate::oracle::Guarantee;
 use crate::pipeline::{Mode, Substrates};
-use cc_graphs::StorageKind;
 
 /// Result of the near-additive APSP computation.
 #[derive(Clone, Debug)]
@@ -39,13 +38,6 @@ impl AdditiveApsp {
     /// The provenance every estimate of this result is served under.
     pub fn guarantee(&self) -> Guarantee {
         Guarantee::near_additive(self.multiplicative_bound - 1.0, self.additive_bound)
-    }
-
-    /// Freezes the estimates into an immutable, `Arc`-shareable
-    /// [`DistOracle`] (symmetric-packed layout).
-    pub fn into_oracle(self) -> DistOracle {
-        let guarantee = self.guarantee();
-        DistOracle::from_matrix(&self.estimates, guarantee, StorageKind::SymmetricPacked)
     }
 }
 

@@ -15,9 +15,13 @@
 //! * stores the table in the most compact [`DistStorage`] layout for its
 //!   shape (symmetric-packed triangle, or source rows only), chosen
 //!   automatically at freeze time;
+//! * optionally carries the session's **routes** (`crate::path_oracle`):
+//!   [`path`](DistOracle::path) answers a real walk in the input graph for
+//!   every pair whose estimate it serves;
 //! * persists to a versioned binary snapshot ([`DistOracle::save_v2`],
 //!   [`DistOracle::from_snapshot_bytes`], no external dependencies) so a
-//!   solved substrate can be served by a fresh process.
+//!   solved substrate can be served by a fresh process: `CCDO` without
+//!   routes, `CCRO` with them.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -45,6 +49,7 @@ use std::sync::Arc;
 use cc_graphs::{ByteOwner, Dist, DistStorage, PodData, StorageKind, INF};
 
 use crate::estimates::DistanceMatrix;
+use crate::path_oracle::{PathProvider, Route, Routes};
 use crate::snapshot::header::Cursor;
 use crate::snapshot::v2::{owner_from_bytes, SectionWriter, SnapshotView};
 
@@ -203,13 +208,16 @@ pub struct PointEstimate {
     pub guarantee: Guarantee,
 }
 
-/// An immutable, `Arc`-shareable distance oracle over solved estimates.
+/// An immutable, `Arc`-shareable oracle over solved estimates, and
+/// optionally the routes that realize them.
 ///
-/// Built by [`crate::Solver::freeze`] or the per-pipeline `into_oracle()`
-/// conversions ([`crate::apsp2::Apsp2::into_oracle`], …). All query methods
-/// take `&self` and touch only frozen data, so one oracle behind an
-/// [`std::sync::Arc`] serves any number of threads without locks; answers
-/// are bit-identical to a serial replay.
+/// Built by [`crate::Solver::freeze`] (with routes exactly when the session
+/// records paths), by [`crate::mssp::Mssp::into_oracle`] for a source-row
+/// layout, or from parts ([`DistOracle::from_matrix`],
+/// [`DistOracle::with_routes`]). All query methods take `&self` and touch
+/// only frozen data, so one oracle behind an [`std::sync::Arc`] serves any
+/// number of threads without locks; answers are bit-identical to a serial
+/// replay.
 ///
 /// Provenance is tracked per entry: a small [`Guarantee`] table plus an
 /// optional byte tag per stored entry (elided when the whole table shares
@@ -223,6 +231,9 @@ pub struct DistOracle {
     /// when every entry is covered by `guarantees[0]`. [`PodData`] so v2
     /// snapshots serve it in place.
     tags: Option<PodData<u8>>,
+    /// The witnesses that serve [`DistOracle::path`], when frozen with
+    /// routes.
+    pub(crate) routes: Option<Routes>,
 }
 
 /// Vertex ids are `u32` on the wire and in row-sparse source tables. The
@@ -241,6 +252,7 @@ impl DistOracle {
             storage,
             guarantees: vec![guarantee],
             tags: None,
+            routes: None,
         }
     }
 
@@ -279,6 +291,28 @@ impl DistOracle {
             storage: DistStorage::symmetric_packed(n, data),
             guarantees,
             tags,
+            routes: None,
+        }
+    }
+
+    /// The same distances with routes: per packed pair, the index into
+    /// `providers` of the witness store that serves its route.
+    /// [`crate::Solver::freeze`] is the usual entry point; this constructor
+    /// exists for custom serving layers and golden-file references.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origins` is not one byte per packed pair or `providers`
+    /// is empty.
+    pub fn with_routes(
+        self,
+        origins: impl Into<PodData<u8>>,
+        providers: Vec<PathProvider>,
+    ) -> Self {
+        let routes = Routes::new(self.n(), origins.into(), providers);
+        DistOracle {
+            routes: Some(routes),
+            ..self
         }
     }
 
@@ -306,6 +340,74 @@ impl DistOracle {
     /// The provenance table answers are tagged from.
     pub fn guarantees(&self) -> &[Guarantee] {
         &self.guarantees
+    }
+
+    /// The oracle itself: its distance answers are the ones its routes are
+    /// served under.
+    pub fn dist_oracle(&self) -> &Self {
+        self
+    }
+
+    /// The oracle itself when it was frozen with routes, `None` otherwise —
+    /// the one check for whether [`DistOracle::path`] can answer.
+    pub fn paths(&self) -> Option<&Self> {
+        self.routes.as_ref().map(|_| self)
+    }
+
+    /// Number of witness providers (0 without routes).
+    #[cfg(test)]
+    pub(crate) fn provider_count(&self) -> usize {
+        self.routes.as_ref().map_or(0, Routes::provider_count)
+    }
+
+    /// Approximate bytes held by the routes (arena records plus per-pair
+    /// witness tables), 0 without routes; the distance side is
+    /// [`DistOracle::storage_bytes`].
+    pub fn witness_bytes(&self) -> usize {
+        self.routes.as_ref().map_or(0, Routes::witness_bytes)
+    }
+
+    /// The route for `(u, v)`: a real walk in `G` running `u → v`, its exact
+    /// weight, and the guarantee of the pipeline that produced it. `None`
+    /// when the oracle has no routes, when out of range, or when no
+    /// estimate was frozen for the pair; `Some(empty)` on the diagonal.
+    pub fn path(&self, u: usize, v: usize) -> Option<Route> {
+        let mut edges = Vec::new();
+        let (weight, guarantee) = self.path_into(u, v, &mut edges)?;
+        // In range after path_into (u, v < n ≤ the u32-indexed table size).
+        let (src, dst) = (u32::try_from(u).ok()?, u32::try_from(v).ok()?);
+        Some(Route {
+            src,
+            dst,
+            edges,
+            weight,
+            guarantee,
+        })
+    }
+
+    /// The allocation-free form of [`DistOracle::path`]: appends the
+    /// route's edges to `out` (per-worker scratch on serving paths) and
+    /// returns its weight and guarantee. On `None` the buffer keeps its
+    /// original contents.
+    pub fn path_into(
+        &self,
+        u: usize,
+        v: usize,
+        out: &mut Vec<(u32, u32)>,
+    ) -> Option<(Dist, Guarantee)> {
+        let routes = self.routes.as_ref()?;
+        let est = self.dist(u, v)?;
+        if u == v {
+            return Some((0, est.guarantee));
+        }
+        let count = routes.emit_into(self.n(), u, v, out)?;
+        Some((count as Dist, est.guarantee))
+    }
+
+    /// Answers a batch of route queries in order — exactly equivalent to
+    /// mapping [`DistOracle::path`] over `pairs`.
+    pub fn path_batch(&self, pairs: &[(usize, usize)]) -> Vec<Option<Route>> {
+        pairs.iter().map(|&(u, v)| self.path(u, v)).collect()
     }
 
     /// The strongest guarantee in the table (diagonal answers use it).
@@ -436,11 +538,11 @@ impl DistOracle {
     }
 
     /// Re-freezes the same answers into another layout, preserving
-    /// per-entry provenance. Converting to [`StorageKind::SymmetricPacked`]
-    /// keeps the min over both orientations (all oracles in this crate are
-    /// symmetric already); converting to [`StorageKind::RowSparse`] keeps
-    /// the existing source set, or every row when coming from the packed
-    /// layout.
+    /// per-entry provenance and the routes. Converting to
+    /// [`StorageKind::SymmetricPacked`] keeps the min over both orientations
+    /// (all oracles in this crate are symmetric already); converting to
+    /// [`StorageKind::RowSparse`] keeps the existing source set, or every
+    /// row when coming from the packed layout.
     pub fn with_layout(&self, kind: StorageKind) -> DistOracle {
         let n = self.n();
         // (value, tag) for one ordered pair, INF/0 when absent.
@@ -492,12 +594,14 @@ impl DistOracle {
             } else {
                 None
             },
+            routes: self.routes.clone(),
         }
     }
 
-    /// Reads a snapshot produced by [`DistOracle::save_v2`]. The
-    /// result is bit-identical to the oracle that was saved (validated by
-    /// the checksum, structural length checks and tag-range checks). The
+    /// Reads a snapshot produced by [`DistOracle::save_v2`]: a `CCDO` file
+    /// loads without routes, a `CCRO` file with them. The result is
+    /// bit-identical to the oracle that was saved (validated by the
+    /// checksum, structural length checks and index-range checks). The
     /// bytes are copied once into an aligned owner so the hot tables can be
     /// viewed in place; use [`DistOracle::load_v2_shared`] to serve an
     /// existing owner (a mapped file) with no copy at all.
@@ -505,38 +609,41 @@ impl DistOracle {
     /// Magic and version are inspected **before** the checksum: a snapshot
     /// written by a future format version (whose trailing bytes this build
     /// cannot even locate) reports [`SnapshotError::UnsupportedVersion`],
-    /// not a misleading checksum mismatch.
+    /// not a misleading checksum mismatch. Every count is bounded by the
+    /// bytes actually present before anything is allocated.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] for a wrong magic, an unsupported version,
-    /// or a corrupt/truncated payload.
+    /// Returns [`SnapshotError`] for an unknown magic, an unsupported
+    /// version, or a corrupt/truncated payload.
     pub fn from_snapshot_bytes(buf: &[u8]) -> Result<Self, SnapshotError> {
-        let (magic, _) = crate::snapshot::sniff(buf)?;
-        if &magic != b"CCDO" {
-            return Err(SnapshotError::BadMagic(magic));
-        }
         Self::load_v2_shared(owner_from_bytes(buf))
     }
 
     /// Loads a v2 snapshot directly from a stable byte owner (an `mmap`'d
     /// file, an [`cc_graphs::AlignedBytes`] buffer): the distance entries,
-    /// tags and sources become zero-copy views into the owner on
-    /// little-endian targets.
+    /// tags, sources, origins and route-arena columns become zero-copy
+    /// views into the owner on little-endian targets.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] as [`DistOracle::from_snapshot_bytes`]
     /// does.
     pub fn load_v2_shared(owner: Arc<dyn ByteOwner>) -> Result<Self, SnapshotError> {
-        let view = SnapshotView::parse(owner, b"CCDO")?;
-        Self::load_v2(&view)
+        let (magic, _) = crate::snapshot::sniff(owner.bytes())?;
+        match &magic {
+            b"CCDO" => Self::load_ccdo(&SnapshotView::parse(owner, b"CCDO")?),
+            b"CCRO" => Routes::load_v2(&SnapshotView::parse(owner, b"CCRO")?),
+            _ => Err(SnapshotError::BadMagic(magic)),
+        }
     }
 
     // ── Snapshot format v2 ───────────────────────────────────────────────
     //
     // The v2 frame and directory are documented in `crate::snapshot::v2`
-    // (and DESIGN.md §9). CCDO sections:
+    // (and DESIGN.md §9). An oracle with routes is a CCRO frame (layout in
+    // `crate::path_oracle`) that embeds its distance part as CCDO. CCDO
+    // sections:
     //
     //   1 META        kind u8, flags u8, pad[6], n u64, entries u64,
     //                 source_count u64, guarantee_count u64      (40 bytes)
@@ -546,13 +653,15 @@ impl DistOracle {
     //   5 TAGS        [flags bit0] entries × u8                  (hot)
 
     /// Serializes the oracle into snapshot format v2 — the aligned-section
-    /// layout [`DistOracle::load_v2_shared`] serves zero-copy.
+    /// layout [`DistOracle::load_v2_shared`] serves zero-copy: `CCDO` when
+    /// the oracle has no routes, `CCRO` when it has them.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `w`; a guarantee table larger than the
-    /// format's 256-row maximum surfaces as [`SnapshotError::TooLarge`]
-    /// (wrapped in `InvalidData`) instead of being silently truncated.
+    /// Propagates I/O errors from `w`; a guarantee table or provider table
+    /// larger than the format's 256-row maximum surfaces as
+    /// [`SnapshotError::TooLarge`] (wrapped in `InvalidData`) instead of
+    /// being silently truncated.
     pub fn save_v2<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         let bytes = self.to_v2_bytes()?;
         w.write_all(&bytes)
@@ -572,6 +681,14 @@ impl DistOracle {
     }
 
     pub(crate) fn to_v2_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
+        match &self.routes {
+            None => self.ccdo_bytes(),
+            Some(routes) => routes.to_v2_bytes(self.n(), &self.ccdo_bytes()?),
+        }
+    }
+
+    /// The `CCDO` snapshot of the distance part alone.
+    fn ccdo_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
         SnapshotError::check_count("guarantee count", self.guarantees.len(), MAX_GUARANTEES)?;
         let mut w = SectionWriter::new(b"CCDO");
         let sources = self.storage.sources();
@@ -604,8 +721,9 @@ impl DistOracle {
         w.finish()
     }
 
-    /// Loads a v2 snapshot from a validated [`SnapshotView`].
-    pub(crate) fn load_v2(view: &SnapshotView) -> Result<Self, SnapshotError> {
+    /// Loads a `CCDO` snapshot (no routes) from a validated
+    /// [`SnapshotView`].
+    pub(crate) fn load_ccdo(view: &SnapshotView) -> Result<Self, SnapshotError> {
         let meta = view.bytes_of(SEC_META, "CCDO meta")?;
         let mut c = Cursor::new(meta);
         let kind = c.take_n::<1>()?[0];
@@ -704,6 +822,7 @@ impl DistOracle {
             storage,
             guarantees,
             tags,
+            routes: None,
         })
     }
 
@@ -723,7 +842,7 @@ impl DistOracle {
 // index the table through a u8, so 256 rows is all the format can address.
 const MAX_GUARANTEES: usize = 256;
 
-// CCDO v2 section ids (see the layout comment on `to_v2_bytes`).
+// CCDO v2 section ids (see the layout comment on `ccdo_bytes`).
 const SEC_META: u16 = 1;
 const SEC_GUARANTEES: u16 = 2;
 const SEC_SOURCES: u16 = 3;
@@ -945,6 +1064,7 @@ mod tests {
             storage: DistStorage::row_sparse(3, vec![0, 1], vec![0, 9, 4, 3, 0, 5]),
             guarantees: vec![mssp, mult2],
             tags: Some(vec![0, 0, 0, 1, 1, 1].into()),
+            routes: None,
         };
         let sym = o.with_layout(StorageKind::SymmetricPacked);
         let best = PointEstimate {

@@ -1,24 +1,23 @@
-//! The frozen route-serving side of a solved session: [`PathOracle`].
+//! The route part of a frozen [`DistOracle`]: [`Route`], [`PathProvider`]
+//! and the `CCRO` snapshot sections.
 //!
-//! [`crate::DistOracle`] answers *how far*; this module answers *which way*.
-//! A `PathOracle` is frozen beside the distance oracle by
-//! [`crate::Solver::freeze_with_paths`] from the witness stores the
-//! pipelines filled while solving (`SolverBuilder::record_paths(true)`), and
-//! serves
+//! A [`DistOracle`] answers *how far*; one frozen with routes also answers
+//! *which way*. [`crate::Solver::freeze`] includes routes exactly when the
+//! session records paths (`SolverBuilder::record_paths(true)`), built from
+//! the witness stores the pipelines filled while solving, and the oracle
+//! then serves
 //!
-//! * [`path`](PathOracle::path)`(u, v) → Option<Route>` — a real walk in the
+//! * [`path`](DistOracle::path)`(u, v) → Option<Route>` — a real walk in the
 //!   input graph whose exact weight is at most the frozen estimate and
 //!   therefore satisfies the same tagged [`Guarantee`];
-//! * [`path_batch`](PathOracle::path_batch) — the batched form;
-//! * the embedded distance oracle ([`PathOracle::dist_oracle`]) for plain
-//!   distance queries,
+//! * [`path_batch`](DistOracle::path_batch) — the batched form,
 //!
-//! all lock-free from `&self` (`PathOracle: Send + Sync` — one oracle behind
-//! an `Arc` serves any number of threads).
+//! all lock-free from `&self`. An oracle without routes answers `None` for
+//! every route.
 //!
-//! Snapshots extend the `CCDO` distance format: a `CCRO` file embeds the
-//! distance snapshot as a section beside the witness arenas and per-pair
-//! witness tables (layout in `DESIGN.md` §9.2).
+//! An oracle with routes snapshots as `CCRO`: the file embeds the distance
+//! part's `CCDO` snapshot as a section beside the witness arenas and
+//! per-pair witness tables (layout in `DESIGN.md` §9.2).
 //!
 //! ```
 //! use cc_core::{Execution, SolverBuilder};
@@ -31,7 +30,7 @@
 //!     .record_paths(true)
 //!     .build()?;
 //! solver.apsp_3eps()?;
-//! let oracle = std::sync::Arc::new(solver.freeze_with_paths()?);
+//! let oracle = std::sync::Arc::new(solver.freeze()?);
 //! let route = oracle.path(0, 20).expect("connected");
 //! assert_eq!(route.edges[0].0, 0);
 //! for (x, y) in &route.edges {
@@ -40,16 +39,18 @@
 //! # Ok::<(), cc_core::CcError>(())
 //! ```
 
-use std::io::Write;
-use std::path::Path;
 use std::sync::Arc;
 
-use cc_graphs::{ByteOwner, Dist, DistStorage, PodData};
+use cc_graphs::{Dist, DistStorage, PodData};
 use cc_routes::{PairWitness, PathStore, RecId, RouteArena, RowStore};
 
 use crate::oracle::{DistOracle, Guarantee, SnapshotError};
 use crate::snapshot::header::Cursor;
-use crate::snapshot::v2::{owner_from_bytes, SectionWriter, SnapshotView};
+use crate::snapshot::v2::{SectionWriter, SnapshotView};
+
+/// The frozen oracle under the name route-serving callers use: one type
+/// serves distances and, when frozen with routes, paths.
+pub type PathOracle = DistOracle;
 
 /// One reconstructed route: a real walk in the input graph `G`.
 #[derive(Clone, PartialEq, Debug)]
@@ -89,14 +90,24 @@ pub enum PathProvider {
     Rows(Arc<RowStore>),
 }
 
-/// An immutable, `Arc`-shareable route oracle over solved witnesses.
-///
-/// Holds the frozen [`DistOracle`] plus, per packed pair, which pipeline's
-/// witness store serves its route. All query methods take `&self` and touch
-/// only frozen data.
-#[derive(Clone, Debug)]
-pub struct PathOracle {
-    oracle: DistOracle,
+impl PartialEq for PathProvider {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (PathProvider::Pairs(x), PathProvider::Pairs(y)) => {
+                x.arena() == y.arena() && x.witnesses() == y.witnesses()
+            }
+            (PathProvider::Rows(x), PathProvider::Rows(y)) => {
+                x.arena() == y.arena() && x.sources() == y.sources() && x.recs() == y.recs()
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The routes of a frozen oracle: per packed pair, which pipeline's
+/// witness store serves its route.
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) struct Routes {
     /// Per packed pair: index into `providers` of the winning pipeline
     /// (meaningless where no estimate is frozen). [`PodData`] so v2
     /// snapshots serve it in place.
@@ -126,36 +137,12 @@ fn provider_section_base(p: usize) -> Option<u16> {
         .and_then(|off| RSEC_PROVIDER_BASE.checked_add(off))
 }
 
-impl PathOracle {
-    /// Assembles an oracle from a frozen distance oracle, a per-pair origin
-    /// table (index into `providers` of the store serving each pair) and the
-    /// witness providers. [`crate::Solver::freeze_with_paths`] is the usual
-    /// entry point; this constructor exists for custom serving layers and
-    /// golden-file references.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origins` is not one byte per packed pair or `providers`
-    /// is empty.
-    pub fn new(
-        oracle: DistOracle,
-        origins: impl Into<PodData<u8>>,
-        providers: Vec<PathProvider>,
-    ) -> Self {
-        let origins = origins.into();
-        let n = oracle.n();
+impl Routes {
+    /// Routes over `n` vertices; see [`DistOracle::with_routes`].
+    pub(crate) fn new(n: usize, origins: PodData<u8>, providers: Vec<PathProvider>) -> Self {
         assert_eq!(origins.len(), n * (n + 1) / 2, "one origin per packed pair");
         assert!(!providers.is_empty(), "at least one witness provider");
-        PathOracle {
-            oracle,
-            origins,
-            providers,
-        }
-    }
-
-    /// Dimension `n` (vertices are `0..n`).
-    pub fn n(&self) -> usize {
-        self.oracle.n()
+        Routes { origins, providers }
     }
 
     /// Number of witness providers.
@@ -164,21 +151,9 @@ impl PathOracle {
         self.providers.len()
     }
 
-    /// The embedded distance oracle (same values and tags the routes are
-    /// served under).
-    pub fn dist_oracle(&self) -> &DistOracle {
-        &self.oracle
-    }
-
-    /// Convenience passthrough to [`DistOracle::dist`].
-    pub fn dist(&self, u: usize, v: usize) -> Option<crate::oracle::PointEstimate> {
-        self.oracle.dist(u, v)
-    }
-
-    /// Approximate bytes held by the witness side (arena nodes + per-pair
-    /// witness tables); the distance side is
-    /// [`DistOracle::storage_bytes`].
-    pub fn witness_bytes(&self) -> usize {
+    /// Bytes held by the arenas and witness tables; see
+    /// [`DistOracle::witness_bytes`].
+    pub(crate) fn witness_bytes(&self) -> usize {
         // An arena record is a `u8` tag and three `u32` columns.
         const RECORD: usize = 13;
         self.providers
@@ -191,84 +166,21 @@ impl PathOracle {
             + self.origins.len()
     }
 
-    /// The route for `(u, v)`: a real walk in `G` running `u → v`, its exact
-    /// weight, and the guarantee of the pipeline that produced it. `None`
-    /// when out of range or no estimate was frozen for the pair;
-    /// `Some(empty)` on the diagonal.
-    pub fn path(&self, u: usize, v: usize) -> Option<Route> {
-        let mut edges = Vec::new();
-        let (weight, guarantee) = self.path_into(u, v, &mut edges)?;
-        // In range after path_into (u, v < n ≤ the u32-indexed table size).
-        let (src, dst) = (u32::try_from(u).ok()?, u32::try_from(v).ok()?);
-        Some(Route {
-            src,
-            dst,
-            edges,
-            weight,
-            guarantee,
-        })
-    }
-
-    /// The allocation-free form of [`PathOracle::path`]: appends the
-    /// route's edges to `out` (per-worker scratch on serving paths) and
-    /// returns its weight and guarantee. On `None` the buffer keeps its
-    /// original contents.
-    pub fn path_into(
+    /// Appends the route of the off-diagonal pair `(u, v)` of an `n`-vertex
+    /// oracle to `out` and returns its edge count, or `None` when no
+    /// witness serves the pair.
+    pub(crate) fn emit_into(
         &self,
+        n: usize,
         u: usize,
         v: usize,
         out: &mut Vec<(u32, u32)>,
-    ) -> Option<(Dist, Guarantee)> {
-        let est = self.oracle.dist(u, v)?;
-        if u == v {
-            return Some((0, est.guarantee));
+    ) -> Option<usize> {
+        let origin = self.origins[DistStorage::packed_index(n, u, v)];
+        match self.providers.get(origin as usize)? {
+            PathProvider::Pairs(s) => s.emit_into(u, v, out),
+            PathProvider::Rows(r) => emit_row_pair_into(r, u, v, out),
         }
-        let origin = self.origins[DistStorage::packed_index(self.n(), u, v)];
-        let count = match self.providers.get(origin as usize)? {
-            PathProvider::Pairs(s) => s.emit_into(u, v, out)?,
-            PathProvider::Rows(r) => emit_row_pair_into(r, u, v, out)?,
-        };
-        Some((count as Dist, est.guarantee))
-    }
-
-    /// Answers a batch of route queries in order — exactly equivalent to
-    /// mapping [`PathOracle::path`] over `pairs`.
-    pub fn path_batch(&self, pairs: &[(usize, usize)]) -> Vec<Option<Route>> {
-        pairs.iter().map(|&(u, v)| self.path(u, v)).collect()
-    }
-
-    /// Reads a snapshot produced by [`PathOracle::save_v2`]. Magic and version
-    /// are inspected before the checksum (an unknown version reports
-    /// [`SnapshotError::UnsupportedVersion`], never a checksum mismatch);
-    /// every count is bounded by the bytes actually present before anything
-    /// is allocated, and all record/witness indices are range-checked. The
-    /// bytes are copied once into an aligned owner so the hot tables can be
-    /// viewed in place; use [`PathOracle::load_v2_shared`] to serve an
-    /// existing owner (a mapped file) with no copy at all.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] for a wrong magic, an unsupported version,
-    /// or a corrupt/truncated payload.
-    pub fn from_snapshot_bytes(buf: &[u8]) -> Result<Self, SnapshotError> {
-        let (magic, _) = crate::snapshot::sniff(buf)?;
-        if &magic != b"CCRO" {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        Self::load_v2_shared(owner_from_bytes(buf))
-    }
-
-    /// Loads a v2 snapshot directly from a stable byte owner: the embedded
-    /// distance tables, origins and route-arena columns become zero-copy
-    /// views into the owner on little-endian targets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] as [`PathOracle::from_snapshot_bytes`]
-    /// does.
-    pub fn load_v2_shared(owner: Arc<dyn ByteOwner>) -> Result<Self, SnapshotError> {
-        let view = SnapshotView::parse(owner, b"CCRO")?;
-        Self::load_v2(&view)
     }
 
     // ── Snapshot format v2 ───────────────────────────────────────────────
@@ -294,42 +206,17 @@ impl PathOracle {
     //   +6 W_PAYLOAD W × u32  witness payloads
     //   +7 SOURCES   [rows only] source_count × u32
 
-    /// Serializes the oracle into snapshot format v2 — the aligned-section
-    /// layout [`PathOracle::load_v2_shared`] serves zero-copy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`; a provider table larger than the
-    /// format's 256-row maximum surfaces as [`SnapshotError::TooLarge`]
-    /// (wrapped in `InvalidData`) instead of being silently truncated.
-    pub fn save_v2<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let bytes = self.to_v2_bytes()?;
-        w.write_all(&bytes)
-    }
-
-    /// [`PathOracle::save_v2`] to a filesystem path, crash-safely
-    /// ([`crate::snapshot::write_atomic`]): a crash mid-save leaves the
-    /// previous snapshot untouched, never a torn file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save_v2_to_path<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
-        let mut bytes = Vec::new();
-        self.save_v2(&mut bytes)?;
-        crate::snapshot::write_atomic(path.as_ref(), &bytes)
-    }
-
-    pub(crate) fn to_v2_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
+    /// The `CCRO` snapshot of an `n`-vertex oracle whose distance part
+    /// serializes to the `CCDO` bytes `dist`.
+    pub(crate) fn to_v2_bytes(&self, n: usize, dist: &[u8]) -> Result<Vec<u8>, SnapshotError> {
         SnapshotError::check_count("provider count", self.providers.len(), MAX_PROVIDERS)?;
         let mut w = SectionWriter::new(b"CCRO");
         let mut meta = Vec::with_capacity(24);
-        meta.extend_from_slice(&(self.n() as u64).to_le_bytes());
+        meta.extend_from_slice(&(n as u64).to_le_bytes());
         meta.extend_from_slice(&(self.origins.len() as u64).to_le_bytes());
         meta.extend_from_slice(&(self.providers.len() as u64).to_le_bytes());
         w.section(RSEC_META, &meta);
-        let inner = self.oracle.to_v2_bytes()?;
-        w.section(RSEC_DIST, &inner);
+        w.section(RSEC_DIST, dist);
         w.section(RSEC_ORIGINS, &self.origins);
         for (p, provider) in self.providers.iter().enumerate() {
             let base = provider_section_base(p)
@@ -387,8 +274,9 @@ impl PathOracle {
         w.finish()
     }
 
-    /// Loads a v2 snapshot from a validated [`SnapshotView`].
-    pub(crate) fn load_v2(view: &SnapshotView) -> Result<Self, SnapshotError> {
+    /// Loads a `CCRO` snapshot from a validated [`SnapshotView`]: the
+    /// embedded distance part with the routes it serves.
+    pub(crate) fn load_v2(view: &SnapshotView) -> Result<DistOracle, SnapshotError> {
         let meta = view.bytes_of(RSEC_META, "CCRO meta")?;
         let mut c = Cursor::new(meta);
         let n = usize::try_from(u64::from_le_bytes(c.take_n::<8>()?))
@@ -410,7 +298,8 @@ impl PathOracle {
         if provider_count == 0 || provider_count > 256 {
             return Err(SnapshotError::corrupt("provider count out of range"));
         }
-        let oracle = DistOracle::load_v2(&view.sub_view(RSEC_DIST, b"CCDO", "embedded CCDO")?)?;
+        let mut oracle =
+            DistOracle::load_ccdo(&view.sub_view(RSEC_DIST, b"CCDO", "embedded CCDO")?)?;
         if oracle.n() != n {
             return Err(SnapshotError::corrupt("embedded oracle dimension mismatch"));
         }
@@ -511,44 +400,8 @@ impl PathOracle {
                 _ => return Err(SnapshotError::corrupt("unknown provider kind")),
             }
         }
-        Ok(PathOracle {
-            oracle,
-            origins,
-            providers,
-        })
-    }
-
-    /// [`PathOracle::from_snapshot_bytes`] over a file's contents.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] for an I/O failure, or as
-    /// [`PathOracle::from_snapshot_bytes`] does.
-    pub fn load_from_path<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        Self::from_snapshot_bytes(&std::fs::read(path)?)
-    }
-}
-
-impl PartialEq for PathOracle {
-    fn eq(&self, other: &Self) -> bool {
-        if self.oracle != other.oracle || self.origins != other.origins {
-            return false;
-        }
-        if self.providers.len() != other.providers.len() {
-            return false;
-        }
-        self.providers
-            .iter()
-            .zip(&other.providers)
-            .all(|(a, b)| match (a, b) {
-                (PathProvider::Pairs(x), PathProvider::Pairs(y)) => {
-                    x.arena() == y.arena() && x.witnesses() == y.witnesses()
-                }
-                (PathProvider::Rows(x), PathProvider::Rows(y)) => {
-                    x.arena() == y.arena() && x.sources() == y.sources() && x.recs() == y.recs()
-                }
-                _ => false,
-            })
+        oracle.routes = Some(Routes { origins, providers });
+        Ok(oracle)
     }
 }
 
@@ -601,7 +454,24 @@ mod tests {
         Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>())
     }
 
-    fn tiny_oracle() -> PathOracle {
+    /// The distance part of the hand-built oracles: `|u - v|` on 4 vertices.
+    fn line_distances() -> DistOracle {
+        let mut m = crate::estimates::DistanceMatrix::new(4);
+        for u in 0..4 {
+            for v in 0..4 {
+                if u != v {
+                    m.improve(u, v, u.abs_diff(v) as Dist);
+                }
+            }
+        }
+        DistOracle::from_matrix(
+            &m,
+            Guarantee::mult2(0.5),
+            cc_graphs::StorageKind::SymmetricPacked,
+        )
+    }
+
+    fn tiny_oracle() -> DistOracle {
         // Hand-built: a 4-path with a pair store for all pairs.
         let g = path_graph(4);
         let mut store = PathStore::new(4);
@@ -611,24 +481,11 @@ mod tests {
                 store.set_walk(&g, &verts);
             }
         }
-        let mut m = crate::estimates::DistanceMatrix::new(4);
-        for u in 0..4 {
-            for v in 0..4 {
-                if u != v {
-                    m.improve(u, v, u.abs_diff(v) as Dist);
-                }
-            }
-        }
-        let oracle = DistOracle::from_matrix(
-            &m,
-            Guarantee::mult2(0.5),
-            cc_graphs::StorageKind::SymmetricPacked,
-        );
-        PathOracle::new(
-            oracle,
-            vec![0; 10],
-            vec![PathProvider::Pairs(Arc::new(store))],
-        )
+        line_distances().with_routes(vec![0; 10], vec![PathProvider::Pairs(Arc::new(store))])
+    }
+
+    fn routes_of(o: &DistOracle) -> &Routes {
+        o.routes.as_ref().expect("frozen with routes")
     }
 
     #[test]
@@ -647,6 +504,23 @@ mod tests {
         let batch = o.path_batch(&[(0, 3), (2, 2)]);
         assert_eq!(batch[0].as_ref().unwrap().weight, 3);
         assert!(o.witness_bytes() > 0);
+        assert!(o.paths().is_some());
+    }
+
+    /// Without routes the same distances serve no route, not even the
+    /// diagonal's empty one, and hold no witness bytes.
+    #[test]
+    fn an_oracle_without_routes_serves_none() {
+        let o = line_distances();
+        assert!(o.paths().is_none());
+        assert_eq!(o.witness_bytes(), 0);
+        let mut edges = vec![(7, 7)];
+        for (u, v) in [(0, 3), (2, 2), (0, 9)] {
+            assert_eq!(o.path(u, v), None, "({u},{v})");
+            assert_eq!(o.path_into(u, v, &mut edges), None, "({u},{v})");
+        }
+        assert_eq!(edges, vec![(7, 7)], "buffer untouched");
+        assert_eq!(o.dist(0, 3), tiny_oracle().dist(0, 3));
     }
 
     /// Each arena record counts at the byte length of its four SoA
@@ -654,7 +528,8 @@ mod tests {
     #[test]
     fn witness_bytes_count_the_arena_sections() {
         let o = tiny_oracle();
-        let PathProvider::Pairs(store) = &o.providers[0] else {
+        let routes = routes_of(&o);
+        let PathProvider::Pairs(store) = &routes.providers[0] else {
             panic!("tiny_oracle has one pair store");
         };
         let (tags, a, b, lens) = store.arena().sections();
@@ -667,7 +542,7 @@ mod tests {
         assert!(!store.arena().is_empty());
         assert_eq!(
             o.witness_bytes(),
-            arena.iter().sum::<usize>() + store.witnesses().len() * 5 + o.origins.len()
+            arena.iter().sum::<usize>() + store.witnesses().len() * 5 + routes.origins.len()
         );
     }
 
@@ -676,7 +551,8 @@ mod tests {
         let o = tiny_oracle();
         let mut buf = Vec::new();
         o.save_v2(&mut buf).unwrap();
-        let back = PathOracle::from_snapshot_bytes(&buf).unwrap();
+        assert_eq!(&buf[..4], b"CCRO", "routes present: CCRO");
+        let back = DistOracle::from_snapshot_bytes(&buf).unwrap();
         assert_eq!(back, o);
         assert_eq!(back.path(1, 3), o.path(1, 3));
         let mut again = Vec::new();
@@ -688,7 +564,7 @@ mod tests {
         for version in [1u16, 9] {
             let mut other = buf.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
-            let err = PathOracle::from_snapshot_bytes(&other).unwrap_err();
+            let err = DistOracle::from_snapshot_bytes(&other).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::UnsupportedVersion(v) if v == version),
                 "version {version}: {err}"
@@ -698,14 +574,14 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(matches!(
-            PathOracle::from_snapshot_bytes(&bad),
+            DistOracle::from_snapshot_bytes(&bad),
             Err(SnapshotError::BadMagic(_))
         ));
         let mut flipped = buf.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0xFF;
-        assert!(PathOracle::from_snapshot_bytes(&flipped).is_err());
-        assert!(PathOracle::from_snapshot_bytes(&buf[..buf.len() - 3]).is_err());
+        assert!(DistOracle::from_snapshot_bytes(&flipped).is_err());
+        assert!(DistOracle::from_snapshot_bytes(&buf[..buf.len() - 3]).is_err());
     }
 
     #[test]
@@ -713,11 +589,10 @@ mod tests {
         // 300 providers exceed the u8-indexed origin table; the writer must
         // surface TooLarge instead of writing a table no origin can address.
         let tiny = tiny_oracle();
-        let provider = tiny.providers[0].clone();
-        let o = PathOracle::new(
-            tiny.oracle.clone(),
-            tiny.origins.clone(),
-            vec![provider; 300],
+        let routes = routes_of(&tiny);
+        let o = line_distances().with_routes(
+            routes.origins.clone(),
+            vec![routes.providers[0].clone(); 300],
         );
         let err = o.save_v2(&mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -739,7 +614,7 @@ mod tests {
 
     /// Both provider kinds: a pair store plus a row store over sources
     /// {0, 2}, with every pair touching vertex 0 routed to the rows.
-    fn two_provider_oracle() -> PathOracle {
+    fn two_provider_oracle() -> DistOracle {
         let g = path_graph(4);
         let mut pairs = PathStore::new(4);
         for u in 0..4u32 {
@@ -762,26 +637,12 @@ mod tests {
                 rows.set_walk(&g, i, &verts);
             }
         }
-        let mut m = crate::estimates::DistanceMatrix::new(4);
-        for u in 0..4 {
-            for v in 0..4 {
-                if u != v {
-                    m.improve(u, v, u.abs_diff(v) as Dist);
-                }
-            }
-        }
-        let oracle = DistOracle::from_matrix(
-            &m,
-            Guarantee::mult2(0.5),
-            cc_graphs::StorageKind::SymmetricPacked,
-        );
         let mut origins = vec![0u8; 10];
         for v in 0..4 {
             origins[DistStorage::packed_index(4, 0, v)] = 1;
         }
         origins[DistStorage::packed_index(4, 2, 3)] = 1;
-        PathOracle::new(
-            oracle,
+        line_distances().with_routes(
             origins,
             vec![
                 PathProvider::Pairs(Arc::new(pairs)),
@@ -795,7 +656,7 @@ mod tests {
         let o = two_provider_oracle();
         let mut buf = Vec::new();
         o.save_v2(&mut buf).unwrap();
-        let back = PathOracle::from_snapshot_bytes(&buf).unwrap();
+        let back = DistOracle::from_snapshot_bytes(&buf).unwrap();
         assert_eq!(back, o);
         for u in 0..4 {
             for v in 0..4 {
@@ -805,7 +666,7 @@ mod tests {
         // The reloaded oracle serves its hot tables from the snapshot
         // bytes (little-endian hosts; elsewhere it degrades to a copy).
         if cfg!(target_endian = "little") {
-            assert!(back.dist_oracle().storage().is_shared());
+            assert!(back.storage().is_shared());
         }
         let mut again = Vec::new();
         back.save_v2(&mut again).unwrap();
@@ -824,23 +685,32 @@ mod tests {
             let mut bad = buf.clone();
             bad[pos] ^= 0x01;
             assert!(
-                PathOracle::from_snapshot_bytes(&bad).is_err(),
+                DistOracle::from_snapshot_bytes(&bad).is_err(),
                 "flip at {pos} must be rejected"
             );
         }
         // Truncations at section boundaries and mid-directory.
         for cut in [10, 64, 200, buf.len() - 1] {
-            let err = PathOracle::from_snapshot_bytes(&buf[..cut]).unwrap_err();
+            let err = DistOracle::from_snapshot_bytes(&buf[..cut]).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::Corrupt(_)),
                 "cut at {cut}: {err}"
             );
         }
+        // A CCDO magic on CCRO bytes is a magic the loader knows, so it
+        // reads the bytes as a distance snapshot, and the checksum (which
+        // covers the magic) refuses them. An unknown magic is BadMagic.
         let mut wrong_magic = buf.clone();
         wrong_magic[..4].copy_from_slice(b"CCDO");
+        match DistOracle::from_snapshot_bytes(&wrong_magic) {
+            Err(SnapshotError::Corrupt(msg)) => assert_eq!(msg, "checksum mismatch"),
+            other => panic!("CCDO magic on CCRO bytes: {other:?}"),
+        }
+        let mut unknown = buf.clone();
+        unknown[..4].copy_from_slice(b"XXXX");
         assert!(matches!(
-            PathOracle::from_snapshot_bytes(&wrong_magic),
-            Err(SnapshotError::BadMagic(_))
+            DistOracle::from_snapshot_bytes(&unknown),
+            Err(SnapshotError::BadMagic(m)) if &m == b"XXXX"
         ));
     }
 }

@@ -1,5 +1,5 @@
-//! Snapshot persistence shared by the `CCDO` ([`crate::DistOracle`]) and
-//! `CCRO` ([`crate::PathOracle`]) formats.
+//! Snapshot persistence of the frozen [`crate::DistOracle`]: `CCDO` for an
+//! oracle without routes, `CCRO` for one with them.
 //!
 //! There is one format, version 2 — the serving format: each oracle's
 //! content laid out as **64-byte-aligned POD sections** behind a section
@@ -15,9 +15,9 @@
 //! [`header`] holds the frame plumbing both formats share — magic/version
 //! inspection, the trailing checksum, the bounds-checked cursor,
 //! [`SnapshotError`]. The `v2` module holds the section writer and the
-//! validated section view. The per-format section layouts live with their
-//! types (`oracle.rs`, `path_oracle.rs`); `DESIGN.md` §9 documents the
-//! layout and alignment rules.
+//! validated section view. The section layouts live with the parts they
+//! store (`oracle.rs` for `CCDO`, `path_oracle.rs` for `CCRO`); `DESIGN.md`
+//! §9 documents the layout and alignment rules.
 
 pub mod atomic;
 pub mod header;

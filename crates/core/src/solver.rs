@@ -46,7 +46,7 @@ use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
 use crate::mssp::{self, Mssp, MsspConfig};
 use crate::oracle::{DistOracle, Guarantee, PointEstimate};
-use crate::path_oracle::{PathOracle, PathProvider};
+use crate::path_oracle::PathProvider;
 use crate::pipeline::{self, Mode, Substrates};
 
 /// Randomized (seeded) or deterministic execution.
@@ -112,7 +112,8 @@ impl SolverBuilder {
     }
 
     /// Makes every query record path witnesses alongside its estimates, so
-    /// [`Solver::freeze_with_paths`] can serve routes, not just distances.
+    /// the oracle [`Solver::freeze`] returns serves routes, not just
+    /// distances.
     ///
     /// Purely local bookkeeping: estimates and charged rounds are
     /// **bit-identical** with recording on or off (in the model, witnesses
@@ -272,8 +273,8 @@ struct MergedTables {
     data: Vec<Dist>,
     tags: Vec<u8>,
     guarantees: Vec<Guarantee>,
-    /// Index of the winning result per pair (provider numbering of
-    /// [`Solver::freeze_with_paths`]).
+    /// Index of the winning result per pair (the numbering of
+    /// [`Solver::results`]).
     origins: Vec<u8>,
 }
 
@@ -543,56 +544,64 @@ impl Solver {
     /// same values, same guarantees. The solver remains usable afterwards;
     /// re-freezing after further queries produces a new oracle.
     ///
-    /// # Errors
-    ///
-    /// Returns [`CcError::UnsupportedQuery`] when no pipeline query has run
-    /// yet (there is nothing to freeze).
-    pub fn freeze(&self) -> Result<DistOracle, CcError> {
-        let n = self.graph.n();
-        let started = self.substrates.stages.borrow().start();
-        let merged = self.merged_tables()?;
-        let oracle = DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees);
-        self.substrates.stages.borrow_mut().stop("freeze", started);
-        Ok(oracle)
-    }
-
-    /// Freezes everything computed so far into an immutable,
-    /// `Arc`-shareable [`PathOracle`] serving **routes** — real walks in `G`
-    /// with their exact weight and the winning pipeline's [`Guarantee`] —
-    /// beside the same tagged distances [`Solver::freeze`] serves. Requires
-    /// the session to have been built with
-    /// [`SolverBuilder::record_paths`]`(true)`.
-    ///
-    /// The embedded distance oracle is identical to [`Solver::freeze`]'s
-    /// (same merge, same provenance tags); per pair, the witness of the
-    /// pipeline whose estimate won serves the route, so every route's
+    /// A session built with [`SolverBuilder::record_paths`]`(true)` freezes
+    /// its **routes** too: per pair, the witness of the pipeline whose
+    /// estimate won serves [`DistOracle::path`] — a real walk in `G` whose
     /// weight is bounded by the answered estimate. A pipeline whose
     /// estimate wins no pair off the diagonal serves no route, and the
     /// oracle does not keep its witnesses.
     ///
     /// # Errors
     ///
-    /// Returns [`CcError::UnsupportedQuery`] when path recording is off or
-    /// no pipeline query has run yet.
-    pub fn freeze_with_paths(&self) -> Result<PathOracle, CcError> {
-        if !self.emulator.record_paths {
-            return Err(CcError::UnsupportedQuery {
-                reason: "path freezing requires SolverBuilder::record_paths(true)".into(),
-            });
-        }
+    /// Returns [`CcError::UnsupportedQuery`] when no pipeline query has run
+    /// yet (there is nothing to freeze), or when a recording session holds
+    /// more than 253 MSSP batches (routes address at most 256 results).
+    pub fn freeze(&self) -> Result<DistOracle, CcError> {
+        let record = self.emulator.record_paths;
         // Origins are one byte per pair: more than 256 results cannot be
-        // addressed. (Distance-only `freeze()` has no such limit.)
-        if 3 + self.mssp_results.len() > 256 {
+        // addressed. (Without routes there is no such limit.)
+        if record && 3 + self.mssp_results.len() > 256 {
             return Err(CcError::UnsupportedQuery {
-                reason: "freeze_with_paths supports at most 253 MSSP batches per session".into(),
+                reason: "freezing routes supports at most 253 MSSP batches per session".into(),
             });
         }
         let n = self.graph.n();
         let started = self.substrates.stages.borrow().start();
         let mut merged = self.merged_tables()?;
-        // A result serves the finite off-diagonal pairs it is the origin
-        // of (a diagonal route is empty). The first result is kept when
-        // none serves a pair: an oracle has at least one provider.
+        let providers = record.then(|| self.route_providers(&mut merged));
+        let oracle = DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees);
+        let frozen = match providers {
+            Some(providers) => oracle.with_routes(merged.origins, providers),
+            None => oracle,
+        };
+        self.substrates.stages.borrow_mut().stop("freeze", started);
+        Ok(frozen)
+    }
+
+    /// [`Solver::freeze`] for callers that need routes: the same oracle,
+    /// and an error when the session does not record paths.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CcError::UnsupportedQuery`] when path recording is off, or
+    /// as [`Solver::freeze`] does.
+    pub fn freeze_with_paths(&self) -> Result<DistOracle, CcError> {
+        if !self.emulator.record_paths {
+            return Err(CcError::UnsupportedQuery {
+                reason: "path freezing requires SolverBuilder::record_paths(true)".into(),
+            });
+        }
+        self.freeze()
+    }
+
+    /// The witness providers of the results that serve a route, in the
+    /// order [`Solver::results`] visits them, with `merged.origins`
+    /// renumbered to index them. A result serves the finite off-diagonal
+    /// pairs it is the origin of (a diagonal route is empty); the first
+    /// result is kept when none serves a pair, since an oracle with routes
+    /// has at least one provider.
+    fn route_providers(&self, merged: &mut MergedTables) -> Vec<PathProvider> {
+        let n = self.graph.n();
         let mut serves = vec![false; self.results().count()];
         let mut idx = 0;
         for u in 0..n {
@@ -604,9 +613,8 @@ impl Solver {
             }
         }
         serves[0] |= !serves.contains(&true);
-        // Kept providers in the order `merged_tables` numbered them, and
-        // each result's number among them (that of a dropped result is
-        // never read: it is the origin only of unserved pairs).
+        // Each result's number among the kept providers (that of a dropped
+        // result is never read: it is the origin only of unserved pairs).
         let mut renumber = vec![0u8; serves.len()];
         let mut providers: Vec<PathProvider> = Vec::new();
         for (origin, result) in self.results().enumerate() {
@@ -618,14 +626,11 @@ impl Solver {
         for origin in &mut merged.origins {
             *origin = renumber[usize::from(*origin)];
         }
-        let oracle = DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees);
-        let frozen = PathOracle::new(oracle, merged.origins, providers);
-        self.substrates.stages.borrow_mut().stop("freeze", started);
-        Ok(frozen)
+        providers
     }
 
     /// The shared freeze merge: pointwise-best packed values, provenance
-    /// tags, and — for the path oracle — the index of the result whose
+    /// tags, and — for the routes — the index of the result whose
     /// estimate (and therefore witness) won each pair. Results are numbered
     /// in the order [`Solver::results`] visits them. The session's
     /// long-range table is released before the tables are allocated.
@@ -652,8 +657,8 @@ impl Solver {
             frozen_any = true;
             let tag = tag_for(result.guarantee(), &mut guarantees);
             // One origin byte per winning result. The byte can only wrap
-            // past 256 results; `freeze()` never reads origins, and
-            // `freeze_with_paths()` rejects such sessions before using them.
+            // past 256 results; `freeze()` reads origins only for recording
+            // sessions, and rejects those before using them.
             let origin = origin as u8;
             let mut merge = |idx: usize, d: Dist| {
                 let wins = d < data[idx]
@@ -921,7 +926,7 @@ mod tests {
             for case in ["announce nearest A-pivots", "announce A'-attachments"] {
                 assert!(labels.iter().any(|l| l.contains(case)), "{case} never ran");
             }
-            let routes = record.then(|| solver.freeze_with_paths().unwrap());
+            let frozen = solver.freeze().unwrap();
             (
                 (a2.estimates, a3.estimates, add.estimates, mssp.estimates),
                 (
@@ -929,7 +934,7 @@ mod tests {
                     witnesses(&a3.paths),
                     witnesses(&add.paths),
                 ),
-                routes,
+                frozen,
                 solver.total_rounds(),
             )
         };
@@ -1110,12 +1115,22 @@ mod tests {
         solver.apsp_2eps().unwrap();
         solver.mssp(&[0, 9, 18]).unwrap();
         let oracle = solver.freeze_with_paths().unwrap();
-        let dist_oracle = solver.freeze().unwrap();
-        assert_eq!(*oracle.dist_oracle(), dist_oracle, "same frozen distances");
+        let frozen = solver.freeze().unwrap();
+        assert!(
+            frozen.paths().is_some(),
+            "a recording session freezes routes"
+        );
+        assert_eq!(frozen, oracle, "freeze and freeze_with_paths agree");
+        let bytes = |o: &DistOracle| {
+            let mut buf = Vec::new();
+            o.save_v2(&mut buf).unwrap();
+            buf
+        };
+        assert_eq!(bytes(&frozen), bytes(&oracle), "same snapshot bytes");
         let exact = bfs::apsp_exact(&g);
         for u in 0..g.n() {
             for v in 0..g.n() {
-                match (oracle.path(u, v), dist_oracle.dist(u, v)) {
+                match (oracle.path(u, v), oracle.dist(u, v)) {
                     (Some(route), Some(est)) => assert_route_valid(&g, &exact, &route, est),
                     (None, None) => {}
                     (p, d) => panic!("route/dist coverage mismatch at ({u},{v}): {p:?} {d:?}"),
@@ -1125,11 +1140,11 @@ mod tests {
     }
 
     /// On a grid the additive query is exact, and on equal estimates its
-    /// guarantee beats apsp2's, so apsp2 wins no pair. `freeze_with_paths`
-    /// drops it, and every route is the one the oracle with every result
+    /// guarantee beats apsp2's, so apsp2 wins no pair. `freeze` drops its
+    /// witnesses, and every route is the one the oracle with every result
     /// kept serves.
     #[test]
-    fn freeze_with_paths_drops_idle_providers() {
+    fn freeze_drops_idle_route_providers() {
         let g = generators::grid(9, 11);
         let n = g.n();
         let mut solver = SolverBuilder::new(g)
@@ -1141,13 +1156,13 @@ mod tests {
             .unwrap();
         solver.apsp_2eps().unwrap();
         solver.apsp_near_additive().unwrap();
-        let frozen = solver.freeze_with_paths().unwrap();
+        let frozen = solver.freeze().unwrap();
         let merged = solver.merged_tables().unwrap();
-        let every = PathOracle::new(
-            DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees),
-            merged.origins,
-            solver.results().map(|r| r.provider()).collect(),
-        );
+        let every = DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees)
+            .with_routes(
+                merged.origins,
+                solver.results().map(|r| r.provider()).collect(),
+            );
         assert_eq!((every.provider_count(), frozen.provider_count()), (2, 1));
         assert!(frozen.witness_bytes() < every.witness_bytes());
         for u in 0..n {
@@ -1169,6 +1184,7 @@ mod tests {
         assert!(matches!(err, CcError::UnsupportedQuery { .. }));
         assert!(err.to_string().contains("record_paths"));
         assert!(!solver.records_paths());
+        assert!(solver.freeze().unwrap().paths().is_none(), "no routes");
     }
 
     #[test]
@@ -1182,10 +1198,10 @@ mod tests {
             .unwrap();
         solver.apsp_3eps().unwrap();
         solver.mssp(&[0, 12]).unwrap();
-        let oracle = solver.freeze_with_paths().unwrap();
+        let oracle = solver.freeze().unwrap();
         let mut buf = Vec::new();
         oracle.save_v2(&mut buf).unwrap();
-        let back = crate::PathOracle::from_snapshot_bytes(&buf).unwrap();
+        let back = DistOracle::from_snapshot_bytes(&buf).unwrap();
         assert_eq!(back, oracle);
         for u in (0..g.n()).step_by(3) {
             for v in (0..g.n()).step_by(4) {
@@ -1306,11 +1322,7 @@ mod tests {
             let at = format!("record={record}");
             let mut solver = profiled_session(&g, Execution::Deterministic, 2, record);
             solver.apsp_2eps().unwrap();
-            if record {
-                solver.freeze_with_paths().unwrap();
-            } else {
-                solver.freeze().unwrap();
-            }
+            solver.freeze().unwrap();
             let got = solver.apsp_near_additive().unwrap();
             let want = profiled_session(&g, Execution::Deterministic, 2, record)
                 .apsp_near_additive()

@@ -9,11 +9,12 @@
 
 use std::sync::Arc;
 
-use cc_core::{DistOracle, DistanceMatrix, Guarantee, PathOracle, PathProvider};
+use cc_core::{DistOracle, DistanceMatrix, Guarantee, PathProvider};
 use cc_graphs::{Graph, StorageKind};
 use cc_routes::PathStore;
 
-fn build_oracles(n: usize) -> (DistOracle, PathOracle) {
+/// The same distances without routes (`CCDO`) and with them (`CCRO`).
+fn build_oracles(n: usize) -> (DistOracle, DistOracle) {
     let g = Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>());
     let mut m = DistanceMatrix::new(n);
     let mut store = PathStore::new(n);
@@ -26,10 +27,7 @@ fn build_oracles(n: usize) -> (DistOracle, PathOracle) {
         }
     }
     let dist = DistOracle::from_matrix(&m, Guarantee::mult2(0.25), StorageKind::SymmetricPacked);
-    let dist_for_paths =
-        DistOracle::from_matrix(&m, Guarantee::mult2(0.25), StorageKind::SymmetricPacked);
-    let paths = PathOracle::new(
-        dist_for_paths,
+    let paths = dist.clone().with_routes(
         vec![0u8; n * (n + 1) / 2],
         vec![PathProvider::Pairs(Arc::new(store))],
     );
@@ -68,7 +66,7 @@ fn path_oracle_v2_rejects_every_truncation() {
     let (_, paths) = build_oracles(8);
     let mut bytes = Vec::new();
     paths.save_v2(&mut bytes).unwrap();
-    assert_all_prefixes_rejected("CCRO v2", &bytes, PathOracle::from_snapshot_bytes);
+    assert_all_prefixes_rejected("CCRO v2", &bytes, DistOracle::from_snapshot_bytes);
 }
 
 /// The crash-safety contract end to end: interrupt `write_atomic` at any

@@ -1,8 +1,8 @@
 //! Oracle serving: a TCP daemon over frozen [`cc_core`] oracles.
 //!
-//! The research pipeline ends with a frozen [`cc_core::DistOracle`] /
-//! [`cc_core::PathOracle`] snapshot on disk. This crate turns one of those
-//! files into a network service, `ccd`:
+//! The research pipeline ends with a frozen [`cc_core::DistOracle`]
+//! snapshot on disk (`CCDO`, or `CCRO` when it carries routes). This crate
+//! turns one of those files into a network service, `ccd`:
 //!
 //! * [`snapshot`] opens files, served **zero-copy**: the file is `mmap`'d
 //!   ([`mmap`]) and the oracle's hot tables (distance entries, guarantee
@@ -59,7 +59,7 @@ pub use fault::{FaultPlan, FaultSite};
 pub use metrics::StatsSnapshot;
 pub use protocol::{Op, PathItem, Payload, Request, Response, Status, VersionInfo};
 pub use server::{serve, ReloadConfig, ReloadError, ServerConfig, ServerHandle};
-pub use snapshot::{open, open_quarantining, OpenError, OpenedSnapshot, Oracles};
+pub use snapshot::{open, open_quarantining, OpenError, OpenedSnapshot};
 
 /// Locks `m`, recovering the guard from a poisoned mutex instead of
 /// panicking. Every mutex in this crate guards state that is valid after

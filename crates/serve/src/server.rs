@@ -11,7 +11,7 @@
 //! Worker threads drain the queue in batches ([`ServerConfig::batch_max`]
 //! jobs per lock hold), so queries that arrive together — from any mix of
 //! connections — coalesce into single [`cc_core::DistOracle::dist_batch_into`] /
-//! [`cc_core::PathOracle::path_into`] sweeps over per-worker scratch buffers.
+//! [`cc_core::DistOracle::path_into`] sweeps over per-worker scratch buffers.
 //!
 //! **Hot reload** ([`crate::slot::SnapshotSlot`]): each batch pins the
 //! current snapshot generation once and answers entirely against it, so
@@ -60,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cc_core::PointEstimate;
+use cc_core::{DistOracle, PointEstimate};
 use cc_obs::{SpanEvent, TraceRing};
 
 use crate::fault::{FaultPlan, FaultSite};
@@ -71,7 +71,7 @@ use crate::protocol::{
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::slot::SnapshotSlot;
-use crate::snapshot::{open_quarantining, OpenError, Oracles};
+use crate::snapshot::{open_quarantining, OpenError};
 
 /// Tuning knobs for [`serve`].
 #[derive(Clone, Debug)]
@@ -218,7 +218,7 @@ fn try_reload(shared: &Shared) -> Result<VersionInfo, ReloadError> {
         let reload = lock_recovering(&ctl.reload);
         let opened = open_quarantining(&reload.path).map_err(ReloadError::Open)?;
         let new_n = opened.oracles.n();
-        let current_n = shared.slot.pin().oracles.n();
+        let current_n = shared.slot.pin().oracle.n();
         if new_n != current_n && !reload.allow_resize {
             return Err(ReloadError::Resize {
                 current: current_n,
@@ -462,7 +462,11 @@ impl Drop for ServerHandle {
 ///
 /// Propagates the bind failure, or the OS's refusal to start a worker or
 /// the acceptor (the threads already started are stopped and joined).
-pub fn serve(oracles: Oracles, addr: &str, config: ServerConfig) -> std::io::Result<ServerHandle> {
+pub fn serve(
+    oracle: Arc<DistOracle>,
+    addr: &str,
+    config: ServerConfig,
+) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -475,7 +479,7 @@ pub fn serve(oracles: Oracles, addr: &str, config: ServerConfig) -> std::io::Res
         .is_some_and(|r| r.on_sighup)
         .then(crate::mmap::sighup_flag);
     let shared = Arc::new(Shared {
-        slot: SnapshotSlot::new(oracles),
+        slot: SnapshotSlot::new(oracle),
         queue: BoundedQueue::new(config.queue_capacity),
         metrics: ServeMetrics::new(),
         shutdown: AtomicBool::new(false),
@@ -693,7 +697,7 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Arc<Shared>) {
                         op: Op::Version,
                         payload: Payload::Version(VersionInfo {
                             generation: pinned.generation,
-                            n: pinned.oracles.n() as u64,
+                            n: pinned.oracle.n() as u64,
                         }),
                     },
                     cap,
@@ -912,7 +916,7 @@ fn process_batch(shared: &Shared, s: &mut Scratch) {
     // Pin one generation for the whole batch: a concurrent reload swaps
     // the slot but this batch keeps answering against its pinned tables.
     let pinned = shared.slot.pin();
-    let oracles = &pinned.oracles;
+    let oracle = &pinned.oracle;
     let metrics = &shared.metrics;
     let cap = shared.outbox_cap;
     let now = Instant::now();
@@ -932,9 +936,7 @@ fn process_batch(shared: &Shared, s: &mut Scratch) {
     }
     if !s.dist_pairs.is_empty() {
         let sweep_started = Instant::now();
-        oracles
-            .dist()
-            .dist_batch_into(&s.dist_pairs, &mut s.dist_out);
+        oracle.dist_batch_into(&s.dist_pairs, &mut s.dist_out);
         metrics.oracle_batch_ns.record(elapsed_ns(sweep_started));
     }
     let mut slot = 0;
@@ -994,7 +996,7 @@ fn process_batch(shared: &Shared, s: &mut Scratch) {
                 }
             }
             Op::Path => {
-                encode_path_body(&mut s.body, job, oracles, &mut s.edges);
+                encode_path_body(&mut s.body, job, oracle, &mut s.edges);
                 metrics.served.inc();
                 job.conn.trace.push(job.span(Status::Ok, wait_ns, batch));
                 job.conn.enqueue_frame(&s.body, cap, metrics);
@@ -1032,21 +1034,23 @@ fn encode_dist_body(body: &mut Vec<u8>, job: &Job, answers: &[Option<PointEstima
 }
 
 /// Byte-identical to `Response { status: Ok, payload: Paths(..) }.encode()`.
-/// A snapshot without routes answers every pair `absent` — same shape a
+/// A snapshot without routes answers every pair `absent`
+/// ([`DistOracle::path_into`] is `None` throughout) — same shape a
 /// disconnected pair has, so clients need no special case.
-fn encode_path_body(body: &mut Vec<u8>, job: &Job, oracles: &Oracles, edges: &mut Vec<(u32, u32)>) {
+fn encode_path_body(
+    body: &mut Vec<u8>,
+    job: &Job,
+    oracle: &DistOracle,
+    edges: &mut Vec<(u32, u32)>,
+) {
     body.clear();
     body.extend_from_slice(&job.req_id.to_le_bytes());
     body.push(0); // Status::Ok
     body.push(2); // Op::Path
     body.extend_from_slice(&wire_count(job.pairs.len()).to_le_bytes());
-    let paths = oracles.paths();
     for &(u, v) in &job.pairs {
-        let answer = paths.and_then(|p| {
-            edges.clear();
-            p.path_into(u as usize, v as usize, edges)
-        });
-        match answer {
+        edges.clear();
+        match oracle.path_into(u as usize, v as usize, edges) {
             None => body.push(0),
             Some((weight, g)) => {
                 body.push(1);
@@ -1068,21 +1072,23 @@ fn encode_path_body(body: &mut Vec<u8>, job: &Job, oracles: &Oracles, edges: &mu
 mod tests {
     use super::*;
     use crate::client::Client;
-    use cc_core::{DistOracle, DistanceMatrix, Guarantee};
+    use cc_core::{DistanceMatrix, Guarantee};
     use cc_graphs::StorageKind;
     use std::io::ErrorKind;
 
-    fn tiny_oracles() -> Oracles {
+    fn tiny_oracle() -> Arc<DistOracle> {
         let mut m = DistanceMatrix::new(4);
         m.improve(0, 1, 1);
-        let oracle =
-            DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::SymmetricPacked);
-        Oracles::DistOnly(Arc::new(oracle))
+        Arc::new(DistOracle::from_matrix(
+            &m,
+            Guarantee::mult2(0.5),
+            StorageKind::SymmetricPacked,
+        ))
     }
 
     #[test]
     fn connection_churn_does_not_pile_up_thread_handles() {
-        let handle = serve(tiny_oracles(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let handle = serve(tiny_oracle(), "127.0.0.1:0", ServerConfig::default()).unwrap();
         let held = || lock_recovering(&handle.conn_threads).len();
         let mut peak = 0;
         for _ in 0..200 {
@@ -1134,7 +1140,7 @@ mod tests {
                 fault: Some(Arc::clone(&plan)),
                 ..ServerConfig::default()
             };
-            let handle = serve(tiny_oracles(), "127.0.0.1:0", config).unwrap();
+            let handle = serve(tiny_oracle(), "127.0.0.1:0", config).unwrap();
             for k in 1..=refused {
                 let mut stream = TcpStream::connect(handle.addr()).unwrap();
                 let timeout = Some(Duration::from_secs(10));

@@ -1,4 +1,4 @@
-//! The hot-reload slot: an epoch-counted [`Oracles`] swap.
+//! The hot-reload slot: an epoch-counted [`DistOracle`] swap.
 //!
 //! [`SnapshotSlot`] holds the serving snapshot behind a narrow mutex that
 //! is held only long enough to clone or replace one `Arc` — never across
@@ -22,15 +22,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::lock_recovering;
-use crate::snapshot::Oracles;
+use cc_core::DistOracle;
 
-/// One published snapshot: the oracles plus the generation that swapped
-/// them in.
+use crate::lock_recovering;
+
+/// One published snapshot: the oracle plus the generation that swapped it
+/// in.
 #[derive(Debug)]
 pub struct Generation {
-    /// The serving oracle(s).
-    pub oracles: Oracles,
+    /// The serving oracle.
+    pub oracle: Arc<DistOracle>,
     /// Monotonic: `1` at boot, `+1` per successful reload.
     pub generation: u64,
 }
@@ -47,10 +48,10 @@ pub struct SnapshotSlot {
 
 impl SnapshotSlot {
     /// Publishes the boot snapshot as generation 1.
-    pub fn new(oracles: Oracles) -> Self {
+    pub fn new(oracle: Arc<DistOracle>) -> Self {
         SnapshotSlot {
             slot: Mutex::new(Arc::new(Generation {
-                oracles,
+                oracle,
                 generation: 1,
             })),
             generation: AtomicU64::new(1),
@@ -69,14 +70,14 @@ impl SnapshotSlot {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Publishes `oracles` as the next generation and returns its number.
+    /// Publishes `oracle` as the next generation and returns its number.
     /// The caller (the server's reload path) has already validated the
     /// snapshot; this only swaps the `Arc`.
-    pub fn swap(&self, oracles: Oracles) -> u64 {
+    pub fn swap(&self, oracle: Arc<DistOracle>) -> u64 {
         let mut slot = lock_recovering(&self.slot);
         let next = slot.generation.wrapping_add(1);
         *slot = Arc::new(Generation {
-            oracles,
+            oracle,
             generation: next,
         });
         drop(slot);
@@ -88,10 +89,10 @@ impl SnapshotSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_core::{DistOracle, DistanceMatrix, Guarantee};
+    use cc_core::{DistanceMatrix, Guarantee};
     use cc_graphs::StorageKind;
 
-    fn oracle(n: usize, scale: u32) -> Oracles {
+    fn oracle(n: usize, scale: u32) -> Arc<DistOracle> {
         let mut m = DistanceMatrix::new(n);
         for u in 0..n {
             for v in 0..n {
@@ -99,11 +100,11 @@ mod tests {
                 m.improve(u, v, d);
             }
         }
-        Oracles::DistOnly(Arc::new(DistOracle::from_matrix(
+        Arc::new(DistOracle::from_matrix(
             &m,
             Guarantee::mult2(0.25),
             StorageKind::SymmetricPacked,
-        )))
+        ))
     }
 
     #[test]
@@ -116,9 +117,9 @@ mod tests {
         assert_eq!(slot.swap(oracle(8, 2)), 2);
         assert_eq!(slot.generation(), 2);
         // The pre-swap pin still answers against generation 1's tables.
-        let d = pinned.oracles.dist().dist(0, 5).map(|e| e.dist);
+        let d = pinned.oracle.dist(0, 5).map(|e| e.dist);
         assert_eq!(d, Some(5));
-        let d2 = slot.pin().oracles.dist().dist(0, 5).map(|e| e.dist);
+        let d2 = slot.pin().oracle.dist(0, 5).map(|e| e.dist);
         assert_eq!(d2, Some(10));
     }
 
@@ -141,8 +142,8 @@ mod tests {
                         let pinned = slot.pin();
                         // Whatever generation we pinned, its answers are
                         // internally consistent: dist(0, v) = v * scale.
-                        let one = pinned.oracles.dist().dist(0, 1).map(|e| e.dist);
-                        let five = pinned.oracles.dist().dist(0, 5).map(|e| e.dist);
+                        let one = pinned.oracle.dist(0, 1).map(|e| e.dist);
+                        let five = pinned.oracle.dist(0, 5).map(|e| e.dist);
                         match (one, five) {
                             (Some(s), Some(f)) => assert_eq!(f, s * 5),
                             other => panic!("absent answers: {other:?}"),

@@ -1,7 +1,7 @@
 //! Opening and inspecting oracle snapshot files.
 //!
 //! [`open`] is the server's loading path: it maps the file ([`crate::mmap`])
-//! and hands the mapping straight to the zero-copy loaders — the oracle's
+//! and hands the mapping straight to the zero-copy loader — the oracle's
 //! hot tables alias the page cache and no per-entry decode happens at all.
 //! A file in any format version other than 2 is refused with
 //! [`SnapshotError::UnsupportedVersion`].
@@ -10,51 +10,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cc_core::snapshot::{sniff, SnapshotError, SnapshotView};
-use cc_core::{DistOracle, PathOracle};
+use cc_core::DistOracle;
 
 use crate::mmap::open_owner;
 
-/// The oracle(s) a snapshot file provides. A `CCRO` file carries routes
-/// (and embeds its distance oracle); a `CCDO` file answers distances only.
-#[derive(Debug)]
-pub enum Oracles {
-    /// A bare distance oracle (`CCDO`).
-    DistOnly(Arc<DistOracle>),
-    /// A route oracle (`CCRO`) — distance queries go to its embedded
-    /// [`DistOracle`], path queries to the witness stores.
-    WithRoutes(Arc<PathOracle>),
-}
-
-impl Oracles {
-    /// The distance oracle every snapshot provides.
-    pub fn dist(&self) -> &DistOracle {
-        match self {
-            Oracles::DistOnly(o) => o,
-            Oracles::WithRoutes(p) => p.dist_oracle(),
-        }
-    }
-
-    /// The route oracle, when the snapshot carries witnesses.
-    pub fn paths(&self) -> Option<&Arc<PathOracle>> {
-        match self {
-            Oracles::DistOnly(_) => None,
-            Oracles::WithRoutes(p) => Some(p),
-        }
-    }
-
-    /// Vertex count.
-    pub fn n(&self) -> usize {
-        self.dist().n()
-    }
-}
-
-/// An opened snapshot: the oracles plus how they are backed.
+/// An opened snapshot: the oracle plus how it is backed.
 #[derive(Debug)]
 pub struct OpenedSnapshot {
-    /// The loaded oracle(s).
-    pub oracles: Oracles,
-    /// The file's 4-byte magic.
-    pub magic: [u8; 4],
+    /// The loaded oracle: routes too when the file is a `CCRO` snapshot
+    /// ([`DistOracle::paths`]), distances only when it is `CCDO`.
+    pub oracles: Arc<DistOracle>,
     /// Whether the backing bytes are a real memory map (as opposed to an
     /// aligned in-memory copy).
     pub mapped: bool,
@@ -70,15 +35,8 @@ pub struct OpenedSnapshot {
 pub fn open<P: AsRef<Path>>(path: P) -> Result<OpenedSnapshot, SnapshotError> {
     let (owner, mapped) = open_owner(path.as_ref())?;
     let file_bytes = owner.bytes().len();
-    let (magic, _) = sniff(owner.bytes())?;
-    let oracles = match &magic {
-        b"CCDO" => Oracles::DistOnly(Arc::new(DistOracle::load_v2_shared(owner)?)),
-        b"CCRO" => Oracles::WithRoutes(Arc::new(PathOracle::load_v2_shared(owner)?)),
-        _ => return Err(SnapshotError::BadMagic(magic)),
-    };
     Ok(OpenedSnapshot {
-        oracles,
-        magic,
+        oracles: Arc::new(DistOracle::load_v2_shared(owner)?),
         mapped,
         file_bytes,
     })
@@ -191,7 +149,7 @@ pub fn describe<P: AsRef<Path>>(path: P) -> Result<String, SnapshotError> {
     out.push_str(&format!("version  {version}\n"));
     out.push_str(&format!("bytes    {}\n", owner.bytes().len()));
     out.push_str(&format!("mapped   {mapped}\n"));
-    let view = SnapshotView::parse(owner, &magic)?;
+    let view = SnapshotView::parse(Arc::clone(&owner), &magic)?;
     out.push_str("sections\n");
     for (id, off, len) in view.directory() {
         let name = section_name(&magic, id);
@@ -200,11 +158,10 @@ pub fn describe<P: AsRef<Path>>(path: P) -> Result<String, SnapshotError> {
         ));
     }
     // Full load for the semantic facts (also proves the file is sound).
-    let opened = open(path)?;
-    let d = opened.oracles.dist();
-    out.push_str(&format!("n        {}\n", d.n()));
-    out.push_str(&format!("kind     {:?}\n", d.storage_kind()));
-    out.push_str(&format!("routes   {}\n", opened.oracles.paths().is_some()));
+    let oracle = DistOracle::load_v2_shared(owner)?;
+    out.push_str(&format!("n        {}\n", oracle.n()));
+    out.push_str(&format!("kind     {:?}\n", oracle.storage_kind()));
+    out.push_str(&format!("routes   {}\n", oracle.paths().is_some()));
     Ok(out)
 }
 

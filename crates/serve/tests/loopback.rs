@@ -7,16 +7,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cc_core::{DistOracle, DistanceMatrix, Guarantee, PathOracle, PathProvider};
+use cc_core::{DistOracle, DistanceMatrix, Guarantee, PathProvider};
 use cc_graphs::{Graph, StorageKind};
 use cc_routes::PathStore;
 use cc_serve::protocol::{read_frame, write_frame, Op, Request, Response, Status};
 use cc_serve::{server, snapshot, Client, ServerConfig};
 
-/// A path graph on `n` vertices with exact distances and full routes —
-/// deterministic, and route length scales with `|u - v|` so big batches
-/// are genuinely heavy.
-fn build_path_oracle(n: usize) -> PathOracle {
+/// A path graph on `n` vertices with exact distances and, when `routes`,
+/// full routes — deterministic, and route length scales with `|u - v|` so
+/// big batches are genuinely heavy.
+fn build_path_oracle(n: usize, routes: bool) -> DistOracle {
     let g = Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>());
     let mut m = DistanceMatrix::new(n);
     let mut store = PathStore::new(n);
@@ -29,41 +29,40 @@ fn build_path_oracle(n: usize) -> PathOracle {
         }
     }
     let oracle = DistOracle::from_matrix(&m, Guarantee::mult2(0.25), StorageKind::SymmetricPacked);
-    PathOracle::new(
-        oracle,
+    if !routes {
+        return oracle;
+    }
+    oracle.with_routes(
         vec![0u8; n * (n + 1) / 2],
         vec![PathProvider::Pairs(Arc::new(store))],
     )
 }
 
-/// Saves the oracle as v2, reopens it via the serving path (mmap), and
-/// returns the serving handle plus the in-process reference oracle.
-fn serve_v2(n: usize, config: ServerConfig) -> (server::ServerHandle, Arc<PathOracle>, PathOracle) {
+/// Saves the path oracle on `n` vertices (with routes when `routes`) as
+/// v2, reopens it via the serving path (mmap), and returns the serving
+/// handle plus the in-process reference oracle.
+fn serve_v2(n: usize, routes: bool, config: ServerConfig) -> (server::ServerHandle, DistOracle) {
     // One directory per call: tests run in parallel within one process,
     // and two saves to one path would race on the shared temp sibling.
     static CALL: AtomicUsize = AtomicUsize::new(0);
     let call = CALL.fetch_add(1, Ordering::Relaxed);
-    let reference = build_path_oracle(n);
+    let reference = build_path_oracle(n, routes);
     let dir = std::env::temp_dir().join(format!("cc_serve_it_{}_{call}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("oracle.ccro");
+    let path = dir.join("oracle.snap");
     reference.save_v2_to_path(&path).unwrap();
     let opened = snapshot::open(&path).unwrap();
-    let served = opened
-        .oracles
-        .paths()
-        .expect("CCRO snapshot carries routes")
-        .clone();
     assert!(
-        *served == reference,
+        *opened.oracles == reference,
         "snapshot load diverged from the saved oracle"
     );
+    assert_eq!(opened.oracles.paths().is_some(), routes);
     // On little-endian hosts a mapped v2 file serves its tables zero-copy.
     if cfg!(target_endian = "little") && opened.mapped {
-        assert!(served.dist_oracle().storage().is_shared());
+        assert!(opened.oracles.storage().is_shared());
     }
     let handle = server::serve(opened.oracles, "127.0.0.1:0", config).unwrap();
-    (handle, served, reference)
+    (handle, reference)
 }
 
 fn pairs_for(seed: u64, n: usize, count: usize) -> Vec<(u32, u32)> {
@@ -86,8 +85,9 @@ fn pairs_for(seed: u64, n: usize, count: usize) -> Vec<(u32, u32)> {
 
 #[test]
 fn eight_concurrent_clients_match_serial_replay_bit_for_bit() {
-    let (handle, _served, reference) = serve_v2(
+    let (handle, reference) = serve_v2(
         128,
+        true,
         ServerConfig {
             threads: 3,
             ..ServerConfig::default()
@@ -114,7 +114,7 @@ fn eight_concurrent_clients_match_serial_replay_bit_for_bit() {
                         .collect();
                     // Bit-identical: PointEstimate carries the guarantee's
                     // f64s, and == here is bit-for-bit on these values.
-                    assert_eq!(got, reference.dist_oracle().dist_batch(&upairs));
+                    assert_eq!(got, reference.dist_batch(&upairs));
 
                     let got = client
                         .path_batch(&pairs, 0)
@@ -148,13 +148,41 @@ fn eight_concurrent_clients_match_serial_replay_bit_for_bit() {
     handle.shutdown();
 }
 
+/// A `CCDO` snapshot carries no routes: `ccd` answers a path batch with
+/// every pair absent, the diagonal included, and still serves distances.
+#[test]
+fn a_snapshot_without_routes_answers_every_path_absent() {
+    let n = 24;
+    let (handle, reference) = serve_v2(n, false, ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut pairs = pairs_for(7, n, 32);
+    pairs.push((3, 3));
+    let got = client
+        .path_batch(&pairs, 0)
+        .unwrap()
+        .expect("no shedding at default capacity");
+    assert_eq!(got, vec![None; pairs.len()]);
+    let upairs: Vec<(usize, usize)> = pairs
+        .iter()
+        .map(|&(u, v)| (u as usize, v as usize))
+        .collect();
+    let dists = client
+        .dist_batch(&pairs, 0)
+        .unwrap()
+        .expect("no shedding at default capacity");
+    assert!(dists.iter().all(Option::is_some), "every pair is connected");
+    assert_eq!(dists, reference.dist_batch(&upairs));
+    handle.shutdown();
+}
+
 /// Floods one connection without reading responses: with a tiny queue and
 /// one worker the server must shed explicitly — every request is answered,
 /// either `Ok` (correct) or `Overloaded`, never dropped.
 #[test]
 fn oversubscription_sheds_with_explicit_overloaded() {
-    let (handle, _served, reference) = serve_v2(
+    let (handle, reference) = serve_v2(
         128,
+        true,
         ServerConfig {
             threads: 1,
             queue_capacity: 4,
@@ -224,8 +252,9 @@ fn oversubscription_sheds_with_explicit_overloaded() {
 /// `DeadlineExceeded` — dequeued, not computed, not dropped.
 #[test]
 fn stale_requests_answer_deadline_exceeded() {
-    let (handle, _served, _reference) = serve_v2(
+    let (handle, _reference) = serve_v2(
         128,
+        true,
         ServerConfig {
             threads: 1,
             queue_capacity: 256,
@@ -274,8 +303,9 @@ fn stale_requests_answer_deadline_exceeded() {
 /// join, and the port stops accepting afterwards.
 #[test]
 fn graceful_shutdown_drains_admitted_work() {
-    let (handle, _served, reference) = serve_v2(
+    let (handle, reference) = serve_v2(
         96,
+        true,
         ServerConfig {
             threads: 1,
             queue_capacity: 64,
@@ -306,7 +336,7 @@ fn graceful_shutdown_drains_admitted_work() {
         .iter()
         .map(|&(u, v)| (u as usize, v as usize))
         .collect();
-    let want = reference.dist_oracle().dist_batch(&upairs);
+    let want = reference.dist_batch(&upairs);
     let mut answered = 0usize;
     while let Ok(Some(body)) = read_frame(&mut &stream) {
         let resp = Response::decode(&body).unwrap();
@@ -336,7 +366,7 @@ fn graceful_shutdown_drains_admitted_work() {
 /// span per request and is destructive.
 #[test]
 fn metrics_and_trace_ops_reconcile_with_stats() {
-    let (handle, _served, _reference) = serve_v2(96, ServerConfig::default());
+    let (handle, _reference) = serve_v2(96, true, ServerConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
     let pairs = pairs_for(21, 96, 16);
     for _ in 0..3 {
@@ -377,7 +407,7 @@ fn metrics_and_trace_ops_reconcile_with_stats() {
 /// connection survives for well-formed follow-ups.
 #[test]
 fn malformed_frames_are_counted_and_survivable() {
-    let (handle, _served, _reference) = serve_v2(96, ServerConfig::default());
+    let (handle, _reference) = serve_v2(96, true, ServerConfig::default());
     let stream = TcpStream::connect(handle.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
 

@@ -46,11 +46,10 @@ fn v2_snapshot_loads_and_answers_without_mmap() {
     assert_eq!(opened.oracles.n(), n);
 
     // Answers through whichever owner engaged must match the source.
-    let dist = opened.oracles.dist();
     for u in 0..n {
         for v in 0..n {
             assert_eq!(
-                dist.dist(u, v).map(|e| e.dist),
+                opened.oracles.dist(u, v).map(|e| e.dist),
                 Some(u.abs_diff(v) as cc_graphs::Dist),
                 "({u},{v})"
             );

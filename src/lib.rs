@@ -79,8 +79,7 @@ pub mod prelude {
     pub use cc_core::mssp::{self, MsspConfig};
     pub use cc_core::{
         Algorithm, AlgorithmOutput, CcError, DistOracle, DistanceMatrix, Execution, Guarantee,
-        GuaranteeKind, ParamProfile, PathOracle, PointEstimate, Route, SnapshotError, Solver,
-        SolverBuilder,
+        GuaranteeKind, ParamProfile, PointEstimate, Route, SnapshotError, Solver, SolverBuilder,
     };
     pub use cc_emulator::clique::CliqueEmulatorConfig;
     pub use cc_emulator::{Emulator, EmulatorParams};

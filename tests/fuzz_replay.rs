@@ -13,14 +13,7 @@
 
 use std::path::Path;
 
-use cc_core::{DistOracle, PathOracle, SnapshotError};
-
-fn load_any(bytes: &[u8]) -> Result<(), SnapshotError> {
-    match bytes.get(..4) {
-        Some(b"CCRO") => PathOracle::from_snapshot_bytes(bytes).map(|_| ()),
-        _ => DistOracle::from_snapshot_bytes(bytes).map(|_| ()),
-    }
-}
+use cc_core::DistOracle;
 
 #[test]
 fn every_frozen_case_reproduces_its_pinned_error() {
@@ -50,14 +43,14 @@ fn every_frozen_case_reproduces_its_pinned_error() {
             continue;
         }
 
-        let got = std::panic::catch_unwind(|| load_any(&bytes));
+        let got = std::panic::catch_unwind(|| DistOracle::from_snapshot_bytes(&bytes));
         match got {
             Ok(Err(e)) => assert_eq!(
                 e.to_string(),
                 expected,
                 "{file}: error drifted from the pinned manifest entry"
             ),
-            Ok(Ok(())) => panic!("{file}: corrupt snapshot loaded cleanly"),
+            Ok(Ok(_)) => panic!("{file}: corrupt snapshot loaded cleanly"),
             Err(_) => panic!("{file}: loader panicked instead of returning a typed error"),
         }
         cases += 1;
@@ -82,9 +75,10 @@ fn golden_snapshots_still_load_cleanly() {
             // v255 is the deliberate future-version fixture; it must be
             // rejected, not loaded.
             if path.to_string_lossy().contains("v255") {
-                assert!(load_any(&bytes).is_err());
+                assert!(DistOracle::from_snapshot_bytes(&bytes).is_err());
             } else {
-                load_any(&bytes).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                DistOracle::from_snapshot_bytes(&bytes)
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
                 loaded += 1;
             }
         }

@@ -77,7 +77,7 @@ fn session_routes_are_verified_against_dijkstra() {
         solver.apsp_2eps().expect("apsp2");
         solver.apsp_near_additive().expect("additive");
         solver.mssp(&[0, 13, 26, 39]).expect("mssp");
-        let oracle = solver.freeze_with_paths().expect("paths recorded");
+        let oracle = solver.freeze().expect("paths recorded");
         let wg = WeightedGraph::from_unweighted(&g);
         for u in 0..g.n() {
             let tree = dijkstra::sssp_tree(&wg, u);
@@ -97,7 +97,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Over random gnp / grid / caveman graphs and both execution modes:
-    /// every `PathOracle::path(u, v)` is a real walk in G whose exact
+    /// every `DistOracle::path(u, v)` is a real walk in G whose exact
     /// weight equals `Route::weight`, is ≤ the tagged `PointEstimate`, and
     /// satisfies the tagged guarantee vs the Dijkstra reference.
     #[test]
@@ -136,7 +136,7 @@ proptest! {
                 solver.mssp(&[1, g.n() - 1]).expect("mssp");
             }
         }
-        let oracle = solver.freeze_with_paths().expect("paths recorded");
+        let oracle = solver.freeze().expect("paths recorded");
         let wg = WeightedGraph::from_unweighted(&g);
         for u in 0..g.n() {
             let tree = dijkstra::sssp_tree(&wg, u);
@@ -161,7 +161,7 @@ fn query_stream(t: u64, n: usize, queries: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// 8 threads hammer one `Arc<PathOracle>`; every answer stream (routes and
+/// 8 threads hammer one `Arc<DistOracle>`; every answer stream (routes and
 /// distances) must be bit-identical to a serial replay.
 #[test]
 fn concurrent_route_serving_is_bit_identical_to_serial_replay() {
@@ -174,7 +174,7 @@ fn concurrent_route_serving_is_bit_identical_to_serial_replay() {
         .expect("valid configuration");
     solver.apsp_3eps().expect("apsp3");
     solver.mssp(&[0, 18]).expect("mssp");
-    let oracle = Arc::new(solver.freeze_with_paths().expect("paths recorded"));
+    let oracle = Arc::new(solver.freeze().expect("paths recorded"));
     let n = oracle.n();
     let threads = 8u64;
     let queries = 300;
@@ -205,7 +205,7 @@ fn concurrent_route_serving_is_bit_identical_to_serial_replay() {
 /// Deterministic hand-built reference: a 10-path with one pair store and
 /// one row store, exercising every wire tag (None/Rec/Rec-rev/Via, row
 /// None/Some, Edge/Cat/Rev nodes).
-fn reference_path_oracle() -> PathOracle {
+fn reference_path_oracle() -> DistOracle {
     let n = 10;
     let g = generators::path(n);
     let mut pairs = PathStore::new(n);
@@ -255,8 +255,7 @@ fn reference_path_oracle() -> PathOracle {
             origins[DistStorage::packed_index(n, 3, v)] = 1;
         }
     }
-    PathOracle::new(
-        dist,
+    dist.with_routes(
         origins,
         vec![
             PathProvider::Pairs(Arc::new(pairs)),
@@ -288,10 +287,10 @@ fn golden_v255_snapshot_reports_unsupported_version() {
         "got {err:?}"
     );
     assert_eq!(err.to_string(), "unsupported snapshot version 255");
-    // The CCRO loader applies the same order.
+    // The CCRO magic takes the same order.
     let mut ccro = bytes.clone();
     ccro[..4].copy_from_slice(b"CCRO");
-    let err = PathOracle::from_snapshot_bytes(&ccro).expect_err("v255 must not load");
+    let err = DistOracle::from_snapshot_bytes(&ccro).expect_err("v255 must not load");
     assert!(matches!(err, SnapshotError::UnsupportedVersion(255)));
 }
 
@@ -318,7 +317,7 @@ fn golden_ccro_v2_snapshot_round_trips_bit_identically() {
              `cargo test --test integration_paths -- --ignored`"
         )
     });
-    let loaded = PathOracle::from_snapshot_bytes(&bytes).expect("v2 golden parses");
+    let loaded = DistOracle::from_snapshot_bytes(&bytes).expect("v2 golden parses");
     assert_eq!(loaded, reference, "loaded oracle differs from reference");
     let mut resaved = Vec::new();
     reference.save_v2(&mut resaved).expect("save to memory");
@@ -331,6 +330,20 @@ fn golden_ccro_v2_snapshot_round_trips_bit_identically() {
         for v in 0..reference.n() {
             assert_eq!(loaded.path(u, v), reference.path(u, v), "({u},{v})");
         }
+    }
+}
+
+/// The one loader reads both golden magics: the `CCDO` file without
+/// routes, the `CCRO` file with them.
+#[test]
+fn one_loader_reads_both_golden_magics() {
+    for (file, routes) in [("oracle_symmetric_v2.snap", false), ("paths_v2.snap", true)] {
+        let bytes = std::fs::read(golden_dir().join(file)).expect("golden file");
+        let oracle = DistOracle::from_snapshot_bytes(&bytes).expect("golden loads");
+        assert_eq!(oracle.paths().is_some(), routes, "{file}");
+        let mut resaved = Vec::new();
+        oracle.save_v2(&mut resaved).expect("save to memory");
+        assert_eq!(resaved, bytes, "{file}: the saver picks the same magic");
     }
 }
 
@@ -361,10 +374,10 @@ fn session_ccro_snapshot_round_trips_on_disk() {
         .unwrap();
     solver.apsp_2eps().unwrap();
     solver.mssp(&[0, 12]).unwrap();
-    let oracle = solver.freeze_with_paths().unwrap();
+    let oracle = solver.freeze().unwrap();
     let path = std::env::temp_dir().join(format!("ccro_roundtrip_{}.snap", std::process::id()));
     oracle.save_v2_to_path(&path).expect("write snapshot");
-    let back = PathOracle::load_from_path(&path).expect("read snapshot");
+    let back = DistOracle::load_from_path(&path).expect("read snapshot");
     std::fs::remove_file(&path).ok();
     assert_eq!(back, oracle);
     for u in (0..back.n()).step_by(2) {

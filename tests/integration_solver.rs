@@ -350,7 +350,7 @@ fn deterministic_answers_do_not_depend_on_query_order() {
 /// FNV-1a of every ordered pair's route as the oracle emits it: its
 /// edges, weight and guarantee (`0` for a pair without one). Record ids do
 /// not enter it, so it moves only when some route does.
-fn route_digest(oracle: &PathOracle) -> u64 {
+fn route_digest(oracle: &DistOracle) -> u64 {
     let n = oracle.n();
     let mut bytes = Vec::new();
     for u in 0..n {
