@@ -64,10 +64,7 @@ pub fn apsp(g: &Graph, eps: f64, rng: &mut impl Rng, ledger: &mut RoundLedger) -
     }
 
     // Pivots hitting full lists.
-    let full_sets: Vec<Vec<usize>> = (0..n)
-        .filter(|&v| kn.list(v).len() >= k)
-        .map(|v| kn.list(v).iter().map(|&(u, _)| u as usize).collect())
-        .collect();
+    let full_sets = kn.full_sets();
     let pivots = if full_sets.is_empty() {
         Vec::new()
     } else {

@@ -26,14 +26,13 @@ use cc_emulator::params::ParamError;
 use cc_graphs::{Dist, Graph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_routes::{PathStore, RecId};
-use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::through_sets::ThroughSets;
 use std::sync::Arc;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
 use crate::oracle::Guarantee;
-use crate::pipeline::{self, HopsetGraph, Mode, Substrates};
+use crate::pipeline::{self, HopsetGraph, Mode, NearestLists, Substrates};
 use crate::solver::ParamProfile;
 
 /// Per-query parameters of the `(2+ε)` pipeline. The emulator and the
@@ -51,15 +50,6 @@ pub struct Apsp2Config {
 }
 
 impl Apsp2Config {
-    /// Paper profile with explicit level count `r`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors.
-    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, ParamError> {
-        Self::for_profile(n, eps, ParamProfile::Paper { levels: r })
-    }
-
     /// Benchmark-scale profile: `r = ⌊log₂log₂ n⌋`, `k = n^{1/4}·ln n`, and
     /// tempered hopset constants.
     ///
@@ -191,30 +181,11 @@ pub(crate) fn run(
     let gp = g.low_degree_subgraph(hdt);
     let k = cfg.k;
 
-    // Step 2: (k,t)-nearest in G' (exact distances). G' edges are G edges,
-    // so the parent chains unroll into the input graph directly.
-    let mut kn = KNearest::compute_with(&gp, k, t, Strategy::TruncatedBfs, threads, &mut phase);
-    if paths.is_some() {
-        kn = kn.with_parents(&gp);
-    }
-    // Per-entry records of the lists (recording only), reused as the
-    // kn-list witnesses and as the W₁/W₃ factor provenance of Case 3b.
-    let kn_recs: Vec<Vec<Option<RecId>>> = match paths.as_mut() {
-        Some(p) => (0..n)
-            .map(|u| kn.route_recs(u, p.routes_mut().arena_mut()))
-            .collect(),
-        None => Vec::new(),
-    };
-    for u in 0..n {
-        for (idx, &(v, d)) in kn.list(u).iter().enumerate() {
-            if v as usize == u || !delta.improve(u, v as usize, d) {
-                continue;
-            }
-            if let Some(p) = paths.as_mut() {
-                p.set_rec(u, v as usize, kn_recs[u][idx].expect("non-root entry"));
-            }
-        }
-    }
+    // Step 2: (k,t)-nearest in G' (exact distances). Their records serve
+    // again as the W₁/W₃ factor provenance of Case 3b.
+    let lists =
+        pipeline::nearest_lists(&gp, (k, t), threads, &mut delta, paths.as_mut(), &mut phase);
+    let kn = &lists.kn;
 
     // Step 3: distance through the nearest-lists (Case 1 pairs).
     let kn_sets: Vec<Vec<usize>> = (0..n)
@@ -225,11 +196,7 @@ pub(crate) fn run(
     });
 
     // Steps 4–7: pivot set A over full lists; route through p_A (Case 2).
-    let full_sets: Vec<Vec<usize>> = (0..n)
-        .filter(|&v| kn.list(v).len() >= k)
-        .map(|v| kn_sets[v].clone())
-        .collect();
-    let a_pivots = substrates.hitting_set(n, k, &full_sets, &mut mode, &mut phase)?;
+    let a_pivots = substrates.hitting_set(n, k, &kn.full_sets(), &mut mode, &mut phase)?;
     // One hopset of G' serves steps 5 and 9.
     let gp_hopset = if a_pivots.is_empty() && gp.m() == 0 {
         None
@@ -247,28 +214,18 @@ pub(crate) fn run(
         p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
     }
     if let (Some(hs), false) = (&gp_hopset, a_pivots.is_empty()) {
-        substrates.timed("source_detection", || {
-            pipeline::detect_pivots(
-                g,
-                hs,
-                &a_pivots,
-                threads,
-                &mut delta,
-                paths.as_mut(),
-                &mut phase,
-            )
-        });
-        phase.charge_broadcast("announce nearest A-pivots");
-        let mut a_mask = vec![false; n];
-        for &a in &a_pivots {
-            a_mask[a] = true;
-        }
-        substrates.timed("pivot_routing", || {
-            for u in 0..n {
-                let a = kn.nearest_in(u, &a_mask).map(|(a, _)| a as usize);
-                pipeline::route_through(&mut delta, paths.as_mut(), u, a);
-            }
-        });
+        pipeline::route_through_nearest_pivots(
+            substrates,
+            "announce nearest A-pivots",
+            g,
+            hs,
+            &a_pivots,
+            kn,
+            threads,
+            &mut delta,
+            paths.as_mut(),
+            &mut phase,
+        );
     }
 
     // Steps 8–11: A' hits the neighborhoods of high-G'-degree vertices;
@@ -364,7 +321,7 @@ pub(crate) fn run(
             w3.density(),
             q.density(),
         );
-        lower_through_product(&mut delta, paths.as_mut(), &kn, &kn_recs, &pm, &wp, &q, &wq);
+        lower_through_product(&mut delta, paths.as_mut(), &lists, &pm, &wp, &q, &wq);
         substrates
             .stages
             .borrow_mut()
@@ -411,12 +368,10 @@ fn merge_through_sets(
 /// `(k,t)`-nearest record, the border edge `k → y`, and the reversed
 /// nearest record `y ⇝ v`. Lowering and setting in one pass lets `(v,u)`
 /// see the value `(u,v)` was lowered to.
-#[allow(clippy::too_many_arguments)]
 fn lower_through_product(
     delta: &mut DistanceMatrix,
     mut paths: Option<&mut PathStore>,
-    kn: &KNearest,
-    kn_recs: &[Vec<Option<RecId>>],
+    lists: &NearestLists,
     pm: &SparseMatrix,
     wp: &[u32],
     q: &SparseMatrix,
@@ -428,10 +383,11 @@ fn lower_through_product(
     let rec_of: Vec<Vec<(u32, RecId)>> = match paths {
         Some(_) => (0..n)
             .map(|u| {
-                let mut row: Vec<(u32, RecId)> = kn
+                let mut row: Vec<(u32, RecId)> = lists
+                    .kn
                     .list(u)
                     .iter()
-                    .zip(&kn_recs[u])
+                    .zip(&lists.recs[u])
                     .filter(|&(&(c, _), _)| c as usize != u)
                     .map(|(&(c, _), rec)| (c, rec.expect("non-root entry")))
                     .collect();
@@ -498,8 +454,16 @@ fn lower_through_product(
 mod tests {
     use super::*;
     use cc_graphs::{bfs, generators, stretch};
+    use cc_toolkit::knearest::{KNearest, Strategy};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// `run` in a fresh session of `profile` at `ε = 0.5`.
+    fn solve(g: &Graph, cfg: &Apsp2Config, profile: ParamProfile, mode: Mode<'_>) -> Apsp2 {
+        let emu = pipeline::emulator_config(g.n(), 0.5, profile).unwrap();
+        let mut subs = Substrates::default();
+        run(g, cfg, &emu, mode, &mut RoundLedger::new(g.n()), &mut subs).unwrap()
+    }
 
     fn assert_short_range(g: &Graph, out: &Apsp2, label: &str) {
         let exact = bfs::apsp_exact(g);
@@ -524,17 +488,8 @@ mod tests {
             ("gnp", generators::connected_gnp(72, 0.07, &mut rng)),
             ("star+path", generators::barbell(12, 16)),
         ] {
-            let cfg = Apsp2Config::new(g.n(), 0.5, 2).unwrap();
-            let mut ledger = RoundLedger::new(g.n());
-            let out = run(
-                &g,
-                &cfg,
-                &pipeline::paper_emulator(g.n(), 0.5),
-                Mode::Rng(&mut rng),
-                &mut ledger,
-                &mut Substrates::default(),
-            )
-            .unwrap();
+            let cfg = Apsp2Config::for_profile(g.n(), 0.5, pipeline::PAPER).unwrap();
+            let out = solve(&g, &cfg, pipeline::PAPER, Mode::Rng(&mut rng));
             assert_short_range(&g, &out, name);
         }
     }
@@ -545,18 +500,8 @@ mod tests {
             ("caveman", generators::caveman(7, 7)),
             ("grid", generators::grid(7, 7)),
         ] {
-            let cfg = Apsp2Config::new(g.n(), 0.5, 2).unwrap();
-            let mut ledger = RoundLedger::new(g.n());
-            let emu = pipeline::paper_emulator(g.n(), 0.5);
-            let out = run(
-                &g,
-                &cfg,
-                &emu,
-                Mode::Det,
-                &mut ledger,
-                &mut Substrates::default(),
-            )
-            .unwrap();
+            let cfg = Apsp2Config::for_profile(g.n(), 0.5, pipeline::PAPER).unwrap();
+            let out = solve(&g, &cfg, pipeline::PAPER, Mode::Det);
             assert_short_range(&g, &out, name);
         }
     }
@@ -574,13 +519,14 @@ mod tests {
         let kn = KNearest::compute(&g, 11, 12, Strategy::TruncatedBfs, &mut RoundLedger::new(n))
             .with_parents(&g);
         let mut store = PathStore::new(n);
-        let kn_recs: Vec<Vec<Option<RecId>>> = (0..n)
+        let recs = (0..n)
             .map(|u| kn.route_recs(u, store.routes_mut().arena_mut()))
             .collect();
+        let lists = NearestLists { kn, recs };
         // The factors as `run` builds them, with G' = G and thresh2 = 1.
         let mut w1 = RowBuilder::new(n);
         for u in 0..n {
-            for &(v, d) in kn.list(u) {
+            for &(v, d) in lists.kn.list(u) {
                 w1.push(u, v as usize, d);
             }
         }
@@ -596,16 +542,7 @@ mod tests {
         let (pm, wp) = w1.minplus(&w2, &mut ws);
         let (q, wq) = pm.minplus(&w1.transpose(), &mut ws);
         let mut delta = DistanceMatrix::new(n);
-        lower_through_product(
-            &mut delta,
-            Some(&mut store),
-            &kn,
-            &kn_recs,
-            &pm,
-            &wp,
-            &q,
-            &wq,
-        );
+        lower_through_product(&mut delta, Some(&mut store), &lists, &pm, &wp, &q, &wq);
         let mut routed = 0;
         for u in 0..n {
             for &(v, d) in q.row(u) {
@@ -638,18 +575,9 @@ mod tests {
         let mut edges: Vec<(usize, usize)> = (1..40).map(|v| (0, v)).collect();
         edges.extend((1..39).map(|v| (v, v + 1)));
         let g = Graph::from_edges(40, &edges);
-        let mut cfg = Apsp2Config::new(40, 0.5, 2).unwrap();
+        let mut cfg = Apsp2Config::for_profile(40, 0.5, pipeline::PAPER).unwrap();
         cfg.high_degree_threshold = 10; // force the phase at this scale
-        let mut ledger = RoundLedger::new(40);
-        let out = run(
-            &g,
-            &cfg,
-            &pipeline::paper_emulator(40, 0.5),
-            Mode::Rng(&mut rng),
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap();
+        let out = solve(&g, &cfg, pipeline::PAPER, Mode::Rng(&mut rng));
         assert!(!out.high_degree_pivots.is_empty());
         assert_short_range(&g, &out, "hub");
     }
@@ -658,17 +586,8 @@ mod tests {
     fn estimates_are_symmetric() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let g = generators::connected_gnp(48, 0.08, &mut rng);
-        let cfg = Apsp2Config::new(48, 0.5, 2).unwrap();
-        let mut ledger = RoundLedger::new(48);
-        let out = run(
-            &g,
-            &cfg,
-            &pipeline::paper_emulator(48, 0.5),
-            Mode::Rng(&mut rng),
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap();
+        let cfg = Apsp2Config::for_profile(48, 0.5, pipeline::PAPER).unwrap();
+        let out = solve(&g, &cfg, pipeline::PAPER, Mode::Rng(&mut rng));
         for u in 0..48 {
             for v in 0..48 {
                 assert_eq!(out.estimates.get(u, v), out.estimates.get(v, u));
@@ -680,18 +599,8 @@ mod tests {
     fn scaled_profile_also_meets_guarantee() {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let g = generators::caveman(8, 8);
-        let cfg = Apsp2Config::scaled(g.n(), 0.5).unwrap();
-        let emu = pipeline::emulator_config(g.n(), 0.5, ParamProfile::Scaled).unwrap();
-        let mut ledger = RoundLedger::new(g.n());
-        let out = run(
-            &g,
-            &cfg,
-            &emu,
-            Mode::Rng(&mut rng),
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap();
+        let cfg = Apsp2Config::for_profile(g.n(), 0.5, ParamProfile::Scaled).unwrap();
+        let out = solve(&g, &cfg, ParamProfile::Scaled, Mode::Rng(&mut rng));
         assert_short_range(&g, &out, "scaled");
     }
 }

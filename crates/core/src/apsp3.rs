@@ -9,15 +9,16 @@
 //! `3·d(u,v)`. Distances to `A` are `(1+ε/2)`-approximated via a bounded
 //! hopset, giving `3+ε` overall. Long pairs come from the emulator.
 //!
-//! The full `(2+ε)` algorithm ([`crate::apsp2`]) refines exactly this
-//! pipeline; keeping the `(3+ε)` variant makes the refinement measurable
-//! (experiment T2 reports both).
+//! The short-range part is the nearest-list step and the nearest-pivot
+//! step of `crate::pipeline`, which apsp2's Case 2 runs on its low-degree
+//! subgraph `G'`. The full `(2+ε)` algorithm ([`crate::apsp2`]) refines
+//! exactly this pipeline; keeping the `(3+ε)` variant makes the
+//! refinement measurable (experiment T2 reports both).
 
 use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::params::ParamError;
 use cc_graphs::{Dist, Graph};
-use cc_toolkit::knearest::{KNearest, Strategy};
 use std::sync::Arc;
 
 use crate::error::CcError;
@@ -39,24 +40,6 @@ pub struct Apsp3Config {
 }
 
 impl Apsp3Config {
-    /// Paper profile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors.
-    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, ParamError> {
-        Self::for_profile(n, eps, ParamProfile::Paper { levels: r })
-    }
-
-    /// Benchmark-scale profile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors.
-    pub fn scaled(n: usize, eps: f64) -> Result<Self, ParamError> {
-        Self::for_profile(n, eps, ParamProfile::Scaled)
-    }
-
     /// The configuration of `profile`.
     pub(crate) fn for_profile(
         n: usize,
@@ -132,33 +115,17 @@ pub(crate) fn run(
     let mut paths = table_paths.as_deref().cloned();
 
     // (k, t)-nearest: exact short distances to the k nearest.
-    let mut kn =
-        KNearest::compute_with(g, cfg.k, t, Strategy::TruncatedBfs, emu.threads, &mut phase);
-    if paths.is_some() {
-        kn = kn.with_parents(g);
-    }
-    for u in 0..n {
-        let recs = paths
-            .as_mut()
-            .map(|p| kn.route_recs(u, p.routes_mut().arena_mut()))
-            .unwrap_or_default();
-        for (idx, &(v, d)) in kn.list(u).iter().enumerate() {
-            if v as usize == u || !delta.improve(u, v as usize, d) {
-                continue;
-            }
-            if let Some(p) = paths.as_mut() {
-                p.set_rec(u, v as usize, recs[idx].expect("non-root entry"));
-            }
-        }
-    }
-
+    let lists = pipeline::nearest_lists(
+        g,
+        (cfg.k, t),
+        emu.threads,
+        &mut delta,
+        paths.as_mut(),
+        &mut phase,
+    );
     // Pivot set A hitting every full (k,t)-list.
-    let full_sets: Vec<Vec<usize>> = (0..n)
-        .filter(|&v| kn.list(v).len() >= cfg.k)
-        .map(|v| kn.list(v).iter().map(|&(u, _)| u as usize).collect())
-        .collect();
+    let full_sets = lists.kn.full_sets();
     let pivots = substrates.hitting_set(n, cfg.k, &full_sets, &mut mode, &mut phase)?;
-
     if !pivots.is_empty() {
         // (1+ε/2)-approximate distances to A within 2t.
         let hs = substrates.hopset_for(
@@ -172,30 +139,18 @@ pub(crate) fn run(
         if let Some(p) = paths.as_mut() {
             p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
         }
-        substrates.timed("source_detection", || {
-            pipeline::detect_pivots(
-                g,
-                &hs,
-                &pivots,
-                emu.threads,
-                &mut delta,
-                paths.as_mut(),
-                &mut phase,
-            )
-        });
-        // Route every pair through the nearer endpoint's pivot. Each vertex
-        // broadcasts its pivot and the distance to it: 1 round.
-        phase.charge_broadcast("announce nearest pivots");
-        let mut pivot_mask = vec![false; n];
-        for &a in &pivots {
-            pivot_mask[a] = true;
-        }
-        substrates.timed("pivot_routing", || {
-            for u in 0..n {
-                let a = kn.nearest_in(u, &pivot_mask).map(|(a, _)| a as usize);
-                pipeline::route_through(&mut delta, paths.as_mut(), u, a);
-            }
-        });
+        pipeline::route_through_nearest_pivots(
+            substrates,
+            "announce nearest pivots",
+            g,
+            &hs,
+            &pivots,
+            &lists.kn,
+            emu.threads,
+            &mut delta,
+            paths.as_mut(),
+            &mut phase,
+        );
     }
 
     Ok(Apsp3 {
@@ -213,6 +168,13 @@ mod tests {
     use cc_graphs::{bfs, generators, stretch};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// `run` in a fresh session of `profile` at `ε = 0.5`.
+    fn solve(g: &Graph, cfg: &Apsp3Config, profile: ParamProfile, mode: Mode<'_>) -> Apsp3 {
+        let emu = pipeline::emulator_config(g.n(), 0.5, profile).unwrap();
+        let mut subs = Substrates::default();
+        run(g, cfg, &emu, mode, &mut RoundLedger::new(g.n()), &mut subs).unwrap()
+    }
 
     fn assert_short_range(g: &Graph, out: &Apsp3) {
         let exact = bfs::apsp_exact(g);
@@ -235,17 +197,8 @@ mod tests {
             ("caveman", generators::caveman(8, 8)),
             ("gnp", generators::connected_gnp(72, 0.06, &mut rng)),
         ] {
-            let cfg = Apsp3Config::new(g.n(), 0.5, 2).unwrap();
-            let mut ledger = RoundLedger::new(g.n());
-            let out = run(
-                &g,
-                &cfg,
-                &pipeline::paper_emulator(g.n(), 0.5),
-                Mode::Rng(&mut rng),
-                &mut ledger,
-                &mut Substrates::default(),
-            )
-            .unwrap();
+            let cfg = Apsp3Config::for_profile(g.n(), 0.5, pipeline::PAPER).unwrap();
+            let out = solve(&g, &cfg, pipeline::PAPER, Mode::Rng(&mut rng));
             let _ = name;
             assert_short_range(&g, &out);
         }
@@ -254,18 +207,8 @@ mod tests {
     #[test]
     fn deterministic_three_plus_eps() {
         let g = generators::caveman(7, 7);
-        let cfg = Apsp3Config::new(g.n(), 0.5, 2).unwrap();
-        let mut ledger = RoundLedger::new(g.n());
-        let emu = pipeline::paper_emulator(g.n(), 0.5);
-        let out = run(
-            &g,
-            &cfg,
-            &emu,
-            Mode::Det,
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap();
+        let cfg = Apsp3Config::for_profile(g.n(), 0.5, pipeline::PAPER).unwrap();
+        let out = solve(&g, &cfg, pipeline::PAPER, Mode::Det);
         assert_short_range(&g, &out);
     }
 
@@ -274,19 +217,10 @@ mod tests {
         // k ≥ n: every list covers the whole ball, so estimates are exact
         // within t and no pivots are needed.
         let g = generators::cycle(12);
-        let mut cfg = Apsp3Config::new(12, 0.5, 2).unwrap();
+        let mut cfg = Apsp3Config::for_profile(12, 0.5, pipeline::PAPER).unwrap();
         cfg.k = 12;
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut ledger = RoundLedger::new(12);
-        let out = run(
-            &g,
-            &cfg,
-            &pipeline::paper_emulator(12, 0.5),
-            Mode::Rng(&mut rng),
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap();
+        let out = solve(&g, &cfg, pipeline::PAPER, Mode::Rng(&mut rng));
         let exact = bfs::apsp_exact(&g);
         for u in 0..12 {
             for v in 0..12 {

@@ -29,25 +29,6 @@ pub struct MsspConfig {
 }
 
 impl MsspConfig {
-    /// Paper profile with explicit level count `r`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors.
-    pub fn new(n: usize, eps: f64, r: usize) -> Result<Self, ParamError> {
-        Self::for_profile(n, eps, ParamProfile::Paper { levels: r })
-    }
-
-    /// Benchmark-scale profile (`r = ⌊log₂log₂ n⌋`, tempered hopset
-    /// constants).
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors.
-    pub fn scaled(n: usize, eps: f64) -> Result<Self, ParamError> {
-        Self::for_profile(n, eps, ParamProfile::Scaled)
-    }
-
     /// The configuration of `profile`.
     pub(crate) fn for_profile(
         n: usize,
@@ -283,6 +264,24 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    const EPS: f64 = 0.5;
+
+    /// `run` in a fresh session of the paper profile at `ε = 0.5`.
+    fn paper_run(g: &Graph, sources: &[usize], mode: Mode<'_>) -> Result<Mssp, CcError> {
+        let cfg = MsspConfig::for_profile(g.n(), EPS, pipeline::PAPER).unwrap();
+        let emu = pipeline::paper_emulator(g.n(), EPS);
+        let mut subs = Substrates::default();
+        run(
+            g,
+            sources,
+            &cfg,
+            &emu,
+            mode,
+            &mut RoundLedger::new(g.n()),
+            &mut subs,
+        )
+    }
+
     /// Short-range pairs (d ≤ t) must get a genuine (1+ε) guarantee.
     #[test]
     fn short_range_is_one_plus_eps() {
@@ -292,20 +291,8 @@ mod tests {
             ("caveman", generators::caveman(8, 8)),
             ("gnp", generators::connected_gnp(80, 0.05, &mut rng)),
         ] {
-            let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
-            let emu = pipeline::paper_emulator(g.n(), 0.5);
             let sources: Vec<usize> = (0..g.n()).step_by(9).collect();
-            let mut ledger = RoundLedger::new(g.n());
-            let out = run(
-                &g,
-                &sources,
-                &cfg,
-                &emu,
-                Mode::Rng(&mut rng),
-                &mut ledger,
-                &mut Substrates::default(),
-            )
-            .unwrap();
+            let out = paper_run(&g, &sources, Mode::Rng(&mut rng)).unwrap();
             for (i, &s) in sources.iter().enumerate() {
                 let exact = bfs::sssp(&g, s);
                 for v in 0..g.n() {
@@ -315,7 +302,7 @@ mod tests {
                     let est = out.dist(i, v);
                     assert!(est >= exact[v], "{name}: undercut at ({s},{v})");
                     assert!(
-                        (est as f64) <= (1.0 + cfg.eps) * exact[v] as f64 + 1e-9,
+                        (est as f64) <= (1.0 + EPS) * exact[v] as f64 + 1e-9,
                         "{name}: est {est} vs d {} at ({s},{v})",
                         exact[v]
                     );
@@ -327,20 +314,8 @@ mod tests {
     #[test]
     fn deterministic_variant_matches_guarantee() {
         let g = generators::caveman(6, 6);
-        let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
-        let emu = pipeline::paper_emulator(g.n(), 0.5);
         let sources = [0usize, 10, 20, 30];
-        let mut ledger = RoundLedger::new(g.n());
-        let out = run(
-            &g,
-            &sources,
-            &cfg,
-            &emu,
-            Mode::Det,
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap();
+        let out = paper_run(&g, &sources, Mode::Det).unwrap();
         for (i, &s) in sources.iter().enumerate() {
             let exact = bfs::sssp(&g, s);
             for v in 0..g.n() {
@@ -349,7 +324,7 @@ mod tests {
                 }
                 let est = out.dist(i, v);
                 assert!(est >= exact[v]);
-                assert!((est as f64) <= (1.0 + cfg.eps) * exact[v] as f64 + 1e-9);
+                assert!((est as f64) <= (1.0 + EPS) * exact[v] as f64 + 1e-9);
             }
         }
     }
@@ -357,50 +332,20 @@ mod tests {
     #[test]
     fn source_count_validation() {
         let g = generators::cycle(16);
-        let cfg = MsspConfig::new(16, 0.5, 2).unwrap();
-        let emu = pipeline::paper_emulator(16, 0.5);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut ledger = RoundLedger::new(16);
         let too_many: Vec<usize> = (0..16).fold(Vec::new(), |mut acc, v| {
             acc.push(v);
             acc.push(v);
             acc
         });
-        let err = run(
-            &g,
-            &too_many,
-            &cfg,
-            &emu,
-            Mode::Rng(&mut rng),
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap_err();
+        let err = paper_run(&g, &too_many, Mode::Rng(&mut rng)).unwrap_err();
         assert!(matches!(
             err,
             CcError::Mssp(MsspError::TooManySources { .. })
         ));
-        let err = run(
-            &g,
-            &[],
-            &cfg,
-            &emu,
-            Mode::Rng(&mut rng),
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap_err();
+        let err = paper_run(&g, &[], Mode::Rng(&mut rng)).unwrap_err();
         assert_eq!(err, CcError::Mssp(MsspError::NoSources));
-        let err = run(
-            &g,
-            &[99],
-            &cfg,
-            &emu,
-            Mode::Rng(&mut rng),
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap_err();
+        let err = paper_run(&g, &[99], Mode::Rng(&mut rng)).unwrap_err();
         assert!(matches!(
             err,
             CcError::Mssp(MsspError::SourceOutOfRange { .. })
@@ -410,21 +355,9 @@ mod tests {
     #[test]
     fn sources_have_zero_self_distance() {
         let g = generators::grid(6, 6);
-        let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
-        let emu = pipeline::paper_emulator(g.n(), 0.5);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut ledger = RoundLedger::new(g.n());
         let sources = [3usize, 17];
-        let out = run(
-            &g,
-            &sources,
-            &cfg,
-            &emu,
-            Mode::Rng(&mut rng),
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap();
+        let out = paper_run(&g, &sources, Mode::Rng(&mut rng)).unwrap();
         assert_eq!(out.dist(0, 3), 0);
         assert_eq!(out.dist(1, 17), 0);
     }
@@ -435,20 +368,8 @@ mod tests {
         // only the emulator path answers.
         let n = 512;
         let g = generators::cycle(n);
-        let cfg = MsspConfig::new(n, 0.5, 2).unwrap();
-        let emu = pipeline::paper_emulator(n, 0.5);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mut ledger = RoundLedger::new(n);
-        let out = run(
-            &g,
-            &[0],
-            &cfg,
-            &emu,
-            Mode::Rng(&mut rng),
-            &mut ledger,
-            &mut Substrates::default(),
-        )
-        .unwrap();
+        let out = paper_run(&g, &[0], Mode::Rng(&mut rng)).unwrap();
         let exact = bfs::sssp(&g, 0);
         assert!(
             exact.iter().any(|&d| d > out.t),

@@ -632,8 +632,25 @@ impl DistOracle {
     pub fn load_v2_shared(owner: Arc<dyn ByteOwner>) -> Result<Self, SnapshotError> {
         let (magic, _) = crate::snapshot::sniff(owner.bytes())?;
         match &magic {
-            b"CCDO" => Self::load_ccdo(&SnapshotView::parse(owner, b"CCDO")?),
-            b"CCRO" => Routes::load_v2(&SnapshotView::parse(owner, b"CCRO")?),
+            b"CCDO" | b"CCRO" => Self::from_view(&SnapshotView::parse(owner, &magic)?),
+            _ => Err(SnapshotError::BadMagic(magic)),
+        }
+    }
+
+    /// Loads the oracle from an already parsed v2 snapshot, by the view's
+    /// magic: `CCDO` without routes, `CCRO` with them. The frame and its
+    /// checksum were checked when the view was parsed, so a caller that
+    /// also lists the view's sections hashes the file once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError`] for a magic other than `CCDO` or `CCRO`,
+    /// or a corrupt payload.
+    pub fn from_view(view: &SnapshotView) -> Result<Self, SnapshotError> {
+        let (magic, _) = crate::snapshot::sniff(view.raw())?;
+        match &magic {
+            b"CCDO" => Self::load_ccdo(view),
+            b"CCRO" => Routes::load_v2(view),
             _ => Err(SnapshotError::BadMagic(magic)),
         }
     }

@@ -17,6 +17,7 @@ use cc_graphs::{Dist, Graph, WeightedGraph, INF};
 use cc_obs::StageTimes;
 use cc_routes::{BatchRef, PathStore, RecId, RecordBatch, RouteArena, RowStore, Unroller};
 use cc_toolkit::hopset::{self, BasisCache, BoundedHopset, HopsetParams};
+use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::source_detection::SourceDetection;
 use rand::RngCore;
 
@@ -577,6 +578,87 @@ pub(crate) fn route_through(
     }
 }
 
+/// The `(k, t)`-nearest lists of one graph and, when recording, the record
+/// of every list entry: `recs[u][i]` is the path of `kn.list(u)[i]`
+/// (`None` at the root). `recs` is empty when not recording.
+pub(crate) struct NearestLists {
+    pub(crate) kn: KNearest,
+    pub(crate) recs: Vec<Vec<Option<RecId>>>,
+}
+
+/// The nearest-list step of the short-range recipe (apsp3 on `G`, apsp2's
+/// Case 2 on `G'`): computes the `(k, t)`-nearest lists of `g` over
+/// `threads` workers, with parents when recording, interns every list's
+/// records in vertex order, and lowers `δ` to every list entry, setting the
+/// entry's record at each pair it lowered. `g`'s edges are input edges, so
+/// the records are walks of the input graph.
+pub(crate) fn nearest_lists(
+    g: &Graph,
+    (k, t): (usize, Dist),
+    threads: usize,
+    delta: &mut DistanceMatrix,
+    mut paths: Option<&mut PathStore>,
+    ledger: &mut RoundLedger,
+) -> NearestLists {
+    let n = g.n();
+    let mut kn = KNearest::compute_with(g, k, t, Strategy::TruncatedBfs, threads, ledger);
+    if paths.is_some() {
+        kn = kn.with_parents(g);
+    }
+    let recs: Vec<Vec<Option<RecId>>> = match paths.as_deref_mut() {
+        Some(p) => (0..n)
+            .map(|u| kn.route_recs(u, p.routes_mut().arena_mut()))
+            .collect(),
+        None => Vec::new(),
+    };
+    for u in 0..n {
+        for (idx, &(v, d)) in kn.list(u).iter().enumerate() {
+            if v as usize == u || !delta.improve(u, v as usize, d) {
+                continue;
+            }
+            if let Some(p) = paths.as_deref_mut() {
+                p.set_rec(u, v as usize, recs[u][idx].expect("non-root entry"));
+            }
+        }
+    }
+    NearestLists { kn, recs }
+}
+
+/// The nearest-pivot step: distances to `pivots` by source detection over
+/// the hopset `hs` ([`detect_pivots`]); every vertex broadcasts the
+/// nearest pivot in its list `lists` and the distance to it (the ledger
+/// entry `announce`, 1 round); then row `u` is routed through `u`'s
+/// nearest pivot ([`route_through`]), so every pair goes through the
+/// nearer endpoint's pivot.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn route_through_nearest_pivots(
+    substrates: &Substrates,
+    announce: &str,
+    g: &Graph,
+    hs: &BoundedHopset,
+    pivots: &[usize],
+    lists: &KNearest,
+    threads: usize,
+    delta: &mut DistanceMatrix,
+    mut paths: Option<&mut PathStore>,
+    ledger: &mut RoundLedger,
+) {
+    substrates.timed("source_detection", || {
+        detect_pivots(g, hs, pivots, threads, delta, paths.as_deref_mut(), ledger)
+    });
+    ledger.charge_broadcast(announce);
+    let mut mask = vec![false; g.n()];
+    for &a in pivots {
+        mask[a] = true;
+    }
+    substrates.timed("pivot_routing", || {
+        for u in 0..g.n() {
+            let a = lists.nearest_in(u, &mask).map(|(a, _)| a as usize);
+            route_through(delta, paths.as_deref_mut(), u, a);
+        }
+    });
+}
+
 /// The emulator configuration of the `(n, ε)` parameter set under
 /// `profile`, serial and without path recording.
 pub(crate) fn emulator_config(
@@ -601,11 +683,15 @@ pub(crate) fn threshold(n: usize, eps: f64, profile: ParamProfile) -> Result<Dis
     Ok(((2.0 * beta_hat / eps).ceil() as Dist).max(4))
 }
 
+/// The paper profile the pipelines' unit tests run with (`r = 2`).
+#[cfg(test)]
+pub(crate) const PAPER: ParamProfile = ParamProfile::Paper { levels: 2 };
+
 /// The paper-profile emulator configuration the pipelines' unit tests run
-/// with (`r = 2`).
+/// with.
 #[cfg(test)]
 pub(crate) fn paper_emulator(n: usize, eps: f64) -> CliqueEmulatorConfig {
-    emulator_config(n, eps, ParamProfile::Paper { levels: 2 }).unwrap()
+    emulator_config(n, eps, PAPER).unwrap()
 }
 
 #[cfg(test)]

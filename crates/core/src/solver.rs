@@ -274,8 +274,20 @@ struct MergedTables {
     tags: Vec<u8>,
     guarantees: Vec<Guarantee>,
     /// Index of the winning result per pair (the numbering of
-    /// [`Solver::results`]).
+    /// [`Solver::results`]); empty unless the session records paths.
     origins: Vec<u8>,
+}
+
+/// The per-pair winner rule of [`Solver::estimate`] and the freeze merge:
+/// does `(dist, guarantee)` beat the current `best`? A finite estimate
+/// beats none, a smaller estimate beats a larger one whatever the
+/// guarantees, and on equal estimates the strictly stronger guarantee wins,
+/// so a weak pipeline can lower a value but never upgrade its bound.
+fn wins(dist: Dist, guarantee: Guarantee, best: Option<(Dist, Guarantee)>) -> bool {
+    match best {
+        Some((d, g)) => dist < d || (dist == d && guarantee.stronger_than(&g)),
+        None => dist < INF,
+    }
 }
 
 /// Runs `body` with a fresh per-query mode derived from `execution`.
@@ -503,13 +515,7 @@ impl Solver {
         }
         let mut best: Option<PointEstimate> = None;
         let mut consider = |dist: Dist, guarantee: Guarantee| {
-            let wins = match &best {
-                Some(b) => {
-                    dist < b.dist || (dist == b.dist && guarantee.stronger_than(&b.guarantee))
-                }
-                None => dist < INF,
-            };
-            if wins {
+            if wins(dist, guarantee, best.map(|b| (b.dist, b.guarantee))) {
                 best = Some(PointEstimate { dist, guarantee });
             }
         };
@@ -651,24 +657,25 @@ impl Solver {
         let entries = n * (n + 1) / 2;
         let mut data = vec![INF; entries];
         let mut tags = vec![0u8; entries];
-        let mut origins = vec![0u8; entries];
+        // Only a recording session reads the origins.
+        let record = self.emulator.record_paths;
+        let mut origins = vec![0u8; if record { entries } else { 0 }];
         let mut frozen_any = false;
         for (origin, result) in self.results().enumerate() {
             frozen_any = true;
             let tag = tag_for(result.guarantee(), &mut guarantees);
             // One origin byte per winning result. The byte can only wrap
-            // past 256 results; `freeze()` reads origins only for recording
-            // sessions, and rejects those before using them.
+            // past 256 results, and `freeze()` rejects a recording session
+            // with that many.
             let origin = origin as u8;
             let mut merge = |idx: usize, d: Dist| {
-                let wins = d < data[idx]
-                    || (d < INF
-                        && d == data[idx]
-                        && guarantees[tag as usize].stronger_than(&guarantees[tags[idx] as usize]));
-                if wins {
+                let best = (data[idx] < INF).then(|| (data[idx], guarantees[tags[idx] as usize]));
+                if wins(d, guarantees[tag as usize], best) {
                     data[idx] = d;
                     tags[idx] = tag;
-                    origins[idx] = origin;
+                    if record {
+                        origins[idx] = origin;
+                    }
                 }
             };
             match result {
@@ -732,7 +739,10 @@ mod tests {
         let tiny = Graph::from_edges(1, &[]);
         let err = SolverBuilder::new(tiny).build().unwrap_err();
         assert!(matches!(err, CcError::Params(ParamError::BadN(1))));
-        assert!(Apsp2Config::new(1, 0.5, 2).is_err() && Apsp3Config::scaled(1, 0.5).is_err());
+        for profile in [ParamProfile::Paper { levels: 2 }, ParamProfile::Scaled] {
+            assert!(Apsp2Config::for_profile(1, 0.5, profile).is_err());
+            assert!(Apsp3Config::for_profile(1, 0.5, profile).is_err());
+        }
         let err = SolverBuilder::new(g)
             .profile(ParamProfile::Paper { levels: 0 })
             .build()
@@ -754,8 +764,8 @@ mod tests {
         ];
         for (profile, n, t) in cases {
             let want = match profile {
-                ParamProfile::Paper { levels } => Apsp2Config::new(n, 0.5, levels),
                 ParamProfile::Scaled => Apsp2Config::scaled(n, 0.5),
+                _ => Apsp2Config::for_profile(n, 0.5, profile),
             }
             .unwrap();
             let mut solver = SolverBuilder::new(generators::cycle(n))

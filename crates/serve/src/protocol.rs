@@ -248,6 +248,48 @@ pub struct Response {
     pub payload: Payload,
 }
 
+/// Appends a response header: `req_id | status | op | count`.
+pub(crate) fn encode_header(b: &mut Vec<u8>, req_id: u64, status: Status, op: Op, count: usize) {
+    b.extend_from_slice(&req_id.to_le_bytes());
+    b.push(status.wire());
+    b.push(op.wire());
+    b.extend_from_slice(&wire_count(count).to_le_bytes());
+}
+
+/// Appends one dist answer: `present u8`, then the estimate when present.
+pub(crate) fn encode_dist_item(b: &mut Vec<u8>, item: Option<&PointEstimate>) {
+    match item {
+        None => b.push(0),
+        Some(est) => {
+            b.push(1);
+            b.extend_from_slice(&est.dist.to_le_bytes());
+            encode_guarantee(b, est.guarantee);
+        }
+    }
+}
+
+/// Appends one path answer: `present u8`, then, when present, the
+/// weight, the guarantee and `edges` (ignored when absent).
+pub(crate) fn encode_path_item(
+    b: &mut Vec<u8>,
+    item: Option<(u32, Guarantee)>,
+    edges: &[(u32, u32)],
+) {
+    match item {
+        None => b.push(0),
+        Some((weight, g)) => {
+            b.push(1);
+            b.extend_from_slice(&weight.to_le_bytes());
+            encode_guarantee(b, g);
+            b.extend_from_slice(&wire_count(edges.len()).to_le_bytes());
+            for &(x, y) in edges {
+                b.extend_from_slice(&x.to_le_bytes());
+                b.extend_from_slice(&y.to_le_bytes());
+            }
+        }
+    }
+}
+
 fn encode_guarantee(b: &mut Vec<u8>, g: Guarantee) {
     b.push(guarantee_kind_wire(g.kind));
     b.extend_from_slice(&g.eps.to_bits().to_le_bytes());
@@ -298,51 +340,36 @@ impl Response {
     /// Encodes the response body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(32);
-        b.extend_from_slice(&self.req_id.to_le_bytes());
-        b.push(self.status.wire());
-        b.push(self.op.wire());
+        let count = match &self.payload {
+            Payload::Empty => 0,
+            Payload::Dists(items) => items.len(),
+            Payload::Paths(items) => items.len(),
+            Payload::Version(_) => 2,
+            Payload::Text(t) => t.len(),
+        };
+        encode_header(&mut b, self.req_id, self.status, self.op, count);
         match &self.payload {
-            Payload::Empty => b.extend_from_slice(&0u32.to_le_bytes()),
+            Payload::Empty => {}
             Payload::Dists(items) => {
-                b.extend_from_slice(&wire_count(items.len()).to_le_bytes());
                 for item in items {
-                    match item {
-                        None => b.push(0),
-                        Some(est) => {
-                            b.push(1);
-                            b.extend_from_slice(&est.dist.to_le_bytes());
-                            encode_guarantee(&mut b, est.guarantee);
-                        }
-                    }
+                    encode_dist_item(&mut b, item.as_ref());
                 }
             }
             Payload::Paths(items) => {
-                b.extend_from_slice(&wire_count(items.len()).to_le_bytes());
                 for item in items {
                     match item {
-                        None => b.push(0),
+                        None => encode_path_item(&mut b, None, &[]),
                         Some((weight, g, edges)) => {
-                            b.push(1);
-                            b.extend_from_slice(&weight.to_le_bytes());
-                            encode_guarantee(&mut b, *g);
-                            b.extend_from_slice(&wire_count(edges.len()).to_le_bytes());
-                            for &(x, y) in edges {
-                                b.extend_from_slice(&x.to_le_bytes());
-                                b.extend_from_slice(&y.to_le_bytes());
-                            }
+                            encode_path_item(&mut b, Some((*weight, *g)), edges)
                         }
                     }
                 }
             }
             Payload::Version(v) => {
-                b.extend_from_slice(&2u32.to_le_bytes());
                 b.extend_from_slice(&v.generation.to_le_bytes());
                 b.extend_from_slice(&v.n.to_le_bytes());
             }
-            Payload::Text(t) => {
-                b.extend_from_slice(&wire_count(t.len()).to_le_bytes());
-                b.extend_from_slice(t.as_bytes());
-            }
+            Payload::Text(t) => b.extend_from_slice(t.as_bytes()),
         }
         b
     }

@@ -67,7 +67,8 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::lock_recovering;
 use crate::metrics::{elapsed_ns, ServeMetrics, StatsSnapshot, TRACE_RING_CAPACITY};
 use crate::protocol::{
-    guarantee_kind_wire, wire_count, Op, Payload, Request, Response, Status, VersionInfo, MAX_FRAME,
+    encode_dist_item, encode_header, encode_path_item, wire_count, Op, Payload, Request, Response,
+    Status, VersionInfo, MAX_FRAME,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::slot::SnapshotSlot;
@@ -978,7 +979,7 @@ fn process_batch(shared: &Shared, s: &mut Scratch) {
                 });
                 match answers {
                     Some(answers) => {
-                        encode_dist_body(&mut s.body, job, answers);
+                        encode_dist_body(&mut s.body, job.req_id, answers);
                         metrics.served.inc();
                         job.conn.trace.push(job.span(Status::Ok, wait_ns, batch));
                         job.conn.enqueue_frame(&s.body, cap, metrics);
@@ -996,7 +997,7 @@ fn process_batch(shared: &Shared, s: &mut Scratch) {
                 }
             }
             Op::Path => {
-                encode_path_body(&mut s.body, job, oracle, &mut s.edges);
+                encode_path_body(&mut s.body, job.req_id, &job.pairs, oracle, &mut s.edges);
                 metrics.served.inc();
                 job.conn.trace.push(job.span(Status::Ok, wait_ns, batch));
                 job.conn.enqueue_frame(&s.body, cap, metrics);
@@ -1011,60 +1012,34 @@ fn process_batch(shared: &Shared, s: &mut Scratch) {
     }
 }
 
-/// Byte-identical to `Response { status: Ok, payload: Dists(..) }.encode()`,
-/// without building the intermediate structures.
-fn encode_dist_body(body: &mut Vec<u8>, job: &Job, answers: &[Option<PointEstimate>]) {
+/// The body `Response { status: Ok, payload: Dists(..) }.encode()` gives,
+/// written into the reused `body` without building the response.
+fn encode_dist_body(body: &mut Vec<u8>, req_id: u64, answers: &[Option<PointEstimate>]) {
     body.clear();
-    body.extend_from_slice(&job.req_id.to_le_bytes());
-    body.push(0); // Status::Ok
-    body.push(1); // Op::Dist
-    body.extend_from_slice(&wire_count(answers.len()).to_le_bytes());
+    encode_header(body, req_id, Status::Ok, Op::Dist, answers.len());
     for a in answers {
-        match a {
-            None => body.push(0),
-            Some(est) => {
-                body.push(1);
-                body.extend_from_slice(&est.dist.to_le_bytes());
-                body.push(guarantee_kind_wire(est.guarantee.kind));
-                body.extend_from_slice(&est.guarantee.eps.to_bits().to_le_bytes());
-                body.extend_from_slice(&est.guarantee.additive.to_bits().to_le_bytes());
-            }
-        }
+        encode_dist_item(body, a.as_ref());
     }
 }
 
-/// Byte-identical to `Response { status: Ok, payload: Paths(..) }.encode()`.
-/// A snapshot without routes answers every pair `absent`
+/// The body `Response { status: Ok, payload: Paths(..) }.encode()` gives,
+/// written into the reused `body` with each route unrolled into the reused
+/// `edges`. A snapshot without routes answers every pair `absent`
 /// ([`DistOracle::path_into`] is `None` throughout) — same shape a
 /// disconnected pair has, so clients need no special case.
 fn encode_path_body(
     body: &mut Vec<u8>,
-    job: &Job,
+    req_id: u64,
+    pairs: &[(u32, u32)],
     oracle: &DistOracle,
     edges: &mut Vec<(u32, u32)>,
 ) {
     body.clear();
-    body.extend_from_slice(&job.req_id.to_le_bytes());
-    body.push(0); // Status::Ok
-    body.push(2); // Op::Path
-    body.extend_from_slice(&wire_count(job.pairs.len()).to_le_bytes());
-    for &(u, v) in &job.pairs {
+    encode_header(body, req_id, Status::Ok, Op::Path, pairs.len());
+    for &(u, v) in pairs {
         edges.clear();
-        match oracle.path_into(u as usize, v as usize, edges) {
-            None => body.push(0),
-            Some((weight, g)) => {
-                body.push(1);
-                body.extend_from_slice(&weight.to_le_bytes());
-                body.push(guarantee_kind_wire(g.kind));
-                body.extend_from_slice(&g.eps.to_bits().to_le_bytes());
-                body.extend_from_slice(&g.additive.to_bits().to_le_bytes());
-                body.extend_from_slice(&wire_count(edges.len()).to_le_bytes());
-                for &(x, y) in edges.iter() {
-                    body.extend_from_slice(&x.to_le_bytes());
-                    body.extend_from_slice(&y.to_le_bytes());
-                }
-            }
-        }
+        let item = oracle.path_into(u as usize, v as usize, edges);
+        encode_path_item(body, item, edges);
     }
 }
 
@@ -1072,8 +1047,9 @@ fn encode_path_body(
 mod tests {
     use super::*;
     use crate::client::Client;
-    use cc_core::{DistanceMatrix, Guarantee};
-    use cc_graphs::StorageKind;
+    use cc_core::{DistanceMatrix, Guarantee, PathProvider};
+    use cc_graphs::{Graph, StorageKind};
+    use cc_routes::PathStore;
     use std::io::ErrorKind;
 
     fn tiny_oracle() -> Arc<DistOracle> {
@@ -1084,6 +1060,55 @@ mod tests {
             Guarantee::mult2(0.5),
             StorageKind::SymmetricPacked,
         ))
+    }
+
+    /// The dist and path bodies the workers write are the bytes
+    /// `Response::encode` gives for the same answers, absent and present
+    /// ones mixed: routes on a path of four vertices, and a fifth vertex
+    /// that reaches none of them.
+    #[test]
+    fn served_bodies_equal_response_encode() {
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
+        let mut m = DistanceMatrix::new(5);
+        let mut store = PathStore::new(5);
+        for u in 0..4u32 {
+            for v in u + 1..4 {
+                m.improve(u as usize, v as usize, v - u);
+                store.set_walk(&g, &(u..=v).collect::<Vec<_>>());
+            }
+        }
+        let oracle =
+            DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::SymmetricPacked)
+                .with_routes(vec![0; 15], vec![PathProvider::Pairs(Arc::new(store))]);
+        let pairs = [(0, 3), (4, 1), (2, 2), (3, 1), (0, 4)];
+        let wide: Vec<(usize, usize)> = pairs
+            .iter()
+            .map(|&(u, v)| (u as usize, v as usize))
+            .collect();
+        let response = |req_id, op, payload| Response {
+            req_id,
+            status: Status::Ok,
+            op,
+            payload,
+        };
+
+        let answers = oracle.dist_batch(&wide);
+        assert!(answers.iter().any(Option::is_none) && answers.iter().any(Option::is_some));
+        let mut body = Vec::new();
+        encode_dist_body(&mut body, 7, &answers);
+        assert_eq!(
+            body,
+            response(7, Op::Dist, Payload::Dists(answers)).encode()
+        );
+
+        let routes: Vec<_> = oracle
+            .path_batch(&wide)
+            .into_iter()
+            .map(|r| r.map(|r| (r.weight, r.guarantee, r.edges)))
+            .collect();
+        assert!(routes.iter().any(Option::is_none) && routes.iter().any(Option::is_some));
+        encode_path_body(&mut body, 8, &pairs, &oracle, &mut Vec::new());
+        assert_eq!(body, response(8, Op::Path, Payload::Paths(routes)).encode());
     }
 
     #[test]

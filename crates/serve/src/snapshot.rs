@@ -149,7 +149,7 @@ pub fn describe<P: AsRef<Path>>(path: P) -> Result<String, SnapshotError> {
     out.push_str(&format!("version  {version}\n"));
     out.push_str(&format!("bytes    {}\n", owner.bytes().len()));
     out.push_str(&format!("mapped   {mapped}\n"));
-    let view = SnapshotView::parse(Arc::clone(&owner), &magic)?;
+    let view = SnapshotView::parse(owner, &magic)?;
     out.push_str("sections\n");
     for (id, off, len) in view.directory() {
         let name = section_name(&magic, id);
@@ -157,8 +157,9 @@ pub fn describe<P: AsRef<Path>>(path: P) -> Result<String, SnapshotError> {
             "  {id:>5}  off {off:>10}  len {len:>10}  {name}\n"
         ));
     }
-    // Full load for the semantic facts (also proves the file is sound).
-    let oracle = DistOracle::load_v2_shared(owner)?;
+    // Full load from the same view for the semantic facts (also proves
+    // the file is sound).
+    let oracle = DistOracle::from_view(&view)?;
     out.push_str(&format!("n        {}\n", oracle.n()));
     out.push_str(&format!("kind     {:?}\n", oracle.storage_kind()));
     out.push_str(&format!("routes   {}\n", oracle.paths().is_some()));
@@ -186,5 +187,58 @@ fn section_name(magic: &[u8; 4], id: u16) -> &'static str {
             _ => "provider sources",
         },
         _ => "?",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A [`describe`] listing without its offsets and sizes: the frame,
+    /// the section names in directory order, then `n`, the storage kind and
+    /// the routes flag, one per line.
+    fn facts(listing: &str) -> String {
+        let mut out = Vec::new();
+        for line in listing.lines() {
+            match line.split_once(' ') {
+                Some(("magic" | "version" | "n" | "kind" | "routes", value)) => {
+                    out.push(value.trim().to_string());
+                }
+                _ if line.starts_with("  ") => {
+                    let (_, name) = line.split_once(" len ").expect("a section line");
+                    let (_, name) = name.trim_start().split_once("  ").expect("a section name");
+                    out.push(name.to_string());
+                }
+                _ => {}
+            }
+        }
+        out.join("\n")
+    }
+
+    /// `ccd snapshot info` over the golden snapshots, which it parses and
+    /// loads from one view.
+    #[test]
+    fn describe_reads_the_golden_snapshots() {
+        let provider = "provider meta\narena tags\narena ops a\narena ops b\narena lens\n\
+                        witness tags\nwitness payloads";
+        let ccro = format!(
+            "CCRO\n2\nmeta\ndist (embedded CCDO)\norigins\n{provider}\n{provider}\n\
+             provider sources\n10\nSymmetricPacked\ntrue"
+        );
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        for (file, want) in [
+            (
+                "oracle_symmetric_v2.snap",
+                "CCDO\n2\nmeta\nguarantees\nentries\n12\nSymmetricPacked\nfalse",
+            ),
+            (
+                "oracle_rowsparse_v2.snap",
+                "CCDO\n2\nmeta\nguarantees\nsources\nentries\n12\nRowSparse\nfalse",
+            ),
+            ("paths_v2.snap", ccro.as_str()),
+        ] {
+            let listing = describe(golden.join(file)).unwrap();
+            assert_eq!(facts(&listing), want, "{file}:\n{listing}");
+        }
     }
 }

@@ -293,7 +293,7 @@ impl BasisCache {
         // `A₁` and the charges of the hitting set that picked it.
         let pivots = |kn: &KNearest, ledger: &mut RoundLedger| {
             let before = ledger.entries().len();
-            let full_sets = full_knearest_sets(kn, n, k);
+            let full_sets = kn.full_sets();
             let a1 = hitting_set(k.min(full_min_size(&full_sets, k)), &full_sets, ledger)
                 .expect("(k,t)-nearest sets are valid hitting-set input");
             let charges = ledger.entries()[before..]
@@ -395,15 +395,6 @@ pub fn build_deterministic(
         hitting::deterministic_hitting_set(g.n(), k, sets, ledger)
     });
     build_from_bunches(g, params, bunches, &mut phase)
-}
-
-/// The `(k,t)`-nearest sets of vertices whose list is full (size `k`) —
-/// exactly the sets `A₁` must hit.
-fn full_knearest_sets(kn: &KNearest, n: usize, k: usize) -> Vec<Vec<usize>> {
-    (0..n)
-        .filter(|&v| kn.list(v).len() >= k)
-        .map(|v| kn.list(v).iter().map(|&(c, _)| c as usize).collect())
-        .collect()
 }
 
 fn full_min_size(full: &[Vec<usize>], k: usize) -> usize {
@@ -651,7 +642,7 @@ mod tests {
             params.threads,
             &mut phase,
         );
-        let full_sets = full_knearest_sets(&kn, n, params.k);
+        let full_sets = kn.full_sets();
         let k = params.k.min(full_min_size(&full_sets, params.k));
         let a1 = match rng {
             Some(rng) => {

@@ -292,6 +292,17 @@ impl KNearest {
         self.lists[v].last().map_or(0, |&(_, dist)| dist)
     }
 
+    /// The full lists (`k` entries) as vertex sets, in vertex order: exactly
+    /// the sets a pivot set must hit so that every vertex whose list stops
+    /// short of its `d`-ball has a pivot among its nearest.
+    pub fn full_sets(&self) -> Vec<Vec<usize>> {
+        self.lists
+            .iter()
+            .filter(|list| list.len() >= self.k)
+            .map(|list| list.iter().map(|&(c, _)| c as usize).collect())
+            .collect()
+    }
+
     /// The closest member of `targets` (given as a boolean mask) in `v`'s
     /// list, with its distance — ties broken by `(distance, id)` order.
     pub fn nearest_in(&self, v: usize, targets: &[bool]) -> Option<(u32, Dist)> {

@@ -419,3 +419,95 @@ fn recorded_witnesses_are_pinned() {
         assert_eq!(got, want, "{name}: snapshot FNV-1a is {got:#018x}");
     }
 }
+
+/// Appends a query's answer to `bytes`: the estimates row by row and,
+/// when recording, the pair witnesses (or the MSSP records) and the four
+/// arena sections.
+fn fold_answer(bytes: &mut Vec<u8>, answer: &Answer) {
+    let mut put = |x: u32| bytes.extend_from_slice(&x.to_le_bytes());
+    let arena = match answer {
+        Answer::Pairs(estimates, paths) => {
+            for u in 0..estimates.n() {
+                estimates.row(u).iter().for_each(|&d| put(d));
+            }
+            let Some((witnesses, arena)) = paths else {
+                return;
+            };
+            for w in witnesses {
+                match *w {
+                    PairWitness::None => put(0),
+                    PairWitness::Rec { rec, rev } => {
+                        put(1 + u32::from(rev));
+                        put(rec.index());
+                    }
+                    PairWitness::Via(w) => {
+                        put(3);
+                        put(w);
+                    }
+                }
+            }
+            arena
+        }
+        Answer::Rows(rows, paths) => {
+            rows.iter().flatten().for_each(|&d| put(d));
+            let Some((recs, arena)) = paths else {
+                return;
+            };
+            recs.iter()
+                .for_each(|rec| put(rec.map_or(0, |r| r.index() + 1)));
+            arena
+        }
+    };
+    let (tags, ops_a, ops_b, lens) = arena.sections();
+    bytes.extend_from_slice(tags);
+    for x in [ops_a, ops_b, lens].into_iter().flatten() {
+        bytes.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Pins what each query itself returns, witnesses included, which the
+/// frozen-oracle pins do not see (`freeze` drops a result that wins no
+/// pair). Per graph, in both execution modes and both recording modes,
+/// fresh sessions run apsp2, apsp3, the additive query and MSSP (sources
+/// stepped by 11), and one more session runs apsp2 then apsp3. One FNV-1a
+/// folds every estimate, pair witness, MSSP row and record, arena section
+/// and each session's ledger entries. A change that only restructures the
+/// pipelines must leave both values as they are.
+#[test]
+fn query_results_are_pinned() {
+    for (name, g, want) in [
+        ("grid 9x11", generators::grid(9, 11), 0x0538_dafa_a732_ad12),
+        ("hub + gnp(97)", hub_gnp(), 0xfb03_ee3a_c472_ecaf),
+    ] {
+        let sources: Vec<usize> = (0..g.n()).step_by(11).collect();
+        let mut bytes = Vec::new();
+        for execution in [Execution::Deterministic, Execution::Seeded(7)] {
+            for record in [false, true] {
+                for queries in [
+                    &["apsp2"][..],
+                    &["apsp3"],
+                    &["additive"],
+                    &["mssp"],
+                    &["apsp2", "apsp3"],
+                ] {
+                    let mut solver = SolverBuilder::new(g.clone())
+                        .eps(0.5)
+                        .execution(execution)
+                        .threads(2)
+                        .record_paths(record)
+                        .build()
+                        .unwrap();
+                    for &query in queries {
+                        fold_answer(&mut bytes, &answer(&mut solver, query, &sources).0);
+                    }
+                    for e in solver.ledger().entries() {
+                        let entry = format!("{}\0{}\0{}\0", e.phase, e.label, e.rounds);
+                        bytes.extend_from_slice(entry.as_bytes());
+                    }
+                }
+            }
+        }
+        let got = fnv1a(&bytes);
+        assert_eq!(got, want, "{name}: query FNV-1a is {got:#018x}");
+    }
+}
