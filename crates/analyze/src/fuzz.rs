@@ -7,7 +7,7 @@
 //!
 //! Mutations are seeded xorshift64\* over a golden corpus, so every run is
 //! reproducible from `(seed, iteration)`. Structure-aware strategies
-//! (header abuse, directory abuse) re-seal the trailing FNV-1a checksum so
+//! (header abuse, directory abuse) re-seal the trailing checksum so
 //! the mutation penetrates *past* frame verification into the section
 //! parsers — a fuzzer that only ever trips the checksum tests nothing.
 //!
@@ -26,7 +26,7 @@ use std::io;
 use std::panic;
 use std::path::Path;
 
-use cc_core::snapshot::header::fnv1a;
+use cc_core::snapshot::header::{checksum, VERSION};
 use cc_core::{DistOracle, SnapshotError};
 use cc_serve::protocol::{Op, Request, MAX_FRAME};
 
@@ -232,7 +232,7 @@ fn mutate(case: &mut Vec<u8>, rng: &mut Xorshift) -> &'static str {
             "header-abuse"
         }
         6 => {
-            // Directory abuse: corrupt the v2 section table in place.
+            // Directory abuse: corrupt the section table in place.
             dir_abuse(case, rng);
             "dir-abuse"
         }
@@ -248,10 +248,10 @@ fn mutate(case: &mut Vec<u8>, rng: &mut Xorshift) -> &'static str {
     }
 }
 
-/// Overwrites one field of the v2 directory with an abusive value and
-/// re-seals. No-op on non-v2 or too-short inputs.
+/// Overwrites one field of the section directory with an abusive value
+/// and re-seals. No-op on other-version or too-short inputs.
 fn dir_abuse(case: &mut [u8], rng: &mut Xorshift) {
-    if case.len() < 24 || case.get(4..6) != Some(&[2, 0]) {
+    if case.len() < 24 || case.get(4..6) != Some(&VERSION.to_le_bytes()) {
         return;
     }
     let Some(dir_bytes) = case.get(8..16).and_then(|s| s.first_chunk::<8>()) else {
@@ -298,7 +298,7 @@ fn reseal(case: &mut [u8]) {
         return;
     }
     let split = case.len() - 8;
-    let sum = fnv1a(&case[..split]);
+    let sum = checksum(&case[..split]);
     case[split..].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -564,8 +564,9 @@ fn abuse_cases(stem: &str, base: &[u8]) -> Vec<(String, Vec<u8>)> {
     }
     push("checksum_flip", flipped);
 
-    // Directory abuse: only a version-2 base (not the v255 fixture) has one.
-    if base.get(4..6) == Some(&[2, 0]) {
+    // Directory abuse: only a current-version base (not the v255 fixture)
+    // has one.
+    if base.get(4..6) == Some(&VERSION.to_le_bytes()) {
         let mut oob = base.to_vec();
         let hostile = (base.len() as u64) * 4;
         oob[8..16].copy_from_slice(&hostile.to_le_bytes());
@@ -610,7 +611,7 @@ mod tests {
     use super::*;
 
     fn tiny_snapshot() -> Vec<u8> {
-        // A real v2 snapshot via the public API keeps this test honest.
+        // A real snapshot via the public API keeps this test honest.
         let mut m = cc_core::DistanceMatrix::new(4);
         for u in 0..4 {
             for v in 0..4 {

@@ -70,7 +70,7 @@ pub const ALL_RULES: &[&str] = &[
 ];
 
 /// The only modules allowed to contain `unsafe`: POD reinterpretation,
-/// the mmap syscall wrapper, the v2 zero-copy reader, and this binary's
+/// the mmap syscall wrapper, the zero-copy snapshot reader, and this binary's
 /// counting allocator.
 const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/analyze/src/main.rs",

@@ -228,7 +228,7 @@ pub struct DistOracle {
     /// Provenance table; `tags` index into it. Never empty.
     guarantees: Vec<Guarantee>,
     /// Per-entry provenance (same indexing as `storage` entries), or `None`
-    /// when every entry is covered by `guarantees[0]`. [`PodData`] so v2
+    /// when every entry is covered by `guarantees[0]`. [`PodData`] so the
     /// snapshots serve it in place.
     tags: Option<PodData<u8>>,
     /// The witnesses that serve [`DistOracle::path`], when frozen with
@@ -620,7 +620,7 @@ impl DistOracle {
         Self::load_v2_shared(owner_from_bytes(buf))
     }
 
-    /// Loads a v2 snapshot directly from a stable byte owner (an `mmap`'d
+    /// Loads a snapshot directly from a stable byte owner (an `mmap`'d
     /// file, an [`cc_graphs::AlignedBytes`] buffer): the distance entries,
     /// tags, sources, origins and route-arena columns become zero-copy
     /// views into the owner on little-endian targets.
@@ -637,7 +637,7 @@ impl DistOracle {
         }
     }
 
-    /// Loads the oracle from an already parsed v2 snapshot, by the view's
+    /// Loads the oracle from an already parsed snapshot, by the view's
     /// magic: `CCDO` without routes, `CCRO` with them. The frame and its
     /// checksum were checked when the view was parsed, so a caller that
     /// also lists the view's sections hashes the file once.
@@ -655,7 +655,7 @@ impl DistOracle {
         }
     }
 
-    // ── Snapshot format v2 ───────────────────────────────────────────────
+    // ── Snapshot format ──────────────────────────────────────────────────
     //
     // The v2 frame and directory are documented in `crate::snapshot::v2`
     // (and DESIGN.md §9). An oracle with routes is a CCRO frame (layout in
@@ -669,7 +669,7 @@ impl DistOracle {
     //   4 ENTRIES     entries × u32                              (hot)
     //   5 TAGS        [flags bit0] entries × u8                  (hot)
 
-    /// Serializes the oracle into snapshot format v2 — the aligned-section
+    /// Serializes the oracle into the snapshot format — the aligned-section
     /// layout [`DistOracle::load_v2_shared`] serves zero-copy: `CCDO` when
     /// the oracle has no routes, `CCRO` when it has them.
     ///
@@ -859,7 +859,7 @@ impl DistOracle {
 // index the table through a u8, so 256 rows is all the format can address.
 const MAX_GUARANTEES: usize = 256;
 
-// CCDO v2 section ids (see the layout comment on `ccdo_bytes`).
+// CCDO section ids (see the layout comment on `ccdo_bytes`).
 const SEC_META: u16 = 1;
 const SEC_GUARANTEES: u16 = 2;
 const SEC_SOURCES: u16 = 3;
@@ -869,7 +869,7 @@ const SEC_TAGS: u16 = 5;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::header::fnv1a;
+    use crate::snapshot::header::checksum;
 
     fn sample_matrix(n: usize) -> DistanceMatrix {
         let mut m = DistanceMatrix::new(n);
@@ -993,19 +993,19 @@ mod tests {
         let err = DistOracle::from_snapshot_bytes(&future).unwrap_err();
         assert!(matches!(err, SnapshotError::UnsupportedVersion(255)));
         assert_eq!(err.to_string(), "unsupported snapshot version 255");
-        // Every other version over an otherwise valid v2 body (checksum
-        // recomputed, so only the version differs): same answer. Version 1
-        // is the retired streaming format, 3 the lowest future one.
+        // Every other version over an otherwise valid body (checksum
+        // recomputed, so only the version differs): same answer. Versions
+        // 1 and 2 are retired formats, 4 the lowest future one.
         let m = sample_matrix(4);
         let o = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::SymmetricPacked);
         let mut body = Vec::new();
         o.save_v2(&mut body).unwrap();
         body.truncate(body.len() - 8);
-        for version in [1u16, 3, 255] {
+        for version in [1u16, 2, 4, 255] {
             let mut buf = body.clone();
             buf[4..6].copy_from_slice(&version.to_le_bytes());
-            let checksum = fnv1a(&buf);
-            buf.extend_from_slice(&checksum.to_le_bytes());
+            let sum = checksum(&buf);
+            buf.extend_from_slice(&sum.to_le_bytes());
             let err = DistOracle::from_snapshot_bytes(&buf).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::UnsupportedVersion(v) if v == version),
@@ -1178,8 +1178,8 @@ mod tests {
             .unwrap();
         let mut layout0 = buf[..buf.len() - 8].to_vec();
         layout0[meta] = 0;
-        let checksum = fnv1a(&layout0);
-        layout0.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&layout0);
+        layout0.extend_from_slice(&sum.to_le_bytes());
         match DistOracle::from_snapshot_bytes(&layout0) {
             Err(SnapshotError::Corrupt(msg)) => assert_eq!(msg, "unknown storage kind"),
             other => panic!("layout byte 0: {other:?}"),

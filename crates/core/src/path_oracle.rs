@@ -109,13 +109,13 @@ impl PartialEq for PathProvider {
 #[derive(Clone, PartialEq, Debug)]
 pub(crate) struct Routes {
     /// Per packed pair: index into `providers` of the winning pipeline
-    /// (meaningless where no estimate is frozen). [`PodData`] so v2
+    /// (meaningless where no estimate is frozen). [`PodData`] so the
     /// snapshots serve it in place.
     origins: PodData<u8>,
     providers: Vec<PathProvider>,
 }
 
-// CCRO v2 section ids. Providers get a block of ids each:
+// CCRO section ids. Providers get a block of ids each:
 // `RSEC_PROVIDER_BASE + RSEC_PROVIDER_STRIDE * p + k`.
 const RSEC_META: u16 = 1;
 const RSEC_DIST: u16 = 2;
@@ -183,13 +183,13 @@ impl Routes {
         }
     }
 
-    // ── Snapshot format v2 ───────────────────────────────────────────────
+    // ── Snapshot format ──────────────────────────────────────────────────
     //
     // The v2 frame and directory are documented in `crate::snapshot::v2`
     // (and DESIGN.md §9). CCRO sections:
     //
     //   1 META       n u64, origin_count u64, provider_count u64 (24 bytes)
-    //   2 DIST       a complete embedded CCDO v2 snapshot (64-aligned, so
+    //   2 DIST       a complete embedded CCDO snapshot (64-aligned, so
     //                its inner section offsets stay aligned absolutely)
     //   3 ORIGINS    origin_count × u8                           (hot)
     //
@@ -330,6 +330,7 @@ impl Routes {
             let a_lens = view.u32_data(base + 4, node_count, "arena length")?;
             let arena = RouteArena::from_sections(a_tags, a_opa, a_opb, a_lens, n)
                 .ok_or_else(|| SnapshotError::corrupt("invalid witness arena node"))?;
+            let records = arena.len();
             match kind {
                 0 => {
                     if aux != origin_count {
@@ -342,7 +343,7 @@ impl Routes {
                         let entry = match tag {
                             0 => PairWitness::None,
                             1 | 2 => {
-                                if payload as usize >= arena.len() {
+                                if payload as usize >= records {
                                     return Err(SnapshotError::corrupt(
                                         "witness record out of range",
                                     ));
@@ -381,7 +382,7 @@ impl Routes {
                         let rec = match tag {
                             0 => None,
                             1 => {
-                                if payload as usize >= arena.len() {
+                                if payload as usize >= records {
                                     return Err(SnapshotError::corrupt("row record out of range"));
                                 }
                                 Some(RecId::from_index(payload))

@@ -1,27 +1,28 @@
 //! The snapshot frame: magic, version, trailing checksum, typed errors.
 //!
 //! Every snapshot this workspace writes — `CCDO` and `CCRO`, both at
-//! format version 2 — shares one frame shape:
+//! format version 3 — shares one frame shape:
 //!
 //! ```text
 //!   magic     4 bytes   (b"CCDO" or b"CCRO")
 //!   version   u16 LE
 //!   …body…
-//!   checksum  u64 LE    FNV-1a over every preceding byte
+//!   checksum  u64 LE    [`checksum`] over every preceding byte
 //! ```
 //!
 //! `checked_frame` validates that frame in the only safe order: magic
 //! first, then version, then the checksum. A snapshot written in any other
-//! format version — the retired streaming v1 or a future one (whose
-//! trailing bytes this build cannot even locate) — reports
-//! [`SnapshotError::UnsupportedVersion`], never a misleading checksum
-//! mismatch. The CCDO and CCRO readers go through this one implementation.
+//! format version — the retired v1 and v2 or a future one (whose trailing
+//! bytes this build cannot even locate) — reports
+//! [`SnapshotError::UnsupportedVersion`] before any byte is hashed, never a
+//! misleading checksum mismatch. The CCDO and CCRO readers and the section
+//! writer go through this one implementation.
 
 /// The snapshot format version this build reads and writes.
-pub(crate) const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Validates a snapshot frame — magic, then version against [`VERSION`],
-/// then the trailing FNV-1a checksum — and returns the checksummed payload
+/// then the trailing [`checksum`] — and returns the checksummed payload
 /// (everything before the 8-byte tail).
 ///
 /// # Errors
@@ -30,7 +31,7 @@ pub(crate) const VERSION: u16 = 2;
 /// [`SnapshotError::Corrupt`] on truncation / checksum mismatch.
 pub(crate) fn checked_frame<'a>(buf: &'a [u8], magic: &[u8; 4]) -> Result<&'a [u8], SnapshotError> {
     // Magic and version live in the first 6 bytes and are validated before
-    // the checksum, so future-version snapshots fail with the actionable
+    // the checksum, so other-version snapshots fail with the actionable
     // error even though this build cannot verify their integrity.
     let Some((got, after_magic)) = buf.split_first_chunk::<4>() else {
         return Err(SnapshotError::corrupt("shorter than magic + version"));
@@ -51,16 +52,88 @@ pub(crate) fn checked_frame<'a>(buf: &'a [u8], magic: &[u8; 4]) -> Result<&'a [u
     let Some((payload, tail)) = buf.split_last_chunk::<8>() else {
         return Err(SnapshotError::corrupt("shorter than header + checksum"));
     };
-    let stored = u64::from_le_bytes(*tail);
-    if fnv1a(payload) != stored {
+    if checksum(payload) != u64::from_le_bytes(*tail) {
         return Err(SnapshotError::corrupt("checksum mismatch"));
     }
     Ok(payload)
 }
 
-/// FNV-1a over a byte slice (the snapshot checksum). Tools that rewrite
-/// a snapshot's payload, such as the structure-aware fuzzer, reseal it
-/// with this function, so they follow any change of the checksum.
+/// Initial states of the four checksum lanes: distinct, so equal words
+/// at the same step of different lanes leave different states.
+const LANE_SEEDS: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x27d4_eb2f_1656_67c5,
+];
+
+/// The odd multiplier of a lane step.
+const LANE_MUL: u64 = 0xff51_afd7_ed55_8ccd;
+
+/// One lane step: xor in the word, multiply by an odd constant, xorshift.
+/// The xor is a bijection of the word for a fixed state and of the state
+/// for a fixed word; the multiply and the xorshift are bijections too.
+#[inline(always)]
+fn lane_step(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(LANE_MUL);
+    x ^ (x >> 29)
+}
+
+/// A bijective 64-bit finalizer (MurmurHash3's `fmix64`): every input bit
+/// reaches every output bit.
+#[inline(always)]
+fn fold(x: u64) -> u64 {
+    let x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+/// The snapshot checksum: a word-at-a-time, four-lane sum over `bytes`.
+///
+/// Little-endian `u64` word `k` (bytes `8k..8k+8`) goes to lane `k % 4`,
+/// so the four lanes run as independent dependency chains and the loop
+/// moves at memory speed. The lanes, then the zero-padded byte tail (the
+/// last `len % 8` bytes), then the total length are folded into one word
+/// with MurmurHash3's bijective `fmix64` finalizer.
+///
+/// Every step is a bijection of the running state for the other inputs
+/// fixed, so a change confined to one aligned 8-byte word always changes
+/// the sum: it changes its lane's state at that word, every later step of
+/// that lane maps distinct states to distinct states, and each fold maps
+/// distinct lanes to distinct sums. It protects against accident
+/// (truncation, bit rot, torn writes), not forgery.
+///
+/// The section writer seals with it and `checked_frame` verifies with it;
+/// tools that rewrite a snapshot's payload, such as the structure-aware
+/// fuzzer, reseal with it too, so they follow any change of the checksum.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let (blocks, rest) = bytes.as_chunks::<32>();
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = lane_step(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let (words, tail) = rest.as_chunks::<8>();
+    for (lane, word) in lanes.iter_mut().zip(words) {
+        *lane = lane_step(*lane, u64::from_le_bytes(*word));
+    }
+    let mut last = [0u8; 8];
+    for (slot, &b) in last.iter_mut().zip(tail) {
+        *slot = b;
+    }
+    let mut sum = 0;
+    for lane in lanes {
+        sum = fold(sum ^ lane);
+    }
+    sum = fold(sum ^ u64::from_le_bytes(last));
+    fold(sum ^ bytes.len() as u64)
+}
+
+/// FNV-1a over a byte slice: a content digest for tests that pin the
+/// exact bytes of a snapshot or a ledger. Not the snapshot checksum — see
+/// [`checksum`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -184,6 +257,52 @@ impl From<SnapshotError> for std::io::Error {
         match e {
             SnapshotError::Io(io) => io,
             other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sealed frame over `body`: magic, version, body, checksum.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut frame = b"CCDO".to_vec();
+        frame.extend_from_slice(&VERSION.to_le_bytes());
+        frame.extend_from_slice(body);
+        let sum = checksum(&frame);
+        frame.extend_from_slice(&sum.to_le_bytes());
+        frame
+    }
+
+    /// Every body length from 0 to 96 puts every residue mod 32 and mod 8
+    /// through the block, word and tail paths: the sealed frame verifies,
+    /// and a one-byte change anywhere past the version is refused.
+    #[test]
+    fn sealing_and_checking_agree_for_every_payload_length() {
+        for len in 0..=96usize {
+            let body: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let frame = sealed(&body);
+            let payload = checked_frame(&frame, b"CCDO").expect("sealed frame verifies");
+            assert_eq!(payload, &frame[..frame.len() - 8], "len {len}");
+            for at in 6..frame.len() {
+                let mut bad = frame.clone();
+                bad[at] ^= 0x01;
+                assert!(
+                    matches!(checked_frame(&bad, b"CCDO"), Err(SnapshotError::Corrupt(_))),
+                    "len {len}: change at byte {at} verified"
+                );
+            }
+        }
+    }
+
+    /// The tail is zero-padded, so the total length is what tells a
+    /// payload from the same payload with zero bytes appended.
+    #[test]
+    fn zero_padded_payloads_of_different_lengths_differ() {
+        let sums: Vec<u64> = (0..=96).map(|len| checksum(&vec![0u8; len])).collect();
+        for (i, a) in sums.iter().enumerate() {
+            assert!(sums[i + 1..].iter().all(|b| b != a), "length {i} collides");
         }
     }
 }

@@ -1,17 +1,20 @@
-//! Snapshot format v2: aligned POD sections behind a section directory.
+//! The section layout of the snapshot format: aligned POD sections behind
+//! a section directory. Format 2 introduced this layout; format 3 keeps it
+//! byte for byte and changes only the version field and the trailing
+//! checksum, so the module keeps its name.
 //!
 //! Frame (see [`super::header`]):
 //!
 //! ```text
 //!   off  0  magic            4 bytes
-//!   off  4  version  u16 = 2
+//!   off  4  version  u16 = 3
 //!   off  6  reserved u16 = 0
 //!   off  8  dir_off  u64          absolute offset of the directory
 //!   off 64  sections…             each starting at a 64-byte-aligned offset
 //!   dir_off section_count u32, reserved u32,
 //!           count × { id u16, reserved u16, reserved u32,
 //!                     byte_off u64, byte_len u64 }        (24 bytes each)
-//!   tail    checksum u64          FNV-1a over every preceding byte
+//!   tail    checksum u64          header::checksum over every preceding byte
 //! ```
 //!
 //! Alignment rules: every section starts at a multiple of 64 **relative to
@@ -27,7 +30,7 @@ use std::sync::Arc;
 
 use cc_graphs::{AlignedBytes, ByteOwner, DirEntry, PodData, Section, SharedSlice};
 
-use super::header::{checked_frame, fnv1a, SnapshotError, VERSION};
+use super::header::{checked_frame, checksum, SnapshotError, VERSION};
 
 /// Section alignment: every section starts at a multiple of this, relative
 /// to the snapshot's first byte. Re-exported from `cc_graphs::pod`, where
@@ -50,7 +53,7 @@ fn le_chunk<const N: usize>(buf: &[u8], off: usize, what: &str) -> Result<[u8; N
         .ok_or_else(|| SnapshotError::Corrupt(format!("{what} out of bounds")))
 }
 
-/// Builds a v2 snapshot: appends sections at 64-aligned offsets, then
+/// Builds a snapshot: appends sections at 64-aligned offsets, then
 /// writes the directory and the trailing checksum.
 pub(crate) struct SectionWriter {
     buf: Vec<u8>,
@@ -114,13 +117,13 @@ impl SectionWriter {
             self.buf.extend_from_slice(&off.to_le_bytes());
             self.buf.extend_from_slice(&len.to_le_bytes());
         }
-        let checksum = fnv1a(&self.buf);
-        self.buf.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&self.buf);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
         Ok(self.buf)
     }
 }
 
-/// A validated window onto one v2 snapshot inside a [`ByteOwner`] — the
+/// A validated window onto one snapshot inside a [`ByteOwner`] — the
 /// whole owner for a top-level snapshot, a sub-range for an embedded one.
 ///
 /// Parsing checks the frame (magic, version, checksum) and the directory
@@ -139,7 +142,7 @@ pub struct SnapshotView {
 }
 
 impl SnapshotView {
-    /// Parses the owner's entire allocation as one v2 snapshot.
+    /// Parses the owner's entire allocation as one snapshot.
     ///
     /// # Errors
     ///
@@ -150,7 +153,7 @@ impl SnapshotView {
         SnapshotView::parse_at(owner, 0, len, magic)
     }
 
-    /// Parses the `len` bytes starting at `base` within `owner` as one v2
+    /// Parses the `len` bytes starting at `base` within `owner` as one
     /// snapshot (embedded-snapshot support).
     pub(crate) fn parse_at(
         owner: Arc<dyn ByteOwner>,
@@ -168,7 +171,7 @@ impl SnapshotView {
             .ok_or_else(|| SnapshotError::corrupt("snapshot window out of bounds"))?;
         let payload = checked_frame(bytes, magic)?;
         if payload.len() < 16 {
-            return Err(SnapshotError::corrupt("v2 header truncated"));
+            return Err(SnapshotError::corrupt("header truncated"));
         }
         let dir_off = usize::try_from(u64::from_le_bytes(le_chunk::<8>(payload, 8, "dir_off")?))
             .map_err(|_| SnapshotError::corrupt("directory offset exceeds the address space"))?;
@@ -351,7 +354,7 @@ impl SnapshotView {
         Ok(out.into())
     }
 
-    /// Parses section `id` as an embedded v2 snapshot with its own frame.
+    /// Parses section `id` as an embedded snapshot with its own frame.
     pub(crate) fn sub_view(
         &self,
         id: u16,
@@ -365,7 +368,7 @@ impl SnapshotView {
     }
 }
 
-/// Reads a whole stream into an [`AlignedBytes`] owner — the v2 load path
+/// Reads a whole stream into an [`AlignedBytes`] owner — the load path
 /// for non-mapped sources (pipes, in-memory buffers, tests).
 pub(crate) fn owner_from_bytes(bytes: &[u8]) -> Arc<dyn ByteOwner> {
     Arc::new(AlignedBytes::copy_from(bytes))
@@ -421,8 +424,8 @@ mod tests {
         // byte_off of entry 0: 8-byte directory header, then 8 bytes of
         // id + padding inside the entry.
         crooked[dir_off + 16..dir_off + 24].copy_from_slice(&63u64.to_le_bytes());
-        let checksum = fnv1a(&crooked);
-        crooked.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&crooked);
+        crooked.extend_from_slice(&sum.to_le_bytes());
         let err = SnapshotView::parse(owner_from_bytes(&crooked), b"CCDO").unwrap_err();
         assert!(err.to_string().contains("not 64-aligned"), "{err}");
     }

@@ -1,7 +1,7 @@
 //! POD reinterpretation of frozen tables: shared byte buffers viewed as
 //! typed rows without copying.
 //!
-//! The serving side of this workspace (snapshot format v2, the `ccd`
+//! The serving side of this workspace (the snapshot format, the `ccd`
 //! daemon) wants the hot tables — distance entries, provenance tags, route
 //! arena sections — addressable **in place** from an `mmap`'d snapshot,
 //! with zero deserialization. This module is the one place that
@@ -108,11 +108,11 @@ impl Pod for u32 {}
 impl Pod for u64 {}
 impl Pod for DirEntry {}
 
-/// Section alignment of snapshot format v2: every section starts at a
+/// Section alignment of the snapshot format: every section starts at a
 /// multiple of this, relative to the snapshot's own first byte.
 pub const SECTION_ALIGN: usize = 64;
 
-/// Compile-time layout contract for every row type a v2 snapshot section is
+/// Compile-time layout contract for every row type a snapshot section is
 /// reinterpreted as.
 ///
 /// Each implementation states the intended wire layout (`WIRE_SIZE`, the
@@ -179,7 +179,7 @@ const _: () = <u32 as Section>::LAYOUT_CHECKED;
 const _: () = <u64 as Section>::LAYOUT_CHECKED;
 const _: () = <DirEntry as Section>::LAYOUT_CHECKED;
 
-/// One v2 section-directory entry, as laid out on the wire (24 bytes,
+/// One section-directory entry, as laid out on the wire (24 bytes,
 /// little-endian fields): the row type a mapped snapshot's directory is
 /// reinterpreted as on little-endian targets.
 ///
@@ -235,7 +235,9 @@ impl<T: Pod> SharedSlice<T> {
         })
     }
 
-    /// The typed view. Native byte order — see the module docs.
+    /// The typed view. Native byte order — see the module docs. Each call
+    /// asks the owner for its bytes through a dynamic call, so hot loops
+    /// hoist the slice once instead of indexing per element.
     pub fn as_slice(&self) -> &[T] {
         // SAFETY: bounds and alignment were validated in `new` against the
         // owner's allocation, which the ByteOwner contract keeps stable;
@@ -289,7 +291,9 @@ enum Inner<T: Pod> {
 }
 
 impl<T: Pod> PodData<T> {
-    /// The element slice.
+    /// The element slice. On a shared table this (and every index through
+    /// `Deref`) resolves the owner's bytes, so hot loops hoist the slice
+    /// once instead of indexing per element.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
         match &self.0 {

@@ -50,8 +50,8 @@ pub const TAG_REV: u8 = 2;
 /// [`RouteArena::emit_into`].
 ///
 /// Storage is struct-of-arrays — one `u8` tag plus two `u32` operands plus a
-/// cached `u32` length per record — exactly the section layout of snapshot
-/// format v2, so a mapped snapshot serves its arena as zero-copy
+/// cached `u32` length per record — exactly the section layout of the
+/// snapshot format, so a mapped snapshot serves its arena as zero-copy
 /// [`PodData`] views and the first mutation (if any) transparently converts
 /// to owned storage.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -90,13 +90,13 @@ impl RouteArena {
     }
 
     /// The raw SoA sections `(tags, ops_a, ops_b, lens)` — the exact order
-    /// and element types of the v2 snapshot sections.
+    /// and element types of the snapshot sections.
     pub fn sections(&self) -> (&[u8], &[u32], &[u32], &[u32]) {
         (&self.tags, &self.ops_a, &self.ops_b, &self.lens)
     }
 
     /// Rebuilds an arena directly from its four SoA sections (typically
-    /// zero-copy views into a mapped v2 snapshot), validating every record
+    /// zero-copy views into a mapped snapshot), validating every record
     /// against the DAG invariant — children strictly smaller than their
     /// node, edge endpoints below `n`, no self-loop edges, known tags, and
     /// cached lengths consistent with the children — before accepting.
@@ -109,7 +109,15 @@ impl RouteArena {
         lens: impl Into<PodData<u32>>,
         n: usize,
     ) -> Option<RouteArena> {
-        let (tags, ops_a, ops_b, lens) = (tags.into(), ops_a.into(), ops_b.into(), lens.into());
+        let arena = RouteArena {
+            tags: tags.into(),
+            ops_a: ops_a.into(),
+            ops_b: ops_b.into(),
+            lens: lens.into(),
+        };
+        // One slice per column for the whole check: indexing a mapped
+        // `PodData` per record would resolve its owner's bytes each time.
+        let (tags, ops_a, ops_b, lens) = arena.sections();
         let count = tags.len();
         if ops_a.len() != count || ops_b.len() != count || lens.len() != count {
             return None;
@@ -142,20 +150,7 @@ impl RouteArena {
                 return None;
             }
         }
-        Some(RouteArena {
-            tags,
-            ops_a,
-            ops_b,
-            lens,
-        })
-    }
-
-    fn node(&self, i: usize) -> Node {
-        match self.tags[i] {
-            TAG_EDGE => Node::Edge(self.ops_a[i], self.ops_b[i]),
-            TAG_CAT => Node::Cat(self.ops_a[i], self.ops_b[i]),
-            _ => Node::Rev(self.ops_a[i]),
-        }
+        Some(arena)
     }
 
     fn push(&mut self, node: Node, len: u32) -> RecId {
@@ -219,9 +214,15 @@ impl RouteArena {
     /// their middle vertex. Iterative — safe for arbitrarily deep `Cat`
     /// chains.
     pub fn emit_into(&self, id: RecId, reversed: bool, out: &mut Vec<(u32, u32)>) {
+        let (tags, ops_a, ops_b, _) = self.sections();
+        let node = |i: usize| match tags[i] {
+            TAG_EDGE => Node::Edge(ops_a[i], ops_b[i]),
+            TAG_CAT => Node::Cat(ops_a[i], ops_b[i]),
+            _ => Node::Rev(ops_a[i]),
+        };
         let mut stack: Vec<(u32, bool)> = vec![(id.0, reversed)];
         while let Some((id, rev)) = stack.pop() {
-            match self.node(id as usize) {
+            match node(id as usize) {
                 Node::Edge(u, v) => out.push(if rev { (v, u) } else { (u, v) }),
                 Node::Cat(a, b) => {
                     // Forward: a then b — push b first so a pops first.
@@ -251,14 +252,19 @@ impl RouteArena {
     /// O(|other|); id order (and therefore the DAG invariant) is preserved.
     pub fn absorb(&mut self, other: &RouteArena) -> u32 {
         let offset = u32::try_from(self.len()).expect("arena exceeds u32 records");
-        self.tags.extend_from_slice(&other.tags);
-        for i in 0..other.len() {
-            let shift = if other.tags[i] == TAG_EDGE { 0 } else { offset };
-            self.ops_a.push(other.ops_a[i] + shift);
-            let b_shift = if other.tags[i] == TAG_CAT { offset } else { 0 };
-            self.ops_b.push(other.ops_b[i] + b_shift);
-        }
-        self.lens.extend_from_slice(&other.lens);
+        let (tags, ops_a, ops_b, lens) = other.sections();
+        self.tags.extend_from_slice(tags);
+        self.ops_a.extend(
+            tags.iter()
+                .zip(ops_a)
+                .map(|(&tag, &a)| if tag == TAG_EDGE { a } else { a + offset }),
+        );
+        self.ops_b.extend(
+            tags.iter()
+                .zip(ops_b)
+                .map(|(&tag, &b)| if tag == TAG_CAT { b + offset } else { b }),
+        );
+        self.lens.extend_from_slice(lens);
         offset
     }
 

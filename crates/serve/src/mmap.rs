@@ -1,10 +1,10 @@
 //! Memory-mapped snapshot files.
 //!
 //! [`MappedFile`] maps a file read-only with `mmap(2)` and implements
-//! [`ByteOwner`], so a v2 snapshot's hot tables can be served directly out
+//! [`ByteOwner`], so a snapshot's hot tables can be served directly out
 //! of the page cache — the kernel pages data in on first touch and the
 //! process never materializes a second copy. `mmap` returns page-aligned
-//! addresses (≥ 4096), so every 64-byte-aligned v2 section offset is valid
+//! addresses (≥ 4096), so every 64-byte-aligned section offset is valid
 //! for the typed views [`cc_graphs::SharedSlice`] hands out.
 //!
 //! On non-Unix targets — or whenever the map fails — [`read_owner`] falls

@@ -3,8 +3,11 @@
 //! [`open`] is the server's loading path: it maps the file ([`crate::mmap`])
 //! and hands the mapping straight to the zero-copy loader — the oracle's
 //! hot tables alias the page cache and no per-entry decode happens at all.
-//! A file in any format version other than 2 is refused with
-//! [`SnapshotError::UnsupportedVersion`].
+//! What opening still costs is verification: the word-at-a-time frame
+//! checksum over the file and its embedded `CCDO`, one pass over every
+//! route-arena record, and the pair-witness decode. A file in any format
+//! version other than 3 — a retired v2 file included — is refused with
+//! [`SnapshotError::UnsupportedVersion`] before any byte is hashed.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -222,23 +225,46 @@ mod tests {
         let provider = "provider meta\narena tags\narena ops a\narena ops b\narena lens\n\
                         witness tags\nwitness payloads";
         let ccro = format!(
-            "CCRO\n2\nmeta\ndist (embedded CCDO)\norigins\n{provider}\n{provider}\n\
+            "CCRO\n3\nmeta\ndist (embedded CCDO)\norigins\n{provider}\n{provider}\n\
              provider sources\n10\nSymmetricPacked\ntrue"
         );
         let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
         for (file, want) in [
             (
-                "oracle_symmetric_v2.snap",
-                "CCDO\n2\nmeta\nguarantees\nentries\n12\nSymmetricPacked\nfalse",
+                "oracle_symmetric_v3.snap",
+                "CCDO\n3\nmeta\nguarantees\nentries\n12\nSymmetricPacked\nfalse",
             ),
             (
-                "oracle_rowsparse_v2.snap",
-                "CCDO\n2\nmeta\nguarantees\nsources\nentries\n12\nRowSparse\nfalse",
+                "oracle_rowsparse_v3.snap",
+                "CCDO\n3\nmeta\nguarantees\nsources\nentries\n12\nRowSparse\nfalse",
             ),
-            ("paths_v2.snap", ccro.as_str()),
+            ("paths_v3.snap", ccro.as_str()),
         ] {
             let listing = describe(golden.join(file)).unwrap();
             assert_eq!(facts(&listing), want, "{file}:\n{listing}");
         }
+    }
+
+    /// A retired format-2 file is refused as `UnsupportedVersion(2)` and
+    /// renamed aside, like any file that fails validation.
+    #[test]
+    fn retired_v2_golden_is_quarantined_as_unsupported() {
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/retired/oracle_symmetric_v2.snap");
+        let dir = std::env::temp_dir().join(format!("cc_serve_retired_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("oracle.snap");
+        std::fs::copy(&golden, &path).unwrap();
+        match open_quarantining(&path) {
+            Err(OpenError::Quarantined {
+                reason: SnapshotError::UnsupportedVersion(2),
+                quarantined_to,
+            }) => {
+                assert!(quarantined_to.exists());
+                assert!(!path.exists());
+            }
+            other => panic!("a v2 file must be quarantined as unsupported: {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end serving tests over loopback TCP: concurrency bit-identity,
-//! load-shedding, deadlines, graceful drain — all against a v2 snapshot
+//! load-shedding, deadlines, graceful drain — all against a snapshot
 //! opened through the mmap path.
 
 use std::net::TcpStream;
@@ -57,7 +57,7 @@ fn serve_v2(n: usize, routes: bool, config: ServerConfig) -> (server::ServerHand
         "snapshot load diverged from the saved oracle"
     );
     assert_eq!(opened.oracles.paths().is_some(), routes);
-    // On little-endian hosts a mapped v2 file serves its tables zero-copy.
+    // On little-endian hosts a mapped file serves its tables zero-copy.
     if cfg!(target_endian = "little") && opened.mapped {
         assert!(opened.oracles.storage().is_shared());
     }

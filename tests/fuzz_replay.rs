@@ -1,7 +1,7 @@
 //! Replays the frozen fuzz corpus in `tests/fuzz_corpus/`.
 //!
 //! Each case is a deterministic abuse of a golden snapshot (truncation,
-//! magic/version/checksum tampering, v2 directory corruption — see
+//! magic/version/checksum tampering, directory corruption — see
 //! `cc_analyze::fuzz::emit_corpus`), and `MANIFEST.tsv` pins the *exact*
 //! typed error it must produce. A drift in any loader's rejection behavior
 //! — a new panic, a weaker error, or a case that suddenly loads — fails
@@ -84,4 +84,30 @@ fn golden_snapshots_still_load_cleanly() {
         }
     }
     assert_eq!(loaded, 3, "golden corpus drifted: {loaded} loaded");
+}
+
+/// Every single-bit flip of every loadable golden is refused with a typed
+/// error and no panic: the checksum catches any change confined to one
+/// aligned word, and flips of the magic or version are named as such.
+#[test]
+fn every_single_bit_flip_of_a_golden_is_refused() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for name in [
+        "oracle_rowsparse_v3.snap",
+        "oracle_symmetric_v3.snap",
+        "paths_v3.snap",
+    ] {
+        let bytes = std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            let (at, mask) = (bit / 8, 1u8 << (bit % 8));
+            flipped[at] ^= mask;
+            match std::panic::catch_unwind(|| DistOracle::from_snapshot_bytes(&flipped)) {
+                Ok(Err(_)) => {}
+                Ok(Ok(_)) => panic!("{name}: bit {bit} flipped and the file still loaded"),
+                Err(_) => panic!("{name}: bit {bit} flipped panicked the loader"),
+            }
+            flipped[at] ^= mask;
+        }
+    }
 }

@@ -195,8 +195,8 @@ fn concurrent_route_serving_is_bit_identical_to_serial_replay() {
 
 // ── Snapshot format golden files ─────────────────────────────────────────
 //
-// `tests/golden/paths_v2.snap` gates the CCRO wire format the same way the
-// `oracle_*_v2.snap` files gate CCDO: `load` must reproduce the reference
+// `tests/golden/paths_v3.snap` gates the CCRO wire format the same way the
+// `oracle_*_v3.snap` files gate CCDO: `load` must reproduce the reference
 // oracle and `save_v2` must reproduce the file byte-for-byte. The reference is
 // hand-constructed (not pipeline output), so it only changes when the
 // *format* changes — which requires a version bump and fresh goldens
@@ -306,24 +306,43 @@ fn crafted_v255_bytes() -> Vec<u8> {
     bytes
 }
 
-/// The CCRO v2 golden: bit-exact load and byte-exact re-save.
+/// The retired format-2 fixture, kept from before the checksum changed:
+/// its version is refused before the checksum is computed, for both the
+/// file's own `CCDO` magic and a `CCRO` one.
 #[test]
-fn golden_ccro_v2_snapshot_round_trips_bit_identically() {
+fn retired_v2_golden_reports_unsupported_version() {
+    let bytes = std::fs::read(golden_dir().join("retired/oracle_symmetric_v2.snap"))
+        .expect("the retired v2 fixture");
+    let err = DistOracle::from_snapshot_bytes(&bytes).expect_err("v2 must not load");
+    assert!(
+        matches!(err, SnapshotError::UnsupportedVersion(2)),
+        "got {err:?}"
+    );
+    assert_eq!(err.to_string(), "unsupported snapshot version 2");
+    let mut ccro = bytes.clone();
+    ccro[..4].copy_from_slice(b"CCRO");
+    let err = DistOracle::from_snapshot_bytes(&ccro).expect_err("v2 must not load");
+    assert!(matches!(err, SnapshotError::UnsupportedVersion(2)));
+}
+
+/// The CCRO golden: bit-exact load and byte-exact re-save.
+#[test]
+fn golden_ccro_v3_snapshot_round_trips_bit_identically() {
     let reference = reference_path_oracle();
-    let path = golden_dir().join("paths_v2.snap");
+    let path = golden_dir().join("paths_v3.snap");
     let bytes = std::fs::read(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden file {path:?} ({e}); regenerate with \
              `cargo test --test integration_paths -- --ignored`"
         )
     });
-    let loaded = DistOracle::from_snapshot_bytes(&bytes).expect("v2 golden parses");
+    let loaded = DistOracle::from_snapshot_bytes(&bytes).expect("v3 golden parses");
     assert_eq!(loaded, reference, "loaded oracle differs from reference");
     let mut resaved = Vec::new();
     reference.save_v2(&mut resaved).expect("save to memory");
     assert_eq!(
         resaved, bytes,
-        "save_v2() output changed — snapshot format CCRO v2 is frozen; \
+        "save_v2() output changed — snapshot format CCRO v3 is frozen; \
          bump the version instead"
     );
     for u in 0..reference.n() {
@@ -337,7 +356,7 @@ fn golden_ccro_v2_snapshot_round_trips_bit_identically() {
 /// routes, the `CCRO` file with them.
 #[test]
 fn one_loader_reads_both_golden_magics() {
-    for (file, routes) in [("oracle_symmetric_v2.snap", false), ("paths_v2.snap", true)] {
+    for (file, routes) in [("oracle_symmetric_v3.snap", false), ("paths_v3.snap", true)] {
         let bytes = std::fs::read(golden_dir().join(file)).expect("golden file");
         let oracle = DistOracle::from_snapshot_bytes(&bytes).expect("golden loads");
         assert_eq!(oracle.paths().is_some(), routes, "{file}");
@@ -356,8 +375,8 @@ fn regenerate_golden_paths_snapshots() {
     std::fs::create_dir_all(&dir).expect("create tests/golden");
     let reference = reference_path_oracle();
     reference
-        .save_v2_to_path(dir.join("paths_v2.snap"))
-        .expect("write v2 golden");
+        .save_v2_to_path(dir.join("paths_v3.snap"))
+        .expect("write v3 golden");
     std::fs::write(dir.join("oracle_v255.snap"), crafted_v255_bytes()).expect("write golden");
 }
 

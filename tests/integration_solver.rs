@@ -385,13 +385,13 @@ fn recorded_witnesses_are_pinned() {
         (
             "grid 9x11",
             generators::grid(9, 11),
-            0xfcd7_54b7_b6fe_6842,
+            0x06df_f751_b15f_e57f,
             0x75af_f7f5_3519_a501,
         ),
         (
             "hub + gnp(97)",
             hub_gnp(),
-            0xc03c_851c_881c_dbb3,
+            0x1a4d_ef30_d633_04ee,
             0x9639_2820_bf78_b929,
         ),
     ] {

@@ -196,3 +196,29 @@ proptest! {
         }
     }
 }
+
+/// A random byte payload of 1 to 199 bytes: every length mod 8, so the
+/// zero-padded tail is a word too.
+fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec((0u32..256).prop_map(|b| b as u8), 1..200)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The snapshot checksum sees every change confined to one aligned
+    /// 8-byte word (the last one possibly partial): each lane step and
+    /// each fold is a bijection, so no such change can cancel out.
+    #[test]
+    fn snapshot_checksum_sees_any_one_word_change((bytes, pick, value) in (arb_payload(), 0usize..1000, 0u64..u64::MAX)) {
+        use congested_clique::core::snapshot::header::checksum;
+        let at = pick % bytes.len().div_ceil(8) * 8;
+        let end = (at + 8).min(bytes.len());
+        let mut changed = bytes.clone();
+        changed[at..end].copy_from_slice(&value.to_le_bytes()[..end - at]);
+        if changed == bytes {
+            changed[at] ^= 1;
+        }
+        prop_assert!(checksum(&changed) != checksum(&bytes));
+    }
+}
