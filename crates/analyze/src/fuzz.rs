@@ -27,7 +27,7 @@ use std::panic;
 use std::path::Path;
 
 use cc_core::snapshot::header::{checksum, VERSION};
-use cc_core::{DistOracle, SnapshotError};
+use cc_core::{DistOracle, EmitStack, SnapshotError};
 use cc_serve::protocol::{Op, Request, MAX_FRAME};
 
 /// Baseline allocation headroom a single load may use, on top of the
@@ -158,11 +158,15 @@ pub fn run(
         if let Some(p) = probe {
             (p.reset_peak)();
         }
-        match panic::catch_unwind(|| DistOracle::from_snapshot_bytes(&case)) {
+        let loaded = panic::catch_unwind(|| {
+            DistOracle::from_snapshot_bytes(&case).map(|oracle| refused_routes(&oracle))
+        });
+        match loaded {
             Ok(Ok(_)) => summary.clean_loads += 1,
             Ok(Err(e)) => *summary.rejections.entry(error_kind(&e)).or_insert(0) += 1,
             Err(_) => summary.failures.push(format!(
-                "PANIC on load: corpus={name} seed={seed:#x} iter={it} strategy={strategy}"
+                "PANIC on load or route: corpus={name} seed={seed:#x} iter={it} \
+                 strategy={strategy}"
             )),
         }
         if let Some(p) = probe {
@@ -188,7 +192,7 @@ fn mutate(case: &mut Vec<u8>, rng: &mut Xorshift) -> &'static str {
         case.extend((0..16).map(|_| rng.next_u64() as u8));
         return "extend-empty";
     }
-    match rng.below(8) {
+    match rng.below(9) {
         0 => {
             let pos = rng.below(case.len());
             case[pos] ^= 1 << rng.below(8);
@@ -244,7 +248,164 @@ fn mutate(case: &mut Vec<u8>, rng: &mut Xorshift) -> &'static str {
             reseal(case);
             "flip-resealed"
         }
-        _ => unreachable!("below(8)"),
+        8 => {
+            // Tree abuse: one of the tree-row corruption classes, at a
+            // random cell, re-sealed. No-op on inputs without tree rows.
+            let class = TREE_CLASSES[rng.below(TREE_CLASSES.len())];
+            let pick = rng.next_u64() as usize;
+            if tree_abuse(case, class, pick) {
+                reseal(case);
+            }
+            "tree-abuse"
+        }
+        _ => unreachable!("below(9)"),
+    }
+}
+
+/// Loads a snapshot's routes the way a server would serve them: every
+/// ordered pair's route, as a count of the pairs answered `None`. A clean
+/// load of corrupted tree rows must end here with refusals, not a hang.
+fn refused_routes(oracle: &DistOracle) -> usize {
+    let n = oracle.n();
+    let (mut edges, mut stack) = (Vec::new(), EmitStack::default());
+    let mut refused = 0;
+    if oracle.paths().is_some() {
+        for u in 0..n {
+            for v in 0..n {
+                edges.clear();
+                if oracle.dist(u, v).is_some()
+                    && oracle.path_into(u, v, &mut edges, &mut stack).is_none()
+                {
+                    refused += 1;
+                }
+            }
+        }
+    }
+    refused
+}
+
+// The CCRO tree-table layout the tree abuse classes corrupt (table 0;
+// `DESIGN.md` §9.2): a meta section of (row count u64, hop count u64),
+// then the parent words, the hop-table row starts and the hop endpoints.
+const TREE_META: u16 = 4096;
+const TREE_PARENTS: u16 = 4097;
+const TREE_HOP_START: u16 = 4098;
+const TREE_HOP_HI: u16 = 4099;
+/// A parent word's root/unreached value and its emulator-hop flag.
+const NO_PARENT: u32 = u32::MAX;
+const HOP_FLAG: u32 = 1 << 31;
+
+/// The tree-row corruption classes, each a named corpus case.
+const TREE_CLASSES: [&str; 4] = [
+    "tree_parent_oob",
+    "tree_parent_cycle",
+    "tree_hop_without_record",
+    "tree_row_count",
+];
+
+/// The `(offset, length)` of section `id` in a top-level snapshot's
+/// directory, if it has one.
+fn section(case: &[u8], id: u16) -> Option<(usize, usize)> {
+    let word = |at: usize| {
+        case.get(at..at + 8)?
+            .first_chunk::<8>()
+            .map(|b| u64::from_le_bytes(*b))
+    };
+    let dir_off = usize::try_from(word(8)?).ok()?;
+    let count = u32::from_le_bytes(*case.get(dir_off..dir_off + 4)?.first_chunk::<4>()?);
+    (0..count as usize).find_map(|i| {
+        let entry = dir_off + 8 + 24 * i;
+        let got = u16::from_le_bytes(*case.get(entry..entry + 2)?.first_chunk::<2>()?);
+        let off = usize::try_from(word(entry + 8)?).ok()?;
+        let len = usize::try_from(word(entry + 16)?).ok()?;
+        (got == id && off.checked_add(len)? <= case.len()).then_some((off, len))
+    })
+}
+
+/// The little-endian `u32` at `at`.
+fn read_u32(case: &[u8], at: usize) -> u32 {
+    case.get(at..at + 4)
+        .and_then(|s| s.first_chunk::<4>())
+        .map_or(0, |b| u32::from_le_bytes(*b))
+}
+
+/// Applies tree corruption `class` to the first tree table of `case`, at
+/// the cell `pick` selects; returns `false` (leaving `case` as it was) when
+/// the case has no tree rows or no cell fits the class. The classes:
+///
+/// * `tree_parent_oob` — a parent word naming vertex `n`;
+/// * `tree_parent_cycle` — a vertex made the parent of its own parent, so
+///   the two form a cycle that a route through them must refuse;
+/// * `tree_hop_without_record` — the emulator-hop flag on a hop the hop
+///   table has no record for;
+/// * `tree_row_count` — a row count one above the vertex count.
+fn tree_abuse(case: &mut [u8], class: &str, pick: usize) -> bool {
+    let (Some((meta, _)), Some((parents, len))) =
+        (section(case, TREE_META), section(case, TREE_PARENTS))
+    else {
+        return false;
+    };
+    let rows = read_u32(case, meta) as usize;
+    let cells = len / 4;
+    if rows == 0 || rows * rows != cells {
+        return false;
+    }
+    let n = rows;
+    let word = |case: &[u8], cell: usize| read_u32(case, parents + 4 * cell);
+    let put = |case: &mut [u8], cell: usize, w: u32| {
+        case[parents + 4 * cell..parents + 4 * cell + 4].copy_from_slice(&w.to_le_bytes());
+    };
+    // Cells from `pick` on, wrapping, so every class finds a fit if any.
+    let mut cells_from = (0..cells).map(|k| (pick + k) % cells);
+    match class {
+        "tree_parent_oob" => {
+            let cell = pick % cells;
+            put(case, cell, n as u32 | (word(case, cell) & HOP_FLAG));
+            true
+        }
+        "tree_parent_cycle" => {
+            let found = cells_from.find_map(|cell| {
+                let (row, v) = (cell / n, cell % n);
+                let p = (word(case, cell) & !HOP_FLAG) as usize;
+                let up = word(case, row * n + p.min(n - 1));
+                (word(case, cell) != NO_PARENT && p != row && up != NO_PARENT)
+                    .then_some((row, v, p))
+            });
+            let Some((row, v, p)) = found else {
+                return false;
+            };
+            put(case, row * n + p, v as u32);
+            true
+        }
+        "tree_hop_without_record" => {
+            let (Some((start, _)), Some((hi, _))) =
+                (section(case, TREE_HOP_START), section(case, TREE_HOP_HI))
+            else {
+                return false;
+            };
+            let has_record = |case: &[u8], a: usize, b: usize| {
+                let (lo, high) = (a.min(b), a.max(b) as u32);
+                let (s, e) = (
+                    read_u32(case, start + 4 * lo),
+                    read_u32(case, start + 4 * lo + 4),
+                );
+                (s..e).any(|i| read_u32(case, hi + 4 * i as usize) == high)
+            };
+            let found = cells_from.find(|&cell| {
+                let w = word(case, cell);
+                let p = (w & !HOP_FLAG) as usize;
+                w != NO_PARENT && w & HOP_FLAG == 0 && p < n && !has_record(case, p, cell % n)
+            });
+            let Some(cell) = found else {
+                return false;
+            };
+            put(case, cell, word(case, cell) | HOP_FLAG);
+            true
+        }
+        _ => {
+            case[meta..meta + 8].copy_from_slice(&(rows as u64 + 1).to_le_bytes());
+            true
+        }
     }
 }
 
@@ -486,7 +647,13 @@ pub fn emit_corpus(
     for (name, base) in corpus {
         let stem = name.trim_end_matches(".snap");
         for (case, bytes) in abuse_cases(stem, base) {
-            let err = match panic::catch_unwind(|| DistOracle::from_snapshot_bytes(&bytes)) {
+            let loaded = panic::catch_unwind(|| {
+                DistOracle::from_snapshot_bytes(&bytes).map(|oracle| refused_routes(&oracle))
+            });
+            let err = match loaded {
+                // A parent cycle passes every section check; its routes
+                // must be refused instead.
+                Ok(Ok(refused)) if refused > 0 => loaded_outcome(refused),
                 Ok(Ok(_)) => {
                     return Err(io::Error::other(format!(
                         "generator bug: case {case} loaded cleanly"
@@ -529,6 +696,22 @@ pub fn emit_corpus(
         .collect();
     fs::write(out_dir.join("MANIFEST.tsv"), tsv)?;
     Ok(manifest)
+}
+
+/// The pinned outcome of a corpus case that loads but refuses `refused`
+/// routes.
+pub fn loaded_outcome(refused: usize) -> String {
+    format!("loads; {refused} routes refused")
+}
+
+/// Loads `bytes` and serves every route, as the corpus replay does: the
+/// typed error, or [`loaded_outcome`] for a case whose load succeeds.
+///
+/// # Errors
+///
+/// The loader's [`SnapshotError`].
+pub fn load_outcome(bytes: &[u8]) -> Result<String, SnapshotError> {
+    DistOracle::from_snapshot_bytes(bytes).map(|oracle| loaded_outcome(refused_routes(&oracle)))
 }
 
 /// The named deterministic abuse cases derived from one golden snapshot.
@@ -603,8 +786,27 @@ fn abuse_cases(stem: &str, base: &[u8]) -> Vec<(String, Vec<u8>)> {
             }
         }
     }
+    // The first cell, in order, whose corruption the loader or the routes
+    // refuse (a cycle off every witnessed chain refuses nothing).
+    for class in TREE_CLASSES {
+        let refused = (0..TREE_PICKS).find_map(|pick| {
+            let mut tree = base.to_vec();
+            if !tree_abuse(&mut tree, class, pick) {
+                return None;
+            }
+            reseal(&mut tree);
+            let outcome = panic::catch_unwind(|| load_outcome(&tree)).ok()?;
+            (outcome.is_err() || outcome.ok() != Some(loaded_outcome(0))).then_some(tree)
+        });
+        if let Some(tree) = refused {
+            push(class, tree);
+        }
+    }
     out
 }
+
+/// Cells a tree abuse case tries before giving up on its class.
+const TREE_PICKS: usize = 4096;
 
 #[cfg(test)]
 mod tests {
@@ -680,6 +882,30 @@ mod tests {
             let strategy = proto_mutate(&mut burst, &mut rng);
             let r = std::panic::catch_unwind(|| check_frames(&burst));
             assert!(r.is_ok(), "strategy {strategy} panicked check_frames");
+        }
+    }
+
+    /// Every tree-row class has a case on the CCRO golden, refused with a
+    /// typed error, or — the parent cycle, which passes the section
+    /// checks — loaded with some routes refused.
+    #[test]
+    fn tree_abuse_classes_are_refused() {
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/paths_v4.snap");
+        let base = fs::read(golden).expect("the CCRO golden");
+        let cases = abuse_cases("paths", &base);
+        for class in TREE_CLASSES {
+            let (_, bytes) = cases
+                .iter()
+                .find(|(name, _)| name.ends_with(class))
+                .unwrap_or_else(|| panic!("no {class} case"));
+            match panic::catch_unwind(|| load_outcome(bytes)) {
+                Ok(Err(SnapshotError::Corrupt(_))) => assert_ne!(class, "tree_parent_cycle"),
+                Ok(Ok(outcome)) => {
+                    assert_eq!(class, "tree_parent_cycle", "{class} loaded");
+                    assert_ne!(outcome, loaded_outcome(0), "{class}: no route refused");
+                }
+                other => panic!("{class}: {other:?}"),
+            }
         }
     }
 

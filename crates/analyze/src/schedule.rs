@@ -8,7 +8,8 @@
 //! source-sharded hop-limited kernel of `(S,d)`-source detection (plain
 //! and with parents), its certified variant over a hopset-shaped union
 //! (with parents filled on demand), the workspace sweep of bucket-queue
-//! Dijkstras behind the emulator sweep, two recorded hopsets built through
+//! Dijkstras behind the emulator sweep and the recorded emulator sweep's
+//! parent rows and pair witnesses, two recorded hopsets built through
 //! one shared basis cache, the sharded congested-clique engine, and
 //! periodically a loopback `ccd` burst — under a perturbed
 //! schedule: randomized thread counts, worker and batch-size choices
@@ -31,11 +32,11 @@ use cc_clique::cost::CostEntry;
 use cc_clique::engine::{Engine, EngineConfig};
 use cc_clique::programs::AllGather;
 use cc_clique::{NodeId, RoundLedger};
-use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
+use cc_core::{DistOracle, DistanceMatrix, Execution, Guarantee, PointEstimate, SolverBuilder};
 use cc_graphs::dijkstra;
 use cc_graphs::{bfs, Dist, Graph, StorageKind, WeightedGraph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
-use cc_routes::Unroller;
+use cc_routes::{PairWitness, Unroller};
 use cc_serve::{serve, Client, ServerConfig};
 use cc_toolkit::hopset::{self, BasisCache, HopsetParams};
 use cc_toolkit::{KNearest, Strategy};
@@ -69,8 +70,8 @@ pub struct ScheduleSummary {
     /// Iterations completed.
     pub iterations: u64,
     /// Kernel comparisons performed (sparse min-plus, hop-limited
-    /// plain/parents, certified hop-limited, Dijkstra sweep, shared-basis
-    /// hopsets, engine).
+    /// plain/parents, certified hop-limited, Dijkstra sweep, recorded
+    /// emulator sweep, shared-basis hopsets, engine).
     pub comparisons: u64,
     /// Loopback `ccd` bursts performed.
     pub serve_bursts: u64,
@@ -112,6 +113,7 @@ struct Baseline {
     union_base: Graph,
     basis_hopsets: SharedHopsets,
     sweep_trees: Vec<SweptTree>,
+    recorded_sweep: RecordedSweep,
     engine_words: Vec<Vec<u64>>,
     engine_collected: Vec<Vec<u64>>,
     oracle: Arc<DistOracle>,
@@ -163,6 +165,26 @@ fn sweep_trees(g: &WeightedGraph, threads: usize) -> Vec<SweptTree> {
         *tree = (dist.to_vec(), parent.to_vec());
     });
     trees
+}
+
+/// The recorded emulator sweep's parent rows and pair witnesses.
+type RecordedSweep = (Vec<u32>, Vec<PairWitness>);
+
+/// The parent rows and pair witnesses the recorded emulator sweep leaves
+/// on `g` over `threads` workers: the long-range table a deterministic
+/// recording session's additive query returns.
+fn recorded_sweep(g: &Graph, threads: usize) -> Result<RecordedSweep, String> {
+    let mut solver = SolverBuilder::new(g.clone())
+        .eps(0.5)
+        .execution(Execution::Deterministic)
+        .threads(threads)
+        .record_paths(true)
+        .build()
+        .map_err(|e| e.to_string())?;
+    let table = solver.apsp_near_additive().map_err(|e| e.to_string())?;
+    let store = table.paths.ok_or("a recording session returns witnesses")?;
+    let trees = store.trees().ok_or("the recorded sweep keeps its trees")?;
+    Ok((trees.sections().0.to_vec(), store.witnesses().to_vec()))
 }
 
 /// Deterministic sparse kernel input: ~6 entries per row, weights below
@@ -340,6 +362,7 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
     }
     let basis_hopsets = shared_hopsets(&union_base, 1, false);
     let sweep_trees = sweep_trees(&hop_graph, 1);
+    let recorded_sweep = recorded_sweep(&union_base, 1)?;
     let engine_words = engine_words(seed);
     let engine_collected = run_engine(&engine_words, 1)?;
     let (oracle, query_pairs, query_answers) = build_oracle(seed);
@@ -358,6 +381,7 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         union_base,
         basis_hopsets,
         sweep_trees,
+        recorded_sweep,
         engine_words,
         engine_collected,
         oracle,
@@ -582,6 +606,19 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 format!("threads={sweep_threads}: distances or parents differ from serial"),
             );
         }
+        match recorded_sweep(&base.union_base, sweep_threads) {
+            Ok(got) if got == base.recorded_sweep => {}
+            Ok(_) => fail(
+                &mut summary,
+                "recorded-sweep",
+                format!("threads={sweep_threads}: parent rows or witnesses differ from serial"),
+            ),
+            Err(e) => fail(
+                &mut summary,
+                "recorded-sweep",
+                format!("threads={sweep_threads}: {e}"),
+            ),
+        }
         let basis_threads = 1 + rng.below(max_threads);
         if shared_hopsets(&base.union_base, basis_threads, true) != base.basis_hopsets {
             fail(
@@ -593,7 +630,7 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 ),
             );
         }
-        summary.comparisons += 7;
+        summary.comparisons += 8;
 
         if iter % SERVE_EVERY == 0 {
             summary.serve_bursts += 1;
@@ -636,6 +673,7 @@ mod tests {
         assert_eq!(a.union_rows, b.union_rows);
         assert_eq!(a.basis_hopsets, b.basis_hopsets);
         assert_eq!(a.sweep_trees, b.sweep_trees);
+        assert_eq!(a.recorded_sweep, b.recorded_sweep);
         assert_eq!(a.engine_collected, b.engine_collected);
         assert_eq!(a.query_answers, b.query_answers);
     }

@@ -156,10 +156,8 @@ pub(crate) fn run(
             emu,
             &mut mode,
             &mut phase,
+            paths.as_mut().map(PathStore::routes_mut),
         );
-        if let Some(p) = paths.as_mut() {
-            p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
-        }
         substrates.timed("source_detection", || {
             pipeline::detect_pivots(
                 g,
@@ -208,11 +206,9 @@ pub(crate) fn run(
             emu,
             &mut mode,
             &mut phase,
+            paths.as_mut().map(PathStore::routes_mut),
         ))
     };
-    if let (Some(hs), Some(p)) = (&gp_hopset, paths.as_mut()) {
-        p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
-    }
     if let (Some(hs), false) = (&gp_hopset, a_pivots.is_empty()) {
         pipeline::route_through_nearest_pivots(
             substrates,

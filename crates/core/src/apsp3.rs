@@ -19,6 +19,7 @@ use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::params::ParamError;
 use cc_graphs::{Dist, Graph};
+use cc_routes::PathStore;
 use std::sync::Arc;
 
 use crate::error::CcError;
@@ -78,7 +79,7 @@ pub struct Apsp3 {
     pub short_range_guarantee: f64,
     /// Per-pair path witnesses, recorded when the configuration set
     /// `record_paths`. `Arc`-shared so memoized results clone cheaply.
-    pub paths: Option<Arc<cc_routes::PathStore>>,
+    pub paths: Option<Arc<PathStore>>,
 }
 
 impl Apsp3 {
@@ -135,10 +136,8 @@ pub(crate) fn run(
             emu,
             &mut mode,
             &mut phase,
+            paths.as_mut().map(PathStore::routes_mut),
         );
-        if let Some(p) = paths.as_mut() {
-            p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
-        }
         pipeline::route_through_nearest_pivots(
             substrates,
             "announce nearest pivots",

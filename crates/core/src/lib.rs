@@ -73,6 +73,7 @@ pub mod snapshot;
 pub mod solver;
 
 pub use algorithm::{Algorithm, AlgorithmOutput};
+pub use cc_routes::EmitStack;
 pub use error::CcError;
 pub use estimates::DistanceMatrix;
 pub use oracle::{DistOracle, Guarantee, GuaranteeKind, PointEstimate, SnapshotError};

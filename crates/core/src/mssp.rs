@@ -202,10 +202,8 @@ pub(crate) fn run(
         emu_cfg,
         &mut mode,
         &mut phase,
+        paths.as_mut().map(cc_routes::RowStore::routes_mut),
     );
-    if let Some(store) = paths.as_mut() {
-        store.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
-    }
     substrates.timed("source_detection", || {
         let mut sd = SourceDetection::over_hopset(&hs, sources, threads, &mut phase);
         // Lower the estimates first, then set the lowered cells' chains in

@@ -47,6 +47,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use cc_graphs::{ByteOwner, Dist, DistStorage, PodData, StorageKind, INF};
+use cc_routes::EmitStack;
 
 use crate::estimates::DistanceMatrix;
 use crate::path_oracle::{PathProvider, Route, Routes};
@@ -360,9 +361,9 @@ impl DistOracle {
         self.routes.as_ref().map_or(0, Routes::provider_count)
     }
 
-    /// Approximate bytes held by the routes (arena records plus per-pair
-    /// witness tables), 0 without routes; the distance side is
-    /// [`DistOracle::storage_bytes`].
+    /// Approximate bytes held by the routes (arena records, per-pair
+    /// witness tables and tree rows, each shared tree table once), 0
+    /// without routes; the distance side is [`DistOracle::storage_bytes`].
     pub fn witness_bytes(&self) -> usize {
         self.routes.as_ref().map_or(0, Routes::witness_bytes)
     }
@@ -372,8 +373,13 @@ impl DistOracle {
     /// when the oracle has no routes, when out of range, or when no
     /// estimate was frozen for the pair; `Some(empty)` on the diagonal.
     pub fn path(&self, u: usize, v: usize) -> Option<Route> {
+        self.path_with(u, v, &mut EmitStack::default())
+    }
+
+    /// [`DistOracle::path`] over the caller's reusable work `stack`.
+    fn path_with(&self, u: usize, v: usize, stack: &mut EmitStack) -> Option<Route> {
         let mut edges = Vec::new();
-        let (weight, guarantee) = self.path_into(u, v, &mut edges)?;
+        let (weight, guarantee) = self.path_into(u, v, &mut edges, stack)?;
         // In range after path_into (u, v < n ≤ the u32-indexed table size).
         let (src, dst) = (u32::try_from(u).ok()?, u32::try_from(v).ok()?);
         Some(Route {
@@ -386,28 +392,34 @@ impl DistOracle {
     }
 
     /// The allocation-free form of [`DistOracle::path`]: appends the
-    /// route's edges to `out` (per-worker scratch on serving paths) and
-    /// returns its weight and guarantee. On `None` the buffer keeps its
-    /// original contents.
+    /// route's edges to `out` (per-worker scratch on serving paths), using
+    /// the reusable work `stack`, and returns its weight and guarantee. On
+    /// `None` the buffer keeps its original contents.
     pub fn path_into(
         &self,
         u: usize,
         v: usize,
         out: &mut Vec<(u32, u32)>,
+        stack: &mut EmitStack,
     ) -> Option<(Dist, Guarantee)> {
         let routes = self.routes.as_ref()?;
         let est = self.dist(u, v)?;
         if u == v {
             return Some((0, est.guarantee));
         }
-        let count = routes.emit_into(self.n(), u, v, out)?;
+        let count = routes.emit_into(self.n(), u, v, out, stack)?;
         Some((count as Dist, est.guarantee))
     }
 
     /// Answers a batch of route queries in order — exactly equivalent to
-    /// mapping [`DistOracle::path`] over `pairs`.
+    /// mapping [`DistOracle::path`] over `pairs`, with one work stack for
+    /// the whole batch.
     pub fn path_batch(&self, pairs: &[(usize, usize)]) -> Vec<Option<Route>> {
-        pairs.iter().map(|&(u, v)| self.path(u, v)).collect()
+        let mut stack = EmitStack::default();
+        pairs
+            .iter()
+            .map(|&(u, v)| self.path_with(u, v, &mut stack))
+            .collect()
     }
 
     /// The strongest guarantee in the table (diagonal answers use it).
@@ -995,13 +1007,13 @@ mod tests {
         assert_eq!(err.to_string(), "unsupported snapshot version 255");
         // Every other version over an otherwise valid body (checksum
         // recomputed, so only the version differs): same answer. Versions
-        // 1 and 2 are retired formats, 4 the lowest future one.
+        // 1 to 3 are retired formats, 5 the lowest future one.
         let m = sample_matrix(4);
         let o = DistOracle::from_matrix(&m, Guarantee::mult2(0.5), StorageKind::SymmetricPacked);
         let mut body = Vec::new();
         o.save_v2(&mut body).unwrap();
         body.truncate(body.len() - 8);
-        for version in [1u16, 2, 4, 255] {
+        for version in [1u16, 2, 3, 5, 255] {
             let mut buf = body.clone();
             buf[4..6].copy_from_slice(&version.to_le_bytes());
             let sum = checksum(&buf);

@@ -16,8 +16,9 @@
 //! every route.
 //!
 //! An oracle with routes snapshots as `CCRO`: the file embeds the distance
-//! part's `CCDO` snapshot as a section beside the witness arenas and
-//! per-pair witness tables (layout in `DESIGN.md` §9.2).
+//! part's `CCDO` snapshot as a section beside the witness arenas, the
+//! per-pair witness tables and the parent rows of the recorded emulator
+//! trees (layout in `DESIGN.md` §9.2).
 //!
 //! ```
 //! use cc_core::{Execution, SolverBuilder};
@@ -42,7 +43,7 @@
 use std::sync::Arc;
 
 use cc_graphs::{Dist, DistStorage, PodData};
-use cc_routes::{PairWitness, PathStore, RecId, RouteArena, RowStore};
+use cc_routes::{EmitStack, PairWitness, PathStore, RecId, RouteArena, RowStore, TreeRows};
 
 use crate::oracle::{DistOracle, Guarantee, SnapshotError};
 use crate::snapshot::header::Cursor;
@@ -94,7 +95,7 @@ impl PartialEq for PathProvider {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (PathProvider::Pairs(x), PathProvider::Pairs(y)) => {
-                x.arena() == y.arena() && x.witnesses() == y.witnesses()
+                x.arena() == y.arena() && x.witnesses() == y.witnesses() && x.trees() == y.trees()
             }
             (PathProvider::Rows(x), PathProvider::Rows(y)) => {
                 x.arena() == y.arena() && x.sources() == y.sources() && x.recs() == y.recs()
@@ -122,19 +123,66 @@ const RSEC_DIST: u16 = 2;
 const RSEC_ORIGINS: u16 = 3;
 const RSEC_PROVIDER_BASE: u16 = 16;
 const RSEC_PROVIDER_STRIDE: u16 = 8;
+// Tree tables get a block each, above every provider block:
+// `RSEC_TREE_BASE + RSEC_TREE_STRIDE * t + k`.
+const RSEC_TREE_BASE: u16 = 4096;
+const RSEC_TREE_STRIDE: u16 = 8;
+
+/// Provider-meta tree index of a provider without tree rows.
+const NO_TREE: u32 = u32::MAX;
 
 // Format maximum for the provider table, enforced symmetrically by the
 // writer (as `SnapshotError::TooLarge`) and the loader (as `Corrupt`):
 // origins index providers through a u8, so 256 rows is all it can address.
 const MAX_PROVIDERS: usize = 256;
 
-/// First section id of provider `p`'s group, checked instead of narrowing
-/// `p` with `as` (any in-range `p < MAX_PROVIDERS` fits comfortably).
-fn provider_section_base(p: usize) -> Option<u16> {
-    u16::try_from(p)
+/// First section id of group `i` of `stride` ids from `base`, checked
+/// instead of narrowing `i` with `as` (any in-range `i < MAX_PROVIDERS`
+/// fits comfortably).
+fn section_base(base: u16, stride: u16, i: usize) -> Result<u16, SnapshotError> {
+    u16::try_from(i)
         .ok()
-        .and_then(|p| RSEC_PROVIDER_STRIDE.checked_mul(p))
-        .and_then(|off| RSEC_PROVIDER_BASE.checked_add(off))
+        .and_then(|i| stride.checked_mul(i))
+        .and_then(|off| base.checked_add(off))
+        .ok_or_else(|| SnapshotError::corrupt("section id overflow"))
+}
+
+/// Writes one tree table as the group of sections from `base`: `TMETA`
+/// (row count u64, hop count u64), then its four columns.
+fn save_trees(w: &mut SectionWriter, base: u16, trees: &TreeRows) {
+    let (parents, hop_start, hop_hi, hop_rec) = trees.sections();
+    let mut meta = Vec::with_capacity(16);
+    meta.extend_from_slice(&(trees.n() as u64).to_le_bytes());
+    meta.extend_from_slice(&(hop_hi.len() as u64).to_le_bytes());
+    w.section(base, &meta);
+    w.section_u32(base + 1, parents);
+    w.section_u32(base + 2, hop_start);
+    w.section_u32(base + 3, hop_hi);
+    w.section_u32(base + 4, hop_rec);
+}
+
+/// Reads the tree table [`save_trees`] wrote from `base`, validated for
+/// `n` vertices ([`TreeRows::from_sections`]).
+fn load_trees(view: &SnapshotView, base: u16, n: usize) -> Result<TreeRows, SnapshotError> {
+    let mut c = Cursor::new(view.bytes_of(base, "tree meta")?);
+    let rows = u64::from_le_bytes(c.take_n::<8>()?);
+    let hops = usize::try_from(u64::from_le_bytes(c.take_n::<8>()?))
+        .map_err(|_| SnapshotError::corrupt("tree hop count exceeds the address space"))?;
+    if !c.at_end() {
+        return Err(SnapshotError::corrupt("tree meta length mismatch"));
+    }
+    if rows != n as u64 {
+        return Err(SnapshotError::corrupt("tree row count does not match n"));
+    }
+    let cells = n
+        .checked_mul(n)
+        .ok_or_else(|| SnapshotError::corrupt("tree rows too large"))?;
+    // Section length checks bound every count by the bytes present.
+    let parents = view.u32_data(base + 1, cells, "tree parent")?;
+    let hop_start = view.u32_data(base + 2, n + 1, "tree hop start")?;
+    let hop_hi = view.u32_data(base + 3, hops, "tree hop")?;
+    let hop_rec = view.u32_data(base + 4, hops, "tree hop record")?;
+    TreeRows::from_sections(n, parents, hop_start, hop_hi, hop_rec).map_err(SnapshotError::corrupt)
 }
 
 impl Routes {
@@ -151,11 +199,46 @@ impl Routes {
         self.providers.len()
     }
 
-    /// Bytes held by the arenas and witness tables; see
+    /// The distinct tree tables of the pair providers, in first-use order,
+    /// and each provider's index into them.
+    /// Copies of one long-range table share its rows, so they count and
+    /// save once.
+    fn tree_tables(&self) -> (Vec<&Arc<TreeRows>>, Vec<Option<usize>>) {
+        let mut tables: Vec<&Arc<TreeRows>> = Vec::new();
+        let index = self
+            .providers
+            .iter()
+            .map(|p| {
+                let PathProvider::Pairs(store) = p else {
+                    return None;
+                };
+                let trees = store.trees()?;
+                Some(match tables.iter().position(|&t| Arc::ptr_eq(t, trees)) {
+                    Some(t) => t,
+                    None => {
+                        tables.push(trees);
+                        tables.len() - 1
+                    }
+                })
+            })
+            .collect();
+        (tables, index)
+    }
+
+    /// Bytes held by the arenas, witness tables and tree rows; see
     /// [`DistOracle::witness_bytes`].
     pub(crate) fn witness_bytes(&self) -> usize {
         // An arena record is a `u8` tag and three `u32` columns.
         const RECORD: usize = 13;
+        let trees: usize = self
+            .tree_tables()
+            .0
+            .iter()
+            .map(|t| {
+                let (parents, hop_start, hop_hi, hop_rec) = t.sections();
+                4 * (parents.len() + hop_start.len() + hop_hi.len() + hop_rec.len())
+            })
+            .sum();
         self.providers
             .iter()
             .map(|p| match p {
@@ -164,38 +247,42 @@ impl Routes {
             })
             .sum::<usize>()
             + self.origins.len()
+            + trees
     }
 
     /// Appends the route of the off-diagonal pair `(u, v)` of an `n`-vertex
-    /// oracle to `out` and returns its edge count, or `None` when no
-    /// witness serves the pair.
+    /// oracle to `out` over the reusable `stack` and returns its edge count,
+    /// or `None` when no witness serves the pair.
     pub(crate) fn emit_into(
         &self,
         n: usize,
         u: usize,
         v: usize,
         out: &mut Vec<(u32, u32)>,
+        stack: &mut EmitStack,
     ) -> Option<usize> {
         let origin = self.origins[DistStorage::packed_index(n, u, v)];
         match self.providers.get(origin as usize)? {
-            PathProvider::Pairs(s) => s.emit_into(u, v, out),
-            PathProvider::Rows(r) => emit_row_pair_into(r, u, v, out),
+            PathProvider::Pairs(s) => s.emit_into(u, v, out, stack),
+            PathProvider::Rows(r) => emit_row_pair_into(r, u, v, out, stack),
         }
     }
 
     // ── Snapshot format ──────────────────────────────────────────────────
     //
-    // The v2 frame and directory are documented in `crate::snapshot::v2`
+    // The frame and directory are documented in `crate::snapshot::v2`
     // (and DESIGN.md §9). CCRO sections:
     //
-    //   1 META       n u64, origin_count u64, provider_count u64 (24 bytes)
+    //   1 META       n u64, origin_count u64, provider_count u64,
+    //                tree_count u64                               (32 bytes)
     //   2 DIST       a complete embedded CCDO snapshot (64-aligned, so
     //                its inner section offsets stay aligned absolutely)
     //   3 ORIGINS    origin_count × u8                           (hot)
     //
     // then, for provider `p` (0-based), ids `16 + 8p + k`:
     //
-    //   +0 PMETA     kind u8, pad[7], node_count u64, aux u64
+    //   +0 PMETA     kind u8, pad[3], tree u32 (index of the provider's
+    //                tree table, u32::MAX for none), node_count u64, aux u64
     //                (aux = witness count for pairs, source count for rows)
     //   +1 A_TAGS    node_count × u8   arena node tags           (hot)
     //   +2 A_OPA     node_count × u32  arena first operands      (hot)
@@ -205,22 +292,31 @@ impl Routes {
     //                rows: W = source_count·n)
     //   +6 W_PAYLOAD W × u32  witness payloads
     //   +7 SOURCES   [rows only] source_count × u32
+    //
+    // and, for tree table `t` (0-based), ids `4096 + 8t + k`:
+    //
+    //   +0 TMETA     row_count u64 (= n), hop_count u64
+    //   +1 PARENTS   n·n × u32  parent words, row-major          (hot)
+    //   +2 HOP_START (n + 1) × u32  hop-table row offsets        (hot)
+    //   +3 HOP_HI    hop_count × u32  hop higher endpoints       (hot)
+    //   +4 HOP_REC   hop_count × u32  hop records                (hot)
 
     /// The `CCRO` snapshot of an `n`-vertex oracle whose distance part
     /// serializes to the `CCDO` bytes `dist`.
     pub(crate) fn to_v2_bytes(&self, n: usize, dist: &[u8]) -> Result<Vec<u8>, SnapshotError> {
         SnapshotError::check_count("provider count", self.providers.len(), MAX_PROVIDERS)?;
+        let (tables, tree_index) = self.tree_tables();
         let mut w = SectionWriter::new(b"CCRO");
-        let mut meta = Vec::with_capacity(24);
+        let mut meta = Vec::with_capacity(32);
         meta.extend_from_slice(&(n as u64).to_le_bytes());
         meta.extend_from_slice(&(self.origins.len() as u64).to_le_bytes());
         meta.extend_from_slice(&(self.providers.len() as u64).to_le_bytes());
+        meta.extend_from_slice(&(tables.len() as u64).to_le_bytes());
         w.section(RSEC_META, &meta);
         w.section(RSEC_DIST, dist);
         w.section(RSEC_ORIGINS, &self.origins);
         for (p, provider) in self.providers.iter().enumerate() {
-            let base = provider_section_base(p)
-                .ok_or_else(|| SnapshotError::corrupt("provider section id overflow"))?;
+            let base = section_base(RSEC_PROVIDER_BASE, RSEC_PROVIDER_STRIDE, p)?;
             let arena = match provider {
                 PathProvider::Pairs(s) => s.arena(),
                 PathProvider::Rows(r) => r.arena(),
@@ -237,7 +333,13 @@ impl Routes {
                     r.sources().len() as u64
                 }
             };
-            pmeta.extend_from_slice(&[0u8; 7]);
+            pmeta.extend_from_slice(&[0u8; 3]);
+            let tree = match tree_index[p] {
+                None => NO_TREE,
+                Some(t) => u32::try_from(t)
+                    .map_err(|_| SnapshotError::corrupt("tree table index overflow"))?,
+            };
+            pmeta.extend_from_slice(&tree.to_le_bytes());
             pmeta.extend_from_slice(&(arena.len() as u64).to_le_bytes());
             pmeta.extend_from_slice(&aux.to_le_bytes());
             w.section(base, &pmeta);
@@ -254,6 +356,7 @@ impl Routes {
                         PairWitness::Rec { rec, rev: false } => (1, rec.index()),
                         PairWitness::Rec { rec, rev: true } => (2, rec.index()),
                         PairWitness::Via(via) => (3, via),
+                        PairWitness::Tree => (4, 0),
                     })
                     .unzip(),
                 PathProvider::Rows(r) => r
@@ -271,6 +374,13 @@ impl Routes {
                 w.section_u32(base + 7, r.sources());
             }
         }
+        for (t, trees) in tables.iter().enumerate() {
+            save_trees(
+                &mut w,
+                section_base(RSEC_TREE_BASE, RSEC_TREE_STRIDE, t)?,
+                trees,
+            );
+        }
         w.finish()
     }
 
@@ -285,6 +395,7 @@ impl Routes {
             .map_err(|_| SnapshotError::corrupt("origin count exceeds the address space"))?;
         let provider_count = usize::try_from(u64::from_le_bytes(c.take_n::<8>()?))
             .map_err(|_| SnapshotError::corrupt("provider count exceeds the address space"))?;
+        let tree_count = u64::from_le_bytes(c.take_n::<8>()?);
         if !c.at_end() {
             return Err(SnapshotError::corrupt("CCRO meta section length mismatch"));
         }
@@ -295,8 +406,11 @@ impl Routes {
         if expected_origins != Some(origin_count) {
             return Err(SnapshotError::corrupt("origin count does not match n"));
         }
-        if provider_count == 0 || provider_count > 256 {
+        if provider_count == 0 || provider_count > MAX_PROVIDERS {
             return Err(SnapshotError::corrupt("provider count out of range"));
+        }
+        if tree_count > provider_count as u64 {
+            return Err(SnapshotError::corrupt("tree table count out of range"));
         }
         let mut oracle =
             DistOracle::load_ccdo(&view.sub_view(RSEC_DIST, b"CCDO", "embedded CCDO")?)?;
@@ -307,14 +421,20 @@ impl Routes {
         if origins.iter().any(|&o| o as usize >= provider_count) {
             return Err(SnapshotError::corrupt("origin beyond provider table"));
         }
+        let tables = (0..tree_count as usize)
+            .map(|t| {
+                let base = section_base(RSEC_TREE_BASE, RSEC_TREE_STRIDE, t)?;
+                load_trees(view, base, n).map(Arc::new)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let mut providers = Vec::with_capacity(provider_count);
         for p in 0..provider_count {
-            let base = provider_section_base(p)
-                .ok_or_else(|| SnapshotError::corrupt("provider section id overflow"))?;
+            let base = section_base(RSEC_PROVIDER_BASE, RSEC_PROVIDER_STRIDE, p)?;
             let pmeta = view.bytes_of(base, "provider meta")?;
             let mut pc = Cursor::new(pmeta);
             let kind = pc.take_n::<1>()?[0];
-            let _ = pc.take(7)?; // padding
+            let _ = pc.take(3)?; // padding
+            let tree = u32::from_le_bytes(pc.take_n::<4>()?);
             let node_count = usize::try_from(u64::from_le_bytes(pc.take_n::<8>()?))
                 .map_err(|_| SnapshotError::corrupt("node count exceeds the address space"))?;
             let aux = usize::try_from(u64::from_le_bytes(pc.take_n::<8>()?))
@@ -331,6 +451,19 @@ impl Routes {
             let arena = RouteArena::from_sections(a_tags, a_opa, a_opb, a_lens, n)
                 .ok_or_else(|| SnapshotError::corrupt("invalid witness arena node"))?;
             let records = arena.len();
+            let trees = if tree == NO_TREE {
+                None
+            } else if kind != 0 {
+                return Err(SnapshotError::corrupt("row provider with tree rows"));
+            } else {
+                let trees = tables
+                    .get(tree as usize)
+                    .ok_or_else(|| SnapshotError::corrupt("tree table index out of range"))?;
+                if !trees.hop_records_below(records) {
+                    return Err(SnapshotError::corrupt("tree hop record out of range"));
+                }
+                Some(Arc::clone(trees))
+            };
             match kind {
                 0 => {
                     if aux != origin_count {
@@ -359,12 +492,20 @@ impl Routes {
                                 }
                                 PairWitness::Via(payload)
                             }
+                            4 => {
+                                // A tree witness names no record: the
+                                // provider's tree rows serve it.
+                                if trees.is_none() || payload != 0 {
+                                    return Err(SnapshotError::corrupt("invalid tree witness"));
+                                }
+                                PairWitness::Tree
+                            }
                             _ => return Err(SnapshotError::corrupt("unknown witness tag")),
                         };
                         entries.push(entry);
                     }
                     providers.push(PathProvider::Pairs(Arc::new(PathStore::from_parts(
-                        n, arena, entries,
+                        n, arena, entries, trees,
                     ))));
                 }
                 1 => {
@@ -418,6 +559,7 @@ fn emit_row_pair_into(
     u: usize,
     v: usize,
     out: &mut Vec<(u32, u32)>,
+    stack: &mut EmitStack,
 ) -> Option<usize> {
     let n = r.n();
     let mut best: Option<(u32, usize, bool)> = None; // (walk len, row, reversed)
@@ -436,7 +578,7 @@ fn emit_row_pair_into(
     }
     let (_, i, reversed) = best?;
     let start = out.len();
-    let count = r.emit_into(i, if reversed { u } else { v }, out)?;
+    let count = r.emit_into(i, if reversed { u } else { v }, out, stack)?;
     if reversed {
         out[start..].reverse();
         for e in &mut out[start..] {
@@ -518,7 +660,8 @@ mod tests {
         let mut edges = vec![(7, 7)];
         for (u, v) in [(0, 3), (2, 2), (0, 9)] {
             assert_eq!(o.path(u, v), None, "({u},{v})");
-            assert_eq!(o.path_into(u, v, &mut edges), None, "({u},{v})");
+            let stack = &mut EmitStack::default();
+            assert_eq!(o.path_into(u, v, &mut edges, stack), None, "({u},{v})");
         }
         assert_eq!(edges, vec![(7, 7)], "buffer untouched");
         assert_eq!(o.dist(0, 3), tiny_oracle().dist(0, 3));
@@ -545,6 +688,44 @@ mod tests {
             o.witness_bytes(),
             arena.iter().sum::<usize>() + store.witnesses().len() * 5 + routes.origins.len()
         );
+    }
+
+    /// Two copies of one tree-witnessed store, as apsp2 and the additive
+    /// query hold the long-range store: the tree rows count and save once,
+    /// and the loaded providers share one table again.
+    #[test]
+    fn shared_tree_rows_count_and_save_once() {
+        let g = path_graph(4);
+        let mut store = PathStore::new(4);
+        store.set_edge(0, 1);
+        let unit = cc_graphs::WeightedGraph::from_unweighted(&g);
+        let mut parents = vec![0u32; 16];
+        for (s, row) in parents.chunks_mut(4).enumerate() {
+            TreeRows::write_row(row, &cc_graphs::dijkstra::sssp_with_parents(&unit, s).1, &g);
+        }
+        store.set_trees(Arc::new(TreeRows::new(4, parents, Vec::new())));
+        let mut origins = vec![0u8; 10];
+        origins[DistStorage::packed_index(4, 1, 3)] = 1;
+        let o = line_distances().with_routes(
+            origins,
+            vec![
+                PathProvider::Pairs(Arc::new(store.clone())),
+                PathProvider::Pairs(Arc::new(store.clone())),
+            ],
+        );
+        let rows = 4 * (16 + 5);
+        let one = store.arena().len() * 13 + store.witnesses().len() * 5;
+        assert_eq!(o.witness_bytes(), 2 * one + 10 + rows);
+        assert_eq!(o.path(3, 0).unwrap().edges, vec![(3, 2), (2, 1), (1, 0)]);
+
+        let mut buf = Vec::new();
+        o.save_v2(&mut buf).unwrap();
+        let back = DistOracle::from_snapshot_bytes(&buf).unwrap();
+        assert_eq!(back, o);
+        assert_eq!(back.witness_bytes(), o.witness_bytes(), "one table loaded");
+        for (u, v) in [(0, 3), (3, 1), (2, 0)] {
+            assert_eq!(back.path(u, v), o.path(u, v), "({u},{v})");
+        }
     }
 
     #[test]

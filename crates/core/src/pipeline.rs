@@ -15,7 +15,9 @@ use cc_emulator::{deterministic, whp, Emulator, EmulatorParams};
 use cc_graphs::dijkstra::{self, DialWorkspace};
 use cc_graphs::{Dist, Graph, WeightedGraph, INF};
 use cc_obs::StageTimes;
-use cc_routes::{BatchRef, PathStore, RecId, RecordBatch, RouteArena, RowStore, Unroller};
+use cc_routes::{
+    BatchRef, PathStore, RecId, RecordBatch, RouteArena, RowStore, TreeRows, Unroller,
+};
 use cc_toolkit::hopset::{self, BasisCache, BoundedHopset, HopsetParams};
 use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::source_detection::SourceDetection;
@@ -147,7 +149,10 @@ impl Substrates {
     /// without copying its union or routes. The profile, `threads` and
     /// path recording come from the session's emulator configuration
     /// `cfg`; `threads` is purely wall-clock (the construction is
-    /// bit-identical at any thread count).
+    /// bit-identical at any thread count). When the caller records, the
+    /// hopset's routes are absorbed into its witness store's provenance
+    /// `absorb_into`, so walks over the hopset's union resolve there.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn hopset_for(
         &mut self,
         on: HopsetGraph,
@@ -156,6 +161,7 @@ impl Substrates {
         cfg: &CliqueEmulatorConfig,
         mode: &mut Mode<'_>,
         ledger: &mut RoundLedger,
+        absorb_into: Option<&mut Unroller>,
     ) -> Arc<BoundedHopset> {
         let (stages, basis) = (&self.stages, &mut self.basis);
         let hopset = self
@@ -181,6 +187,9 @@ impl Substrates {
                 }
                 Arc::new(built)
             });
+        if let Some(routes) = absorb_into {
+            routes.absorb(hopset.routes.as_ref().expect("hopset built with paths"));
+        }
         Arc::clone(hopset)
     }
 
@@ -257,7 +266,7 @@ fn sweep_emulator(
     (Arc::new(delta), paths.map(Arc::new))
 }
 
-/// Sources per chunk of the recording sweeps: the interned trees of one
+/// Sources per chunk of MSSP's recording sweep: the interned trees of one
 /// chunk are held until they are appended to the arena.
 const TREE_CHUNK: usize = 64;
 
@@ -274,16 +283,15 @@ fn lower_row(row: &mut [Dist], dists: &[Dist], neighbors: &[u32]) {
 }
 
 /// The recording sweep. Every `G` edge is set first: adjacency lowers its
-/// pair to 1, and no emulator distance is smaller. Then, per chunk of
-/// [`TREE_CHUNK`] sources, the emulator Dijkstra trees are computed and
-/// interned into record batches in parallel ([`intern_trees`]) and
-/// appended to the arena in source order — so every record id matches a
-/// serial run. Tree `src` sets `(src, v)` for every `v > src` that is not a
-/// `G` neighbour, and its distances lower the source's `delta` row.
-/// Emulator distances are symmetric, so for `v < src` the tree of `v` has
-/// already set the pair at the same value: the first tree to reach a pair
-/// is the one that lowers it (DESIGN.md §7.4). A tree interns only the
-/// records those witnesses reach.
+/// pair to 1, and no emulator distance is smaller. Then one sharded sweep
+/// runs the emulator Dijkstra from every source, lowering the source's
+/// `delta` row and writing its parent row in place ([`TreeRows::write_row`]),
+/// and every other pair `(u, v)`, `u < v`, that the tree of `u` reaches is
+/// set to that tree's path. Emulator distances are symmetric, so for the
+/// pair's other endpoint the tree of `v` would lower it to the same value:
+/// the tree of the lower endpoint is the first to reach a pair, and it is
+/// the one that lowers it (DESIGN.md §7.4). A hop that is not a `G` edge
+/// is an emulator edge, and emits the emulator route absorbed for it.
 fn record_emulator_pairs(
     g: &Graph,
     emu: &Emulator,
@@ -299,21 +307,34 @@ fn record_emulator_pairs(
         store.set_edge(u, v);
     }
     store.absorb_routes(routes);
-    let max_weight = emu.graph.max_weight();
-    let sources: Vec<usize> = (0..g.n()).collect();
-    let sets = |src: usize, v: usize| v > src && !g.has_edge(src, v);
-    for chunk in sources.chunks(TREE_CHUNK) {
-        let trees = intern_trees(g, emu, store.routes(), chunk, max_weight, threads, sets);
-        for (&src, tree) in chunk.iter().zip(trees) {
-            for (v, rec) in tree.append_to(store.routes_mut().arena_mut()) {
-                if sets(src, v) {
-                    store.set_rec(src, v, rec);
-                }
-            }
-            let row = delta.rows_mut().nth(src).expect("src < n");
-            lower_row(row, &tree.dists, g.neighbors(src));
-        }
-    }
+    let hops: Vec<(u32, u32, RecId)> = emu
+        .graph
+        .edges()
+        .filter(|&(a, b, _)| !g.has_edge(a, b))
+        .map(|(a, b, _)| {
+            let (lo, hi) = (a.min(b), a.max(b));
+            let (_, rec, _) = store
+                .routes()
+                .rec_between(lo, hi)
+                .expect("emulator edge has provenance");
+            (lo as u32, hi as u32, rec)
+        })
+        .collect();
+    let n = g.n();
+    let mut parents = vec![0u32; n * n];
+    let mut rows: Vec<(&mut [Dist], &mut [u32])> =
+        delta.rows_mut().zip(parents.chunks_mut(n.max(1))).collect();
+    dijkstra::sweep(
+        &mut rows,
+        emu.graph.max_weight(),
+        threads,
+        |ws, u, (row, tree)| {
+            let (dists, parents) = ws.sssp_with_parents(&emu.graph, u);
+            lower_row(row, dists, g.neighbors(u));
+            TreeRows::write_row(tree, parents, g);
+        },
+    );
+    store.set_trees(Arc::new(TreeRows::new(n, parents, hops)));
 }
 
 /// MSSP's emulator rows: `sssp(emu, s)` per source, swept over `threads`
@@ -328,9 +349,11 @@ pub(crate) fn emulator_rows(emu: &Emulator, sources: &[usize], threads: usize) -
 }
 
 /// The MSSP counterpart of `record_emulator_pairs`: sets every finite cell
-/// of a fresh [`RowStore`] to its emulator tree path and returns the
-/// distance rows the estimates start from (the same values as
-/// [`emulator_rows`]).
+/// of a fresh [`RowStore`] to its emulator tree path, interned as arena
+/// records ([`intern_tree`]), and returns the distance rows the estimates
+/// start from (the same values as [`emulator_rows`]). The row store keeps
+/// records, not parent rows: it has `O(√n)` sources, and its shortest-walk
+/// rule reads record lengths.
 pub(crate) fn record_emulator_rows(
     g: &Graph,
     emu: &Emulator,
@@ -346,9 +369,7 @@ pub(crate) fn record_emulator_rows(
     let max_weight = emu.graph.max_weight();
     let mut out = Vec::with_capacity(sources.len());
     for (c, chunk) in sources.chunks(TREE_CHUNK).enumerate() {
-        let trees = intern_trees(g, emu, rows.routes(), chunk, max_weight, threads, |_, _| {
-            true
-        });
+        let trees = intern_trees(g, emu, rows.routes(), chunk, max_weight, threads);
         for (i, tree) in (c * TREE_CHUNK..).zip(trees) {
             for (v, rec) in tree.append_to(rows.routes_mut().arena_mut()) {
                 rows.set_rec(i, v, rec);
@@ -361,8 +382,7 @@ pub(crate) fn record_emulator_rows(
 
 /// One source's emulator Dijkstra tree, interned away from the arena: its
 /// distances and, per vertex, the record of its tree path as a handle into
-/// `batch` (`None` for the root, unreachable vertices and vertices no
-/// witness reaches).
+/// `batch` (`None` for the root and unreachable vertices).
 #[derive(Default)]
 struct InternedTree {
     dists: Vec<Dist>,
@@ -387,8 +407,7 @@ impl InternedTree {
 
 /// The emulator trees from `sources`, computed and interned by `threads`
 /// workers against the read-only `routes`, in source order. `max_weight`
-/// is the emulator's, computed once per sweep; `wanted(src, v)` names the
-/// vertices whose record the caller sets ([`intern_tree`]).
+/// is the emulator's, computed once per sweep.
 fn intern_trees(
     g: &Graph,
     emu: &Emulator,
@@ -396,34 +415,27 @@ fn intern_trees(
     sources: &[usize],
     max_weight: Dist,
     threads: usize,
-    wanted: impl Fn(usize, usize) -> bool + Sync,
 ) -> Vec<InternedTree> {
     let mut trees: Vec<InternedTree> = std::iter::repeat_with(InternedTree::default)
         .take(sources.len())
         .collect();
     dijkstra::sweep(&mut trees, max_weight, threads, |ws, i, tree| {
-        let src = sources[i];
-        *tree = intern_tree(g, emu, routes, ws, src, |v| wanted(src, v));
+        *tree = intern_tree(g, emu, routes, ws, sources[i]);
     });
     trees
 }
 
-/// Interns, for every `wanted` vertex of the emulator Dijkstra tree from
-/// `src` and every tree ancestor of one, the `G`-walk realizing its tree
-/// path: emulator-edge hops resolve through the absorbed routes, and
-/// direct `G` edges are preferred. Vertices go in `(distance, id)` order,
-/// so every parent's record exists before its children extend it, and one
-/// reverse pass over that order closes the wanted set under parents. The
-/// batch holds exactly the records a direct interning of those vertices
-/// would push, in the same order: a whole tree's records minus those no
-/// wanted vertex reaches (DESIGN.md §7.4).
+/// Interns, for every vertex the emulator Dijkstra tree from `src`
+/// reaches, the `G`-walk realizing its tree path: emulator-edge hops
+/// resolve through the absorbed routes, and direct `G` edges are
+/// preferred. Vertices go in `(distance, id)` order, so every parent's
+/// record exists before its children extend it (DESIGN.md §7.4).
 fn intern_tree(
     g: &Graph,
     emu: &Emulator,
     routes: &Unroller,
     ws: &mut DialWorkspace,
     src: usize,
-    wanted: impl Fn(usize) -> bool,
 ) -> InternedTree {
     let (dists, parents) = ws.sssp_with_parents(&emu.graph, src);
     let dists = dists.to_vec();
@@ -434,26 +446,13 @@ fn intern_tree(
         .map(|v| u64::from(dists[v]) << 32 | v as u64)
         .collect();
     order.sort_unstable();
-    let parent = |v: usize| parents[v].expect("finite non-root has a parent") as usize;
-    let mut marked: Vec<bool> = (0..n).map(&wanted).collect();
-    let mut kept = 0;
-    for &key in order.iter().rev() {
-        let v = key as u32 as usize;
-        if marked[v] {
-            marked[parent(v)] = true;
-            kept += 1;
-        }
-    }
     // At most an edge or a reversal plus a concatenation per vertex.
-    let mut batch = RecordBatch::with_capacity(2 * kept);
+    let mut batch = RecordBatch::with_capacity(2 * order.len());
     let mut recs: Vec<Option<BatchRef>> = vec![None; n];
     for key in order {
         let v32 = key as u32;
         let v = v32 as usize;
-        if !marked[v] {
-            continue;
-        }
-        let p = parent(v);
+        let p = parents[v].expect("finite non-root has a parent") as usize;
         let hop = if g.has_edge(p, v) {
             batch.edge(p as u32, v32)
         } else {
@@ -855,7 +854,7 @@ mod tests {
         let (delta, store) = subs.long_range(g, &cfg, &mut mode, &mut ledger);
         let t = threshold(n, 0.5, ParamProfile::Scaled).unwrap();
         let on = HopsetGraph::Input;
-        let hs = subs.hopset_for(on, g, (2 * t, 0.25), &cfg, &mut mode, &mut ledger);
+        let hs = subs.hopset_for(on, g, (2 * t, 0.25), &cfg, &mut mode, &mut ledger, None);
         let store = store.expect("recording session");
         (hs, Arc::unwrap_or_clone(delta), Arc::unwrap_or_clone(store))
     }
@@ -986,23 +985,26 @@ mod tests {
         (first.map_or(0, |_| 1 + lost.count()), first)
     }
 
-    /// Every record the recording sweeps append is reachable from a
-    /// witness: the pair sweep interns only the tree records of the pairs
-    /// it sets and their ancestors, and the MSSP rows set every tree
-    /// record. The absorbed emulator routes are the one exception. The
-    /// hub + gnp(97) emulator has hops that resolve through absorbed,
+    /// The recording sweeps' witnesses are served by what they name. Every
+    /// tree witness of the pair sweep names the row of its lower endpoint,
+    /// and that row's parent chain reaches the other endpoint: the pair's
+    /// route is a `G`-walk between them, no heavier than its estimate, and
+    /// the reverse route is the same walk backwards. Every record the MSSP
+    /// row sweep appends is reachable from a cell (the absorbed emulator
+    /// routes are the one exception). The hub + gnp(97) emulator has edges
+    /// outside `G`, so its trees cross hops that expand through absorbed,
     /// sometimes reversed, routes.
     #[test]
-    fn sweep_records_are_reachable_from_witnesses() {
+    fn sweep_witnesses_are_served_by_their_trees() {
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         let mut hub: Vec<(usize, usize)> = generators::connected_gnp(97, 0.06, &mut rng)
             .edges()
             .collect();
         hub.extend((2..97).step_by(2).map(|v| (0, v)));
-        for (name, g) in [
-            ("grid 9x11", generators::grid(9, 11)),
-            ("caveman", generators::caveman(6, 6)),
-            ("hub + gnp(97)", Graph::from_edges(97, &hub)),
+        for (name, g, emulator_hops) in [
+            ("grid 9x11", generators::grid(9, 11), false),
+            ("caveman", generators::caveman(6, 6), false),
+            ("hub + gnp(97)", Graph::from_edges(97, &hub), true),
         ] {
             let n = g.n();
             for threads in 1..=3 {
@@ -1016,15 +1018,35 @@ mod tests {
                 let emu = subs.emulator_for(&g, &cfg, &mut Mode::Det, &mut ledger);
                 let absorbed = emu.routes.as_ref().expect("recording").arena().len();
 
-                let (_, store) = sweep_emulator(&g, &emu, &cfg, subs);
+                let (delta, store) = sweep_emulator(&g, &emu, &cfg, subs);
                 let store = store.expect("recording sweep");
-                let witnessed = store.witnesses().iter().filter_map(|w| match *w {
-                    cc_routes::PairWitness::Rec { rec, .. } => Some(rec),
-                    _ => None,
-                });
-                let lost = unreached(store.arena(), witnessed, (g.m(), absorbed));
-                assert!(store.arena().len() > g.m() + absorbed, "{at}: no tree");
-                assert_eq!(lost, (0, None), "{at}: pair sweep (unreached, first)");
+                let trees = store.trees().expect("the pair sweep keeps its trees");
+                let (_, _, hops, _) = trees.sections();
+                assert_eq!(!hops.is_empty(), emulator_hops, "{at}: emulator hops");
+                let (mut idx, mut tree_pairs) = (0, 0);
+                for u in 0..n {
+                    for v in u..n {
+                        let witness = store.witnesses()[idx];
+                        idx += 1;
+                        if witness != cc_routes::PairWitness::Tree {
+                            continue;
+                        }
+                        tree_pairs += 1;
+                        let walk = store.emit(u, v).expect("the row of u reaches v");
+                        assert!(v > u && !g.has_edge(u, v), "{at}: ({u},{v})");
+                        assert!(walk.len() as Dist <= delta.get(u, v), "{at}: ({u},{v})");
+                        assert_eq!(walk[0].0 as usize, u, "{at}: ({u},{v}) start");
+                        assert_eq!(walk[walk.len() - 1].1 as usize, v, "{at}: ({u},{v}) end");
+                        for (i, &(x, y)) in walk.iter().enumerate() {
+                            assert!(g.has_edge(x as usize, y as usize), "{at}: ({x},{y})");
+                            assert!(i == 0 || walk[i - 1].1 == x, "{at}: ({u},{v}) chain");
+                        }
+                        let back: Vec<(u32, u32)> =
+                            walk.iter().rev().map(|&(x, y)| (y, x)).collect();
+                        assert_eq!(store.emit(v, u), Some(back), "{at}: ({v},{u})");
+                    }
+                }
+                assert!(tree_pairs > n, "{at}: {tree_pairs} tree witnesses");
 
                 let sources: Vec<usize> = (0..n).step_by(5).collect();
                 let mut rows = RowStore::new(n, &sources);
@@ -1070,7 +1092,7 @@ mod tests {
         let mut ledger = RoundLedger::new(g.n());
         let mut det = Mode::Det;
         let mut hopset = |on, request, ledger: &mut RoundLedger| {
-            subs.hopset_for(on, &g, request, &cfg, &mut det, ledger);
+            subs.hopset_for(on, &g, request, &cfg, &mut det, ledger, None);
             ledger.total_rounds()
         };
         let first = hopset(HopsetGraph::Input, (8, 0.5), &mut ledger);
@@ -1105,7 +1127,8 @@ mod tests {
             let mut ledger = RoundLedger::new(g.n());
             let mut det = Mode::Det;
             let mut hopset = |request| {
-                subs.hopset_for(HopsetGraph::Input, &g, request, &cfg, &mut det, &mut ledger)
+                let on = HopsetGraph::Input;
+                subs.hopset_for(on, &g, request, &cfg, &mut det, &mut ledger, None)
             };
             let first = hopset((8, 0.5));
             // A second, different-threshold entry so the map holds several

@@ -1,7 +1,7 @@
 //! The snapshot frame: magic, version, trailing checksum, typed errors.
 //!
 //! Every snapshot this workspace writes — `CCDO` and `CCRO`, both at
-//! format version 3 — shares one frame shape:
+//! format version 4 — shares one frame shape:
 //!
 //! ```text
 //!   magic     4 bytes   (b"CCDO" or b"CCRO")
@@ -12,14 +12,14 @@
 //!
 //! `checked_frame` validates that frame in the only safe order: magic
 //! first, then version, then the checksum. A snapshot written in any other
-//! format version — the retired v1 and v2 or a future one (whose trailing
+//! format version — the retired v1, v2 and v3 or a future one (whose trailing
 //! bytes this build cannot even locate) — reports
 //! [`SnapshotError::UnsupportedVersion`] before any byte is hashed, never a
 //! misleading checksum mismatch. The CCDO and CCRO readers and the section
 //! writer go through this one implementation.
 
 /// The snapshot format version this build reads and writes.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Validates a snapshot frame — magic, then version against [`VERSION`],
 /// then the trailing [`checksum`] — and returns the checksummed payload
@@ -58,13 +58,17 @@ pub(crate) fn checked_frame<'a>(buf: &'a [u8], magic: &[u8; 4]) -> Result<&'a [u
     Ok(payload)
 }
 
-/// Initial states of the four checksum lanes: distinct, so equal words
+/// Initial states of the eight checksum lanes: distinct, so equal words
 /// at the same step of different lanes leave different states.
-const LANE_SEEDS: [u64; 4] = [
+const LANE_SEEDS: [u64; 8] = [
     0x9e37_79b9_7f4a_7c15,
     0xc2b2_ae3d_27d4_eb4f,
     0x1656_67b1_9e37_79f9,
     0x27d4_eb2f_1656_67c5,
+    0x85eb_ca77_c2b2_ae63,
+    0x9e37_79b1_85eb_ca87,
+    0xff51_afd7_ed55_8ccd,
+    0xc4ce_b9fe_1a85_ec53,
 ];
 
 /// The odd multiplier of a lane step.
@@ -88,10 +92,10 @@ fn fold(x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
-/// The snapshot checksum: a word-at-a-time, four-lane sum over `bytes`.
+/// The snapshot checksum: a word-at-a-time, eight-lane sum over `bytes`.
 ///
-/// Little-endian `u64` word `k` (bytes `8k..8k+8`) goes to lane `k % 4`,
-/// so the four lanes run as independent dependency chains and the loop
+/// Little-endian `u64` word `k` (bytes `8k..8k+8`) goes to lane `k % 8`,
+/// so the eight lanes run as independent dependency chains and the loop
 /// moves at memory speed. The lanes, then the zero-padded byte tail (the
 /// last `len % 8` bytes), then the total length are folded into one word
 /// with MurmurHash3's bijective `fmix64` finalizer.
@@ -108,7 +112,7 @@ fn fold(x: u64) -> u64 {
 /// fuzzer, reseal with it too, so they follow any change of the checksum.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut lanes = LANE_SEEDS;
-    let (blocks, rest) = bytes.as_chunks::<32>();
+    let (blocks, rest) = bytes.as_chunks::<64>();
     for block in blocks {
         let (words, _) = block.as_chunks::<8>();
         for (lane, word) in lanes.iter_mut().zip(words) {
@@ -275,7 +279,7 @@ mod tests {
         frame
     }
 
-    /// Every body length from 0 to 96 puts every residue mod 32 and mod 8
+    /// Every body length from 0 to 96 puts every residue mod 64 and mod 8
     /// through the block, word and tail paths: the sealed frame verifies,
     /// and a one-byte change anywhere past the version is refused.
     #[test]

@@ -1,19 +1,20 @@
 //! Snapshot persistence of the frozen [`crate::DistOracle`]: `CCDO` for an
 //! oracle without routes, `CCRO` for one with them.
 //!
-//! There is one format, version 3 — the serving format: each oracle's
+//! There is one format, version 4 — the serving format: each oracle's
 //! content laid out as **64-byte-aligned POD sections** behind a section
 //! directory, inside a `magic / version u16 / … / trailing checksum u64`
 //! frame. The checksum ([`header::checksum`]) is a word-at-a-time,
-//! four-lane sum, so verifying a mapped file runs at memory speed. The hot
-//! tables (distance entries, provenance tags, route-arena columns,
-//! origins, sources) are directly addressable from a mapped file: loading
-//! builds [`cc_graphs::SharedSlice`] views into the snapshot bytes instead
-//! of copying them (little-endian targets; elsewhere the loader
+//! eight-lane sum, so verifying a mapped file runs at memory speed. The hot
+//! tables (distance entries, provenance tags, route-arena columns, tree
+//! rows, origins, sources) are directly addressable from a mapped file:
+//! loading builds [`cc_graphs::SharedSlice`] views into the snapshot bytes
+//! instead of copying them (little-endian targets; elsewhere the loader
 //! transparently decode-copies). A file in any other version — the retired
-//! streaming v1, or v2, which had this section layout under a byte-serial
-//! FNV-1a checksum — is refused with [`SnapshotError::UnsupportedVersion`]
-//! before any byte is hashed.
+//! streaming v1; v2, which had this section layout under a byte-serial
+//! FNV-1a checksum; or v3, which had a four-lane checksum and kept the
+//! emulator trees as arena records — is refused with
+//! [`SnapshotError::UnsupportedVersion`] before any byte is hashed.
 //!
 //! [`header`] holds the frame plumbing — magic/version inspection, the
 //! trailing checksum, the bounds-checked cursor, [`SnapshotError`]. The

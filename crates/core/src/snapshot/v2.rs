@@ -1,13 +1,13 @@
 //! The section layout of the snapshot format: aligned POD sections behind
-//! a section directory. Format 2 introduced this layout; format 3 keeps it
-//! byte for byte and changes only the version field and the trailing
-//! checksum, so the module keeps its name.
+//! a section directory. Format 2 introduced this layout, and formats 3 and
+//! 4 keep its frame and directory (they change the trailing checksum and,
+//! in 4, the `CCRO` sections), so the module keeps its name.
 //!
 //! Frame (see [`super::header`]):
 //!
 //! ```text
 //!   off  0  magic            4 bytes
-//!   off  4  version  u16 = 3
+//!   off  4  version  u16 = 4
 //!   off  6  reserved u16 = 0
 //!   off  8  dir_off  u64          absolute offset of the directory
 //!   off 64  sections…             each starting at a 64-byte-aligned offset

@@ -1256,12 +1256,15 @@ mod tests {
 
     fn assert_same_additive(got: &AdditiveApsp, want: &AdditiveApsp, at: &str) {
         assert_eq!(got.estimates, want.estimates, "{at}: estimates");
-        let parts = |p: &PathStore| (p.witnesses().to_vec(), p.arena().clone());
+        let parts = |p: &PathStore| {
+            let trees = p.trees().cloned();
+            (p.witnesses().to_vec(), p.arena().clone(), trees)
+        };
         let (got, want) = (
             got.paths.as_deref().map(parts),
             want.paths.as_deref().map(parts),
         );
-        assert!(got == want, "{at}: witnesses or arena");
+        assert!(got == want, "{at}: witnesses, arena or tree rows");
     }
 
     /// Every query starts from the session's one long-range table, swept

@@ -209,41 +209,36 @@ impl RouteArena {
         self.lens[id.0 as usize]
     }
 
+    /// The record columns as slices, read once per route rather than once
+    /// per record: indexing a mapped [`PodData`] resolves its owner's bytes
+    /// on every access.
+    pub(crate) fn view(&self) -> ArenaView<'_> {
+        ArenaView {
+            tags: &self.tags,
+            ops_a: &self.ops_a,
+            ops_b: &self.ops_b,
+        }
+    }
+
     /// Appends the expansion of `id` (reversed if `reversed`) to `out` as a
     /// sequence of directed `G`-edges `(x, y)`, consecutive edges sharing
-    /// their middle vertex. Iterative — safe for arbitrarily deep `Cat`
-    /// chains.
-    pub fn emit_into(&self, id: RecId, reversed: bool, out: &mut Vec<(u32, u32)>) {
-        let (tags, ops_a, ops_b, _) = self.sections();
-        let node = |i: usize| match tags[i] {
-            TAG_EDGE => Node::Edge(ops_a[i], ops_b[i]),
-            TAG_CAT => Node::Cat(ops_a[i], ops_b[i]),
-            _ => Node::Rev(ops_a[i]),
-        };
-        let mut stack: Vec<(u32, bool)> = vec![(id.0, reversed)];
-        while let Some((id, rev)) = stack.pop() {
-            match node(id as usize) {
-                Node::Edge(u, v) => out.push(if rev { (v, u) } else { (u, v) }),
-                Node::Cat(a, b) => {
-                    // Forward: a then b — push b first so a pops first.
-                    // Reversed: rev(b) then rev(a).
-                    if rev {
-                        stack.push((a, true));
-                        stack.push((b, true));
-                    } else {
-                        stack.push((b, false));
-                        stack.push((a, false));
-                    }
-                }
-                Node::Rev(a) => stack.push((a, !rev)),
-            }
-        }
+    /// their middle vertex. Iterative over `stack`'s record stack — safe for
+    /// arbitrarily deep `Cat` chains, and allocation-free once the stack
+    /// has grown.
+    pub fn emit_into(
+        &self,
+        id: RecId,
+        reversed: bool,
+        out: &mut Vec<(u32, u32)>,
+        stack: &mut EmitStack,
+    ) {
+        self.view().emit_into(id, reversed, out, stack);
     }
 
     /// The full expansion of `id` as a fresh vector.
     pub fn emit(&self, id: RecId, reversed: bool) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.len_of(id) as usize);
-        self.emit_into(id, reversed, &mut out);
+        self.emit_into(id, reversed, &mut out, &mut EmitStack::default());
         out
     }
 
@@ -296,6 +291,59 @@ impl RouteArena {
             .extend(batch.relocated(&batch.ops_b, LOCAL_B, offset));
         self.lens.extend_from_slice(&batch.lens);
         offset
+    }
+}
+
+/// Reusable work stacks for route emission: one per serving worker or per
+/// batch, passed to every `emit_into`, so emitting a route allocates
+/// nothing once the stacks have grown to the deepest route seen.
+#[derive(Debug, Default)]
+pub struct EmitStack {
+    /// Pending pair expansions of a [`crate::PathStore`] walk.
+    pub(crate) pairs: Vec<(u32, u32)>,
+    /// Pending arena records, each with its orientation.
+    pub(crate) records: Vec<(u32, bool)>,
+}
+
+/// The columns of a [`RouteArena`] that emission reads, as slices.
+#[derive(Clone, Copy)]
+pub(crate) struct ArenaView<'a> {
+    tags: &'a [u8],
+    ops_a: &'a [u32],
+    ops_b: &'a [u32],
+}
+
+impl ArenaView<'_> {
+    /// [`RouteArena::emit_into`] over the hoisted columns.
+    pub(crate) fn emit_into(
+        &self,
+        id: RecId,
+        reversed: bool,
+        out: &mut Vec<(u32, u32)>,
+        stack: &mut EmitStack,
+    ) {
+        let stack = &mut stack.records;
+        stack.clear();
+        stack.push((id.0, reversed));
+        while let Some((id, rev)) = stack.pop() {
+            let i = id as usize;
+            let (a, b) = (self.ops_a[i], self.ops_b[i]);
+            match self.tags[i] {
+                TAG_EDGE => out.push(if rev { (b, a) } else { (a, b) }),
+                TAG_CAT => {
+                    // Forward: a then b — push b first so a pops first.
+                    // Reversed: rev(b) then rev(a).
+                    if rev {
+                        stack.push((a, true));
+                        stack.push((b, true));
+                    } else {
+                        stack.push((b, false));
+                        stack.push((a, false));
+                    }
+                }
+                _ => stack.push((a, !rev)),
+            }
+        }
     }
 }
 

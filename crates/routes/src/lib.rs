@@ -15,7 +15,10 @@
 //!   over `G ∪ H` — recursively expands into original-graph edges.
 //! * [`PathStore`] — the per-pair witness table a pipeline fills alongside
 //!   its [`DistanceMatrix`]-style estimates: every finite pair carries a
-//!   record, or a *via*-midpoint whose two halves are again witnessed pairs.
+//!   record, a *via*-midpoint whose two halves are again witnessed pairs,
+//!   or the path to it in a shortest-path tree of [`TreeRows`].
+//! * [`TreeRows`] — shortest-path trees as one parent row per source, the
+//!   form the emulator sweep records its trees in.
 //!   The store keeps no values of its own: the pipeline sets a pair's
 //!   witness exactly when it strictly lowers the pair's estimate.
 //! * [`RowStore`] — the row-shaped counterpart for multi-source (MSSP)
@@ -49,8 +52,10 @@
 
 pub mod arena;
 pub mod store;
+pub mod tree;
 pub mod unroller;
 
-pub use arena::{BatchRef, RecId, RecordBatch, RouteArena, TAG_CAT, TAG_EDGE, TAG_REV};
+pub use arena::{BatchRef, EmitStack, RecId, RecordBatch, RouteArena, TAG_CAT, TAG_EDGE, TAG_REV};
 pub use store::{PairWitness, PathStore, RowStore};
+pub use tree::TreeRows;
 pub use unroller::Unroller;

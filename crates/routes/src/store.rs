@@ -1,8 +1,11 @@
 //! Per-pair and per-row witness stores filled by the distance pipelines.
 
+use std::sync::Arc;
+
 use cc_graphs::{DistStorage, Graph};
 
-use crate::arena::{RecId, RouteArena};
+use crate::arena::{EmitStack, RecId, RouteArena};
+use crate::tree::TreeRows;
 use crate::unroller::Unroller;
 
 /// The witness of one vertex pair in a [`PathStore`].
@@ -24,6 +27,9 @@ pub enum PairWitness {
     /// of the two halves' estimates, and estimates only decrease, so
     /// expansion strictly descends and terminates (`DESIGN.md` §8.2).
     Via(u32),
+    /// The path from `min(u,v)` to `max(u,v)` in the tree of the lower
+    /// endpoint, one of the store's [`TreeRows`].
+    Tree,
 }
 
 /// The per-pair witness table a pipeline fills alongside its symmetric
@@ -42,8 +48,10 @@ pub struct PathStore {
     /// One witness per packed pair.
     entries: Vec<PairWitness>,
     /// Shortcut provenance (hopset/emulator records absorbed in) plus the
-    /// arena all `Rec` witnesses live in.
+    /// arena all `Rec` witnesses and tree hops live in.
     routes: Unroller,
+    /// The trees `Tree` witnesses walk, shared by every copy of the store.
+    trees: Option<Arc<TreeRows>>,
 }
 
 impl PathStore {
@@ -53,22 +61,31 @@ impl PathStore {
             n,
             entries: vec![PairWitness::None; n * (n + 1) / 2],
             routes: Unroller::new(),
+            trees: None,
         }
     }
 
-    /// Rebuilds a store from frozen parts (snapshot loading). The arena is
-    /// taken as-is — no copy, so zero-copy (shared-section) arenas stay
-    /// zero-copy.
+    /// Rebuilds a store from frozen parts (snapshot loading). The arena and
+    /// the trees are taken as-is — no copy, so zero-copy (shared-section)
+    /// columns stay zero-copy.
     ///
     /// # Panics
     ///
-    /// Panics if `entries.len() != n(n+1)/2`.
-    pub fn from_parts(n: usize, arena: RouteArena, entries: Vec<PairWitness>) -> Self {
+    /// Panics if `entries.len() != n(n+1)/2` or the trees are over another
+    /// `n`.
+    pub fn from_parts(
+        n: usize,
+        arena: RouteArena,
+        entries: Vec<PairWitness>,
+        trees: Option<Arc<TreeRows>>,
+    ) -> Self {
         assert_eq!(entries.len(), n * (n + 1) / 2, "one witness per pair");
+        assert!(trees.as_ref().is_none_or(|t| t.n() == n), "trees over n");
         PathStore {
             n,
             entries,
             routes: Unroller::from_arena(arena),
+            trees,
         }
     }
 
@@ -105,6 +122,37 @@ impl PathStore {
     /// [`DistStorage::packed_index`].
     pub fn witnesses(&self) -> &[PairWitness] {
         &self.entries
+    }
+
+    /// The trees `Tree` witnesses walk, if any were set.
+    pub fn trees(&self) -> Option<&Arc<TreeRows>> {
+        self.trees.as_ref()
+    }
+
+    /// Sets every pair `{u, v}` that has no witness yet and that the tree of
+    /// its lower endpoint reaches to [`PairWitness::Tree`], and keeps
+    /// `trees` to serve them. Hop records of the trees name records of this
+    /// store's arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trees are over another `n`, or the store holds trees
+    /// already.
+    pub fn set_trees(&mut self, trees: Arc<TreeRows>) {
+        assert_eq!(trees.n(), self.n, "trees over n");
+        assert!(self.trees.is_none(), "one set of trees per store");
+        let n = self.n;
+        for u in 0..n {
+            // Row `u` of the packed table: pairs `(u, v)` for `v ≥ u`.
+            let row = DistStorage::packed_index(n, u, u);
+            let entries = &mut self.entries[row..row + n - u];
+            for (entry, reached) in entries.iter_mut().zip(trees.reached_from(u).skip(u)) {
+                if reached && *entry == PairWitness::None {
+                    *entry = PairWitness::Tree;
+                }
+            }
+        }
+        self.trees = Some(trees);
     }
 
     #[inline]
@@ -162,15 +210,21 @@ impl PathStore {
     /// corrupted (snapshot-loaded) stores — expansion exceeds its budget.
     pub fn emit(&self, u: usize, v: usize) -> Option<Vec<(u32, u32)>> {
         let mut out = Vec::new();
-        self.emit_into(u, v, &mut out)?;
+        self.emit_into(u, v, &mut out, &mut EmitStack::default())?;
         Some(out)
     }
 
     /// Like [`PathStore::emit`], but appends into a caller-provided buffer
-    /// (per-worker scratch on serving paths) and returns the number of edges
-    /// appended. On failure the buffer is truncated back to its original
-    /// length.
-    pub fn emit_into(&self, u: usize, v: usize, out: &mut Vec<(u32, u32)>) -> Option<usize> {
+    /// (per-worker scratch on serving paths) over the caller's reusable
+    /// `stack`, and returns the number of edges appended. On failure the
+    /// buffer is truncated back to its original length.
+    pub fn emit_into(
+        &self,
+        u: usize,
+        v: usize,
+        out: &mut Vec<(u32, u32)>,
+        stack: &mut EmitStack,
+    ) -> Option<usize> {
         if u >= self.n || v >= self.n {
             return None;
         }
@@ -178,34 +232,41 @@ impl PathStore {
         if u == v {
             return Some(0);
         }
-        let mut stack: Vec<(u32, u32)> = vec![(u as u32, v as u32)];
+        let arena = self.routes.arena().view();
+        stack.pairs.clear();
+        stack.pairs.push((u as u32, v as u32));
         // Well-formed stores strictly descend in estimate on every Via, so
         // the walk has at most `δ(u,v)` edges; the budget only trips on
         // corrupt snapshots (where it turns a cycle into a clean None).
         let mut budget: u64 = 64 * (self.n as u64) * (self.n as u64) + 1024;
-        while let Some((x, y)) = stack.pop() {
+        while let Some((x, y)) = stack.pairs.pop() {
             let Some(rest) = budget.checked_sub(1) else {
                 out.truncate(start);
                 return None;
             };
             budget = rest;
             let idx = DistStorage::packed_index(self.n, x as usize, y as usize);
-            match self.entries[idx] {
-                PairWitness::None => {
-                    out.truncate(start);
-                    return None;
-                }
+            let emitted = match self.entries[idx] {
+                PairWitness::None => false,
                 PairWitness::Rec { rec, rev } => {
-                    self.routes.arena().emit_into(rec, rev ^ (x > y), out);
+                    arena.emit_into(rec, rev ^ (x > y), out, stack);
+                    true
                 }
+                PairWitness::Tree => self.trees.as_ref().is_some_and(|trees| {
+                    let (lo, hi) = (x.min(y) as usize, x.max(y) as usize);
+                    trees.emit_into(lo, hi, x > y, arena, out, stack).is_some()
+                }),
+                // A midpoint at an endpoint or out of range: corrupt.
+                PairWitness::Via(w) if w == x || w == y || w as usize >= self.n => false,
                 PairWitness::Via(w) => {
-                    if w == x || w == y || w as usize >= self.n {
-                        out.truncate(start);
-                        return None; // corrupt snapshot
-                    }
-                    stack.push((w, y));
-                    stack.push((x, w));
+                    stack.pairs.push((w, y));
+                    stack.pairs.push((x, w));
+                    true
                 }
+            };
+            if !emitted {
+                out.truncate(start);
+                return None;
             }
         }
         Some(out.len() - start)
@@ -320,13 +381,20 @@ impl RowStore {
     /// itself).
     pub fn emit(&self, i: usize, v: usize) -> Option<Vec<(u32, u32)>> {
         let mut out = Vec::new();
-        self.emit_into(i, v, &mut out)?;
+        self.emit_into(i, v, &mut out, &mut EmitStack::default())?;
         Some(out)
     }
 
     /// Like [`RowStore::emit`], but appends into a caller-provided buffer
-    /// and returns the number of edges appended.
-    pub fn emit_into(&self, i: usize, v: usize, out: &mut Vec<(u32, u32)>) -> Option<usize> {
+    /// over the caller's reusable `stack`, and returns the number of edges
+    /// appended.
+    pub fn emit_into(
+        &self,
+        i: usize,
+        v: usize,
+        out: &mut Vec<(u32, u32)>,
+        stack: &mut EmitStack,
+    ) -> Option<usize> {
         if v >= self.n {
             return None;
         }
@@ -335,7 +403,7 @@ impl RowStore {
         }
         let start = out.len();
         let rec = self.recs[i * self.n + v]?;
-        self.routes.arena().emit_into(rec, false, out);
+        self.routes.arena().emit_into(rec, false, out, stack);
         Some(out.len() - start)
     }
 }
@@ -385,8 +453,88 @@ mod tests {
         entries[DistStorage::packed_index(3, 0, 2)] = PairWitness::Via(1);
         entries[DistStorage::packed_index(3, 0, 1)] = PairWitness::Via(2);
         entries[DistStorage::packed_index(3, 1, 2)] = PairWitness::Via(0);
-        let s = PathStore::from_parts(3, RouteArena::new(), entries);
+        let s = PathStore::from_parts(3, RouteArena::new(), entries, None);
         assert_eq!(s.emit(0, 2), None, "budget breaks the cycle");
+    }
+
+    /// Path 0–6 plus the edge (1,7), and an emulator over it with the
+    /// weight-2 shortcut (1,4), whose route 1-2-3-4 the store absorbs: the
+    /// trees of the emulator as a store's tree rows.
+    fn tree_store() -> PathStore {
+        let mut edges: Vec<(usize, usize)> = (0..6).map(|v| (v, v + 1)).collect();
+        edges.push((1, 7));
+        let g = Graph::from_edges(8, &edges);
+        let mut shortcut = Unroller::new();
+        let rec = shortcut.intern_walk(&g, &[1, 2, 3, 4]).unwrap();
+        shortcut.register(1, 4, rec);
+        let mut s = PathStore::new(8);
+        s.absorb_routes(&shortcut);
+        let (_, hop, _) = s.routes().rec_between(1, 4).unwrap();
+        let mut over: Vec<(usize, usize, cc_graphs::Dist)> =
+            edges.iter().map(|&(u, v)| (u, v, 1)).collect();
+        over.push((1, 4, 2));
+        let over = cc_graphs::WeightedGraph::from_edges(8, &over);
+        let mut parents = vec![0u32; 64];
+        for (src, row) in parents.chunks_mut(8).enumerate() {
+            let (_, tree) = cc_graphs::dijkstra::sssp_with_parents(&over, src);
+            TreeRows::write_row(row, &tree, &g);
+        }
+        s.set_trees(Arc::new(TreeRows::new(8, parents, vec![(1, 4, hop)])));
+        s
+    }
+
+    /// Tree routes cross the emulator hop in both orientations: the row of
+    /// 0 crosses it upward (1 → 4), the row of 5 downward (4 → 1, its route
+    /// emitted reversed), and each pair's reverse route is the same walk
+    /// backwards.
+    #[test]
+    fn tree_routes_cross_emulator_hops_both_ways() {
+        let s = tree_store();
+        let up = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)];
+        assert_eq!(s.emit(0, 5).unwrap(), up);
+        let down = vec![(5, 4), (4, 3), (3, 2), (2, 1), (1, 7)];
+        assert_eq!(s.emit(5, 7).unwrap(), down);
+        for (walk, (u, v)) in [(up, (0, 5)), (down, (5, 7))] {
+            let back: Vec<(u32, u32)> = walk.iter().rev().map(|&(x, y)| (y, x)).collect();
+            assert_eq!(s.emit(v, u).unwrap(), back, "({v},{u})");
+        }
+        // Rows that never take the shortcut emit plain `G` walks.
+        assert_eq!(s.emit(2, 3).unwrap(), vec![(2, 3)]);
+        assert_eq!(s.emit(6, 2).unwrap(), vec![(6, 5), (5, 4), (4, 3), (3, 2)]);
+        // A reused stack and buffer give the same walks, appended.
+        let (mut out, mut stack) = (vec![(9, 9)], EmitStack::default());
+        assert_eq!(s.emit_into(0, 5, &mut out, &mut stack), Some(5));
+        assert_eq!(s.emit_into(7, 5, &mut out, &mut stack), Some(5));
+        assert_eq!(out.len(), 11);
+        assert_eq!(out[6..], [(7, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+    }
+
+    /// A corrupt parent cycle (only a snapshot can hold one) answers
+    /// `None` through the emission budget instead of looping.
+    #[test]
+    fn tree_parent_cycle_returns_none() {
+        let s = tree_store();
+        let trees = s.trees().unwrap();
+        let (parents, start, hi, rec) = trees.sections();
+        let mut parents = parents.to_vec();
+        // Row 0: 3's parent is 4, and 4's parent is 3.
+        parents[3] = 4;
+        parents[4] = 3;
+        let cyclic = TreeRows::from_sections(8, parents, start.to_vec(), hi.to_vec(), rec.to_vec())
+            .expect("a cycle passes the section checks");
+        let s = PathStore::from_parts(
+            8,
+            s.arena().clone(),
+            s.witnesses().to_vec(),
+            Some(Arc::new(cyclic)),
+        );
+        assert_eq!(s.emit(0, 5), None, "budget breaks the cycle");
+        assert_eq!(s.emit(5, 0), None);
+        assert_eq!(
+            s.emit(0, 1).unwrap(),
+            vec![(0, 1)],
+            "other chains still emit"
+        );
     }
 
     #[test]

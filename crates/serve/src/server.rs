@@ -60,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cc_core::{DistOracle, PointEstimate};
+use cc_core::{DistOracle, EmitStack, PointEstimate};
 use cc_obs::{SpanEvent, TraceRing};
 
 use crate::fault::{FaultPlan, FaultSite};
@@ -839,6 +839,8 @@ struct Scratch {
     dist_slots: Vec<(usize, usize, usize)>,
     dist_out: Vec<Option<PointEstimate>>,
     edges: Vec<(u32, u32)>,
+    /// Route emission's work stacks; each emission starts by clearing them.
+    stack: EmitStack,
     body: Vec<u8>,
 }
 
@@ -851,6 +853,7 @@ impl Scratch {
             dist_slots: Vec::new(),
             dist_out: Vec::new(),
             edges: Vec::new(),
+            stack: EmitStack::default(),
             body: Vec::new(),
         }
     }
@@ -997,7 +1000,8 @@ fn process_batch(shared: &Shared, s: &mut Scratch) {
                 }
             }
             Op::Path => {
-                encode_path_body(&mut s.body, job.req_id, &job.pairs, oracle, &mut s.edges);
+                let (edges, stack) = (&mut s.edges, &mut s.stack);
+                encode_path_body(&mut s.body, job.req_id, &job.pairs, oracle, edges, stack);
                 metrics.served.inc();
                 job.conn.trace.push(job.span(Status::Ok, wait_ns, batch));
                 job.conn.enqueue_frame(&s.body, cap, metrics);
@@ -1024,21 +1028,22 @@ fn encode_dist_body(body: &mut Vec<u8>, req_id: u64, answers: &[Option<PointEsti
 
 /// The body `Response { status: Ok, payload: Paths(..) }.encode()` gives,
 /// written into the reused `body` with each route unrolled into the reused
-/// `edges`. A snapshot without routes answers every pair `absent`
-/// ([`DistOracle::path_into`] is `None` throughout) — same shape a
-/// disconnected pair has, so clients need no special case.
+/// `edges` over the reused work `stack`. A snapshot without routes answers
+/// every pair `absent` ([`DistOracle::path_into`] is `None` throughout) —
+/// same shape a disconnected pair has, so clients need no special case.
 fn encode_path_body(
     body: &mut Vec<u8>,
     req_id: u64,
     pairs: &[(u32, u32)],
     oracle: &DistOracle,
     edges: &mut Vec<(u32, u32)>,
+    stack: &mut EmitStack,
 ) {
     body.clear();
     encode_header(body, req_id, Status::Ok, Op::Path, pairs.len());
     for &(u, v) in pairs {
         edges.clear();
-        let item = oracle.path_into(u as usize, v as usize, edges);
+        let item = oracle.path_into(u as usize, v as usize, edges, stack);
         encode_path_item(body, item, edges);
     }
 }
@@ -1107,7 +1112,8 @@ mod tests {
             .map(|r| r.map(|r| (r.weight, r.guarantee, r.edges)))
             .collect();
         assert!(routes.iter().any(Option::is_none) && routes.iter().any(Option::is_some));
-        encode_path_body(&mut body, 8, &pairs, &oracle, &mut Vec::new());
+        let stack = &mut EmitStack::default();
+        encode_path_body(&mut body, 8, &pairs, &oracle, &mut Vec::new(), stack);
         assert_eq!(body, response(8, Op::Path, Payload::Paths(routes)).encode());
     }
 

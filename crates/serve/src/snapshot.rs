@@ -6,7 +6,7 @@
 //! What opening still costs is verification: the word-at-a-time frame
 //! checksum over the file and its embedded `CCDO`, one pass over every
 //! route-arena record, and the pair-witness decode. A file in any format
-//! version other than 3 — a retired v2 file included — is refused with
+//! version other than 4 — a retired v2 or v3 file included — is refused with
 //! [`SnapshotError::UnsupportedVersion`] before any byte is hashed.
 
 use std::path::{Path, PathBuf};
@@ -179,6 +179,13 @@ fn section_name(magic: &[u8; 4], id: u16) -> &'static str {
         (b"CCRO", 1) => "meta",
         (b"CCRO", 2) => "dist (embedded CCDO)",
         (b"CCRO", 3) => "origins",
+        (b"CCRO", id) if id >= 4096 => match (id - 4096) % 8 {
+            0 => "tree meta",
+            1 => "tree parents",
+            2 => "tree hop starts",
+            3 => "tree hops",
+            _ => "tree hop records",
+        },
         (b"CCRO", id) if id >= 16 => match (id - 16) % 8 {
             0 => "provider meta",
             1 => "arena tags",
@@ -225,20 +232,21 @@ mod tests {
         let provider = "provider meta\narena tags\narena ops a\narena ops b\narena lens\n\
                         witness tags\nwitness payloads";
         let ccro = format!(
-            "CCRO\n3\nmeta\ndist (embedded CCDO)\norigins\n{provider}\n{provider}\n\
-             provider sources\n10\nSymmetricPacked\ntrue"
+            "CCRO\n4\nmeta\ndist (embedded CCDO)\norigins\n{provider}\n{provider}\n\
+             provider sources\ntree meta\ntree parents\ntree hop starts\ntree hops\n\
+             tree hop records\n10\nSymmetricPacked\ntrue"
         );
         let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
         for (file, want) in [
             (
-                "oracle_symmetric_v3.snap",
-                "CCDO\n3\nmeta\nguarantees\nentries\n12\nSymmetricPacked\nfalse",
+                "oracle_symmetric_v4.snap",
+                "CCDO\n4\nmeta\nguarantees\nentries\n12\nSymmetricPacked\nfalse",
             ),
             (
-                "oracle_rowsparse_v3.snap",
-                "CCDO\n3\nmeta\nguarantees\nsources\nentries\n12\nRowSparse\nfalse",
+                "oracle_rowsparse_v4.snap",
+                "CCDO\n4\nmeta\nguarantees\nsources\nentries\n12\nRowSparse\nfalse",
             ),
-            ("paths_v3.snap", ccro.as_str()),
+            ("paths_v4.snap", ccro.as_str()),
         ] {
             let listing = describe(golden.join(file)).unwrap();
             assert_eq!(facts(&listing), want, "{file}:\n{listing}");

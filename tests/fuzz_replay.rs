@@ -1,11 +1,13 @@
 //! Replays the frozen fuzz corpus in `tests/fuzz_corpus/`.
 //!
 //! Each case is a deterministic abuse of a golden snapshot (truncation,
-//! magic/version/checksum tampering, directory corruption — see
-//! `cc_analyze::fuzz::emit_corpus`), and `MANIFEST.tsv` pins the *exact*
-//! typed error it must produce. A drift in any loader's rejection behavior
-//! — a new panic, a weaker error, or a case that suddenly loads — fails
-//! here with the case name. `proto__*.bin` cases are corrupt `ccd` wire
+//! magic/version/checksum tampering, directory corruption, tree-row
+//! corruption — see `cc_analyze::fuzz::emit_corpus`), and `MANIFEST.tsv`
+//! pins the *exact* typed error it must produce; a tree parent cycle,
+//! which passes the section checks, instead pins how many routes the
+//! loaded oracle refuses. A drift in any loader's rejection behavior — a
+//! new panic, a weaker error, or a case that suddenly loads — fails here
+//! with the case name. `proto__*.bin` cases are corrupt `ccd` wire
 //! bursts (length-prefix lies, truncated batches, req_id collisions)
 //! replayed through the framing validator instead of the snapshot
 //! loaders. Regenerate intentionally with:
@@ -23,6 +25,7 @@ fn every_frozen_case_reproduces_its_pinned_error() {
 
     let mut cases = 0;
     let mut proto_cases = 0;
+    let mut loaded_cases = 0;
     for line in manifest.lines().filter(|l| !l.trim().is_empty()) {
         let (file, expected) = line
             .split_once('\t')
@@ -43,19 +46,29 @@ fn every_frozen_case_reproduces_its_pinned_error() {
             continue;
         }
 
-        let got = std::panic::catch_unwind(|| DistOracle::from_snapshot_bytes(&bytes));
+        let got = std::panic::catch_unwind(|| cc_analyze::fuzz::load_outcome(&bytes));
         match got {
             Ok(Err(e)) => assert_eq!(
                 e.to_string(),
                 expected,
                 "{file}: error drifted from the pinned manifest entry"
             ),
-            Ok(Ok(_)) => panic!("{file}: corrupt snapshot loaded cleanly"),
+            // A parent cycle loads; its routes must be refused, as pinned.
+            Ok(Ok(outcome)) => {
+                assert_eq!(outcome, expected, "{file}: loaded with other routes");
+                assert_ne!(
+                    outcome,
+                    cc_analyze::fuzz::loaded_outcome(0),
+                    "{file}: corrupt snapshot loaded cleanly"
+                );
+                loaded_cases += 1;
+            }
             Err(_) => panic!("{file}: loader panicked instead of returning a typed error"),
         }
         cases += 1;
     }
-    assert_eq!(cases, 35, "corpus drifted: {cases} cases replayed");
+    assert_eq!(cases, 39, "corpus drifted: {cases} cases replayed");
+    assert_eq!(loaded_cases, 1, "one case (the tree parent cycle) loads");
     assert!(
         proto_cases >= 6,
         "protocol corpus went missing: only {proto_cases} proto cases replayed"
@@ -93,9 +106,9 @@ fn golden_snapshots_still_load_cleanly() {
 fn every_single_bit_flip_of_a_golden_is_refused() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     for name in [
-        "oracle_rowsparse_v3.snap",
-        "oracle_symmetric_v3.snap",
-        "paths_v3.snap",
+        "oracle_rowsparse_v4.snap",
+        "oracle_symmetric_v4.snap",
+        "paths_v4.snap",
     ] {
         let bytes = std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut flipped = bytes.clone();

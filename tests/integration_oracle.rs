@@ -153,7 +153,7 @@ proptest! {
 
 // ── Snapshot format golden files ─────────────────────────────────────────
 //
-// The checked-in `tests/golden/oracle_*_v3.snap` files (and `paths_v3.snap`)
+// The checked-in `tests/golden/oracle_*_v4.snap` files (and `paths_v4.snap`)
 // gate the wire format: `load` must reproduce the reference oracle
 // bit-for-bit and `save_v2` must reproduce the files byte-for-byte. The reference is
 // hand-constructed (not pipeline output), so these only change when the
@@ -174,7 +174,7 @@ fn reference_matrix() -> DistanceMatrix {
 }
 
 /// The reference oracle for each golden layout, with a distinct guarantee
-/// kind per file (`paths_v3.snap`'s embedded oracle pins `mult2`).
+/// kind per file (`paths_v4.snap`'s embedded oracle pins `mult2`).
 fn reference_oracles() -> Vec<(&'static str, DistOracle)> {
     let m = reference_matrix();
     let sym = DistOracle::from_matrix(
@@ -198,24 +198,24 @@ fn reference_oracles() -> Vec<(&'static str, DistOracle)> {
 fn golden_path(label: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("oracle_{label}_v3.snap"))
+        .join(format!("oracle_{label}_v4.snap"))
 }
 
 /// Bit-exact load and byte-exact re-save of every CCDO golden.
 #[test]
-fn golden_v3_snapshots_round_trip_bit_identically() {
+fn golden_ccdo_snapshots_round_trip_bit_identically() {
     for (label, reference) in reference_oracles() {
         let path = golden_path(label);
         let bytes = std::fs::read(&path)
             .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e}); regenerate with `cargo test --test integration_oracle -- --ignored`"));
         let loaded = DistOracle::from_snapshot_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("{label}: v3 golden no longer parses: {e}"));
+            .unwrap_or_else(|e| panic!("{label}: v4 golden no longer parses: {e}"));
         assert_eq!(loaded, reference, "{label}: loaded oracle differs");
         let mut resaved = Vec::new();
         reference.save_v2(&mut resaved).expect("save to memory");
         assert_eq!(
             resaved, bytes,
-            "{label}: save_v2() output changed — snapshot format v3 is \
+            "{label}: save_v2() output changed — snapshot format v4 is \
              frozen; bump the version instead"
         );
         for u in 0..reference.n() {
@@ -236,7 +236,7 @@ fn regenerate_golden_snapshots() {
     for (label, reference) in reference_oracles() {
         reference
             .save_v2_to_path(golden_path(label))
-            .expect("write v3 golden");
+            .expect("write v4 golden");
     }
 }
 

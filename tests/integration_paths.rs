@@ -13,7 +13,7 @@ use congested_clique::core::oracle::{DistOracle, SnapshotError};
 use congested_clique::core::path_oracle::PathProvider;
 use congested_clique::graphs::dijkstra;
 use congested_clique::prelude::*;
-use congested_clique::routes::{PathStore, RowStore};
+use congested_clique::routes::{PathStore, RowStore, TreeRows, Unroller};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
@@ -195,24 +195,26 @@ fn concurrent_route_serving_is_bit_identical_to_serial_replay() {
 
 // ── Snapshot format golden files ─────────────────────────────────────────
 //
-// `tests/golden/paths_v3.snap` gates the CCRO wire format the same way the
-// `oracle_*_v3.snap` files gate CCDO: `load` must reproduce the reference
+// `tests/golden/paths_v4.snap` gates the CCRO wire format the same way the
+// `oracle_*_v4.snap` files gate CCDO: `load` must reproduce the reference
 // oracle and `save_v2` must reproduce the file byte-for-byte. The reference is
 // hand-constructed (not pipeline output), so it only changes when the
 // *format* changes — which requires a version bump and fresh goldens
 // (regenerate with `cargo test --test integration_paths -- --ignored`).
 
 /// Deterministic hand-built reference: a 10-path with one pair store and
-/// one row store, exercising every wire tag (None/Rec/Rec-rev/Via, row
-/// None/Some, Edge/Cat/Rev nodes).
+/// one row store, exercising every wire tag (None/Rec/Rec-rev/Via/Tree,
+/// row None/Some, Edge/Cat/Rev nodes) and tree rows with a flagged hop:
+/// the trees are the Dijkstra trees of the path plus a weight-2 shortcut
+/// `(0, 3)`, whose route is the walk 0-1-2-3 in the store's arena.
 fn reference_path_oracle() -> DistOracle {
     let n = 10;
     let g = generators::path(n);
     let mut pairs = PathStore::new(n);
     for u in 0..n {
         for v in (u + 1)..n {
-            if (u, v) == (0, 9) {
-                continue; // witnessed below via a midpoint instead
+            if (u, v) == (0, 9) || (u + v) % 3 == 0 {
+                continue; // witnessed below by a midpoint or a tree
             }
             let verts: Vec<u32> = (u as u32..=v as u32).collect();
             pairs.set_walk(&g, &verts);
@@ -221,6 +223,19 @@ fn reference_path_oracle() -> DistOracle {
     // Pin the Via wire tag: (0,9) decomposes through 4, whose two halves
     // are already witnessed.
     pairs.set_via(0, 9, 4);
+    let mut shortcut = Unroller::new();
+    let walk = shortcut.intern_walk(&g, &[0, 1, 2, 3]).expect("a G walk");
+    shortcut.register(0, 3, walk);
+    pairs.absorb_routes(&shortcut);
+    let (_, hop, _) = pairs.routes().rec_between(0, 3).expect("absorbed");
+    let mut over: Vec<(usize, usize, Dist)> = (0..n - 1).map(|v| (v, v + 1, 1)).collect();
+    over.push((0, 3, 2));
+    let over = WeightedGraph::from_edges(n, &over);
+    let mut parents = vec![0u32; n * n];
+    for (s, row) in parents.chunks_mut(n).enumerate() {
+        TreeRows::write_row(row, &dijkstra::sssp_with_parents(&over, s).1, &g);
+    }
+    pairs.set_trees(Arc::new(TreeRows::new(n, parents, vec![(0, 3, hop)])));
     let mut rows = RowStore::new(n, &[3, 8]);
     for (i, s) in [3usize, 8].into_iter().enumerate() {
         for v in 0..n {
@@ -325,24 +340,42 @@ fn retired_v2_golden_reports_unsupported_version() {
     assert!(matches!(err, SnapshotError::UnsupportedVersion(2)));
 }
 
-/// The CCRO golden: bit-exact load and byte-exact re-save.
+/// The retired format-3 CCRO fixture, kept from before the tree sections
+/// and the eight-lane checksum: refused by its version like v2.
 #[test]
-fn golden_ccro_v3_snapshot_round_trips_bit_identically() {
+fn retired_v3_golden_reports_unsupported_version() {
+    let bytes =
+        std::fs::read(golden_dir().join("retired/paths_v3.snap")).expect("the retired v3 fixture");
+    let err = DistOracle::from_snapshot_bytes(&bytes).expect_err("v3 must not load");
+    assert!(
+        matches!(err, SnapshotError::UnsupportedVersion(3)),
+        "got {err:?}"
+    );
+    assert_eq!(err.to_string(), "unsupported snapshot version 3");
+}
+
+/// The CCRO golden: bit-exact load and byte-exact re-save, and every route
+/// of the loaded oracle the reference's, the tree routes over the flagged
+/// hop included.
+#[test]
+fn golden_ccro_snapshot_round_trips_bit_identically() {
     let reference = reference_path_oracle();
-    let path = golden_dir().join("paths_v3.snap");
+    let tree_route = reference.path(6, 0).expect("a tree witness");
+    assert_eq!(tree_route.vertices(), vec![6, 5, 4, 3, 2, 1, 0]);
+    let path = golden_dir().join("paths_v4.snap");
     let bytes = std::fs::read(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden file {path:?} ({e}); regenerate with \
              `cargo test --test integration_paths -- --ignored`"
         )
     });
-    let loaded = DistOracle::from_snapshot_bytes(&bytes).expect("v3 golden parses");
+    let loaded = DistOracle::from_snapshot_bytes(&bytes).expect("v4 golden parses");
     assert_eq!(loaded, reference, "loaded oracle differs from reference");
     let mut resaved = Vec::new();
     reference.save_v2(&mut resaved).expect("save to memory");
     assert_eq!(
         resaved, bytes,
-        "save_v2() output changed — snapshot format CCRO v3 is frozen; \
+        "save_v2() output changed — snapshot format CCRO v4 is frozen; \
          bump the version instead"
     );
     for u in 0..reference.n() {
@@ -356,7 +389,7 @@ fn golden_ccro_v3_snapshot_round_trips_bit_identically() {
 /// routes, the `CCRO` file with them.
 #[test]
 fn one_loader_reads_both_golden_magics() {
-    for (file, routes) in [("oracle_symmetric_v3.snap", false), ("paths_v3.snap", true)] {
+    for (file, routes) in [("oracle_symmetric_v4.snap", false), ("paths_v4.snap", true)] {
         let bytes = std::fs::read(golden_dir().join(file)).expect("golden file");
         let oracle = DistOracle::from_snapshot_bytes(&bytes).expect("golden loads");
         assert_eq!(oracle.paths().is_some(), routes, "{file}");
@@ -375,8 +408,8 @@ fn regenerate_golden_paths_snapshots() {
     std::fs::create_dir_all(&dir).expect("create tests/golden");
     let reference = reference_path_oracle();
     reference
-        .save_v2_to_path(dir.join("paths_v3.snap"))
-        .expect("write v3 golden");
+        .save_v2_to_path(dir.join("paths_v4.snap"))
+        .expect("write v4 golden");
     std::fs::write(dir.join("oracle_v255.snap"), crafted_v255_bytes()).expect("write golden");
 }
 

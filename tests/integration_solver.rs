@@ -8,7 +8,7 @@ use congested_clique::core::mssp::MsspError;
 use congested_clique::core::snapshot::header::fnv1a;
 use congested_clique::core::CcError;
 use congested_clique::prelude::*;
-use congested_clique::routes::{PairWitness, PathStore, RecId, RouteArena};
+use congested_clique::routes::{PairWitness, PathStore, RecId, RouteArena, TreeRows};
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -195,11 +195,14 @@ fn errors_format_and_chain() {
     assert!(std::error::Error::source(&err).is_some());
 }
 
-/// What one query answered: estimates, plus witnesses and arena when the
-/// session records paths.
+/// What one query answered: estimates, plus witnesses, arena and tree rows
+/// when the session records paths.
 #[derive(Debug, PartialEq)]
 enum Answer {
-    Pairs(Arc<DistanceMatrix>, Option<(Vec<PairWitness>, RouteArena)>),
+    Pairs(
+        Arc<DistanceMatrix>,
+        Option<(Vec<PairWitness>, RouteArena, Option<Arc<TreeRows>>)>,
+    ),
     Rows(Vec<Vec<Dist>>, Option<(Vec<Option<RecId>>, RouteArena)>),
 }
 
@@ -220,7 +223,13 @@ fn answer(solver: &mut Solver, query: &str, sources: &[usize]) -> (Answer, Vec<C
     let pairs = |estimates, paths: Option<Arc<PathStore>>| {
         Answer::Pairs(
             estimates,
-            paths.map(|p| (p.witnesses().to_vec(), p.arena().clone())),
+            paths.map(|p| {
+                (
+                    p.witnesses().to_vec(),
+                    p.arena().clone(),
+                    p.trees().cloned(),
+                )
+            }),
         )
     };
     let out = match query {
@@ -385,13 +394,13 @@ fn recorded_witnesses_are_pinned() {
         (
             "grid 9x11",
             generators::grid(9, 11),
-            0x06df_f751_b15f_e57f,
+            0xb010_da37_2486_cfbd,
             0x75af_f7f5_3519_a501,
         ),
         (
             "hub + gnp(97)",
             hub_gnp(),
-            0x1a4d_ef30_d633_04ee,
+            0xbf16_3cda_5b60_4826,
             0x9639_2820_bf78_b929,
         ),
     ] {
@@ -421,18 +430,24 @@ fn recorded_witnesses_are_pinned() {
 }
 
 /// Appends a query's answer to `bytes`: the estimates row by row and,
-/// when recording, the pair witnesses (or the MSSP records) and the four
-/// arena sections.
-fn fold_answer(bytes: &mut Vec<u8>, answer: &Answer) {
+/// when `witnesses` is set and the session records, the pair witnesses (or
+/// the MSSP records), the four arena sections and the tree-row sections.
+fn fold_answer(bytes: &mut Vec<u8>, answer: &Answer, witnesses: bool) {
     let mut put = |x: u32| bytes.extend_from_slice(&x.to_le_bytes());
     let arena = match answer {
         Answer::Pairs(estimates, paths) => {
             for u in 0..estimates.n() {
                 estimates.row(u).iter().for_each(|&d| put(d));
             }
-            let Some((witnesses, arena)) = paths else {
+            let Some((witnesses, arena, trees)) = paths.as_ref().filter(|_| witnesses) else {
                 return;
             };
+            if let Some(trees) = trees {
+                let (parents, start, hi, rec) = trees.sections();
+                for x in [parents, start, hi, rec].into_iter().flatten() {
+                    put(*x);
+                }
+            }
             for w in witnesses {
                 match *w {
                     PairWitness::None => put(0),
@@ -444,13 +459,14 @@ fn fold_answer(bytes: &mut Vec<u8>, answer: &Answer) {
                         put(3);
                         put(w);
                     }
+                    PairWitness::Tree => put(4),
                 }
             }
             arena
         }
         Answer::Rows(rows, paths) => {
             rows.iter().flatten().for_each(|&d| put(d));
-            let Some((recs, arena)) = paths else {
+            let Some((recs, arena)) = paths.as_ref().filter(|_| witnesses) else {
                 return;
             };
             recs.iter()
@@ -465,49 +481,74 @@ fn fold_answer(bytes: &mut Vec<u8>, answer: &Answer) {
     }
 }
 
-/// Pins what each query itself returns, witnesses included, which the
-/// frozen-oracle pins do not see (`freeze` drops a result that wins no
-/// pair). Per graph, in both execution modes and both recording modes,
-/// fresh sessions run apsp2, apsp3, the additive query and MSSP (sources
-/// stepped by 11), and one more session runs apsp2 then apsp3. One FNV-1a
-/// folds every estimate, pair witness, MSSP row and record, arena section
-/// and each session's ledger entries. A change that only restructures the
-/// pipelines must leave both values as they are.
-#[test]
-fn query_results_are_pinned() {
-    for (name, g, want) in [
-        ("grid 9x11", generators::grid(9, 11), 0x0538_dafa_a732_ad12),
-        ("hub + gnp(97)", hub_gnp(), 0xfb03_ee3a_c472_ecaf),
-    ] {
-        let sources: Vec<usize> = (0..g.n()).step_by(11).collect();
-        let mut bytes = Vec::new();
-        for execution in [Execution::Deterministic, Execution::Seeded(7)] {
-            for record in [false, true] {
-                for queries in [
-                    &["apsp2"][..],
-                    &["apsp3"],
-                    &["additive"],
-                    &["mssp"],
-                    &["apsp2", "apsp3"],
-                ] {
-                    let mut solver = SolverBuilder::new(g.clone())
-                        .eps(0.5)
-                        .execution(execution)
-                        .threads(2)
-                        .record_paths(record)
-                        .build()
-                        .unwrap();
-                    for &query in queries {
-                        fold_answer(&mut bytes, &answer(&mut solver, query, &sources).0);
-                    }
-                    for e in solver.ledger().entries() {
-                        let entry = format!("{}\0{}\0{}\0", e.phase, e.label, e.rounds);
-                        bytes.extend_from_slice(entry.as_bytes());
-                    }
+/// The FNV-1a of every query session of the pins below on `g`: in both
+/// execution modes and both recording modes, fresh sessions run apsp2,
+/// apsp3, the additive query and MSSP (sources stepped by 11), and one more
+/// session runs apsp2 then apsp3. Each answer is folded by
+/// [`fold_answer`], then each session's ledger entries.
+fn session_digest(g: &Graph, witnesses: bool) -> u64 {
+    let sources: Vec<usize> = (0..g.n()).step_by(11).collect();
+    let mut bytes = Vec::new();
+    for execution in [Execution::Deterministic, Execution::Seeded(7)] {
+        for record in [false, true] {
+            for queries in [
+                &["apsp2"][..],
+                &["apsp3"],
+                &["additive"],
+                &["mssp"],
+                &["apsp2", "apsp3"],
+            ] {
+                let mut solver = SolverBuilder::new(g.clone())
+                    .eps(0.5)
+                    .execution(execution)
+                    .threads(2)
+                    .record_paths(record)
+                    .build()
+                    .unwrap();
+                for &query in queries {
+                    let answer = answer(&mut solver, query, &sources).0;
+                    fold_answer(&mut bytes, &answer, witnesses);
+                }
+                for e in solver.ledger().entries() {
+                    let entry = format!("{}\0{}\0{}\0", e.phase, e.label, e.rounds);
+                    bytes.extend_from_slice(entry.as_bytes());
                 }
             }
         }
-        let got = fnv1a(&bytes);
+    }
+    fnv1a(&bytes)
+}
+
+/// Pins what each query itself returns, witnesses included, which the
+/// frozen-oracle pins do not see (`freeze` drops a result that wins no
+/// pair): every estimate, pair witness, MSSP row and record, arena section
+/// and each session's ledger entries ([`session_digest`]). A change that
+/// only restructures the pipelines must leave both values as they are.
+#[test]
+fn query_results_are_pinned() {
+    for (name, g, want) in [
+        ("grid 9x11", generators::grid(9, 11), 0x46e2_26b7_2884_c87e),
+        ("hub + gnp(97)", hub_gnp(), 0x2d37_2e27_0738_8a4c),
+    ] {
+        let got = session_digest(&g, true);
         assert_eq!(got, want, "{name}: query FNV-1a is {got:#018x}");
+    }
+}
+
+/// Pins what recording must leave alone: the sessions of
+/// [`query_results_are_pinned`] with every estimate and ledger entry
+/// folded, recording on and off, but no witness and no record id. A change
+/// to how witnesses are kept must pass with both values unedited.
+#[test]
+fn estimates_and_ledgers_are_pinned() {
+    for (name, g, want) in [
+        ("grid 9x11", generators::grid(9, 11), 0x24bc_ddcb_4f98_b451),
+        ("hub + gnp(97)", hub_gnp(), 0xdd79_2354_9e72_75c3),
+    ] {
+        let got = session_digest(&g, false);
+        assert_eq!(
+            got, want,
+            "{name}: estimates-and-ledgers FNV-1a is {got:#018x}"
+        );
     }
 }
