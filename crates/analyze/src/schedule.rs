@@ -8,9 +8,12 @@
 //! source-sharded hop-limited kernel of `(S,d)`-source detection (plain
 //! and with parents), its certified variant over a hopset-shaped union
 //! (with parents filled on demand), the workspace sweep of bucket-queue
-//! Dijkstras behind the emulator sweep and the recorded emulator sweep's
-//! parent rows and pair witnesses, two recorded hopsets built through
-//! one shared basis cache, the sharded congested-clique engine, and
+//! Dijkstras behind the emulator sweep, a recording session's emulator
+//! sweep (parent rows and pair witnesses) followed by apsp2 and apsp3
+//! (estimates, witnesses and arenas of their row-sharded
+//! distance-through-sets and pivot-routing kernels), two recorded hopsets
+//! built through one shared basis cache, the sharded congested-clique
+//! engine, and
 //! periodically a loopback `ccd` burst — under a perturbed
 //! schedule: randomized thread counts, worker and batch-size choices
 //! (which move the queue-pop coalescing points), client-side send jitter,
@@ -36,7 +39,7 @@ use cc_core::{DistOracle, DistanceMatrix, Execution, Guarantee, PointEstimate, S
 use cc_graphs::dijkstra;
 use cc_graphs::{bfs, Dist, Graph, StorageKind, WeightedGraph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
-use cc_routes::{PairWitness, Unroller};
+use cc_routes::{PairWitness, PathStore, Unroller};
 use cc_serve::{serve, Client, ServerConfig};
 use cc_toolkit::hopset::{self, BasisCache, HopsetParams};
 use cc_toolkit::{KNearest, Strategy};
@@ -70,8 +73,8 @@ pub struct ScheduleSummary {
     /// Iterations completed.
     pub iterations: u64,
     /// Kernel comparisons performed (sparse min-plus, hop-limited
-    /// plain/parents, certified hop-limited, Dijkstra sweep, recorded
-    /// emulator sweep, shared-basis hopsets, engine).
+    /// plain/parents, certified hop-limited, Dijkstra sweep, recording
+    /// session, shared-basis hopsets, engine).
     pub comparisons: u64,
     /// Loopback `ccd` bursts performed.
     pub serve_bursts: u64,
@@ -89,6 +92,10 @@ const HOP_LIMIT: usize = 5;
 /// The smaller threshold of the shared-basis hopset requests (`2t`, then
 /// `t`, which cuts the first request's lists on the input's path half).
 const BASIS_T: Dist = 4;
+/// Vertex count of the recording session's graph.
+const SESSION_N: usize = 90;
+/// The stream the recording session's graph is drawn from.
+const SESSION_SEED: u64 = 1;
 /// Node count for the engine program.
 const ENGINE_N: usize = 24;
 /// Vertex count for the served oracle.
@@ -111,9 +118,10 @@ struct Baseline {
     union_sources: Vec<usize>,
     union_rows: CertifiedRows,
     union_base: Graph,
+    session_graph: Graph,
     basis_hopsets: SharedHopsets,
     sweep_trees: Vec<SweptTree>,
-    recorded_sweep: RecordedSweep,
+    recorded_session: RecordedSession,
     engine_words: Vec<Vec<u64>>,
     engine_collected: Vec<Vec<u64>>,
     oracle: Arc<DistOracle>,
@@ -167,13 +175,23 @@ fn sweep_trees(g: &WeightedGraph, threads: usize) -> Vec<SweptTree> {
     trees
 }
 
-/// The recorded emulator sweep's parent rows and pair witnesses.
-type RecordedSweep = (Vec<u32>, Vec<PairWitness>);
+/// One recorded APSP answer: its estimates, pair witnesses and arena
+/// sections (tags, both operand columns, lengths).
+type RecordedQuery = (
+    DistanceMatrix,
+    Vec<PairWitness>,
+    (Vec<u8>, Vec<u32>, Vec<u32>, Vec<u32>),
+);
 
-/// The parent rows and pair witnesses the recorded emulator sweep leaves
-/// on `g` over `threads` workers: the long-range table a deterministic
-/// recording session's additive query returns.
-fn recorded_sweep(g: &Graph, threads: usize) -> Result<RecordedSweep, String> {
+/// What a recording session leaves: the recorded emulator sweep's parent
+/// rows and pair witnesses, then apsp2's and apsp3's answers.
+type RecordedSession = (Vec<u32>, Vec<PairWitness>, Vec<RecordedQuery>);
+
+/// A deterministic recording session on `g` over `threads` workers: the
+/// additive query returns the long-range table (the sweep's parent rows
+/// and pair witnesses), then apsp2 and apsp3 run their row-sharded
+/// short-range kernels (distance-through-sets, pivot routing) on it.
+fn recorded_session(g: &Graph, threads: usize) -> Result<RecordedSession, String> {
     let mut solver = SolverBuilder::new(g.clone())
         .eps(0.5)
         .execution(Execution::Deterministic)
@@ -184,7 +202,61 @@ fn recorded_sweep(g: &Graph, threads: usize) -> Result<RecordedSweep, String> {
     let table = solver.apsp_near_additive().map_err(|e| e.to_string())?;
     let store = table.paths.ok_or("a recording session returns witnesses")?;
     let trees = store.trees().ok_or("the recorded sweep keeps its trees")?;
-    Ok((trees.sections().0.to_vec(), store.witnesses().to_vec()))
+    let recorded = |estimates: &DistanceMatrix, paths: Option<&PathStore>| {
+        let paths = paths.ok_or("a recording query returns witnesses")?;
+        let (tags, a, b, lens) = paths.arena().sections();
+        let arena = (tags.to_vec(), a.to_vec(), b.to_vec(), lens.to_vec());
+        Ok::<_, String>((estimates.clone(), paths.witnesses().to_vec(), arena))
+    };
+    let two = solver.apsp_2eps().map_err(|e| e.to_string())?;
+    let three = solver.apsp_3eps().map_err(|e| e.to_string())?;
+    let queries = vec![
+        recorded(&two.estimates, two.paths.as_deref())?,
+        recorded(&three.estimates, three.paths.as_deref())?,
+    ];
+    Ok((
+        trees.sections().0.to_vec(),
+        store.witnesses().to_vec(),
+        queries,
+    ))
+}
+
+/// The recording session's graph: a sparse graph on a spanning path,
+/// plus a hub joined to every even vertex. The hub lies above apsp2's
+/// high-degree threshold, so every short-range step runs. The graph is
+/// drawn from the fixed stream `SESSION_SEED`, not from the harness seed:
+/// most draws leave the emulator without edges outside the graph or leave
+/// apsp3 no pair to route, and [`check_session_input`] refuses those.
+fn session_input() -> Graph {
+    let mut rng = Xorshift::new(SESSION_SEED);
+    let mut edges: Vec<(usize, usize)> = (1..SESSION_N).map(|v| (v - 1, v)).collect();
+    for _ in 0..2 * SESSION_N {
+        edges.push((rng.below(SESSION_N), rng.below(SESSION_N)));
+    }
+    edges.extend((2..SESSION_N).step_by(2).map(|v| (0, v)));
+    edges.retain(|&(u, v)| u != v);
+    Graph::from_edges(SESSION_N, &edges)
+}
+
+/// The session must exercise what it is compared on: a sweep hop that is
+/// not a graph edge (a flagged parent word), and pairs that apsp2's and
+/// apsp3's kernels route through a midpoint.
+fn check_session_input(session: &RecordedSession) -> Result<(), String> {
+    if !session
+        .0
+        .iter()
+        .any(|&word| word != u32::MAX && word >> 31 == 1)
+    {
+        return Err("recording session's sweep crosses no emulator hop".into());
+    }
+    for (name, query) in ["apsp2", "apsp3"].iter().zip(&session.2) {
+        if !query.1.iter().any(|w| matches!(w, PairWitness::Via(_))) {
+            return Err(format!(
+                "recording session's {name} routes no pair through a midpoint"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Deterministic sparse kernel input: ~6 entries per row, weights below
@@ -362,7 +434,10 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
     }
     let basis_hopsets = shared_hopsets(&union_base, 1, false);
     let sweep_trees = sweep_trees(&hop_graph, 1);
-    let recorded_sweep = recorded_sweep(&union_base, 1)?;
+    let session_graph = session_input();
+    let recorded_session = recorded_session(&session_graph, 1)?;
+    check_session_input(&recorded_session)?;
+
     let engine_words = engine_words(seed);
     let engine_collected = run_engine(&engine_words, 1)?;
     let (oracle, query_pairs, query_answers) = build_oracle(seed);
@@ -379,9 +454,10 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         union_sources,
         union_rows,
         union_base,
+        session_graph,
         basis_hopsets,
         sweep_trees,
-        recorded_sweep,
+        recorded_session,
         engine_words,
         engine_collected,
         oracle,
@@ -606,16 +682,19 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 format!("threads={sweep_threads}: distances or parents differ from serial"),
             );
         }
-        match recorded_sweep(&base.union_base, sweep_threads) {
-            Ok(got) if got == base.recorded_sweep => {}
+        match recorded_session(&base.session_graph, sweep_threads) {
+            Ok(got) if got == base.recorded_session => {}
             Ok(_) => fail(
                 &mut summary,
-                "recorded-sweep",
-                format!("threads={sweep_threads}: parent rows or witnesses differ from serial"),
+                "recorded-session",
+                format!(
+                    "threads={sweep_threads}: sweep parent rows or witnesses, or apsp2/apsp3 \
+                     estimates, witnesses or arenas differ from serial"
+                ),
             ),
             Err(e) => fail(
                 &mut summary,
-                "recorded-sweep",
+                "recorded-session",
                 format!("threads={sweep_threads}: {e}"),
             ),
         }
@@ -673,7 +752,7 @@ mod tests {
         assert_eq!(a.union_rows, b.union_rows);
         assert_eq!(a.basis_hopsets, b.basis_hopsets);
         assert_eq!(a.sweep_trees, b.sweep_trees);
-        assert_eq!(a.recorded_sweep, b.recorded_sweep);
+        assert_eq!(a.recorded_session, b.recorded_session);
         assert_eq!(a.engine_collected, b.engine_collected);
         assert_eq!(a.query_answers, b.query_answers);
     }

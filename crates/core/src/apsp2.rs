@@ -26,7 +26,7 @@ use cc_emulator::params::ParamError;
 use cc_graphs::{Dist, Graph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_routes::{PathStore, RecId};
-use cc_toolkit::through_sets::ThroughSets;
+use cc_toolkit::through_sets;
 use std::sync::Arc;
 
 use crate::error::CcError;
@@ -169,9 +169,9 @@ pub(crate) fn run(
                 &mut phase,
             )
         });
-        let sets: Vec<Vec<usize>> = vec![s_pivots.clone(); n];
+        let sets = vec![s_pivots.as_slice(); n];
         substrates.timed("through_sets", || {
-            merge_through_sets(n, &sets, &mut delta, paths.as_mut(), &mut phase)
+            merge_through_sets(&sets, threads, &mut delta, paths.as_mut(), &mut phase)
         });
     }
 
@@ -190,7 +190,7 @@ pub(crate) fn run(
         .map(|u| kn.list(u).iter().map(|&(v, _)| v as usize).collect())
         .collect();
     substrates.timed("through_sets", || {
-        merge_through_sets(n, &kn_sets, &mut delta, paths.as_mut(), &mut phase)
+        merge_through_sets(&kn_sets, threads, &mut delta, paths.as_mut(), &mut phase)
     });
 
     // Steps 4–7: pivot set A over full lists; route through p_A (Case 2).
@@ -268,15 +268,15 @@ pub(crate) fn run(
             n as u64,
         );
         substrates.timed("pivot_routing", || {
-            for u in 0..n {
-                let mut a_u: Vec<usize> = kn_sets[u]
-                    .iter()
-                    .filter_map(|&v| attachment[v].map(|w| w as usize))
-                    .collect();
+            pipeline::route_rows(&mut delta, paths.as_mut(), threads, |u, a_u| {
+                a_u.extend(
+                    kn_sets[u]
+                        .iter()
+                        .filter_map(|&v| attachment[v].map(|w| w as usize)),
+                );
                 a_u.sort_unstable();
                 a_u.dedup();
-                pipeline::route_through(&mut delta, paths.as_mut(), u, a_u);
-            }
+            });
         });
     }
 
@@ -334,28 +334,28 @@ pub(crate) fn run(
     })
 }
 
-/// Distance-through-sets (Thm 35) lowering `delta` straight from the
-/// candidate stream, setting a `Via` witness at every pair a candidate
-/// lowers when recording. The candidates come from the estimates as
-/// gathered, so the result is the old table-then-merge answer; they arrive
-/// in ascending `w` and only a strict improvement sets, so each pair keeps
-/// the smallest realizing `w`.
-fn merge_through_sets(
-    n: usize,
-    sets: &[Vec<usize>],
+/// Distance-through-sets (Thm 35) over the estimates as they stand,
+/// lowering every row of `delta` in place over `threads` workers
+/// ([`through_sets::lower_rows`]). When recording, each pair the kernel
+/// lowered gets a `Via` witness with its smallest realizing `w`; both rows
+/// of a pair see the same candidates, so the matrix stays symmetric and the
+/// lower row's list names every pair once.
+fn merge_through_sets<S: AsRef<[usize]> + Sync>(
+    sets: &[S],
+    threads: usize,
     delta: &mut DistanceMatrix,
-    mut paths: Option<&mut PathStore>,
+    paths: Option<&mut PathStore>,
     ledger: &mut RoundLedger,
 ) {
-    let gathered = ThroughSets::gather(n, sets, |v, w| delta.get(v, w), ledger);
-    gathered.for_each_candidate(|u, v, d, w| {
-        if !delta.improve(u, v, d) {
-            return;
+    let mut rows: Vec<&mut [Dist]> = delta.rows_mut().collect();
+    let lowered = through_sets::lower_rows(sets, &mut rows, threads, paths.is_some(), ledger);
+    if let Some(p) = paths {
+        for (u, list) in lowered.iter().enumerate() {
+            for &(v, w) in list {
+                p.set_via(u, v as usize, w as usize);
+            }
         }
-        if let Some(p) = paths.as_deref_mut() {
-            p.set_via(u, v, w);
-        }
-    });
+    }
 }
 
 /// Lowers `delta` to the Case 3b three-hop product `q = (W₁·W₂)·W₃` and,

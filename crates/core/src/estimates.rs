@@ -53,9 +53,9 @@ impl DistanceMatrix {
 
     /// Debug-build check that the symmetric-write invariant held up.
     /// [`DistanceMatrix::improve`] and merge write both orientations; the
-    /// row writers ([`DistanceMatrix::rows_mut`], the row kernel plus its
-    /// mirror) restore symmetry once they finish. This micro-assert catches
-    /// any fast path that forgets. Compiled out of release builds.
+    /// row writers ([`DistanceMatrix::rows_mut`]) lower each row to a row of
+    /// a symmetric table. This micro-assert catches any fast path that
+    /// forgets. Compiled out of release builds.
     #[inline]
     pub(crate) fn debug_assert_symmetric(&self) {
         #[cfg(debug_assertions)]
@@ -97,55 +97,6 @@ impl DistanceMatrix {
             *a = (*a).min(b);
         }
         self.debug_assert_symmetric();
-    }
-
-    /// Lowers row `u` through `w`: `δ(u,v) = min(δ(u,v), via + δ(w,v))` for
-    /// every `v` (saturating), over two contiguous row slices — the
-    /// pivot-routing kernel of `apsp2` and `apsp3`. Entries never exceed
-    /// [`INF`] `= u32::MAX / 4`, so with `via` clamped to `INF` the plain sum
-    /// cannot overflow, and its `min` with the row equals the saturating
-    /// [`dadd`](cc_graphs::dadd) candidate.
-    ///
-    /// Only row `u` is written. Column `u` stays stale until
-    /// [`DistanceMatrix::mirror_row`], which callers run once after their
-    /// last relaxation of `u`. Deferring it is exact for the routing
-    /// loops: the only column-`u` entry a relaxation of `u` reads is
-    /// `δ(w,u)`, at `v = u`, and that candidate can never lower
-    /// `δ(u,u) = 0` (DESIGN.md §7.4). With `u == w` the candidate
-    /// `via + δ(u,v)` never undercuts `δ(u,v)`, so the call is a no-op.
-    pub(crate) fn relax_row_via(&mut self, u: usize, w: usize, via: Dist) {
-        let n = self.n;
-        let (row, leg) = match u.cmp(&w) {
-            std::cmp::Ordering::Equal => return,
-            std::cmp::Ordering::Less => {
-                let (lo, hi) = self.data.split_at_mut(w * n);
-                (&mut lo[u * n..(u + 1) * n], &hi[..n])
-            }
-            std::cmp::Ordering::Greater => {
-                let (lo, hi) = self.data.split_at_mut(u * n);
-                (&mut hi[..n], &lo[w * n..(w + 1) * n])
-            }
-        };
-        let via = via.min(INF);
-        for (d, &l) in row.iter_mut().zip(leg) {
-            *d = (*d).min(via + l);
-        }
-    }
-
-    /// Restores symmetry after [`DistanceMatrix::relax_row_via`]: copies
-    /// every entry of row `u` that differs from `before` — the row as it was
-    /// before the relaxations — into column `u`. Exact because the
-    /// relaxations only lowered row `u` from a symmetric state and nothing
-    /// wrote column `u` in between; skipping the unchanged entries saves the
-    /// strided column writes.
-    pub(crate) fn mirror_row(&mut self, u: usize, before: &[Dist]) {
-        let n = self.n;
-        for v in 0..n {
-            let d = self.data[u * n + v];
-            if d != before[v] {
-                self.data[v * n + u] = d;
-            }
-        }
     }
 
     /// Number of finite off-diagonal (ordered) entries.
@@ -192,7 +143,6 @@ impl DistanceMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_graphs::dadd;
 
     #[test]
     fn fresh_matrix_is_diagonal_zero() {
@@ -213,86 +163,6 @@ mod tests {
         assert_eq!(m.get(0, 1), 2);
         assert!(!m.improve(0, 1, 2), "an equal value does not lower");
         assert!(!m.improve(2, 2, 0), "nor does the diagonal");
-    }
-
-    /// The pivot-routing loop `relax_row_via` + `mirror_row` replaced,
-    /// pinned here as the reference: per `v ≠ u`, a symmetric `improve` of
-    /// `δ(u,v)` with `via + δ(w,v)` for every finite leg.
-    fn scalar_route(m: &mut DistanceMatrix, u: usize, w: usize, via: Dist) {
-        for v in 0..m.n() {
-            if v != u {
-                let leg = m.get(w, v);
-                if leg < INF {
-                    m.improve(u, v, dadd(via, leg));
-                }
-            }
-        }
-    }
-
-    fn random_symmetric(n: usize, rng: &mut impl rand::Rng) -> DistanceMatrix {
-        let mut m = DistanceMatrix::new(n);
-        for u in 0..n {
-            for v in u + 1..n {
-                match rng.gen_range(0..8) {
-                    0 | 1 => {} // INF leg
-                    2 => _ = m.improve(u, v, INF - 1 - rng.gen_range(0..4u32)),
-                    _ => _ = m.improve(u, v, rng.gen_range(1..40)),
-                }
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn row_kernel_matches_the_scalar_loop() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(15);
-        for n in [1usize, 2, 5, 17, 32] {
-            for _ in 0..20 {
-                let mut fast = random_symmetric(n, &mut rng);
-                let mut slow = fast.clone();
-                // Several rows in a row, each relaxed through several
-                // midpoints before its one mirror — the Case 3a shape.
-                for _ in 0..rng.gen_range(1..6) {
-                    let u = rng.gen_range(0..n);
-                    let before = fast.row(u).to_vec();
-                    for _ in 0..rng.gen_range(1..5) {
-                        // u == w, progressive (Case 2/3a) and saturating via.
-                        let w = if rng.gen_bool(0.2) {
-                            u
-                        } else {
-                            rng.gen_range(0..n)
-                        };
-                        let via = match rng.gen_range(0..4) {
-                            0 => INF - 1,
-                            1 => rng.gen_range(0..3),
-                            _ => slow.get(u, w),
-                        };
-                        fast.relax_row_via(u, w, via);
-                        scalar_route(&mut slow, u, w, via);
-                        assert_eq!(fast.row(u), slow.row(u), "n={n} u={u} w={w}");
-                    }
-                    fast.mirror_row(u, &before);
-                    assert_eq!(fast, slow, "n={n} u={u}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_kernel_saturates_and_skips_infinite_legs() {
-        let mut m = DistanceMatrix::new(3);
-        m.improve(0, 1, 4);
-        m.improve(1, 2, 3);
-        let before = m.row(0).to_vec();
-        m.relax_row_via(0, 1, INF);
-        m.mirror_row(0, &before);
-        assert_eq!(m.get(0, 2), INF, "saturating via stays infinite");
-        let before = m.row(2).to_vec();
-        m.relax_row_via(2, 1, 3);
-        m.mirror_row(2, &before);
-        assert_eq!((m.get(2, 0), m.get(0, 2)), (7, 7));
-        assert_eq!(m.get(2, 2), 0, "the diagonal never moves");
     }
 
     #[test]

@@ -592,6 +592,7 @@ fn emit_row_pair_into(
 mod tests {
     use super::*;
     use cc_graphs::Graph;
+    use cc_routes::HopTable;
 
     fn path_graph(n: usize) -> Graph {
         Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>())
@@ -699,11 +700,12 @@ mod tests {
         let mut store = PathStore::new(4);
         store.set_edge(0, 1);
         let unit = cc_graphs::WeightedGraph::from_unweighted(&g);
+        let hops = HopTable::new(4, Vec::new());
         let mut parents = vec![0u32; 16];
         for (s, row) in parents.chunks_mut(4).enumerate() {
-            TreeRows::write_row(row, &cc_graphs::dijkstra::sssp_with_parents(&unit, s).1, &g);
+            hops.write_row(row, &cc_graphs::dijkstra::sssp_with_parents(&unit, s).1);
         }
-        store.set_trees(Arc::new(TreeRows::new(4, parents, Vec::new())));
+        store.set_trees(Arc::new(TreeRows::new(parents, hops)));
         let mut origins = vec![0u8; 10];
         origins[DistStorage::packed_index(4, 1, 3)] = 1;
         let o = line_distances().with_routes(

@@ -16,7 +16,7 @@ use cc_graphs::dijkstra::{self, DialWorkspace};
 use cc_graphs::{Dist, Graph, WeightedGraph, INF};
 use cc_obs::StageTimes;
 use cc_routes::{
-    BatchRef, PathStore, RecId, RecordBatch, RouteArena, RowStore, TreeRows, Unroller,
+    BatchRef, HopTable, PathStore, RecId, RecordBatch, RouteArena, RowStore, TreeRows, Unroller,
 };
 use cc_toolkit::hopset::{self, BasisCache, BoundedHopset, HopsetParams};
 use cc_toolkit::knearest::{KNearest, Strategy};
@@ -285,13 +285,15 @@ fn lower_row(row: &mut [Dist], dists: &[Dist], neighbors: &[u32]) {
 /// The recording sweep. Every `G` edge is set first: adjacency lowers its
 /// pair to 1, and no emulator distance is smaller. Then one sharded sweep
 /// runs the emulator Dijkstra from every source, lowering the source's
-/// `delta` row and writing its parent row in place ([`TreeRows::write_row`]),
+/// `delta` row and writing its parent row in place ([`HopTable::write_row`]),
 /// and every other pair `(u, v)`, `u < v`, that the tree of `u` reaches is
 /// set to that tree's path. Emulator distances are symmetric, so for the
 /// pair's other endpoint the tree of `v` would lower it to the same value:
 /// the tree of the lower endpoint is the first to reach a pair, and it is
 /// the one that lowers it (DESIGN.md §7.4). A hop that is not a `G` edge
-/// is an emulator edge, and emits the emulator route absorbed for it.
+/// is an emulator edge, and emits the emulator route absorbed for it; the
+/// hop table of those edges is built before the sweep, which flags a hop
+/// by looking it up.
 fn record_emulator_pairs(
     g: &Graph,
     emu: &Emulator,
@@ -307,7 +309,8 @@ fn record_emulator_pairs(
         store.set_edge(u, v);
     }
     store.absorb_routes(routes);
-    let hops: Vec<(u32, u32, RecId)> = emu
+    let n = g.n();
+    let hops = emu
         .graph
         .edges()
         .filter(|&(a, b, _)| !g.has_edge(a, b))
@@ -320,7 +323,7 @@ fn record_emulator_pairs(
             (lo as u32, hi as u32, rec)
         })
         .collect();
-    let n = g.n();
+    let hops = HopTable::new(n, hops);
     let mut parents = vec![0u32; n * n];
     let mut rows: Vec<(&mut [Dist], &mut [u32])> =
         delta.rows_mut().zip(parents.chunks_mut(n.max(1))).collect();
@@ -331,10 +334,10 @@ fn record_emulator_pairs(
         |ws, u, (row, tree)| {
             let (dists, parents) = ws.sssp_with_parents(&emu.graph, u);
             lower_row(row, dists, g.neighbors(u));
-            TreeRows::write_row(tree, parents, g);
+            hops.write_row(tree, parents);
         },
     );
-    store.set_trees(Arc::new(TreeRows::new(n, parents, hops)));
+    store.set_trees(Arc::new(TreeRows::new(parents, hops)));
 }
 
 /// MSSP's emulator rows: `sssp(emu, s)` per source, swept over `threads`
@@ -537,43 +540,241 @@ pub(crate) fn set_detected_walks(
     }
 }
 
-/// Routes row `u` through each midpoint `w` in turn: `δ(u,v) ≤ δ(u,w) +
-/// δ(w,v)` for every `v`, with `δ(u,w)` read afresh per midpoint (infinite
-/// ones skipped), then one mirror of row `u`. When recording, each
-/// relaxation sets `Via(w)` at exactly the entries it lowered, in
-/// ascending `v` (DESIGN.md §7.4).
-pub(crate) fn route_through(
+/// Pivot routing, the row kernel of the nearest-pivot step and of apsp2's
+/// Case 3a: every row `u` is routed through its midpoints, `δ(u,v) ≤
+/// δ(u,w) + δ(w,v)` for every `v` and every `w` that `midpoints(u, ..)`
+/// lists, in that order. Each row reads the estimates as they stand when
+/// the step begins: the legs `δ(w,v)` come from a copy of the midpoint
+/// rows taken first, and each `δ(u,w)` from row `u` as lowered by its
+/// earlier midpoints (infinite ones skipped). Rows are lowered in place,
+/// sharded over `threads` workers ([`dijkstra::sharded`]), each marking
+/// the entries it lowered; one serial write-back then gives each marked
+/// pair the lower of its two rows' values. When recording, the write-back
+/// sets the pair's `Via` witness from the strictly lower row, or on a tie
+/// from the lower row index if that row lowered the pair; a row's witness
+/// for an entry is the midpoint of its last strict lowering (DESIGN.md
+/// §7.4). Nothing depends on the sharding, so the result is bit-identical
+/// at any thread count. Every buffer that outlives a row is allocated
+/// here, before the workers start.
+pub(crate) fn route_rows(
     delta: &mut DistanceMatrix,
-    mut paths: Option<&mut PathStore>,
-    u: usize,
-    midpoints: impl IntoIterator<Item = usize>,
+    paths: Option<&mut PathStore>,
+    threads: usize,
+    midpoints: impl Fn(usize, &mut Vec<usize>),
 ) {
-    let mut before: Vec<Dist> = Vec::new();
-    // Recording only: row `u` as of the previous midpoint.
-    let mut prev: Vec<Dist> = Vec::new();
-    for w in midpoints {
-        let via = delta.get(u, w);
-        if via >= INF {
-            continue;
+    let n = delta.n();
+    let mut plan = RoutePlan::new(n, midpoints);
+    let legs = Legs::copy(delta, &plan.mids);
+    let words = n.div_ceil(64).max(1);
+    let mut marks = vec![0u64; n * words];
+    let mut rows: Vec<RouteRow<'_>> = delta
+        .rows_mut()
+        .zip(marks.chunks_mut(words))
+        .zip(plan.via_rows())
+        .map(|((row, marks), (mids, vias))| RouteRow {
+            row,
+            marks,
+            mids,
+            vias,
+        })
+        .collect();
+    dijkstra::sharded(
+        &mut rows,
+        threads,
+        || vec![INF; n],
+        |before, u, row| row.route(u, &legs, before),
+    );
+    drop(rows);
+    let witness = |u: usize, v: usize, d: Dist| plan.witness(u, v, d, &legs);
+    write_back(delta, paths, &marks, words, witness);
+}
+
+/// Every row's midpoints, in order, and the `δ(u,w)` each was routed with
+/// (`INF` where it was skipped), as one table indexed by `start`.
+struct RoutePlan {
+    start: Vec<usize>,
+    mids: Vec<usize>,
+    vias: Vec<Dist>,
+}
+
+impl RoutePlan {
+    fn new(n: usize, midpoints: impl Fn(usize, &mut Vec<usize>)) -> Self {
+        let mut start = Vec::with_capacity(n + 1);
+        let (mut mids, mut row) = (Vec::new(), Vec::new());
+        start.push(0);
+        for u in 0..n {
+            row.clear();
+            midpoints(u, &mut row);
+            mids.extend_from_slice(&row);
+            start.push(mids.len());
         }
-        if before.is_empty() {
-            before.extend_from_slice(delta.row(u));
-            if paths.is_some() {
-                prev.extend_from_slice(&before);
+        let vias = vec![INF; mids.len()];
+        RoutePlan { start, mids, vias }
+    }
+
+    /// Per row, its midpoints and its disjoint slice of `vias`.
+    fn via_rows(&mut self) -> Vec<(&[usize], &mut [Dist])> {
+        let mut rest = self.vias.as_mut_slice();
+        self.start
+            .windows(2)
+            .map(|w| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+                rest = tail;
+                (&self.mids[w[0]..w[1]], head)
+            })
+            .collect()
+    }
+
+    /// Row `u`'s witness for its entry `v` of value `d`: the first midpoint
+    /// whose candidate is `d`, which is the one that last strictly lowered
+    /// the entry.
+    fn witness(&self, u: usize, v: usize, d: Dist, legs: &Legs) -> usize {
+        let range = self.start[u]..self.start[u + 1];
+        self.mids[range.clone()]
+            .iter()
+            .zip(&self.vias[range])
+            .find(|&(&w, &via)| via < INF && via + legs.row(w)[v] == d)
+            .map(|(&w, _)| w)
+            .expect("a lowered entry has a realizing midpoint")
+    }
+}
+
+/// The rows every routed row reads its legs from, copied before any row is
+/// lowered.
+struct Legs {
+    n: usize,
+    slot: Vec<u32>,
+    rows: Vec<Dist>,
+}
+
+impl Legs {
+    fn copy(delta: &DistanceMatrix, mids: &[usize]) -> Self {
+        let n = delta.n();
+        let mut slot = vec![u32::MAX; n];
+        let mut rows = Vec::new();
+        for &w in mids {
+            if slot[w] == u32::MAX {
+                slot[w] = (rows.len() / n.max(1)) as u32;
+                rows.extend_from_slice(delta.row(w));
             }
         }
-        delta.relax_row_via(u, w, via);
-        if let Some(p) = paths.as_deref_mut() {
-            for (v, (old, &d)) in prev.iter_mut().zip(delta.row(u)).enumerate() {
-                if d != *old {
-                    *old = d;
-                    p.set_via(u, v, w);
+        Legs { n, slot, rows }
+    }
+
+    fn row(&self, w: usize) -> &[Dist] {
+        let s = self.slot[w] as usize * self.n;
+        &self.rows[s..s + self.n]
+    }
+}
+
+/// One routed row: its estimates, lowered in place, a bit per entry it
+/// lowered, its midpoints, and the `δ(u,w)` it routed each with.
+struct RouteRow<'a> {
+    row: &'a mut [Dist],
+    marks: &'a mut [u64],
+    mids: &'a [usize],
+    vias: &'a mut [Dist],
+}
+
+impl RouteRow<'_> {
+    /// Routes row `u` through its midpoints and marks the entries that
+    /// dropped below `before`, the row as it was. A midpoint `w = u`
+    /// restates the row and is skipped; `w = v` restates `δ(u,v)` and
+    /// never lowers it. Midpoints are relaxed two at a time, in one pass
+    /// over the row: the second one's `δ(u,w)` is the row's value lowered
+    /// through the first, `min(δ(u,w), via₁ + δ(w₁,w))`, which is what
+    /// relaxing them one after the other reads.
+    fn route(&mut self, u: usize, legs: &Legs, before: &mut [Dist]) {
+        let mut copied = false;
+        let mut pending: Option<(usize, Dist)> = None;
+        for (j, &w) in self.mids.iter().enumerate() {
+            if w == u {
+                continue;
+            }
+            let via = match pending {
+                Some((p, pv)) => self.row[w].min(pv + legs.row(p)[w]),
+                None => self.row[w],
+            };
+            if via >= INF {
+                continue;
+            }
+            if !copied {
+                before.copy_from_slice(self.row);
+                copied = true;
+            }
+            self.vias[j] = via;
+            match pending.take() {
+                None => pending = Some((w, via)),
+                Some((p, pv)) => relax_pair(self.row, (legs.row(p), pv), (legs.row(w), via)),
+            }
+        }
+        if let Some((p, pv)) = pending {
+            relax_pair(self.row, (legs.row(p), pv), (legs.row(p), pv));
+        }
+        if copied {
+            for (v, (&d, &old)) in self.row.iter().zip(before.iter()).enumerate() {
+                if d != old {
+                    self.marks[v / 64] |= 1 << (v % 64);
                 }
             }
         }
     }
-    if !before.is_empty() {
-        delta.mirror_row(u, &before);
+}
+
+/// Lowers `row` to `min(row, via₁ + leg₁, via₂ + leg₂)` elementwise. Entries
+/// never exceed [`INF`] `= u32::MAX / 4` and each `via < INF`, so the plain
+/// sums cannot overflow, and their `min` with the row equals the saturating
+/// [`dadd`](cc_graphs::dadd) candidates. Every value is below `2³¹`, so the
+/// `min`s are taken as `i32`, which baseline x86-64 compares in one vector
+/// instruction (it has no unsigned 32-bit `min`).
+fn relax_pair(row: &mut [Dist], (leg1, via1): (&[Dist], Dist), (leg2, via2): (&[Dist], Dist)) {
+    let n = row.len();
+    let (leg1, leg2) = (&leg1[..n], &leg2[..n]);
+    for v in 0..n {
+        let candidate = ((via1 + leg1[v]) as i32).min((via2 + leg2[v]) as i32);
+        row[v] = (row[v] as i32).min(candidate) as Dist;
+    }
+}
+
+/// The serial write-back of [`route_rows`]: every row holds its own
+/// values, and `marks` (`words` per row) the entries each row lowered.
+/// Pairs are settled from the lower row index: a pair both rows lowered is
+/// settled once, there; a pair only the higher row lowered is settled when
+/// that row is reached, where the lower row's cell still holds the pair's
+/// value from before the step. Each marked pair ends at the lower of its
+/// rows' values, with the witness `witness(row, column, value)` of the
+/// strictly lower row, or of the lower row index on a tie.
+fn write_back(
+    delta: &mut DistanceMatrix,
+    mut paths: Option<&mut PathStore>,
+    marks: &[u64],
+    words: usize,
+    witness: impl Fn(usize, usize, Dist) -> usize,
+) {
+    let marked = |u: usize, v: usize| marks[u * words + v / 64] >> (v % 64) & 1 == 1;
+    for (u, row) in marks.chunks(words).enumerate() {
+        for (i, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if v < u && marked(v, u) {
+                    continue; // settled from row `v`
+                }
+                // Row `u`'s own value, and row `v`'s own value where row
+                // `v` lowered the pair (then `v > u`), else the old value.
+                let (mine, theirs) = (delta.get(u, v), delta.get(v, u));
+                let (from, to, d) = if theirs < mine {
+                    (v, u, theirs)
+                } else {
+                    (u, v, mine)
+                };
+                delta.improve(to, from, d);
+                if let Some(p) = paths.as_deref_mut() {
+                    p.set_via(u, v, witness(from, to, d));
+                }
+            }
+        }
     }
 }
 
@@ -627,7 +828,7 @@ pub(crate) fn nearest_lists(
 /// the hopset `hs` ([`detect_pivots`]); every vertex broadcasts the
 /// nearest pivot in its list `lists` and the distance to it (the ledger
 /// entry `announce`, 1 round); then row `u` is routed through `u`'s
-/// nearest pivot ([`route_through`]), so every pair goes through the
+/// nearest pivot ([`route_rows`]), so every pair goes through the
 /// nearer endpoint's pivot.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_through_nearest_pivots(
@@ -651,10 +852,9 @@ pub(crate) fn route_through_nearest_pivots(
         mask[a] = true;
     }
     substrates.timed("pivot_routing", || {
-        for u in 0..g.n() {
-            let a = lists.nearest_in(u, &mask).map(|(a, _)| a as usize);
-            route_through(delta, paths.as_deref_mut(), u, a);
-        }
+        route_rows(delta, paths, threads, |u, mids| {
+            mids.extend(lists.nearest_in(u, &mask).map(|(a, _)| a as usize));
+        });
     });
 }
 
@@ -769,32 +969,36 @@ mod tests {
         }
     }
 
-    /// `route_through` before the lowered-entry filter: a `Via(w)` offer
-    /// at every entry of row `u`, per midpoint, in ascending `v`.
-    fn route_through_offering_all(
+    /// The routing step before the lowered-entry filter: per row `u`,
+    /// ascending, a `Via(w)` offer at every entry of the row, per midpoint,
+    /// in ascending `v`. Each offer is `δ(u,w) + δ(w,v)` with the leg read
+    /// from the estimates as the step began and `δ(u,w)` from row `u` as
+    /// lowered by its earlier midpoints; `delta` takes every row's values
+    /// at the end.
+    fn route_offering_all(
         delta: &mut DistanceMatrix,
         reference: &mut OfferAll,
-        u: usize,
-        midpoints: &[usize],
+        midpoints: impl Fn(usize) -> Vec<usize>,
     ) {
-        let mut before: Vec<Dist> = Vec::new();
-        for &w in midpoints {
-            let via = delta.get(u, w);
-            if via >= INF {
-                continue;
-            }
-            if before.is_empty() {
-                before.extend_from_slice(delta.row(u));
-            }
-            delta.relax_row_via(u, w, via);
-            for (v, &leg) in delta.row(w).iter().enumerate() {
-                if v != u && leg < INF {
-                    reference.offer_via(u, v, cc_graphs::dadd(via, leg), w);
+        let start = delta.clone();
+        for u in 0..start.n() {
+            let mut row = start.row(u).to_vec();
+            for w in midpoints(u) {
+                let via = row[w];
+                if via >= INF {
+                    continue;
+                }
+                for (v, &leg) in start.row(w).iter().enumerate() {
+                    if v != u && leg < INF {
+                        let d = cc_graphs::dadd(via, leg);
+                        row[v] = row[v].min(d);
+                        reference.offer_via(u, v, d, w);
+                    }
                 }
             }
-        }
-        if !before.is_empty() {
-            delta.mirror_row(u, &before);
+            for (v, &d) in row.iter().enumerate() {
+                delta.improve(u, v, d);
+            }
         }
     }
 
@@ -929,12 +1133,13 @@ mod tests {
                 "{name}: detection arena"
             );
 
-            for u in 0..n {
-                // Two midpoints per row, the second one often redundant.
-                let mids = [pivots[u % pivots.len()], pivots[(u * 7 + 3) % pivots.len()]];
-                route_through_offering_all(&mut old_delta, &mut reference, u, &mids);
-                route_through(&mut delta, Some(&mut store), u, mids);
-            }
+            // Two midpoints per row, the second one often redundant.
+            let mids = |u: usize| {
+                let p = pivots.len();
+                vec![pivots[u % p], pivots[(u * 7 + 3) % p]]
+            };
+            route_offering_all(&mut old_delta, &mut reference, mids);
+            route_rows(&mut delta, Some(&mut store), 2, |u, m| m.extend(mids(u)));
             assert!(via_count(&store) > 0, "{name}: no Via offer won");
             assert_eq!(delta, old_delta, "{name}: routed estimates");
             assert_eq!(delta, reference.best, "{name}: routed values");
@@ -948,6 +1153,102 @@ mod tests {
                 reference.store.arena(),
                 "{name}: routing arena"
             );
+        }
+    }
+
+    /// A random symmetric estimate matrix with infinite and near-infinite
+    /// entries.
+    fn random_symmetric(n: usize, rng: &mut impl rand::Rng) -> DistanceMatrix {
+        let mut m = DistanceMatrix::new(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                match rng.gen_range(0..8) {
+                    0 | 1 => {} // INF leg
+                    2 => _ = m.improve(u, v, INF - 1 - rng.gen_range(0..4u32)),
+                    _ => _ = m.improve(u, v, rng.gen_range(1..40)),
+                }
+            }
+        }
+        m
+    }
+
+    /// `route_rows` against a brute force of its rule on random symmetric
+    /// matrices, at 1–3 workers: each row relaxed on its own through its
+    /// midpoints in order (the legs as the step began, `δ(u,w)` from the
+    /// row so far, saturating), then per pair the lower of its two rows'
+    /// values, with the `Via` witness of the strictly lower row, or on a
+    /// tie of the lower row index if that row lowered the pair. Midpoints
+    /// include `u` itself, the far endpoints `v`, repeats, and
+    /// near-infinite `δ(u,w)`.
+    #[test]
+    fn route_rows_match_the_snapshot_rule() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        for n in [1usize, 2, 5, 17, 32] {
+            for _ in 0..12 {
+                let start = random_symmetric(n, &mut rng);
+                let mids: Vec<Vec<usize>> = (0..n)
+                    .map(|u| {
+                        (0..rng.gen_range(0..5))
+                            .map(|_| {
+                                if rng.gen_bool(0.2) {
+                                    u
+                                } else {
+                                    rng.gen_range(0..n)
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                // Per row: its own relaxation and the midpoint of each
+                // entry's last strict lowering.
+                let rows: Vec<(Vec<Dist>, Vec<Option<usize>>)> = (0..n)
+                    .map(|u| {
+                        let mut row = start.row(u).to_vec();
+                        let mut via_of = vec![None; n];
+                        for &w in &mids[u] {
+                            let via = row[w];
+                            if via >= INF {
+                                continue;
+                            }
+                            for v in 0..n {
+                                let d = cc_graphs::dadd(via, start.get(w, v));
+                                if d < row[v] {
+                                    row[v] = d;
+                                    via_of[v] = Some(w);
+                                }
+                            }
+                        }
+                        (row, via_of)
+                    })
+                    .collect();
+                let mut want = start.clone();
+                let mut want_store = PathStore::new(n);
+                for a in 0..n {
+                    for b in a + 1..n {
+                        let (ra, rb) = (rows[a].0[b], rows[b].0[a]);
+                        want.improve(a, b, ra.min(rb));
+                        let w = if rb < ra { rows[b].1[a] } else { rows[a].1[b] };
+                        if let Some(w) = w {
+                            want_store.set_via(a, b, w);
+                        }
+                    }
+                }
+                for threads in 1..=3 {
+                    let mut delta = start.clone();
+                    let mut store = PathStore::new(n);
+                    route_rows(&mut delta, Some(&mut store), threads, |u, m| {
+                        m.extend_from_slice(&mids[u]);
+                    });
+                    assert_eq!(delta, want, "n={n} threads={threads}");
+                    assert_eq!(store.witnesses(), want_store.witnesses(), "n={n}");
+                    let mut unrecorded = start.clone();
+                    route_rows(&mut unrecorded, None, threads, |u, m| {
+                        m.extend_from_slice(&mids[u]);
+                    });
+                    assert_eq!(unrecorded, want, "n={n} threads={threads}: unrecorded");
+                }
+            }
         }
     }
 

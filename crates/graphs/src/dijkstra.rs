@@ -153,10 +153,13 @@ pub fn sweep<T: Send>(
     sharded(items, threads, || DialWorkspace::new(max_weight), fill);
 }
 
-/// The sharding behind [`sweep`] and the hop-limited kernels: contiguous
-/// runs of `items` over `threads` scoped workers, each with its own
-/// `scratch()`, calling `fill(scratch, i, &mut items[i])` once per item.
-fn sharded<S, T: Send>(
+/// The sharding behind [`sweep`], the hop-limited kernels and the
+/// short-range row kernels: contiguous runs of `items` over `threads`
+/// scoped workers, each with its own `scratch()`, calling
+/// `fill(scratch, i, &mut items[i])` once per item. When `fill` writes
+/// only its own item and reads shared inputs, the items come out
+/// bit-identical at any thread count.
+pub fn sharded<S, T: Send>(
     items: &mut [T],
     threads: usize,
     scratch: impl Fn() -> S + Sync,

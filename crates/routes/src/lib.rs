@@ -57,5 +57,5 @@ pub mod unroller;
 
 pub use arena::{BatchRef, EmitStack, RecId, RecordBatch, RouteArena, TAG_CAT, TAG_EDGE, TAG_REV};
 pub use store::{PairWitness, PathStore, RowStore};
-pub use tree::TreeRows;
+pub use tree::{HopTable, TreeRows};
 pub use unroller::Unroller;

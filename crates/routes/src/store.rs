@@ -411,6 +411,7 @@ impl RowStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::HopTable;
 
     fn path_graph(n: usize) -> Graph {
         Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>())
@@ -474,12 +475,13 @@ mod tests {
             edges.iter().map(|&(u, v)| (u, v, 1)).collect();
         over.push((1, 4, 2));
         let over = cc_graphs::WeightedGraph::from_edges(8, &over);
+        let hops = HopTable::new(8, vec![(1, 4, hop)]);
         let mut parents = vec![0u32; 64];
         for (src, row) in parents.chunks_mut(8).enumerate() {
             let (_, tree) = cc_graphs::dijkstra::sssp_with_parents(&over, src);
-            TreeRows::write_row(row, &tree, &g);
+            hops.write_row(row, &tree);
         }
-        s.set_trees(Arc::new(TreeRows::new(8, parents, vec![(1, 4, hop)])));
+        s.set_trees(Arc::new(TreeRows::new(parents, hops)));
         s
     }
 

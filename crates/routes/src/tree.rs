@@ -1,6 +1,6 @@
 //! Shortest-path trees kept as parent rows.
 
-use cc_graphs::{Graph, PodData};
+use cc_graphs::PodData;
 
 use crate::arena::{ArenaView, EmitStack, RecId};
 
@@ -39,62 +39,100 @@ pub struct TreeRows {
     hop_rec: PodData<u32>,
 }
 
-impl TreeRows {
-    /// Rows over `n` vertices from their parent words (written by
-    /// [`TreeRows::write_row`], `n` words per row) and the hop table
-    /// `hops`: `(lo, hi, record)` per emulator edge that is not a `G` edge,
-    /// the record running `lo → hi`, in any order (a repeated entry counts
-    /// once).
+/// The hop table of a [`TreeRows`]: every emulator edge that is not a `G`
+/// edge, one row per lower endpoint, with its record. It is built before
+/// the trees are written, so [`HopTable::write_row`] flags a hop by
+/// looking it up, which costs nothing when the table is empty.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HopTable {
+    n: usize,
+    /// The pairs `(lo, hi)` of lower endpoint `lo` are
+    /// `hi[start[lo]..start[lo + 1]]`, ascending, with their records at
+    /// the same positions of `rec`.
+    start: Vec<u32>,
+    hi: Vec<u32>,
+    rec: Vec<u32>,
+}
+
+impl HopTable {
+    /// The table over `n` vertices of `hops`: `(lo, hi, record)` per
+    /// emulator edge that is not a `G` edge, the record running `lo → hi`,
+    /// in any order (a repeated entry counts once).
     ///
     /// # Panics
     ///
-    /// Panics if `parents` does not hold `n` rows of `n` words, if `n`
-    /// does not fit the parent words, or if a hop is not a pair `lo < hi <
-    /// n` or has two records.
-    pub fn new(n: usize, parents: Vec<u32>, mut hops: Vec<(u32, u32, RecId)>) -> Self {
+    /// Panics if `n` does not fit the parent words, or if a hop is not a
+    /// pair `lo < hi < n` or has two records.
+    pub fn new(n: usize, mut hops: Vec<(u32, u32, RecId)>) -> Self {
         assert!(
             n < HOP_FLAG as usize,
             "vertex ids must leave the hop flag free"
         );
-        assert_eq!(parents.len(), n * n, "one parent row per source");
         hops.sort_unstable_by_key(|&(lo, hi, rec)| (lo, hi, rec.index()));
         hops.dedup();
-        let mut hop_start = vec![0u32; n + 1];
+        let mut start = vec![0u32; n + 1];
         for &(lo, hi, _) in &hops {
             assert!(lo < hi && (hi as usize) < n, "hop ({lo},{hi}) out of range");
-            hop_start[lo as usize + 1] += 1;
+            start[lo as usize + 1] += 1;
         }
         for v in 0..n {
-            hop_start[v + 1] += hop_start[v];
+            start[v + 1] += start[v];
         }
         assert!(
             hops.windows(2)
                 .all(|w| (w[0].0, w[0].1) != (w[1].0, w[1].1)),
             "one record per hop"
         );
-        TreeRows {
+        HopTable {
             n,
-            parents: parents.into(),
-            hop_start: hop_start.into(),
-            hop_hi: hops.iter().map(|&(_, hi, _)| hi).collect::<Vec<_>>().into(),
-            hop_rec: hops
-                .iter()
-                .map(|&(_, _, rec)| rec.index())
-                .collect::<Vec<_>>()
-                .into(),
+            start,
+            hi: hops.iter().map(|&(_, hi, _)| hi).collect(),
+            rec: hops.iter().map(|&(_, _, rec)| rec.index()).collect(),
         }
     }
 
     /// Writes one tree's parent row: `parents` as a Dijkstra returns them
     /// (`None` at the root and at unreached vertices), each hop flagged
-    /// when `g` has no edge for it.
-    pub fn write_row(row: &mut [u32], parents: &[Option<u32>], g: &Graph) {
+    /// when the table holds it. Every tree hop is an edge of the graph the
+    /// tree was searched on, and the table holds exactly that graph's
+    /// edges outside `G`, so a hop is flagged exactly when it is not a `G`
+    /// edge.
+    pub fn write_row(&self, row: &mut [u32], parents: &[Option<u32>]) {
+        let hops = self.view();
         for (v, (word, parent)) in row.iter_mut().zip(parents).enumerate() {
             *word = match *parent {
                 None => NO_PARENT,
-                Some(p) if g.has_edge(p as usize, v) => p,
-                Some(p) => p | HOP_FLAG,
+                Some(p) if hops.get(p as usize, v).is_some() => p | HOP_FLAG,
+                Some(p) => p,
             };
+        }
+    }
+
+    fn view(&self) -> Hops<'_> {
+        Hops {
+            start: &self.start,
+            hi: &self.hi,
+            rec: &self.rec,
+        }
+    }
+}
+
+impl TreeRows {
+    /// Rows over the table's `n` vertices from their parent words (written
+    /// by [`HopTable::write_row`], `n` words per row) and the hop table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parents` does not hold `n` rows of `n` words.
+    pub fn new(parents: Vec<u32>, hops: HopTable) -> Self {
+        let n = hops.n;
+        assert_eq!(parents.len(), n * n, "one parent row per source");
+        TreeRows {
+            n,
+            parents: parents.into(),
+            hop_start: hops.start.into(),
+            hop_hi: hops.hi.into(),
+            hop_rec: hops.rec.into(),
         }
     }
 
@@ -283,18 +321,18 @@ mod tests {
     /// Rows over 4 vertices: the trees of the path 0-1-2-3 plus the
     /// emulator edge (0, 3), whose hop record is 7.
     fn columns() -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let trees: [[Option<u32>; 4]; 4] = [
             [None, Some(0), Some(1), Some(0)],
             [Some(1), None, Some(1), Some(2)],
             [Some(1), Some(2), None, Some(2)],
             [Some(3), Some(2), Some(3), None],
         ];
+        let hops = HopTable::new(4, vec![(0, 3, RecId::from_index(7))]);
         let mut parents = vec![0u32; 16];
         for (row, tree) in parents.chunks_mut(4).zip(&trees) {
-            TreeRows::write_row(row, tree, &g);
+            hops.write_row(row, tree);
         }
-        let rows = TreeRows::new(4, parents, vec![(0, 3, RecId::from_index(7))]);
+        let rows = TreeRows::new(parents, hops);
         let (p, s, h, r) = rows.sections();
         (p.to_vec(), s.to_vec(), h.to_vec(), r.to_vec())
     }

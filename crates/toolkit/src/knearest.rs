@@ -38,8 +38,9 @@ pub struct KNearest {
     k: usize,
     d: Dist,
     lists: Vec<Vec<(u32, Dist)>>,
-    /// Per-entry predecessors (see [`KNearest::with_parents`]); aligned with
-    /// `lists`.
+    /// Per-entry predecessors (see [`KNearest::with_parents`]), aligned
+    /// with `lists`: the position of the entry's predecessor in the same
+    /// list (the root entry holds its own position).
     parents: Option<Vec<Vec<u32>>>,
 }
 
@@ -135,7 +136,8 @@ impl KNearest {
     /// (`DESIGN.md` §8.1): the predecessor is itself a list entry (everything
     /// strictly closer than an entry precedes it in the `(distance, id)`
     /// order), so parent chains stay inside the list until they reach the
-    /// root.
+    /// root. Each predecessor is kept as its position in the list, so
+    /// [`KNearest::route_recs`] reaches it without a search.
     ///
     /// Purely local post-processing on the already-computed object — no
     /// rounds, identical lists, works for either [`Strategy`] — so recording
@@ -144,22 +146,28 @@ impl KNearest {
     pub fn with_parents(mut self, g: &Graph) -> Self {
         let n = g.n();
         let mut dist_of: Vec<Dist> = vec![INF; n];
+        // The list position of each entry, read only where `dist_of` is set.
+        let mut pos_of: Vec<u32> = vec![0; n];
         let mut parents = Vec::with_capacity(self.lists.len());
         for (v, list) in self.lists.iter().enumerate() {
-            for &(u, du) in list {
+            for (i, &(u, du)) in list.iter().enumerate() {
                 dist_of[u as usize] = du;
+                pos_of[u as usize] = i as u32;
             }
             let row = list
                 .iter()
-                .map(|&(u, du)| {
+                .enumerate()
+                .map(|(i, &(u, du))| {
                     if u as usize == v {
-                        return u;
+                        return i as u32;
                     }
-                    g.neighbors(u as usize)
+                    let p = g
+                        .neighbors(u as usize)
                         .iter()
                         .copied()
                         .find(|&w| dist_of[w as usize] + 1 == du)
-                        .expect("every non-root entry has an in-list predecessor")
+                        .expect("every non-root entry has an in-list predecessor");
+                    pos_of[p as usize]
                 })
                 .collect();
             for &(u, _) in list {
@@ -197,17 +205,15 @@ impl KNearest {
                 recs.push(None);
                 continue;
             }
-            let p = prow[i];
+            // The predecessor sits earlier in the (distance, id)-sorted list.
+            let pidx = prow[i] as usize;
+            let p = list[pidx].0;
             let hop = arena.edge(p, u);
             if du == 1 {
                 debug_assert_eq!(p as usize, v);
                 recs.push(Some(hop));
                 continue;
             }
-            // The predecessor sits earlier in the (distance, id)-sorted list.
-            let pidx = list
-                .binary_search_by_key(&(du - 1, p), |&(c, dist)| (dist, c))
-                .expect("predecessor is a list entry");
             let prefix = recs[pidx].expect("predecessor record interned earlier");
             recs.push(Some(arena.cat(prefix, hop)));
         }
@@ -412,12 +418,15 @@ mod tests {
         assert!(kn.has_parents() && !plain.has_parents());
         for v in 0..g.n() {
             assert_eq!(kn.list(v), plain.list(v), "parents must not change lists");
-            for (i, &(u, du)) in kn.list(v).iter().enumerate() {
-                let p = kn.parents.as_ref().unwrap()[v][i];
+            let list = kn.list(v);
+            for (i, &(u, du)) in list.iter().enumerate() {
+                let pos = kn.parents.as_ref().unwrap()[v][i] as usize;
+                let p = list[pos].0;
                 if u as usize == v {
-                    assert_eq!(p, u);
+                    assert_eq!(pos, i, "the root is its own predecessor");
                     continue;
                 }
+                assert!(pos < i, "the predecessor precedes its entry");
                 assert!(g.has_edge(p as usize, u as usize), "parent is a neighbor");
                 assert_eq!(kn.dist(v, p as usize), Some(du - 1), "parent is closer");
             }

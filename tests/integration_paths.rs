@@ -13,7 +13,7 @@ use congested_clique::core::oracle::{DistOracle, SnapshotError};
 use congested_clique::core::path_oracle::PathProvider;
 use congested_clique::graphs::dijkstra;
 use congested_clique::prelude::*;
-use congested_clique::routes::{PathStore, RowStore, TreeRows, Unroller};
+use congested_clique::routes::{HopTable, PathStore, RowStore, TreeRows, Unroller};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
@@ -231,11 +231,12 @@ fn reference_path_oracle() -> DistOracle {
     let mut over: Vec<(usize, usize, Dist)> = (0..n - 1).map(|v| (v, v + 1, 1)).collect();
     over.push((0, 3, 2));
     let over = WeightedGraph::from_edges(n, &over);
+    let hops = HopTable::new(n, vec![(0, 3, hop)]);
     let mut parents = vec![0u32; n * n];
     for (s, row) in parents.chunks_mut(n).enumerate() {
-        TreeRows::write_row(row, &dijkstra::sssp_with_parents(&over, s).1, &g);
+        hops.write_row(row, &dijkstra::sssp_with_parents(&over, s).1);
     }
-    pairs.set_trees(Arc::new(TreeRows::new(n, parents, vec![(0, 3, hop)])));
+    pairs.set_trees(Arc::new(TreeRows::new(parents, hops)));
     let mut rows = RowStore::new(n, &[3, 8]);
     for (i, s) in [3usize, 8].into_iter().enumerate() {
         for v in 0..n {

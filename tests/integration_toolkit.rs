@@ -6,7 +6,7 @@ use congested_clique::prelude::*;
 use congested_clique::toolkit::hopset::{self, BasisCache, HopsetParams};
 use congested_clique::toolkit::knearest::{KNearest, Strategy};
 use congested_clique::toolkit::source_detection::SourceDetection;
-use congested_clique::toolkit::through_sets::ThroughSets;
+use congested_clique::toolkit::through_sets;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -73,9 +73,13 @@ fn knearest_through_sets_covers_case_one() {
     let sets: Vec<Vec<usize>> = (0..n)
         .map(|u| kn.list(u).iter().map(|&(v, _)| v as usize).collect())
         .collect();
-    let mut rows = vec![vec![INF; n]; n];
-    ThroughSets::gather(n, &sets, |u, w| kn.dist(u, w).unwrap_or(INF), &mut ledger)
-        .for_each_candidate(|u, v, d, _| rows[u][v] = rows[u][v].min(d));
+    // The estimates are the lists' distances (∞ off the lists).
+    let mut rows: Vec<Vec<Dist>> = (0..n)
+        .map(|u| (0..n).map(|w| kn.dist(u, w).unwrap_or(INF)).collect())
+        .collect();
+    let mut row_refs: Vec<&mut [Dist]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
+    through_sets::lower_rows(&sets, &mut row_refs, 2, false, &mut ledger);
+    let mut through = 0;
     for u in 0..n {
         for v in 0..n {
             if u == v {
@@ -90,9 +94,21 @@ fn knearest_through_sets_covers_case_one() {
             if kn.dist(u, v).is_some() {
                 // v in u's list: through-sets with w = v is exact.
                 assert!(rows[u][v] <= exact[u][v] + exact[v][v], "({u},{v})");
+            } else if (0..n).any(|w| {
+                kn.dist(u, w).is_some()
+                    && kn.dist(v, w).is_some()
+                    && exact[u][w] + exact[w][v] == exact[u][v]
+            }) {
+                // Off the lists, a shared midpoint on a shortest path.
+                assert_eq!(rows[u][v], exact[u][v], "({u},{v})");
+                through += 1;
             }
         }
     }
+    assert!(
+        through > 0,
+        "some pair is answered through a shared midpoint"
+    );
 }
 
 /// The (S,d,k) generalization composes with hopsets: nearest_sources gives
