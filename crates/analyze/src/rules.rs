@@ -14,7 +14,8 @@
 //!   bare slice indexing, and bare `as` narrowing are denied in the
 //!   designated hot-path and parser modules (test code exempt).
 //! * `pod-manifest` — every `#[repr(C)]` type is registered here and pairs
-//!   with an `impl Section for …` compile-time layout check in its file.
+//!   with its compile-time layout check in its file: an `impl Section for …`
+//!   for a snapshot row, a `size_of` assertion for a C struct.
 //! * `unordered-iter` — `HashMap`/`HashSet` are banned in result-affecting
 //!   crates; address-dependent iteration order must never reach an output.
 //! * `lock-order` — `cc_serve` lock acquisitions must follow the declared
@@ -142,11 +143,23 @@ const NO_NARROWING: &[&str] = &[
     "crates/serve/src/snapshot.rs",
 ];
 
-/// The POD registry: every `#[repr(C)]` type in the workspace, by file.
-/// A type here must also carry an `impl Section for …` in the same file,
-/// tying its declared wire layout to the compile-time assertions in
-/// `cc_graphs::pod`.
-const POD_MANIFEST: &[(&str, &str)] = &[("crates/graphs/src/pod.rs", "DirEntry")];
+/// The POD registry: every `#[repr(C)]` type in the workspace, by file,
+/// with the text of its compile-time layout check, which the same file
+/// must contain. A snapshot row's check is its `impl Section for …`,
+/// tying its declared wire layout to the assertions in `cc_graphs::pod`;
+/// a C struct handed to libc asserts its size against the C layout.
+const POD_MANIFEST: &[(&str, &str, &str)] = &[
+    (
+        "crates/graphs/src/pod.rs",
+        "DirEntry",
+        "impl Section for DirEntry",
+    ),
+    (
+        "crates/serve/src/mmap.rs",
+        "PollFd",
+        "assert!(std::mem::size_of::<PollFd>() == 8)",
+    ),
+];
 
 /// Cast targets treated as narrowing when written with bare `as`.
 const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
@@ -250,7 +263,7 @@ pub fn check_root(root: &Path) -> io::Result<Report> {
     lock_cycle_findings(&lock_edges, &mut report);
 
     // The manifest must stay live: an entry whose type vanished is stale.
-    for (path, ty) in POD_MANIFEST {
+    for (path, ty, _) in POD_MANIFEST {
         let present = seen_pod.iter().any(|(p, t)| p == path && t == ty);
         if files.iter().any(|f| f == path) && !present {
             report.findings.push(Finding {
@@ -473,23 +486,23 @@ fn check_file(
         if code.contains("#[repr(C") {
             if let Some((ty_idx, ty)) = find_repr_type(&lines, idx) {
                 seen_pod.push((rel.to_string(), ty.clone()));
-                let registered = POD_MANIFEST.iter().any(|(p, t)| *p == rel && *t == ty);
-                if !registered {
-                    emit(
+                let entry = POD_MANIFEST.iter().find(|(p, t, _)| *p == rel && *t == ty);
+                match entry {
+                    None => emit(
                         report,
                         &lines,
                         ty_idx,
                         RULE_POD,
                         format!("unregistered #[repr(C)] type `{ty}` (add it to POD_MANIFEST)"),
-                    );
-                } else if !text.contains(&format!("impl Section for {ty}")) {
-                    emit(
+                    ),
+                    Some((_, _, check)) if !text.contains(check) => emit(
                         report,
                         &lines,
                         ty_idx,
                         RULE_POD,
-                        format!("`{ty}` lacks an `impl Section for` compile-time layout check"),
-                    );
+                        format!("`{ty}` lacks its compile-time layout check `{check}`"),
+                    ),
+                    Some(_) => {}
                 }
             }
         }
@@ -835,6 +848,18 @@ mod tests {
         assert_eq!(rules_of(&r), vec![RULE_POD]);
         let with_impl = format!("{src}impl Section for DirEntry {{}}\n");
         let ok = check_source("crates/graphs/src/pod.rs", &with_impl);
+        assert!(ok.findings.is_empty());
+    }
+
+    #[test]
+    fn registered_c_struct_needs_size_assertion() {
+        let src = "#[repr(C)]\npub struct PollFd { fd: i32, events: i16, revents: i16 }\n";
+        let r = check_source("crates/serve/src/mmap.rs", src);
+        assert_eq!(rules_of(&r), vec![RULE_POD]);
+        assert!(r.findings[0].message.contains("size_of::<PollFd>()"));
+        let with_check =
+            format!("{src}const _: () = assert!(std::mem::size_of::<PollFd>() == 8);\n");
+        let ok = check_source("crates/serve/src/mmap.rs", &with_check);
         assert!(ok.findings.is_empty());
     }
 

@@ -206,7 +206,7 @@ fn recorded_session(g: &Graph, threads: usize) -> Result<RecordedSession, String
         let paths = paths.ok_or("a recording query returns witnesses")?;
         let (tags, a, b, lens) = paths.arena().sections();
         let arena = (tags.to_vec(), a.to_vec(), b.to_vec(), lens.to_vec());
-        Ok::<_, String>((estimates.clone(), paths.witnesses().to_vec(), arena))
+        Ok::<_, String>((estimates.clone(), paths.witnesses().collect(), arena))
     };
     let two = solver.apsp_2eps().map_err(|e| e.to_string())?;
     let three = solver.apsp_3eps().map_err(|e| e.to_string())?;
@@ -216,7 +216,7 @@ fn recorded_session(g: &Graph, threads: usize) -> Result<RecordedSession, String
     ];
     Ok((
         trees.sections().0.to_vec(),
-        store.witnesses().to_vec(),
+        store.witnesses().collect(),
         queries,
     ))
 }

@@ -43,7 +43,7 @@
 use std::sync::Arc;
 
 use cc_graphs::{Dist, DistStorage, PodData};
-use cc_routes::{EmitStack, PairWitness, PathStore, RecId, RouteArena, RowStore, TreeRows};
+use cc_routes::{EmitStack, PathStore, RecId, RouteArena, RowStore, TreeRows};
 
 use crate::oracle::{DistOracle, Guarantee, SnapshotError};
 use crate::snapshot::header::Cursor;
@@ -95,7 +95,7 @@ impl PartialEq for PathProvider {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (PathProvider::Pairs(x), PathProvider::Pairs(y)) => {
-                x.arena() == y.arena() && x.witnesses() == y.witnesses() && x.trees() == y.trees()
+                x.arena() == y.arena() && x.witnesses().eq(y.witnesses()) && x.trees() == y.trees()
             }
             (PathProvider::Rows(x), PathProvider::Rows(y)) => {
                 x.arena() == y.arena() && x.sources() == y.sources() && x.recs() == y.recs()
@@ -242,7 +242,9 @@ impl Routes {
         self.providers
             .iter()
             .map(|p| match p {
-                PathProvider::Pairs(s) => s.arena().len() * RECORD + s.witnesses().len() * 5,
+                PathProvider::Pairs(s) => {
+                    s.arena().len() * RECORD + s.witness_columns().0.len() * 5
+                }
                 PathProvider::Rows(r) => r.arena().len() * RECORD + r.recs().len() * 5,
             })
             .sum::<usize>()
@@ -326,7 +328,7 @@ impl Routes {
             let aux = match provider {
                 PathProvider::Pairs(s) => {
                     pmeta.push(0);
-                    s.witnesses().len() as u64
+                    s.witness_columns().0.len() as u64
                 }
                 PathProvider::Rows(r) => {
                     pmeta.push(1);
@@ -347,31 +349,26 @@ impl Routes {
             w.section_u32(base + 2, a_opa);
             w.section_u32(base + 3, a_opb);
             w.section_u32(base + 4, a_lens);
-            let (w_tags, w_payloads): (Vec<u8>, Vec<u32>) = match provider {
-                PathProvider::Pairs(s) => s
-                    .witnesses()
-                    .iter()
-                    .map(|&wit| match wit {
-                        PairWitness::None => (0u8, 0u32),
-                        PairWitness::Rec { rec, rev: false } => (1, rec.index()),
-                        PairWitness::Rec { rec, rev: true } => (2, rec.index()),
-                        PairWitness::Via(via) => (3, via),
-                        PairWitness::Tree => (4, 0),
-                    })
-                    .unzip(),
-                PathProvider::Rows(r) => r
-                    .recs()
-                    .iter()
-                    .map(|rec| match rec {
-                        None => (0u8, 0u32),
-                        Some(rec) => (1, rec.index()),
-                    })
-                    .unzip(),
-            };
-            w.section(base + 5, &w_tags);
-            w.section_u32(base + 6, &w_payloads);
-            if let PathProvider::Rows(r) = provider {
-                w.section_u32(base + 7, r.sources());
+            match provider {
+                // The pair store keeps its witnesses as these two columns.
+                PathProvider::Pairs(s) => {
+                    let (w_tags, w_payloads) = s.witness_columns();
+                    w.section(base + 5, w_tags);
+                    w.section_u32(base + 6, w_payloads);
+                }
+                PathProvider::Rows(r) => {
+                    let (w_tags, w_payloads): (Vec<u8>, Vec<u32>) = r
+                        .recs()
+                        .iter()
+                        .map(|rec| match rec {
+                            None => (0u8, 0u32),
+                            Some(rec) => (1, rec.index()),
+                        })
+                        .unzip();
+                    w.section(base + 5, &w_tags);
+                    w.section_u32(base + 6, &w_payloads);
+                    w.section_u32(base + 7, r.sources());
+                }
             }
         }
         for (t, trees) in tables.iter().enumerate() {
@@ -418,7 +415,8 @@ impl Routes {
             return Err(SnapshotError::corrupt("embedded oracle dimension mismatch"));
         }
         let origins = view.u8_data(RSEC_ORIGINS, origin_count, "origin")?;
-        if origins.iter().any(|&o| o as usize >= provider_count) {
+        // A max fold, not an early-exit `any`: one branch-free pass.
+        if origins.iter().fold(0, |max, &o| max.max(o)) as usize >= provider_count {
             return Err(SnapshotError::corrupt("origin beyond provider table"));
         }
         let tables = (0..tree_count as usize)
@@ -469,44 +467,13 @@ impl Routes {
                     if aux != origin_count {
                         return Err(SnapshotError::corrupt("pair witness count mismatch"));
                     }
+                    // Served in place: the store keeps these columns and
+                    // `from_parts` checks them without decoding.
                     let w_tags = view.u8_data(base + 5, aux, "pair witness tag")?;
                     let w_payloads = view.u32_data(base + 6, aux, "pair witness payload")?;
-                    let mut entries = Vec::with_capacity(aux);
-                    for (&tag, &payload) in w_tags.iter().zip(w_payloads.iter()) {
-                        let entry = match tag {
-                            0 => PairWitness::None,
-                            1 | 2 => {
-                                if payload as usize >= records {
-                                    return Err(SnapshotError::corrupt(
-                                        "witness record out of range",
-                                    ));
-                                }
-                                PairWitness::Rec {
-                                    rec: RecId::from_index(payload),
-                                    rev: tag == 2,
-                                }
-                            }
-                            3 => {
-                                if payload as usize >= n {
-                                    return Err(SnapshotError::corrupt("via witness out of range"));
-                                }
-                                PairWitness::Via(payload)
-                            }
-                            4 => {
-                                // A tree witness names no record: the
-                                // provider's tree rows serve it.
-                                if trees.is_none() || payload != 0 {
-                                    return Err(SnapshotError::corrupt("invalid tree witness"));
-                                }
-                                PairWitness::Tree
-                            }
-                            _ => return Err(SnapshotError::corrupt("unknown witness tag")),
-                        };
-                        entries.push(entry);
-                    }
-                    providers.push(PathProvider::Pairs(Arc::new(PathStore::from_parts(
-                        n, arena, entries, trees,
-                    ))));
+                    let store = PathStore::from_parts(n, arena, w_tags, w_payloads, trees)
+                        .map_err(SnapshotError::corrupt)?;
+                    providers.push(PathProvider::Pairs(Arc::new(store)));
                 }
                 1 => {
                     let sources = view.u32_data(base + 7, aux, "source")?;
@@ -687,7 +654,9 @@ mod tests {
         assert!(!store.arena().is_empty());
         assert_eq!(
             o.witness_bytes(),
-            arena.iter().sum::<usize>() + store.witnesses().len() * 5 + routes.origins.len()
+            arena.iter().sum::<usize>()
+                + store.witness_columns().0.len() * 5
+                + routes.origins.len()
         );
     }
 
@@ -716,7 +685,7 @@ mod tests {
             ],
         );
         let rows = 4 * (16 + 5);
-        let one = store.arena().len() * 13 + store.witnesses().len() * 5;
+        let one = store.arena().len() * 13 + store.witness_columns().0.len() * 5;
         assert_eq!(o.witness_bytes(), 2 * one + 10 + rows);
         assert_eq!(o.path(3, 0).unwrap().edges, vec![(3, 2), (2, 1), (1, 0)]);
 
@@ -855,6 +824,150 @@ mod tests {
         let mut again = Vec::new();
         back.save_v2(&mut again).unwrap();
         assert_eq!(buf, again, "v2 re-save must be byte-identical");
+    }
+
+    /// A pair store with every witness kind: `G` edges, a midpoint
+    /// (`(0,2)` via 1) and, through the path's trees, tree witnesses for
+    /// the pairs without one. It is provider 0 beside a tree-less copy of
+    /// [`tiny_oracle`]'s store, so each witness rule can be broken on a
+    /// provider with trees and one without.
+    fn every_witness_oracle() -> DistOracle {
+        let g = path_graph(4);
+        let mut store = PathStore::new(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3)] {
+            store.set_edge(u, v);
+        }
+        store.set_via(0, 2, 1);
+        let unit = cc_graphs::WeightedGraph::from_unweighted(&g);
+        let hops = HopTable::new(4, Vec::new());
+        let mut parents = vec![0u32; 16];
+        for (s, row) in parents.chunks_mut(4).enumerate() {
+            hops.write_row(row, &cc_graphs::dijkstra::sssp_with_parents(&unit, s).1);
+        }
+        store.set_trees(Arc::new(TreeRows::new(parents, hops)));
+        let plain = routes_of(&tiny_oracle()).providers[0].clone();
+        let mut origins = vec![0u8; 10];
+        origins[DistStorage::packed_index(4, 2, 3)] = 1;
+        line_distances().with_routes(origins, vec![PathProvider::Pairs(Arc::new(store)), plain])
+    }
+
+    /// A loaded pair store serves its witness columns from the snapshot's
+    /// own bytes (little-endian hosts; elsewhere it degrades to a copy).
+    #[test]
+    fn loaded_pair_witnesses_are_served_in_place() {
+        let o = every_witness_oracle();
+        let owner = crate::snapshot::v2::owner_from_bytes(&o.to_v2_bytes().unwrap());
+        let back = DistOracle::load_v2_shared(Arc::clone(&owner)).unwrap();
+        assert_eq!(back, o);
+        let file = owner.bytes().as_ptr_range();
+        for provider in &routes_of(&back).providers {
+            let PathProvider::Pairs(store) = provider else {
+                panic!("pair stores only");
+            };
+            let (tags, payloads) = store.witness_columns();
+            let inside =
+                file.contains(&tags.as_ptr()) && file.contains(&payloads.as_ptr().cast::<u8>());
+            assert_eq!(inside, cfg!(target_endian = "little"));
+        }
+    }
+
+    /// `buf` with `plant` applied to the bytes of its section `id`, and
+    /// the checksum resealed over the change.
+    fn planted(buf: &[u8], id: u16, plant: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let view = SnapshotView::parse(crate::snapshot::v2::owner_from_bytes(buf), b"CCRO")
+            .expect("a valid snapshot");
+        let (_, off, len) = view
+            .directory()
+            .find(|&(section, _, _)| section == id)
+            .expect("the section is present");
+        let mut out = buf.to_vec();
+        plant(&mut out[off..off + len]);
+        let split = out.len() - 8;
+        let sum = crate::snapshot::header::checksum(&out[..split]);
+        out[split..].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// Each violation class of the witness, origin and tree-row checks,
+    /// planted in a resealed `CCRO`, is refused at open with its own
+    /// `Corrupt` message.
+    #[test]
+    fn planted_violations_report_their_corrupt_message() {
+        let o = every_witness_oracle();
+        let buf = o.to_v2_bytes().unwrap();
+        assert_eq!(DistOracle::from_snapshot_bytes(&buf).unwrap(), o);
+        let PathProvider::Pairs(store) = &routes_of(&o).providers[0] else {
+            panic!("provider 0 is a pair store");
+        };
+        let records = u32::try_from(store.arena().len()).unwrap();
+        let at = |u, v| DistStorage::packed_index(4, u, v);
+        let tag = |idx: usize, tag: u8| move |bytes: &mut [u8]| bytes[idx] = tag;
+        let payload = |idx: usize, value: u32| {
+            move |bytes: &mut [u8]| {
+                bytes[4 * idx..4 * idx + 4].copy_from_slice(&value.to_le_bytes())
+            }
+        };
+        let word = |cell: usize, f: fn(u32) -> u32| {
+            move |bytes: &mut [u8]| {
+                let old = u32::from_le_bytes(bytes[4 * cell..4 * cell + 4].try_into().unwrap());
+                bytes[4 * cell..4 * cell + 4].copy_from_slice(&f(old).to_le_bytes());
+            }
+        };
+        let (p0, p1) = (
+            RSEC_PROVIDER_BASE,
+            RSEC_PROVIDER_BASE + RSEC_PROVIDER_STRIDE,
+        );
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "witness record out of range",
+                planted(&buf, p0 + 6, payload(at(0, 1), records)),
+            ),
+            (
+                "witness record out of range",
+                planted(&buf, p1 + 6, payload(at(1, 3), u32::MAX)),
+            ),
+            (
+                "via witness out of range",
+                planted(&buf, p0 + 6, payload(at(0, 2), 4)),
+            ),
+            (
+                "invalid tree witness",
+                planted(&buf, p1 + 5, tag(at(0, 3), 4)),
+            ),
+            (
+                "invalid tree witness",
+                planted(&buf, p0 + 6, payload(at(0, 3), 1)),
+            ),
+            (
+                "unknown witness tag",
+                planted(&buf, p0 + 5, tag(at(1, 2), 5)),
+            ),
+            (
+                "origin beyond provider table",
+                planted(&buf, RSEC_ORIGINS, |b| b[at(1, 1)] = 2),
+            ),
+            (
+                "tree parent out of range",
+                planted(&buf, RSEC_TREE_BASE + 1, word(6, |_| 4)),
+            ),
+            (
+                "tree hop has no record",
+                planted(&buf, RSEC_TREE_BASE + 1, word(1, |w| w | 1 << 31)),
+            ),
+        ];
+        for (want, bad) in cases {
+            match DistOracle::from_snapshot_bytes(&bad) {
+                Err(SnapshotError::Corrupt(msg)) => assert_eq!(msg, want),
+                other => panic!("{want}: {other:?}"),
+            }
+        }
+        // Two violations in one table: the first in table order is named.
+        let mut two = planted(&buf, p0 + 5, tag(at(2, 3), 9));
+        two = planted(&two, p0 + 6, payload(at(0, 2), 7));
+        match DistOracle::from_snapshot_bytes(&two) {
+            Err(SnapshotError::Corrupt(msg)) => assert_eq!(msg, "via witness out of range"),
+            other => panic!("two violations: {other:?}"),
+        }
     }
 
     #[test]

@@ -913,7 +913,7 @@ mod tests {
         let g = generators::connected_gnp(97, 0.06, &mut rng);
         let witnesses = |p: &Option<std::sync::Arc<cc_routes::PathStore>>| {
             p.as_ref()
-                .map(|p| (p.witnesses().to_vec(), p.arena().clone()))
+                .map(|p| (p.witnesses().collect::<Vec<_>>(), p.arena().clone()))
         };
         let run = |threads: usize, record: bool| {
             let mut solver = SolverBuilder::new(g.clone())
@@ -1258,7 +1258,7 @@ mod tests {
         assert_eq!(got.estimates, want.estimates, "{at}: estimates");
         let parts = |p: &PathStore| {
             let trees = p.trees().cloned();
-            (p.witnesses().to_vec(), p.arena().clone(), trees)
+            (p.witnesses().collect::<Vec<_>>(), p.arena().clone(), trees)
         };
         let (got, want) = (
             got.paths.as_deref().map(parts),

@@ -23,10 +23,10 @@
 //! views on little-endian targets and fall back to decode-copy elsewhere
 //! (see `cc_core`'s snapshot module).
 
-// The unsafe below is confined to three places — `AlignedBytes::bytes`,
-// `SharedSlice::as_slice`, and the `ByteOwner` trait contract — and every
-// invariant (bounds, alignment, pointer stability) is checked or required
-// at construction.
+// The unsafe below is confined to `AlignedBytes`'s copy and view,
+// `SharedSlice::as_slice` with the `Send`/`Sync` impls its cached pointer
+// needs, and the `ByteOwner` trait contract — and every invariant (bounds,
+// alignment, pointer stability) is checked or required at construction.
 #![allow(unsafe_code)]
 
 use std::fmt;
@@ -202,15 +202,27 @@ pub struct DirEntry {
 
 /// A typed window `&[T]` into a [`ByteOwner`], keeping the owner alive.
 ///
-/// Bounds and alignment are validated once in [`SharedSlice::new`]; the
-/// [`ByteOwner`] contract (pointer stability) keeps that validation good
-/// for every later access.
+/// Bounds and alignment are validated once in [`SharedSlice::new`], which
+/// keeps the validated element pointer; the [`ByteOwner`] contract
+/// (pointer stability) keeps that pointer good for every later access, so
+/// an index costs what it costs on a `Vec`.
 pub struct SharedSlice<T: Pod> {
+    /// Keeps the allocation `ptr` points into alive.
     owner: Arc<dyn ByteOwner>,
+    /// The first element, validated in [`SharedSlice::new`].
+    ptr: *const T,
     byte_off: usize,
     len: usize,
     _marker: PhantomData<T>,
 }
+
+// SAFETY: `ptr` points into `owner`'s allocation, which is `Send + Sync`
+// (a `ByteOwner` bound) and immutable, and the slice only ever hands out
+// shared `&[T]` of a `Pod` (itself `Send + Sync`). Moving or sharing the
+// view moves or shares nothing the owner does not already allow.
+unsafe impl<T: Pod> Send for SharedSlice<T> {}
+// SAFETY: as for `Send`: concurrent readers see the same immutable bytes.
+unsafe impl<T: Pod> Sync for SharedSlice<T> {}
 
 impl<T: Pod> SharedSlice<T> {
     /// A view of `len` elements of `T` starting `byte_off` bytes into
@@ -224,28 +236,28 @@ impl<T: Pod> SharedSlice<T> {
         if end > bytes.len() {
             return None;
         }
-        if !(bytes.as_ptr() as usize + byte_off).is_multiple_of(std::mem::align_of::<T>()) {
+        let ptr = bytes.as_ptr().wrapping_add(byte_off).cast::<T>();
+        if !ptr.is_aligned() {
             return None;
         }
         Some(SharedSlice {
             owner,
+            ptr,
             byte_off,
             len,
             _marker: PhantomData,
         })
     }
 
-    /// The typed view. Native byte order — see the module docs. Each call
-    /// asks the owner for its bytes through a dynamic call, so hot loops
-    /// hoist the slice once instead of indexing per element.
+    /// The typed view. Native byte order — see the module docs.
+    #[inline]
     pub fn as_slice(&self) -> &[T] {
-        // SAFETY: bounds and alignment were validated in `new` against the
-        // owner's allocation, which the ByteOwner contract keeps stable;
-        // T is Pod, so any bit pattern is a valid value.
-        unsafe {
-            let base = self.owner.bytes().as_ptr().add(self.byte_off);
-            std::slice::from_raw_parts(base.cast::<T>(), self.len)
-        }
+        // SAFETY: `ptr` is `byte_off` bytes into the owner's allocation,
+        // and `new` checked that `len` elements from it are in bounds and
+        // aligned. The ByteOwner contract keeps that allocation at the
+        // same address for as long as `owner` (held here) lives, so the
+        // check still holds; T is Pod, so any bit pattern is a valid value.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
@@ -253,6 +265,7 @@ impl<T: Pod> Clone for SharedSlice<T> {
     fn clone(&self) -> Self {
         SharedSlice {
             owner: Arc::clone(&self.owner),
+            ptr: self.ptr,
             byte_off: self.byte_off,
             len: self.len,
             _marker: PhantomData,
@@ -291,9 +304,7 @@ enum Inner<T: Pod> {
 }
 
 impl<T: Pod> PodData<T> {
-    /// The element slice. On a shared table this (and every index through
-    /// `Deref`) resolves the owner's bytes, so hot loops hoist the slice
-    /// once instead of indexing per element.
+    /// The element slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
         match &self.0 {
@@ -318,6 +329,11 @@ impl<T: Pod> PodData<T> {
             Inner::Owned(v) => v,
             Inner::Shared(_) => unreachable!("converted above"),
         }
+    }
+
+    /// The element slice, mutable (copy-on-write for shared tables).
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        self.make_owned()
     }
 
     /// Appends one element (copy-on-write for shared tables).
@@ -479,5 +495,10 @@ mod tests {
         let mut empty = PodData::<u8>::default();
         empty.extend_from_slice(&[1, 2]);
         assert_eq!(&empty[..], &[1, 2]);
+        let owner: Arc<dyn ByteOwner> = Arc::new(AlignedBytes::copy_from(&[5, 6]));
+        let mut written: PodData<u8> = SharedSlice::new(owner, 0, 2).expect("u8").into();
+        written.as_mut_slice()[1] = 9;
+        assert!(!written.is_shared(), "copy-on-write");
+        assert_eq!(&written[..], &[5, 9]);
     }
 }

@@ -115,8 +115,6 @@ impl RouteArena {
             ops_b: ops_b.into(),
             lens: lens.into(),
         };
-        // One slice per column for the whole check: indexing a mapped
-        // `PodData` per record would resolve its owner's bytes each time.
         let (tags, ops_a, ops_b, lens) = arena.sections();
         let count = tags.len();
         if ops_a.len() != count || ops_b.len() != count || lens.len() != count {
@@ -210,8 +208,7 @@ impl RouteArena {
     }
 
     /// The record columns as slices, read once per route rather than once
-    /// per record: indexing a mapped [`PodData`] resolves its owner's bytes
-    /// on every access.
+    /// per record.
     pub(crate) fn view(&self) -> ArenaView<'_> {
         ArenaView {
             tags: &self.tags,

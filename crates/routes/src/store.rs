@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use cc_graphs::{DistStorage, Graph};
+use cc_graphs::{DistStorage, Graph, PodData};
 
 use crate::arena::{EmitStack, RecId, RouteArena};
 use crate::tree::TreeRows;
@@ -32,6 +32,43 @@ pub enum PairWitness {
     Tree,
 }
 
+// Witness tags, the `W_TAGS` column of a snapshot (`DESIGN.md` §9.2).
+const TAG_NONE: u8 = 0;
+const TAG_REC: u8 = 1;
+const TAG_REC_REV: u8 = 2;
+const TAG_VIA: u8 = 3;
+const TAG_TREE: u8 = 4;
+
+impl PairWitness {
+    /// The witness as its `(tag, payload)` column entries: the record
+    /// index for `Rec`, the midpoint for `Via`, zero otherwise.
+    #[inline]
+    fn encode(self) -> (u8, u32) {
+        match self {
+            PairWitness::None => (TAG_NONE, 0),
+            PairWitness::Rec { rec, rev: false } => (TAG_REC, rec.index()),
+            PairWitness::Rec { rec, rev: true } => (TAG_REC_REV, rec.index()),
+            PairWitness::Via(via) => (TAG_VIA, via),
+            PairWitness::Tree => (TAG_TREE, 0),
+        }
+    }
+
+    /// The witness a `(tag, payload)` entry of a validated table holds
+    /// ([`PathStore::from_parts`] refuses any other tag).
+    #[inline]
+    fn decode(tag: u8, payload: u32) -> PairWitness {
+        match tag {
+            TAG_REC | TAG_REC_REV => PairWitness::Rec {
+                rec: RecId::from_index(payload),
+                rev: tag == TAG_REC_REV,
+            },
+            TAG_VIA => PairWitness::Via(payload),
+            TAG_TREE => PairWitness::Tree,
+            _ => PairWitness::None,
+        }
+    }
+}
+
 /// The per-pair witness table a pipeline fills alongside its symmetric
 /// estimate matrix.
 ///
@@ -41,12 +78,19 @@ pub enum PairWitness {
 /// so every witness's walk weighs at most the estimate it was set with, and
 /// recording never changes an estimate (`DESIGN.md` §8).
 ///
+/// The table is kept as the snapshot keeps it: two [`PodData`] columns of
+/// one entry per packed pair, a `u8` tag and a `u32` payload, so saving
+/// writes them as they are and a mapped snapshot serves them in place.
+/// [`PairWitness`] is the decoded entry, read per lookup.
+///
 /// [`DistanceMatrix::improve`]: https://docs.rs/cc-core
 #[derive(Clone, Debug)]
 pub struct PathStore {
     n: usize,
-    /// One witness per packed pair.
-    entries: Vec<PairWitness>,
+    /// One witness tag per packed pair.
+    tags: PodData<u8>,
+    /// One witness payload per packed pair: see [`PairWitness::encode`].
+    payloads: PodData<u32>,
     /// Shortcut provenance (hopset/emulator records absorbed in) plus the
     /// arena all `Rec` witnesses and tree hops live in.
     routes: Unroller,
@@ -57,35 +101,81 @@ pub struct PathStore {
 impl PathStore {
     /// An empty store for an `n`-vertex graph.
     pub fn new(n: usize) -> Self {
+        let pairs = n * (n + 1) / 2;
         PathStore {
             n,
-            entries: vec![PairWitness::None; n * (n + 1) / 2],
+            tags: vec![TAG_NONE; pairs].into(),
+            payloads: vec![0; pairs].into(),
             routes: Unroller::new(),
             trees: None,
         }
     }
 
-    /// Rebuilds a store from frozen parts (snapshot loading). The arena and
-    /// the trees are taken as-is — no copy, so zero-copy (shared-section)
-    /// columns stay zero-copy.
+    /// Rebuilds a store from frozen parts (snapshot loading), validating
+    /// the witness columns against the arena and the trees first: every
+    /// `Rec` names a record of `arena`, every `Via` a vertex below `n`, and
+    /// every `Tree` witness has trees to walk and a zero payload. The arena,
+    /// the trees and the columns are taken as-is — no copy, so zero-copy
+    /// (shared-section) columns stay zero-copy. Returns the reason on the
+    /// first violation, in table order. O(pairs) reads, no allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `entries.len() != n(n+1)/2` or the trees are over another
-    /// `n`.
+    /// Panics if the trees are over another `n`.
     pub fn from_parts(
         n: usize,
         arena: RouteArena,
-        entries: Vec<PairWitness>,
+        tags: impl Into<PodData<u8>>,
+        payloads: impl Into<PodData<u32>>,
         trees: Option<Arc<TreeRows>>,
-    ) -> Self {
-        assert_eq!(entries.len(), n * (n + 1) / 2, "one witness per pair");
+    ) -> Result<Self, &'static str> {
         assert!(trees.as_ref().is_none_or(|t| t.n() == n), "trees over n");
-        PathStore {
+        let store = PathStore {
             n,
-            entries,
+            tags: tags.into(),
+            payloads: payloads.into(),
             routes: Unroller::from_arena(arena),
             trees,
+        };
+        let pairs = n
+            .checked_add(1)
+            .and_then(|m| n.checked_mul(m))
+            .map(|x| x / 2);
+        if Some(store.tags.len()) != pairs || store.payloads.len() != store.tags.len() {
+            return Err("pair witness count mismatch");
+        }
+        store.check_witnesses()?;
+        Ok(store)
+    }
+
+    /// The witness checks of [`PathStore::from_parts`]: one branch-free
+    /// pass that compares each payload against its tag's limit, then, only
+    /// when some entry fails, a scan for the first violation to name it.
+    fn check_witnesses(&self) -> Result<(), &'static str> {
+        // Per tag, one past the largest valid payload. An unknown tag's
+        // limit is zero, so every payload fails it; a `None` entry's
+        // payload is not read, so every payload passes.
+        let mut limit = [0u64; 256];
+        let records = self.routes.arena().len() as u64;
+        limit[usize::from(TAG_NONE)] = u64::from(u32::MAX) + 1;
+        limit[usize::from(TAG_REC)] = records;
+        limit[usize::from(TAG_REC_REV)] = records;
+        limit[usize::from(TAG_VIA)] = self.n as u64;
+        limit[usize::from(TAG_TREE)] = u64::from(self.trees.is_some());
+        let invalid = |(&tag, &payload): (&u8, &u32)| u64::from(payload) >= limit[usize::from(tag)];
+        let (tags, payloads) = self.witness_columns();
+        let entries = || tags.iter().zip(payloads);
+        if !entries().fold(false, |bad, entry| bad | invalid(entry)) {
+            return Ok(());
+        }
+        match entries().find(|&entry| invalid(entry)) {
+            None => Ok(()),
+            Some((&(TAG_REC | TAG_REC_REV), _)) => Err("witness record out of range"),
+            Some((&TAG_VIA, _)) => Err("via witness out of range"),
+            // A tree witness names no record: the store's tree rows serve
+            // it, and its payload is zero.
+            Some((&TAG_TREE, _)) => Err("invalid tree witness"),
+            Some(_) => Err("unknown witness tag"),
         }
     }
 
@@ -118,10 +208,29 @@ impl PathStore {
         self.routes.absorb(routes);
     }
 
-    /// Raw packed witness table, indexed like
-    /// [`DistStorage::packed_index`].
-    pub fn witnesses(&self) -> &[PairWitness] {
-        &self.entries
+    /// The witness of the pair at packed index `idx` (indexed like
+    /// [`DistStorage::packed_index`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not below `n(n+1)/2`.
+    #[inline]
+    pub fn witness(&self, idx: usize) -> PairWitness {
+        PairWitness::decode(self.tags[idx], self.payloads[idx])
+    }
+
+    /// Every pair's witness, in packed order.
+    pub fn witnesses(&self) -> impl Iterator<Item = PairWitness> + '_ {
+        let (tags, payloads) = self.witness_columns();
+        tags.iter()
+            .zip(payloads)
+            .map(|(&tag, &payload)| PairWitness::decode(tag, payload))
+    }
+
+    /// The raw witness columns `(tags, payloads)`, packed like
+    /// [`DistStorage::packed_index`] — the snapshot sections, as they are.
+    pub fn witness_columns(&self) -> (&[u8], &[u32]) {
+        (&self.tags, &self.payloads)
     }
 
     /// The trees `Tree` witnesses walk, if any were set.
@@ -142,13 +251,15 @@ impl PathStore {
         assert_eq!(trees.n(), self.n, "trees over n");
         assert!(self.trees.is_none(), "one set of trees per store");
         let n = self.n;
+        let (tags, payloads) = (self.tags.as_mut_slice(), self.payloads.as_mut_slice());
         for u in 0..n {
             // Row `u` of the packed table: pairs `(u, v)` for `v ≥ u`.
-            let row = DistStorage::packed_index(n, u, u);
-            let entries = &mut self.entries[row..row + n - u];
-            for (entry, reached) in entries.iter_mut().zip(trees.reached_from(u).skip(u)) {
-                if reached && *entry == PairWitness::None {
-                    *entry = PairWitness::Tree;
+            let start = DistStorage::packed_index(n, u, u);
+            let row = start..start + n - u;
+            let entries = tags[row.clone()].iter_mut().zip(&mut payloads[row]);
+            for ((tag, payload), reached) in entries.zip(trees.reached_from(u).skip(u)) {
+                if reached && *tag == TAG_NONE {
+                    (*tag, *payload) = PairWitness::Tree.encode();
                 }
             }
         }
@@ -158,7 +269,10 @@ impl PathStore {
     #[inline]
     fn set(&mut self, u: usize, v: usize, witness: PairWitness) {
         debug_assert_ne!(u, v, "the diagonal has no witness");
-        self.entries[DistStorage::packed_index(self.n, u, v)] = witness;
+        let idx = DistStorage::packed_index(self.n, u, v);
+        let (tag, payload) = witness.encode();
+        self.tags.as_mut_slice()[idx] = tag;
+        self.payloads.as_mut_slice()[idx] = payload;
     }
 
     /// Sets the witness of `{u, v}` to the direct `G` edge.
@@ -246,7 +360,7 @@ impl PathStore {
             };
             budget = rest;
             let idx = DistStorage::packed_index(self.n, x as usize, y as usize);
-            let emitted = match self.entries[idx] {
+            let emitted = match self.witness(idx) {
                 PairWitness::None => false,
                 PairWitness::Rec { rec, rev } => {
                     arena.emit_into(rec, rev ^ (x > y), out, stack);
@@ -449,13 +563,82 @@ mod tests {
     fn corrupt_via_cycle_returns_none() {
         // Hand-built cycle (only reachable through from_parts — pipelines
         // cannot create one): (0,2) via 1 and (0,1) via 2.
-        let s0 = PathStore::new(3);
-        let mut entries = s0.witnesses().to_vec();
-        entries[DistStorage::packed_index(3, 0, 2)] = PairWitness::Via(1);
-        entries[DistStorage::packed_index(3, 0, 1)] = PairWitness::Via(2);
-        entries[DistStorage::packed_index(3, 1, 2)] = PairWitness::Via(0);
-        let s = PathStore::from_parts(3, RouteArena::new(), entries, None);
+        let mut tags = vec![TAG_NONE; 6];
+        let mut payloads = vec![0; 6];
+        for (u, v, w) in [(0, 2, 1), (0, 1, 2), (1, 2, 0)] {
+            tags[DistStorage::packed_index(3, u, v)] = TAG_VIA;
+            payloads[DistStorage::packed_index(3, u, v)] = w;
+        }
+        let s = PathStore::from_parts(3, RouteArena::new(), tags, payloads, None)
+            .expect("a cycle passes the witness checks");
         assert_eq!(s.emit(0, 2), None, "budget breaks the cycle");
+    }
+
+    /// Every witness kind survives the two columns, and `from_parts`
+    /// refuses each violation class with its reason, the first one in table
+    /// order when there are several.
+    #[test]
+    fn from_parts_checks_every_witness() {
+        let g = path_graph(4);
+        let mut s = PathStore::new(4);
+        s.set_edge(0, 1);
+        s.set_walk(&g, &[2, 1]);
+        s.set_via(0, 2, 1);
+        let records = s.arena().len() as u32;
+        let load = |tags: &[u8], payloads: &[u32], trees| {
+            let arena = s.arena().clone();
+            PathStore::from_parts(4, arena, tags.to_vec(), payloads.to_vec(), trees)
+        };
+        let (tags, payloads) = s.witness_columns();
+        let loaded = load(tags, payloads, None).expect("well formed");
+        assert!(loaded.witnesses().eq(s.witnesses()));
+        assert_eq!(loaded.emit(2, 0), s.emit(2, 0));
+        let kinds: Vec<PairWitness> = s.witnesses().filter(|w| *w != PairWitness::None).collect();
+        assert_eq!(kinds.len(), 3);
+        assert!(matches!(kinds[2], PairWitness::Rec { rev: true, .. }));
+
+        let at = |u, v| DistStorage::packed_index(4, u, v);
+        let planted = |plants: &[(usize, u8, u32)], trees| {
+            let (mut tags, mut payloads) = (tags.to_vec(), payloads.to_vec());
+            for &(idx, tag, payload) in plants {
+                (tags[idx], payloads[idx]) = (tag, payload);
+            }
+            load(&tags, &payloads, trees).map(|_| ())
+        };
+        let refused = [
+            (TAG_REC, records, "witness record out of range"),
+            (TAG_REC_REV, records, "witness record out of range"),
+            (TAG_VIA, 4, "via witness out of range"),
+            (TAG_TREE, 0, "invalid tree witness"),
+            (5, 0, "unknown witness tag"),
+            (255, 0, "unknown witness tag"),
+        ];
+        for (tag, payload, want) in refused {
+            assert_eq!(planted(&[(at(0, 3), tag, payload)], None), Err(want));
+        }
+        // A `None` entry's payload is not read, so any payload passes.
+        assert_eq!(planted(&[(at(0, 3), TAG_NONE, u32::MAX)], None), Ok(()));
+        // The first violation in table order is the one reported.
+        let two = [(at(0, 3), TAG_VIA, 9), (at(1, 3), 7, 0)];
+        assert_eq!(planted(&two, None), Err("via witness out of range"));
+        assert_eq!(
+            load(&tags[1..], &payloads[1..], None).map(|_| ()),
+            Err("pair witness count mismatch")
+        );
+
+        // With trees, a tree witness passes with a zero payload only.
+        let t = tree_store();
+        let (tags, payloads) = t.witness_columns();
+        let tree_at = tags.iter().position(|&tag| tag == TAG_TREE).unwrap();
+        let trees = t.trees().cloned();
+        let load_tree = |payload| {
+            let mut payloads = payloads.to_vec();
+            payloads[tree_at] = payload;
+            let arena = t.arena().clone();
+            PathStore::from_parts(8, arena, tags.to_vec(), payloads, trees.clone()).map(|_| ())
+        };
+        assert_eq!(load_tree(0), Ok(()));
+        assert_eq!(load_tree(1), Err("invalid tree witness"));
     }
 
     /// Path 0–6 plus the edge (1,7), and an emulator over it with the
@@ -524,12 +707,15 @@ mod tests {
         parents[4] = 3;
         let cyclic = TreeRows::from_sections(8, parents, start.to_vec(), hi.to_vec(), rec.to_vec())
             .expect("a cycle passes the section checks");
+        let (tags, payloads) = s.witness_columns();
         let s = PathStore::from_parts(
             8,
             s.arena().clone(),
-            s.witnesses().to_vec(),
+            tags.to_vec(),
+            payloads.to_vec(),
             Some(Arc::new(cyclic)),
-        );
+        )
+        .expect("the witnesses are unchanged");
         assert_eq!(s.emit(0, 5), None, "budget breaks the cycle");
         assert_eq!(s.emit(5, 0), None);
         assert_eq!(

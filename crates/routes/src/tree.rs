@@ -185,15 +185,22 @@ impl TreeRows {
             }
         }
         let hops = rows.hops();
+        // `n < HOP_FLAG` was checked above, so the conversion holds.
+        let limit = u32::try_from(n).map_err(|_| "tree parent rows do not match n")?;
         for row in rows.parents.chunks_exact(n.max(1)) {
-            let mut flagged = false;
-            for &word in row {
-                if word != NO_PARENT {
-                    if (word & !HOP_FLAG) as usize >= n {
-                        return Err("tree parent out of range");
-                    }
-                    flagged |= word & HOP_FLAG != 0;
-                }
+            // One branch-free pass per row: a word other than `NO_PARENT`
+            // is out of range when its id is not below `n`, and flags the
+            // row when it has `HOP_FLAG` set.
+            let (out_of_range, flagged) =
+                row.iter().fold((false, false), |(bad, flagged), &word| {
+                    let parent = word != NO_PARENT;
+                    (
+                        bad | (parent & (word & !HOP_FLAG >= limit)),
+                        flagged | (parent & (word & HOP_FLAG != 0)),
+                    )
+                });
+            if out_of_range {
+                return Err("tree parent out of range");
             }
             if !flagged {
                 continue;

@@ -12,26 +12,54 @@
 //! ever see an `Arc<dyn ByteOwner>`; the fallback changes memory behavior,
 //! not results.
 //!
-//! This is the one module in the serving crate that needs `unsafe`: the
-//! raw `mmap`/`munmap` calls (no new dependencies — `std` already links
-//! libc) and the pointer-to-slice view, whose validity is exactly the
-//! mapping's lifetime, which [`MappedFile`] owns.
+//! This is the one module in the serving crate that needs `unsafe`, for
+//! three uses of libc (no new dependencies — `std` already links it):
+//!
+//! * the raw `mmap`/`munmap` calls and the pointer-to-slice view, whose
+//!   validity is exactly the mapping's lifetime, which [`MappedFile`] owns;
+//! * `signal(2)`, which installs the `SIGHUP` handler behind
+//!   [`sighup_flag`];
+//! * `poll(2)`, with which the acceptor waits for a connection
+//!   ([`wait_acceptable`]) instead of sleeping between `accept` attempts.
 
 #![allow(unsafe_code)]
 
 use std::fs::File;
 use std::io::Read;
+use std::net::TcpListener;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 use cc_graphs::{AlignedBytes, ByteOwner};
 
 #[cfg(all(unix, not(miri)))]
 mod sys {
-    use std::os::raw::{c_int, c_void};
+    use std::os::raw::{c_int, c_short, c_void};
 
     pub const PROT_READ: c_int = 1;
     pub const MAP_PRIVATE: c_int = 2;
+    pub const POLLIN: c_short = 1;
+
+    /// `nfds_t` of `poll(2)`.
+    #[cfg(target_os = "linux")]
+    pub type NfdsT = std::os::raw::c_ulong;
+    /// `nfds_t` of `poll(2)`.
+    #[cfg(not(target_os = "linux"))]
+    pub type NfdsT = std::os::raw::c_uint;
+
+    /// One `struct pollfd` of `poll(2)`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    // The C layout: two shorts after an int, eight bytes, no padding.
+    const _: () = assert!(std::mem::size_of::<PollFd>() == 8);
+    const _: () = assert!(std::mem::offset_of!(PollFd, events) == 4);
+    const _: () = assert!(std::mem::offset_of!(PollFd, revents) == 6);
 
     pub fn map_failed() -> *mut c_void {
         usize::MAX as *mut c_void
@@ -47,6 +75,7 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
     }
 }
 
@@ -159,6 +188,40 @@ pub fn read_owner(mut file: File) -> std::io::Result<(Arc<dyn ByteOwner>, bool)>
     Ok((Arc::new(AlignedBytes::copy_from(&buf)), false))
 }
 
+/// Waits until `listener` has a connection to accept or `timeout` has
+/// passed, whichever comes first, and returns whether a connection is
+/// pending. A signal or a failed `poll(2)` ends the wait early (`false`);
+/// the caller's next `accept` finds out what is there either way.
+///
+/// The wait is rounded up to whole milliseconds, the unit of `poll(2)`.
+#[cfg(all(unix, not(miri)))]
+pub fn wait_acceptable(listener: &TcpListener, timeout: Duration) -> bool {
+    use std::os::unix::io::AsRawFd;
+
+    let millis = std::os::raw::c_int::try_from(timeout.as_micros().div_ceil(1000))
+        .unwrap_or(std::os::raw::c_int::MAX);
+    let mut fd = sys::PollFd {
+        fd: listener.as_raw_fd(),
+        events: sys::POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `fd` is one live, initialized `pollfd` (layout pinned in
+    // `sys`) that outlives the call, matching `nfds = 1`; the kernel
+    // writes only its `revents`. The descriptor is the listener's, open
+    // for as long as the borrow.
+    let ready = unsafe { sys::poll(&mut fd, 1, millis) };
+    ready > 0 && fd.revents & sys::POLLIN != 0
+}
+
+/// Non-Unix / Miri stand-in for [`wait_acceptable`]: sleeps for `timeout`
+/// and reports nothing pending, so the acceptor falls back to retrying
+/// `accept` on a fixed period.
+#[cfg(not(all(unix, not(miri))))]
+pub fn wait_acceptable(_listener: &TcpListener, timeout: Duration) -> bool {
+    std::thread::sleep(timeout);
+    false
+}
+
 /// The flag a `SIGHUP` sets. First call installs the handler (Unix,
 /// non-Miri); the server's acceptor polls and clears the flag, running a
 /// hot reload when it finds it set. Elsewhere the flag simply never
@@ -230,6 +293,26 @@ mod tests {
             assert_eq!(owner.bytes().as_ptr() as usize % 64, 0);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The acceptor's wait returns at once when a connection is already
+    /// pending, however long its timeout, and at its timeout when none
+    /// is. A loopback `connect` completes its handshake before it returns,
+    /// so the connection is queued on the listener by then.
+    #[cfg(all(unix, not(miri)))]
+    #[test]
+    fn acceptor_wait_wakes_on_a_pending_connection() {
+        use std::net::TcpStream;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        assert!(!wait_acceptable(&listener, Duration::from_millis(10)));
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // A wait that ran out its minute would answer `false`.
+        assert!(wait_acceptable(&listener, Duration::from_secs(60)));
+        assert!(wait_acceptable(&listener, Duration::ZERO), "still pending");
+        let _conn = listener.accept().unwrap();
+        assert!(!wait_acceptable(&listener, Duration::from_millis(1)));
     }
 
     #[test]

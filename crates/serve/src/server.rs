@@ -457,6 +457,10 @@ impl Drop for ServerHandle {
     }
 }
 
+/// The longest the acceptor waits before it looks at the shutdown and
+/// `SIGHUP` flags again, and its back-off after a failed `accept`.
+const ACCEPT_WAIT: Duration = Duration::from_millis(5);
+
 /// Binds `addr` and starts accepting. Returns once the listener is live.
 ///
 /// # Errors
@@ -540,8 +544,14 @@ pub fn serve(
                     conn_threads.retain(|h| !h.is_finished());
                     conn_threads.extend(started);
                 }
-                // Nothing to accept (`WouldBlock`), or a failed accept.
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                // Nothing to accept: wait for a connection, waking at
+                // least every 5 ms for the shutdown and `SIGHUP` flags.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    crate::mmap::wait_acceptable(&listener, ACCEPT_WAIT);
+                }
+                // A failed accept (out of descriptors, say) would fail
+                // again at once: back off instead of spinning.
+                Err(_) => std::thread::sleep(ACCEPT_WAIT),
             }
         }
     })?;

@@ -5,7 +5,9 @@
 //! hot tables alias the page cache and no per-entry decode happens at all.
 //! What opening still costs is verification: the word-at-a-time frame
 //! checksum over the file and its embedded `CCDO`, one pass over every
-//! route-arena record, and the pair-witness decode. A file in any format
+//! route-arena record, and one branch-free pass each over the origins,
+//! the tree parents and the pair witnesses, which are then served in
+//! place like every other table. A file in any format
 //! version other than 4 — a retired v2 or v3 file included — is refused with
 //! [`SnapshotError::UnsupportedVersion`] before any byte is hashed.
 

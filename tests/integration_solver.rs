@@ -225,7 +225,7 @@ fn answer(solver: &mut Solver, query: &str, sources: &[usize]) -> (Answer, Vec<C
             estimates,
             paths.map(|p| {
                 (
-                    p.witnesses().to_vec(),
+                    p.witnesses().collect(),
                     p.arena().clone(),
                     p.trees().cloned(),
                 )
